@@ -291,10 +291,10 @@ class IMatrix:
             raise ValueError("dimension mismatch")
         return bool((np.abs(x - self.mid) <= self.rad).all())
 
-    def contains(self, other: "IMatrix") -> bool:
+    def contains(self, other: "IMatrix", policy: RoundingPolicy | None = None) -> bool:
         """Entrywise disk containment ``other subset self`` (conservative)."""
         other = as_imatrix(other)
-        lhs = (np.abs(other.mid - self.mid) + other.rad) * (1.0 + 4.0 * DEFAULT_POLICY.eta)
+        lhs = (np.abs(other.mid - self.mid) + other.rad) * (1.0 + 4.0 * _pol(policy).eta)
         return bool((lhs <= self.rad).all())
 
     # -- arithmetic ---------------------------------------------------------
@@ -330,6 +330,32 @@ def _im_add(x: IMatrix, y: IMatrix, sign: float, policy: RoundingPolicy | None =
     return IMatrix(mid, rad)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square ``a`` whose off-diagonal entries are all zero, else None."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    # the corners reject a dense matrix before the O(n^2) count
+    if a.size > 1 and (a[0, -1] or a[-1, 0]):
+        return None
+    d = a.diagonal()
+    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
+def _dot(a: np.ndarray, b: np.ndarray, da: np.ndarray | None, db: np.ndarray | None) -> np.ndarray:
+    """``a @ b``, as a broadcast when ``da`` (``db``) is the diagonal of a diagonal ``a`` (``b``).
+
+    Every term a dense product adds beside ``a_ii b_ij`` is an exact zero, so
+    on real data the broadcast rounds exactly as the dense product does.  The
+    result is C-ordered like a product's, whatever the operand's layout:
+    mixed layouts would slow every later entrywise operation.
+    """
+    if da is not None:
+        return np.multiply(da[:, None] if b.ndim == 2 else da, b, order="C")
+    if db is not None:
+        return np.multiply(a, db, order="C")
+    return a @ b
+
+
 def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
     """Interval matrix product with aggregate outward slack.
 
@@ -337,6 +363,11 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     ``|Xm| Yr + Xr |Ym| + Xr Yr`` plus ``(2k + 8) * eta`` times the magnitude
     sum ``|Xm| |Ym|``, which dominates every floating error on the length-``k``
     accumulation paths (see module docstring).
+
+    The products with a zero radius are exactly zero and are skipped, so a
+    point factor costs two real products fewer and changes no bit of the
+    result.  A factor with an exactly diagonal midpoint is applied by a
+    broadcast; the pad stays the one of the dense length-``k`` product.
     """
     x, y = as_imatrix(x), as_imatrix(y)
     if x.cols != y.rows:
@@ -344,19 +375,34 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     eta = _pol(policy).eta
     k = x.cols
     nops = 2 * k + 8
-    mid = x.mid @ y.mid
+    dx, dy = _diagonal(x.mid), _diagonal(y.mid)
+    adx = None if dx is None else np.abs(dx)
+    ady = None if dy is None else np.abs(dy)
+    mid = _dot(x.mid, y.mid, dx, dy)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
-    magprod = ax @ ay
-    rad = ax @ y.rad + x.rad @ ay + x.rad @ y.rad
-    rad = rad * (1.0 + nops * eta) + (nops * eta) * magprod
+    magprod = _dot(ax, ay, adx, ady)
+    # count_nonzero: the cheapest zero test on the many small products of the audits
+    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
+    rad = _dot(ax, y.rad, adx, None) if y_rad else np.zeros(mid.shape)
+    # in place: every array here is a fresh result, and the sums round as before
+    if x_rad:
+        rad += _dot(x.rad, ay, None, ady)
+        if y_rad:
+            rad += x.rad @ y.rad
+    rad *= 1.0 + nops * eta
+    magprod *= nops * eta
+    rad += magprod
     return IMatrix(mid, rad)
 
 
 def posmm(a: np.ndarray, b: np.ndarray, policy: RoundingPolicy | None = None) -> np.ndarray:
-    """Upper bound of the product of entrywise nonnegative point matrices."""
+    """Upper bound of the product of entrywise nonnegative point matrices.
+
+    An exactly diagonal factor is applied by a broadcast under the same pad.
+    """
     eta = _pol(policy).eta
     k = a.shape[1] if a.ndim == 2 else a.shape[0]
-    return (a @ b) * (1.0 + (2 * k + 8) * eta)
+    return _dot(a, b, _diagonal(a), _diagonal(b)) * (1.0 + (2 * k + 8) * eta)
 
 
 def iv_recip_arrays(

@@ -17,6 +17,13 @@ floating-point gap between the stored denominators ``S`` and the exact
 products of the stored transformed midpoint diagonals, so that a True
 verification is rigorous, not merely heuristic.
 
+The transformed midpoints are exactly diagonal, and the products use it:
+``im_matmul`` applies a diagonal-midpoint factor by a broadcast and skips the
+radius products of a point factor such as ``Xtilde``, so ``M`` takes no
+dense complex product.  Each pair of ``N`` is factored through
+``P = rad(Ap) W``: ``P |mid Bp|`` is a column scaling and
+``Mag(Ap) W = |diag mid Ap| W + P``, two real products per pair in all.
+
 On success the solution set of every member system is contained in
 ``U (Xtilde + H) V^-1``; the inflated box ``X`` is kept alongside so the
 interior test can be replayed.
@@ -95,6 +102,17 @@ def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     return hadamard_div_point(ps.Fp - t1 - t2, ps.S, pol)
 
 
+def _pair_bound(a: IMatrix, b: IMatrix, w: np.ndarray, policy: RoundingPolicy) -> np.ndarray:
+    """Upper bound of ``rad(a) W |mid b| + Mag(a) W rad(b)`` for diagonal ``mid a``, ``mid b``.
+
+    With ``P = rad(a) W`` and ``Mag(a) W = |diag mid a| o W + P``, the pair
+    costs two real products; ``|mid b|`` is applied by a broadcast.
+    """
+    p = posmm(a.rad, w, policy)
+    mag_w = (np.abs(np.diagonal(a.mid))[:, None] * w + p) * (1.0 + 4.0 * policy.eta)
+    return posmm(p, np.abs(b.mid), policy) + posmm(mag_w, b.rad, policy)
+
+
 def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
     """Zero-midpoint contraction bound for a symmetric box of radii ``xrad``."""
     pol = ps.policy
@@ -102,14 +120,9 @@ def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
     xrad = np.asarray(xrad, dtype=np.float64)
     if xrad.shape != ps.S.shape or (xrad < 0).any():
         raise ValueError("xrad must be a nonnegative m x n array")
-    abs_b = np.abs(ps.Bp.mid)
-    abs_d = np.abs(ps.Dp.mid)
-    w = (
-        posmm(posmm(ps.Ap.rad, xrad, pol), abs_b, pol)
-        + posmm(posmm(ps.Ap.mag(pol), xrad, pol), ps.Bp.rad, pol)
-        + posmm(posmm(ps.Cp.rad, xrad, pol), abs_d, pol)
-        + posmm(posmm(ps.Cp.mag(pol), xrad, pol), ps.Dp.rad, pol)
-    ) * (1.0 + 4.0 * eta)
+    w = (_pair_bound(ps.Ap, ps.Bp, xrad, pol) + _pair_bound(ps.Cp, ps.Dp, xrad, pol)) * (
+        1.0 + 4.0 * eta
+    )
     abs_s = np.abs(ps.S) * (1.0 - 2.0 * eta)
     rad = (w / abs_s) * (1.0 + 2.0 * eta)
     if ps.sdefect is not None:

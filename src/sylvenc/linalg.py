@@ -6,7 +6,8 @@ conventions and a certified interval enclosure of a matrix inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,13 +46,21 @@ class EigResult:
     """Eigendecomposition ``a @ vectors = vectors @ diag(values)`` with extras.
 
     ``inv_vectors`` is the LU-based approximate inverse of ``vectors``;
-    ``residual`` is the largest column residual ``||a v_k - w_k v_k||_inf``.
+    ``residual`` is the largest column residual ``||a v_k - w_k v_k||_inf``,
+    computed on first access because no solver reads it.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     inv_vectors: np.ndarray
-    residual: float
+    matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def residual(self) -> float:
+        a = self.matrix
+        if not a.size:
+            return 0.0
+        return float(np.abs(a @ self.vectors - self.vectors * self.values[None, :]).max())
 
 
 def eig_decompose(a: np.ndarray) -> EigResult:
@@ -64,9 +73,7 @@ def eig_decompose(a: np.ndarray) -> EigResult:
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError("eigendecomposition failed") from exc
     inv_vectors = lu_solve(vectors, np.eye(a.shape[0], dtype=vectors.dtype))
-    resid_cols = a @ vectors - vectors * values[None, :]
-    residual = float(np.abs(resid_cols).max()) if a.size else 0.0
-    return EigResult(values, vectors, inv_vectors, residual)
+    return EigResult(values, vectors, inv_vectors, a)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,20 +125,25 @@ def iunvec(x: IMatrix, m: int, n: int) -> IMatrix:
     return IMatrix(unvec(x.mid.ravel(), m, n), unvec(x.rad.ravel(), m, n))
 
 
-def inverse_enclosure(a: np.ndarray, policy: RoundingPolicy | None = None) -> IMatrix:
+def inverse_enclosure(
+    a: np.ndarray, policy: RoundingPolicy | None = None, r0: np.ndarray | None = None
+) -> IMatrix:
     """Rigorous interval enclosure of the exact inverse of a point matrix.
 
     With ``R0`` the LU-based approximate inverse and ``G = I - R0 a`` bounded
     outward, ``rho = || Mag G ||_inf < 1`` certifies nonsingularity and
     ``|a^-1 - R0| <= colmax|R0| * rho / (1 - rho)`` entrywise (the Neumann tail
-    of ``sum G^k R0``).  Raises when the certificate fails.
+    of ``sum G^k R0``).  Raises when the certificate fails.  ``r0`` passes an
+    ``R0`` already at hand, such as :class:`EigResult`'s ``inv_vectors``; the
+    certificate holds for any ``R0``.
     """
     a = np.asarray(a)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("dimension mismatch")
     eta = _pol(policy).eta
-    r0 = lu_solve(a, np.eye(n, dtype=a.dtype))
+    if r0 is None:
+        r0 = lu_solve(a, np.eye(n, dtype=a.dtype))
     g = im_matmul(IMatrix(r0), IMatrix(a), policy=policy)
     gmag = np.abs(np.eye(n) - g.mid) + g.rad
     rho = float(gmag.sum(axis=1).max()) * (1.0 + (n + 2) * eta)

@@ -1,7 +1,9 @@
 """Spectral preconditioning of the interval equation A X B + C X D = F.
 
 The midpoint pairs (mid A, mid C) and (mid B, mid D) are conjugated into
-(approximately) diagonal form by shared eigenbases U and V.  Off-diagonal
+(approximately) diagonal form by shared eigenbases U and V.  Each distinct
+midpoint is decomposed once per transform, and a scalar midpoint ``c I``
+takes the exact basis ``I`` without an eigensolver call.  Off-diagonal
 midpoint mass of the transformed coefficients is moved into the radii, so the
 transformed midpoints are exactly diagonal; validity never depends on how well
 the pair actually commutes, only tightness does.
@@ -19,12 +21,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EigenDecompositionError, SingularMatrixError, SingularPreconditionerError
-from .intervals import DEFAULT_POLICY, IMatrix, RoundingPolicy, _pol, as_imatrix, im_matmul
-from .linalg import eig_decompose, inverse_enclosure
+from .intervals import (
+    DEFAULT_POLICY,
+    IMatrix,
+    RoundingPolicy,
+    _diagonal,
+    _pol,
+    as_imatrix,
+    im_matmul,
+)
+from .linalg import EigResult, eig_decompose, inverse_enclosure
 from .system import SylvesterSystem
 
 __all__ = [
@@ -47,7 +58,8 @@ class SimDiagResult:
     conjugated into the same basis and its diagonal is read off as ``dC``.
     ``offdiag_mass`` is the relative inf-norm of what the conjugation leaves
     off the diagonal of the second matrix; ``commutator`` is the Frobenius
-    norm of the pair's commutator.
+    norm of the pair's commutator, computed on first access because no
+    solver reads it.
     """
 
     U: np.ndarray
@@ -55,7 +67,12 @@ class SimDiagResult:
     dA: np.ndarray
     dC: np.ndarray
     offdiag_mass: float
-    commutator: float
+    pair: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def commutator(self) -> float:
+        a, c = self.pair
+        return float(np.linalg.norm(a @ c - c @ a))
 
 
 def _offdiag_rel(conj: np.ndarray, ref: np.ndarray) -> float:
@@ -66,13 +83,43 @@ def _offdiag_rel(conj: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(off).sum(axis=1).max()) / ref_norm
 
 
-def simultaneous_diag(Ac: np.ndarray, Cc: np.ndarray) -> SimDiagResult:
-    """Diagonalize ``Ac`` and conjugate ``Cc`` into the same eigenbasis."""
+def _eigen(a: np.ndarray) -> EigResult:
+    """``eig_decompose(a)``, or the exact basis ``I`` when ``a`` is a scalar matrix ``c I``."""
+    d = _diagonal(a)
+    if d is not None and d.size and (d == d[0]).all():
+        n = a.shape[0]
+        return EigResult(d.copy(), np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype), a)
+    return eig_decompose(a)
+
+
+def _eig_memo():
+    """:func:`_eigen` that decomposes each distinct matrix once over the memo's lifetime."""
+    seen: list[tuple[np.ndarray, EigResult]] = []
+
+    def eig_of(a: np.ndarray) -> EigResult:
+        for b, res in seen:
+            if b.dtype == a.dtype and np.array_equal(a, b):
+                return res
+        res = _eigen(a)
+        seen.append((a, res))
+        return res
+
+    return eig_of
+
+
+def simultaneous_diag(
+    Ac: np.ndarray, Cc: np.ndarray, eig: EigResult | None = None
+) -> SimDiagResult:
+    """Diagonalize ``Ac`` and conjugate ``Cc`` into the same eigenbasis.
+
+    ``eig`` passes an eigendecomposition of ``Ac`` already at hand.
+    """
     Ac = np.atleast_2d(np.asarray(Ac))
     Cc = np.atleast_2d(np.asarray(Cc))
     if Ac.shape != Cc.shape or Ac.shape[0] != Ac.shape[1]:
         raise ValueError("dimension mismatch")
-    eig = eig_decompose(Ac)
+    if eig is None:
+        eig = _eigen(Ac)
     conj = eig.inv_vectors @ Cc @ eig.vectors
     mass = _offdiag_rel(conj, Cc)
     if mass > OFFDIAG_WARN:
@@ -81,8 +128,8 @@ def simultaneous_diag(Ac: np.ndarray, Cc: np.ndarray) -> SimDiagResult:
             "will be absorbed into radii",
             stacklevel=2,
         )
-    comm = float(np.linalg.norm(Ac @ Cc - Cc @ Ac))
-    return SimDiagResult(eig.vectors, eig.inv_vectors, eig.values, np.diag(conj).copy(), mass, comm)
+    dC = np.diag(conj).copy()
+    return SimDiagResult(eig.vectors, eig.inv_vectors, eig.values, dC, mass, (Ac, Cc))
 
 
 def build_S(dA, dB, dC, dD) -> np.ndarray:
@@ -145,36 +192,40 @@ def _symmetrize_diag(x: IMatrix, policy) -> IMatrix:
     return IMatrix(d, rad)
 
 
-def _pick_side(first: np.ndarray, second: np.ndarray) -> tuple[SimDiagResult, bool]:
+def _pick_side(
+    first: np.ndarray, second: np.ndarray, eig_of
+) -> tuple[SimDiagResult, bool, tuple[float, float]]:
     """Choose which member of a midpoint pair donates the eigenbasis.
 
     Scores each candidate basis by the larger relative off-diagonal mass it
     leaves on either conjugated midpoint; smaller is better, ties keep the
-    first member.  Returns the decomposition of the winning donor and whether
-    the pair was swapped.
+    first member.  ``eig_of`` supplies the eigendecompositions.  Returns the
+    decomposition of the winning donor, whether the pair was swapped, and the
+    off-diagonal masses the winning basis leaves on ``first`` and ``second``.
     """
-    candidates: list[tuple[float, bool, SimDiagResult]] = []
+    candidates: list[tuple[float, bool, SimDiagResult, float]] = []
     for swapped, (p, q) in ((False, (first, second)), (True, (second, first))):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = simultaneous_diag(p, q)
+                res = simultaneous_diag(p, q, eig_of(p))
         except (EigenDecompositionError, SingularMatrixError):
             continue
         own = _offdiag_rel(res.Uinv @ p @ res.U, p)
         score = max(own, res.offdiag_mass)
-        candidates.append((score, swapped, res))
+        candidates.append((score, swapped, res, own))
     if not candidates:
         raise EigenDecompositionError("eigendecomposition failed")
     candidates.sort(key=lambda t: (t[0], t[1]))
-    _, swapped, res = candidates[0]
+    _, swapped, res, own = candidates[0]
     if res.offdiag_mass > OFFDIAG_WARN:
         warnings.warn(
             f"pair is far from commuting: off-diagonal mass {res.offdiag_mass:.2e} "
             "will be absorbed into radii",
             stacklevel=3,
         )
-    return res, swapped
+    masses = (res.offdiag_mass, own) if swapped else (own, res.offdiag_mass)
+    return res, swapped, masses
 
 
 def _diag_defect(a, b, c, d, S, policy) -> np.ndarray:
@@ -196,12 +247,13 @@ def transform_enclose(sys: SylvesterSystem, policy: RoundingPolicy | None = None
     basis exists; large non-commutativity only widens radii and warns.
     """
     pol = _pol(policy)
-    left, lswap = _pick_side(sys.A.mid, sys.C.mid)
-    right, rswap = _pick_side(sys.B.mid, sys.D.mid)
+    eig_of = _eig_memo()
+    left, lswap, (mass_a, mass_c) = _pick_side(sys.A.mid, sys.C.mid, eig_of)
+    right, rswap, (mass_b, mass_d) = _pick_side(sys.B.mid, sys.D.mid, eig_of)
 
     U, V = left.U, right.U
-    uinv_box = inverse_enclosure(U, pol)
-    vinv_box = inverse_enclosure(V, pol)
+    uinv_box = inverse_enclosure(U, pol, r0=left.Uinv)
+    vinv_box = inverse_enclosure(V, pol, r0=right.Uinv)
 
     Ap = _symmetrize_diag(_sandwich(uinv_box, sys.A, U, pol), pol)
     Cp = _symmetrize_diag(_sandwich(uinv_box, sys.C, U, pol), pol)
@@ -217,12 +269,7 @@ def transform_enclose(sys: SylvesterSystem, policy: RoundingPolicy | None = None
     b, d = np.diag(Bp.mid), np.diag(Dp.mid)
     sdefect = _diag_defect(a, b, c, d, S, pol)
 
-    mass = {
-        "A": _offdiag_rel(left.Uinv @ sys.A.mid @ U, sys.A.mid),
-        "C": _offdiag_rel(left.Uinv @ sys.C.mid @ U, sys.C.mid),
-        "B": _offdiag_rel(right.Uinv @ sys.B.mid @ V, sys.B.mid),
-        "D": _offdiag_rel(right.Uinv @ sys.D.mid @ V, sys.D.mid),
-    }
+    mass = {"A": mass_a, "C": mass_c, "B": mass_b, "D": mass_d}
 
     return PrecondSystem(
         Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp, Fp=Fp,

@@ -9,7 +9,10 @@ where a..d are the diagonals of the transformed midpoints and the coupling
 collects every off-diagonal and radius contribution.  Bounding the coupling
 magnitude by T(Y) gives a new enclosure, and intersecting it with Y yields
 an enclosure that can only shrink.  Iterating this map refines wide initial
-boxes at the cost of one interval product pair per step.
+boxes.  Because the transformed midpoints are diagonal, T(Y) is a sum of two
+factored pairs, ``P |b| + (|a| o |Y| + P) rad(Bp)`` with ``P = rad(Ap) |Y|``
+and likewise for ``Cp, Dp``: four real products per step.  The reciprocals of
+the fixed denominators are formed once per run.
 
 Enclosures are intersected in rectangle form (independent inf-sup bounds on
 real and imaginary parts): rectangle intersection is exact, which makes the
@@ -20,6 +23,7 @@ accident.  Disks are converted outward on entry and exit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +35,12 @@ from .intervals import (
     _pol,
     as_imatrix,
     disks_to_rect,
-    im_matmul,
     iv_recip_arrays,
-    posmm,
     rect_mag,
     rect_meet,
     rect_to_disks,
 )
-from .krawczyk import Enclosure, back_transform, mkw_solve
+from .krawczyk import Enclosure, _pair_bound, back_transform, mkw_solve
 from .precond import PrecondSystem
 from .system import SylvesterSystem
 
@@ -60,11 +62,21 @@ class GammaState:
     converged: bool
 
 
-def _denominators(ps: PrecondSystem, policy: RoundingPolicy) -> tuple[np.ndarray, np.ndarray]:
+class _Denominators(NamedTuple):
+    """Disk denominators of the refinement and their disk reciprocals."""
+
+    mid: np.ndarray
+    rad: np.ndarray
+    rec_mid: np.ndarray
+    rec_rad: np.ndarray
+
+
+def _denominators(ps: PrecondSystem, policy: RoundingPolicy) -> _Denominators:
     """Interval denominators from the actual transformed midpoint diagonals.
 
     The radii cover the floating formation error of ``a b' + c d'``, so the
-    exact products of the stored diagonals are certainly enclosed.
+    exact products of the stored diagonals are certainly enclosed.  They are
+    fixed for a refinement run, so their reciprocals are formed here once.
     """
     eta = policy.eta
     a, c = np.diag(ps.Ap.mid), np.diag(ps.Cp.mid)
@@ -74,22 +86,22 @@ def _denominators(ps: PrecondSystem, policy: RoundingPolicy) -> tuple[np.ndarray
     lo = np.abs(mid) - rad
     if mid.size == 0 or lo.min() <= PIVOT_REL * np.abs(mid).max():
         raise SingularPreconditionerError("singular preconditioner entry")
-    return mid, rad
+    return _Denominators(mid, rad, *iv_recip_arrays(mid, rad, policy))
 
 
 def _coupling_bound(ps: PrecondSystem, Y: Rect, policy: RoundingPolicy) -> np.ndarray:
-    """Upper bound T(Y) of every non-diagonal contribution magnitude."""
+    """Upper bound T(Y) of every non-diagonal contribution magnitude.
+
+    With ``a``..``d`` the diagonals of the midpoints, a member's ``A' Y B'``
+    differs from ``a_i y_ij b_j`` by at most
+    ``rad(Ap) |Y| |b| + Mag(Ap) |Y| rad(Bp)``, bounded with the rectangle
+    magnitude ``|Y|``, which is tighter than the magnitude of its
+    circumscribed disks.
+    """
     pol = policy
     absY = rect_mag(Y, pol)
-    ydisks = rect_to_disks(Y, pol)
-    yb_mag = im_matmul(ydisks, as_imatrix(ps.Bp.mid), pol).mag(pol)
-    yd_mag = im_matmul(ydisks, as_imatrix(ps.Dp.mid), pol).mag(pol)
     T = (
-        posmm(posmm(ps.Ap.mag(pol), absY, pol), ps.Bp.rad, pol)
-        + posmm(ps.Ap.rad, yb_mag, pol)
-        + posmm(posmm(ps.Cp.mag(pol), absY, pol), ps.Dp.rad, pol)
-        + posmm(ps.Cp.rad, yd_mag, pol)
-        + ps.Fp.rad
+        _pair_bound(ps.Ap, ps.Bp, absY, pol) + _pair_bound(ps.Cp, ps.Dp, absY, pol) + ps.Fp.rad
     ) * (1.0 + 8.0 * pol.eta)
     return T
 
@@ -98,7 +110,7 @@ def _quotient_disk(
     ps: PrecondSystem,
     Y: Rect,
     policy: RoundingPolicy,
-    denom: tuple[np.ndarray, np.ndarray],
+    denom: _Denominators,
 ) -> IMatrix:
     """Disk enclosure of the solution set implied by the candidate ``Y``.
 
@@ -106,9 +118,8 @@ def _quotient_disk(
     the returned quotient, independently of the later intersection.
     """
     pol = policy
-    dmid, drad = denom
     T = _coupling_bound(ps, Y, pol)
-    rec_mid, rec_rad = iv_recip_arrays(dmid, drad, pol)
+    rec_mid, rec_rad = denom.rec_mid, denom.rec_rad
     fmid = ps.Fp.mid
     qmid = fmid * rec_mid
     qrad = (np.abs(fmid) * rec_rad + T * np.abs(rec_mid) + T * rec_rad) * (
@@ -121,7 +132,7 @@ def gamma_step(
     ps: PrecondSystem,
     Y: Rect | IMatrix,
     policy: RoundingPolicy | None = None,
-    denom: tuple[np.ndarray, np.ndarray] | None = None,
+    denom: _Denominators | None = None,
 ) -> Rect:
     """One residual-division-intersection step on an enclosure candidate.
 
@@ -210,5 +221,5 @@ def itr_solve(
         Hbox=None,
         precond=ps,
         resid_box=initial.resid_box,
-        gamma=GammaState(Y=Y, denom=denom[0], denom_rad=denom[1], k=k, converged=converged),
+        gamma=GammaState(Y=Y, denom=denom.mid, denom_rad=denom.rad, k=k, converged=converged),
     )

@@ -205,6 +205,28 @@ class TestBench:
         assert rc == 2
 
 
+def test_bench_times_itr_from_the_cells_mkw_enclosure(monkeypatch):
+    import sylvenc.bench as bench
+    import sylvenc.refine as refine
+    from sylvenc import itr_solve
+
+    fresh = itr_solve(generate(GenSpec(family="kyc31", m=4))).evaluated
+    starts = []
+
+    def counting_mkw(*args, **kwargs):
+        starts.append(args)
+        return bench.mkw_solve(*args, **kwargs)
+
+    # the start solve itr_solve makes when it is given no initial enclosure
+    monkeypatch.setattr(refine, "mkw_solve", counting_mkw)
+    # itr listed first: mkw still runs first and hands itr its enclosure
+    code, records = bench.run_benchmark(sizes=(4,), methods=("itr", "mkw"), samples=0)
+    assert code == 0
+    assert [r.method for r in records] == ["itr", "mkw"]
+    assert starts == []
+    assert records[0].meanR == float(fresh.rad.sum() / fresh.rad.size)
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "sylvenc.cli", "gen", "--family", "kyc31", "--m", "2"],

@@ -120,6 +120,14 @@ class TestIMatrix:
         assert big.contains_point(np.full((2, 2), 0.9))
         assert not big.contains_point(np.full((2, 2), 1.1))
 
+    def test_contains_honours_the_rounding_policy(self):
+        big = IMatrix(np.zeros((1, 1)), np.ones((1, 1)))
+        # 2**-40 short of the edge: inside under the default pad of 4 * 2**-50,
+        # not certainly inside under a pad of 4 * 2**-30
+        edge = IMatrix(np.zeros((1, 1)), np.full((1, 1), 1.0 - 2.0**-40))
+        assert big.contains(edge)
+        assert not big.contains(edge, RoundingPolicy(eta=2.0**-30))
+
 
 def _exact_interval_dot(xm, xr, ym, yr):
     """Exact inf-sup bounds of a real interval dot product via Fractions."""
@@ -139,12 +147,20 @@ def _exact_interval_dot(xm, xr, ym, yr):
 def test_matmul_encloses_exact_interval_product():
     # dyadic inputs make Fraction arithmetic exact, so this is a true oracle
     rng = np.random.default_rng(42)
-    for _ in range(25):
+    for trial in range(50):
         m, k, n = rng.integers(1, 4, size=3)
+        if trial % 2:
+            # an exactly diagonal midpoint on one side takes the broadcast path
+            m = k if trial % 4 == 1 else m
+            n = k if trial % 4 == 3 else n
         xm = rng.integers(-8, 9, size=(m, k)) / 8.0
         xr = rng.integers(0, 5, size=(m, k)) / 16.0
         ym = rng.integers(-8, 9, size=(k, n)) / 8.0
         yr = rng.integers(0, 5, size=(k, n)) / 16.0
+        if trial % 4 == 1:
+            xm = np.diag(np.diag(xm))
+        elif trial % 4 == 3:
+            ym = np.diag(np.diag(ym))
         prod = im_matmul(IMatrix(xm, xr), IMatrix(ym, yr))
         for i in range(m):
             for j in range(n):
@@ -169,6 +185,56 @@ def test_matmul_isotonicity_fuzz():
         a = x.mid + x.rad * rng.uniform(-1, 1, size=x.shape)
         b = y.mid + y.rad * rng.uniform(-1, 1, size=y.shape)
         assert prod.contains_point(a @ b)
+
+
+def _generic_matmul(x, y, eta=RoundingPolicy().eta):
+    """The four-product interval product, kept as the reference of the fast paths."""
+    nops = 2 * x.cols + 8
+    ax, ay = np.abs(x.mid), np.abs(y.mid)
+    rad = ax @ y.rad + x.rad @ ay + x.rad @ y.rad
+    return x.mid @ y.mid, rad * (1.0 + nops * eta) + (nops * eta) * (ax @ ay)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_matmul_point_factor_is_bit_identical_to_four_products(dtype):
+    rng = np.random.default_rng(5)
+
+    def mid(shape):
+        z = rng.normal(size=shape)
+        return z + 1j * rng.normal(size=shape) if dtype is np.complex128 else z
+
+    # dense midpoints: a 1 x 1 or diagonal factor would take the broadcast path
+    for m, k, n in ((1, 3, 2), (3, 5, 2), (8, 8, 8), (32, 32, 32)):
+        x_pt = IMatrix(mid((m, k)))
+        y_pt = IMatrix(mid((k, n)))
+        x_iv = IMatrix(mid((m, k)), np.abs(rng.normal(size=(m, k))))
+        y_iv = IMatrix(mid((k, n)), np.abs(rng.normal(size=(k, n))))
+        for x, y in ((x_pt, y_iv), (x_iv, y_pt), (x_pt, y_pt)):
+            got = im_matmul(x, y)
+            ref_mid, ref_rad = _generic_matmul(x, y)
+            assert np.array_equal(got.mid, ref_mid)
+            assert np.array_equal(got.rad, ref_rad)
+
+
+@pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+@pytest.mark.parametrize("m", [8, 32])
+def test_diagonal_midpoint_products_no_wider_than_generic(family, m):
+    from sylvenc import GenSpec, generate, transform_enclose
+
+    ps = transform_enclose(generate(GenSpec(family=family, m=m, alpha=1e-6, seed=1)))
+    eta = ps.policy.eta
+    dense = ps.Fp
+    for x, y in ((ps.Ap, dense), (ps.Cp, dense), (dense, ps.Bp), (dense, ps.Dp),
+                 (ps.Ap, as_imatrix(dense.mid)), (as_imatrix(dense.mid), ps.Dp)):
+        got = im_matmul(x, y)
+        ref_mid, ref_rad = _generic_matmul(x, y)
+        assert (got.rad <= ref_rad).all()
+        # the broadcast rounds each entry once; the dense product adds zeros
+        assert (np.abs(got.mid - ref_mid) <= 4 * eta * np.abs(ref_mid)).all()
+    w = ps.Ap.rad
+    for diag in (np.abs(ps.Bp.mid), np.abs(ps.Dp.mid)):
+        assert (posmm(w, diag) <= (w @ diag) * (1.0 + (2 * m + 8) * eta)).all()
+        assert (posmm(w, diag) >= w @ diag).all()
 
 
 def test_posmm_is_an_upper_bound():

@@ -117,3 +117,74 @@ def test_degenerate_eigenbasis_raises():
         assert not enc.verified
     except EnclosureError:
         pass  # raising is the other acceptable contract
+
+
+def _conj_offdiag_rel(uinv, a, u):
+    """Relative inf-norm off-diagonal mass of ``uinv a u``: the reference for ``offdiag_mass``."""
+    conj = uinv @ a @ u
+    off = conj - np.diag(np.diag(conj))
+    return float(np.abs(off).sum(axis=1).max()) / float(np.abs(a).sum(axis=1).max())
+
+
+class TestEigPerDistinctMidpoint:
+    @staticmethod
+    def _count_eigs(monkeypatch, sys):
+        import sylvenc.precond as precond
+
+        seen = []
+        orig = precond.eig_decompose
+
+        def counting(a):
+            seen.append(np.array(a))
+            return orig(a)
+
+        monkeypatch.setattr(precond, "eig_decompose", counting)
+        return transform_enclose(sys), seen
+
+    def test_kyc31_decomposes_its_two_random_midpoints(self, monkeypatch):
+        sys = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))
+        ps, seen = self._count_eigs(monkeypatch, sys)
+        # C = D = I take the exact basis I without an eig call
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], sys.A.mid) and np.array_equal(seen[1], sys.B.mid)
+        assert ps.offdiag_mass["A"] < 1e-8 and ps.offdiag_mass["B"] < 1e-8
+
+    def test_gallery33_decomposes_its_one_midpoint_once(self, monkeypatch):
+        sys = generate(GenSpec(family="gallery33", m=8, alpha=1e-6))
+        _, seen = self._count_eigs(monkeypatch, sys)
+        assert len(seen) == 1
+
+    def test_scalar_basis_is_what_eig_returns(self):
+        from sylvenc.linalg import eig_decompose
+        from sylvenc.precond import _eigen
+
+        for m in (1, 8, 32):
+            for c in (1.0, -2.5):
+                a = c * np.eye(m)
+                got, ref = _eigen(a), eig_decompose(a)
+                for field in ("values", "vectors", "inv_vectors"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field))
+                    assert getattr(got, field).dtype == getattr(ref, field).dtype
+
+
+class TestDiagnosticsKeepTheirValues:
+    @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+    def test_offdiag_mass_matches_the_conjugated_midpoints(self, family):
+        sys = generate(GenSpec(family=family, m=8, alpha=1e-6, seed=3))
+        ps = transform_enclose(sys)
+        mids = {"A": sys.A.mid, "C": sys.C.mid, "B": sys.B.mid, "D": sys.D.mid}
+        for key, mid in mids.items():
+            uinv, u = (ps.Uinv, ps.U) if key in "AC" else (ps.Vinv, ps.V)
+            assert ps.offdiag_mass[key] == _conj_offdiag_rel(uinv, mid, u)
+
+    def test_lazy_commutator_and_residual(self):
+        from sylvenc.linalg import eig_decompose
+
+        rng = np.random.default_rng(8)
+        a = _random_diagonalizable(6, rng)
+        c = 0.5 * np.eye(6) + 0.25 * a + 0.125 * (a @ a)  # commutes: no warning
+        res = simultaneous_diag(a, c)
+        assert res.commutator == float(np.linalg.norm(a @ c - c @ a))
+        eig = eig_decompose(a)
+        expect = float(np.abs(a @ eig.vectors - eig.vectors * eig.values[None, :]).max())
+        assert eig.residual == expect
