@@ -15,9 +15,11 @@ blocks for the column pair (DB, DD), the operator
 
     Lambda = transpose(DB) kron DA + transpose(DD) kron DC
 
-is upper triangular and block diagonal over the column partition, so the
-Hadamard division of the diagonal method becomes an interval backward
-substitution, performed blockwise with Lambda rows generated on the fly.
+splits into independent upper-triangular systems, one per tile X[I, J] of a
+row block I and a column block J (the block-triangular recurrences of
+Bartels and Stewart).  The Hadamard division of the diagonal method becomes
+an interval backward substitution, run on all tiles of one shape at once;
+the same sweep on the point right-hand side gives the approximate solution.
 Midpoint mass of the transformed matrices that falls outside the block
 pattern is absorbed into radii, which keeps the method rigorous for any
 inputs at the price of wider results when the pattern fits poorly.
@@ -25,24 +27,23 @@ inputs at the price of wider results when the pattern fits poorly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularPreconditionerError
 from .intervals import (
-    DEFAULT_POLICY,
     IMatrix,
     RoundingPolicy,
+    _denominators,
     _pol,
     as_imatrix,
     im_matmul,
-    iv_recip_arrays,
     posmm,
 )
 from .krawczyk import FAILURE_MESSAGE, Enclosure, back_transform, verification_loop
-from .linalg import inverse_enclosure, lu_solve, unvec, vec
+from .linalg import inverse_enclosure, lu_solve
 from .precond import _sandwich
 from .system import SylvesterSystem
 
@@ -55,14 +56,15 @@ __all__ = [
 
 SEP_REL = 1e-4
 MAX_COND_DEFAULT = 1e4
-PIVOT_REL = 2.0**-40
 
 
 @dataclass(frozen=True)
 class BlockHalf:
-    """One-sided block form: donor Schur basis plus both conjugated midpoints."""
+    """One-sided block form: donor Schur basis ``U``, its LU inverse, the
+    donor's block form ``T`` and the unprojected conjugate ``D2 = Uinv Cc U``."""
 
     U: np.ndarray
+    Uinv: np.ndarray
     T: np.ndarray
     D2: np.ndarray
     sizes: tuple[int, ...]
@@ -93,8 +95,14 @@ class BlockDiagForm:
     cond_bound: float
 
     def __post_init__(self) -> None:
-        if sum(self.b_sizes) != self.DB.shape[0] or sum(self.a_sizes) != self.DA.shape[0]:
+        m, n = sum(self.a_sizes), sum(self.b_sizes)
+        shapes = (self.DA.shape, self.DC.shape, self.DB.shape, self.DD.shape)
+        if shapes != ((m, m), (m, m), (n, n), (n, n)):
             raise ValueError("block sizes do not sum to the matrix dimension")
+        # the backward substitution solves each tile of this pattern on its own
+        off_a, off_b = ~block_mask(self.a_sizes), ~block_mask(self.b_sizes, lower=True)
+        if any(x.any() for x in (self.DA[off_a], self.DC[off_a], self.DB[off_b], self.DD[off_b])):
+            raise ValueError("block factor has entries outside its block pattern")
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +112,9 @@ class BlockDiagForm:
 
 def block_mask(sizes: tuple[int, ...], lower: bool = False) -> np.ndarray:
     """Boolean mask of a block-diagonal pattern with triangular blocks."""
-    m = sum(sizes)
-    mask = np.zeros((m, m), dtype=bool)
-    start = 0
-    for sz in sizes:
-        blk = np.tril(np.ones((sz, sz), dtype=bool)) if lower else np.triu(
-            np.ones((sz, sz), dtype=bool)
-        )
-        mask[start : start + sz, start : start + sz] = blk
-        start += sz
-    return mask
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    tri = (np.tril if lower else np.triu)(np.ones((block.size, block.size), dtype=bool))
+    return tri & (block[:, None] == block[None, :])
 
 
 def _project_pattern(x: IMatrix, mask: np.ndarray, policy: RoundingPolicy) -> IMatrix:
@@ -268,29 +269,25 @@ def block_diagonalize(
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
         DA = np.where(mask, T, 0.0)
-        D2 = np.where(mask, Uinv @ Cc @ U, 0.0)
-        return BlockHalf(U=U, T=DA, D2=D2, sizes=sizes, cond_bound=cond)
+        return BlockHalf(U=U, Uinv=Uinv, T=DA, D2=Uinv @ Cc @ U, sizes=sizes, cond_bound=cond)
 
 
-def _best_half(first: np.ndarray, second: np.ndarray, max_cond: float) -> tuple[BlockHalf, bool]:
+def _best_half(first: np.ndarray, second: np.ndarray, max_cond: float) -> BlockHalf:
     """Donor choice between the two midpoints of one side.
 
     Scores each candidate by the worst relative off-pattern mass left in
     either conjugated midpoint; smaller is better, ties keep the first.
     """
-    candidates = []
-    for swap, (p, q) in enumerate(((first, second), (second, first))):
-        half = block_diagonalize(p, q, max_cond)
-        mask = block_mask(half.sizes, lower=False)
-        uinv = lu_solve(half.U, np.eye(half.U.shape[0], dtype=np.complex128))
-        score = max(
-            _offpattern_rel(uinv @ q @ half.U, mask),
-            _offpattern_rel(uinv @ p @ half.U, mask),
+
+    def score(half: BlockHalf, donor: np.ndarray) -> float:
+        mask = block_mask(half.sizes)
+        return max(
+            _offpattern_rel(half.D2, mask), _offpattern_rel(half.Uinv @ donor @ half.U, mask)
         )
-        candidates.append((score, swap, half))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    _, swap, half = candidates[0]
-    return half, bool(swap)
+
+    pairs = ((first, second), (second, first))
+    candidates = [(block_diagonalize(p, q, max_cond), p) for p, q in pairs]
+    return min(candidates, key=lambda c: score(*c))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,29 +295,10 @@ def _best_half(first: np.ndarray, second: np.ndarray, max_cond: float) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def _block_pivots(form: BlockDiagForm, c0: int, c1: int, eta: float):
-    da = np.diag(form.DA)
-    dc = np.diag(form.DC)
-    db = np.diag(form.DB)[c0:c1]
-    dd = np.diag(form.DD)[c0:c1]
-    pmid = np.kron(db, da) + np.kron(dd, dc)
-    prad = 6.0 * eta * (np.kron(np.abs(db), np.abs(da)) + np.kron(np.abs(dd), np.abs(dc)))
-    return pmid, prad
-
-
-def _screen_pivots(form: BlockDiagForm, eta: float) -> None:
-    mids, rads = [], []
-    start = 0
-    for sz in form.b_sizes:
-        pm, pr = _block_pivots(form, start, start + sz, eta)
-        mids.append(pm)
-        rads.append(pr)
-        start += sz
-    pmid = np.concatenate(mids)
-    prad = np.concatenate(rads)
-    lo = np.abs(pmid) - prad
-    if lo.min() <= PIVOT_REL * np.abs(pmid).max():
-        raise SingularPreconditionerError("singular preconditioner block")
+def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
+    """Each block size with the ``(count, size)`` indices of its blocks."""
+    starts = np.cumsum((0,) + tuple(sizes[:-1]))
+    return [(s, starts[np.equal(sizes, s)][:, None] + np.arange(s)) for s in sorted(set(sizes))]
 
 
 def interval_back_substitute(
@@ -330,89 +308,57 @@ def interval_back_substitute(
 ) -> IMatrix:
     """Enclosure of ``unvec(Lambda^-1 vec(rhs))`` over the rhs enclosure.
 
-    The operator splits over the column partition; each block system is
-    upper triangular of size ``m * l_j`` and is solved by interval backward
-    substitution with rows built on demand from the four block factors.  Row
-    entries carry a small radius covering their floating formation error, so
-    the result also accounts for the gap between the stored factors and the
-    exactly evaluated operator.
+    ``Lambda`` splits into independent upper-triangular systems
+    ``DB_J^T kron DA_I + DD_J^T kron DC_I``, one per tile ``X[I, J]`` of
+    blocks ``I``, ``J``.  Tiles of one shape are solved together by interval
+    backward substitution.  Step ``p`` forms the tail of row ``p`` of every
+    tile, each entry with a radius covering its floating formation error;
+    that tail is never longer than the row of the whole column block, so
+    neither is the inner-product pad ``2 kk + 8``.
     """
     pol = _pol(policy)
     eta = pol.eta
-    m = form.DA.shape[0]
-    n = form.DB.shape[0]
+    m, n = form.DA.shape[0], form.DB.shape[0]
     rhs = as_imatrix(rhs)
     if rhs.shape != (m, n):
         raise ValueError("dimension mismatch")
-    _screen_pivots(form, eta)
+    den = _denominators(*(np.diag(x) for x in (form.DA, form.DB, form.DC, form.DD)), pol)
     out_mid = np.zeros((m, n), dtype=np.complex128)
     out_rad = np.zeros((m, n))
-    absDA, absDC = np.abs(form.DA), np.abs(form.DC)
-    c0 = 0
-    for sz in form.b_sizes:
-        c1 = c0 + sz
-        DBj, DDj = form.DB[c0:c1, c0:c1], form.DD[c0:c1, c0:c1]
-        absDBj, absDDj = np.abs(DBj), np.abs(DDj)
-        K = m * sz
-        rhs_mid = vec(rhs.mid[:, c0:c1]).astype(np.complex128)
-        rhs_rad = vec(rhs.rad[:, c0:c1])
-        pmid, prad = _block_pivots(form, c0, c1, eta)
-        try:
-            rec_mid, rec_rad = iv_recip_arrays(pmid, prad, pol)
-        except ZeroDivisionError:
-            raise SingularPreconditionerError("singular preconditioner block") from None
-        z_mid = np.zeros(K, dtype=np.complex128)
-        z_rad = np.zeros(K)
-        for p in range(K - 1, -1, -1):
-            k, r = divmod(p, m)
-            row_mid = np.kron(DBj[:, k], form.DA[r, :]) + np.kron(DDj[:, k], form.DC[r, :])
-            row_rad = 6.0 * eta * (
-                np.kron(absDBj[:, k], absDA[r, :]) + np.kron(absDDj[:, k], absDC[r, :])
-            )
-            t_mid, t_rad = row_mid[p + 1 :], row_rad[p + 1 :]
-            kk = K - p - 1
-            if kk:
-                at, az = np.abs(t_mid), np.abs(z_mid[p + 1 :])
-                dot_mid = t_mid @ z_mid[p + 1 :]
-                dot_rad = at @ z_rad[p + 1 :] + t_rad @ az + t_rad @ z_rad[p + 1 :]
-                nops = 2 * kk + 8
-                dot_rad = dot_rad * (1.0 + nops * eta) + nops * eta * (at @ az)
-            else:
-                dot_mid, dot_rad = 0.0, 0.0
-            num_mid = rhs_mid[p] - dot_mid
-            num_rad = (rhs_rad[p] + dot_rad) * (1.0 + 2.0 * eta) + 2.0 * eta * abs(num_mid)
-            z_mid[p] = num_mid * rec_mid[p]
-            z_rad[p] = (
-                abs(num_mid) * rec_rad[p] + num_rad * abs(rec_mid[p]) + num_rad * rec_rad[p]
-            ) * (1.0 + 5.0 * eta) + 4.0 * eta * abs(z_mid[p])
-        out_mid[:, c0:c1] = unvec(z_mid, m, sz)
-        out_rad[:, c0:c1] = unvec(z_rad, m, sz).real
-        c0 = c1
+    for (a, rows), (b, cols) in itertools.product(_blocks(form.a_sizes), _blocks(form.b_sizes)):
+        DA, DC = (x[rows[:, :, None], rows[:, None, :]] for x in (form.DA, form.DC))
+        DB, DD = (x[cols[:, :, None], cols[:, None, :]] for x in (form.DB, form.DD))
+        # unknown p = k a + r of tile (I, J) is X[rows[I, r], cols[J, k]]
+        ix = (rows[:, None, None, :], cols[None, :, :, None])
+        tiles = (len(rows), len(cols), a * b)
+        f_mid, f_rad, rec_mid, rec_rad = (
+            x[ix].reshape(tiles) for x in (rhs.mid, rhs.rad, den.rec_mid, den.rec_rad)
+        )
+        z_mid = np.zeros(tiles, dtype=np.complex128)
+        z_rad = np.zeros(tiles)
+        for p in range(a * b - 1, -1, -1):
+            k, r = divmod(p, a)
+            # rows k' < k of the lower-triangular DB, DD hold exact zeros
+            col_b, col_d = DB[None, :, k:, k, None], DD[None, :, k:, k, None]
+            row_a, row_c = DA[:, None, None, r, :], DC[:, None, None, r, :]
+            t_mid = (col_b * row_a + col_d * row_c).reshape(tiles[:2] + (-1,))[..., r + 1 :]
+            t_rad = 6.0 * eta * (np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c))
+            t_rad = t_rad.reshape(tiles[:2] + (-1,))[..., r + 1 :]
+            zm, zr = z_mid[..., p + 1 :], z_rad[..., p + 1 :]
+            at, az = np.abs(t_mid), np.abs(zm)
+            dot_mid = (t_mid * zm).sum(axis=-1)
+            dot_rad = (at * zr).sum(axis=-1) + (t_rad * az).sum(axis=-1) + (t_rad * zr).sum(axis=-1)
+            nops = 2 * (a * b - p - 1) + 8
+            dot_rad = dot_rad * (1.0 + nops * eta) + nops * eta * (at * az).sum(axis=-1)
+            num_mid = f_mid[..., p] - dot_mid
+            num_rad = (f_rad[..., p] + dot_rad) * (1.0 + 2.0 * eta) + 2.0 * eta * np.abs(num_mid)
+            rm, rr = rec_mid[..., p], rec_rad[..., p]
+            z_mid[..., p] = num_mid * rm
+            rad = (np.abs(num_mid) * rr + num_rad * np.abs(rm) + num_rad * rr) * (1.0 + 5.0 * eta)
+            z_rad[..., p] = rad + 4.0 * eta * np.abs(z_mid[..., p])
+        out_mid[ix] = z_mid.reshape(tiles[:2] + (b, a))
+        out_rad[ix] = z_rad.reshape(tiles[:2] + (b, a))
     return IMatrix(out_mid, out_rad)
-
-
-def _point_back_substitute(form: BlockDiagForm, fmid: np.ndarray) -> np.ndarray:
-    """Floating solve of ``Lambda x = vec(fmid)`` by the same block sweep."""
-    m = form.DA.shape[0]
-    n = form.DB.shape[0]
-    out = np.zeros((m, n), dtype=np.complex128)
-    c0 = 0
-    for sz in form.b_sizes:
-        c1 = c0 + sz
-        DBj, DDj = form.DB[c0:c1, c0:c1], form.DD[c0:c1, c0:c1]
-        K = m * sz
-        rhs = vec(np.asarray(fmid, dtype=np.complex128)[:, c0:c1])
-        pmid = np.kron(np.diag(DBj), np.diag(form.DA)) + np.kron(np.diag(DDj), np.diag(form.DC))
-        if (pmid == 0).any():
-            raise SingularPreconditionerError("singular preconditioner block")
-        z = np.zeros(K, dtype=np.complex128)
-        for p in range(K - 1, -1, -1):
-            k, r = divmod(p, m)
-            row = np.kron(DBj[:, k], form.DA[r, :]) + np.kron(DDj[:, k], form.DC[r, :])
-            z[p] = (rhs[p] - row[p + 1 :] @ z[p + 1 :]) / pmid[p]
-        out[:, c0:c1] = unvec(z, m, sz)
-        c0 = c1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +380,16 @@ def mkw_block_solve(
     instead of Hadamard division, and so does the contraction term.
     """
     pol = _pol(policy)
-    halfA, _ = _best_half(sys.A.mid, sys.C.mid, max_cond)
-    halfB, _ = _best_half(sys.B.mid, sys.D.mid, max_cond)
+    halfA = _best_half(sys.A.mid, sys.C.mid, max_cond)
+    halfB = _best_half(sys.B.mid, sys.D.mid, max_cond)
     U = halfA.U
     a_sizes = halfA.sizes
     # reversal permutation turns upper-triangular blocks into lower ones
     V = halfB.U[:, ::-1]
     b_sizes = tuple(reversed(halfB.sizes))
-    uinv_box = inverse_enclosure(U, pol)
-    vinv_box = inverse_enclosure(V, pol)
+    uinv_box = inverse_enclosure(U, pol, r0=halfA.Uinv)
+    # reversing the columns of V reverses the rows of its inverse
+    vinv_box = inverse_enclosure(V, pol, r0=halfB.Uinv[::-1])
     mask_a = block_mask(a_sizes, lower=False)
     mask_b = block_mask(b_sizes, lower=True)
     Ap = _project_pattern(_sandwich(uinv_box, sys.A, U, pol), mask_a, pol)
@@ -463,7 +410,7 @@ def mkw_block_solve(
         a_sizes=a_sizes,
         cond_bound=max(halfA.cond_bound, halfB.cond_bound),
     )
-    xtilde = _point_back_substitute(form, Fp.mid)
+    xtilde = interval_back_substitute(form, IMatrix(Fp.mid), pol).mid
     xt = as_imatrix(xtilde)
     resid = Fp - im_matmul(im_matmul(Ap, xt, pol), Bp, pol) - im_matmul(
         im_matmul(Cp, xt, pol), Dp, pol

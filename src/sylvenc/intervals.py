@@ -21,6 +21,7 @@ inner product) so that complex arithmetic constants are covered as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 EPS_MACH = 2.0**-52
+# divisors smaller than this times the largest one count as singular
+SINGULAR_REL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -433,12 +436,39 @@ def iv_recip_arrays(
     return rmid, rrad
 
 
+class _Denominators(NamedTuple):
+    """Disk denominators ``a_i b_j + c_i d_j`` and their disk reciprocals."""
+
+    mid: np.ndarray
+    rad: np.ndarray
+    rec_mid: np.ndarray
+    rec_rad: np.ndarray
+
+
+def _denominators(a, b, c, d, policy: RoundingPolicy) -> _Denominators:
+    """Screened disk denominators ``a_i b_j + c_i d_j`` of four stored diagonals.
+
+    The radii cover the floating formation error, so the exact products of
+    the stored diagonals are certainly enclosed.
+    """
+    eta = policy.eta
+    mid = np.outer(a, b) + np.outer(c, d)
+    rad = 6.0 * eta * (np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d)))
+    lo = np.abs(mid) - rad
+    if mid.size == 0 or lo.min() <= SINGULAR_REL * np.abs(mid).max():
+        raise SingularPreconditionerError("singular preconditioner entry")
+    try:
+        return _Denominators(mid, rad, *iv_recip_arrays(mid, rad, policy))
+    except ZeroDivisionError:
+        raise SingularPreconditionerError("singular preconditioner entry") from None
+
+
 def hadamard_div_point(y: IMatrix, s: np.ndarray, policy: RoundingPolicy | None = None) -> IMatrix:
     """Entrywise division of an interval matrix by an exact point matrix.
 
     The divisor entries are taken as exactly the stored floats.  Entries whose
-    magnitude falls below ``2**-40`` times the largest divisor magnitude are
-    treated as singular.
+    magnitude falls below ``SINGULAR_REL`` times the largest divisor magnitude
+    are treated as singular.
     """
     y = as_imatrix(y)
     s = np.atleast_2d(np.asarray(s))
@@ -447,7 +477,7 @@ def hadamard_div_point(y: IMatrix, s: np.ndarray, policy: RoundingPolicy | None 
     eta = _pol(policy).eta
     abss = np.abs(s)
     smax = abss.max() if abss.size else 0.0
-    if smax == 0.0 or (abss < 2.0**-40 * smax).any():
+    if smax == 0.0 or (abss < SINGULAR_REL * smax).any():
         raise SingularPreconditionerError("singular preconditioner entry")
     mid = y.mid / s
     abss_lo = abss * (1.0 - 2.0 * eta)

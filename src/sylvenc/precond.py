@@ -30,6 +30,7 @@ from .intervals import (
     DEFAULT_POLICY,
     IMatrix,
     RoundingPolicy,
+    SINGULAR_REL,
     _diagonal,
     _pol,
     as_imatrix,
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 OFFDIAG_WARN = 1e-2
-SINGULAR_REL = 2.0**-40
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ an enclosure that can only shrink.  Iterating this map refines wide initial
 boxes.  Because the transformed midpoints are diagonal, T(Y) is a sum of two
 factored pairs, ``P |b| + (|a| o |Y| + P) rad(Bp)`` with ``P = rad(Ap) |Y|``
 and likewise for ``Cp, Dp``: four real products per step.  The reciprocals of
-the fixed denominators are formed once per run.
+the fixed denominators are formed once per run, and the magnitude ``|Y|`` of
+each iterate once, for both the convergence test and the next step.
 
 Enclosures are intersected in rectangle form (independent inf-sup bounds on
 real and imaginary parts): rectangle intersection is exact, which makes the
@@ -23,19 +24,19 @@ accident.  Disks are converted outward on entry and exit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoInitialEnclosureError, SingularPreconditionerError
+from .errors import NoInitialEnclosureError
 from .intervals import (
     IMatrix,
     Rect,
     RoundingPolicy,
+    _Denominators,
+    _denominators,
     _pol,
     as_imatrix,
     disks_to_rect,
-    iv_recip_arrays,
     rect_mag,
     rect_meet,
     rect_to_disks,
@@ -48,7 +49,6 @@ __all__ = ["GammaState", "gamma_step", "itr_solve"]
 
 TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 100
-PIVOT_REL = 2.0**-40
 
 
 @dataclass
@@ -62,44 +62,16 @@ class GammaState:
     converged: bool
 
 
-class _Denominators(NamedTuple):
-    """Disk denominators of the refinement and their disk reciprocals."""
-
-    mid: np.ndarray
-    rad: np.ndarray
-    rec_mid: np.ndarray
-    rec_rad: np.ndarray
-
-
-def _denominators(ps: PrecondSystem, policy: RoundingPolicy) -> _Denominators:
-    """Interval denominators from the actual transformed midpoint diagonals.
-
-    The radii cover the floating formation error of ``a b' + c d'``, so the
-    exact products of the stored diagonals are certainly enclosed.  They are
-    fixed for a refinement run, so their reciprocals are formed here once.
-    """
-    eta = policy.eta
-    a, c = np.diag(ps.Ap.mid), np.diag(ps.Cp.mid)
-    b, d = np.diag(ps.Bp.mid), np.diag(ps.Dp.mid)
-    mid = np.outer(a, b) + np.outer(c, d)
-    rad = 6.0 * eta * (np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d)))
-    lo = np.abs(mid) - rad
-    if mid.size == 0 or lo.min() <= PIVOT_REL * np.abs(mid).max():
-        raise SingularPreconditionerError("singular preconditioner entry")
-    return _Denominators(mid, rad, *iv_recip_arrays(mid, rad, policy))
-
-
-def _coupling_bound(ps: PrecondSystem, Y: Rect, policy: RoundingPolicy) -> np.ndarray:
+def _coupling_bound(ps: PrecondSystem, absY: np.ndarray, policy: RoundingPolicy) -> np.ndarray:
     """Upper bound T(Y) of every non-diagonal contribution magnitude.
 
     With ``a``..``d`` the diagonals of the midpoints, a member's ``A' Y B'``
     differs from ``a_i y_ij b_j`` by at most
     ``rad(Ap) |Y| |b| + Mag(Ap) |Y| rad(Bp)``, bounded with the rectangle
-    magnitude ``|Y|``, which is tighter than the magnitude of its
+    magnitude ``absY = |Y|``, which is tighter than the magnitude of its
     circumscribed disks.
     """
     pol = policy
-    absY = rect_mag(Y, pol)
     T = (
         _pair_bound(ps.Ap, ps.Bp, absY, pol) + _pair_bound(ps.Cp, ps.Dp, absY, pol) + ps.Fp.rad
     ) * (1.0 + 8.0 * pol.eta)
@@ -108,17 +80,17 @@ def _coupling_bound(ps: PrecondSystem, Y: Rect, policy: RoundingPolicy) -> np.nd
 
 def _quotient_disk(
     ps: PrecondSystem,
-    Y: Rect,
+    absY: np.ndarray,
     policy: RoundingPolicy,
     denom: _Denominators,
 ) -> IMatrix:
-    """Disk enclosure of the solution set implied by the candidate ``Y``.
+    """Disk enclosure of the solution set implied by a candidate ``Y`` of magnitude ``absY``.
 
     As long as ``Y`` contains every preconditioned member solution, so does
     the returned quotient, independently of the later intersection.
     """
     pol = policy
-    T = _coupling_bound(ps, Y, pol)
+    T = _coupling_bound(ps, absY, pol)
     rec_mid, rec_rad = denom.rec_mid, denom.rec_rad
     fmid = ps.Fp.mid
     qmid = fmid * rec_mid
@@ -144,9 +116,15 @@ def gamma_step(
     if isinstance(Y, IMatrix):
         Y = disks_to_rect(Y, pol)
     if denom is None:
-        denom = _denominators(ps, pol)
-    quotient = disks_to_rect(_quotient_disk(ps, Y, pol, denom), pol)
-    return rect_meet(quotient, Y)
+        denom = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)), pol)
+    return _step(ps, Y, rect_mag(Y, pol), pol, denom)
+
+
+def _step(
+    ps: PrecondSystem, Y: Rect, absY: np.ndarray, policy: RoundingPolicy, denom: _Denominators
+) -> Rect:
+    """:func:`gamma_step` on a rectangle ``Y`` whose magnitude ``absY`` is at hand."""
+    return rect_meet(disks_to_rect(_quotient_disk(ps, absY, policy, denom), policy), Y)
 
 
 def _rect_distance(a: Rect, b: Rect) -> np.ndarray:
@@ -187,14 +165,15 @@ def itr_solve(
         Y = disks_to_rect(Y0, pol)
     else:
         Y = Y0
-    denom = _denominators(ps, pol)
+    denom = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)), pol)
+    absY = rect_mag(Y, pol)
     k = 0
     converged = False
     for k in range(1, max(max_iter, 1) + 1):
-        Ynew = gamma_step(ps, Y, pol, denom)
+        Ynew = _step(ps, Y, absY, pol, denom)
         dist = _rect_distance(Ynew, Y)
-        Y = Ynew
-        if (dist <= tol * (1.0 + rect_mag(Y, pol))).all():
+        Y, absY = Ynew, rect_mag(Ynew, pol)
+        if (dist <= tol * (1.0 + absY)).all():
             converged = True
             break
     # Two valid disk reports per entry: the bounding disk of the final
@@ -202,7 +181,7 @@ def itr_solve(
     # inflation).  Either contains every member solution, so take the
     # narrower one entrywise.
     boxed = rect_to_disks(Y, pol)
-    quot = _quotient_disk(ps, Y, pol, denom)
+    quot = _quotient_disk(ps, absY, pol, denom)
     pick = quot.rad < boxed.rad
     final = IMatrix(
         np.where(pick, quot.mid, boxed.mid), np.where(pick, quot.rad, boxed.rad)

@@ -1,5 +1,7 @@
 """Schur-based block form and interval backward substitution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,17 @@ def test_form_validates_partition_sums():
             a_sizes=(2,),
             cond_bound=1.0,
         )
+
+
+def test_form_rejects_off_pattern_entries():
+    form = _hand_form()
+    # (2, 1) upper blocks on the left, one lower 2x2 block on the right
+    outside = {"DA": (0, 2), "DC": (1, 0), "DB": (0, 1), "DD": (0, 1)}
+    for name, (i, j) in outside.items():
+        bad = getattr(form, name).copy()
+        bad[i, j] = 1e-300
+        with pytest.raises(ValueError, match="outside its block pattern"):
+            dataclasses.replace(form, **{name: bad})
 
 
 def _hand_form():
@@ -161,8 +174,64 @@ class TestIntervalBackSubstitute:
             a_sizes=(1, 1, 1),
             cond_bound=1.0,
         )
-        with pytest.raises(SingularPreconditionerError, match="singular preconditioner block"):
+        with pytest.raises(SingularPreconditionerError, match="singular preconditioner entry"):
             interval_back_substitute(bad, IMatrix(np.ones((3, 2))))
+
+
+def _random_sizes(rng, total):
+    sizes = []
+    while sum(sizes) < total:
+        sizes.append(int(min(rng.integers(1, 4), total - sum(sizes))))
+    return tuple(sizes)
+
+
+def _random_form(rng, a_sizes, b_sizes, complex_):
+    def factor(sizes, lower):
+        k = sum(sizes)
+        x = rng.normal(size=(k, k)) + (1j * rng.normal(size=(k, k)) if complex_ else 0.0)
+        x = 0.1 * x + np.diag(2.0 + rng.uniform(size=k))
+        return np.where(block_mask(sizes, lower=lower), x, 0.0)
+
+    m, n = sum(a_sizes), sum(b_sizes)
+    return BlockDiagForm(
+        U=np.eye(m),
+        Uinv=np.eye(m),
+        V=np.eye(n),
+        Vinv=np.eye(n),
+        DA=factor(a_sizes, False),
+        DC=factor(a_sizes, False),
+        DB=factor(b_sizes, True),
+        DD=factor(b_sizes, True),
+        b_sizes=b_sizes,
+        a_sizes=a_sizes,
+        cond_bound=1.0,
+    )
+
+
+def _assert_matches_dense_solve(form, rng, samples=20):
+    m, n = form.DA.shape[0], form.DB.shape[0]
+    lam = np.kron(form.DB.T, form.DA) + np.kron(form.DD.T, form.DC)
+    rhs = IMatrix(rng.normal(size=(m, n)), np.full((m, n), 1e-3))
+    got = interval_back_substitute(form, rhs)
+    expect = unvec(np.linalg.solve(lam, vec(rhs.mid)), m, n)
+    assert np.abs(got.mid - expect).max() <= 1e-12 * np.abs(expect).max()
+    for _ in range(samples):
+        f = rhs.mid + rhs.rad * rng.uniform(-1, 1, size=(m, n))
+        assert got.contains_point(unvec(np.linalg.solve(lam, vec(f)), m, n))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_tiles_match_dense_solve_on_mixed_block_sizes(complex_):
+    rng = np.random.default_rng(11 + complex_)
+    for _ in range(10):
+        m, n = rng.integers(2, 9, size=2)
+        form = _random_form(rng, _random_sizes(rng, m), _random_sizes(rng, n), complex_)
+        _assert_matches_dense_solve(form, rng)
+
+
+def test_single_block_form_matches_dense_solve():
+    rng = np.random.default_rng(13)
+    _assert_matches_dense_solve(_random_form(rng, (7,), (5,), True), rng)
 
 
 class TestBlockSolve:
@@ -188,4 +257,19 @@ class TestBlockSolve:
         assert blk.verified
         assert blk.blockform is not None
         for x in sample_solutions(sys, n_samples=60, seed=6):
+            assert blk.evaluated.contains_point(x)
+
+    def test_jordan_block_on_the_column_side(self):
+        # tiles with b = 2: the midpoint of B is a 2x2 Jordan block
+        amid = np.array([[2.0, 0.5, 0.0], [0.1, 3.0, 0.2], [0.0, 0.3, 5.0]])
+        A = IMatrix(amid, np.full((3, 3), 1e-8))
+        B = IMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]), np.full((2, 2), 1e-8))
+        X0 = np.arange(1.0, 7.0).reshape(3, 2)
+        F = IMatrix(A.mid @ X0 @ B.mid + X0, np.full((3, 2), 1e-8))
+        sys = SylvesterSystem(A=A, B=B, C=IMatrix(np.eye(3)), D=IMatrix(np.eye(2)), F=F)
+        assert not mkw_solve(sys).verified
+        blk = mkw_block_solve(sys)
+        assert blk.verified
+        assert blk.blockform.b_sizes == (2,)
+        for x in sample_solutions(sys, n_samples=60, seed=7):
             assert blk.evaluated.contains_point(x)
