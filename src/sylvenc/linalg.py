@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import EigenDecompositionError, SingularMatrixError
+from .errors import EigenDecompositionError, SingularMatrixError, SizeCapError
 from .intervals import IMatrix, RoundingPolicy, _pol, as_imatrix, im_matmul
 
 __all__ = [
@@ -26,7 +26,8 @@ __all__ = [
     "inverse_enclosure",
 ]
 
-KRON_LIMIT = 2**31
+# bytes one Kronecker product may allocate for its result (1 GiB)
+KRON_BYTES = 2**30
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,28 +77,39 @@ def eig_decompose(a: np.ndarray) -> EigResult:
     return EigResult(values, vectors, inv_vectors, a)
 
 
+def _check_kron_bytes(x_shape, y_shape, itemsize: int) -> None:
+    """Refuse a Kronecker product of ``itemsize`` bytes per entry above ``KRON_BYTES``."""
+    entries = x_shape[0] * y_shape[0] * x_shape[1] * y_shape[1]
+    if entries * itemsize > KRON_BYTES:
+        raise SizeCapError("kron result exceeds the byte budget")
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2-D arrays by one broadcast product, the same rounding per entry."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Point Kronecker product with a size guard."""
+    """Point Kronecker product, refused above ``KRON_BYTES`` before allocating."""
     a = np.atleast_2d(np.asarray(a))
     b = np.atleast_2d(np.asarray(b))
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows * cols > KRON_LIMIT:
-        raise ValueError("kron result exceeds the supported size")
-    return np.kron(a, b)
+    _check_kron_bytes(a.shape, b.shape, np.result_type(a, b).itemsize)
+    return _kron2(a, b)
 
 
 def ikron(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
-    """Interval Kronecker product, entrywise disk multiplication."""
+    """Interval Kronecker product, entrywise disk multiplication.
+
+    The budget ``KRON_BYTES`` covers the midpoint and radius arrays together.
+    """
     x, y = as_imatrix(x), as_imatrix(y)
-    rows = x.rows * y.rows
-    cols = x.cols * y.cols
-    if rows * cols > KRON_LIMIT:
-        raise ValueError("kron result exceeds the supported size")
+    mid_bytes = np.result_type(x.mid, y.mid).itemsize
+    _check_kron_bytes(x.shape, y.shape, mid_bytes + 8)
     eta = _pol(policy).eta
-    mid = np.kron(x.mid, y.mid)
+    mid = _kron2(x.mid, y.mid)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
-    rad = np.kron(ax, y.rad) + np.kron(x.rad, ay) + np.kron(x.rad, y.rad)
+    rad = _kron2(ax, y.rad) + _kron2(x.rad, ay) + _kron2(x.rad, y.rad)
     rad = rad * (1.0 + 6.0 * eta) + 6.0 * eta * np.abs(mid)
     return IMatrix(mid, rad)
 

@@ -5,9 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+import sylvenc.baseline as baseline
 from sylvenc import (
     GenSpec,
     IMatrix,
+    IntervalOverflowError,
+    SingularMatrixError,
     SizeCapError,
     SylvesterSystem,
     build_Q_kron,
@@ -19,6 +22,7 @@ from sylvenc import (
     residual_membership,
     sample_solutions,
 )
+from sylvenc.baseline import _draw_member, _kron_point_solve
 
 
 def _scalar_system():
@@ -88,6 +92,102 @@ def test_point_solve_recovers_planted_solution():
     assert np.abs(got - x0).max() <= 1e-10 * max(1.0, np.abs(x0).max())
 
 
+def _point_coefficients(rng, m, n, cplx=False):
+    def draw(r, c):
+        return rng.normal(size=(r, c)) + (1j * rng.normal(size=(r, c)) if cplx else 0.0)
+
+    return draw(m, m), draw(n, n), draw(m, m), draw(n, n), draw(m, n)
+
+
+def _rel_diff(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+class TestPointSolve:
+    """The QZ recurrence above the Kronecker threshold against the Kronecker LU."""
+
+    @pytest.mark.parametrize("m, n", [(20, 14), (14, 20), (18, 18)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_matches_kronecker_reference(self, m, n, cplx):
+        assert m * n > baseline._KRON_MAX_UNKNOWNS
+        rng = np.random.default_rng(m + 10 * n + cplx)
+        a, b, c, d, f = _point_coefficients(rng, m, n, cplx)
+        got = point_solve(a, b, c, d, f)
+        assert got.dtype == (np.complex128 if cplx else np.float64)
+        assert _rel_diff(got, _kron_point_solve(a, b, c, d, f)) <= 1e-10
+
+    @pytest.mark.parametrize("which", ["C=D=I", "B=C=I", "A=I"])
+    def test_identity_sides_match_kronecker_reference(self, which):
+        rng = np.random.default_rng(11)
+        m, n = 16, 18
+        a, b, c, d, f = _point_coefficients(rng, m, n)
+        if which == "C=D=I":
+            c, d = np.eye(m), np.eye(n)
+        elif which == "B=C=I":
+            b, c = np.eye(n), np.eye(m)
+        else:
+            a = np.eye(m)
+        got = point_solve(a, b, c, d, f)
+        assert _rel_diff(got, _kron_point_solve(a, b, c, d, f)) <= 1e-10
+
+    def test_singular_c_with_regular_pencil(self):
+        rng = np.random.default_rng(12)
+        m, n = 18, 16
+        a, b, c, d, f = _point_coefficients(rng, m, n)
+        c[:, 3] = 0.0
+        d[5, :] = 0.0
+        got = point_solve(a, b, c, d, f)
+        assert _rel_diff(got, _kron_point_solve(a, b, c, d, f)) <= 1e-10
+
+    def test_singular_pencil_raises(self):
+        rng = np.random.default_rng(13)
+        m, n = 18, 16
+        a, b, c, d, f = _point_coefficients(rng, m, n)
+        a[:, 4] = 0.0
+        c[:, 4] = 0.0
+        with pytest.raises(SingularMatrixError):
+            point_solve(a, b, c, d, f)
+
+    def test_singular_pencil_member_skipped_with_warning(self):
+        rng = np.random.default_rng(14)
+        m = 20
+        a, b, c, d, f = _point_coefficients(rng, m, m)
+        a[:, 0] = 0.0
+        c[:, 0] = 0.0
+        rad = np.full((m, m), 1e-6)
+        rad[:, 0] = 0.0  # every member keeps the shared zero column
+        sys = SylvesterSystem(
+            A=IMatrix(a, rad), B=IMatrix(b, rad), C=IMatrix(c, rad), D=IMatrix(d), F=IMatrix(f)
+        )
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            sols = sample_solutions(sys, n_samples=3, seed=1)
+        assert sols == []
+        assert sum("singular member" in str(w.message) for w in rec) == 3
+
+    def test_sampled_members_match_kronecker_solves(self):
+        sys = generate(GenSpec(family="gallery33", m=20, alpha=1e-4, seed=2))
+        got = sample_solutions(sys, n_samples=4, seed=5)
+        # the same Philox stream, drawn member by member in coefficient order
+        rng = np.random.Generator(np.random.Philox(5))
+        for x in got:
+            members = [_draw_member(mat, rng) for mat in (sys.A, sys.B, sys.C, sys.D, sys.F)]
+            assert _rel_diff(x, _kron_point_solve(*members)) <= 1e-10
+
+    def test_no_kronecker_product_above_threshold(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kron called")
+
+        monkeypatch.setattr(baseline, "kron", refuse)
+        rng = np.random.default_rng(15)
+        m = 60
+        a, b, c, d, f = _point_coefficients(rng, m, m)
+        x = point_solve(a, b, c, d, f)
+        resid = f - a @ x @ b - c @ x @ d
+        scale = (np.abs(a) @ np.abs(x) @ np.abs(b) + np.abs(c) @ np.abs(x) @ np.abs(d)).max()
+        assert np.abs(resid).max() <= 1e-12 * scale
+
+
 class TestSampling:
     def test_vertex_mode_hits_scalar_endpoints(self):
         A = IMatrix(np.array([[2.0]]))
@@ -137,6 +237,38 @@ class TestResidualMembership:
         sys = SylvesterSystem(A=A, B=one, C=one, D=one, F=F)
         assert not residual_membership(sys, np.array([[3.0]]))
         assert not residual_membership(sys, np.array([[1.8999]]))
+
+    def test_overflowing_residual_raises(self):
+        big = IMatrix(np.array([[1e308]]))
+        one = IMatrix(np.array([[1.0]]))
+        sys = SylvesterSystem(A=big, B=one, C=one, D=one, F=big)
+        with np.errstate(over="ignore"), pytest.raises(IntervalOverflowError):
+            residual_membership(sys, np.array([[-1.0]]))
+
+    def test_answers_match_chained_subtraction(self):
+        # complex data, points on both sides of the boundary
+        rng = np.random.default_rng(16)
+        m, n = 5, 4
+        mats = [
+            IMatrix(mid, 1e-3 * np.abs(rng.normal(size=mid.shape)))
+            for mid in _point_coefficients(rng, m, n, cplx=True)
+        ]
+        sys = SylvesterSystem(*mats)
+        eta = 2.0**-50
+        answers = set()
+        for x in sample_solutions(sys, n_samples=20, seed=3):
+            for scale in (0.0, 1e-4, 1e-2):
+                y = x + scale * rng.normal(size=x.shape)
+                xb = IMatrix(y)
+                lefts = (sys.A @ xb @ sys.B, sys.A @ (xb @ sys.B))
+                rights = (sys.C @ xb @ sys.D, sys.C @ (xb @ sys.D))
+                expect = all(
+                    (np.abs(r.mid) * (1.0 - 4.0 * eta) <= r.rad).all()
+                    for r in (sys.F - left - right for left in lefts for right in rights)
+                )
+                assert residual_membership(sys, y) == expect
+                answers.add(expect)
+        assert answers == {True, False}
 
     def test_sampled_solutions_always_pass(self):
         sys = generate(GenSpec(family="sylvester32", m=4, alpha=1e-4, seed=4))

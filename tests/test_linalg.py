@@ -1,11 +1,14 @@
 """Dense point kernels and their certified interval wrappers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sylvenc import (
     IMatrix,
     SingularMatrixError,
+    SizeCapError,
     as_imatrix,
     eig_decompose,
     ikron,
@@ -17,7 +20,7 @@ from sylvenc import (
     unvec,
     vec,
 )
-from sylvenc.linalg import iunvec, ivec, lu_solve
+from sylvenc.linalg import KRON_BYTES, iunvec, ivec, lu_solve
 
 
 def test_vec_column_stacking_order():
@@ -37,6 +40,16 @@ def test_vec_kron_identity():
         rhs = kron(b.T, a) @ vec(x)
         scale = max(1.0, float(np.abs(lhs).max()))
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def test_kron_is_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for cplx in (False, True):
+        for shape_a, shape_b in (((3, 5), (4, 2)), ((1, 1), (6, 6)), ((7, 7), (1, 3))):
+            a = rng.normal(size=shape_a) + (1j * rng.normal(size=shape_a) if cplx else 0.0)
+            b = rng.normal(size=shape_b)
+            for x, y in ((a, b), (b, a)):
+                assert kron(x, y).tobytes() == np.kron(x, y).tobytes()
 
 
 def test_lu_solve_planted():
@@ -110,3 +123,19 @@ class TestInverseEnclosure:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse_enclosure(np.ones((3, 3)))
+
+
+def test_kron_byte_budget_refuses_before_allocating():
+    # 200x200 by 200x200 is 1.6e9 entries: 12.8 GB of float64
+    a = np.zeros((200, 200))
+    assert a.size**2 * a.itemsize > KRON_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="byte budget"):
+            kron(a, a)
+        with pytest.raises(SizeCapError, match="byte budget"):
+            ikron(as_imatrix(a), as_imatrix(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * a.nbytes  # operand-sized temporaries at most
