@@ -6,9 +6,11 @@ substitutes a coarser form: the donor midpoint is brought to complex Schur
 form, eigenvalues closer than a separation threshold are clustered, the
 Schur factor is reordered so clusters are contiguous, and the off-diagonal
 coupling blocks are annihilated by similarity transformations solving small
-Sylvester equations.  Whenever such a transformation would exceed a norm cap
-the offending clusters are merged and the sweep restarts, trading a better
-conditioned basis for larger diagonal blocks.
+triangular Sylvester equations (LAPACK ``ztrsyl``).  Whenever such a
+transformation would exceed a norm cap, or the equation is too close to
+singular for ``ztrsyl`` to solve unscaled, the offending clusters are
+merged and the sweep restarts, trading a better conditioned basis for
+larger diagonal blocks.
 
 With upper-triangular blocks for the row pair (DA, DC) and lower-triangular
 blocks for the column pair (DB, DD), the operator
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrsyl as _trsyl
 
 from .intervals import (
     IMatrix,
@@ -208,6 +211,20 @@ def _block_ranges(lab: list[int], order: list[int]) -> list[tuple[int, int]]:
     return ranges
 
 
+def _decouple(t11: np.ndarray, t22: np.ndarray, t12: np.ndarray) -> np.ndarray | None:
+    """``Y`` with ``t11 Y - Y t22 = -t12`` for upper triangular ``t11``, ``t22``.
+
+    The blocks of a Schur form are triangular already, so LAPACK ``ztrsyl``
+    solves directly; ``solve_sylvester`` would compute two more Schur forms.
+    Returns None when ``ztrsyl`` reports close eigenvalues (``info != 0``) or
+    had to scale the solution to avoid overflow.
+    """
+    Y, scale, info = _trsyl(t11, t22, -t12, isgn=-1)
+    if info != 0 or scale < 1.0:
+        return None
+    return Y
+
+
 def block_diagonalize(
     Ac: np.ndarray, Cc: np.ndarray, max_cond: float = MAX_COND_DEFAULT
 ) -> BlockHalf:
@@ -249,8 +266,8 @@ def block_diagonalize(
                 T12 = T[i0:i1, j0:j1]
                 if not T12.any():
                     continue
-                Y = scipy.linalg.solve_sylvester(T[i0:i1, i0:i1], -T[j0:j1, j0:j1], -T12)
-                if np.linalg.norm(Y, np.inf) > max_cond:
+                Y = _decouple(T[i0:i1, i0:i1], T[j0:j1, j0:j1], T12)
+                if Y is None or np.linalg.norm(Y, np.inf) > max_cond:
                     # cap exceeded: fuse every cluster between bi and bj
                     # (cluster ids are union-find roots, i.e. original positions)
                     ids = order[bi : bj + 1]

@@ -235,6 +235,23 @@ class IMatrix:
         object.__setattr__(self, "mid", mid)
         object.__setattr__(self, "rad", rad)
 
+    @classmethod
+    def _from_kernel(cls, mid: np.ndarray, rad: np.ndarray) -> "IMatrix":
+        """An IMatrix of arrays a kernel has just computed, checked for finiteness only.
+
+        ``mid`` must be a 2-D float64 or complex128 array and ``rad`` a
+        nonnegative float64 array of its shape; the kernel's own operations
+        guarantee both, so the public constructor's coercions and sign check
+        are skipped.  A non-finite entry still raises
+        :class:`IntervalOverflowError`.
+        """
+        if not np.isfinite(mid).all() or not np.isfinite(rad).all():
+            raise IntervalOverflowError("interval overflow")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "mid", mid)
+        object.__setattr__(obj, "rad", rad)
+        return obj
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("IMatrix is immutable")
 
@@ -330,7 +347,7 @@ def _im_add(x: IMatrix, y: IMatrix, sign: float, policy: RoundingPolicy | None =
     eta = _pol(policy).eta
     mid = x.mid + sign * y.mid
     rad = (x.rad + y.rad) * (1.0 + 2.0 * eta) + 2.0 * eta * np.abs(mid)
-    return IMatrix(mid, rad)
+    return IMatrix._from_kernel(mid, rad)
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray | None:
@@ -395,7 +412,7 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     rad *= 1.0 + nops * eta
     magprod *= nops * eta
     rad += magprod
-    return IMatrix(mid, rad)
+    return IMatrix._from_kernel(mid, rad)
 
 
 def posmm(a: np.ndarray, b: np.ndarray, policy: RoundingPolicy | None = None) -> np.ndarray:
@@ -482,7 +499,7 @@ def hadamard_div_point(y: IMatrix, s: np.ndarray, policy: RoundingPolicy | None 
     mid = y.mid / s
     abss_lo = abss * (1.0 - 2.0 * eta)
     rad = (y.rad / abss_lo) * (1.0 + 2.0 * eta) + 6.0 * eta * np.abs(mid)
-    return IMatrix(mid, rad)
+    return IMatrix._from_kernel(mid, rad)
 
 
 def in_interior(h: IMatrix, x: IMatrix, policy: RoundingPolicy | None = None) -> bool:

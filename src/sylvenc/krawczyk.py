@@ -21,8 +21,9 @@ The transformed midpoints are exactly diagonal, and the products use it:
 ``im_matmul`` applies a diagonal-midpoint factor by a broadcast and skips the
 radius products of a point factor such as ``Xtilde``, so ``M`` takes no
 dense complex product.  Each pair of ``N`` is factored through
-``P = rad(Ap) W``: ``P |mid Bp|`` is a column scaling and
-``Mag(Ap) W = |diag mid Ap| W + P``, two real products per pair in all.
+``P = rad(Ap) W``: ``P |mid Bp|`` is a column scaling by the magnitudes of
+the diagonal of ``mid Bp`` and ``Mag(Ap) W = |diag mid Ap| W + P``, two real
+products per pair in all.
 
 On success the solution set of every member system is contained in
 ``U (Xtilde + H) V^-1``; the inflated box ``X`` is kept alongside so the
@@ -32,6 +33,7 @@ interior test can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,15 +104,42 @@ def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     return hadamard_div_point(ps.Fp - t1 - t2, ps.S, pol)
 
 
-def _pair_bound(a: IMatrix, b: IMatrix, w: np.ndarray, policy: RoundingPolicy) -> np.ndarray:
+class _Pair(NamedTuple):
+    """One coupling pair ``(a, b)`` of the preconditioned system, with diagonal midpoints.
+
+    ``ad`` and ``bd`` are the magnitudes of the midpoint diagonals.
+    """
+
+    arad: np.ndarray
+    ad: np.ndarray
+    brad: np.ndarray
+    bd: np.ndarray
+
+
+def _pairs(ps: PrecondSystem) -> tuple[_Pair, _Pair]:
+    """The pairs ``(Ap, Bp)`` and ``(Cp, Dp)`` of ``ps``."""
+    return tuple(
+        _Pair(a.rad, np.abs(np.diagonal(a.mid)), b.rad, np.abs(np.diagonal(b.mid)))
+        for a, b in ((ps.Ap, ps.Bp), (ps.Cp, ps.Dp))
+    )
+
+
+def _pair_bound(pair: _Pair, w: np.ndarray, policy: RoundingPolicy) -> np.ndarray:
     """Upper bound of ``rad(a) W |mid b| + Mag(a) W rad(b)`` for diagonal ``mid a``, ``mid b``.
 
     With ``P = rad(a) W`` and ``Mag(a) W = |diag mid a| o W + P``, the pair
-    costs two real products; ``|mid b|`` is applied by a broadcast.
+    costs two real products; ``|mid b|`` is a column scaling under the pad of
+    the product it replaces.
     """
-    p = posmm(a.rad, w, policy)
-    mag_w = (np.abs(np.diagonal(a.mid))[:, None] * w + p) * (1.0 + 4.0 * policy.eta)
-    return posmm(p, np.abs(b.mid), policy) + posmm(mag_w, b.rad, policy)
+    eta = policy.eta
+    p = posmm(pair.arad, w, policy)
+    mag_w = pair.ad[:, None] * w
+    mag_w += p
+    mag_w *= 1.0 + 4.0 * eta
+    out = p * pair.bd
+    out *= 1.0 + (2 * p.shape[1] + 8) * eta
+    out += posmm(mag_w, pair.brad, policy)
+    return out
 
 
 def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
@@ -120,9 +149,8 @@ def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
     xrad = np.asarray(xrad, dtype=np.float64)
     if xrad.shape != ps.S.shape or (xrad < 0).any():
         raise ValueError("xrad must be a nonnegative m x n array")
-    w = (_pair_bound(ps.Ap, ps.Bp, xrad, pol) + _pair_bound(ps.Cp, ps.Dp, xrad, pol)) * (
-        1.0 + 4.0 * eta
-    )
+    ab, cd = _pairs(ps)
+    w = (_pair_bound(ab, xrad, pol) + _pair_bound(cd, xrad, pol)) * (1.0 + 4.0 * eta)
     abs_s = np.abs(ps.S) * (1.0 - 2.0 * eta)
     rad = (w / abs_s) * (1.0 + 2.0 * eta)
     if ps.sdefect is not None:

@@ -8,6 +8,14 @@ midpoint mass of the transformed coefficients is moved into the radii, so the
 transformed midpoints are exactly diagonal; validity never depends on how well
 the pair actually commutes, only tightness does.
 
+Which member of a pair donates its basis is decided by the off-diagonal mass
+each candidate basis leaves.  A distinct non-scalar pair is scored by point
+products before conjugating.  Equal midpoints need no scoring (the first
+donates), and a pair with a scalar member is scored from the sandwich
+midpoints ``(Uinv @ mid) @ U`` that the transform forms anyway, the same
+float products; the diagonals of the non-donor and the reported masses are
+read from those midpoints too.
+
 The exact inverses of U and V are not representable in floating point, so
 interval enclosures of them (point inverse plus a certified residual pad) are
 used on the left of every transform product.  The entrywise denominators
@@ -22,6 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,10 +92,16 @@ def _offdiag_rel(conj: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(off).sum(axis=1).max()) / ref_norm
 
 
+def _scalar(a: np.ndarray) -> bool:
+    """Whether ``a`` is a scalar matrix ``c I``."""
+    d = _diagonal(a)
+    return d is not None and d.size > 0 and bool((d == d[0]).all())
+
+
 def _eigen(a: np.ndarray) -> EigResult:
     """``eig_decompose(a)``, or the exact basis ``I`` when ``a`` is a scalar matrix ``c I``."""
-    d = _diagonal(a)
-    if d is not None and d.size and (d == d[0]).all():
+    if _scalar(a):
+        d = np.diagonal(a)
         n = a.shape[0]
         return EigResult(d.copy(), np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype), a)
     return eig_decompose(a)
@@ -192,40 +207,100 @@ def _symmetrize_diag(x: IMatrix, policy) -> IMatrix:
     return IMatrix(d, rad)
 
 
-def _pick_side(
-    first: np.ndarray, second: np.ndarray, eig_of
-) -> tuple[SimDiagResult, bool, tuple[float, float]]:
+def _pick_side(first: np.ndarray, second: np.ndarray, eig_of) -> tuple[EigResult, bool]:
     """Choose which member of a midpoint pair donates the eigenbasis.
 
     Scores each candidate basis by the larger relative off-diagonal mass it
     leaves on either conjugated midpoint; smaller is better, ties keep the
     first member.  ``eig_of`` supplies the eigendecompositions.  Returns the
-    decomposition of the winning donor, whether the pair was swapped, and the
-    off-diagonal masses the winning basis leaves on ``first`` and ``second``.
+    decomposition of the winning donor and whether the pair was swapped.
     """
-    candidates: list[tuple[float, bool, SimDiagResult, float]] = []
+    candidates: list[tuple[float, bool, EigResult]] = []
     for swapped, (p, q) in ((False, (first, second)), (True, (second, first))):
         try:
+            eig = eig_of(p)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = simultaneous_diag(p, q, eig_of(p))
+                res = simultaneous_diag(p, q, eig)
         except (EigenDecompositionError, SingularMatrixError):
             continue
         own = _offdiag_rel(res.Uinv @ p @ res.U, p)
-        score = max(own, res.offdiag_mass)
-        candidates.append((score, swapped, res, own))
+        candidates.append((max(own, res.offdiag_mass), swapped, eig))
     if not candidates:
         raise EigenDecompositionError("eigendecomposition failed")
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    _, swapped, res, own = candidates[0]
-    if res.offdiag_mass > OFFDIAG_WARN:
-        warnings.warn(
-            f"pair is far from commuting: off-diagonal mass {res.offdiag_mass:.2e} "
-            "will be absorbed into radii",
-            stacklevel=3,
-        )
-    masses = (res.offdiag_mass, own) if swapped else (own, res.offdiag_mass)
-    return res, swapped, masses
+    _, swapped, eig = min(candidates, key=lambda t: (t[0], t[1]))
+    return eig, swapped
+
+
+class _Side(NamedTuple):
+    """One side of the transform: a shared basis and both conjugated members."""
+
+    U: np.ndarray
+    Uinv: np.ndarray
+    inv_box: IMatrix
+    donor: int
+    conj: tuple[IMatrix, IMatrix]
+    d: tuple[np.ndarray, np.ndarray]
+    mass: tuple[float, float]
+
+
+def _conjugate(pair: tuple[IMatrix, IMatrix], eig: EigResult, swapped: bool, policy) -> _Side:
+    """Both members of ``pair`` in the basis of the donor ``pair[swapped]``.
+
+    The donor's diagonal is its eigenvalues; the other member's diagonal and
+    both off-diagonal masses are read from the sandwich midpoints
+    ``(Uinv @ mid) @ U``, the products the scoring forms.
+    """
+    U, Uinv, donor = eig.vectors, eig.inv_vectors, int(swapped)
+    inv_box = inverse_enclosure(U, policy, r0=Uinv)
+    raw = tuple(_sandwich(inv_box, x, U, policy) for x in pair)
+    d = tuple(eig.values if i == donor else np.diag(r.mid).copy() for i, r in enumerate(raw))
+    mass = tuple(_offdiag_rel(r.mid, x.mid) for r, x in zip(raw, pair))
+    conj = tuple(_symmetrize_diag(r, policy) for r in raw)
+    return _Side(U, Uinv, inv_box, donor, conj, d, mass)
+
+
+def _pair_kind(first: np.ndarray, second: np.ndarray) -> str:
+    """``"equal"``, ``"scalar"`` (a member is ``c I``) or ``"general"``."""
+    if first.dtype == second.dtype and np.array_equal(first, second):
+        return "equal"
+    if _scalar(first) or _scalar(second):
+        return "scalar"
+    return "general"
+
+
+def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of, policy) -> _Side:
+    """The transformed side of ``pair``, with the donor the scoring would choose.
+
+    Equal midpoints score equal candidates, so the first member donates.  A
+    scalar member ``c I`` is diagonal in every basis: its own basis ``I``
+    scores the other member's relative off-diagonal mass, which needs no
+    product, and the other member's eigenbasis scores the masses its
+    sandwich midpoints leave.  So that basis is tried first and kept when it
+    wins; only a distinct non-scalar pair is scored before conjugating.
+    """
+    first, second = (x.mid for x in pair)
+    kind = _pair_kind(first, second)
+    if kind == "equal":
+        try:
+            eig = eig_of(first)
+        except SingularMatrixError as exc:
+            raise EigenDecompositionError("eigendecomposition failed") from exc
+        return _conjugate(pair, eig, False, policy)
+    if kind == "general":
+        return _conjugate(pair, *_pick_side(first, second, eig_of), policy)
+    s = 0 if _scalar(first) else 1
+    other = pair[1 - s].mid
+    try:
+        side = _conjugate(pair, eig_of(other), s == 0, policy)
+    except (EigenDecompositionError, SingularMatrixError):
+        side = None
+    if side is not None:
+        # as in the scoring, a tie goes to the first member's basis
+        scalar_score = _offdiag_rel(other, other)
+        if max(side.mass) < scalar_score or (max(side.mass) == scalar_score and s == 1):
+            return side
+    return _conjugate(pair, eig_of(pair[s].mid), s == 1, policy)
 
 
 def _diag_defect(a, b, c, d, S, policy) -> np.ndarray:
@@ -248,34 +323,34 @@ def transform_enclose(sys: SylvesterSystem, policy: RoundingPolicy | None = None
     """
     pol = _pol(policy)
     eig_of = _eig_memo()
-    left, lswap, (mass_a, mass_c) = _pick_side(sys.A.mid, sys.C.mid, eig_of)
-    right, rswap, (mass_b, mass_d) = _pick_side(sys.B.mid, sys.D.mid, eig_of)
-
-    U, V = left.U, right.U
-    uinv_box = inverse_enclosure(U, pol, r0=left.Uinv)
-    vinv_box = inverse_enclosure(V, pol, r0=right.Uinv)
-
-    Ap = _symmetrize_diag(_sandwich(uinv_box, sys.A, U, pol), pol)
-    Cp = _symmetrize_diag(_sandwich(uinv_box, sys.C, U, pol), pol)
-    Bp = _symmetrize_diag(_sandwich(vinv_box, sys.B, V, pol), pol)
-    Dp = _symmetrize_diag(_sandwich(vinv_box, sys.D, V, pol), pol)
-    Fp = _sandwich(uinv_box, sys.F, V, pol)
-
-    dA, dC = (left.dC, left.dA) if lswap else (left.dA, left.dC)
-    dB, dD = (right.dC, right.dA) if rswap else (right.dA, right.dC)
+    left = _transform_side((sys.A, sys.C), eig_of, pol)
+    right = _transform_side((sys.B, sys.D), eig_of, pol)
+    for side in (left, right):
+        other_mass = side.mass[1 - side.donor]
+        if other_mass > OFFDIAG_WARN:
+            warnings.warn(
+                f"pair is far from commuting: off-diagonal mass {other_mass:.2e} "
+                "will be absorbed into radii",
+                stacklevel=2,
+            )
+    Ap, Cp = left.conj
+    Bp, Dp = right.conj
+    Fp = _sandwich(left.inv_box, sys.F, right.U, pol)
+    dA, dC = left.d
+    dB, dD = right.d
     S = build_S(dA, dB, dC, dD)
 
     a, c = np.diag(Ap.mid), np.diag(Cp.mid)
     b, d = np.diag(Bp.mid), np.diag(Dp.mid)
     sdefect = _diag_defect(a, b, c, d, S, pol)
 
-    mass = {"A": mass_a, "C": mass_c, "B": mass_b, "D": mass_d}
+    mass = {"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]}
 
     return PrecondSystem(
         Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp, Fp=Fp,
-        U=U, Uinv=left.Uinv, V=V, Vinv=right.Uinv,
+        U=left.U, Uinv=left.Uinv, V=right.U, Vinv=right.Uinv,
         dA=dA, dB=dB, dC=dC, dD=dD, S=S,
         offdiag_mass=mass,
-        uinv_box=uinv_box, vinv_box=vinv_box,
+        uinv_box=left.inv_box, vinv_box=right.inv_box,
         sdefect=sdefect, policy=pol,
     )

@@ -273,3 +273,44 @@ class TestBlockSolve:
         assert blk.blockform.b_sizes == (2,)
         for x in sample_solutions(sys, n_samples=60, seed=7):
             assert blk.evaluated.contains_point(x)
+
+
+class TestDecouple:
+    """The triangular Sylvester solve that decouples two clusters of a Schur form."""
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 3)])
+    def test_matches_solve_sylvester_on_triangular_blocks(self, p, q):
+        import scipy.linalg
+
+        from sylvenc.blockdiag import _decouple
+
+        rng = np.random.default_rng(10 * p + q)
+        for _ in range(5):
+            t11 = np.triu(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+            t22 = np.triu(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))) + 4.0 * np.eye(q)
+            t12 = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+            got = _decouple(t11, t22, t12)
+            ref = scipy.linalg.solve_sylvester(t11, -t22, -t12)
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert np.abs(t11 @ got - got @ t22 + t12).max() <= 1e-12 * np.abs(t12).max() * 10
+
+    def test_close_or_overflowing_equations_merge_instead(self):
+        from sylvenc.blockdiag import _decouple
+
+        one = np.array([[1.0 + 0j]])
+        # a shared eigenvalue: ztrsyl reports info = 1
+        assert _decouple(one, one, one) is None
+        # a solution ztrsyl has to scale down: scale < 1
+        assert _decouple(one, np.array([[1.0 + 1e-10j]]), np.array([[1e300 + 0j]])) is None
+
+    def test_jordan_family_keeps_its_block_sizes(self):
+        rng = np.random.default_rng(4)
+        m = 16
+        J = np.zeros((m, m))
+        idx = np.arange(m // 2)
+        J[2 * idx, 2 * idx] = J[2 * idx + 1, 2 * idx + 1] = np.linspace(1.0, 3.0, m // 2)
+        J[2 * idx, 2 * idx + 1] = 1.0
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        half = block_diagonalize(Q @ J @ Q.T, np.eye(m))
+        assert half.sizes == (2,) * (m // 2)
+        assert block_diagonalize(np.eye(m), Q @ J @ Q.T).sizes == (m,)

@@ -305,3 +305,44 @@ def test_rounding_policy_floor():
 def test_as_imatrix_accepts_points():
     m = as_imatrix(np.eye(2))
     assert (m.rad == 0).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestKernelOutputs:
+    """Kernel results skip the public constructor's coercions, not its overflow check."""
+
+    def test_matmul_overflow_raises(self):
+        big = IMatrix(np.full((2, 2), 1e200))
+        with pytest.raises(IntervalOverflowError):
+            im_matmul(big, big)
+        with pytest.raises(IntervalOverflowError):
+            im_matmul(IMatrix(np.ones((2, 2)), np.full((2, 2), 1e200)), big)
+
+    def test_sum_overflow_raises(self):
+        big = IMatrix(np.full((2, 2), 1.7e308))
+        with pytest.raises(IntervalOverflowError):
+            big + big
+        with pytest.raises(IntervalOverflowError):
+            IMatrix(np.zeros((2, 2)), np.full((2, 2), 1e308)) - IMatrix(np.ones((2, 2)), big.mid)
+
+    def test_hadamard_division_overflow_raises(self):
+        y = IMatrix(np.full((2, 2), 1e300), np.full((2, 2), 1.0))
+        with pytest.raises(IntervalOverflowError):
+            hadamard_div_point(y, np.full((2, 2), 1e-300))
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            IMatrix(np.zeros((2, 2)), -np.ones((2, 2)))
+        m = IMatrix([1.0, 2.0], [0.0, 0.5])
+        assert m.shape == (1, 2) and m.mid.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_kernel_outputs_keep_the_public_form(self, dtype):
+        rng = np.random.default_rng(2)
+        x = IMatrix(rng.normal(size=(3, 4)).astype(dtype), rng.uniform(size=(3, 4)))
+        y = IMatrix(rng.normal(size=(4, 2)).astype(dtype), rng.uniform(size=(4, 2)))
+        for out in (im_matmul(x, y), x + x, hadamard_div_point(x, np.full((3, 4), 2.0))):
+            again = IMatrix(out.mid, out.rad)
+            assert out.mid.dtype == again.mid.dtype == dtype
+            assert out.rad.dtype == np.float64 and out.mid.ndim == 2
+            assert np.array_equal(out.mid, again.mid) and np.array_equal(out.rad, again.rad)

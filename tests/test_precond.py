@@ -1,9 +1,12 @@
 """Spectral preconditioning of the interval system."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from sylvenc import GenSpec, generate, transform_enclose
+from sylvenc import GenSpec, IMatrix, SylvesterSystem, generate, transform_enclose
 from sylvenc.precond import build_S, simultaneous_diag
 
 
@@ -188,3 +191,100 @@ class TestDiagnosticsKeepTheirValues:
         eig = eig_decompose(a)
         expect = float(np.abs(a @ eig.vectors - eig.vectors * eig.values[None, :]).max())
         assert eig.residual == expect
+
+
+def _same_precond(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, IMatrix):
+            x, y = (x.mid, x.rad), (y.mid, y.rad)
+        elif isinstance(x, np.ndarray):
+            x, y = (x,), (y,)
+        else:
+            assert x == y, f.name
+            continue
+        for u, v in zip(x, y):
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), f.name
+
+
+def _jordan_system(m=8, seed=0):
+    rng = np.random.default_rng(seed)
+    J = np.zeros((m, m))
+    idx = np.arange(m // 2)
+    J[2 * idx, 2 * idx] = J[2 * idx + 1, 2 * idx + 1] = np.linspace(1.0, 3.0, m // 2)
+    J[2 * idx, 2 * idx + 1] = 1.0
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    rad = np.full((m, m), 1e-8)
+    eye = IMatrix(np.eye(m))
+    return SylvesterSystem(
+        A=IMatrix(Q @ J @ Q.T, rad),
+        B=IMatrix(np.diag(rng.uniform(1.0, 2.0, m)), rad),
+        C=eye,
+        D=eye,
+        F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
+    )
+
+
+class TestForcedDonors:
+    """Pairs whose donor needs no scoring give the system the scoring gives."""
+
+    @staticmethod
+    def _scored(monkeypatch, sys):
+        import sylvenc.precond as precond
+
+        with monkeypatch.context() as mp:
+            mp.setattr(precond, "_pair_kind", lambda first, second: "general")
+            return transform_enclose(sys)
+
+    @staticmethod
+    def _count_scorings(monkeypatch):
+        import sylvenc.precond as precond
+
+        calls = []
+        orig = precond.simultaneous_diag
+        monkeypatch.setattr(
+            precond, "simultaneous_diag", lambda *a, **k: calls.append(1) or orig(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("m", [8, 32])
+    @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+    def test_families_match_the_scoring_path(self, monkeypatch, family, m):
+        sys = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
+        scored = self._scored(monkeypatch, sys)
+        calls = self._count_scorings(monkeypatch)
+        forced = transform_enclose(sys)
+        assert calls == []
+        _same_precond(forced, scored)
+
+    @pytest.mark.parametrize("seed, scalar_wins", [(0, False), (2, True)])
+    def test_defective_midpoint_matches_the_scoring_path(self, monkeypatch, seed, scalar_wins):
+        # the eigenbasis of a defective midpoint may leave more off-diagonal
+        # mass than the scalar member's basis I; then the scoring chose I
+        sys = _jordan_system(seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scored = self._scored(monkeypatch, sys)
+            forced = transform_enclose(sys)
+        assert np.array_equal(forced.U, np.eye(8)) == scalar_wins
+        _same_precond(forced, scored)
+
+    def test_far_from_commuting_warning_kept(self):
+        with pytest.warns(UserWarning, match="far from commuting"):
+            transform_enclose(_jordan_system())
+
+    def test_distinct_non_scalar_pair_scores_both_candidates(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = 6
+        a = _random_diagonalizable(m, rng)
+        c = 0.5 * np.eye(m) + 0.25 * a + 0.125 * (a @ a)
+        b = _random_diagonalizable(m, rng)
+        rad = np.full((m, m), 1e-8)
+        sys = SylvesterSystem(
+            A=IMatrix(a, rad), B=IMatrix(b, rad), C=IMatrix(c, rad), D=IMatrix(np.eye(m)),
+            F=IMatrix(np.ones((m, m)), rad),
+        )
+        calls = self._count_scorings(monkeypatch)
+        transform_enclose(sys)
+        # (A, C) is scored over both candidates; (B, I) is not scored
+        assert len(calls) == 2
