@@ -15,9 +15,9 @@ the fourth power of the dimension.
 The audit layer checks enclosures against members of the interval system:
 
 * floating-point solutions of member point systems (``point_solve``,
-  ``sample_solutions``): on the Kronecker form where its estimated cost is
-  lower, and otherwise by the QZ-based generalized Bartels-Stewart method in
-  cubic time and quadratic memory, and
+  ``sample_solutions``): on the Kronecker form for small ``m n`` only, and
+  above that by the QZ-based generalized Bartels-Stewart method in cubic
+  time and quadratic memory, and
 * a certified necessary condition for membership of a point matrix in the
   united solution set (``residual_membership``).
 """
@@ -42,7 +42,7 @@ from .intervals import (
     posmm,
 )
 from .krawczyk import FAILURE_MESSAGE, Enclosure, verification_loop
-from .linalg import _kron_fits, ikron, iunvec, ivec, kron, lu_solve, unvec, vec
+from .linalg import ikron, iunvec, ivec, kron, lu_solve, unvec, vec
 from .system import SylvesterSystem
 
 __all__ = [
@@ -56,11 +56,9 @@ __all__ = [
 ]
 
 BASELINE_CAP = 1024
-# point_solve takes the Kronecker LU, of cost ~ (m n)^3, while it costs at most
-# this many times m^3 + n^3, the cost of the QZ recurrence: the square
-# crossover lies between m = n = 15 (ratio 1687.5) and 16 (2048), as measured
-# on one BLAS thread, and elongated shapes such as 12 x 20 (1421) stay on LU
-_KRON_COST_RATIO = 1800
+# point_solve: Kronecker LU up to this many unknowns m n, QZ recurrence above;
+# the two cost the same near m n = 225 (m = n = 15) on one BLAS thread
+_KRON_MAX_UNKNOWNS = 225
 VERTEX_ENUM_LIMIT = 12
 
 
@@ -152,10 +150,9 @@ def point_solve(
 ) -> np.ndarray:
     """Floating solution of a point equation ``A X B + C X D = F``.
 
-    Where its estimated cost ``(m n)^3`` is the lower one (up to m = n = 15
-    for square shapes, further for elongated ones) it solves the vectorized
-    Kronecker system by LU; otherwise, and whenever that ``(m n)^2`` matrix
-    would exceed ``KRON_BYTES``, by the generalized Bartels-Stewart method in
+    Up to ``m n = 225`` unknowns it solves the vectorized Kronecker system by
+    LU; above, where that ``(m n)^2`` matrix costs more than the QZ
+    factorizations, by the generalized Bartels-Stewart method in
     ``O(m^3 + n^3)`` time and ``O(m^2 + n^2)`` memory.  Either way one step
     of iterative refinement follows.  Real input gives a real result.  A
     singular member (an exactly zero pivot, or a non-finite result) raises
@@ -165,23 +162,11 @@ def point_solve(
     m, n = F.shape
     if A.shape != (m, m) or C.shape != (m, m) or B.shape != (n, n) or D.shape != (n, n):
         raise ValueError("dimension mismatch")
-    itemsize = np.result_type(A, B, C, D).itemsize
-    solve = _kron_point_solve if _kron_path(m, n, itemsize) else _qz_point_solve
+    solve = _kron_point_solve if m * n <= _KRON_MAX_UNKNOWNS else _qz_point_solve
     X = solve(A, B, C, D, F)
     if not np.isfinite(X).all():
         raise SingularMatrixError("singular matrix: non-finite member solution")
     return X
-
-
-def _kron_path(m: int, n: int, itemsize: int) -> bool:
-    """Whether ``point_solve`` takes the Kronecker LU for an ``m x n`` unknown.
-
-    It does when that LU is estimated cheaper than the QZ recurrence and its
-    ``(m n)^2`` matrix of ``itemsize``-byte entries fits ``KRON_BYTES``.
-    """
-    if not _kron_fits((n, n), (m, m), itemsize):
-        return False
-    return (m * n) ** 3 <= _KRON_COST_RATIO * (m**3 + n**3)
 
 
 def _kron_point_solve(

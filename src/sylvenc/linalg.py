@@ -77,15 +77,10 @@ def eig_decompose(a: np.ndarray) -> EigResult:
     return EigResult(values, vectors, inv_vectors, a)
 
 
-def _kron_fits(x_shape, y_shape, itemsize: int) -> bool:
-    """Whether a Kronecker product of ``itemsize`` bytes per entry fits ``KRON_BYTES``."""
-    entries = x_shape[0] * y_shape[0] * x_shape[1] * y_shape[1]
-    return entries * itemsize <= KRON_BYTES
-
-
 def _check_kron_bytes(x_shape, y_shape, itemsize: int) -> None:
     """Refuse a Kronecker product of ``itemsize`` bytes per entry above ``KRON_BYTES``."""
-    if not _kron_fits(x_shape, y_shape, itemsize):
+    entries = x_shape[0] * y_shape[0] * x_shape[1] * y_shape[1]
+    if entries * itemsize > KRON_BYTES:
         raise SizeCapError("kron result exceeds the byte budget")
 
 

@@ -13,8 +13,9 @@ each candidate basis leaves.  A distinct non-scalar pair is scored by point
 products before conjugating.  Equal midpoints need no scoring (the first
 donates), and a pair with a scalar member is scored from the sandwich
 midpoints ``(Uinv @ mid) @ U`` that the transform forms anyway, the same
-float products; the diagonals of the non-donor and the reported masses are
-read from those midpoints too.
+float products, unless the other member's eigenbasis has no certified
+inverse; then both bases are scored by point products.  The diagonals of the
+non-donor and the reported masses are read from the sandwich midpoints.
 
 The exact inverses of U and V are not representable in floating point, so
 interval enclosures of them (point inverse plus a certified residual pad) are
@@ -277,7 +278,10 @@ def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of, policy) -> _Side:
     scores the other member's relative off-diagonal mass, which needs no
     product, and the other member's eigenbasis scores the masses its
     sandwich midpoints leave.  So that basis is tried first and kept when it
-    wins; only a distinct non-scalar pair is scored before conjugating.
+    wins.  A distinct non-scalar pair is scored before conjugating, and so is
+    a scalar pair whose other member has no eigenbasis with a certified
+    inverse: the scoring then raises the certificate's error when that basis
+    wins, and conjugates with ``I`` when it loses.
     """
     first, second = (x.mid for x in pair)
     kind = _pair_kind(first, second)
@@ -294,12 +298,14 @@ def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of, policy) -> _Side:
     try:
         side = _conjugate(pair, eig_of(other), s == 0, policy)
     except (EigenDecompositionError, SingularMatrixError):
-        side = None
-    if side is not None:
-        # as in the scoring, a tie goes to the first member's basis
-        scalar_score = _offdiag_rel(other, other)
-        if max(side.mass) < scalar_score or (max(side.mass) == scalar_score and s == 1):
-            return side
+        # no eigenbasis, or no certified inverse of it: score both bases by
+        # their point products, which raises the certificate's error again
+        # exactly when that basis wins
+        return _conjugate(pair, *_pick_side(first, second, eig_of), policy)
+    # as in the scoring, a tie goes to the first member's basis
+    scalar_score = _offdiag_rel(other, other)
+    if max(side.mass) < scalar_score or (max(side.mass) == scalar_score and s == 1):
+        return side
     return _conjugate(pair, eig_of(pair[s].mid), s == 1, policy)
 
 

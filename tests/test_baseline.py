@@ -109,7 +109,7 @@ class TestPointSolve:
     @pytest.mark.parametrize("m, n", [(20, 14), (14, 20), (18, 18)])
     @pytest.mark.parametrize("cplx", [False, True])
     def test_matches_kronecker_reference(self, m, n, cplx):
-        assert not baseline._kron_path(m, n, 16 if cplx else 8)
+        assert m * n > baseline._KRON_MAX_UNKNOWNS
         rng = np.random.default_rng(m + 10 * n + cplx)
         a, b, c, d, f = _point_coefficients(rng, m, n, cplx)
         got = point_solve(a, b, c, d, f)
@@ -297,47 +297,3 @@ class TestFullKrawczyk:
         sys = generate(GenSpec(family="kyc31", m=40, alpha=1e-6, seed=10))
         with pytest.raises(SizeCapError):
             full_krawczyk_solve(sys)
-
-
-class TestPointSolvePath:
-    """The path ``point_solve`` takes, by estimated cost and by the byte budget."""
-
-    @pytest.mark.parametrize("m, n", [(4, 60), (60, 4), (6, 40), (12, 20), (20, 12)])
-    def test_elongated_shapes_take_the_kronecker_lu(self, m, n):
-        assert m * n > 225
-        assert baseline._kron_path(m, n, 8)
-        rng = np.random.default_rng(m * n + m)
-        a, b, c, d, f = _point_coefficients(rng, m, n)
-        got = point_solve(a, b, c, d, f)
-        assert _rel_diff(got, baseline._qz_point_solve(a, b, c, d, f)) <= 1e-10
-
-    def test_square_choices_are_unchanged(self):
-        for m in range(1, 16):
-            assert baseline._kron_path(m, m, 16)
-        for m in (16, 20, 32, 48):
-            assert not baseline._kron_path(m, m, 8)
-
-    def test_kron_path_result_matches_the_qz_path(self, monkeypatch):
-        calls = []
-        orig = baseline._kron_point_solve
-        monkeypatch.setattr(baseline, "_kron_point_solve", lambda *a: calls.append(1) or orig(*a))
-        rng = np.random.default_rng(21)
-        a, b, c, d, f = _point_coefficients(rng, 6, 40, cplx=True)
-        got = point_solve(a, b, c, d, f)
-        assert calls == [1]
-        assert _rel_diff(got, baseline._qz_point_solve(a, b, c, d, f)) <= 1e-10
-
-    def test_byte_budget_forces_qz(self, monkeypatch):
-        import sylvenc.linalg as linalg
-
-        rng = np.random.default_rng(22)
-        a, b, c, d, f = _point_coefficients(rng, 4, 60)
-        ref = _kron_point_solve(a, b, c, d, f)
-        monkeypatch.setattr(linalg, "KRON_BYTES", 240**2 * 8 - 1)
-        assert not baseline._kron_path(4, 60, 8)
-
-        def refuse(*args):
-            raise AssertionError("kron called")
-
-        monkeypatch.setattr(baseline, "kron", refuse)
-        assert _rel_diff(point_solve(a, b, c, d, f), ref) <= 1e-10

@@ -269,6 +269,48 @@ class TestForcedDonors:
         assert np.array_equal(forced.U, np.eye(8)) == scalar_wins
         _same_precond(forced, scored)
 
+    @staticmethod
+    def _fail_certificate(monkeypatch):
+        # the certified inverse of every non-diagonal basis fails
+        import sylvenc.precond as precond
+        from sylvenc.errors import SingularMatrixError
+
+        orig = precond.inverse_enclosure
+
+        def certify(a, *args, **kwargs):
+            if np.count_nonzero(a - np.diag(np.diagonal(a))):
+                raise SingularMatrixError("singular matrix: inverse certificate failed")
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(precond, "inverse_enclosure", certify)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0)), _jordan_system],
+        ids=["kyc31", "jordan"],
+    )
+    def test_uncertified_winning_eigenbasis_raises_as_scored(self, monkeypatch, make):
+        from sylvenc.errors import SingularMatrixError
+
+        sys = make()
+        self._fail_certificate(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SingularMatrixError, match="certificate failed"):
+                self._scored(monkeypatch, sys)
+            with pytest.raises(SingularMatrixError, match="certificate failed"):
+                transform_enclose(sys)
+
+    def test_uncertified_losing_eigenbasis_gives_the_scalar_basis(self, monkeypatch):
+        sys = _jordan_system(seed=2)
+        self._fail_certificate(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scored = self._scored(monkeypatch, sys)
+            forced = transform_enclose(sys)
+        assert np.array_equal(forced.U, np.eye(8))
+        _same_precond(forced, scored)
+
     def test_far_from_commuting_warning_kept(self):
         with pytest.warns(UserWarning, match="far from commuting"):
             transform_enclose(_jordan_system())
