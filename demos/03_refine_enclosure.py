@@ -1,8 +1,11 @@
 """Tightening an enclosure with the residual-division iteration.
 
-Starting from the Krawczyk box, each step bounds the coupling terms, divides
-by the diagonal denominators, and intersects with the previous iterate.  The
-iterates form a nested chain, so refinement can only help.
+Started from the box ``Xtilde + H`` that the Krawczyk solver back-transforms,
+each step bounds the coupling terms, divides by the diagonal denominators,
+and intersects with the previous iterate.  The iterates form a nested chain,
+and each entry reports the narrowest of three valid disks, so refinement is
+never wider than the Krawczyk enclosure.  The steps below start instead from
+the wider verification box ``Xtilde + X``, where the nesting is easy to see.
 """
 
 from sylvenc import GenSpec, gamma_step, generate, itr_solve, mkw_solve

@@ -58,7 +58,6 @@ from .intervals import (
     iv_mag,
     iv_meet,
     iv_mul,
-    rect_meet,
     rect_to_disks,
 )
 from .krawczyk import Enclosure, mkw_solve
@@ -108,7 +107,6 @@ __all__ = [
     "epsilon_inflate",
     "disks_to_rect",
     "rect_to_disks",
-    "rect_meet",
     # linear algebra
     "eig_decompose",
     "inverse_enclosure",

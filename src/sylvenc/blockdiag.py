@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsyl as _trsyl
+from scipy.sparse.csgraph import connected_components
 
 from .intervals import (
     IMatrix,
@@ -141,25 +142,17 @@ def _offpattern_rel(conj: np.ndarray, mask: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Partition:
-    """Union-find over eigenvalue positions of the initial Schur form."""
+def _clusters(lams: np.ndarray, sep: float) -> np.ndarray:
+    """Cluster label of each eigenvalue: the smallest position of its cluster.
 
-    def __init__(self, m: int):
-        self.parent = list(range(m))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def labels(self) -> list[int]:
-        return [self.find(i) for i in range(len(self.parent))]
+    Two eigenvalues closer than ``sep`` share a cluster, and so does any chain
+    of such pairs: the clusters are the connected components of the
+    closeness graph.
+    """
+    close = np.abs(lams[:, None] - lams[None, :]) <= sep
+    _, comp = connected_components(close, directed=False)
+    _, first = np.unique(comp, return_index=True)
+    return first[comp]
 
 
 def _swap_adjacent(T: np.ndarray, Z: np.ndarray, i: int) -> None:
@@ -241,17 +234,12 @@ def block_diagonalize(
     m = Ac.shape[0]
     T0, Z0 = scipy.linalg.schur(Ac, output="complex")
     lams = np.diag(T0)
-    sep = SEP_REL * max(np.linalg.norm(Ac), 1e-300)
-    part = _Partition(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(lams[i] - lams[j]) <= sep:
-                part.union(i, j)
+    labels = _clusters(lams, SEP_REL * max(np.linalg.norm(Ac), 1e-300))
 
     while True:
         T = T0.copy()
         U = Z0.copy()
-        lab, order = _reorder_contiguous(T, U, part.labels())
+        lab, order = _reorder_contiguous(T, U, labels.tolist())
         ranges = _block_ranges(lab, order)
         merged = False
         # zero coupling blocks sweeping by superdiagonal span; wider spans
@@ -269,10 +257,9 @@ def block_diagonalize(
                 Y = _decouple(T[i0:i1, i0:i1], T[j0:j1, j0:j1], T12)
                 if Y is None or np.linalg.norm(Y, np.inf) > max_cond:
                     # cap exceeded: fuse every cluster between bi and bj
-                    # (cluster ids are union-find roots, i.e. original positions)
+                    # (cluster ids are smallest original positions, ascending)
                     ids = order[bi : bj + 1]
-                    for other in ids[1:]:
-                        part.union(ids[0], other)
+                    labels[np.isin(labels, ids)] = ids[0]
                     merged = True
                     break
                 T[:, j0:j1] += T[:, i0:i1] @ Y

@@ -49,7 +49,6 @@ __all__ = [
     "Rect",
     "disks_to_rect",
     "rect_to_disks",
-    "rect_meet",
     "rect_mag",
 ]
 
@@ -606,27 +605,6 @@ def rect_to_disks(r: Rect, policy: RoundingPolicy | None = None) -> IMatrix:
     dim = np.maximum(r.hi.imag - mid.imag, mid.imag - r.lo.imag)
     rad = np.hypot(dre, dim) * (1.0 + 4.0 * eta) + 4.0 * eta * np.abs(mid)
     return IMatrix(mid, rad)
-
-
-def rect_meet(a: Rect, b: Rect) -> Rect:
-    """Exact entrywise intersection; raises when any entry is empty."""
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    if a.is_real and b.is_real:
-        lo = np.maximum(a.lo, b.lo)
-        hi = np.minimum(a.hi, b.hi)
-        if (lo > hi).any():
-            raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
-        return Rect(lo, hi)
-    alo, ahi = a.lo.astype(np.complex128), a.hi.astype(np.complex128)
-    blo, bhi = np.asarray(b.lo, dtype=np.complex128), np.asarray(b.hi, dtype=np.complex128)
-    lore = np.maximum(alo.real, blo.real)
-    loim = np.maximum(alo.imag, blo.imag)
-    hire = np.minimum(ahi.real, bhi.real)
-    hiim = np.minimum(ahi.imag, bhi.imag)
-    if (lore > hire).any() or (loim > hiim).any():
-        raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
-    return Rect(lore + 1j * loim, hire + 1j * hiim)
 
 
 def rect_mag(r: Rect, policy: RoundingPolicy | None = None) -> np.ndarray:

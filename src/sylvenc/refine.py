@@ -17,8 +17,17 @@ Enclosures are intersected in rectangle form (independent inf-sup bounds on
 real and imaginary parts): rectangle intersection is exact, which makes the
 nesting of the iterates a structural guarantee rather than a numerical
 accident.  The quotient disk ``<mid Fp ./ S, rad>`` is converted outward to
-its bounding rectangle before each intersection, and the final rectangle to
-its circumscribed disk.
+its bounding rectangle before each intersection.
+
+:func:`itr_solve` starts from the box the start enclosure vouches for: the
+box ``Xtilde + H`` that mkw back-transforms (a valid enclosure inside mkw's
+inflated verification box ``Xtilde + X``), or the final rectangle of an
+earlier refinement.  Each entry then reports the narrowest of three valid
+disks: the bounding disk of the final rectangle, the quotient disk implied
+by it, and the start disk when the start was given as disks.  So the result
+is never wider than mkw's in preconditioned coordinates.  From ``Xtilde + H``
+one step usually meets the tolerance, and when the start disk wins every
+entry, the start enclosure's back-transform is returned as it is.
 
 One private kernel serves :func:`gamma_step` and :func:`itr_solve`.  It
 keeps the iterate as contiguous float arrays (the real and imaginary parts
@@ -28,9 +37,11 @@ midpoint ``mid Fp * rec_mid`` with its parts and magnitude, ``|mid Fp| *
 rec_rad``, ``|rec_mid|`` and the magnitudes of the midpoint diagonals.  A
 step then computes only T(Y), the quotient radius, the intersection, the
 distance to the previous iterate and the new magnitude ``|Y|``, with the
-operations of the rectangle functions of :mod:`sylvenc.intervals` in their
-order, so the iterates are those of the chained rectangle form bit for bit.
-A :class:`Rect` is built only for the caller.
+operations of ``disks_to_rect``, the exact rectangle meet and ``rect_mag``
+in their order.  The corners are never composed as ``re + 1j * im``, which
+may flip the sign of a zero, so the iterates equal those of the chained
+rectangle form in value, and bit for bit on every nonzero corner.  A
+:class:`Rect` is built only for the caller.
 """
 
 from __future__ import annotations
@@ -73,17 +84,6 @@ class GammaState:
     converged: bool
 
 
-def _has_negative_zero(*arrays: np.ndarray) -> bool:
-    """Whether any of ``arrays`` holds a ``-0.0``."""
-    return any(np.signbit(a[a == 0]).any() for a in arrays)
-
-
-def _stored(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of ``re + 1j * im`` as a complex array holds them (a signed zero may flip)."""
-    z = re + 1j * im
-    return z.real.copy(), z.imag.copy()
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex array with parts ``re`` and ``im``, assembled without arithmetic."""
     z = np.empty(re.shape, dtype=np.complex128)
@@ -118,11 +118,6 @@ class _Refinement:
             else (self.qmid,)
         )
         self.cplx = len(self.qparts) == 2
-        # A complex array stores ``re + 1j * im`` with a signed zero flipped in
-        # some cases; the chained rectangle form composes every corner that
-        # way.  Without a negative zero in the quotient midpoint or the start
-        # corners no corner ever holds one, and composing is the identity.
-        self.compose = False
 
     def start(self, Y: Rect) -> tuple[np.ndarray, ...]:
         """The corner arrays of a start rectangle; a complex one makes every corner complex."""
@@ -136,7 +131,6 @@ class _Refinement:
             else:
                 corners = (Y.lo.real, Y.lo.imag, Y.hi.real, Y.hi.imag)
                 parts = tuple(np.ascontiguousarray(x) for x in corners)
-            self.compose = _has_negative_zero(*self.qparts, *parts)
         return parts
 
     def radius(self, absY: np.ndarray) -> np.ndarray:
@@ -186,8 +180,6 @@ class _Refinement:
         if len(self.qparts) == 2:
             qre, qim = self.qparts
             q = [qre - r, qim - r, qre + r, qim + r]
-            if self.compose:
-                q[0:2], q[2:4] = _stored(*q[0:2]), _stored(*q[2:4])
         else:
             (qre,) = self.qparts
             q = [qre - r, np.zeros(r.shape), qre + r, np.zeros(r.shape)]
@@ -199,8 +191,6 @@ class _Refinement:
         )
         if (lore > hire).any() or (loim > hiim).any():
             raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
-        if self.compose:
-            (lore, loim), (hire, hiim) = _stored(lore, loim), _stored(hire, hiim)
         return lore, loim, hire, hiim
 
     def distance(self, a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -255,6 +245,26 @@ def gamma_step(
     return kern.rect(kern.step(kern.start(Y), rect_mag(Y, pol)))
 
 
+def _start(
+    initial: Enclosure, Y0: Rect | IMatrix | None, policy: RoundingPolicy
+) -> tuple[Rect, IMatrix | None]:
+    """The start rectangle of a refinement and the start disks, when it was given as disks.
+
+    An mkw enclosure starts from ``Xtilde + Hbox``, the box mkw itself
+    back-transforms; an itr enclosure from its final rectangle ``gamma.Y``,
+    with its reported disks ``Xbox``.  Both hold absolute preconditioned
+    coordinates.
+    """
+    if isinstance(Y0, IMatrix):
+        return disks_to_rect(Y0, policy), Y0
+    if Y0 is not None:
+        return Y0, None
+    if initial.method == "itr":
+        return initial.gamma.Y, initial.Xbox
+    disk = as_imatrix(initial.Xtilde) + initial.Hbox
+    return disks_to_rect(disk, policy), disk
+
+
 def itr_solve(
     sys: SylvesterSystem,
     Y0: Rect | IMatrix | None = None,
@@ -265,11 +275,19 @@ def itr_solve(
 ) -> Enclosure:
     """Refined verified enclosure (method id ``itr``).
 
-    Without ``Y0`` the diagonal Krawczyk solver provides the start box
-    ``Xtilde + X`` in preconditioned coordinates; an already computed
-    ``initial`` enclosure of that solver may be passed to skip the repeated
-    solve.  Iterates until the entrywise Hausdorff distance of successive
+    Without ``Y0`` the start comes from ``initial``, by default a fresh
+    diagonal Krawczyk solve: an mkw enclosure starts from the box
+    ``Xtilde + Hbox`` it back-transforms, an itr enclosure from its final
+    rectangle.  Iterates until the entrywise Hausdorff distance of successive
     rectangles drops below ``tol * (1 + magnitude)`` or ``max_iter`` steps.
+
+    Each entry reports the narrowest of three valid disks: the bounding disk
+    of the final rectangle, the quotient disk implied by it, and the start
+    disk when the start was given as disks (an mkw or itr enclosure, or an
+    :class:`IMatrix` ``Y0``).  So the preconditioned result is never wider
+    than mkw's ``Xtilde + Hbox``.  When the start disk of ``initial`` wins on
+    every entry, its ``evaluated`` is returned instead of back-transforming
+    the same disks again.
     """
     pol = _pol(policy)
     if initial is None:
@@ -277,12 +295,7 @@ def itr_solve(
     if initial.precond is None or (Y0 is None and not initial.verified):
         raise NoInitialEnclosureError("no initial enclosure available")
     ps = initial.precond
-    if Y0 is None:
-        Y = disks_to_rect(as_imatrix(initial.Xtilde) + initial.Xbox, pol)
-    elif isinstance(Y0, IMatrix):
-        Y = disks_to_rect(Y0, pol)
-    else:
-        Y = Y0
+    Y, disk = _start(initial, Y0, pol)
     denom = _diagonal_denominators(ps, pol)
     kern = _Refinement(ps, denom, pol)
     parts, absY = kern.start(Y), rect_mag(Y, pol)
@@ -295,16 +308,24 @@ def itr_solve(
         if (dist <= tol * (1.0 + absY)).all():
             converged = True
             break
-    # Two valid disk reports per entry: the bounding disk of the final
-    # rectangle, and the quotient implied by that rectangle (no corner
-    # inflation).  Either contains every member solution, so take the
-    # narrower one entrywise.
     Y = kern.rect(parts)
     boxed = rect_to_disks(Y, pol)
     qrad = kern.radius(absY)
     pick = qrad < boxed.rad
-    final = IMatrix(np.where(pick, kern.qmid, boxed.mid), np.where(pick, qrad, boxed.rad))
-    evaluated = back_transform(ps.U, final, ps.vinv_box, pol)
+    # each of the three disks contains every member solution: take the
+    # narrowest entrywise, the start disk on ties
+    mid, rad = np.where(pick, kern.qmid, boxed.mid), np.where(pick, qrad, boxed.rad)
+    if disk is None:
+        final = IMatrix(mid, rad)
+    else:
+        keep = disk.rad <= rad
+        final = disk if keep.all() else IMatrix(
+            np.where(keep, disk.mid, mid), np.where(keep, disk.rad, rad)
+        )
+    if final is disk and Y0 is None:
+        evaluated = initial.evaluated
+    else:
+        evaluated = back_transform(ps.U, final, ps.vinv_box, pol)
     return Enclosure(
         Xtilde=initial.Xtilde,
         Xbox=final,

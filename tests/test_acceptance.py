@@ -202,6 +202,49 @@ def test_criterion_03_refinement_ratio(capfd):
     assert not bad, "\n".join(bad)
 
 
+def test_criterion_03_itr_never_wider_than_mkw(capfd):
+    # itr reports mkw's disks Xtilde + Hbox wherever it does not narrow them,
+    # so after the back-transform it is at most mkw plus that transform's
+    # rounding slack, which only an entry that narrowed can bring in; gen-seed
+    # 1 at m = 50 narrows some entries on kyc31
+    t0 = time.perf_counter()
+    bad = []
+    narrowed = 0
+    cells = ((50, 0), (50, 1), (200, 0), (400, 0))
+    for family in FAMILIES:
+        for m, seed in cells:
+            system = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=seed))
+            mk = mkw_solve(system)
+            it = itr_solve(system, initial=mk)
+            if not (mk.verified and it.verified):
+                bad.append(f"{family} m={m}: verification failed")
+                continue
+            ps, start = mk.precond, as_imatrix(mk.Xtilde) + mk.Hbox
+            if (it.Xbox.rad > start.rad).any():
+                bad.append(f"{family} m={m}: preconditioned disks wider than mkw's")
+            same = it.evaluated.rad.tobytes() == mk.evaluated.rad.tobytes()
+            if not same:
+                narrowed += 1
+                eta = ps.policy.eta
+                mag = np.abs(ps.U) @ (np.abs(start.mid) + start.rad) @ (
+                    np.abs(ps.vinv_box.mid) + ps.vinv_box.rad
+                )
+                slack = 4.0 * (2 * m + 8) * eta * mag
+                if (it.evaluated.rad > mk.evaluated.rad + slack).any():
+                    bad.append(f"{family} m={m}: evaluated radii wider than mkw's plus slack")
+            if family == "kyc31" and m == 400:
+                if it.iterations != 1:
+                    bad.append(f"kyc31 m=400: {it.iterations} steps, expected 1")
+                if not (same and it.evaluated.mid.tobytes() == mk.evaluated.mid.tobytes()):
+                    bad.append("kyc31 m=400: evaluated differs from mkw's")
+    elapsed = time.perf_counter() - t0
+    _report(
+        capfd, 3, not bad,
+        f"itr <= mkw + slack on {len(FAMILIES) * len(cells)} cells ({narrowed} narrowed), "
+        f"{elapsed:.1f}s")
+    assert not bad, "\n".join(bad)
+
+
 def test_criterion_04_scalar_analytic_case(capfd):
     eye = as_imatrix(np.array([[1.0]]))
     system = SylvesterSystem(

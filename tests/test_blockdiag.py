@@ -314,3 +314,46 @@ class TestDecouple:
         half = block_diagonalize(Q @ J @ Q.T, np.eye(m))
         assert half.sizes == (2,) * (m // 2)
         assert block_diagonalize(np.eye(m), Q @ J @ Q.T).sizes == (m,)
+
+
+def _union_find_labels(lams, sep):
+    """Cluster labels by a union-find over every close pair: the roots are smallest positions."""
+    parent = list(range(len(lams)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(lams)):
+        for j in range(i + 1, len(lams)):
+            if abs(lams[i] - lams[j]) <= sep:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(lams))]
+
+
+class TestClusters:
+    """Eigenvalue clustering by the connected components of the closeness graph."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_union_find_on_clustered_spectra(self, seed):
+        from sylvenc.blockdiag import _clusters
+
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(5, 40))
+        centers = rng.normal(size=4) + 1j * rng.normal(size=4)
+        # chains of close values: clusters that only transitivity joins
+        jitter = rng.normal(size=m) + 1j * rng.normal(size=m)
+        lams = centers[rng.integers(0, 4, m)] + 1e-5 * jitter
+        lams[rng.integers(0, m, m // 4)] = rng.normal(size=m // 4)
+        sep = 2e-5
+        got = _clusters(lams, sep)
+        assert got.tolist() == _union_find_labels(lams, sep)
+
+    def test_scalar_matrix_is_one_cluster(self):
+        from sylvenc.blockdiag import _clusters
+
+        lams = np.full(7, 2.5 + 0j)
+        assert _clusters(lams, 0.0).tolist() == [0] * 7
+        assert block_diagonalize(2.5 * np.eye(7), np.eye(7)).sizes == (7,)

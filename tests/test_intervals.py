@@ -21,10 +21,11 @@ from sylvenc import (
     iv_mag,
     iv_meet,
     iv_mul,
-    rect_meet,
     rect_to_disks,
 )
 from sylvenc.intervals import iv_recip_arrays, posmm
+
+from rect_oracle import rect_meet
 
 SLACK = 1.0 + 1e-12
 

@@ -10,10 +10,13 @@ from sylvenc import (
     NoInitialEnclosureError,
     Rect,
     SylvesterSystem,
+    full_krawczyk_solve,
     gamma_step,
     generate,
     itr_solve,
+    mkw_block_solve,
     mkw_solve,
+    sample_solutions,
     transform_enclose,
 )
 from sylvenc.intervals import as_imatrix, disks_to_rect
@@ -124,3 +127,40 @@ class TestItrSolve:
         lo = float(enc.evaluated.mid[0, 0] - enc.evaluated.rad[0, 0])
         hi = float(enc.evaluated.mid[0, 0] + enc.evaluated.rad[0, 0])
         assert lo <= 1.9 and hi >= 2.1
+
+
+def _wide_rhs_system(seed):
+    """m = 3, ``A X + X = F`` with a diagonally dominant A and right-hand-side radii of 1."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.uniform(1, 5, 3)) + 0.1 * rng.normal(size=(3, 3))
+    eye = IMatrix(np.eye(3))
+    return SylvesterSystem(
+        A=IMatrix(a, np.full((3, 3), 1e-2)),
+        B=eye,
+        C=eye,
+        D=eye,
+        F=IMatrix(rng.uniform(-0.3, 0.3, (3, 3)), np.ones((3, 3))),
+    )
+
+
+class TestChainedItr:
+    @pytest.mark.parametrize("seed", [34, 141, 191])
+    def test_itr_started_from_itr_contains_every_vertex_member(self, seed):
+        # the start box of an itr enclosure holds absolute coordinates; these
+        # seeds lost nearly all vertex members when Xtilde was added to it
+        sys = _wide_rhs_system(seed)
+        first = itr_solve(sys)
+        again = itr_solve(sys, initial=first)
+        assert again.verified
+        assert (again.Xbox.rad <= first.Xbox.rad).all()
+        members = sample_solutions(sys, 300, seed, "vertex")
+        assert members
+        escaped = [x for x in members if not again.evaluated.contains_point(x)]
+        assert not escaped
+
+    def test_other_methods_are_no_start(self):
+        sys = _wide_rhs_system(0)
+        for enc in (mkw_block_solve(sys), full_krawczyk_solve(sys)):
+            assert enc.verified
+            with pytest.raises(NoInitialEnclosureError):
+                itr_solve(sys, initial=enc)
