@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsyl as _trsyl
-from scipy.sparse.csgraph import connected_components
 
 from .intervals import (
     IMatrix,
@@ -147,12 +146,19 @@ def _clusters(lams: np.ndarray, sep: float) -> np.ndarray:
 
     Two eigenvalues closer than ``sep`` share a cluster, and so does any chain
     of such pairs: the clusters are the connected components of the
-    closeness graph.
+    closeness graph.  Each sweep gives every position the smallest label
+    among its neighbours and then the label of that label; labels only fall
+    and stay inside their component, so a sweep that changes nothing leaves
+    each component labelled by its smallest position.
     """
     close = np.abs(lams[:, None] - lams[None, :]) <= sep
-    _, comp = connected_components(close, directed=False)
-    _, first = np.unique(comp, return_index=True)
-    return first[comp]
+    labels = np.arange(len(lams))
+    while True:
+        new = np.where(close, labels, len(lams)).min(axis=1)
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
 
 
 def _swap_adjacent(T: np.ndarray, Z: np.ndarray, i: int) -> None:

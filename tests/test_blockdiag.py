@@ -351,6 +351,15 @@ class TestClusters:
         got = _clusters(lams, sep)
         assert got.tolist() == _union_find_labels(lams, sep)
 
+    @pytest.mark.parametrize("m", [2, 9, 64])
+    def test_a_shuffled_chain_is_one_cluster(self, m):
+        from sylvenc.blockdiag import _clusters
+
+        # neighbours 1e-5 apart, ends (m - 1) * 1e-5 apart: only the chain joins them
+        lams = 1.0 + 1e-5 * np.random.default_rng(m).permutation(m)
+        sep = 1.5e-5
+        assert _clusters(lams, sep).tolist() == _union_find_labels(lams, sep) == [0] * m
+
     def test_scalar_matrix_is_one_cluster(self):
         from sylvenc.blockdiag import _clusters
 
