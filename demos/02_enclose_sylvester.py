@@ -19,12 +19,12 @@ print("verified:", enc.verified, "after", enc.iterations, "inflation step(s)")
 print("mean enclosure radius: %.3e" % float(enc.evaluated.rad.mean()))
 
 # draw member systems, solve them exactly, and confirm containment
-solutions = sample_solutions(system, n_samples=500, seed=1)
-inside = sum(bool(enc.evaluated.contains_point(x)) for x in solutions)
+solutions = np.stack(sample_solutions(system, n_samples=500, seed=1))
+inside = int(enc.evaluated.contains_point(solutions).sum())  # one answer per sample
 print(f"sampled member solutions contained: {inside}/{len(solutions)}")
 
 # the residual predicate gives an independent membership certificate
-ok = all(residual_membership(system, x) for x in solutions[:50])
+ok = residual_membership(system, solutions[:50]).all()
 print("residual membership certificate on 50 samples:", ok)
 
 # a point far outside is rigorously excluded

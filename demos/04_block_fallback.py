@@ -38,6 +38,6 @@ print("block solver verified:", blk.verified)
 print("block sizes on the left side:", blk.blockform.a_sizes)
 print("total radius: %.3e" % float(blk.evaluated.rad.sum()))
 
-solutions = sample_solutions(system, n_samples=200, seed=4)
-inside = sum(bool(blk.evaluated.contains_point(x)) for x in solutions)
+solutions = np.stack(sample_solutions(system, n_samples=200, seed=4))
+inside = int(blk.evaluated.contains_point(solutions).sum())  # one answer per sample
 print(f"sampled member solutions contained: {inside}/{len(solutions)}")

@@ -17,15 +17,20 @@ The audit layer checks enclosures against members of the interval system:
 * floating-point solutions of member point systems (``point_solve``,
   ``sample_solutions``): on the Kronecker form for small ``m n`` only, and
   above that by the QZ-based generalized Bartels-Stewart method in cubic
-  time and quadratic memory, and
+  time and quadratic memory.  ``sample_solutions`` factors the midpoint
+  operator once and solves the sampled members together by refinement
+  sweeps on it, in chunks of bounded memory; ``point_solve`` takes the
+  members whose sweeps do not converge;
 * a certified necessary condition for membership of a point matrix in the
-  united solution set (``residual_membership``).
+  united solution set (``residual_membership``), for one matrix or a stack
+  of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,7 @@ from scipy.linalg.lapack import ztrtrs as _trtrs
 
 from .errors import IntervalOverflowError, SingularMatrixError, SizeCapError
 from .intervals import (
+    EPS_MACH,
     IMatrix,
     RoundingPolicy,
     _pol,
@@ -60,6 +66,12 @@ BASELINE_CAP = 1024
 # the two cost the same near m n = 225 (m = n = 15) on one BLAS thread
 _KRON_MAX_UNKNOWNS = 225
 VERTEX_ENUM_LIMIT = 12
+# sample_solutions: bytes the members of one chunk may hold (256 MiB); the
+# relative error below which a member's refinement sweeps stop; and the sweeps
+# a member may take before it falls back to point_solve
+_SAMPLE_BYTES = 2**28
+_CONVERGED = 2.0**-46
+_MAX_SWEEPS = 12
 
 
 @dataclass(frozen=True)
@@ -177,41 +189,71 @@ def _kron_point_solve(
     The refinement step reuses the factorization.
     """
     m, n = F.shape
-    Q = kron(B.T, A) + kron(D.T, C)
-    f = vec(F)
-    getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (Q, f))
+    Q, solve = _kron_factor(A, B, C, D, np.result_type(A, B, C, D, F))
+    X = solve(F[None])[0]
+    return X + solve((F - unvec(Q @ vec(X), m, n))[None])[0]
+
+
+def _kron_factor(
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, dtype: np.dtype
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``Q = B^T kron A + D^T kron C`` and its LU solve of a ``(k, m, n)`` stack.
+
+    One ``getrs`` call solves every matrix of the stack, each vectorized as
+    one right-hand side column.
+    """
+    m, n = A.shape[0], B.shape[0]
+    Q = (kron(B.T, A) + kron(D.T, C)).astype(dtype, copy=False)
+    getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (Q,))
     lu, piv, info = getrf(Q)
     if info > 0:
         raise SingularMatrixError("singular matrix")
-    x = getrs(lu, piv, f)[0]
-    x = x + getrs(lu, piv, f - Q @ x)[0]
-    return unvec(x, m, n)
+
+    def solve(G: np.ndarray) -> np.ndarray:
+        k = G.shape[0]
+        rhs = G.transpose(0, 2, 1).reshape(k, m * n).T
+        return getrs(lu, piv, rhs)[0].T.reshape(k, n, m).transpose(0, 2, 1)
+
+    return Q, solve
 
 
 def _qz_point_solve(
     A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, F: np.ndarray
 ) -> np.ndarray:
-    """Generalized Bartels-Stewart solve (Gardiner, Laub, Amato and Moler, 1992).
+    """Generalized Bartels-Stewart solve (see :func:`_qz_factor`), one refinement step.
+
+    The refinement step reuses the factors.
+    """
+    solve = _qz_factor(A, B, C, D)
+    real = not any(np.iscomplexobj(t) for t in (A, B, C, D, F))
+
+    def solve_one(rhs: np.ndarray) -> np.ndarray:
+        X = solve(rhs[None])[0]
+        return X.real if real else X
+
+    X = solve_one(F)
+    return X + solve_one(F - A @ X @ B - C @ X @ D)
+
+
+def _qz_factor(
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Generalized Bartels-Stewart (Gardiner, Laub, Amato and Moler, 1992) on a stack.
 
     Complex QZ gives ``A = Q1 S1 Z1^H, C = Q1 T1 Z1^H`` and
     ``B^T = Q2 S2 Z2^H, D^T = Q2 T2 Z2^H`` with ``S*, T*`` upper triangular,
     so ``Y = Z1^H X conj(Z2)`` solves ``S1 Y S2^T + T1 Y T2^T = Q1^H F conj(Q2)``.
-    Column ``k`` of that equation involves only columns ``k..n-1`` of ``Y``:
-    from the last column to the first, each is one triangular solve with
-    ``S2[k, k] S1 + T2[k, k] T1``.  The refinement step reuses the factors.
+    The returned function solves a ``(k, m, n)`` stack of right-hand sides
+    with these factors; its result is complex.
     """
     S1, T1, Q1, Z1 = _complex_qz(A, C)
     S2, T2, Q2, Z2 = _complex_qz(B.T, D.T)
     q1h, q2c, z2t = Q1.conj().T, Q2.conj(), Z2.T
-    real = not any(np.iscomplexobj(t) for t in (A, B, C, D, F))
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        Y = _triangular_pencil_solve(S1, T1, S2, T2, q1h @ rhs @ q2c)
-        X = Z1 @ Y @ z2t
-        return X.real if real else X
+    def solve(G: np.ndarray) -> np.ndarray:
+        return Z1 @ _triangular_pencil_solve(S1, T1, S2, T2, q1h @ G @ q2c) @ z2t
 
-    X = solve(F)
-    return X + solve(F - A @ X @ B - C @ X @ D)
+    return solve
 
 
 def _complex_qz(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -233,21 +275,33 @@ def _complex_qz(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 def _triangular_pencil_solve(
     S1: np.ndarray, T1: np.ndarray, S2: np.ndarray, T2: np.ndarray, G: np.ndarray
 ) -> np.ndarray:
-    """Solve ``S1 Y S2^T + T1 Y T2^T = G`` for upper triangular ``S1, T1, S2, T2``."""
-    m, n = G.shape
-    Y = np.empty((m, n), dtype=np.complex128, order="F")
-    # S1 Y and T1 Y, column by column as Y fills in
-    SY = np.empty_like(Y)
-    TY = np.empty_like(Y)
-    for k in range(n - 1, -1, -1):
-        rhs = G[:, k] - SY[:, k + 1 :] @ S2[k, k + 1 :] - TY[:, k + 1 :] @ T2[k, k + 1 :]
-        y, info = _trtrs(S2[k, k] * S1 + T2[k, k] * T1, rhs)
+    """Solve ``S1 Y S2^T + T1 Y T2^T = G`` for upper triangular ``S1, T1, S2, T2``.
+
+    ``G`` is a ``(k, m, n)`` stack; the solution overwrites it.  Column ``j``
+    of the equation involves only columns ``j..n-1`` of ``Y``: from the last
+    column to the first, one triangular solve with ``S2[j, j] S1 + T2[j, j] T1``
+    gives column ``j`` of every matrix of the stack, one right-hand side per
+    matrix.
+    """
+    k, m, n = G.shape
+    Y = G.transpose(2, 1, 0)  # Y[j]: column j of every matrix, (m, k)
+    # later columns need M1 Y[l] for each pair whose M2 has entries above its
+    # diagonal; an identity M1 (a side of the Schur path) needs no product
+    pairs = [(M1, M2) for M1, M2 in ((S1, S2), (T1, T2)) if np.triu(M2, 1).any()]
+    mult = [None if (M1 == np.eye(m)).all() else M1 for M1, _ in pairs]
+    W = np.empty((n, len(pairs), m, k), dtype=np.complex128)
+    coef = np.empty((n, n, len(pairs)), dtype=np.complex128)  # coef[j, l] pairs with W[l]
+    for t, (_, M2) in enumerate(pairs):
+        coef[:, :, t] = M2
+    for j in range(n - 1, -1, -1):
+        tail = coef[j, j + 1 :].reshape(-1) @ W[j + 1 :].reshape(-1, m * k)
+        y, info = _trtrs(S2[j, j] * S1 + T2[j, j] * T1, Y[j] - tail.reshape(m, k))
         if info != 0:
             raise SingularMatrixError("singular matrix: zero pivot of the member pencil")
-        Y[:, k] = y
-        SY[:, k] = S1 @ y
-        TY[:, k] = T1 @ y
-    return Y
+        Y[j] = y
+        for t, M1 in enumerate(mult):
+            W[j, t] = y if M1 is None else M1 @ y
+    return G
 
 
 def _draw_member(mat: IMatrix, rng: np.random.Generator) -> np.ndarray:
@@ -259,8 +313,138 @@ def _draw_member(mat: IMatrix, rng: np.random.Generator) -> np.ndarray:
     return mat.mid + radius * np.exp(1j * angle)
 
 
-def _vertex_member(mat: IMatrix, signs: np.ndarray) -> np.ndarray:
-    return mat.mid + signs * mat.rad
+def _chunk_size(m: int, n: int) -> int:
+    """Members per chunk: their arrays stay within ``_SAMPLE_BYTES``.
+
+    Counts complex entries per member: the five coefficients, and twelve
+    ``m x n`` arrays for the sweep (iterate, residual, correction, and the
+    transformed and triangular arrays of the QZ solve with their temporaries;
+    the peak measured at m = n = 200 is about ten).
+    """
+    return max(1, _SAMPLE_BYTES // (16 * (2 * m * m + 2 * n * n + 12 * m * n)))
+
+
+def _member_chunks(
+    sys: SylvesterSystem, n_samples: int, rng: np.random.Generator, mode: str
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Stacked coefficients ``A, B, C, D, F`` of consecutive members, chunk by chunk.
+
+    The draws are those of a member-by-member loop in coefficient order, so
+    the members do not depend on the chunk size: on real data one uniform
+    draw per chunk, otherwise :func:`_draw_member` per member and coefficient;
+    vertex sign patterns come as before.
+    """
+    mats = (sys.A, sys.B, sys.C, sys.D, sys.F)
+    chunk = _chunk_size(sys.m, sys.n)
+    if mode == "vertex":
+        masks = [mat.rad > 0 for mat in mats]
+        k = int(sum(mask.sum() for mask in masks))
+        if k <= VERTEX_ENUM_LIMIT:
+            patterns = itertools.product((-1.0, 1.0), repeat=k)
+        else:
+            patterns = (tuple(rng.choice((-1.0, 1.0), size=k)) for _ in range(n_samples))
+        while pats := list(itertools.islice(patterns, chunk)):
+            P = np.array(pats).reshape(len(pats), k)
+            out, pos = [], 0
+            for mat, mask in zip(mats, masks):
+                signs = np.zeros((len(pats),) + mat.shape)
+                cnt = int(mask.sum())
+                signs[:, mask] = P[:, pos : pos + cnt]
+                pos += cnt
+                out.append(mat.mid + signs * mat.rad)
+            yield tuple(out)
+        return
+    sizes = [mat.mid.size for mat in mats]
+    for start in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - start)
+        if sys.is_real:
+            parts = np.split(rng.uniform(-1.0, 1.0, size=(c, sum(sizes))), np.cumsum(sizes)[:-1], 1)
+            yield tuple(
+                mat.mid + mat.rad * part.reshape((c,) + mat.shape) for mat, part in zip(mats, parts)
+            )
+        else:
+            draws = [[_draw_member(mat, rng) for mat in mats] for _ in range(c)]
+            yield tuple(np.stack(coef) for coef in zip(*draws))
+
+
+def _midpoint_solver(sys: SylvesterSystem) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Solve of the midpoint operator on ``(k, m, n)`` stacks, ``point_solve``'s path.
+
+    None when the factorization finds the midpoint singular.
+    """
+    A, B, C, D = (t.mid for t in (sys.A, sys.B, sys.C, sys.D))
+    try:
+        if sys.m * sys.n <= _KRON_MAX_UNKNOWNS:
+            dtype = np.float64 if sys.is_real else np.complex128
+            return _kron_factor(A, B, C, D, dtype)[1]
+        return _qz_factor(A, B, C, D)
+    except SingularMatrixError:
+        return None
+
+
+def _max_abs(X: np.ndarray) -> np.ndarray:
+    return np.abs(X).reshape(len(X), -1).max(axis=1)
+
+
+def _refine_members(
+    solve: Callable[[np.ndarray], np.ndarray] | None, *coeffs: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """Member solutions by refinement sweeps on the midpoint operator.
+
+    With ``L_k(X) = A_k X B_k + C_k X D_k`` and ``L`` the midpoint operator,
+    the sweeps ``X <- X + L^-1 (F_k - L_k X)`` start from ``L^-1 F_k`` and
+    shrink the error by a ratio of about the relative size of the data radii
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 12).  Each
+    member's ratio is read off its last two corrections ``d``:
+
+    * the ratio is at most 1/2 and the error left after the last sweep,
+      ``ratio d / (1 - ratio)``, at most ``_CONVERGED`` of the iterate: the
+      member is accepted, a sweep before its corrections would stagnate at
+      the rounding floor;
+    * the correction did not halve, or at this ratio the member would not
+      converge within ``_MAX_SWEEPS`` sweeps, or its iterate is not finite:
+      it fails.  A near-singular member stagnates with small corrections
+      and a large error, so stagnation is never taken for convergence.
+
+    Every member fails when the midpoint is singular.  Returns the iterates
+    (None when no solve ran), the mask of accepted members and the number of
+    sweeps run.
+    """
+    count = len(coeffs[0])
+    ok = np.zeros(count, dtype=bool)
+    if solve is None:
+        return None, ok, 0
+    real = not any(np.iscomplexobj(t) for t in coeffs)
+
+    def step(rhs: np.ndarray) -> np.ndarray:
+        d = solve(rhs)
+        return d.real if real else d
+
+    try:
+        X = np.ascontiguousarray(step(coeffs[4]))
+    except SingularMatrixError:
+        return None, ok, 0
+    live, Xl, prev = np.arange(count), X, _max_abs(X)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        A, B, C, D, F = coeffs
+        d = step(F - A @ Xl @ B - C @ Xl @ D)
+        Xl = Xl + d
+        dn, xn = _max_abs(d), _max_abs(Xl)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = dn / prev
+            left = ratio * dn / ((1.0 - ratio) * _CONVERGED * xn)  # at most 1: converged
+            needed = np.log(left) / -np.log(ratio)
+        halved = ratio <= 0.5
+        accept = np.isfinite(xn) & ((dn == 0.0) | halved & (left <= 1.0))
+        finish = accept | ~halved | (sweep + needed > _MAX_SWEEPS) | ~np.isfinite(xn)
+        X[live[finish]] = Xl[finish]
+        ok[live[finish]] = accept[finish]
+        if finish.all():
+            break
+        keep = ~finish
+        live, Xl, prev = live[keep], Xl[keep], dn[keep]
+        coeffs = tuple(t[keep] for t in coeffs)
+    return X, ok, sweep
 
 
 def sample_solutions(
@@ -274,43 +458,31 @@ def sample_solutions(
     ``random`` draws every coefficient entry uniformly from its disk, with a
     fixed counter-based generator so runs are reproducible.  ``vertex`` picks
     endpoint sign patterns of the nondegenerate entries: all ``2**k`` patterns
-    when there are at most 12 of them, random patterns otherwise.  Member
-    systems that :func:`point_solve` finds singular are skipped with a
-    warning.
+    when there are at most 12 of them, random patterns otherwise.
+
+    The midpoint operator is factored once, on :func:`point_solve`'s path,
+    and refinement sweeps on it solve the members together, in chunks that
+    keep memory bounded whatever ``n_samples`` is.  A member whose sweeps do
+    not converge (see ``_refine_members``) is solved by :func:`point_solve`;
+    member systems that it finds singular are skipped with a warning.
     """
     if mode not in ("random", "vertex"):
         raise ValueError("mode must be 'random' or 'vertex'")
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
     rng = np.random.Generator(np.random.Philox(seed))
-    mats = (sys.A, sys.B, sys.C, sys.D, sys.F)
-    sign_sets: list[tuple[np.ndarray, ...]] = []
-    if mode == "vertex":
-        masks = [m.rad > 0 for m in mats]
-        k = int(sum(m.sum() for m in masks))
-        if k <= VERTEX_ENUM_LIMIT:
-            patterns = itertools.product((-1.0, 1.0), repeat=k)
-        else:
-            patterns = (tuple(rng.choice((-1.0, 1.0), size=k)) for _ in range(n_samples))
-        for pat in patterns:
-            signs, pos = [], 0
-            for mat, mask in zip(mats, masks):
-                s = np.zeros(mat.shape)
-                cnt = int(mask.sum())
-                s[mask] = pat[pos : pos + cnt]
-                pos += cnt
-                signs.append(s)
-            sign_sets.append(tuple(signs))
-
+    solve = _midpoint_solver(sys)
     out: list[np.ndarray] = []
-    trials = sign_sets if mode == "vertex" else range(n_samples)
-    for trial in trials:
-        if mode == "vertex":
-            members = [_vertex_member(m, s) for m, s in zip(mats, trial)]
-        else:
-            members = [_draw_member(m, rng) for m in mats]
-        try:
-            out.append(point_solve(*members))
-        except SingularMatrixError:
-            warnings.warn("skipping singular member system", RuntimeWarning, stacklevel=2)
+    for coeffs in _member_chunks(sys, n_samples, rng, mode):
+        X, ok, _ = _refine_members(solve, *coeffs)
+        for i, accepted in enumerate(ok):
+            if accepted:
+                out.append(X[i])
+                continue
+            try:
+                out.append(point_solve(*(t[i] for t in coeffs)))
+            except SingularMatrixError:
+                warnings.warn("skipping singular member system", RuntimeWarning, stacklevel=2)
     return out
 
 
@@ -318,7 +490,7 @@ def residual_membership(
     sys: SylvesterSystem,
     X: np.ndarray,
     policy: RoundingPolicy | None = None,
-) -> bool:
+) -> bool | np.ndarray:
     """Certified necessary condition for ``X`` to solve some member system.
 
     Evaluates ``F - A X B - C X D`` over all four association orders of the
@@ -327,12 +499,54 @@ def residual_membership(
     residual boxes are bit for bit those of interval subtraction
     ``F - left - right``; a non-finite one raises
     :class:`IntervalOverflowError`.
+
+    A ``(k, m, n)`` stack of samples gives a boolean array, one answer per
+    sample: the stack runs through the same products (see
+    :func:`~sylvenc.intervals.im_matmul`), so on real data each answer, or
+    the error, is the one of the call on that sample alone.
     """
     pol = _pol(policy)
     eta = pol.eta
-    xb = as_imatrix(np.atleast_2d(np.asarray(X)))
-    if xb.shape != (sys.m, sys.n):
+    x = np.asarray(X)
+    if x.ndim == 3:
+        # validated and coerced as one tall matrix, then viewed as the stack
+        tall = as_imatrix(x.reshape(-1, x.shape[-1]))
+        xb = IMatrix._from_kernel(tall.mid.reshape(x.shape), tall.rad.reshape(x.shape))
+    else:
+        xb = as_imatrix(np.atleast_2d(x))
+    if xb.mid.shape[-2:] != (sys.m, sys.n):
         raise ValueError("dimension mismatch")
+    boxes = _residual_boxes(sys, xb, pol)
+    # membership check biased toward acceptance: shrink |mid| before comparing
+    shrink = 1.0 - 4.0 * eta
+    if x.ndim != 3:
+        for amid, rad in boxes:
+            # a non-finite midpoint makes its radius non-finite too
+            if not np.isfinite(rad).all():
+                raise IntervalOverflowError("interval overflow")
+            if not (amid * shrink <= rad).all():
+                return False
+        return True
+    # per sample, as alone: a non-finite box raises unless an earlier one rejected
+    alive = np.ones(len(x), dtype=bool)
+    for amid, rad in boxes:
+        if (alive & ~np.isfinite(rad).all(axis=(1, 2))).any():
+            raise IntervalOverflowError("interval overflow")
+        alive &= (amid * shrink <= rad).all(axis=(1, 2))
+        if not alive.any():
+            break
+    return alive
+
+
+def _residual_boxes(
+    sys: SylvesterSystem, xb: IMatrix, pol: RoundingPolicy
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``|mid|`` and radius of the four boxes ``F - left - right``, one by one.
+
+    ``left`` and ``right`` run over both association orders of ``A X B``
+    and ``C X D``; ``xb`` may hold a stack of samples.
+    """
+    eta = pol.eta
     axb_l = im_matmul(im_matmul(sys.A, xb, pol), sys.B, pol)
     axb_r = im_matmul(sys.A, im_matmul(xb, sys.B, pol), pol)
     cxd_l = im_matmul(im_matmul(sys.C, xb, pol), sys.D, pol)
@@ -347,13 +561,5 @@ def residual_membership(
         lmid = sys.F.mid + -1.0 * left.mid
         lrad = (sys.F.rad + left.rad) * grow + 2.0 * eta * np.abs(lmid)
         for rmid, rrad in neg_right:
-            mid = lmid + rmid
-            amid = np.abs(mid)
-            rad = (lrad + rrad) * grow + 2.0 * eta * amid
-            # a non-finite midpoint makes its radius non-finite too
-            if not np.isfinite(rad).all():
-                raise IntervalOverflowError("interval overflow")
-            # membership check biased toward acceptance: shrink |mid| before comparing
-            if not (amid * (1.0 - 4.0 * eta) <= rad).all():
-                return False
-    return True
+            amid = np.abs(lmid + rmid)
+            yield amid, (lrad + rrad) * grow + 2.0 * eta * amid

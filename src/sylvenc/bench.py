@@ -134,6 +134,7 @@ def run_benchmark(
         sys = generate(spec)
         # sampling stream decoupled from the generation stream
         sols = sample_solutions(sys, samples, seed + 1, "random") if samples > 0 else []
+        stack = np.stack(sols) if sols else None
         start: Enclosure | None = None  # verified mkw: width reference and itr's start
         encs: dict[str, Enclosure | None] = {}
         times: dict[str, float] = {}
@@ -150,7 +151,7 @@ def run_benchmark(
             meanr, ratio = compute_metrics(evaluated, None if start is None else start.evaluated)
             rate = math.nan
             if evaluated is not None and sols:
-                inside = sum(bool(evaluated.contains_point(x)) for x in sols)
+                inside = int(evaluated.contains_point(stack).sum())
                 rate = inside / len(sols)
                 if verified and inside != len(sols):
                     raise SoundnessViolation(

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 
+import numpy as np
+
 from .baseline import full_krawczyk_solve, sample_solutions
 from .bench import SoundnessViolation, render_csv, render_jsonl, run_benchmark
 from .blockdiag import mkw_block_solve
@@ -118,8 +120,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if enc.evaluated is None:
         _sys.stdout.write("enclosure is not verified; nothing to check\n")
         return 2
+    if args.samples < 1:
+        _sys.stderr.write("error: --samples must be at least 1\n")
+        return 2
     sols = sample_solutions(system, args.samples, args.seed, "random")
-    inside = sum(bool(enc.evaluated.contains_point(x)) for x in sols)
+    if not sols:
+        # every sampled member was singular: a pass on nothing checked is no pass
+        _sys.stderr.write("error: no member solution to check (all sampled members singular)\n")
+        return 2
+    inside = int(enc.evaluated.contains_point(np.stack(sols)).sum())
     _sys.stdout.write(f"contained {inside}/{len(sols)} sampled member solutions\n")
     if inside == len(sols):
         return 0

@@ -238,8 +238,9 @@ class IMatrix:
     def _from_kernel(cls, mid: np.ndarray, rad: np.ndarray) -> "IMatrix":
         """An IMatrix of arrays a kernel has just computed, checked for finiteness only.
 
-        ``mid`` must be a 2-D float64 or complex128 array and ``rad`` a
-        nonnegative float64 array of its shape; the kernel's own operations
+        ``mid`` must be a 2-D float64 or complex128 array (or a stack of
+        them, see :func:`im_matmul`) and ``rad`` a nonnegative float64 array
+        of its shape; the kernel's own operations
         guarantee both, so the public constructor's coercions and sign check
         are skipped.  A non-finite entry still raises
         :class:`IntervalOverflowError`.
@@ -303,12 +304,19 @@ class IMatrix:
     def widths(self) -> np.ndarray:
         return 2.0 * self.rad
 
-    def contains_point(self, x) -> bool:
-        """Entrywise membership of a point matrix (no tolerance)."""
-        x = np.atleast_2d(np.asarray(x))
-        if x.shape != self.shape:
+    def contains_point(self, x) -> bool | np.ndarray:
+        """Entrywise membership of a point matrix (no tolerance).
+
+        A ``(k, m, n)`` stack of point matrices gives a boolean array, one
+        answer per matrix, each the answer of the call on that matrix.
+        """
+        x = np.asarray(x)
+        if x.ndim != 3:
+            x = np.atleast_2d(x)
+        if x.ndim > 3 or x.shape[-2:] != self.shape:
             raise ValueError("dimension mismatch")
-        return bool((np.abs(x - self.mid) <= self.rad).all())
+        inside = np.abs(x - self.mid) <= self.rad
+        return bool(inside.all()) if x.ndim == 2 else inside.all(axis=(1, 2))
 
     def contains(self, other: "IMatrix", policy: RoundingPolicy | None = None) -> bool:
         """Entrywise disk containment ``other subset self`` (conservative)."""
@@ -369,7 +377,7 @@ def _dot(a: np.ndarray, b: np.ndarray, da: np.ndarray | None, db: np.ndarray | N
     mixed layouts would slow every later entrywise operation.
     """
     if da is not None:
-        return np.multiply(da[:, None] if b.ndim == 2 else da, b, order="C")
+        return np.multiply(da if b.ndim == 1 else da[:, None], b, order="C")
     if db is not None:
         return np.multiply(a, db, order="C")
     return a @ b
@@ -387,12 +395,21 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     point factor costs two real products fewer and changes no bit of the
     result.  A factor with an exactly diagonal midpoint is applied by a
     broadcast; the pad stays the one of the dense length-``k`` product.
+
+    Either operand may instead hold a ``(k, r, c)`` stack of matrices, an
+    IMatrix that a kernel built from stacked arrays (the samples of
+    :func:`~sylvenc.baseline.residual_membership`); the result is the stack
+    of the products.  numpy's stacked product makes, per matrix, the BLAS
+    call of the 2-D product, so each matrix of the result is bit for bit the
+    2-D call's.  The one exception: a stacked factor always takes the dense
+    product, so on complex data a matrix of the stack that is exactly
+    diagonal can round differently in the last bit.
     """
     x, y = as_imatrix(x), as_imatrix(y)
-    if x.cols != y.rows:
+    k = x.mid.shape[-1]
+    if k != y.mid.shape[-2]:
         raise ValueError("dimension mismatch")
     eta = _pol(policy).eta
-    k = x.cols
     nops = 2 * k + 8
     dx, dy = _diagonal(x.mid), _diagonal(y.mid)
     adx = None if dx is None else np.abs(dx)
@@ -402,12 +419,17 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     magprod = _dot(ax, ay, adx, ady)
     # count_nonzero: the cheapest zero test on the many small products of the audits
     x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
-    rad = _dot(ax, y.rad, adx, None) if y_rad else np.zeros(mid.shape)
     # in place: every array here is a fresh result, and the sums round as before
-    if x_rad:
-        rad += _dot(x.rad, ay, None, ady)
-        if y_rad:
+    # (a sum that starts from an exact zero starts from its first term)
+    if y_rad:
+        rad = _dot(ax, y.rad, adx, None)
+        if x_rad:
+            rad += _dot(x.rad, ay, None, ady)
             rad += x.rad @ y.rad
+    elif x_rad:
+        rad = _dot(x.rad, ay, None, ady)
+    else:
+        rad = np.zeros(mid.shape)
     rad *= 1.0 + nops * eta
     magprod *= nops * eta
     rad += magprod

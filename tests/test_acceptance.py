@@ -102,6 +102,18 @@ def corpus():
     return cells, time.perf_counter() - t0
 
 
+SPOT_STRIDE = 25  # every 25th sample of a cell is also checked alone
+
+
+def _spot_check(tag: str, what: str, stacked, single, samples) -> list:
+    """Failures where a stacked answer differs from the call on that sample alone."""
+    return [
+        f"{tag}: stacked {what} answer differs from the single call on sample {i}"
+        for i in range(0, len(samples), SPOT_STRIDE)
+        if bool(stacked[i]) != single(samples[i])
+    ]
+
+
 def test_criterion_01_soundness_soak(corpus, capfd):
     cells, elapsed = corpus
     bad = []
@@ -109,12 +121,12 @@ def test_criterion_01_soundness_soak(corpus, capfd):
     for c in cells:
         tag = f"{c.family} m={c.m} alpha={c.alpha:g} seed={c.seed}"
         if c.enc.verified:
-            for x in c.samples:
-                n_checked += 1
-                if not c.enc.evaluated.contains_point(x):
-                    bad.append(f"{tag}: sample escaped the mkw enclosure")
-                if not c.itr.evaluated.contains_point(x):
-                    bad.append(f"{tag}: sample escaped the itr enclosure")
+            X = np.stack(c.samples)
+            n_checked += len(X)
+            for name, enc in (("mkw", c.enc), ("itr", c.itr)):
+                inside = enc.evaluated.contains_point(X)
+                bad += [f"{tag}: sample escaped the {name} enclosure"] * int((~inside).sum())
+                bad += _spot_check(tag, "contains_point", inside, enc.evaluated.contains_point, X)
         else:
             # every verification failure must be intrinsic: the dense
             # reference on the full Kronecker system must fail there too
@@ -480,13 +492,14 @@ def test_criterion_10_residual_predicate(corpus, capfd):
     bad = []
     n_checked = 0
     for c in cells:
-        for x in c.samples:
-            n_checked += 1
-            if not residual_membership(c.system, x):
-                bad.append(
-                    f"{c.family} m={c.m} alpha={c.alpha:g} seed={c.seed}: "
-                    "member solution rejected by the residual test"
-                )
+        tag = f"{c.family} m={c.m} alpha={c.alpha:g} seed={c.seed}"
+        X = np.stack(c.samples)
+        n_checked += len(X)
+        passed = residual_membership(c.system, X)
+        bad += [f"{tag}: member solution rejected by the residual test"] * int((~passed).sum())
+        bad += _spot_check(
+            tag, "residual_membership", passed, lambda x: residual_membership(c.system, x), X
+        )
     _report(
         capfd, 10, not bad, f"{n_checked} member solutions pass all four residual variants")
     assert not bad, "\n".join(bad)

@@ -1,5 +1,7 @@
 """Dense Kronecker reference solver and sampling oracles."""
 
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +24,13 @@ from sylvenc import (
     residual_membership,
     sample_solutions,
 )
-from sylvenc.baseline import _draw_member, _kron_point_solve
+from sylvenc.baseline import (
+    _draw_member,
+    _kron_point_solve,
+    _member_chunks,
+    _midpoint_solver,
+    _refine_members,
+)
 
 
 def _scalar_system():
@@ -221,6 +229,181 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_solutions(_scalar_system(), mode="grid")
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_solutions(_scalar_system(), n_samples=-5)
+        assert sample_solutions(_scalar_system(), n_samples=0) == []
+
+
+def _interval_system(rng, m, n, cplx=False, rad=1e-3):
+    mids = _point_coefficients(rng, m, n, cplx)
+    return SylvesterSystem(*(IMatrix(mid, rad * rng.uniform(size=mid.shape)) for mid in mids))
+
+
+def _old_members(sys, n_samples, seed, mode):
+    """Member coefficients drawn one member at a time, as sample_solutions did."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    mats = (sys.A, sys.B, sys.C, sys.D, sys.F)
+    if mode == "random":
+        return [[_draw_member(mat, rng) for mat in mats] for _ in range(n_samples)]
+    masks = [mat.rad > 0 for mat in mats]
+    k = int(sum(mask.sum() for mask in masks))
+    if k <= baseline.VERTEX_ENUM_LIMIT:
+        patterns = itertools.product((-1.0, 1.0), repeat=k)
+    else:
+        patterns = (tuple(rng.choice((-1.0, 1.0), size=k)) for _ in range(n_samples))
+    members = []
+    for pat in patterns:
+        member, pos = [], 0
+        for mat, mask in zip(mats, masks):
+            signs = np.zeros(mat.shape)
+            cnt = int(mask.sum())
+            signs[mask] = pat[pos : pos + cnt]
+            pos += cnt
+            member.append(mat.mid + signs * mat.rad)
+        members.append(member)
+    return members
+
+
+def _count_point_solves(monkeypatch):
+    calls = []
+    solve = baseline.point_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(baseline, "point_solve", counted)
+    return calls
+
+
+class TestBatchedSampling:
+    """Members solved together by sweeps on one midpoint factorization."""
+
+    @pytest.mark.parametrize("mode", ["random", "vertex"])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("chunk_bytes", [None, 2**14])
+    def test_members_bit_identical_to_per_member_draws(self, monkeypatch, mode, cplx, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(baseline, "_SAMPLE_BYTES", chunk_bytes)
+        rng = np.random.default_rng(20 + cplx)
+        sys = _interval_system(rng, 3, 2, cplx)
+        if mode == "vertex" and not cplx:
+            # at most VERTEX_ENUM_LIMIT radii: every sign pattern, in order
+            rad = np.zeros((3, 3))
+            rad[0, :2] = 1e-3
+            points = (IMatrix(mat.mid) for mat in (sys.B, sys.C, sys.D, sys.F))
+            sys = SylvesterSystem(IMatrix(sys.A.mid, rad), *points)
+        old = _old_members(sys, 40, 7, mode)
+        chunks = list(_member_chunks(sys, 40, np.random.Generator(np.random.Philox(7)), mode))
+        if chunk_bytes is not None and len(old) > 10:
+            assert len(chunks) > 1
+        new = [[coef[i] for coef in chunk] for chunk in chunks for i in range(len(chunk[0]))]
+        assert len(new) == len(old) == (4 if mode == "vertex" and not cplx else 40)
+        for got, ref in zip(new, old):
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and (g == r).all()
+
+    @pytest.mark.parametrize(
+        "m, n, cplx",
+        [(3, 5, False), (6, 4, True), (20, 14, False), (14, 20, True), (18, 18, False)],
+    )
+    def test_batched_solutions_match_point_solve(self, monkeypatch, m, n, cplx):
+        sys = _interval_system(np.random.default_rng(m + n), m, n, cplx, rad=1e-5)
+        ref = [baseline.point_solve(*member) for member in _old_members(sys, 12, 3, "random")]
+        calls = _count_point_solves(monkeypatch)
+        got = sample_solutions(sys, n_samples=12, seed=3)
+        assert calls == []
+        assert len(got) == len(ref)
+        for x, r in zip(got, ref):
+            assert x.dtype == r.dtype
+            assert _rel_diff(x, r) <= 1e-10
+
+    @pytest.mark.parametrize("m", [8, 18])
+    @pytest.mark.parametrize("which", ["C=D=I", "B=C=I", "singular C"])
+    def test_structured_sides_match_point_solve(self, monkeypatch, m, which):
+        rng = np.random.default_rng(30 + m)
+        a, b, c, d, f = _point_coefficients(rng, m, m + 2)
+        rad_m = 1e-6 * rng.uniform(size=(m, m))
+        rad_n = 1e-6 * rng.uniform(size=(m + 2, m + 2))
+        eye_m, eye_n = IMatrix(np.eye(m)), IMatrix(np.eye(m + 2))
+        A, B, D = IMatrix(a, rad_m), IMatrix(b, rad_n), IMatrix(d, rad_n)
+        if which == "C=D=I":
+            sys = SylvesterSystem(A, B, eye_m, eye_n, IMatrix(f, np.full(f.shape, 1e-6)))
+        elif which == "B=C=I":
+            sys = SylvesterSystem(A, eye_n, eye_m, D, IMatrix(f, np.full(f.shape, 1e-6)))
+        else:
+            # C singular in every member, the pencil (A, C) regular
+            c[:, 3] = 0.0
+            rad_c = rad_m.copy()
+            rad_c[:, 3] = 0.0
+            sys = SylvesterSystem(A, B, IMatrix(c, rad_c), D, IMatrix(f, np.full(f.shape, 1e-6)))
+        ref = [baseline.point_solve(*member) for member in _old_members(sys, 6, 4, "random")]
+        calls = _count_point_solves(monkeypatch)
+        got = sample_solutions(sys, n_samples=6, seed=4)
+        assert calls == []
+        for x, r in zip(got, ref):
+            assert _rel_diff(x, r) <= 1e-10
+
+    @pytest.mark.parametrize("rad", [0.9, 1.8])
+    def test_non_halving_members_fall_back(self, monkeypatch, rad):
+        # a X = f with a in [1 - rad, 1 + rad]: a sweep on the midpoint a = 1
+        # multiplies the error by 1 - a, of size rad at both vertices; at 1.8
+        # the sweeps diverge
+        A = IMatrix(np.array([[1.0]]), np.array([[rad]]))
+        one = IMatrix(np.array([[1.0]]))
+        zero = IMatrix(np.array([[0.0]]))
+        sys = SylvesterSystem(A=A, B=one, C=zero, D=one, F=IMatrix(np.array([[2.0]])))
+        X, ok, sweeps = _refine_members(
+            _midpoint_solver(sys), *next(_member_chunks(sys, 0, None, "vertex"))
+        )
+        assert not ok.any() and sweeps == 1
+        calls = _count_point_solves(monkeypatch)
+        sols = sample_solutions(sys, mode="vertex")
+        assert len(calls) == 2
+        ref = [baseline.point_solve(*member) for member in _old_members(sys, 0, 0, "vertex")]
+        assert [(x == r).all() for x, r in zip(sols, ref)] == [True, True]
+
+    def test_fallbacks_keep_member_order(self, monkeypatch):
+        # radius 0.8: members near the ends of [0.2, 1.8] fall back, the others converge
+        A = IMatrix(np.array([[1.0]]), np.array([[0.8]]))
+        one = IMatrix(np.array([[1.0]]))
+        zero = IMatrix(np.array([[0.0]]))
+        sys = SylvesterSystem(A=A, B=one, C=zero, D=one, F=IMatrix(np.array([[2.0]]), 0.5))
+        ref = [baseline.point_solve(*member) for member in _old_members(sys, 50, 8, "random")]
+        calls = _count_point_solves(monkeypatch)
+        got = sample_solutions(sys, n_samples=50, seed=8)
+        assert 0 < len(calls) < 50
+        assert [_rel_diff(x, r) <= 1e-12 for x, r in zip(got, ref)] == [True] * 50
+
+    def test_singular_midpoint_falls_back_for_every_member(self, monkeypatch):
+        # mid A = 0: the midpoint operator is singular, no member is
+        A = IMatrix(np.array([[0.0]]), np.array([[1.0]]))
+        one = IMatrix(np.array([[1.0]]))
+        zero = IMatrix(np.array([[0.0]]))
+        sys = SylvesterSystem(A=A, B=one, C=zero, D=one, F=IMatrix(np.array([[1.0]])))
+        assert _midpoint_solver(sys) is None
+        calls = _count_point_solves(monkeypatch)
+        sols = sorted(float(x[0, 0]) for x in sample_solutions(sys, mode="vertex"))
+        assert len(calls) == 2 and sols == [-1.0, 1.0]
+
+    def test_chunked_sampling_memory_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_SAMPLE_BYTES", 2**20)
+        sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=1))
+        k = 20000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sols = sample_solutions(sys, n_samples=k, seed=2)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sols) == k
+        # beyond the result, only a few chunk budgets' worth at any time; one
+        # stack of all members would take k * 336 bytes of coefficients alone
+        assert peak - kept <= 4 * 2**20
+        assert kept - before >= k * 16 * 8
+
 
 class TestResidualMembership:
     def test_interior_point_accepted(self):
@@ -269,6 +452,33 @@ class TestResidualMembership:
                 assert residual_membership(sys, y) == expect
                 answers.add(expect)
         assert answers == {True, False}
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stacked_answers_match_single_calls(self, cplx):
+        rng = np.random.default_rng(17 + cplx)
+        if cplx:
+            sys = _interval_system(rng, 5, 4, cplx=True)
+        else:
+            sys = generate(GenSpec(family="gallery33", m=6, alpha=1e-4, seed=3))
+        pts = []
+        for x in sample_solutions(sys, n_samples=20, seed=3):
+            for scale in (0.0, 1e-5, 1e-4, 1e-2):
+                pts.append(x + scale * rng.normal(size=x.shape))
+        stack = np.stack(pts)
+        got = residual_membership(sys, stack)
+        assert got.shape == (len(pts),) and got.dtype == bool
+        assert got.tolist() == [residual_membership(sys, x) for x in pts]
+        assert set(got.tolist()) == {True, False}
+        with pytest.raises(ValueError):
+            residual_membership(sys, stack[:, :, :-1])
+
+    def test_stack_raises_where_a_single_call_raises(self):
+        big = IMatrix(np.array([[1e308]]))
+        one = IMatrix(np.array([[1.0]]))
+        sys = SylvesterSystem(A=big, B=one, C=one, D=one, F=big)
+        assert residual_membership(sys, np.array([[[1.0]]])).tolist() == [True]
+        with np.errstate(over="ignore"), pytest.raises(IntervalOverflowError):
+            residual_membership(sys, np.array([[[1.0]], [[-1.0]]]))
 
     def test_sampled_solutions_always_pass(self):
         sys = generate(GenSpec(family="sylvester32", m=4, alpha=1e-4, seed=4))

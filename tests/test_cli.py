@@ -111,6 +111,41 @@ class TestCheck:
         assert "not verified" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_no_samples_is_no_pass(self, tmp_path, capsys, count):
+        sys_path = _gen_file(tmp_path, "sys.json", m=3, seed=2)
+        enc_path = tmp_path / "enc.json"
+        main(["solve", "--input", str(sys_path), "--output", str(enc_path)])
+        capsys.readouterr()
+        rc = main(
+            ["check", "--input", str(sys_path), "--enclosure", str(enc_path), "--samples", count]
+        )
+        assert rc == 2
+        out = capsys.readouterr()
+        assert "contained" not in out.out
+        assert "--samples must be at least 1" in out.err
+
+    def test_all_members_singular_exits_2(self, tmp_path, capsys):
+        sys_path = _gen_file(tmp_path, "sys.json", m=1, seed=2)
+        enc_path = tmp_path / "enc.json"
+        main(["solve", "--input", str(sys_path), "--output", str(enc_path)])
+        # same shape, every member a X b + c X d with a = c = 0: nothing to check
+        doc = load_json(sys_path.read_text())
+        for name in ("A", "C"):
+            doc[name]["mid_re"] = [[0.0]]
+            doc[name]["rad"] = [[0.0]]
+        sys_path.write_text(dump_json(doc))
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="singular member"):
+            rc = main(
+                ["check", "--input", str(sys_path), "--enclosure", str(enc_path), "--samples", "3"]
+            )
+        assert rc == 2
+        out = capsys.readouterr()
+        assert "contained" not in out.out
+        assert "no member solution to check" in out.err
+
+
 class TestBench:
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -121,6 +121,18 @@ class TestIMatrix:
         assert big.contains_point(np.full((2, 2), 0.9))
         assert not big.contains_point(np.full((2, 2), 1.1))
 
+    def test_contains_point_on_a_stack(self):
+        box = IMatrix(np.zeros((2, 3)), np.full((2, 3), 1.0))
+        pts = np.random.default_rng(3).uniform(-1.2, 1.2, size=(40, 2, 3))
+        got = box.contains_point(pts)
+        assert got.shape == (40,) and got.dtype == bool
+        assert got.tolist() == [box.contains_point(x) for x in pts]
+        assert set(got.tolist()) == {True, False}
+        with pytest.raises(ValueError):
+            box.contains_point(np.zeros((4, 3, 2)))
+        with pytest.raises(ValueError):
+            box.contains_point(np.zeros((1, 4, 2, 3)))
+
     def test_contains_honours_the_rounding_policy(self):
         big = IMatrix(np.zeros((1, 1)), np.ones((1, 1)))
         # 2**-40 short of the edge: inside under the default pad of 4 * 2**-50,
@@ -215,6 +227,33 @@ def test_matmul_point_factor_is_bit_identical_to_four_products(dtype):
             ref_mid, ref_rad = _generic_matmul(x, y)
             assert np.array_equal(got.mid, ref_mid)
             assert np.array_equal(got.rad, ref_rad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_matmul_of_a_stack_is_bit_identical_per_matrix(dtype):
+    rng = np.random.default_rng(6)
+
+    def mid(shape):
+        z = rng.normal(size=shape)
+        return z + 1j * rng.normal(size=shape) if dtype is np.complex128 else z
+
+    for m, k, n in ((1, 3, 2), (3, 5, 2), (8, 8, 8), (20, 20, 14)):
+        stack = mid((7, m, k))
+        diag = IMatrix(np.diag(np.diag(mid((k, k)))), np.abs(rng.normal(size=(k, k))))
+        for y in (IMatrix(mid((k, n)), np.abs(rng.normal(size=(k, n)))), diag):
+            for xs in (stack, stack * 0.0):  # a zero stack takes no radius products
+                got = im_matmul(IMatrix._from_kernel(xs, np.zeros(xs.shape)), y)
+                for i, x in enumerate(xs):
+                    ref = im_matmul(IMatrix(x), y)
+                    assert np.array_equal(got.mid[i], ref.mid)
+                    assert np.array_equal(got.rad[i], ref.rad)
+        left = IMatrix(mid((m, m)), np.abs(rng.normal(size=(m, m))))
+        boxes = IMatrix._from_kernel(stack, np.abs(rng.normal(size=stack.shape)))
+        got = im_matmul(left, boxes)
+        for i in range(len(stack)):
+            ref = im_matmul(left, IMatrix(boxes.mid[i], boxes.rad[i]))
+            assert np.array_equal(got.mid[i], ref.mid)
+            assert np.array_equal(got.rad[i], ref.rad)
 
 
 @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
