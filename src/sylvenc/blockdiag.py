@@ -5,12 +5,13 @@ defective matrices), the diagonal transform is unavailable.  This module
 substitutes a coarser form: the donor midpoint is brought to complex Schur
 form, eigenvalues closer than a separation threshold are clustered, the
 Schur factor is reordered so clusters are contiguous, and the off-diagonal
-coupling blocks are annihilated by similarity transformations solving small
-triangular Sylvester equations (LAPACK ``ztrsyl``).  Whenever such a
-transformation would exceed a norm cap, or the equation is too close to
-singular for ``ztrsyl`` to solve unscaled, the offending clusters are
-merged and the sweep restarts, trading a better conditioned basis for
-larger diagonal blocks.
+coupling is annihilated one cluster column at a time, each column by one
+triangular Sylvester solve against the whole leading triangle (LAPACK
+``ztrsyl``).  Whenever a column of the similarity would exceed a norm cap,
+or the equation is too close to singular for ``ztrsyl`` to solve unscaled,
+the offending clusters are merged and the sweep restarts, trading a better
+conditioned basis for larger diagonal blocks.  A scalar midpoint ``c I`` is
+its own block form and needs no Schur form.
 
 With upper-triangular blocks for the row pair (DA, DC) and lower-triangular
 blocks for the column pair (DB, DD), the operator
@@ -47,7 +48,7 @@ from .intervals import (
 )
 from .krawczyk import FAILURE_MESSAGE, Enclosure, back_transform, verification_loop
 from .linalg import inverse_enclosure, lu_solve
-from .precond import _sandwich
+from .precond import _sandwich, _scalar
 from .system import SylvesterSystem
 
 __all__ = [
@@ -229,15 +230,34 @@ def block_diagonalize(
 ) -> BlockHalf:
     """Similarity bringing ``Ac`` to block form with triangular blocks.
 
+    The reordered Schur form ``T = Z^H Ac Z`` is decoupled one cluster column
+    at a time (Bavely and Stewart).  The block diagonalizer ``S`` of ``T`` that
+    is unit block upper triangular is unique: its block column ``j`` (rows
+    ``j0:j1``) is ``[Y; I]`` with ``T[:j0, :j0] Y - Y T[j0:j1, j0:j1] =
+    -T[:j0, j0:j1]``, one ``ztrsyl`` call on the whole leading triangle, and
+    the block diagonal of ``T`` is the block form.  So ``U = Z S`` and the
+    diagonal blocks equal those of a pairwise sweep up to rounding.
+
+    ``Y`` is the block column of the final similarity, so ``max_cond`` caps
+    what cond(U) depends on.  When ``||Y||_inf > max_cond`` the clusters
+    from the block row of ``Y`` with the largest norm through ``j`` fuse and
+    the sweep restarts.  When ``ztrsyl`` meets close eigenvalues or has to
+    scale, which the clustering leaves only for solutions near overflow, all
+    clusters through ``j`` fuse.  Each restart leaves fewer clusters, so in
+    the worst case a single triangular block remains.
+
     ``Cc`` is conjugated by the same basis and projected onto the block
     pattern; its off-pattern mass is reported only through the projection
-    (the caller absorbs it into radii).  Never raises on valid square input:
-    when every decoupling attempt exceeds ``max_cond`` the clusters merge
-    until, in the worst case, a single triangular block remains.
+    (the caller absorbs it into radii).  A scalar ``Ac = c I`` is its own
+    block form: ``U = I``, one block and ``D2 = Cc`` without a Schur form.
+    Never raises on valid square input.
     """
     Ac = np.atleast_2d(np.asarray(Ac, dtype=np.complex128))
     Cc = np.atleast_2d(np.asarray(Cc, dtype=np.complex128))
     m = Ac.shape[0]
+    if _scalar(Ac):
+        eye = np.eye(m, dtype=np.complex128)
+        return BlockHalf(U=eye, Uinv=eye, T=Ac.copy(), D2=Cc, sizes=(m,), cond_bound=1.0)
     T0, Z0 = scipy.linalg.schur(Ac, output="complex")
     lams = np.diag(T0)
     labels = _clusters(lams, SEP_REL * max(np.linalg.norm(Ac), 1e-300))
@@ -247,38 +267,31 @@ def block_diagonalize(
         U = Z0.copy()
         lab, order = _reorder_contiguous(T, U, labels.tolist())
         ranges = _block_ranges(lab, order)
-        merged = False
-        # zero coupling blocks sweeping by superdiagonal span; wider spans
-        # only touch blocks not yet processed, so finished zeros persist
-        for span in range(1, len(ranges)):
-            if merged:
-                break
-            for bi in range(len(ranges) - span):
-                bj = bi + span
-                i0, i1 = ranges[bi]
-                j0, j1 = ranges[bj]
-                T12 = T[i0:i1, j0:j1]
-                if not T12.any():
-                    continue
-                Y = _decouple(T[i0:i1, i0:i1], T[j0:j1, j0:j1], T12)
-                if Y is None or np.linalg.norm(Y, np.inf) > max_cond:
-                    # cap exceeded: fuse every cluster between bi and bj
-                    # (cluster ids are smallest original positions, ascending)
-                    ids = order[bi : bj + 1]
-                    labels[np.isin(labels, ids)] = ids[0]
-                    merged = True
-                    break
-                T[:, j0:j1] += T[:, i0:i1] @ Y
-                T[i0:i1, :] -= Y @ T[j0:j1, :]
-                T[i0:i1, j0:j1] = 0.0
-                U[:, j0:j1] += U[:, i0:i1] @ Y
-        if merged:
+        fuse = None
+        # right to left, so U[:, :j0] is still the Schur basis Z of column j
+        for bj in range(len(ranges) - 1, 0, -1):
+            j0, j1 = ranges[bj]
+            T12 = T[:j0, j0:j1]
+            if not T12.any():
+                continue
+            Y = _decouple(T[:j0, :j0], T[j0:j1, j0:j1], T12)
+            if Y is not None and np.linalg.norm(Y, np.inf) <= max_cond:
+                U[:, j0:j1] += U[:, :j0] @ Y
+                continue
+            # fuse the clusters from the one holding Y's largest row through
+            # bj, all of them after a ztrsyl failure (cluster ids are
+            # smallest original positions, ascending)
+            row = 0 if Y is None else np.abs(Y).sum(axis=1).argmax()
+            bi = next(b for b, (lo, hi) in enumerate(ranges) if lo <= row < hi)
+            fuse = order[bi : bj + 1]
+            break
+        if fuse is not None:
+            labels[np.isin(labels, fuse)] = fuse[0]
             continue
         sizes = tuple(hi - lo for lo, hi in ranges)
-        mask = block_mask(sizes, lower=False)
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
-        DA = np.where(mask, T, 0.0)
+        DA = np.where(block_mask(sizes), T, 0.0)
         return BlockHalf(U=U, Uinv=Uinv, T=DA, D2=Uinv @ Cc @ U, sizes=sizes, cond_bound=cond)
 
 

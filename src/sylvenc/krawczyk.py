@@ -28,6 +28,12 @@ products per pair in all.
 On success the solution set of every member system is contained in
 ``U (Xtilde + H) V^-1``; the inflated box ``X`` is kept alongside so the
 interior test can be replayed.
+
+The loop gives up early, with ``verified=False``, once a step certifies
+non-contraction: when ``rad N`` exceeds the box radius by a factor of at
+least ``1 + 2**-10`` in every entry, no later box can pass (see
+:func:`verification_loop`).  A failed solve may therefore report fewer than
+``kmax`` iterations.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ __all__ = ["Enclosure", "compute_xtilde", "compute_M", "compute_N", "mkw_solve"]
 
 KMAX_DEFAULT = 15
 FAILURE_MESSAGE = "Method can not obtain outer estimation"
+# ``min(rad N(x) / x)`` at or above this certifies that no later box verifies
+_NOT_CONTRACTING = 1.0 + 2.0**-10
 
 
 @dataclass
@@ -160,11 +168,25 @@ def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
 
 
 def verification_loop(M: IMatrix, n_of, kmax: int, policy: RoundingPolicy | None = None):
-    """Epsilon-inflation loop shared by the diagonal and block solvers.
+    """Epsilon-inflation loop shared by the diagonal, block and dense solvers.
 
     ``n_of`` maps a nonnegative radius array to the zero-midpoint contraction
     term.  Returns ``(verified, X, H, iterations)`` where ``X`` is the last
     symmetric candidate box and ``H`` the last candidate image.
+
+    The loop stops with ``verified=False`` before ``kmax`` when the failed
+    step certifies that no later box can pass: ``min(rad N(x) / x) >= 1 +
+    delta`` for the box radii ``x > 0``.  This rests on a precondition that
+    every solver's ``n_of`` meets (mkw's :func:`compute_N`, blk's
+    back-substitution of a zero-midpoint box, ver's ``posmm``): ``rad N(x)``
+    is ``L x`` for a fixed nonnegative linear map ``L`` up to a relative
+    rounding error ``eps`` below ``2**-30``.  Then ``L x >= (1 + delta) /
+    (1 + eps) x`` with ``x > 0``, and by the Collatz-Wielandt inequality
+    (Horn and Johnson, *Matrix Analysis*, 8.1) the spectral radius of ``L``
+    is at least ``(1 + delta) / (1 + eps)``.  A later box ``y > 0`` passes
+    only if ``(1 - eps) L y <= rad H < y``, which would make that spectral
+    radius below ``1 / (1 - eps)``; with ``delta = 2**-10`` far above
+    ``2 eps`` both cannot hold.
     """
     pol = _pol(policy)
     eta = pol.eta
@@ -175,9 +197,12 @@ def verification_loop(M: IMatrix, n_of, kmax: int, policy: RoundingPolicy | None
     for k in range(1, max(kmax, 1) + 1):
         xrad = (H.mag(pol) + e_rad) * (1.0 + 2.0 * eta)
         X = IMatrix(np.zeros(M.shape, dtype=M.mid.dtype), xrad)
-        H = M + n_of(xrad)
+        N = n_of(xrad)
+        H = M + N
         if in_interior(H, X, pol):
             return True, X, H, k
+        if (N.rad / xrad).min() >= _NOT_CONTRACTING:
+            break
     return False, X, H, k
 
 

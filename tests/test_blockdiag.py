@@ -366,3 +366,92 @@ class TestClusters:
         lams = np.full(7, 2.5 + 0j)
         assert _clusters(lams, 0.0).tolist() == [0] * 7
         assert block_diagonalize(2.5 * np.eye(7), np.eye(7)).sizes == (7,)
+
+
+def _jordan(m, seed):
+    """``Q J Q^T`` with ``J`` made of 2x2 Jordan blocks, eigenvalues spread over [1, 3]."""
+    rng = np.random.default_rng(seed)
+    J = np.zeros((m, m))
+    idx = np.arange(m // 2)
+    lam = np.linspace(1.0, 3.0, m // 2) + 0.01 * rng.uniform(-1.0, 1.0, m // 2)
+    J[2 * idx, 2 * idx] = J[2 * idx + 1, 2 * idx + 1] = lam
+    J[2 * idx, 2 * idx + 1] = 1.0
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return Q @ J @ Q.T
+
+
+def _clustered(seed):
+    """Orthogonally similar to a triangular matrix with clusters of close eigenvalues."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 30))
+    centers = np.arange(4) + 1j * rng.uniform(-1.0, 1.0, 4)
+    lams = centers[rng.integers(0, 4, m)] + 1e-9 * rng.standard_normal(m)
+    T = np.diag(lams) + 0.3 * np.triu(rng.standard_normal((m, m)), 1)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return Q @ T @ Q.T
+
+
+class TestColumnSweep:
+    """The column sweep against the pairwise sweep of ``tests/blockdiag_oracle.py``."""
+
+    @staticmethod
+    def _assert_matches_oracle(a, c):
+        from blockdiag_oracle import pairwise_block_diagonalize
+
+        got = block_diagonalize(a, c)
+        ref = pairwise_block_diagonalize(a, c)
+        assert got.sizes == ref.sizes
+        tol = 1e-12 * max(ref.cond_bound, 1.0)
+        for x, y in ((got.U, ref.U), (got.T, ref.T), (got.D2, ref.D2)):
+            assert np.abs(x - y).max() <= tol * max(np.abs(y).max(), 1.0)
+        assert got.cond_bound == pytest.approx(ref.cond_bound, rel=1e-8)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_on_clustered_spectra(self, seed):
+        a = _clustered(seed)
+        c = np.random.default_rng(seed + 100).standard_normal(a.shape)
+        half = self._assert_matches_oracle(a, c)
+        assert len(half.sizes) < a.shape[0]
+
+    @pytest.mark.parametrize("m", [16, 32, 48])
+    def test_matches_pairwise_on_the_jordan_family(self, m):
+        half = self._assert_matches_oracle(_jordan(m, m), np.eye(m))
+        assert half.sizes == (2,) * (m // 2)
+
+    def test_matches_pairwise_on_diagonal_and_scalar_matrices(self):
+        d = np.diag(np.random.default_rng(5).uniform(1.0, 2.0, 24))
+        assert self._assert_matches_oracle(d, np.eye(24)).cond_bound == 1.0
+        self._assert_matches_oracle(np.eye(24), d)
+
+    def test_scalar_matrix_is_returned_without_a_schur_form(self):
+        c = np.random.default_rng(6).standard_normal((5, 5))
+        half = block_diagonalize(2.5 * np.eye(5), c)
+        eye = np.eye(5)
+        assert (half.U == eye).all() and (half.Uinv == eye).all()
+        assert (half.T == 2.5 * eye).all() and (half.D2 == c).all()
+        assert half.sizes == (5,) and half.cond_bound == 1.0
+
+    def test_cap_fuses_from_the_largest_row_of_y_through_the_column(self):
+        # a bidiagonal chain with eigenvalues 0.02 apart, too far apart to
+        # cluster: the column of 1.06 needs Y of about 1 / (0.06 * 0.04 * 0.02)
+        # in row 1, so clusters 1..4 fuse and the eigenvalue 5 stays alone
+        a = np.diag([5.0, 1.0, 1.02, 1.04, 1.06])
+        a[1, 2] = a[2, 3] = a[3, 4] = 1.0
+        a[0, 1:] = 0.3
+        half = block_diagonalize(a, np.eye(5))
+        assert half.sizes == (1, 4)
+        assert (half.T[~block_mask(half.sizes)] == 0).all()
+        resid = half.U @ half.T @ np.linalg.inv(half.U) - a
+        assert np.abs(resid).max() <= 1e-8 * np.abs(a).max()
+        # a cap below every decoupling fuses everything into one block
+        assert block_diagonalize(a, np.eye(5), max_cond=1e-6).sizes == (5,)
+
+    def test_a_failed_decoupling_fuses_every_cluster_through_the_column(self, monkeypatch):
+        import sylvenc.blockdiag as bd
+
+        a = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
+        assert block_diagonalize(a, np.eye(4)).sizes == (1, 1, 1, 1)
+        monkeypatch.setattr(bd, "_decouple", lambda t11, t22, t12: None)
+        half = block_diagonalize(a, np.eye(4))
+        assert half.sizes == (4,) and half.cond_bound < 10.0

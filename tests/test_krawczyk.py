@@ -6,6 +6,7 @@ import pytest
 from sylvenc import (
     GenSpec,
     IMatrix,
+    SingularPreconditionerError,
     SylvesterSystem,
     generate,
     mkw_solve,
@@ -103,8 +104,112 @@ class TestVerificationLoop:
         def n_of(xrad):
             return IMatrix(np.zeros((1, 1)), 2.0 * xrad)
 
+        # rad N(x) / x = 2 certifies at the first step that no box can pass
         ok, X, H, k = verification_loop(M, n_of, kmax=7)
-        assert not ok and k == 7
+        assert not ok and k == 1
+        assert (H.rad >= 2.0 * X.rad).all()
+
+
+    def test_slow_contraction_runs_out_of_kmax(self):
+        M = IMatrix(np.array([[0.0]]), np.array([[0.1]]))
+
+        def n_of(xrad):
+            return IMatrix(np.zeros((1, 1)), 0.999 * xrad)
+
+        ok, X, H, k = verification_loop(M, n_of, kmax=15)
+        assert not ok and k == 15
+
+    def test_reducible_map_with_a_contracting_entry_runs_to_kmax(self):
+        # ratios 2 and 0.5: the smallest is below 1, so nothing is certified
+        M = IMatrix(np.zeros((1, 2)), np.full((1, 2), 0.1))
+
+        def n_of(xrad):
+            return IMatrix(np.zeros((1, 2)), xrad * np.array([[2.0, 0.5]]))
+
+        ok, X, H, k = verification_loop(M, n_of, kmax=9)
+        assert not ok and k == 9
+
+
+def _reference_loop(M, n_of, kmax, policy=None):
+    """The epsilon-inflation loop without the non-contraction stop."""
+    from sylvenc.intervals import _pol, epsilon_inflate, in_interior
+
+    pol = _pol(policy)
+    e_rad = epsilon_inflate(M, pol).rad
+    H, X, k = M, None, 0
+    for k in range(1, max(kmax, 1) + 1):
+        xrad = (H.mag(pol) + e_rad) * (1.0 + 2.0 * pol.eta)
+        X = IMatrix(np.zeros(M.shape, dtype=M.mid.dtype), xrad)
+        H = M + n_of(xrad)
+        if in_interior(H, X, pol):
+            return True, X, H, k
+    return False, X, H, k
+
+
+def _jordan_system(m, seed):
+    rng = np.random.default_rng(seed)
+    J = np.zeros((m, m))
+    idx = np.arange(m // 2)
+    J[2 * idx, 2 * idx] = J[2 * idx + 1, 2 * idx + 1] = np.linspace(1.0, 3.0, m // 2)
+    J[2 * idx, 2 * idx + 1] = 1.0
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    rad = np.full((m, m), 1e-8)
+    eye = IMatrix(np.eye(m))
+    return SylvesterSystem(
+        A=IMatrix(Q @ J @ Q.T, rad),
+        B=IMatrix(np.diag(rng.uniform(1.0, 2.0, m)), rad),
+        C=eye,
+        D=eye,
+        F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:pair is far from commuting")
+@pytest.mark.parametrize("solver", ["mkw", "blk", "ver"])
+@pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33", "jordan"])
+def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, monkeypatch):
+    """Each solver's loop is replayed on the same ``M`` and ``n_of`` without the stop."""
+    from sylvenc import baseline, blockdiag, full_krawczyk_solve, krawczyk, mkw_block_solve
+
+    module, solve = {
+        "mkw": (krawczyk, mkw_solve),
+        "blk": (blockdiag, mkw_block_solve),
+        "ver": (baseline, full_krawczyk_solve),
+    }[solver]
+    runs = []
+
+    def both(M, n_of, kmax, policy=None):
+        got = verification_loop(M, n_of, kmax, policy)
+        runs.append((got, _reference_loop(M, n_of, kmax, policy)))
+        return got
+
+    monkeypatch.setattr(module, "verification_loop", both)
+    if family == "jordan":
+        systems = [_jordan_system(m, s) for m in (16, 32) for s in (0, 1)]
+    else:
+        # the dense oracle stops at m n = 1024 unknowns
+        sizes = (8, 20, 32) if solver == "ver" else (8, 20, 32, 50)
+        systems = [
+            generate(GenSpec(family=family, m=m, alpha=alpha, seed=0))
+            for m in sizes
+            for alpha in (1e-6, 1e-4, 1e-3, 1e-2)
+        ]
+    for sys_ in systems:
+        try:
+            solve(sys_)
+        except SingularPreconditionerError:
+            continue
+    assert runs
+    for (ok, X, H, k), (ref_ok, ref_X, ref_H, ref_k) in runs:
+        assert ok == ref_ok
+        if ok:
+            assert k == ref_k
+            assert (X.rad == ref_X.rad).all() and (H.rad == ref_H.rad).all()
+        else:
+            assert 1 <= k <= ref_k
+    if family != "jordan":
+        # the stop fired, so the comparison covers it
+        assert any(not ok and k < ref[3] for (ok, _, _, k), ref in runs)
 
 
 def test_point_system_gives_sharp_enclosure():
