@@ -2,29 +2,29 @@
 
 Every quantity is a disk <mid, rad>: the set of numbers within rad of mid.
 Arithmetic widens results outward so the exact value of any member
-computation is always inside, whatever floating point does.
+computation is always inside, whatever floating point does.  A scalar is a
+1 x 1 interval matrix.
 """
 
 import numpy as np
 
-from sylvenc import Disk, IMatrix, im_matmul, iv_mag, iv_meet, iv_mul
+from sylvenc import IMatrix, im_matmul
 
-x = Disk(2.0, 0.1)
-y = Disk(3.0, 0.2)
+x = IMatrix([[2.0]], [[0.1]])
+y = IMatrix([[3.0]], [[0.2]])
 
-print("x          =", x)
-print("y          =", y)
-print("x * y      =", iv_mul(x, y))
-print("Mag(x)     =", iv_mag(x), "  (largest magnitude of any member)")
-print("x meet y2  =", iv_meet(Disk(2.0, 0.1), Disk(2.0, 0.5)), " (tighter operand wins)")
+prod = im_matmul(x, y)
+print("x          = <%g, %g>" % (x.mid[0, 0], x.rad[0, 0]))
+print("y          = <%g, %g>" % (y.mid[0, 0], y.rad[0, 0]))
+print("x * y      = <%g, %.17g>" % (prod.mid[0, 0], prod.rad[0, 0]))
+print("Mag(x)     =", x.mag()[0, 0], "  (largest magnitude of any member)")
 
 # every sampled member product stays inside the product disk
 rng = np.random.default_rng(0)
-prod = iv_mul(x, y)
 for _ in range(1000):
     a = x.mid + x.rad * rng.uniform(-1, 1)
     b = y.mid + y.rad * rng.uniform(-1, 1)
-    assert prod.contains(a * b)
+    assert prod.contains_point(a * b)
 print("1000 sampled member products contained: True")
 
 # the same guarantee holds for matrix products

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .intervals import (
     DEFAULT_POLICY,
-    Disk,
     IMatrix,
     Rect,
     RoundingPolicy,
@@ -55,9 +54,6 @@ from .intervals import (
     hadamard_div_point,
     im_matmul,
     in_interior,
-    iv_mag,
-    iv_meet,
-    iv_mul,
     rect_to_disks,
 )
 from .krawczyk import Enclosure, mkw_solve
@@ -94,13 +90,9 @@ __all__ = [
     # interval core
     "RoundingPolicy",
     "DEFAULT_POLICY",
-    "Disk",
     "IMatrix",
     "Rect",
     "as_imatrix",
-    "iv_mul",
-    "iv_mag",
-    "iv_meet",
     "im_matmul",
     "hadamard_div_point",
     "in_interior",

@@ -47,7 +47,7 @@ from .intervals import (
     im_matmul,
     posmm,
 )
-from .krawczyk import FAILURE_MESSAGE, Enclosure, verification_loop
+from .krawczyk import Enclosure, verify
 from .linalg import ikron, iunvec, ivec, kron, lu_solve, unvec, vec
 from .system import SylvesterSystem
 
@@ -123,33 +123,17 @@ def full_krawczyk_solve(
     xcol = ks.R @ ks.f.mid
     # one step of iterative refinement on the midpoint solution
     xcol = xcol + ks.R @ (ks.f.mid - ks.Q.mid @ xcol)
-    M = im_matmul(rbox, ks.f - im_matmul(ks.Q, as_imatrix(xcol), pol), pol)
+    M = iunvec(im_matmul(rbox, ks.f - im_matmul(ks.Q, as_imatrix(xcol), pol), pol), m, n)
     W = as_imatrix(np.eye(m * n, dtype=ks.Q.mid.dtype)) - im_matmul(rbox, ks.Q, pol)
     wmag = W.mag(pol)
 
     def n_of(xrad: np.ndarray) -> IMatrix:
-        return IMatrix(np.zeros_like(M.mid), posmm(wmag, xrad, pol))
+        # the loop runs in m x n coordinates, where each of its steps is entrywise; the
+        # column operand keeps the BLAS path, and so the rounding, of an m n x 1 product
+        return IMatrix(np.zeros_like(M.mid), unvec(posmm(wmag, vec(xrad)[:, None], pol), m, n))
 
-    verified, X, H, iters = verification_loop(M, n_of, kmax, pol)
-    if verified:
-        evaluated = iunvec(as_imatrix(xcol) + H, m, n)
-        message = ""
-    else:
-        evaluated = None
-        message = FAILURE_MESSAGE
-    return Enclosure(
-        Xtilde=unvec(xcol, m, n),
-        Xbox=iunvec(X, m, n),
-        U=np.eye(m),
-        Vinv=np.eye(n),
-        evaluated=evaluated,
-        verified=verified,
-        iterations=iters,
-        method="ver",
-        message=message,
-        Hbox=iunvec(H, m, n),
-        precond=None,
-        resid_box=iunvec(M, m, n),
+    return verify(
+        "ver", unvec(xcol, m, n), M, n_of, lambda Z: Z, kmax, pol, U=np.eye(m), Vinv=np.eye(n)
     )
 
 

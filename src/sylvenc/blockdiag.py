@@ -43,10 +43,9 @@ from .intervals import (
     _denominators,
     _pol,
     as_imatrix,
-    im_matmul,
     posmm,
 )
-from .krawczyk import FAILURE_MESSAGE, Enclosure, back_transform, verification_loop
+from .krawczyk import Enclosure, back_transform, residual, verify
 from .linalg import inverse_enclosure, lu_solve
 from .precond import _sandwich, _scalar
 from .system import SylvesterSystem
@@ -434,11 +433,7 @@ def mkw_block_solve(
         cond_bound=max(halfA.cond_bound, halfB.cond_bound),
     )
     xtilde = interval_back_substitute(form, IMatrix(Fp.mid), pol).mid
-    xt = as_imatrix(xtilde)
-    resid = Fp - im_matmul(im_matmul(Ap, xt, pol), Bp, pol) - im_matmul(
-        im_matmul(Cp, xt, pol), Dp, pol
-    )
-    M = interval_back_substitute(form, resid, pol)
+    M = interval_back_substitute(form, residual(Fp, Ap, Bp, Cp, Dp, xtilde, pol), pol)
     abs_b, abs_d = np.abs(Bp.mid), np.abs(Dp.mid)
 
     def n_of(xrad: np.ndarray) -> IMatrix:
@@ -450,25 +445,15 @@ def mkw_block_solve(
         ) * (1.0 + 4.0 * pol.eta)
         return interval_back_substitute(form, IMatrix(np.zeros_like(w, dtype=np.complex128), w), pol)
 
-    verified, X, H, iters = verification_loop(M, n_of, kmax, pol)
-    if verified:
-        evaluated = back_transform(U, xt + H, vinv_box, pol)
-        message = ""
-    else:
-        evaluated = None
-        message = FAILURE_MESSAGE
-    return Enclosure(
-        Xtilde=xtilde,
-        Xbox=X,
+    return verify(
+        "blk",
+        xtilde,
+        M,
+        n_of,
+        lambda Z: back_transform(U, Z, vinv_box, pol),
+        kmax,
+        pol,
         U=U,
         Vinv=vinv_box.mid,
-        evaluated=evaluated,
-        verified=verified,
-        iterations=iters,
-        method="blk",
-        message=message,
-        Hbox=H,
-        precond=None,
-        resid_box=M,
         blockform=form,
     )

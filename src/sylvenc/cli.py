@@ -14,13 +14,10 @@ import sys as _sys
 
 import numpy as np
 
-from .baseline import full_krawczyk_solve, sample_solutions
-from .bench import SoundnessViolation, render_csv, render_jsonl, run_benchmark
-from .blockdiag import mkw_block_solve
+from .baseline import sample_solutions
+from .bench import METHOD_IDS, SoundnessViolation, _solver, render_csv, render_jsonl, run_benchmark
 from .errors import EnclosureError
-from .krawczyk import mkw_solve
 from .problems import FAMILIES, GenSpec, generate
-from .refine import itr_solve
 from .serialize import (
     dump_json,
     enclosure_from_dict,
@@ -63,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve a system file with one method")
     s.add_argument("--input", required=True)
-    s.add_argument("--method", choices=("mkw", "itr", "ver", "blk"), default="mkw")
+    s.add_argument("--method", choices=METHOD_IDS, default="mkw")
     s.add_argument("--tol", type=float, default=1e-12)
     s.add_argument("--max-iter", type=int, default=100)
     s.add_argument("--baseline-cap", type=int, default=1024)
@@ -98,15 +95,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     system = system_from_dict(_load_file(args.input))
+    solve = _solver(args.method, args.tol, args.max_iter, args.baseline_cap, None)
     try:
-        if args.method == "mkw":
-            enc = mkw_solve(system)
-        elif args.method == "itr":
-            enc = itr_solve(system, tol=args.tol, max_iter=args.max_iter)
-        elif args.method == "ver":
-            enc = full_krawczyk_solve(system, cap=args.baseline_cap)
-        else:
-            enc = mkw_block_solve(system)
+        enc = solve(system)
     except EnclosureError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2

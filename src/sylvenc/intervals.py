@@ -34,12 +34,8 @@ from .errors import (
 __all__ = [
     "RoundingPolicy",
     "DEFAULT_POLICY",
-    "Disk",
     "IMatrix",
     "as_imatrix",
-    "iv_mul",
-    "iv_mag",
-    "iv_meet",
     "im_matmul",
     "posmm",
     "iv_recip_arrays",
@@ -78,133 +74,6 @@ DEFAULT_POLICY = RoundingPolicy()
 
 def _pol(policy: RoundingPolicy | None) -> RoundingPolicy:
     return DEFAULT_POLICY if policy is None else policy
-
-
-# ---------------------------------------------------------------------------
-# scalar disks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk ``{z : |z - mid| <= rad}``; real when ``mid`` is real."""
-
-    mid: complex
-    rad: float
-
-    def __post_init__(self) -> None:
-        if self.rad < 0 or not np.isfinite(self.rad):
-            raise ValueError("radius must be finite and nonnegative")
-        m = complex(self.mid)
-        if not (np.isfinite(m.real) and np.isfinite(m.imag)):
-            raise ValueError("midpoint must be finite")
-
-    @property
-    def is_real(self) -> bool:
-        return complex(self.mid).imag == 0.0
-
-    def contains(self, z: complex) -> bool:
-        return abs(complex(z) - complex(self.mid)) <= self.rad
-
-    def __add__(self, other: "Disk") -> "Disk":
-        return _disk_add(self, other, +1)
-
-    def __sub__(self, other: "Disk") -> "Disk":
-        return _disk_add(self, other, -1)
-
-    def __mul__(self, other: "Disk") -> "Disk":
-        return iv_mul(self, other)
-
-
-def _disk_add(x: Disk, y: Disk, sign: int, policy: RoundingPolicy | None = None) -> Disk:
-    eta = _pol(policy).eta
-    mid = x.mid + sign * y.mid
-    rad = x.rad + y.rad
-    rad = rad * (1.0 + 2.0 * eta) + 2.0 * eta * abs(mid)
-    _check_finite_scalar(mid, rad)
-    return Disk(mid, rad)
-
-
-def iv_mul(x: Disk, y: Disk, policy: RoundingPolicy | None = None) -> Disk:
-    """Disk product ``<xm*ym, |xm|*yr + xr*|ym| + xr*yr>`` with rounding slack."""
-    eta = _pol(policy).eta
-    mid = x.mid * y.mid
-    rad0 = abs(x.mid) * y.rad + x.rad * abs(y.mid) + x.rad * y.rad
-    # one inexact midpoint multiply (four for complex), five nonneg ops on rad0
-    units = 1 if (x.is_real and y.is_real) else 4
-    rad = rad0 * (1.0 + 5.0 * eta) + units * eta * abs(mid)
-    _check_finite_scalar(mid, rad)
-    return Disk(mid, rad)
-
-
-def iv_mag(x: Disk, policy: RoundingPolicy | None = None) -> float:
-    """Upper bound for ``max{|z| : z in x}``, i.e. ``|mid| + rad`` rounded up."""
-    eta = _pol(policy).eta
-    return (abs(x.mid) + x.rad) * (1.0 + 3.0 * eta)
-
-
-def iv_meet(x: Disk, y: Disk, policy: RoundingPolicy | None = None) -> Disk:
-    """An interval containing ``x & y`` and contained in ``y``.
-
-    Real pairs intersect exactly in inf-sup form.  Complex pairs intersect
-    their bounding rectangles and take the disk hull; whenever that hull is
-    not certainly inside ``y``, ``y`` itself is returned (still an enclosure
-    of the intersection).  Raises on a certainly empty intersection.
-    """
-    eta = _pol(policy).eta
-    # cheap containment shortcuts keep the result tight and well nested
-    if _disk_subset(x, y, eta):
-        return x
-    if _disk_subset(y, x, eta):
-        return y
-    dist_lo = (abs(x.mid - y.mid)) * (1.0 - 4.0 * eta)
-    if dist_lo > x.rad + y.rad:
-        raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
-    if x.is_real and y.is_real:
-        xlo, xhi = _scalar_infsup(x, eta)
-        ylo, yhi = _scalar_infsup(y, eta)
-        lo, hi = max(xlo, ylo), min(xhi, yhi)
-        if lo > hi:
-            raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
-        mid = 0.5 * (lo + hi)
-        rad = max(hi - mid, mid - lo) * (1.0 + 2.0 * eta)
-        cand = Disk(mid, rad)
-    else:
-        xl, xh = _scalar_rect(x, eta)
-        yl, yh = _scalar_rect(y, eta)
-        lo = complex(max(xl.real, yl.real), max(xl.imag, yl.imag))
-        hi = complex(min(xh.real, yh.real), min(xh.imag, yh.imag))
-        if lo.real > hi.real or lo.imag > hi.imag:
-            raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
-        mid = 0.5 * (lo + hi)
-        rad = abs(hi - mid) * (1.0 + 6.0 * eta)
-        cand = Disk(mid, rad)
-    return cand if _disk_subset(cand, y, eta) else y
-
-
-def _disk_subset(a: Disk, b: Disk, eta: float) -> bool:
-    # certain containment: |a.mid - b.mid| + a.rad <= b.rad with upward pad
-    lhs = (abs(a.mid - b.mid) + a.rad) * (1.0 + 4.0 * eta)
-    return lhs <= b.rad
-
-
-def _scalar_infsup(x: Disk, eta: float) -> tuple[float, float]:
-    m = complex(x.mid).real
-    pad = eta * (abs(m) + x.rad)
-    return m - x.rad - pad, m + x.rad + pad
-
-
-def _scalar_rect(x: Disk, eta: float) -> tuple[complex, complex]:
-    m = complex(x.mid)
-    pad = eta * (abs(m) + x.rad) + eta * x.rad
-    r = x.rad + pad
-    return complex(m.real - r, m.imag - r), complex(m.real + r, m.imag + r)
-
-
-def _check_finite_scalar(mid: complex, rad: float) -> None:
-    m = complex(mid)
-    if not (np.isfinite(m.real) and np.isfinite(m.imag) and np.isfinite(rad)):
-        raise IntervalOverflowError("interval overflow")
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +162,6 @@ class IMatrix:
         return cls(mid, rad)
 
     # -- entrywise views ----------------------------------------------------
-    def entry(self, i: int, j: int) -> Disk:
-        return Disk(self.mid[i, j].item(), self.rad[i, j].item())
-
     def mag(self, policy: RoundingPolicy | None = None) -> np.ndarray:
         """Entrywise upper bound of ``|mid| + rad``."""
         eta = _pol(policy).eta

@@ -1,8 +1,28 @@
-"""Verified enclosure of the united solution set by a Krawczyk iteration
-on the diagonally preconditioned system.
+"""The verification engine of the three Krawczyk solvers, and the diagonal one.
 
-Writing the transformed equation as a fixed-point problem around the
-approximate solution ``Xtilde = mid(Fp) ./ S``, the candidate image is
+The engine, :func:`verify`, runs the epsilon-inflation loop
+:func:`verification_loop` and builds the :class:`Enclosure`.  The loop gives
+up early, with ``verified=False``, once a step certifies that no later box
+can pass, so a failed solve may report fewer than ``kmax`` iterations.  Each
+solver hands the engine four things:
+
+* ``xtilde``, the approximate solution in preconditioned coordinates;
+* ``M``, an enclosure of the preconditioned residual of ``xtilde``;
+* ``n_of``, the zero-midpoint contraction term of a symmetric box;
+* ``back``, the map of ``Xtilde + H`` to original coordinates, applied only
+  when the loop verifies.
+
+The diagonal solver ``mkw`` below divides :func:`residual` by the point
+denominators ``S`` and maps back by ``U . V^-1``.  The block solver ``blk``
+(:mod:`.blockdiag`) back-substitutes the same residual, and its contraction
+term, through the block form, and maps back the same way.  The dense solver
+``ver`` (:mod:`.baseline`) multiplies by a floating inverse ``R`` of the
+Kronecker midpoint ``mid Q`` and bounds the contraction by ``|I - R Q| x``;
+its loop runs in m x n coordinates and ``back`` is the identity.
+
+Writing the diagonally preconditioned equation as a fixed-point problem
+around the approximate solution ``Xtilde = mid(Fp) ./ S``, the candidate
+image is
 
     H  =  M + N,
     M  =  (Fp - (Ap Xtilde) Bp - (Cp Xtilde) Dp) ./ S,
@@ -28,12 +48,6 @@ products per pair in all.
 On success the solution set of every member system is contained in
 ``U (Xtilde + H) V^-1``; the inflated box ``X`` is kept alongside so the
 interior test can be replayed.
-
-The loop gives up early, with ``verified=False``, once a step certifies
-non-contraction: when ``rad N`` exceeds the box radius by a factor of at
-least ``1 + 2**-10`` in every entry, no later box can pass (see
-:func:`verification_loop`).  A failed solve may therefore report fewer than
-``kmax`` iterations.
 """
 
 from __future__ import annotations
@@ -58,7 +72,7 @@ from .intervals import (
 from .precond import PrecondSystem, transform_enclose
 from .system import SylvesterSystem
 
-__all__ = ["Enclosure", "compute_xtilde", "compute_M", "compute_N", "mkw_solve"]
+__all__ = ["Enclosure", "residual", "compute_M", "compute_N", "verify", "mkw_solve"]
 
 KMAX_DEFAULT = 15
 FAILURE_MESSAGE = "Method can not obtain outer estimation"
@@ -89,7 +103,6 @@ class Enclosure:
     message: str = ""
     Hbox: IMatrix | None = None
     precond: PrecondSystem | None = field(default=None, repr=False)
-    resid_box: IMatrix | None = field(default=None, repr=False)
     blockform: object | None = field(default=None, repr=False)
     gamma: object | None = field(default=None, repr=False)
 
@@ -98,18 +111,26 @@ class Enclosure:
         return None if self.evaluated is None else self.evaluated.widths()
 
 
-def compute_xtilde(ps: PrecondSystem) -> np.ndarray:
-    """Approximate solution of the diagonalized midpoint system."""
-    return ps.Fp.mid / ps.S
+def residual(
+    Fp: IMatrix,
+    Ap: IMatrix,
+    Bp: IMatrix,
+    Cp: IMatrix,
+    Dp: IMatrix,
+    xtilde: np.ndarray,
+    policy: RoundingPolicy,
+) -> IMatrix:
+    """Enclosure of ``Fp - (Ap Xtilde) Bp - (Cp Xtilde) Dp`` over all members."""
+    xt = as_imatrix(xtilde)
+    t1 = im_matmul(im_matmul(Ap, xt, policy), Bp, policy)
+    t2 = im_matmul(im_matmul(Cp, xt, policy), Dp, policy)
+    return Fp - t1 - t2
 
 
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     """Enclosure of the scaled residual of ``xtilde`` over all members."""
     pol = ps.policy
-    xt = as_imatrix(xtilde)
-    t1 = im_matmul(im_matmul(ps.Ap, xt, pol), ps.Bp, pol)
-    t2 = im_matmul(im_matmul(ps.Cp, xt, pol), ps.Dp, pol)
-    return hadamard_div_point(ps.Fp - t1 - t2, ps.S, pol)
+    return hadamard_div_point(residual(ps.Fp, ps.Ap, ps.Bp, ps.Cp, ps.Dp, xtilde, pol), ps.S, pol)
 
 
 class _Pair(NamedTuple):
@@ -217,6 +238,36 @@ def back_transform(
     return im_matmul(im_matmul(as_imatrix(U), inner, pol), vinv_box, pol)
 
 
+def verify(
+    method: str,
+    xtilde: np.ndarray,
+    M: IMatrix,
+    n_of,
+    back,
+    kmax: int,
+    policy: RoundingPolicy,
+    **fields,
+) -> Enclosure:
+    """Run :func:`verification_loop` on ``M`` and ``n_of`` and build the result.
+
+    Only a verified loop maps ``Xtilde + H`` to original coordinates by
+    ``back``; ``fields`` are the solver's own :class:`Enclosure` fields
+    (``U``, ``Vinv``, ``precond``, ``blockform``).
+    """
+    verified, X, H, iters = verification_loop(M, n_of, kmax, policy)
+    return Enclosure(
+        Xtilde=xtilde,
+        Xbox=X,
+        evaluated=back(as_imatrix(xtilde) + H) if verified else None,
+        verified=verified,
+        iterations=iters,
+        method=method,
+        message="" if verified else FAILURE_MESSAGE,
+        Hbox=H,
+        **fields,
+    )
+
+
 def mkw_solve(
     sys: SylvesterSystem,
     kmax: int = KMAX_DEFAULT,
@@ -229,26 +280,16 @@ def mkw_solve(
     """
     pol = _pol(policy)
     ps = transform_enclose(sys, pol)
-    xtilde = compute_xtilde(ps)
-    M = compute_M(ps, xtilde)
-    verified, X, H, iters = verification_loop(M, lambda r: compute_N(ps, r), kmax, pol)
-    if verified:
-        evaluated = back_transform(ps.U, as_imatrix(xtilde) + H, ps.vinv_box, pol)
-        message = ""
-    else:
-        evaluated = None
-        message = FAILURE_MESSAGE
-    return Enclosure(
-        Xtilde=xtilde,
-        Xbox=X,
+    xtilde = ps.Fp.mid / ps.S
+    return verify(
+        "mkw",
+        xtilde,
+        compute_M(ps, xtilde),
+        lambda r: compute_N(ps, r),
+        lambda Z: back_transform(ps.U, Z, ps.vinv_box, pol),
+        kmax,
+        pol,
         U=ps.U,
         Vinv=ps.vinv_box.mid,
-        evaluated=evaluated,
-        verified=verified,
-        iterations=iters,
-        method="mkw",
-        message=message,
-        Hbox=H,
         precond=ps,
-        resid_box=M,
     )

@@ -338,6 +338,5 @@ def itr_solve(
         message="" if converged else "tolerance not reached within iteration cap",
         Hbox=None,
         precond=ps,
-        resid_box=initial.resid_box,
         gamma=GammaState(Y=Y, denom=denom.mid, denom_rad=denom.rad, k=k, converged=converged),
     )

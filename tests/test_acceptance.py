@@ -15,7 +15,6 @@ import pytest
 
 from sylvenc import (
     FAMILIES,
-    Disk,
     GenSpec,
     IMatrix,
     SylvesterSystem,
@@ -28,7 +27,6 @@ from sylvenc import (
     generate,
     in_interior,
     itr_solve,
-    iv_mul,
     kron,
     mkw_block_solve,
     mkw_solve,
@@ -38,6 +36,8 @@ from sylvenc import (
 )
 from sylvenc.errors import EnclosureError
 from sylvenc.krawczyk import compute_M, compute_N
+
+from disk_oracle import Disk, iv_mul
 
 SIZES = (2, 4, 8)
 ALPHAS = (1e-6, 1e-2)

