@@ -10,7 +10,10 @@ memory cost is ``(m n)^2`` intervals.  On this form the module offers a
 verified full-size Krawczyk solve (method id ``ver``) used to cross check
 the structured solver on small problems; it refuses problems above a
 configurable ``m * n`` cap since the explicit Kronecker matrix grows with
-the fourth power of the dimension.
+the fourth power of the dimension.  Its preconditioner ``R`` inverts
+``mid Q`` by LAPACK ``getrf`` and ``getri``, and ``R Q`` is one dense
+point-times-interval product: the Kronecker structure is deliberately not
+used.
 
 The audit layer checks enclosures against members of the interval system:
 
@@ -48,7 +51,7 @@ from .intervals import (
     posmm,
 )
 from .krawczyk import Enclosure, verify
-from .linalg import ikron, iunvec, ivec, kron, lu_solve, unvec, vec
+from .linalg import ikron, iunvec, ivec, kron, unvec, vec
 from .system import SylvesterSystem
 
 __all__ = [
@@ -95,13 +98,44 @@ def build_Q_kron(
     policy: RoundingPolicy | None = None,
     cap: int | None = BASELINE_CAP,
 ) -> KronSystem:
-    """Assemble the explicit interval Kronecker system for ``sys``."""
+    """Assemble the explicit interval Kronecker system for ``sys``.
+
+    ``R`` is the floating inverse of ``mid Q`` by one LU factorization and its
+    inversion in place (LAPACK ``getrf`` and ``getri``).  An exactly zero
+    pivot raises :class:`SingularMatrixError`.
+    """
     pol = _pol(policy)
     _check_cap(sys, cap)
     Q = ikron(sys.B.T, sys.A, pol) + ikron(sys.D.T, sys.C, pol)
     f = ivec(sys.F)
-    R = lu_solve(Q.mid, np.eye(Q.rows, dtype=Q.mid.dtype))
+    getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (Q.mid,)
+    )
+    lu, piv, info = getrf(Q.mid)
+    if info == 0:
+        lwork, info = getri_lwork(Q.rows)
+        R, info = getri(lu, piv, lwork=int(lwork.real), overwrite_lu=True)
+    if info != 0:
+        raise SingularMatrixError("singular matrix")
     return KronSystem(Q=Q, f=f, R=R, m=sys.m, n=sys.n)
+
+
+def _eye_minus_mag(p: IMatrix, policy: RoundingPolicy) -> np.ndarray:
+    """``(I - p).mag(policy)`` for a square ``p``, without the identity interval matrix.
+
+    The operations are those of the interval subtraction and of ``mag``, in
+    their order, so the result is bit for bit theirs.
+    """
+    eta = policy.eta
+    mid = np.negative(p.mid)
+    mid.flat[:: p.rows + 1] += 1.0
+    amid = np.abs(mid)
+    # (0 + rad) (1 + 2 eta) + 2 eta |mid|, then (|mid| + rad) (1 + 3 eta)
+    out = p.rad * (1.0 + 2.0 * eta)
+    out += 2.0 * eta * amid
+    out += amid
+    out *= 1.0 + 3.0 * eta
+    return out
 
 
 def full_krawczyk_solve(
@@ -112,9 +146,11 @@ def full_krawczyk_solve(
 ) -> Enclosure:
     """Verified enclosure by a Krawczyk iteration on the full ``m n`` system.
 
-    ``R`` is a floating inverse of the midpoint matrix; the candidate image is
+    ``R`` is the floating inverse of the midpoint matrix from
+    :func:`build_Q_kron` (``getrf`` and ``getri``); the candidate image is
     ``M + (I - R Q) Z`` for symmetric boxes ``Z``, checked for strict interior
-    containment exactly as in the structured solver.
+    containment exactly as in the structured solver.  ``|I - R Q|`` is formed
+    from the product ``R Q`` directly (:func:`_eye_minus_mag`).
     """
     pol = _pol(policy)
     ks = build_Q_kron(sys, pol, cap)
@@ -124,8 +160,7 @@ def full_krawczyk_solve(
     # one step of iterative refinement on the midpoint solution
     xcol = xcol + ks.R @ (ks.f.mid - ks.Q.mid @ xcol)
     M = iunvec(im_matmul(rbox, ks.f - im_matmul(ks.Q, as_imatrix(xcol), pol), pol), m, n)
-    W = as_imatrix(np.eye(m * n, dtype=ks.Q.mid.dtype)) - im_matmul(rbox, ks.Q, pol)
-    wmag = W.mag(pol)
+    wmag = _eye_minus_mag(im_matmul(rbox, ks.Q, pol), pol)
 
     def n_of(xrad: np.ndarray) -> IMatrix:
         # the loop runs in m x n coordinates, where each of its steps is entrywise; the

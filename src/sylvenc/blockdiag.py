@@ -47,7 +47,7 @@ from .intervals import (
 )
 from .krawczyk import Enclosure, back_transform, residual, verify
 from .linalg import inverse_enclosure, lu_solve
-from .precond import _sandwich, _scalar
+from .precond import _project_pattern, _sandwich, _scalar
 from .system import SylvesterSystem
 
 __all__ = [
@@ -118,15 +118,6 @@ def block_mask(sizes: tuple[int, ...], lower: bool = False) -> np.ndarray:
     block = np.repeat(np.arange(len(sizes)), sizes)
     tri = (np.tril if lower else np.triu)(np.ones((block.size, block.size), dtype=bool))
     return tri & (block[:, None] == block[None, :])
-
-
-def _project_pattern(x: IMatrix, mask: np.ndarray, policy: RoundingPolicy) -> IMatrix:
-    """Move off-pattern midpoint mass of ``x`` into its radii."""
-    eta = policy.eta
-    off = np.where(mask, 0.0, x.mid)
-    mid = np.where(mask, x.mid, 0.0)
-    rad = (x.rad + np.abs(off)) * (1.0 + 2.0 * eta)
-    return IMatrix(mid, rad)
 
 
 def _offpattern_rel(conj: np.ndarray, mask: np.ndarray) -> float:

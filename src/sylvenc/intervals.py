@@ -16,10 +16,27 @@ exact result differs from the computed one by at most ``gamma_n * M`` with
 at least the chain length is strictly conservative for every ``eta >= 2**-53``.
 Kernels below count ``n_ops`` generously (e.g. ``2k + 8`` for a length-``k``
 inner product) so that complex arithmetic constants are covered as well.
+
+Products follow Rump's midpoint-radius arithmetic ("Fast and parallel
+interval arithmetic", BIT 39, 1999).  :func:`im_matmul` bounds the radius by
+``(|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + n_ops eta)``: the pad
+``n_ops eta |Xm| |Ym|`` of the rounding errors rides in the first product,
+with ``c = n_ops eta / (1 + n_ops eta)`` rounded up so that the folded pad is
+at least the separate one.  In exact arithmetic, and up to the rounding of
+``c``, this is the four-product
+bound ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n_ops eta) + n_ops eta |Xm| |Ym|``,
+so no radius is wider than that one by more than rounding, while an interval
+product takes the midpoint product and two radius products instead of four,
+and a point times an interval product one radius product instead of two.
+
+All pads are relative: a product whose exact value lies below the
+subnormal range can be enclosed by ``[0, 0]``.  ``im_matmul`` and
+:func:`posmm` still lack the absolute underflow term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -250,17 +267,28 @@ def _dot(a: np.ndarray, b: np.ndarray, da: np.ndarray | None, db: np.ndarray | N
 
 
 def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
-    """Interval matrix product with aggregate outward slack.
+    """Interval matrix product in midpoint-radius form with outward slack.
 
     The midpoint is the floating product of midpoints; the radius is
-    ``|Xm| Yr + Xr |Ym| + Xr Yr`` plus ``(2k + 8) * eta`` times the magnitude
-    sum ``|Xm| |Ym|``, which dominates every floating error on the length-``k``
-    accumulation paths (see module docstring).
+
+        (|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + nops eta),   nops = 2k + 8,
+
+    Rump's midpoint-radius form with the pad ``nops eta |Xm| |Ym|`` of the
+    four-product form ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + nops eta) +
+    nops eta |Xm| |Ym|`` folded into the first product (see module
+    docstring).  ``c`` is ``nops eta / (1 + nops eta)`` rounded up, so
+    ``c (1 + nops eta) >= nops eta``: the pad still dominates every floating
+    error on the length-``k`` accumulation paths, and the count's margin
+    covers the rounding of the radius's own sums and products.  ``c``
+    exceeds the exact quotient by less than two ulps, so no radius is wider
+    than the four-product one by more than rounding; folding ``nops eta``
+    itself under the scale would add ``(nops eta)^2 |Xm| |Ym|``.
 
     The products with a zero radius are exactly zero and are skipped, so a
-    point factor costs two real products fewer and changes no bit of the
-    result.  A factor with an exactly diagonal midpoint is applied by a
-    broadcast; the pad stays the one of the dense length-``k`` product.
+    point ``x`` takes the midpoint product and one radius product, an
+    interval pair the midpoint product and two, with no bit changed.  A
+    factor with an exactly diagonal midpoint is applied by a broadcast; the
+    pad stays the one of the dense length-``k`` product.
 
     Either operand may instead hold a ``(k, r, c)`` stack of matrices, an
     IMatrix that a kernel built from stacked arrays (the samples of
@@ -275,30 +303,24 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     k = x.mid.shape[-1]
     if k != y.mid.shape[-2]:
         raise ValueError("dimension mismatch")
-    eta = _pol(policy).eta
-    nops = 2 * k + 8
+    pad = (2 * k + 8) * _pol(policy).eta
+    scale = 1.0 + pad
+    # the quotient of the stored floats rounded up: c * scale >= pad holds exactly
+    c = math.nextafter(pad / scale, math.inf)
     dx, dy = _diagonal(x.mid), _diagonal(y.mid)
-    adx = None if dx is None else np.abs(dx)
-    ady = None if dy is None else np.abs(dy)
     mid = _dot(x.mid, y.mid, dx, dy)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
-    magprod = _dot(ax, ay, adx, ady)
     # count_nonzero: the cheapest zero test on the many small products of the audits
     x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
-    # in place: every array here is a fresh result, and the sums round as before
-    # (a sum that starts from an exact zero starts from its first term)
+    # y's sums keep its diagonal pattern only when y is a point
+    ydiag = dy is not None and not y_rad
+    ypad = ay * c
     if y_rad:
-        rad = _dot(ax, y.rad, adx, None)
-        if x_rad:
-            rad += _dot(x.rad, ay, None, ady)
-            rad += x.rad @ y.rad
-    elif x_rad:
-        rad = _dot(x.rad, ay, None, ady)
-    else:
-        rad = np.zeros(mid.shape)
-    rad *= 1.0 + nops * eta
-    magprod *= nops * eta
-    rad += magprod
+        ypad += y.rad
+    rad = _dot(ax, ypad, None if dx is None else np.abs(dx), ypad.diagonal() if ydiag else None)
+    if x_rad:
+        rad += _dot(x.rad, ay + y.rad if y_rad else ay, None, ay.diagonal() if ydiag else None)
+    rad *= scale
     return IMatrix._from_kernel(mid, rad)
 
 

@@ -39,8 +39,9 @@ verification is rigorous, not merely heuristic.
 
 The transformed midpoints are exactly diagonal, and the products use it:
 ``im_matmul`` applies a diagonal-midpoint factor by a broadcast and skips the
-radius products of a point factor such as ``Xtilde``, so ``M`` takes no
-dense complex product.  Each pair of ``N`` is factored through
+radius products of a zero radius, so ``M`` takes no dense complex product
+and three dense real ones per term: one for ``Ap Xtilde`` (``Xtilde`` is a
+point) and two for the product with ``Bp``.  Each pair of ``N`` is factored through
 ``P = rad(Ap) W``: ``P |mid Bp|`` is a column scaling by the magnitudes of
 the diagonal of ``mid Bp`` and ``Mag(Ap) W = |diag mid Ap| W + P``, two real
 products per pair in all.
@@ -233,7 +234,11 @@ def back_transform(
     vinv_box: IMatrix,
     policy: RoundingPolicy | None = None,
 ) -> IMatrix:
-    """Enclosure of ``U * inner * V^-1`` with the certified inverse box."""
+    """Enclosure of ``U * inner * V^-1`` with the certified inverse box.
+
+    Two midpoint products and three real radius products: one for the point
+    ``U``, two for the interval ``V^-1``.
+    """
     pol = _pol(policy)
     return im_matmul(im_matmul(as_imatrix(U), inner, pol), vinv_box, pol)
 

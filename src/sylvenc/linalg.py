@@ -101,17 +101,31 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ikron(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
     """Interval Kronecker product, entrywise disk multiplication.
 
-    The budget ``KRON_BYTES`` covers the midpoint and radius arrays together.
+    The radius is ``|Xm| kron Yr + Xr kron |Ym| + Xr kron Yr`` under a pad;
+    as in :func:`~sylvenc.intervals.im_matmul`, the products of a zero-radius
+    factor are exactly zero and are skipped without changing a bit.  The
+    budget ``KRON_BYTES`` covers the midpoint and radius arrays together.
     """
     x, y = as_imatrix(x), as_imatrix(y)
     mid_bytes = np.result_type(x.mid, y.mid).itemsize
     _check_kron_bytes(x.shape, y.shape, mid_bytes + 8)
     eta = _pol(policy).eta
     mid = _kron2(x.mid, y.mid)
-    ax, ay = np.abs(x.mid), np.abs(y.mid)
-    rad = _kron2(ax, y.rad) + _kron2(x.rad, ay) + _kron2(x.rad, y.rad)
-    rad = rad * (1.0 + 6.0 * eta) + 6.0 * eta * np.abs(mid)
-    return IMatrix(mid, rad)
+    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
+    # in place: every array here is a fresh result, and the sums round as before
+    # (a sum that starts from an exact zero starts from its first term)
+    if y_rad:
+        rad = _kron2(np.abs(x.mid), y.rad)
+        if x_rad:
+            rad += _kron2(x.rad, np.abs(y.mid))
+            rad += _kron2(x.rad, y.rad)
+    elif x_rad:
+        rad = _kron2(x.rad, np.abs(y.mid))
+    else:
+        rad = np.zeros(mid.shape)
+    rad *= 1.0 + 6.0 * eta
+    rad += 6.0 * eta * np.abs(mid)
+    return IMatrix._from_kernel(mid, rad)
 
 
 def vec(x: np.ndarray) -> np.ndarray:

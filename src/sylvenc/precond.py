@@ -195,17 +195,26 @@ class PrecondSystem:
 
 
 def _sandwich(left_box: IMatrix, mid: IMatrix, right: np.ndarray, policy) -> IMatrix:
-    """Enclosure of ``left * M * right`` for exact ``left`` in its box."""
+    """Enclosure of ``left * M * right`` for exact ``left`` in its box.
+
+    Each of the two interval products takes a midpoint product and two real
+    radius products.
+    """
     return im_matmul(im_matmul(left_box, mid, policy), as_imatrix(right), policy)
 
 
-def _symmetrize_diag(x: IMatrix, policy) -> IMatrix:
-    """Move off-diagonal midpoint mass into the radii; midpoint becomes diagonal."""
-    eta = _pol(policy).eta
-    d = np.diag(np.diag(x.mid))
-    off = x.mid - d
-    rad = x.rad + np.abs(off) * (1.0 + 2.0 * eta)
-    return IMatrix(d, rad)
+def _project_pattern(x: IMatrix, mask: np.ndarray, policy: RoundingPolicy) -> IMatrix:
+    """Move the midpoint mass of ``x`` off the pattern ``mask`` into its radii.
+
+    The radius sum ``rad + |off|`` is padded, so off-pattern mass far below an
+    ulp of the radius still widens it.  mkw projects on the diagonal, blk on
+    its block pattern.
+    """
+    eta = policy.eta
+    off = np.where(mask, 0.0, x.mid)
+    mid = np.where(mask, x.mid, 0.0)
+    rad = (x.rad + np.abs(off)) * (1.0 + 2.0 * eta)
+    return IMatrix(mid, rad)
 
 
 def _pick_side(first: np.ndarray, second: np.ndarray, eig_of) -> tuple[EigResult, bool]:
@@ -257,7 +266,8 @@ def _conjugate(pair: tuple[IMatrix, IMatrix], eig: EigResult, swapped: bool, pol
     raw = tuple(_sandwich(inv_box, x, U, policy) for x in pair)
     d = tuple(eig.values if i == donor else np.diag(r.mid).copy() for i, r in enumerate(raw))
     mass = tuple(_offdiag_rel(r.mid, x.mid) for r, x in zip(raw, pair))
-    conj = tuple(_symmetrize_diag(r, policy) for r in raw)
+    diagonal = np.eye(U.shape[0], dtype=bool)
+    conj = tuple(_project_pattern(r, diagonal, policy) for r in raw)
     return _Side(U, Uinv, inv_box, donor, conj, d, mass)
 
 

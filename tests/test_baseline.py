@@ -18,6 +18,7 @@ from sylvenc import (
     build_Q_kron,
     full_krawczyk_solve,
     generate,
+    im_matmul,
     mkw_solve,
     point_solve,
     residual_membership,
@@ -504,6 +505,34 @@ class TestFullKrawczyk:
         lo, hi = sols.min(axis=0), sols.max(axis=0)
         assert (enc.evaluated.mid - enc.evaluated.rad <= lo + 1e-14).all()
         assert (enc.evaluated.mid + enc.evaluated.rad >= hi - 1e-14).all()
+
+    def test_singular_kronecker_midpoint_raises(self):
+        # Q = I kron (A + I) with A + I = diag(2, 0): an exactly zero pivot
+        eye = IMatrix(np.eye(2))
+        A = IMatrix(np.diag([1.0, -1.0]), np.full((2, 2), 1e-3))
+        sys = SylvesterSystem(A=A, B=eye, C=eye, D=eye, F=IMatrix(np.ones((2, 2))))
+        with pytest.raises(SingularMatrixError):
+            full_krawczyk_solve(sys)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_contraction_magnitude_is_that_of_the_subtraction(self, dtype):
+        from sylvenc.intervals import DEFAULT_POLICY
+
+        rng = np.random.default_rng(13)
+        for n in (1, 5, 32):
+            mid = rng.normal(size=(n, n))
+            if dtype is np.complex128:
+                mid = mid + 1j * rng.normal(size=(n, n))
+            # a product P near the identity, as R Q is, with exact zeros as well
+            mid = np.eye(n) - 1e-3 * mid * (rng.uniform(size=(n, n)) < 0.8)
+            p = IMatrix(mid, 1e-9 * np.abs(rng.normal(size=(n, n))))
+            want = (IMatrix(np.eye(n, dtype=dtype)) - p).mag(DEFAULT_POLICY)
+            assert np.array_equal(baseline._eye_minus_mag(p, DEFAULT_POLICY), want)
+        # and ver's own product R Q
+        ks = build_Q_kron(generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=6)))
+        p = im_matmul(IMatrix(ks.R.astype(dtype)), ks.Q)
+        want = (IMatrix(np.eye(16, dtype=dtype)) - p).mag(DEFAULT_POLICY)
+        assert np.array_equal(baseline._eye_minus_mag(p, DEFAULT_POLICY), want)
 
     def test_respects_size_cap(self):
         sys = generate(GenSpec(family="kyc31", m=40, alpha=1e-6, seed=10))

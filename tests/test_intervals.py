@@ -1,9 +1,13 @@
 """Interval core: arithmetic, outward rounding, soundness oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sylvenc import (
     IMatrix,
@@ -153,6 +157,91 @@ def test_matmul_encloses_exact_interval_product():
                 assert got_lo <= lo and hi <= got_hi
 
 
+# Nonzero entries have binary exponents within +-500, so no midpoint product can
+# underflow or overflow: the range the relative pad model claims.  Zeros are drawn
+# as well, and the radii of a point operand are all zero.
+_MAG = st.floats(min_value=2.0**-500, max_value=2.0**500)
+_SIGNED = st.one_of(st.just(0.0), _MAG, _MAG.map(lambda v: -v))
+_RAD = st.one_of(st.just(0.0), _MAG)
+# the centre and rational points of the unit circle: complex members at the centre
+# and on the edge of each disk
+_UNIT = [(Fraction(a), Fraction(b)) for a, b in
+         ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))] + [
+    (Fraction(sa * a, 5), Fraction(sb * b, 5))
+    for a, b in ((3, 4), (4, 3)) for sa in (1, -1) for sb in (1, -1)]
+_KINDS = [("interval", "interval"), ("point", "interval"), ("interval", "point"),
+          ("point", "point"), ("diagonal", "interval"), ("interval", "diagonal"),
+          ("diagonal", "point"), ("point", "diagonal")]
+
+
+def _draw_operand(data, shape, kind, is_complex):
+    def part(elements):
+        return data.draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    mid = part(_SIGNED)
+    if is_complex:
+        mid = mid + 1j * part(_SIGNED)
+    if kind == "diagonal":
+        mid = np.diag(np.diag(mid))
+    rad = np.zeros(shape) if kind == "point" else part(_RAD)
+    return IMatrix._from_kernel(mid, rad)
+
+
+def _exact_member(data, mid, rad):
+    """A member of each disk, ``mid + rad u`` with ``u`` a rational point of the unit disk."""
+    out = np.empty(mid.shape, dtype=object)
+    for idx in np.ndindex(mid.shape):
+        u_re, u_im = data.draw(st.sampled_from(_UNIT))
+        z = complex(mid[idx])
+        r = Fraction(rad[idx])
+        out[idx] = (Fraction(z.real) + r * u_re, Fraction(z.imag) + r * u_im)
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_matmul_contains_exact_products_hypothesis(data):
+    is_complex = data.draw(st.booleans())
+    kind_x, kind_y = data.draw(st.sampled_from(_KINDS))
+    m, k, n = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+    m = k if kind_x == "diagonal" else m
+    n = k if kind_y == "diagonal" else n
+    # a stack of two matrices on a side without a diagonal midpoint
+    stacked = data.draw(st.sampled_from(
+        [None] + [side for side, kind in (("x", kind_x), ("y", kind_y)) if kind != "diagonal"]))
+    x = _draw_operand(data, (2, m, k) if stacked == "x" else (m, k), kind_x, is_complex)
+    y = _draw_operand(data, (2, k, n) if stacked == "y" else (k, n), kind_y, is_complex)
+    prod = im_matmul(x, y)
+    for s in range(2 if stacked else 1):
+        xm, xr = (x.mid[s], x.rad[s]) if stacked == "x" else (x.mid, x.rad)
+        ym, yr = (y.mid[s], y.rad[s]) if stacked == "y" else (y.mid, y.rad)
+        pm, pr = (prod.mid[s], prod.rad[s]) if stacked else (prod.mid, prod.rad)
+        if not is_complex:
+            # the exact interval hull of every real member product
+            for i, j in np.ndindex(m, n):
+                lo, hi = _exact_interval_dot(*(
+                    [Fraction(v) for v in vals] for vals in (xm[i], xr[i], ym[:, j], yr[:, j])))
+                assert Fraction(pm[i, j]) - Fraction(pr[i, j]) <= lo
+                assert hi <= Fraction(pm[i, j]) + Fraction(pr[i, j])
+            continue
+        a, b = _exact_member(data, xm, xr), _exact_member(data, ym, yr)
+        for i, j in np.ndindex(m, n):
+            re = sum(a[i, l][0] * b[l, j][0] - a[i, l][1] * b[l, j][1] for l in range(k))
+            im = sum(a[i, l][0] * b[l, j][1] + a[i, l][1] * b[l, j][0] for l in range(k))
+            d_re, d_im = re - Fraction(pm[i, j].real), im - Fraction(pm[i, j].imag)
+            assert d_re * d_re + d_im * d_im <= Fraction(pr[i, j]) ** 2
+
+
+@pytest.mark.xfail(strict=True, reason="every pad is relative: no absolute underflow term yet")
+def test_matmul_underflow_escape():
+    # the exact product 1e-400 lies below the smallest subnormal, and every pad is
+    # relative to magnitudes whose product underflows too
+    x = IMatrix([[1e-200]])
+    prod = im_matmul(x, x)
+    exact = Fraction(1e-200) ** 2
+    assert abs(exact - Fraction(prod.mid[0, 0])) <= Fraction(prod.rad[0, 0])
+
+
 def test_matmul_isotonicity_fuzz():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -166,15 +255,24 @@ def test_matmul_isotonicity_fuzz():
 
 
 def _generic_matmul(x, y, eta=RoundingPolicy().eta):
-    """The four-product interval product, kept as the reference of the fast paths."""
-    nops = 2 * x.cols + 8
+    """The dense three-product interval product, kept as the reference of the fast paths."""
+    pad = (2 * x.cols + 8) * eta
+    c = math.nextafter(pad / (1.0 + pad), math.inf)
+    ax, ay = np.abs(x.mid), np.abs(y.mid)
+    rad = ax @ (y.rad + c * ay) + x.rad @ (ay + y.rad)
+    return x.mid @ y.mid, rad * (1.0 + pad)
+
+
+def _four_product_rad(x, y, eta=RoundingPolicy().eta):
+    """The radius of the four-product form ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + s) + s |Xm| |Ym|``."""
+    pad = (2 * x.cols + 8) * eta
     ax, ay = np.abs(x.mid), np.abs(y.mid)
     rad = ax @ y.rad + x.rad @ ay + x.rad @ y.rad
-    return x.mid @ y.mid, rad * (1.0 + nops * eta) + (nops * eta) * (ax @ ay)
+    return rad * (1.0 + pad) + pad * (ax @ ay)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_matmul_point_factor_is_bit_identical_to_four_products(dtype):
+def test_matmul_point_factor_is_bit_identical_to_the_dense_form(dtype):
     rng = np.random.default_rng(5)
 
     def mid(shape):
@@ -192,6 +290,43 @@ def test_matmul_point_factor_is_bit_identical_to_four_products(dtype):
             ref_mid, ref_rad = _generic_matmul(x, y)
             assert np.array_equal(got.mid, ref_mid)
             assert np.array_equal(got.rad, ref_rad)
+
+
+def _no_wider_than_four_products(x, y):
+    got = im_matmul(x, y).rad
+    return (got <= _four_product_rad(x, y) * (1.0 + 8.0 * RoundingPolicy().eta)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_matmul_no_wider_than_four_products_on_random_operands(dtype):
+    rng = np.random.default_rng(8)
+
+    def mid(shape):
+        z = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        return z + 1j * rng.normal(size=shape) if dtype is np.complex128 else z
+
+    for m, k, n in ((1, 1, 1), (2, 7, 3), (8, 8, 8), (32, 32, 32), (40, 100, 30)):
+        for rel in (0.0, 1e-12, 1e-6, 1.0):
+            x = IMatrix(mid((m, k)), rel * np.abs(rng.normal(size=(m, k))))
+            y = IMatrix(mid((k, n)), rel * np.abs(rng.normal(size=(k, n))))
+            for a, b in ((x, y), (as_imatrix(x.mid), y), (x, as_imatrix(y.mid))):
+                assert _no_wider_than_four_products(a, b)
+
+
+@pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+@pytest.mark.parametrize("m", [8, 32])
+def test_matmul_no_wider_than_four_products_on_transform_operands(family, m):
+    from sylvenc import GenSpec, generate, transform_enclose
+
+    sys_ = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=1))
+    ps = transform_enclose(sys_)
+    # the sandwich products of the transform and its certified inverses
+    for box, point, coeffs in ((ps.uinv_box, ps.U, (sys_.A, sys_.C, sys_.F)),
+                               (ps.vinv_box, ps.V, (sys_.B, sys_.D))):
+        assert _no_wider_than_four_products(as_imatrix(box.mid), as_imatrix(point))
+        for coeff in coeffs:
+            assert _no_wider_than_four_products(box, coeff)
+            assert _no_wider_than_four_products(im_matmul(box, coeff), as_imatrix(point))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

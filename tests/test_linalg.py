@@ -7,6 +7,7 @@ import pytest
 
 from sylvenc import (
     IMatrix,
+    RoundingPolicy,
     SingularMatrixError,
     SizeCapError,
     as_imatrix,
@@ -103,6 +104,30 @@ def test_ikron_matches_entrywise_disk_products():
                     e_mid, e_rad = got.mid[2 * i + k, 2 * j + l], got.rad[2 * i + k, 2 * j + l]
                     assert abs(e_mid - d.mid) <= 1e-13 * max(1.0, abs(d.mid))
                     assert e_rad >= d.rad / (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_ikron_zero_radius_factor_is_bit_identical_to_three_products(dtype):
+    from sylvenc.linalg import _kron2
+
+    rng = np.random.default_rng(12)
+    eta = RoundingPolicy().eta
+
+    def mid(shape):
+        z = rng.normal(size=shape)
+        return z + 1j * rng.normal(size=shape) if dtype is np.complex128 else z
+
+    pt_x, pt_y = IMatrix(mid((3, 2))), IMatrix(mid((4, 5)))
+    iv_x = IMatrix(mid((3, 2)), np.abs(rng.normal(size=(3, 2))))
+    iv_y = IMatrix(mid((4, 5)), np.abs(rng.normal(size=(4, 5))))
+    for x, y in ((pt_x, iv_y), (iv_x, pt_y), (pt_x, pt_y), (iv_x, iv_y)):
+        got = ikron(x, y)
+        mid_ref = _kron2(x.mid, y.mid)
+        ax, ay = np.abs(x.mid), np.abs(y.mid)
+        rad = _kron2(ax, y.rad) + _kron2(x.rad, ay) + _kron2(x.rad, y.rad)
+        rad_ref = rad * (1.0 + 6.0 * eta) + 6.0 * eta * np.abs(mid_ref)
+        assert np.array_equal(got.mid, mid_ref)
+        assert np.array_equal(got.rad, rad_ref)
 
 
 def test_ivec_iunvec_round_trip():

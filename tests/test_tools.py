@@ -42,4 +42,8 @@ def test_tool_runs(name):
         lines = proc.stdout.splitlines()
         assert len(lines) == 28
         for line in lines:
-            assert re.fullmatch(r"\S+ (mkw|itr|blk|ver) ([0-9a-f]{64}|[A-Za-z]+Error)", line), line
+            assert re.fullmatch(
+                r"\S+ (mkw|itr|blk|ver) ([0-9a-f]{64} \S+|[A-Za-z]+Error -)", line
+            ), line
+            radsum = line.split()[-1]
+            assert radsum == "-" or float(radsum) > 0.0, line

@@ -1,10 +1,14 @@
-"""Print the sha256 of each enclosure's JSON on a fixed small corpus.
+"""Print the sha256 of each enclosure's JSON on a fixed small corpus, and its width.
 
 The corpus is the three families at m = 8 and m = 32 plus one system whose
 midpoint A is defective (2x2 Jordan blocks).  Each system is solved by mkw,
 itr (started from the mkw enclosure), blk and ver, and every result is
 serialized with ``dump_json(enclosure_to_dict(enc))``.  A solve that raises
-prints the error's class name instead of a digest.
+prints the error's class name instead of a digest.  After the digest each
+line prints the radius sum of the enclosure, the ``repr`` of
+``float(evaluated.rad.sum())``, or ``-`` when the solve did not verify or
+raised, so a change that moves rounding can show its width ratios line by
+line.
 
 Two trees that print the same lines produce byte-identical enclosure JSON on
 this corpus, which is how a change claiming "no behaviour change" shows it::
@@ -68,7 +72,7 @@ def corpus() -> list[tuple[str, SylvesterSystem]]:
     return systems + [("jordan-m16", defective_system())]
 
 
-def digests(sys_: SylvesterSystem) -> list[tuple[str, str]]:
+def digests(sys_: SylvesterSystem) -> list[tuple[str, str, str]]:
     out = []
     mkw = None
     solvers = (
@@ -81,19 +85,20 @@ def digests(sys_: SylvesterSystem) -> list[tuple[str, str]]:
         try:
             enc = solve()
         except (EnclosureError, ValueError) as exc:
-            out.append((name, type(exc).__name__))
+            out.append((name, type(exc).__name__, "-"))
             continue
         if name == "mkw":
             mkw = enc
         text = dump_json(enclosure_to_dict(enc))
-        out.append((name, hashlib.sha256(text.encode()).hexdigest()))
+        radsum = repr(float(enc.evaluated.rad.sum())) if enc.verified else "-"
+        out.append((name, hashlib.sha256(text.encode()).hexdigest(), radsum))
     return out
 
 
 def main() -> None:
     for label, sys_ in corpus():
-        for method, digest in digests(sys_):
-            print(f"{label} {method} {digest}")
+        for method, digest, radsum in digests(sys_):
+            print(f"{label} {method} {digest} {radsum}")
 
 
 if __name__ == "__main__":
