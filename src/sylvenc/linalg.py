@@ -17,6 +17,7 @@ from .intervals import IMatrix, RoundingPolicy, _pol, as_imatrix, im_matmul
 
 __all__ = [
     "lu_solve",
+    "lu_inverse",
     "EigResult",
     "eig_decompose",
     "kron",
@@ -40,6 +41,27 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("singular matrix") from exc
+
+
+def lu_inverse(a: np.ndarray) -> np.ndarray:
+    """Floating inverse of ``a`` by one LU factorization inverted in place.
+
+    LAPACK ``getrf`` then ``getri``: no right-hand side ``I`` is formed or
+    solved against.  An exactly zero pivot raises :class:`SingularMatrixError`.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("dimension mismatch")
+    getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (a,)
+    )
+    lu, piv, info = getrf(a)
+    if info == 0:
+        lwork, info = getri_lwork(a.shape[0])
+        inv, info = getri(lu, piv, lwork=int(lwork.real), overwrite_lu=True)
+    if info != 0:
+        raise SingularMatrixError("singular matrix")
+    return inv
 
 
 @dataclass(frozen=True)

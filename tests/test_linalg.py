@@ -20,7 +20,7 @@ from sylvenc import (
     unvec,
     vec,
 )
-from sylvenc.linalg import KRON_BYTES, iunvec, ivec, lu_solve
+from sylvenc.linalg import KRON_BYTES, iunvec, ivec, lu_inverse, lu_solve
 
 from disk_oracle import Disk, iv_mul
 
@@ -165,3 +165,16 @@ def test_kron_byte_budget_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * a.nbytes  # operand-sized temporaries at most
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lu_inverse_inverts_and_raises_on_a_zero_pivot(dtype):
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(6, 6)).astype(dtype)
+    if dtype is np.complex128:
+        a = a + 1j * rng.normal(size=(6, 6))
+    assert np.allclose(lu_inverse(a) @ a, np.eye(6), atol=1e-12)
+    with pytest.raises(SingularMatrixError):
+        lu_inverse(np.diag(np.array([2.0, 0.0], dtype=dtype)))
+    with pytest.raises(ValueError):
+        lu_inverse(np.ones((2, 3), dtype=dtype))
