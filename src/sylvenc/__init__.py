@@ -44,10 +44,8 @@ from .errors import (
     SizeCapError,
 )
 from .intervals import (
-    DEFAULT_POLICY,
     IMatrix,
     Rect,
-    RoundingPolicy,
     as_imatrix,
     disks_to_rect,
     epsilon_inflate,
@@ -88,8 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # interval core
-    "RoundingPolicy",
-    "DEFAULT_POLICY",
     "IMatrix",
     "Rect",
     "as_imatrix",

@@ -42,10 +42,10 @@ from scipy.linalg.lapack import ztrtrs as _trtrs
 
 from .errors import IntervalOverflowError, SingularMatrixError, SizeCapError
 from .intervals import (
-    EPS_MACH,
     IMatrix,
-    RoundingPolicy,
-    _pol,
+    _down,
+    _mag,
+    _pad_rad,
     as_imatrix,
     im_matmul,
     posmm,
@@ -95,7 +95,6 @@ def _check_cap(sys: SylvesterSystem, cap: int | None) -> None:
 
 def build_Q_kron(
     sys: SylvesterSystem,
-    policy: RoundingPolicy | None = None,
     cap: int | None = BASELINE_CAP,
 ) -> KronSystem:
     """Assemble the explicit interval Kronecker system for ``sys``.
@@ -104,37 +103,30 @@ def build_Q_kron(
     inversion in place (:func:`~sylvenc.linalg.lu_inverse`, LAPACK ``getrf``
     and ``getri``).  An exactly zero pivot raises :class:`SingularMatrixError`.
     """
-    pol = _pol(policy)
     _check_cap(sys, cap)
-    Q = ikron(sys.B.T, sys.A, pol) + ikron(sys.D.T, sys.C, pol)
+    Q = ikron(sys.B.T, sys.A) + ikron(sys.D.T, sys.C)
     return KronSystem(Q=Q, f=ivec(sys.F), R=lu_inverse(Q.mid), m=sys.m, n=sys.n)
 
 
-def _eye_minus_mag(p: IMatrix, policy: RoundingPolicy) -> np.ndarray:
-    """``(I - p).mag(policy)`` for a square ``p``, without the identity interval matrix.
+def _eye_minus_mag(p: IMatrix) -> np.ndarray:
+    """``(I - p).mag()`` for a square ``p``, without the identity interval matrix.
 
-    The operations are those of the interval subtraction and of ``mag``, in
-    their order, so the result is bit for bit theirs; a change to either pad
-    must be made here too.  For ver's products it skips the identity and the
-    subtraction's temporaries: at ``m n = 1024`` about 9 MB of peak memory
-    and 7 ms per call (two vCPUs, one BLAS thread).
+    It applies the pad rules of the interval subtraction and of ``mag`` to
+    the radii ``0 + rad p``, so the result is bit for bit theirs.  For ver's
+    products it skips the identity and the subtraction's temporaries: at
+    ``m n = 1024`` about 9 MB of peak memory and 7 ms per call (two vCPUs,
+    one BLAS thread).
     """
-    eta = policy.eta
     mid = np.negative(p.mid)
     mid.flat[:: p.rows + 1] += 1.0
     amid = np.abs(mid)
-    # (0 + rad) (1 + 2 eta) + 2 eta |mid|, then (|mid| + rad) (1 + 3 eta)
-    out = p.rad * (1.0 + 2.0 * eta)
-    out += 2.0 * eta * amid
-    out += amid
-    out *= 1.0 + 3.0 * eta
-    return out
+    out = _pad_rad(p.rad, amid.copy())
+    return _mag(amid, out, out=out)
 
 
 def full_krawczyk_solve(
     sys: SylvesterSystem,
     kmax: int = 15,
-    policy: RoundingPolicy | None = None,
     cap: int | None = BASELINE_CAP,
 ) -> Enclosure:
     """Verified enclosure by a Krawczyk iteration on the full ``m n`` system.
@@ -145,24 +137,21 @@ def full_krawczyk_solve(
     containment exactly as in the structured solver.  ``|I - R Q|`` is formed
     from the product ``R Q`` directly (:func:`_eye_minus_mag`).
     """
-    pol = _pol(policy)
-    ks = build_Q_kron(sys, pol, cap)
+    ks = build_Q_kron(sys, cap)
     m, n = ks.m, ks.n
     rbox = as_imatrix(ks.R)
     xcol = ks.R @ ks.f.mid
     # one step of iterative refinement on the midpoint solution
     xcol = xcol + ks.R @ (ks.f.mid - ks.Q.mid @ xcol)
-    M = iunvec(im_matmul(rbox, ks.f - im_matmul(ks.Q, as_imatrix(xcol), pol), pol), m, n)
-    wmag = _eye_minus_mag(im_matmul(rbox, ks.Q, pol), pol)
+    M = iunvec(im_matmul(rbox, ks.f - im_matmul(ks.Q, as_imatrix(xcol))), m, n)
+    wmag = _eye_minus_mag(im_matmul(rbox, ks.Q))
 
     def n_of(xrad: np.ndarray) -> IMatrix:
         # the loop runs in m x n coordinates, where each of its steps is entrywise; the
         # column operand keeps the BLAS path, and so the rounding, of an m n x 1 product
-        return IMatrix(np.zeros_like(M.mid), unvec(posmm(wmag, vec(xrad)[:, None], pol), m, n))
+        return IMatrix(np.zeros_like(M.mid), unvec(posmm(wmag, vec(xrad)[:, None]), m, n))
 
-    return verify(
-        "ver", unvec(xcol, m, n), M, n_of, lambda Z: Z, kmax, pol, U=np.eye(m), Vinv=np.eye(n)
-    )
+    return verify("ver", unvec(xcol, m, n), M, n_of, lambda Z: Z, kmax, U=np.eye(m), Vinv=np.eye(n))
 
 
 def point_solve(
@@ -501,7 +490,6 @@ def sample_solutions(
 def residual_membership(
     sys: SylvesterSystem,
     X: np.ndarray,
-    policy: RoundingPolicy | None = None,
 ) -> bool | np.ndarray:
     """Certified necessary condition for ``X`` to solve some member system.
 
@@ -517,8 +505,6 @@ def residual_membership(
     :func:`~sylvenc.intervals.im_matmul`), so on real data each answer, or
     the error, is the one of the call on that sample alone.
     """
-    pol = _pol(policy)
-    eta = pol.eta
     x = np.asarray(X)
     if x.ndim == 3:
         # validated and coerced as one tall matrix, then viewed as the stack
@@ -528,15 +514,14 @@ def residual_membership(
         xb = as_imatrix(np.atleast_2d(x))
     if xb.mid.shape[-2:] != (sys.m, sys.n):
         raise ValueError("dimension mismatch")
-    boxes = _residual_boxes(sys, xb, pol)
+    boxes = _residual_boxes(sys, xb)
     # membership check biased toward acceptance: shrink |mid| before comparing
-    shrink = 1.0 - 4.0 * eta
     if x.ndim != 3:
         for amid, rad in boxes:
             # a non-finite midpoint makes its radius non-finite too
             if not np.isfinite(rad).all():
                 raise IntervalOverflowError("interval overflow")
-            if not (amid * shrink <= rad).all():
+            if not (_down(amid, 4) <= rad).all():
                 return False
         return True
     # per sample, as alone: a non-finite box raises unless an earlier one rejected
@@ -544,34 +529,32 @@ def residual_membership(
     for amid, rad in boxes:
         if (alive & ~np.isfinite(rad).all(axis=(1, 2))).any():
             raise IntervalOverflowError("interval overflow")
-        alive &= (amid * shrink <= rad).all(axis=(1, 2))
+        alive &= (_down(amid, 4) <= rad).all(axis=(1, 2))
         if not alive.any():
             break
     return alive
 
 
-def _residual_boxes(
-    sys: SylvesterSystem, xb: IMatrix, pol: RoundingPolicy
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _residual_boxes(sys: SylvesterSystem, xb: IMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``|mid|`` and radius of the four boxes ``F - left - right``, one by one.
 
     ``left`` and ``right`` run over both association orders of ``A X B``
     and ``C X D``; ``xb`` may hold a stack of samples.
     """
-    eta = pol.eta
-    axb_l = im_matmul(im_matmul(sys.A, xb, pol), sys.B, pol)
-    axb_r = im_matmul(sys.A, im_matmul(xb, sys.B, pol), pol)
-    cxd_l = im_matmul(im_matmul(sys.C, xb, pol), sys.D, pol)
-    cxd_r = im_matmul(sys.C, im_matmul(xb, sys.D, pol), pol)
-    # interval subtraction's operations and pads, F - left formed once per left
-    # and no IMatrix per box; the product by -1.0 is the one subtraction uses,
-    # so even the signs of zero midpoints match.  A (2, 2, m, n) broadcast of
-    # the four boxes was slower at m = 400, where its temporaries leave cache.
-    grow = 1.0 + 2.0 * eta
+    axb_l = im_matmul(im_matmul(sys.A, xb), sys.B)
+    axb_r = im_matmul(sys.A, im_matmul(xb, sys.B))
+    cxd_l = im_matmul(im_matmul(sys.C, xb), sys.D)
+    cxd_r = im_matmul(sys.C, im_matmul(xb, sys.D))
+    # interval subtraction's operations and pad rule, F - left formed once per
+    # left and no IMatrix per box; the product by -1.0 is the one subtraction
+    # uses, so even the signs of zero midpoints match.  A (2, 2, m, n) broadcast
+    # of the four boxes was slower at m = 400, where its temporaries leave cache.
     neg_right = [(-1.0 * right.mid, right.rad) for right in (cxd_l, cxd_r)]
     for left in (axb_l, axb_r):
         lmid = sys.F.mid + -1.0 * left.mid
-        lrad = (sys.F.rad + left.rad) * grow + 2.0 * eta * np.abs(lmid)
+        lrad = sys.F.rad + left.rad
+        _pad_rad(lrad, np.abs(lmid), out=lrad)
         for rmid, rrad in neg_right:
             amid = np.abs(lmid + rmid)
-            yield amid, (lrad + rrad) * grow + 2.0 * eta * amid
+            rad = lrad + rrad
+            yield amid, _pad_rad(rad, amid.copy(), out=rad)

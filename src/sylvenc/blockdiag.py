@@ -39,9 +39,11 @@ from scipy.linalg.lapack import ztrsyl as _trsyl
 
 from .intervals import (
     IMatrix,
-    RoundingPolicy,
     _denominators,
-    _pol,
+    _dot_ops,
+    _pad_rad,
+    _slack,
+    _up,
     as_imatrix,
     posmm,
 )
@@ -317,7 +319,6 @@ def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
 def interval_back_substitute(
     form: BlockDiagForm,
     rhs: IMatrix,
-    policy: RoundingPolicy | None = None,
 ) -> IMatrix:
     """Enclosure of ``unvec(Lambda^-1 vec(rhs))`` over the rhs enclosure.
 
@@ -329,13 +330,11 @@ def interval_back_substitute(
     that tail is never longer than the row of the whole column block, so
     neither is the inner-product pad ``2 kk + 8``.
     """
-    pol = _pol(policy)
-    eta = pol.eta
     m, n = form.DA.shape[0], form.DB.shape[0]
     rhs = as_imatrix(rhs)
     if rhs.shape != (m, n):
         raise ValueError("dimension mismatch")
-    den = _denominators(*(np.diag(x) for x in (form.DA, form.DB, form.DC, form.DD)), pol)
+    den = _denominators(*(np.diag(x) for x in (form.DA, form.DB, form.DC, form.DD)))
     out_mid = np.zeros((m, n), dtype=np.complex128)
     out_rad = np.zeros((m, n))
     for (a, rows), (b, cols) in itertools.product(_blocks(form.a_sizes), _blocks(form.b_sizes)):
@@ -355,20 +354,19 @@ def interval_back_substitute(
             col_b, col_d = DB[None, :, k:, k, None], DD[None, :, k:, k, None]
             row_a, row_c = DA[:, None, None, r, :], DC[:, None, None, r, :]
             t_mid = (col_b * row_a + col_d * row_c).reshape(tiles[:2] + (-1,))[..., r + 1 :]
-            t_rad = 6.0 * eta * (np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c))
+            t_rad = _slack(np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c), 6)
             t_rad = t_rad.reshape(tiles[:2] + (-1,))[..., r + 1 :]
             zm, zr = z_mid[..., p + 1 :], z_rad[..., p + 1 :]
             at, az = np.abs(t_mid), np.abs(zm)
             dot_mid = (t_mid * zm).sum(axis=-1)
             dot_rad = (at * zr).sum(axis=-1) + (t_rad * az).sum(axis=-1) + (t_rad * zr).sum(axis=-1)
-            nops = 2 * (a * b - p - 1) + 8
-            dot_rad = dot_rad * (1.0 + nops * eta) + nops * eta * (at * az).sum(axis=-1)
+            dot_rad = _pad_rad(dot_rad, (at * az).sum(axis=-1), _dot_ops(a * b - p - 1))
             num_mid = f_mid[..., p] - dot_mid
-            num_rad = (f_rad[..., p] + dot_rad) * (1.0 + 2.0 * eta) + 2.0 * eta * np.abs(num_mid)
+            num_rad = _pad_rad(f_rad[..., p] + dot_rad, np.abs(num_mid))
             rm, rr = rec_mid[..., p], rec_rad[..., p]
             z_mid[..., p] = num_mid * rm
-            rad = (np.abs(num_mid) * rr + num_rad * np.abs(rm) + num_rad * rr) * (1.0 + 5.0 * eta)
-            z_rad[..., p] = rad + 4.0 * eta * np.abs(z_mid[..., p])
+            rad = _up(np.abs(num_mid) * rr + num_rad * np.abs(rm) + num_rad * rr, 5)
+            z_rad[..., p] = rad + _slack(np.abs(z_mid[..., p]), 4)
         out_mid[ix] = z_mid.reshape(tiles[:2] + (b, a))
         out_rad[ix] = z_rad.reshape(tiles[:2] + (b, a))
     return IMatrix(out_mid, out_rad)
@@ -383,7 +381,6 @@ def mkw_block_solve(
     sys: SylvesterSystem,
     kmax: int = 15,
     max_cond: float = MAX_COND_DEFAULT,
-    policy: RoundingPolicy | None = None,
 ) -> Enclosure:
     """Verified enclosure with block-triangular preconditioning.
 
@@ -392,7 +389,6 @@ def mkw_block_solve(
     solution and the residual enclosure come from backward substitution
     instead of Hadamard division, and so does the contraction term.
     """
-    pol = _pol(policy)
     halfA = _best_half(sys.A.mid, sys.C.mid, max_cond)
     halfB = _best_half(sys.B.mid, sys.D.mid, max_cond)
     U = halfA.U
@@ -400,16 +396,16 @@ def mkw_block_solve(
     # reversal permutation turns upper-triangular blocks into lower ones
     V = halfB.U[:, ::-1]
     b_sizes = tuple(reversed(halfB.sizes))
-    uinv_box = inverse_enclosure(U, pol, r0=halfA.Uinv)
+    uinv_box = inverse_enclosure(U, r0=halfA.Uinv)
     # reversing the columns of V reverses the rows of its inverse
-    vinv_box = inverse_enclosure(V, pol, r0=halfB.Uinv[::-1])
+    vinv_box = inverse_enclosure(V, r0=halfB.Uinv[::-1])
     mask_a = block_mask(a_sizes, lower=False)
     mask_b = block_mask(b_sizes, lower=True)
-    Ap = _project_pattern(_sandwich(uinv_box, sys.A, U, pol), mask_a, pol)
-    Cp = _project_pattern(_sandwich(uinv_box, sys.C, U, pol), mask_a, pol)
-    Bp = _project_pattern(_sandwich(vinv_box, sys.B, V, pol), mask_b, pol)
-    Dp = _project_pattern(_sandwich(vinv_box, sys.D, V, pol), mask_b, pol)
-    Fp = _sandwich(uinv_box, sys.F, V, pol)
+    Ap = _project_pattern(_sandwich(uinv_box, sys.A, U), mask_a)
+    Cp = _project_pattern(_sandwich(uinv_box, sys.C, U), mask_a)
+    Bp = _project_pattern(_sandwich(vinv_box, sys.B, V), mask_b)
+    Dp = _project_pattern(_sandwich(vinv_box, sys.D, V), mask_b)
+    Fp = _sandwich(uinv_box, sys.F, V)
     form = BlockDiagForm(
         U=U,
         Uinv=uinv_box.mid,
@@ -423,27 +419,27 @@ def mkw_block_solve(
         a_sizes=a_sizes,
         cond_bound=max(halfA.cond_bound, halfB.cond_bound),
     )
-    xtilde = interval_back_substitute(form, IMatrix(Fp.mid), pol).mid
-    M = interval_back_substitute(form, residual(Fp, Ap, Bp, Cp, Dp, xtilde, pol), pol)
+    xtilde = interval_back_substitute(form, IMatrix(Fp.mid)).mid
+    M = interval_back_substitute(form, residual(Fp, Ap, Bp, Cp, Dp, xtilde))
     abs_b, abs_d = np.abs(Bp.mid), np.abs(Dp.mid)
 
     def n_of(xrad: np.ndarray) -> IMatrix:
-        w = (
-            posmm(posmm(Ap.rad, xrad, pol), abs_b, pol)
-            + posmm(posmm(Ap.mag(pol), xrad, pol), Bp.rad, pol)
-            + posmm(posmm(Cp.rad, xrad, pol), abs_d, pol)
-            + posmm(posmm(Cp.mag(pol), xrad, pol), Dp.rad, pol)
-        ) * (1.0 + 4.0 * pol.eta)
-        return interval_back_substitute(form, IMatrix(np.zeros_like(w, dtype=np.complex128), w), pol)
+        w = _up(
+            posmm(posmm(Ap.rad, xrad), abs_b)
+            + posmm(posmm(Ap.mag(), xrad), Bp.rad)
+            + posmm(posmm(Cp.rad, xrad), abs_d)
+            + posmm(posmm(Cp.mag(), xrad), Dp.rad),
+            4,
+        )
+        return interval_back_substitute(form, IMatrix(np.zeros_like(w, dtype=np.complex128), w))
 
     return verify(
         "blk",
         xtilde,
         M,
         n_of,
-        lambda Z: back_transform(U, Z, vinv_box, pol),
+        lambda Z: back_transform(U, Z, vinv_box),
         kmax,
-        pol,
         U=U,
         Vinv=vinv_box.mid,
         blockform=form,

@@ -7,25 +7,37 @@ plus a nonnegative float64 radius array.
 
 Outward rounding is realized by radius inflation instead of switching the FPU
 rounding mode: every floating-point result is padded by a slack proportional
-to ``eta`` times the accumulated magnitude of the operands, where ``eta``
-(default ``2**-50``, i.e. eight binary64 ulps) comes from a
-:class:`RoundingPolicy`.  For a kernel whose longest dependency chain runs
-through ``n`` inexact operations on data of accumulated magnitude ``M``, the
-exact result differs from the computed one by at most ``gamma_n * M`` with
-``gamma_n ~ n * 2**-53``, so a pad of ``n_ops * eta * M`` with ``n_ops``
-at least the chain length is strictly conservative for every ``eta >= 2**-53``.
-Kernels below count ``n_ops`` generously (e.g. ``2k + 8`` for a length-``k``
-inner product) so that complex arithmetic constants are covered as well.
+to ``ETA = 2**-50`` (eight binary64 ulps) times the accumulated magnitude of
+the operands.  For a kernel whose longest dependency chain runs through
+``n`` inexact operations on data of accumulated magnitude ``M``, the exact
+result differs from the computed one by at most ``gamma_n * M`` with
+``gamma_n ~ n * 2**-53``, so a pad of ``n * ETA * M``, with ``n`` at least
+the chain length, is strictly conservative.  Kernels count ``n`` generously
+(``2k + 8`` for a length-``k`` inner product) so that complex arithmetic
+constants are covered as well.
+
+``ETA`` is a constant, not an option: the pads of one solve are sound only
+together, with one shared value, and a larger value only widens every
+enclosure.  Every kernel of the package pads through the private rules
+under "pad rules" below: ``_up``, ``_down`` and ``_slack`` (``x (1 + n
+ETA)``, ``x (1 - n ETA)`` and ``n ETA x``), ``_pad_rad`` (the radius of a
+rounded result, such as a sum of disks), ``_dot_ops`` (the count ``2k + 8``
+of a length-``k`` inner product), ``_quot_rad``, ``_mag``, ``_reach``,
+``_rect_half`` and ``_corner_mag``.  So the rounding model is this module's
+decision alone.  Each rule fixes the order of its floating-point operations,
+so every kernel that applies it rounds alike, and a term the model still
+lacks (the absolute underflow term below) goes into these rules, not into
+the kernels.
 
 Products follow Rump's midpoint-radius arithmetic ("Fast and parallel
 interval arithmetic", BIT 39, 1999).  :func:`im_matmul` bounds the radius by
-``(|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + n_ops eta)``: the pad
-``n_ops eta |Xm| |Ym|`` of the rounding errors rides in the first product,
-with ``c = n_ops eta / (1 + n_ops eta)`` rounded up so that the folded pad is
+``(|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + n ETA)``: the pad
+``n ETA |Xm| |Ym|`` of the rounding errors rides in the first product,
+with ``c = n ETA / (1 + n ETA)`` rounded up so that the folded pad is
 at least the separate one (unless a nonzero entry of ``c |Ym|`` falls below
 the normal range: then the pad is that separate product).  In exact
 arithmetic, and up to the rounding of ``c``, this is the four-product bound
-``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n_ops eta) + n_ops eta |Xm| |Ym|``,
+``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n ETA) + n ETA |Xm| |Ym|``,
 so no radius is wider than that one by more than rounding, while an interval
 product takes the midpoint product and two radius products instead of four,
 and a point times an interval product one radius product instead of two.
@@ -39,7 +51,6 @@ enclosure; ``[1e-200] [1e-200]`` gives ``[0, 0]``.  ``im_matmul`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +62,7 @@ from .errors import (
 )
 
 __all__ = [
-    "RoundingPolicy",
-    "DEFAULT_POLICY",
+    "ETA",
     "IMatrix",
     "as_imatrix",
     "im_matmul",
@@ -67,6 +77,8 @@ __all__ = [
     "rect_mag",
 ]
 
+# the relative pad of one rounding: eight binary64 ulps, at least 2**-53
+ETA = 2.0**-50
 EPS_MACH = 2.0**-52
 # the smallest positive normal binary64 number
 _NORMAL_MIN = 2.0**-1022
@@ -74,27 +86,85 @@ _NORMAL_MIN = 2.0**-1022
 SINGULAR_REL = 2.0**-40
 
 
-@dataclass(frozen=True)
-class RoundingPolicy:
-    """Radius-inflation constant used for outward rounding.
+# ---------------------------------------------------------------------------
+# pad rules
+# ---------------------------------------------------------------------------
 
-    ``eta`` must be at least one ulp (``2**-53``); the default leaves an 8x
-    safety margin.  A policy is fixed for the lifetime of a computation: all
-    operations of one solve must use the same policy object.
+
+def _up(x, n, out=None):
+    """``x (1 + n ETA)``: an upper bound of a nonnegative ``x`` computed in ``n`` roundings."""
+    return np.multiply(x, 1.0 + n * ETA, out=out)
+
+
+def _down(x, n, out=None):
+    """``x (1 - n ETA)``: a lower bound of a nonnegative ``x`` computed in ``n`` roundings."""
+    return np.multiply(x, 1.0 - n * ETA, out=out)
+
+
+def _slack(x, n, out=None):
+    """``n ETA x``: the rounding error of ``n`` roundings of a result of magnitude ``x``."""
+    return np.multiply(x, n * ETA, out=out)
+
+
+def _pad_rad(rad, amag, n=2, out=None):
+    """``rad (1 + n ETA) + n ETA amag``: the radius of a result of magnitude ``amag``.
+
+    ``rad`` is the sum of the radius terms; with ``n = 2`` this is the
+    radius of the rounded sum or difference of two disks.  ``amag`` is
+    scratch: the rule scales it in place.
     """
-
-    eta: float = 2.0**-50
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.eta) or self.eta < 2.0**-53:
-            raise ValueError("eta must be finite and at least 2**-53")
+    _slack(amag, n, out=amag)
+    out = _up(rad, n, out=out)
+    out += amag
+    return out
 
 
-DEFAULT_POLICY = RoundingPolicy()
+def _dot_ops(k: int) -> int:
+    """``2k + 8``: the rounding count of a length-``k`` inner product, complex ones included."""
+    return 2 * k + 8
 
 
-def _pol(policy: RoundingPolicy | None) -> RoundingPolicy:
-    return DEFAULT_POLICY if policy is None else policy
+def _quot_rad(rad, adiv):
+    """``rad / (adiv (1 - 2 ETA)) (1 + 2 ETA)``: a radius over exact divisors of size ``adiv``.
+
+    ``adiv`` is scratch: the rule scales it in place.
+    """
+    q = rad / _down(adiv, 2, out=adiv)
+    return _up(q, 2, out=q)
+
+
+def _mag(amid, rad, out=None):
+    """``(|mid| + rad)(1 + 3 ETA)``: an upper bound of the magnitude of disks ``<mid, rad>``."""
+    out = np.add(amid, rad, out=out)
+    return _up(out, 3, out=out)
+
+
+def _reach(inner: "IMatrix", outer: "IMatrix") -> np.ndarray:
+    """``(|mid inner - mid outer| + rad inner)(1 + 4 ETA)``: how far ``inner`` reaches."""
+    r = np.abs(inner.mid - outer.mid)
+    r += inner.rad
+    return _up(r, 4, out=r)
+
+
+def _rect_half(amid: np.ndarray, rad: np.ndarray, out=None) -> np.ndarray:
+    """``rad + (ETA (|mid| + rad) + ETA rad)``: the half side of the bounding square of a disk."""
+    r = np.add(amid, rad, out=out)
+    r *= ETA
+    r += ETA * rad
+    r += rad
+    return r
+
+
+def _corner_mag(corners: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Magnitude bound of rectangles of corners ``(lo, hi)`` or ``(lo.re, lo.im, hi.re, hi.im)``."""
+    a = [np.abs(x) for x in corners]
+    if len(a) == 2:
+        out = np.maximum(*a, out=a[0])
+        return _up(out, 1, out=out)
+    mre = np.maximum(a[0], a[2], out=a[0])
+    mim = np.maximum(a[1], a[3], out=a[1])
+    out = np.hypot(mre, mim, out=a[2])
+    return _up(out, 3, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +238,8 @@ class IMatrix:
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def from_infsup(cls, lo, hi, policy: RoundingPolicy | None = None) -> "IMatrix":
+    def from_infsup(cls, lo, hi) -> "IMatrix":
         """Outward conversion of a real inf-sup pair to midpoint-radius form."""
-        eta = _pol(policy).eta
         lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
         hi = np.atleast_2d(np.asarray(hi, dtype=np.float64))
         if lo.shape != hi.shape:
@@ -178,15 +247,13 @@ class IMatrix:
         if (lo > hi).any():
             raise ValueError("inf endpoint exceeds sup endpoint")
         mid = 0.5 * (lo + hi)
-        half = np.maximum(hi - mid, mid - lo)
-        rad = half * (1.0 + 2.0 * eta) + 2.0 * eta * np.abs(mid)
-        return cls(mid, rad)
+        return cls(mid, _pad_rad(np.maximum(hi - mid, mid - lo), np.abs(mid)))
 
     # -- entrywise views ----------------------------------------------------
-    def mag(self, policy: RoundingPolicy | None = None) -> np.ndarray:
+    def mag(self) -> np.ndarray:
         """Entrywise upper bound of ``|mid| + rad``."""
-        eta = _pol(policy).eta
-        return (np.abs(self.mid) + self.rad) * (1.0 + 3.0 * eta)
+        amid = np.abs(self.mid)
+        return _mag(amid, self.rad, out=amid)
 
     def widths(self) -> np.ndarray:
         return 2.0 * self.rad
@@ -205,11 +272,9 @@ class IMatrix:
         inside = np.abs(x - self.mid) <= self.rad
         return bool(inside.all()) if x.ndim == 2 else inside.all(axis=(1, 2))
 
-    def contains(self, other: "IMatrix", policy: RoundingPolicy | None = None) -> bool:
+    def contains(self, other: "IMatrix") -> bool:
         """Entrywise disk containment ``other subset self`` (conservative)."""
-        other = as_imatrix(other)
-        lhs = (np.abs(other.mid - self.mid) + other.rad) * (1.0 + 4.0 * _pol(policy).eta)
-        return bool((lhs <= self.rad).all())
+        return bool((_reach(as_imatrix(other), self) <= self.rad).all())
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other) -> "IMatrix":
@@ -235,13 +300,12 @@ def as_imatrix(x) -> IMatrix:
     return IMatrix(x)
 
 
-def _im_add(x: IMatrix, y: IMatrix, sign: float, policy: RoundingPolicy | None = None) -> IMatrix:
+def _im_add(x: IMatrix, y: IMatrix, sign: float) -> IMatrix:
     if x.shape != y.shape:
         raise ValueError("dimension mismatch")
-    eta = _pol(policy).eta
     mid = x.mid + sign * y.mid
-    rad = (x.rad + y.rad) * (1.0 + 2.0 * eta) + 2.0 * eta * np.abs(mid)
-    return IMatrix._from_kernel(mid, rad)
+    rad = x.rad + y.rad
+    return IMatrix._from_kernel(mid, _pad_rad(rad, np.abs(mid), out=rad))
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray | None:
@@ -270,27 +334,27 @@ def _dot(a: np.ndarray, b: np.ndarray, da: np.ndarray | None, db: np.ndarray | N
     return a @ b
 
 
-def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
+def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
     """Interval matrix product in midpoint-radius form with outward slack.
 
     The midpoint is the floating product of midpoints; the radius is
 
-        (|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + nops eta),   nops = 2k + 8,
+        (|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + nops ETA),   nops = 2k + 8,
 
-    Rump's midpoint-radius form with the pad ``nops eta |Xm| |Ym|`` of the
-    four-product form ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + nops eta) +
-    nops eta |Xm| |Ym|`` folded into the first product (see module
-    docstring).  ``c`` is ``nops eta / (1 + nops eta)`` rounded up, so
-    ``c (1 + nops eta) >= nops eta``: the pad still dominates every floating
+    Rump's midpoint-radius form with the pad ``nops ETA |Xm| |Ym|`` of the
+    four-product form ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + nops ETA) +
+    nops ETA |Xm| |Ym|`` folded into the first product (see module
+    docstring).  ``c`` is ``nops ETA / (1 + nops ETA)`` rounded up, so
+    ``c (1 + nops ETA) >= nops ETA``: the pad still dominates every floating
     error on the length-``k`` accumulation paths, and the count's margin
     covers the rounding of the radius's own sums and products.  ``c``
     exceeds the exact quotient by less than two ulps, so no radius is wider
-    than the four-product one by more than rounding; folding ``nops eta``
-    itself under the scale would add ``(nops eta)^2 |Xm| |Ym|``.  When a
+    than the four-product one by more than rounding; folding ``nops ETA``
+    itself under the scale would add ``(nops ETA)^2 |Xm| |Ym|``.  When a
     nonzero entry of ``c |Ym|`` falls below the normal range, where it keeps
     too few bits (a subnormal ``|Ym|`` entry, say, beside a large ``|Xm|``
     whose product with it is normal), the pad is the four-product form's
-    own product ``nops eta |Xm| |Ym|``, added after the scale.
+    own product ``nops ETA |Xm| |Ym|``, added after the scale.
 
     The products with a zero radius are exactly zero and are skipped, so a
     point ``x`` takes the midpoint product and one radius product, an
@@ -311,10 +375,10 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
     k = x.mid.shape[-1]
     if k != y.mid.shape[-2]:
         raise ValueError("dimension mismatch")
-    pad = (2 * k + 8) * _pol(policy).eta
-    scale = 1.0 + pad
-    # the quotient of the stored floats rounded up: c * scale >= pad holds exactly
-    c = math.nextafter(pad / scale, math.inf)
+    nops = _dot_ops(k)
+    pad = nops * ETA
+    # the quotient of the stored floats rounded up: c (1 + pad) >= pad holds exactly
+    c = math.nextafter(pad / (1.0 + pad), math.inf)
     dx, dy = _diagonal(x.mid), _diagonal(y.mid)
     mid = _dot(x.mid, y.mid, dx, dy)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -338,47 +402,44 @@ def im_matmul(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> I
         rad = _dot(ax, ypad, adx, ypad.diagonal() if ydiag else None)
     if x_rad:
         rad += _dot(x.rad, ay + y.rad if y_rad else ay, None, ay.diagonal() if ydiag else None)
-    rad *= scale
+    _up(rad, nops, out=rad)
     if split:
-        rad += pad * _dot(ax, ay, adx, None if dy is None else ay.diagonal())
+        rad += _slack(_dot(ax, ay, adx, None if dy is None else ay.diagonal()), nops)
     return IMatrix._from_kernel(mid, rad)
 
 
-def posmm(a: np.ndarray, b: np.ndarray, policy: RoundingPolicy | None = None) -> np.ndarray:
+def posmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Upper bound of the product of entrywise nonnegative point matrices.
 
     An exactly diagonal factor is applied by a broadcast under the same pad.
     """
-    eta = _pol(policy).eta
     k = a.shape[1] if a.ndim == 2 else a.shape[0]
-    return _dot(a, b, _diagonal(a), _diagonal(b)) * (1.0 + (2 * k + 8) * eta)
+    p = _dot(a, b, _diagonal(a), _diagonal(b))
+    return _up(p, _dot_ops(k), out=p)
 
 
-def iv_recip_arrays(
-    mid: np.ndarray, rad: np.ndarray, policy: RoundingPolicy | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def iv_recip_arrays(mid: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise disk reciprocal ``1 / <mid, rad>`` on arrays.
 
     The exact image of a zero-free disk is the disk
     ``<conj(c) / (|c|^2 - r^2), r / (|c|^2 - r^2)>``.  The denominator is
     computed as a certified lower bound ``den <= |c|^2 - r^2``; using it in
     both quotients enlarges the radius by at least as much as it displaces
-    the midpoint (up to an ``eta |c| / den`` term, which the final pad
+    the midpoint (up to an ``ETA |c| / den`` term, which the final pad
     covers), so the returned disk encloses the reciprocal of every point of
     every input disk.  Raises ``ZeroDivisionError`` when a disk may touch
     zero.
     """
-    eta = _pol(policy).eta
     mid = np.asarray(mid)
     rad = np.asarray(rad, dtype=np.float64)
     absm = np.abs(mid)
-    if (absm * (1.0 - 2.0 * eta) <= rad).any():
+    if (_down(absm, 2) <= rad).any():
         raise ZeroDivisionError("interval division by zero")
-    den = (absm * absm * (1.0 - 8.0 * eta) - rad * rad * (1.0 + 4.0 * eta)) * (1.0 - 4.0 * eta)
+    den = _down(_down(absm * absm, 8) - _up(rad * rad, 4), 4)
     if (den <= 0.0).any():
         raise ZeroDivisionError("interval division by zero")
     rmid = np.conj(mid) / den
-    rrad = (rad / den) * (1.0 + 8.0 * eta) + 40.0 * eta * np.abs(rmid)
+    rrad = _up(rad / den, 8) + _slack(np.abs(rmid), 40)
     return rmid, rrad
 
 
@@ -391,25 +452,25 @@ class _Denominators(NamedTuple):
     rec_rad: np.ndarray
 
 
-def _denominators(a, b, c, d, policy: RoundingPolicy) -> _Denominators:
+def _denominators(a, b, c, d) -> _Denominators:
     """Screened disk denominators ``a_i b_j + c_i d_j`` of four stored diagonals.
 
     The radii cover the floating formation error, so the exact products of
     the stored diagonals are certainly enclosed.
     """
-    eta = policy.eta
     mid = np.outer(a, b) + np.outer(c, d)
-    rad = 6.0 * eta * (np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d)))
+    rad = np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d))
+    _slack(rad, 6, out=rad)
     lo = np.abs(mid) - rad
     if mid.size == 0 or lo.min() <= SINGULAR_REL * np.abs(mid).max():
         raise SingularPreconditionerError("singular preconditioner entry")
     try:
-        return _Denominators(mid, rad, *iv_recip_arrays(mid, rad, policy))
+        return _Denominators(mid, rad, *iv_recip_arrays(mid, rad))
     except ZeroDivisionError:
         raise SingularPreconditionerError("singular preconditioner entry") from None
 
 
-def hadamard_div_point(y: IMatrix, s: np.ndarray, policy: RoundingPolicy | None = None) -> IMatrix:
+def hadamard_div_point(y: IMatrix, s: np.ndarray) -> IMatrix:
     """Entrywise division of an interval matrix by an exact point matrix.
 
     The divisor entries are taken as exactly the stored floats.  Entries whose
@@ -420,18 +481,18 @@ def hadamard_div_point(y: IMatrix, s: np.ndarray, policy: RoundingPolicy | None 
     s = np.atleast_2d(np.asarray(s))
     if s.shape != y.shape:
         raise ValueError("dimension mismatch")
-    eta = _pol(policy).eta
     abss = np.abs(s)
     smax = abss.max() if abss.size else 0.0
     if smax == 0.0 or (abss < SINGULAR_REL * smax).any():
         raise SingularPreconditionerError("singular preconditioner entry")
     mid = y.mid / s
-    abss_lo = abss * (1.0 - 2.0 * eta)
-    rad = (y.rad / abss_lo) * (1.0 + 2.0 * eta) + 6.0 * eta * np.abs(mid)
+    rad = _quot_rad(y.rad, abss)
+    amid = np.abs(mid)
+    rad += _slack(amid, 6, out=amid)
     return IMatrix._from_kernel(mid, rad)
 
 
-def in_interior(h: IMatrix, x: IMatrix, policy: RoundingPolicy | None = None) -> bool:
+def in_interior(h: IMatrix, x: IMatrix) -> bool:
     """Certified strict interior test ``h subset int(x)`` entrywise.
 
     True only when ``|h.mid - x.mid| + h.rad < x.rad`` holds with an upward
@@ -440,12 +501,10 @@ def in_interior(h: IMatrix, x: IMatrix, policy: RoundingPolicy | None = None) ->
     h, x = as_imatrix(h), as_imatrix(x)
     if h.shape != x.shape:
         raise ValueError("dimension mismatch")
-    eta = _pol(policy).eta
-    lhs = (np.abs(h.mid - x.mid) + h.rad) * (1.0 + 4.0 * eta)
-    return bool((lhs < x.rad).all())
+    return bool((_reach(h, x) < x.rad).all())
 
 
-def epsilon_inflate(m: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
+def epsilon_inflate(m: IMatrix) -> IMatrix:
     """Zero-midpoint inflation term ``<0, 0.1 * rad(m) + 10 * 2**-52>``."""
     m = as_imatrix(m)
     rad = 0.1 * m.rad + 10.0 * EPS_MACH
@@ -511,11 +570,10 @@ class Rect:
         return 0.5 * np.abs(self.hi - self.lo)
 
 
-def disks_to_rect(m: IMatrix, policy: RoundingPolicy | None = None) -> Rect:
+def disks_to_rect(m: IMatrix) -> Rect:
     """Outward bounding rectangles of the disks of ``m``."""
-    eta = _pol(policy).eta
-    pad = eta * (np.abs(m.mid) + m.rad) + eta * m.rad
-    r = m.rad + pad
+    amid = np.abs(m.mid)
+    r = _rect_half(amid, m.rad, out=amid)
     if m.is_real:
         return Rect(m.mid - r, m.mid + r)
     lo = (m.mid.real - r) + 1j * (m.mid.imag - r)
@@ -523,26 +581,19 @@ def disks_to_rect(m: IMatrix, policy: RoundingPolicy | None = None) -> Rect:
     return Rect(lo, hi)
 
 
-def rect_to_disks(r: Rect, policy: RoundingPolicy | None = None) -> IMatrix:
+def rect_to_disks(r: Rect) -> IMatrix:
     """Outward circumscribed disks of the rectangles of ``r``."""
-    eta = _pol(policy).eta
     mid = 0.5 * (r.lo + r.hi)
     if r.is_real:
-        half = np.maximum(r.hi - mid, mid - r.lo)
-        rad = half * (1.0 + 2.0 * eta) + 2.0 * eta * np.abs(mid)
-        return IMatrix(mid, rad)
+        return IMatrix(mid, _pad_rad(np.maximum(r.hi - mid, mid - r.lo), np.abs(mid)))
     dre = np.maximum(r.hi.real - mid.real, mid.real - r.lo.real)
     dim = np.maximum(r.hi.imag - mid.imag, mid.imag - r.lo.imag)
-    rad = np.hypot(dre, dim) * (1.0 + 4.0 * eta) + 4.0 * eta * np.abs(mid)
-    return IMatrix(mid, rad)
+    rad = np.hypot(dre, dim)
+    return IMatrix(mid, _pad_rad(rad, np.abs(mid), 4, out=rad))
 
 
-def rect_mag(r: Rect, policy: RoundingPolicy | None = None) -> np.ndarray:
+def rect_mag(r: Rect) -> np.ndarray:
     """Entrywise upper bound of ``max{|z| : z in rectangle}``."""
-    eta = _pol(policy).eta
     if r.is_real:
-        m = np.maximum(np.abs(r.lo), np.abs(r.hi))
-        return m * (1.0 + eta)
-    mre = np.maximum(np.abs(r.lo.real), np.abs(r.hi.real))
-    mim = np.maximum(np.abs(r.lo.imag), np.abs(r.hi.imag))
-    return np.hypot(mre, mim) * (1.0 + 3.0 * eta)
+        return _corner_mag((r.lo, r.hi))
+    return _corner_mag((r.lo.real, r.lo.imag, r.hi.real, r.hi.imag))

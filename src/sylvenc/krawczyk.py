@@ -59,10 +59,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .intervals import (
-    DEFAULT_POLICY,
     IMatrix,
-    RoundingPolicy,
-    _pol,
+    _dot_ops,
+    _quot_rad,
+    _up,
     as_imatrix,
     epsilon_inflate,
     hadamard_div_point,
@@ -119,19 +119,17 @@ def residual(
     Cp: IMatrix,
     Dp: IMatrix,
     xtilde: np.ndarray,
-    policy: RoundingPolicy,
 ) -> IMatrix:
     """Enclosure of ``Fp - (Ap Xtilde) Bp - (Cp Xtilde) Dp`` over all members."""
     xt = as_imatrix(xtilde)
-    t1 = im_matmul(im_matmul(Ap, xt, policy), Bp, policy)
-    t2 = im_matmul(im_matmul(Cp, xt, policy), Dp, policy)
+    t1 = im_matmul(im_matmul(Ap, xt), Bp)
+    t2 = im_matmul(im_matmul(Cp, xt), Dp)
     return Fp - t1 - t2
 
 
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     """Enclosure of the scaled residual of ``xtilde`` over all members."""
-    pol = ps.policy
-    return hadamard_div_point(residual(ps.Fp, ps.Ap, ps.Bp, ps.Cp, ps.Dp, xtilde, pol), ps.S, pol)
+    return hadamard_div_point(residual(ps.Fp, ps.Ap, ps.Bp, ps.Cp, ps.Dp, xtilde), ps.S)
 
 
 class _Pair(NamedTuple):
@@ -154,42 +152,39 @@ def _pairs(ps: PrecondSystem) -> tuple[_Pair, _Pair]:
     )
 
 
-def _pair_bound(pair: _Pair, w: np.ndarray, policy: RoundingPolicy) -> np.ndarray:
+def _pair_bound(pair: _Pair, w: np.ndarray) -> np.ndarray:
     """Upper bound of ``rad(a) W |mid b| + Mag(a) W rad(b)`` for diagonal ``mid a``, ``mid b``.
 
     With ``P = rad(a) W`` and ``Mag(a) W = |diag mid a| o W + P``, the pair
     costs two real products; ``|mid b|`` is a column scaling under the pad of
     the product it replaces.
     """
-    eta = policy.eta
-    p = posmm(pair.arad, w, policy)
+    p = posmm(pair.arad, w)
     mag_w = pair.ad[:, None] * w
     mag_w += p
-    mag_w *= 1.0 + 4.0 * eta
+    _up(mag_w, 4, out=mag_w)
     out = p * pair.bd
-    out *= 1.0 + (2 * p.shape[1] + 8) * eta
-    out += posmm(mag_w, pair.brad, policy)
+    _up(out, _dot_ops(p.shape[1]), out=out)
+    out += posmm(mag_w, pair.brad)
     return out
 
 
 def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
     """Zero-midpoint contraction bound for a symmetric box of radii ``xrad``."""
-    pol = ps.policy
-    eta = pol.eta
     xrad = np.asarray(xrad, dtype=np.float64)
     if xrad.shape != ps.S.shape or (xrad < 0).any():
         raise ValueError("xrad must be a nonnegative m x n array")
     ab, cd = _pairs(ps)
-    w = (_pair_bound(ab, xrad, pol) + _pair_bound(cd, xrad, pol)) * (1.0 + 4.0 * eta)
-    abs_s = np.abs(ps.S) * (1.0 - 2.0 * eta)
-    rad = (w / abs_s) * (1.0 + 2.0 * eta)
+    w = _pair_bound(ab, xrad) + _pair_bound(cd, xrad)
+    rad = _quot_rad(_up(w, 4, out=w), np.abs(ps.S))
     if ps.sdefect is not None:
-        rad = rad + ps.sdefect * xrad * (1.0 + 4.0 * eta)
+        t = ps.sdefect * xrad
+        rad += _up(t, 4, out=t)
     mid = np.zeros(ps.S.shape, dtype=ps.Fp.mid.dtype)
     return IMatrix(mid, rad)
 
 
-def verification_loop(M: IMatrix, n_of, kmax: int, policy: RoundingPolicy | None = None):
+def verification_loop(M: IMatrix, n_of, kmax: int):
     """Epsilon-inflation loop shared by the diagonal, block and dense solvers.
 
     ``n_of`` maps a nonnegative radius array to the zero-midpoint contraction
@@ -210,18 +205,18 @@ def verification_loop(M: IMatrix, n_of, kmax: int, policy: RoundingPolicy | None
     radius below ``1 / (1 - eps)``; with ``delta = 2**-10`` far above
     ``2 eps`` both cannot hold.
     """
-    pol = _pol(policy)
-    eta = pol.eta
-    e_rad = epsilon_inflate(M, pol).rad
+    e_rad = epsilon_inflate(M).rad
     H = M
     X = None
     k = 0
     for k in range(1, max(kmax, 1) + 1):
-        xrad = (H.mag(pol) + e_rad) * (1.0 + 2.0 * eta)
+        xrad = H.mag()
+        xrad += e_rad
+        _up(xrad, 2, out=xrad)
         X = IMatrix(np.zeros(M.shape, dtype=M.mid.dtype), xrad)
         N = n_of(xrad)
         H = M + N
-        if in_interior(H, X, pol):
+        if in_interior(H, X):
             return True, X, H, k
         if (N.rad / xrad).min() >= _NOT_CONTRACTING:
             break
@@ -232,15 +227,13 @@ def back_transform(
     U: np.ndarray,
     inner: IMatrix,
     vinv_box: IMatrix,
-    policy: RoundingPolicy | None = None,
 ) -> IMatrix:
     """Enclosure of ``U * inner * V^-1`` with the certified inverse box.
 
     Two midpoint products and three real radius products: one for the point
     ``U``, two for the interval ``V^-1``.
     """
-    pol = _pol(policy)
-    return im_matmul(im_matmul(as_imatrix(U), inner, pol), vinv_box, pol)
+    return im_matmul(im_matmul(as_imatrix(U), inner), vinv_box)
 
 
 def verify(
@@ -250,7 +243,6 @@ def verify(
     n_of,
     back,
     kmax: int,
-    policy: RoundingPolicy,
     **fields,
 ) -> Enclosure:
     """Run :func:`verification_loop` on ``M`` and ``n_of`` and build the result.
@@ -259,7 +251,7 @@ def verify(
     ``back``; ``fields`` are the solver's own :class:`Enclosure` fields
     (``U``, ``Vinv``, ``precond``, ``blockform``).
     """
-    verified, X, H, iters = verification_loop(M, n_of, kmax, policy)
+    verified, X, H, iters = verification_loop(M, n_of, kmax)
     return Enclosure(
         Xtilde=xtilde,
         Xbox=X,
@@ -276,24 +268,21 @@ def verify(
 def mkw_solve(
     sys: SylvesterSystem,
     kmax: int = KMAX_DEFAULT,
-    policy: RoundingPolicy | None = None,
 ) -> Enclosure:
     """Verified enclosure via diagonal preconditioning plus Krawczyk check.
 
     Preconditioning failures (no eigenbasis, singular denominators) raise;
     a failed verification is a regular result with ``verified=False``.
     """
-    pol = _pol(policy)
-    ps = transform_enclose(sys, pol)
+    ps = transform_enclose(sys)
     xtilde = ps.Fp.mid / ps.S
     return verify(
         "mkw",
         xtilde,
         compute_M(ps, xtilde),
         lambda r: compute_N(ps, r),
-        lambda Z: back_transform(ps.U, Z, ps.vinv_box, pol),
+        lambda Z: back_transform(ps.U, Z, ps.vinv_box),
         kmax,
-        pol,
         U=ps.U,
         Vinv=ps.vinv_box.mid,
         precond=ps,

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigenDecompositionError, SingularMatrixError, SizeCapError
-from .intervals import IMatrix, RoundingPolicy, _pol, as_imatrix, im_matmul
+from .intervals import IMatrix, _pad_rad, _up, as_imatrix, im_matmul
 
 __all__ = [
     "lu_solve",
@@ -120,7 +120,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kron2(a, b)
 
 
-def ikron(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatrix:
+def ikron(x: IMatrix, y: IMatrix) -> IMatrix:
     """Interval Kronecker product, entrywise disk multiplication.
 
     The radius is ``|Xm| kron Yr + Xr kron |Ym| + Xr kron Yr`` under a pad;
@@ -131,7 +131,6 @@ def ikron(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatr
     x, y = as_imatrix(x), as_imatrix(y)
     mid_bytes = np.result_type(x.mid, y.mid).itemsize
     _check_kron_bytes(x.shape, y.shape, mid_bytes + 8)
-    eta = _pol(policy).eta
     mid = _kron2(x.mid, y.mid)
     x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
     # in place: every array here is a fresh result, and the sums round as before
@@ -145,9 +144,7 @@ def ikron(x: IMatrix, y: IMatrix, policy: RoundingPolicy | None = None) -> IMatr
         rad = _kron2(x.rad, np.abs(y.mid))
     else:
         rad = np.zeros(mid.shape)
-    rad *= 1.0 + 6.0 * eta
-    rad += 6.0 * eta * np.abs(mid)
-    return IMatrix._from_kernel(mid, rad)
+    return IMatrix._from_kernel(mid, _pad_rad(rad, np.abs(mid), 6, out=rad))
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -173,9 +170,7 @@ def iunvec(x: IMatrix, m: int, n: int) -> IMatrix:
     return IMatrix(unvec(x.mid.ravel(), m, n), unvec(x.rad.ravel(), m, n))
 
 
-def inverse_enclosure(
-    a: np.ndarray, policy: RoundingPolicy | None = None, r0: np.ndarray | None = None
-) -> IMatrix:
+def inverse_enclosure(a: np.ndarray, r0: np.ndarray | None = None) -> IMatrix:
     """Rigorous interval enclosure of the exact inverse of a point matrix.
 
     With ``R0`` the LU-based approximate inverse and ``G = I - R0 a`` bounded
@@ -189,15 +184,14 @@ def inverse_enclosure(
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("dimension mismatch")
-    eta = _pol(policy).eta
     if r0 is None:
         r0 = lu_solve(a, np.eye(n, dtype=a.dtype))
-    g = im_matmul(IMatrix(r0), IMatrix(a), policy=policy)
+    g = im_matmul(IMatrix(r0), IMatrix(a))
     gmag = np.abs(np.eye(n) - g.mid) + g.rad
-    rho = float(gmag.sum(axis=1).max()) * (1.0 + (n + 2) * eta)
+    rho = _up(float(gmag.sum(axis=1).max()), n + 2)
     if not rho < 1.0:
         raise SingularMatrixError("singular matrix: inverse certificate failed")
     colmax = np.abs(r0).max(axis=0)
-    tail = (rho / (1.0 - rho)) * (1.0 + 6.0 * eta)
-    delta = np.broadcast_to(colmax * tail, (n, n)).copy() * (1.0 + 2.0 * eta)
+    tail = _up(rho / (1.0 - rho), 6)
+    delta = _up(np.broadcast_to(colmax * tail, (n, n)), 2)
     return IMatrix(r0, delta)

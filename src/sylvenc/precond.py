@@ -37,12 +37,12 @@ import numpy as np
 
 from .errors import EigenDecompositionError, SingularMatrixError, SingularPreconditionerError
 from .intervals import (
-    DEFAULT_POLICY,
     IMatrix,
-    RoundingPolicy,
     SINGULAR_REL,
     _diagonal,
-    _pol,
+    _quot_rad,
+    _slack,
+    _up,
     as_imatrix,
     im_matmul,
 )
@@ -183,7 +183,6 @@ class PrecondSystem:
     uinv_box: IMatrix | None = None
     vinv_box: IMatrix | None = None
     sdefect: np.ndarray | None = None
-    policy: RoundingPolicy = DEFAULT_POLICY
 
     @property
     def m(self) -> int:
@@ -194,27 +193,25 @@ class PrecondSystem:
         return self.Bp.rows
 
 
-def _sandwich(left_box: IMatrix, mid: IMatrix, right: np.ndarray, policy) -> IMatrix:
+def _sandwich(left_box: IMatrix, mid: IMatrix, right: np.ndarray) -> IMatrix:
     """Enclosure of ``left * M * right`` for exact ``left`` in its box.
 
     Each of the two interval products takes a midpoint product and two real
     radius products.
     """
-    return im_matmul(im_matmul(left_box, mid, policy), as_imatrix(right), policy)
+    return im_matmul(im_matmul(left_box, mid), as_imatrix(right))
 
 
-def _project_pattern(x: IMatrix, mask: np.ndarray, policy: RoundingPolicy) -> IMatrix:
+def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
     """Move the midpoint mass of ``x`` off the pattern ``mask`` into its radii.
 
     The radius sum ``rad + |off|`` is padded, so off-pattern mass far below an
     ulp of the radius still widens it.  mkw projects on the diagonal, blk on
     its block pattern.
     """
-    eta = policy.eta
     off = np.where(mask, 0.0, x.mid)
     mid = np.where(mask, x.mid, 0.0)
-    rad = (x.rad + np.abs(off)) * (1.0 + 2.0 * eta)
-    return IMatrix(mid, rad)
+    return IMatrix(mid, _up(x.rad + np.abs(off), 2))
 
 
 def _pick_side(first: np.ndarray, second: np.ndarray, eig_of) -> tuple[EigResult, bool]:
@@ -254,7 +251,7 @@ class _Side(NamedTuple):
     mass: tuple[float, float]
 
 
-def _conjugate(pair: tuple[IMatrix, IMatrix], eig: EigResult, swapped: bool, policy) -> _Side:
+def _conjugate(pair: tuple[IMatrix, IMatrix], eig: EigResult, swapped: bool) -> _Side:
     """Both members of ``pair`` in the basis of the donor ``pair[swapped]``.
 
     The donor's diagonal is its eigenvalues; the other member's diagonal and
@@ -262,12 +259,12 @@ def _conjugate(pair: tuple[IMatrix, IMatrix], eig: EigResult, swapped: bool, pol
     ``(Uinv @ mid) @ U``, the products the scoring forms.
     """
     U, Uinv, donor = eig.vectors, eig.inv_vectors, int(swapped)
-    inv_box = inverse_enclosure(U, policy, r0=Uinv)
-    raw = tuple(_sandwich(inv_box, x, U, policy) for x in pair)
+    inv_box = inverse_enclosure(U, r0=Uinv)
+    raw = tuple(_sandwich(inv_box, x, U) for x in pair)
     d = tuple(eig.values if i == donor else np.diag(r.mid).copy() for i, r in enumerate(raw))
     mass = tuple(_offdiag_rel(r.mid, x.mid) for r, x in zip(raw, pair))
     diagonal = np.eye(U.shape[0], dtype=bool)
-    conj = tuple(_project_pattern(r, diagonal, policy) for r in raw)
+    conj = tuple(_project_pattern(r, diagonal) for r in raw)
     return _Side(U, Uinv, inv_box, donor, conj, d, mass)
 
 
@@ -280,7 +277,7 @@ def _pair_kind(first: np.ndarray, second: np.ndarray) -> str:
     return "general"
 
 
-def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of, policy) -> _Side:
+def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of) -> _Side:
     """The transformed side of ``pair``, with the donor the scoring would choose.
 
     Equal midpoints score equal candidates, so the first member donates.  A
@@ -300,47 +297,44 @@ def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of, policy) -> _Side:
             eig = eig_of(first)
         except SingularMatrixError as exc:
             raise EigenDecompositionError("eigendecomposition failed") from exc
-        return _conjugate(pair, eig, False, policy)
+        return _conjugate(pair, eig, False)
     if kind == "general":
-        return _conjugate(pair, *_pick_side(first, second, eig_of), policy)
+        return _conjugate(pair, *_pick_side(first, second, eig_of))
     s = 0 if _scalar(first) else 1
     other = pair[1 - s].mid
     try:
-        side = _conjugate(pair, eig_of(other), s == 0, policy)
+        side = _conjugate(pair, eig_of(other), s == 0)
     except (EigenDecompositionError, SingularMatrixError):
         # no eigenbasis, or no certified inverse of it: score both bases by
         # their point products, which raises the certificate's error again
         # exactly when that basis wins
-        return _conjugate(pair, *_pick_side(first, second, eig_of), policy)
+        return _conjugate(pair, *_pick_side(first, second, eig_of))
     # as in the scoring, a tie goes to the first member's basis
     scalar_score = _offdiag_rel(other, other)
     if max(side.mass) < scalar_score or (max(side.mass) == scalar_score and s == 1):
         return side
-    return _conjugate(pair, eig_of(pair[s].mid), s == 1, policy)
+    return _conjugate(pair, eig_of(pair[s].mid), s == 1)
 
 
-def _diag_defect(a, b, c, d, S, policy) -> np.ndarray:
+def _diag_defect(a, b, c, d, S) -> np.ndarray:
     """Upper bound of ``|1 - (a_i b_j + c_i d_j) / S_ij|`` for stored floats."""
-    eta = _pol(policy).eta
     t_mid = np.outer(a, b) + np.outer(c, d)
     t_mag = np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d))
-    t_rad = 12.0 * eta * t_mag
-    absS = np.abs(S) * (1.0 - 2.0 * eta)
     q_mid = t_mid / S
-    q_rad = (t_rad / absS) * (1.0 + 2.0 * eta) + 6.0 * eta * np.abs(q_mid)
-    return (np.abs(1.0 - q_mid) + q_rad) * (1.0 + 4.0 * eta)
+    q_rad = _quot_rad(_slack(t_mag, 12), np.abs(S))
+    q_rad += _slack(np.abs(q_mid), 6)
+    return _up(np.abs(1.0 - q_mid) + q_rad, 4)
 
 
-def transform_enclose(sys: SylvesterSystem, policy: RoundingPolicy | None = None) -> PrecondSystem:
+def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
     """Build the diagonalized interval system for ``sys``.
 
     Raises the underlying eigendecomposition/singularity errors when no usable
     basis exists; large non-commutativity only widens radii and warns.
     """
-    pol = _pol(policy)
     eig_of = _eig_memo()
-    left = _transform_side((sys.A, sys.C), eig_of, pol)
-    right = _transform_side((sys.B, sys.D), eig_of, pol)
+    left = _transform_side((sys.A, sys.C), eig_of)
+    right = _transform_side((sys.B, sys.D), eig_of)
     for side in (left, right):
         other_mass = side.mass[1 - side.donor]
         if other_mass > OFFDIAG_WARN:
@@ -351,14 +345,14 @@ def transform_enclose(sys: SylvesterSystem, policy: RoundingPolicy | None = None
             )
     Ap, Cp = left.conj
     Bp, Dp = right.conj
-    Fp = _sandwich(left.inv_box, sys.F, right.U, pol)
+    Fp = _sandwich(left.inv_box, sys.F, right.U)
     dA, dC = left.d
     dB, dD = right.d
     S = build_S(dA, dB, dC, dD)
 
     a, c = np.diag(Ap.mid), np.diag(Cp.mid)
     b, d = np.diag(Bp.mid), np.diag(Dp.mid)
-    sdefect = _diag_defect(a, b, c, d, S, pol)
+    sdefect = _diag_defect(a, b, c, d, S)
 
     mass = {"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]}
 
@@ -368,5 +362,5 @@ def transform_enclose(sys: SylvesterSystem, policy: RoundingPolicy | None = None
         dA=dA, dB=dB, dC=dC, dD=dD, S=S,
         offdiag_mass=mass,
         uinv_box=left.inv_box, vinv_box=right.inv_box,
-        sdefect=sdefect, policy=pol,
+        sdefect=sdefect,
     )

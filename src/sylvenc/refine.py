@@ -36,11 +36,11 @@ everything that does not change between steps once per run: the quotient
 midpoint ``mid Fp * rec_mid`` with its parts and magnitude, ``|mid Fp| *
 rec_rad``, ``|rec_mid|`` and the magnitudes of the midpoint diagonals.  A
 step then computes only T(Y), the quotient radius, the intersection, the
-distance to the previous iterate and the new magnitude ``|Y|``, with the
-operations of ``disks_to_rect``, the exact rectangle meet and ``rect_mag``
-in their order.  The corners are never composed as ``re + 1j * im``, which
-may flip the sign of a zero, so the iterates equal those of the chained
-rectangle form in value, and bit for bit on every nonzero corner.  A
+distance to the previous iterate and the new magnitude ``|Y|``, by the pad
+rules of ``disks_to_rect`` and ``rect_mag`` and the exact rectangle meet.
+The corners are never composed as ``re + 1j * im``, which may flip the sign
+of a zero, so the iterates equal those of the chained rectangle form in
+value, and bit for bit on every nonzero corner.  A
 :class:`Rect` is built only for the caller.
 """
 
@@ -54,10 +54,12 @@ from .errors import InconsistentEnclosureError, IntervalOverflowError, NoInitial
 from .intervals import (
     IMatrix,
     Rect,
-    RoundingPolicy,
+    _corner_mag,
     _Denominators,
     _denominators,
-    _pol,
+    _rect_half,
+    _slack,
+    _up,
     as_imatrix,
     disks_to_rect,
     rect_mag,
@@ -99,8 +101,7 @@ class _Refinement:
     the start rectangle is complex.
     """
 
-    def __init__(self, ps: PrecondSystem, denom: _Denominators, policy: RoundingPolicy):
-        self.pol, self.eta = policy, policy.eta
+    def __init__(self, ps: PrecondSystem, denom: _Denominators):
         self.pairs = _pairs(ps)
         self.frad = ps.Fp.rad
         fmid = ps.Fp.mid
@@ -108,7 +109,7 @@ class _Refinement:
         if not np.isfinite(self.qmid).all():
             raise IntervalOverflowError("interval overflow")
         self.abs_q = np.abs(self.qmid)
-        self.q_pad = 4.0 * self.eta * self.abs_q
+        self.q_pad = _slack(self.abs_q, 4)
         self.f_rr = np.abs(fmid) * denom.rec_rad
         self.abs_rm = np.abs(denom.rec_mid)
         self.rec_rad = denom.rec_rad
@@ -144,16 +145,16 @@ class _Refinement:
         magnitude ``absY``, which is tighter than the magnitude of its
         circumscribed disks.
         """
-        eta, (ab, cd) = self.eta, self.pairs
-        t = _pair_bound(ab, absY, self.pol)
-        t += _pair_bound(cd, absY, self.pol)
+        ab, cd = self.pairs
+        t = _pair_bound(ab, absY)
+        t += _pair_bound(cd, absY)
         t += self.frad
-        t *= 1.0 + 8.0 * eta
+        _up(t, 8, out=t)
         qrad = t * self.abs_rm
         qrad += self.f_rr
         t *= self.rec_rad
         qrad += t
-        qrad *= 1.0 + 5.0 * eta
+        _up(qrad, 5, out=qrad)
         qrad += self.q_pad
         if not np.isfinite(qrad).all():
             raise IntervalOverflowError("interval overflow")
@@ -165,12 +166,7 @@ class _Refinement:
         Raises when the intersection is certainly empty, which proves no
         member solution lies in ``Y``.
         """
-        eta = self.eta
-        qrad = self.radius(absY)
-        r = self.abs_q + qrad
-        r *= eta
-        r += eta * qrad
-        r += qrad
+        r = _rect_half(self.abs_q, self.radius(absY))
         if not self.cplx:
             (q,) = self.qparts
             lo, hi = np.maximum(q - r, Y[0]), np.minimum(q + r, Y[1])
@@ -205,16 +201,7 @@ class _Refinement:
 
     def mag(self, Y: tuple[np.ndarray, ...]) -> np.ndarray:
         """Entrywise upper bound of the magnitude of an iterate, as :func:`rect_mag`."""
-        absY = [np.abs(x) for x in Y]
-        if not self.cplx:
-            out = np.maximum(*absY, out=absY[0])
-            out *= 1.0 + self.eta
-            return out
-        mre = np.maximum(absY[0], absY[2], out=absY[0])
-        mim = np.maximum(absY[1], absY[3], out=absY[1])
-        out = np.hypot(mre, mim, out=absY[2])
-        out *= 1.0 + 3.0 * self.eta
-        return out
+        return _corner_mag(Y)
 
     def rect(self, Y: tuple[np.ndarray, ...]) -> Rect:
         if not self.cplx:
@@ -222,14 +209,13 @@ class _Refinement:
         return Rect(_complex(Y[0], Y[1]), _complex(Y[2], Y[3]))
 
 
-def _diagonal_denominators(ps: PrecondSystem, policy: RoundingPolicy) -> _Denominators:
-    return _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)), policy)
+def _diagonal_denominators(ps: PrecondSystem) -> _Denominators:
+    return _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)))
 
 
 def gamma_step(
     ps: PrecondSystem,
     Y: Rect | IMatrix,
-    policy: RoundingPolicy | None = None,
     denom: _Denominators | None = None,
 ) -> Rect:
     """One residual-division-intersection step on an enclosure candidate.
@@ -238,16 +224,13 @@ def gamma_step(
     ``Y``, always a subset of ``Y``.  Raises when the intersection is
     certainly empty, which proves no member solution lies in ``Y``.
     """
-    pol = _pol(policy)
     if isinstance(Y, IMatrix):
-        Y = disks_to_rect(Y, pol)
-    kern = _Refinement(ps, _diagonal_denominators(ps, pol) if denom is None else denom, pol)
-    return kern.rect(kern.step(kern.start(Y), rect_mag(Y, pol)))
+        Y = disks_to_rect(Y)
+    kern = _Refinement(ps, _diagonal_denominators(ps) if denom is None else denom)
+    return kern.rect(kern.step(kern.start(Y), rect_mag(Y)))
 
 
-def _start(
-    initial: Enclosure, Y0: Rect | IMatrix | None, policy: RoundingPolicy
-) -> tuple[Rect, IMatrix | None]:
+def _start(initial: Enclosure, Y0: Rect | IMatrix | None) -> tuple[Rect, IMatrix | None]:
     """The start rectangle of a refinement and the start disks, when it was given as disks.
 
     An mkw enclosure starts from ``Xtilde + Hbox``, the box mkw itself
@@ -256,13 +239,13 @@ def _start(
     coordinates.
     """
     if isinstance(Y0, IMatrix):
-        return disks_to_rect(Y0, policy), Y0
+        return disks_to_rect(Y0), Y0
     if Y0 is not None:
         return Y0, None
     if initial.method == "itr":
         return initial.gamma.Y, initial.Xbox
     disk = as_imatrix(initial.Xtilde) + initial.Hbox
-    return disks_to_rect(disk, policy), disk
+    return disks_to_rect(disk), disk
 
 
 def itr_solve(
@@ -271,7 +254,6 @@ def itr_solve(
     tol: float = TOL_DEFAULT,
     max_iter: int = MAX_ITER_DEFAULT,
     initial: Enclosure | None = None,
-    policy: RoundingPolicy | None = None,
 ) -> Enclosure:
     """Refined verified enclosure (method id ``itr``).
 
@@ -289,16 +271,15 @@ def itr_solve(
     every entry, its ``evaluated`` is returned instead of back-transforming
     the same disks again.
     """
-    pol = _pol(policy)
     if initial is None:
-        initial = mkw_solve(sys, policy=pol)
+        initial = mkw_solve(sys)
     if initial.precond is None or (Y0 is None and not initial.verified):
         raise NoInitialEnclosureError("no initial enclosure available")
     ps = initial.precond
-    Y, disk = _start(initial, Y0, pol)
-    denom = _diagonal_denominators(ps, pol)
-    kern = _Refinement(ps, denom, pol)
-    parts, absY = kern.start(Y), rect_mag(Y, pol)
+    Y, disk = _start(initial, Y0)
+    denom = _diagonal_denominators(ps)
+    kern = _Refinement(ps, denom)
+    parts, absY = kern.start(Y), rect_mag(Y)
     k = 0
     converged = False
     for k in range(1, max(max_iter, 1) + 1):
@@ -309,7 +290,7 @@ def itr_solve(
             converged = True
             break
     Y = kern.rect(parts)
-    boxed = rect_to_disks(Y, pol)
+    boxed = rect_to_disks(Y)
     qrad = kern.radius(absY)
     pick = qrad < boxed.rad
     # each of the three disks contains every member solution: take the
@@ -325,7 +306,7 @@ def itr_solve(
     if final is disk and Y0 is None:
         evaluated = initial.evaluated
     else:
-        evaluated = back_transform(ps.U, final, ps.vinv_box, pol)
+        evaluated = back_transform(ps.U, final, ps.vinv_box)
     return Enclosure(
         Xtilde=initial.Xtilde,
         Xbox=final,

@@ -48,17 +48,30 @@ def imatrix_to_dict(x: IMatrix) -> dict[str, Any]:
     return d
 
 
+def _parts(re, im) -> np.ndarray:
+    """The array with real part ``re`` and, unless it is None, imaginary part ``im``."""
+    re = np.asarray(re, dtype=np.float64)
+    if im is None:
+        return re
+    im = np.asarray(im, dtype=np.float64)
+    if im.shape != re.shape:
+        raise ValueError("dimension mismatch between real and imaginary parts")
+    return re + 1j * im
+
+
+def _check_declared(shape: tuple[int, ...], d: dict[str, Any]) -> None:
+    """Raise unless ``shape`` is the ``rows`` x ``cols`` that ``d`` declares, where it does."""
+    if len(shape) != 2 or shape != (d.get("rows", shape[0]), d.get("cols", shape[1])):
+        raise ValueError("dimension mismatch between declared and actual shape")
+
+
 def imatrix_from_dict(d: dict[str, Any]) -> IMatrix:
     if "inf" in d or "sup" in d:
-        return IMatrix.from_infsup(np.asarray(d["inf"]), np.asarray(d["sup"]))
-    mid = np.asarray(d["mid_re"], dtype=np.float64)
-    if "mid_im" in d:
-        mid = mid + 1j * np.asarray(d["mid_im"], dtype=np.float64)
-    rad = np.asarray(d.get("rad", np.zeros(mid.shape)), dtype=np.float64)
-    x = IMatrix(mid, rad)
-    shape = (d.get("rows", x.rows), d.get("cols", x.cols))
-    if x.shape != shape:
-        raise ValueError("dimension mismatch between declared and actual shape")
+        x = IMatrix.from_infsup(np.asarray(d["inf"]), np.asarray(d["sup"]))
+    else:
+        mid = _parts(d["mid_re"], d.get("mid_im"))
+        x = IMatrix(mid, np.asarray(d.get("rad", np.zeros(mid.shape)), dtype=np.float64))
+    _check_declared(x.shape, d)
     return x
 
 
@@ -71,9 +84,8 @@ def pmatrix_to_dict(a: np.ndarray) -> dict[str, Any]:
 
 
 def pmatrix_from_dict(d: dict[str, Any]) -> np.ndarray:
-    a = np.asarray(d["re"], dtype=np.float64)
-    if "im" in d:
-        a = a + 1j * np.asarray(d["im"], dtype=np.float64)
+    a = _parts(d["re"], d.get("im"))
+    _check_declared(a.shape, d)
     return a
 
 

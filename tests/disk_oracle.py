@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sylvenc import IntervalOverflowError
-from sylvenc.intervals import DEFAULT_POLICY, RoundingPolicy
+from sylvenc.intervals import ETA
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,13 @@ class Disk:
         return complex(self.mid).imag == 0.0
 
 
-def iv_mul(x: Disk, y: Disk, policy: RoundingPolicy = DEFAULT_POLICY) -> Disk:
+def iv_mul(x: Disk, y: Disk) -> Disk:
     """Disk product ``<xm*ym, |xm|*yr + xr*|ym| + xr*yr>`` with rounding slack."""
-    eta = policy.eta
     mid = x.mid * y.mid
     rad0 = abs(x.mid) * y.rad + x.rad * abs(y.mid) + x.rad * y.rad
     # one inexact midpoint multiply (four for complex), five nonneg ops on rad0
     units = 1 if (x.is_real and y.is_real) else 4
-    rad = rad0 * (1.0 + 5.0 * eta) + units * eta * abs(mid)
+    rad = rad0 * (1.0 + 5.0 * ETA) + units * ETA * abs(mid)
     m = complex(mid)
     if not (np.isfinite(m.real) and np.isfinite(m.imag) and np.isfinite(rad)):
         raise IntervalOverflowError("interval overflow")

@@ -35,6 +35,7 @@ from sylvenc import (
     vec,
 )
 from sylvenc.errors import EnclosureError
+from sylvenc.intervals import ETA
 from sylvenc.krawczyk import compute_M, compute_N
 
 from disk_oracle import Disk, iv_mul
@@ -237,7 +238,7 @@ def test_criterion_03_itr_never_wider_than_mkw(capfd):
             same = it.evaluated.rad.tobytes() == mk.evaluated.rad.tobytes()
             if not same:
                 narrowed += 1
-                eta = ps.policy.eta
+                eta = ETA
                 mag = np.abs(ps.U) @ (np.abs(start.mid) + start.rad) @ (
                     np.abs(ps.vinv_box.mid) + ps.vinv_box.rad
                 )
@@ -339,7 +340,7 @@ def test_criterion_06_inflation_contract(corpus, capfd):
         tag = f"{c.family} m={c.m} alpha={c.alpha:g} seed={c.seed}"
         if not ((H.mid == c.enc.Hbox.mid).all() and (H.rad == c.enc.Hbox.rad).all()):
             bad.append(f"{tag}: recomputed candidate image differs from the stored one")
-        if not in_interior(H, c.enc.Xbox, ps.policy):
+        if not in_interior(H, c.enc.Xbox):
             bad.append(f"{tag}: recomputed image not strictly inside the verified box")
     _report(
         capfd, 6, not bad, f"bit-level interiority recheck on {n_rechecked} verified runs")

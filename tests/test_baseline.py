@@ -475,6 +475,34 @@ class TestResidualMembership:
         with pytest.raises(ValueError):
             residual_membership(sys, stack[:, :, :-1])
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_residual_boxes_are_those_of_the_interval_subtraction(self, cplx):
+        rng = np.random.default_rng(19 + cplx)
+        m, n = 5, 4
+        sys = _interval_system(rng, m, n, cplx=cplx)
+        pts = rng.normal(size=(3, m, n))
+        if cplx:
+            pts = pts + 1j * rng.normal(size=pts.shape)
+
+        def reference(x):
+            xb = IMatrix(x)
+            lefts = (sys.A @ xb @ sys.B, sys.A @ (xb @ sys.B))
+            rights = (sys.C @ xb @ sys.D, sys.C @ (xb @ sys.D))
+            return [sys.F - left - right for left in lefts for right in rights]
+
+        def same(boxes, ref):
+            return len(boxes) == len(ref) and all(
+                np.array_equal(amid, np.abs(r.mid)) and np.array_equal(rad, r.rad)
+                for (amid, rad), r in zip(boxes, ref)
+            )
+
+        for x in pts:
+            assert same(list(baseline._residual_boxes(sys, IMatrix(x))), reference(x))
+        stack = IMatrix._from_kernel(pts, np.zeros(pts.shape))
+        boxes = list(baseline._residual_boxes(sys, stack))
+        for i, x in enumerate(pts):
+            assert same([(amid[i], rad[i]) for amid, rad in boxes], reference(x))
+
     def test_stack_raises_where_a_single_call_raises(self):
         big = IMatrix(np.array([[1e308]]))
         one = IMatrix(np.array([[1.0]]))
@@ -516,8 +544,6 @@ class TestFullKrawczyk:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_contraction_magnitude_is_that_of_the_subtraction(self, dtype):
-        from sylvenc.intervals import DEFAULT_POLICY
-
         rng = np.random.default_rng(13)
         for n in (1, 5, 32):
             mid = rng.normal(size=(n, n))
@@ -526,13 +552,13 @@ class TestFullKrawczyk:
             # a product P near the identity, as R Q is, with exact zeros as well
             mid = np.eye(n) - 1e-3 * mid * (rng.uniform(size=(n, n)) < 0.8)
             p = IMatrix(mid, 1e-9 * np.abs(rng.normal(size=(n, n))))
-            want = (IMatrix(np.eye(n, dtype=dtype)) - p).mag(DEFAULT_POLICY)
-            assert np.array_equal(baseline._eye_minus_mag(p, DEFAULT_POLICY), want)
+            want = (IMatrix(np.eye(n, dtype=dtype)) - p).mag()
+            assert np.array_equal(baseline._eye_minus_mag(p), want)
         # and ver's own product R Q
         ks = build_Q_kron(generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=6)))
         p = im_matmul(IMatrix(ks.R.astype(dtype)), ks.Q)
-        want = (IMatrix(np.eye(16, dtype=dtype)) - p).mag(DEFAULT_POLICY)
-        assert np.array_equal(baseline._eye_minus_mag(p, DEFAULT_POLICY), want)
+        want = (IMatrix(np.eye(16, dtype=dtype)) - p).mag()
+        assert np.array_equal(baseline._eye_minus_mag(p), want)
 
     def test_respects_size_cap(self):
         sys = generate(GenSpec(family="kyc31", m=40, alpha=1e-6, seed=10))

@@ -1,7 +1,9 @@
 """Interval core: arithmetic, outward rounding, soundness oracles."""
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from sylvenc import (
     InconsistentEnclosureError,
     IntervalOverflowError,
     Rect,
-    RoundingPolicy,
     as_imatrix,
     disks_to_rect,
     epsilon_inflate,
@@ -23,7 +24,7 @@ from sylvenc import (
     in_interior,
     rect_to_disks,
 )
-from sylvenc.intervals import iv_recip_arrays, posmm
+from sylvenc.intervals import ETA, iv_recip_arrays, posmm
 
 from disk_oracle import Disk, iv_mul
 from rect_oracle import rect_meet
@@ -104,11 +105,12 @@ class TestIMatrix:
 
     def test_contains_honours_the_rounding_policy(self):
         big = IMatrix(np.zeros((1, 1)), np.ones((1, 1)))
-        # 2**-40 short of the edge: inside under the default pad of 4 * 2**-50,
-        # not certainly inside under a pad of 4 * 2**-30
+        # 2**-40 short of the edge: inside under the pad of 4 * 2**-50
         edge = IMatrix(np.zeros((1, 1)), np.full((1, 1), 1.0 - 2.0**-40))
         assert big.contains(edge)
-        assert not big.contains(edge, RoundingPolicy(eta=2.0**-30))
+        # one ulp short of the edge: within the pad, so not certainly inside
+        edge = IMatrix(np.zeros((1, 1)), np.full((1, 1), 1.0 - 2.0**-52))
+        assert not big.contains(edge)
 
 
 def _exact_interval_dot(xm, xr, ym, yr):
@@ -304,7 +306,7 @@ def test_matmul_isotonicity_fuzz():
         assert prod.contains_point(a @ b)
 
 
-def _generic_matmul(x, y, eta=RoundingPolicy().eta):
+def _generic_matmul(x, y, eta=ETA):
     """The dense three-product interval product, kept as the reference of the fast paths."""
     pad = (2 * x.cols + 8) * eta
     c = math.nextafter(pad / (1.0 + pad), math.inf)
@@ -313,7 +315,7 @@ def _generic_matmul(x, y, eta=RoundingPolicy().eta):
     return x.mid @ y.mid, rad * (1.0 + pad)
 
 
-def _four_product_rad(x, y, eta=RoundingPolicy().eta):
+def _four_product_rad(x, y, eta=ETA):
     """The radius of the four-product form ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + s) + s |Xm| |Ym|``."""
     pad = (2 * x.cols + 8) * eta
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -344,7 +346,7 @@ def test_matmul_point_factor_is_bit_identical_to_the_dense_form(dtype):
 
 def _no_wider_than_four_products(x, y):
     got = im_matmul(x, y).rad
-    return (got <= _four_product_rad(x, y) * (1.0 + 8.0 * RoundingPolicy().eta)).all()
+    return (got <= _four_product_rad(x, y) * (1.0 + 8.0 * ETA)).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -412,7 +414,7 @@ def test_diagonal_midpoint_products_no_wider_than_generic(family, m):
     from sylvenc import GenSpec, generate, transform_enclose
 
     ps = transform_enclose(generate(GenSpec(family=family, m=m, alpha=1e-6, seed=1)))
-    eta = ps.policy.eta
+    eta = ETA
     dense = ps.Fp
     for x, y in ((ps.Ap, dense), (ps.Cp, dense), (dense, ps.Bp), (dense, ps.Dp),
                  (ps.Ap, as_imatrix(dense.mid)), (as_imatrix(dense.mid), ps.Dp)):
@@ -487,9 +489,22 @@ class TestRect:
 
 
 def test_rounding_policy_floor():
-    with pytest.raises(ValueError):
-        RoundingPolicy(eta=2.0**-60)
-    assert RoundingPolicy().eta >= 2.0**-53
+    # every pad of the rounding model is strictly conservative only from one ulp up
+    assert ETA >= 2.0**-53
+
+
+def test_rounding_model_stays_in_intervals():
+    """Only ``intervals`` names the pad constant: every other module pads through its rules."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sylvenc"
+    word = re.compile(r"\beta\b|policy", re.IGNORECASE)
+    hits = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "intervals.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if word.search(line)
+    ]
+    assert len(list(src.glob("*.py"))) > 1 and not hits, hits
 
 
 def test_as_imatrix_accepts_points():

@@ -129,18 +129,17 @@ class TestVerificationLoop:
         assert not ok and k == 9
 
 
-def _reference_loop(M, n_of, kmax, policy=None):
+def _reference_loop(M, n_of, kmax):
     """The epsilon-inflation loop without the non-contraction stop."""
-    from sylvenc.intervals import _pol, epsilon_inflate, in_interior
+    from sylvenc.intervals import ETA, epsilon_inflate, in_interior
 
-    pol = _pol(policy)
-    e_rad = epsilon_inflate(M, pol).rad
+    e_rad = epsilon_inflate(M).rad
     H, X, k = M, None, 0
     for k in range(1, max(kmax, 1) + 1):
-        xrad = (H.mag(pol) + e_rad) * (1.0 + 2.0 * pol.eta)
+        xrad = (H.mag() + e_rad) * (1.0 + 2.0 * ETA)
         X = IMatrix(np.zeros(M.shape, dtype=M.mid.dtype), xrad)
         H = M + n_of(xrad)
-        if in_interior(H, X, pol):
+        if in_interior(H, X):
             return True, X, H, k
     return False, X, H, k
 
@@ -173,9 +172,9 @@ def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, mon
     solve = {"mkw": mkw_solve, "blk": mkw_block_solve, "ver": full_krawczyk_solve}[solver]
     runs = []
 
-    def both(M, n_of, kmax, policy=None):
-        got = verification_loop(M, n_of, kmax, policy)
-        runs.append((got, _reference_loop(M, n_of, kmax, policy)))
+    def both(M, n_of, kmax):
+        got = verification_loop(M, n_of, kmax)
+        runs.append((got, _reference_loop(M, n_of, kmax)))
         return got
 
     # every solver reaches the loop through krawczyk.verify

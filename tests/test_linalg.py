@@ -7,7 +7,6 @@ import pytest
 
 from sylvenc import (
     IMatrix,
-    RoundingPolicy,
     SingularMatrixError,
     SizeCapError,
     as_imatrix,
@@ -20,6 +19,7 @@ from sylvenc import (
     unvec,
     vec,
 )
+from sylvenc.intervals import ETA
 from sylvenc.linalg import KRON_BYTES, iunvec, ivec, lu_inverse, lu_solve
 
 from disk_oracle import Disk, iv_mul
@@ -111,7 +111,7 @@ def test_ikron_zero_radius_factor_is_bit_identical_to_three_products(dtype):
     from sylvenc.linalg import _kron2
 
     rng = np.random.default_rng(12)
-    eta = RoundingPolicy().eta
+    eta = ETA
 
     def mid(shape):
         z = rng.normal(size=shape)

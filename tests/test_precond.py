@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sylvenc import GenSpec, IMatrix, SylvesterSystem, generate, transform_enclose
-from sylvenc.intervals import DEFAULT_POLICY
 from sylvenc.precond import _project_pattern, build_S, simultaneous_diag
 
 
@@ -53,7 +52,7 @@ def test_build_S_outer_product_structure():
 def test_projection_pads_the_off_diagonal_radius_sum():
     # 1e-20 is far below half an ulp of the radius 1: an unpadded sum would drop it
     x = IMatrix(np.array([[1.0, 1e-20], [0.0, 1.0]]), np.ones((2, 2)))
-    got = _project_pattern(x, np.eye(2, dtype=bool), DEFAULT_POLICY)
+    got = _project_pattern(x, np.eye(2, dtype=bool))
     assert np.array_equal(got.mid, np.eye(2))
     assert got.rad[0, 1] > 1.0
     assert (got.rad >= 1.0).all()

@@ -25,6 +25,7 @@ from sylvenc import (
     transform_enclose,
 )
 from sylvenc.intervals import (
+    ETA,
     _denominators,
     as_imatrix,
     disks_to_rect,
@@ -38,21 +39,21 @@ from sylvenc.refine import TOL_DEFAULT
 from rect_oracle import rect_meet
 
 
-def _pair_bound(a, b, w, pol):
-    p = posmm(a.rad, w, pol)
-    mag_w = (np.abs(np.diagonal(a.mid))[:, None] * w + p) * (1.0 + 4.0 * pol.eta)
-    return posmm(p, np.abs(b.mid), pol) + posmm(mag_w, b.rad, pol)
+def _pair_bound(a, b, w):
+    p = posmm(a.rad, w)
+    mag_w = (np.abs(np.diagonal(a.mid))[:, None] * w + p) * (1.0 + 4.0 * ETA)
+    return posmm(p, np.abs(b.mid)) + posmm(mag_w, b.rad)
 
 
-def _quotient_disk(ps, absY, pol, denom):
+def _quotient_disk(ps, absY, denom):
     T = (
-        _pair_bound(ps.Ap, ps.Bp, absY, pol) + _pair_bound(ps.Cp, ps.Dp, absY, pol) + ps.Fp.rad
-    ) * (1.0 + 8.0 * pol.eta)
+        _pair_bound(ps.Ap, ps.Bp, absY) + _pair_bound(ps.Cp, ps.Dp, absY) + ps.Fp.rad
+    ) * (1.0 + 8.0 * ETA)
     fmid = ps.Fp.mid
     qmid = fmid * denom.rec_mid
     qrad = (np.abs(fmid) * denom.rec_rad + T * np.abs(denom.rec_mid) + T * denom.rec_rad) * (
-        1.0 + 5.0 * pol.eta
-    ) + 4.0 * pol.eta * np.abs(qmid)
+        1.0 + 5.0 * ETA
+    ) + 4.0 * ETA * np.abs(qmid)
     return IMatrix(qmid, qrad)
 
 
@@ -70,27 +71,26 @@ def _reference_itr(ps, Y, disk=None, tol=TOL_DEFAULT, max_iter=100):
 
     ``disk`` is the start as disks, when it was given so.
     """
-    pol = ps.policy
-    denom = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)), pol)
-    absY = rect_mag(Y, pol)
+    denom = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)))
+    absY = rect_mag(Y)
     iterates = []
     converged = False
     for k in range(1, max_iter + 1):
-        Ynew = rect_meet(disks_to_rect(_quotient_disk(ps, absY, pol, denom), pol), Y)
+        Ynew = rect_meet(disks_to_rect(_quotient_disk(ps, absY, denom)), Y)
         dist = _rect_distance(Ynew, Y)
-        Y, absY = Ynew, rect_mag(Ynew, pol)
+        Y, absY = Ynew, rect_mag(Ynew)
         iterates.append(Y)
         if (dist <= tol * (1.0 + absY)).all():
             converged = True
             break
-    boxed = rect_to_disks(Y, pol)
-    quot = _quotient_disk(ps, absY, pol, denom)
+    boxed = rect_to_disks(Y)
+    quot = _quotient_disk(ps, absY, denom)
     pick = quot.rad < boxed.rad
     final = IMatrix(np.where(pick, quot.mid, boxed.mid), np.where(pick, quot.rad, boxed.rad))
     if disk is not None:
         keep = disk.rad <= final.rad
         final = IMatrix(np.where(keep, disk.mid, final.mid), np.where(keep, disk.rad, final.rad))
-    evaluated = back_transform(ps.U, final, ps.vinv_box, pol)
+    evaluated = back_transform(ps.U, final, ps.vinv_box)
     return iterates, k, converged, final, evaluated
 
 

@@ -47,12 +47,35 @@ class TestIMatrixJson:
         with pytest.raises(ValueError, match="mismatch"):
             imatrix_from_dict({"rows": 3, "cols": 2, "mid_re": [[1.0, 2.0]], "rad": [[0.0, 0.0]]})
 
+    def test_infsup_shape_mismatch_rejected(self):
+        two = [[0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="declared"):
+            imatrix_from_dict({"rows": 3, "cols": 3, "inf": two, "sup": two})
+        assert imatrix_from_dict({"rows": 2, "cols": 2, "inf": two, "sup": two}).shape == (2, 2)
+
+    def test_imaginary_part_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="imaginary"):
+            imatrix_from_dict(
+                {"rows": 2, "cols": 2, "mid_re": [[1.0, 2.0], [3.0, 4.0]], "mid_im": [[1.0, 1.0]]}
+            )
+
 
 def test_pmatrix_round_trip():
     a = np.array([[1.0, -2.5], [0.0, 3.125]])
     assert (pmatrix_from_dict(pmatrix_to_dict(a)) == a).all()
     c = a + 1j * np.array([[0.5, 0.0], [0.25, -1.0]])
     assert (pmatrix_from_dict(pmatrix_to_dict(c)) == c).all()
+
+
+def test_pmatrix_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="declared"):
+        pmatrix_from_dict({"rows": 1, "cols": 3, "re": [1.0, 2.0, 3.0]})
+    with pytest.raises(ValueError, match="declared"):
+        pmatrix_from_dict({"re": [1.0, 2.0, 3.0]})
+    with pytest.raises(ValueError, match="declared"):
+        pmatrix_from_dict({"rows": 3, "cols": 3, "re": [[1.0, 2.0], [3.0, 4.0]]})
+    with pytest.raises(ValueError, match="imaginary"):
+        pmatrix_from_dict({"rows": 2, "cols": 2, "re": [[1.0, 2.0], [3.0, 4.0]], "im": [[1.0]]})
 
 
 def test_system_round_trip():
