@@ -50,7 +50,7 @@ from .intervals import (
     im_matmul,
     posmm,
 )
-from .krawczyk import Enclosure, verify
+from .krawczyk import KMAX_DEFAULT, Enclosure, verify
 from .linalg import ikron, iunvec, ivec, kron, lu_inverse, unvec, vec
 from .system import SylvesterSystem
 
@@ -126,7 +126,7 @@ def _eye_minus_mag(p: IMatrix) -> np.ndarray:
 
 def full_krawczyk_solve(
     sys: SylvesterSystem,
-    kmax: int = 15,
+    kmax: int = KMAX_DEFAULT,
     cap: int | None = BASELINE_CAP,
 ) -> Enclosure:
     """Verified enclosure by a Krawczyk iteration on the full ``m n`` system.

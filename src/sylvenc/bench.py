@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import full_krawczyk_solve, sample_solutions
+from .baseline import BASELINE_CAP, full_krawczyk_solve, sample_solutions
 from .blockdiag import mkw_block_solve
 from .errors import EnclosureError, SizeCapError
 from .intervals import IMatrix
 from .krawczyk import Enclosure, mkw_solve
 from .problems import GenSpec, generate
-from .refine import itr_solve
+from .refine import MAX_ITER_DEFAULT, TOL_DEFAULT, itr_solve
 from .serialize import dump_json
 
 __all__ = [
@@ -114,9 +114,9 @@ def run_benchmark(
     seed: int = 0,
     methods: tuple[str, ...] = ("mkw", "itr"),
     samples: int = 100,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    baseline_cap: int | None = 1024,
+    tol: float = TOL_DEFAULT,
+    max_iter: int = MAX_ITER_DEFAULT,
+    baseline_cap: int | None = BASELINE_CAP,
 ) -> tuple[int, list[BenchRecord]]:
     """Run the sweep; returns (exit code, records).
 

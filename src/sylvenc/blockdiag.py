@@ -13,6 +13,9 @@ the offending clusters are merged and the sweep restarts, trading a better
 conditioned basis for larger diagonal blocks.  A scalar midpoint ``c I`` is
 its own block form and needs no Schur form.
 
+The donor of each pair follows the rule of :func:`.precond.choose_donor`,
+with mass measured as the relative Frobenius norm off the block pattern.
+
 With upper-triangular blocks for the row pair (DA, DC) and lower-triangular
 blocks for the column pair (DB, DD), the operator
 
@@ -47,9 +50,9 @@ from .intervals import (
     as_imatrix,
     posmm,
 )
-from .krawczyk import Enclosure, back_transform, residual, verify
-from .linalg import inverse_enclosure, lu_solve
-from .precond import _project_pattern, _sandwich, _scalar
+from .krawczyk import KMAX_DEFAULT, Enclosure, back_transform, residual, verify
+from .linalg import lu_solve
+from .precond import Donor, _project_pattern, _sandwich, _scalar, choose_donor
 from .system import SylvesterSystem
 
 __all__ = [
@@ -65,13 +68,12 @@ MAX_COND_DEFAULT = 1e4
 
 @dataclass(frozen=True)
 class BlockHalf:
-    """One-sided block form: donor Schur basis ``U``, its LU inverse, the
-    donor's block form ``T`` and the unprojected conjugate ``D2 = Uinv Cc U``."""
+    """One-sided block form: donor Schur basis ``U``, its LU inverse and the
+    donor's block form ``T``."""
 
     U: np.ndarray
     Uinv: np.ndarray
     T: np.ndarray
-    D2: np.ndarray
     sizes: tuple[int, ...]
     cond_bound: float
 
@@ -217,9 +219,7 @@ def _decouple(t11: np.ndarray, t22: np.ndarray, t12: np.ndarray) -> np.ndarray |
     return Y
 
 
-def block_diagonalize(
-    Ac: np.ndarray, Cc: np.ndarray, max_cond: float = MAX_COND_DEFAULT
-) -> BlockHalf:
+def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> BlockHalf:
     """Similarity bringing ``Ac`` to block form with triangular blocks.
 
     The reordered Schur form ``T = Z^H Ac Z`` is decoupled one cluster column
@@ -238,18 +238,15 @@ def block_diagonalize(
     clusters through ``j`` fuse.  Each restart leaves fewer clusters, so in
     the worst case a single triangular block remains.
 
-    ``Cc`` is conjugated by the same basis and projected onto the block
-    pattern; its off-pattern mass is reported only through the projection
-    (the caller absorbs it into radii).  A scalar ``Ac = c I`` is its own
-    block form: ``U = I``, one block and ``D2 = Cc`` without a Schur form.
-    Never raises on valid square input.
+    A scalar ``Ac = c I`` is its own block form: ``U = I`` and one block,
+    without a Schur form.  Raises :class:`SingularMatrixError` only when
+    ``U`` has no LU inverse.
     """
     Ac = np.atleast_2d(np.asarray(Ac, dtype=np.complex128))
-    Cc = np.atleast_2d(np.asarray(Cc, dtype=np.complex128))
     m = Ac.shape[0]
     if _scalar(Ac):
         eye = np.eye(m, dtype=np.complex128)
-        return BlockHalf(U=eye, Uinv=eye, T=Ac.copy(), D2=Cc, sizes=(m,), cond_bound=1.0)
+        return BlockHalf(U=eye, Uinv=eye, T=Ac.copy(), sizes=(m,), cond_bound=1.0)
     T0, Z0 = scipy.linalg.schur(Ac, output="complex")
     lams = np.diag(T0)
     labels = _clusters(lams, SEP_REL * max(np.linalg.norm(Ac), 1e-300))
@@ -284,25 +281,28 @@ def block_diagonalize(
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
         DA = np.where(block_mask(sizes), T, 0.0)
-        return BlockHalf(U=U, Uinv=Uinv, T=DA, D2=Uinv @ Cc @ U, sizes=sizes, cond_bound=cond)
+        return BlockHalf(U=U, Uinv=Uinv, T=DA, sizes=sizes, cond_bound=cond)
 
 
-def _best_half(first: np.ndarray, second: np.ndarray, max_cond: float) -> BlockHalf:
-    """Donor choice between the two midpoints of one side.
+def _block_side(pair, max_cond: float, lower: bool) -> tuple[Donor, tuple[IMatrix, IMatrix]]:
+    """The donor of one side, whose ``form`` is its block sizes, pattern and ``cond_bound``,
+    and both members projected on the pattern.  The column side (``lower``) reverses
+    the columns of the basis, turning upper-triangular blocks into lower ones."""
+    flip = slice(None, None, -1 if lower else 1)
 
-    Scores each candidate by the worst relative off-pattern mass left in
-    either conjugated midpoint; smaller is better, ties keep the first.
-    """
+    def offer(mid: np.ndarray):
+        half = block_diagonalize(mid, max_cond)
+        sizes = half.sizes[flip]
+        # reversing the columns of U reverses the rows of its inverse
+        return half.U[:, flip], half.Uinv[flip], (sizes, block_mask(sizes, lower), half.cond_bound)
 
-    def score(half: BlockHalf, donor: np.ndarray) -> float:
-        mask = block_mask(half.sizes)
-        return max(
-            _offpattern_rel(half.D2, mask), _offpattern_rel(half.Uinv @ donor @ half.U, mask)
-        )
-
-    pairs = ((first, second), (second, first))
-    candidates = [(block_diagonalize(p, q, max_cond), p) for p, q in pairs]
-    return min(candidates, key=lambda c: score(*c))[0]
+    donor = choose_donor(
+        pair,
+        offer,
+        lambda form, conj, _: _offpattern_rel(conj, form[1]),
+        lambda mid: _offpattern_rel(mid[flip, flip], block_mask((len(mid),), lower)),
+    )
+    return donor, tuple(_project_pattern(r, donor.form[1]) for r in donor.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def interval_back_substitute(
 
 def mkw_block_solve(
     sys: SylvesterSystem,
-    kmax: int = 15,
+    kmax: int = KMAX_DEFAULT,
     max_cond: float = MAX_COND_DEFAULT,
 ) -> Enclosure:
     """Verified enclosure with block-triangular preconditioning.
@@ -389,35 +389,15 @@ def mkw_block_solve(
     solution and the residual enclosure come from backward substitution
     instead of Hadamard division, and so does the contraction term.
     """
-    halfA = _best_half(sys.A.mid, sys.C.mid, max_cond)
-    halfB = _best_half(sys.B.mid, sys.D.mid, max_cond)
-    U = halfA.U
-    a_sizes = halfA.sizes
-    # reversal permutation turns upper-triangular blocks into lower ones
-    V = halfB.U[:, ::-1]
-    b_sizes = tuple(reversed(halfB.sizes))
-    uinv_box = inverse_enclosure(U, r0=halfA.Uinv)
-    # reversing the columns of V reverses the rows of its inverse
-    vinv_box = inverse_enclosure(V, r0=halfB.Uinv[::-1])
-    mask_a = block_mask(a_sizes, lower=False)
-    mask_b = block_mask(b_sizes, lower=True)
-    Ap = _project_pattern(_sandwich(uinv_box, sys.A, U), mask_a)
-    Cp = _project_pattern(_sandwich(uinv_box, sys.C, U), mask_a)
-    Bp = _project_pattern(_sandwich(vinv_box, sys.B, V), mask_b)
-    Dp = _project_pattern(_sandwich(vinv_box, sys.D, V), mask_b)
-    Fp = _sandwich(uinv_box, sys.F, V)
+    left, (Ap, Cp) = _block_side((sys.A, sys.C), max_cond, lower=False)
+    right, (Bp, Dp) = _block_side((sys.B, sys.D), max_cond, lower=True)
+    U, uinv_box, vinv_box = left.U, left.inv_box, right.inv_box
+    (a_sizes, _, a_cond), (b_sizes, _, b_cond) = left.form, right.form
+    Fp = _sandwich(uinv_box, sys.F, right.U)
     form = BlockDiagForm(
-        U=U,
-        Uinv=uinv_box.mid,
-        V=V,
-        Vinv=vinv_box.mid,
-        DA=Ap.mid,
-        DC=Cp.mid,
-        DB=Bp.mid,
-        DD=Dp.mid,
-        b_sizes=b_sizes,
-        a_sizes=a_sizes,
-        cond_bound=max(halfA.cond_bound, halfB.cond_bound),
+        U=U, Uinv=uinv_box.mid, V=right.U, Vinv=vinv_box.mid,
+        DA=Ap.mid, DC=Cp.mid, DB=Bp.mid, DD=Dp.mid,
+        b_sizes=b_sizes, a_sizes=a_sizes, cond_bound=max(a_cond, b_cond),
     )
     xtilde = interval_back_substitute(form, IMatrix(Fp.mid)).mid
     M = interval_back_substitute(form, residual(Fp, Ap, Bp, Cp, Dp, xtilde))

@@ -14,10 +14,11 @@ import sys as _sys
 
 import numpy as np
 
-from .baseline import sample_solutions
+from .baseline import BASELINE_CAP, sample_solutions
 from .bench import METHOD_IDS, SoundnessViolation, _solver, render_csv, render_jsonl, run_benchmark
 from .errors import EnclosureError
 from .problems import FAMILIES, GenSpec, generate
+from .refine import MAX_ITER_DEFAULT, TOL_DEFAULT
 from .serialize import (
     dump_json,
     enclosure_from_dict,
@@ -61,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve a system file with one method")
     s.add_argument("--input", required=True)
     s.add_argument("--method", choices=METHOD_IDS, default="mkw")
-    s.add_argument("--tol", type=float, default=1e-12)
-    s.add_argument("--max-iter", type=int, default=100)
-    s.add_argument("--baseline-cap", type=int, default=1024)
+    s.add_argument("--tol", type=float, default=TOL_DEFAULT)
+    s.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
+    s.add_argument("--baseline-cap", type=int, default=BASELINE_CAP)
     s.add_argument("--output", default=None)
 
     c = sub.add_parser("check", help="audit an enclosure against sampled solutions")
@@ -79,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--methods", default="mkw,itr")
     b.add_argument("--samples", type=int, default=100)
-    b.add_argument("--tol", type=float, default=1e-12)
-    b.add_argument("--max-iter", type=int, default=100)
-    b.add_argument("--baseline-cap", type=int, default=1024)
+    b.add_argument("--tol", type=float, default=TOL_DEFAULT)
+    b.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
+    b.add_argument("--baseline-cap", type=int, default=BASELINE_CAP)
     b.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     b.add_argument("--output", default=None)
     return p

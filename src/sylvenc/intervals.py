@@ -435,11 +435,16 @@ def iv_recip_arrays(mid: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.nd
     absm = np.abs(mid)
     if (_down(absm, 2) <= rad).any():
         raise ZeroDivisionError("interval division by zero")
-    den = _down(_down(absm * absm, 8) - _up(rad * rad, 4), 4)
+    # absm, and later den and rad2, are spent: the results reuse their storage
+    den = _down(np.multiply(absm, absm, out=absm), 8, out=absm)
+    rad2 = rad * rad
+    den -= _up(rad2, 4, out=rad2)
+    _down(den, 4, out=den)
     if (den <= 0.0).any():
         raise ZeroDivisionError("interval division by zero")
     rmid = np.conj(mid) / den
-    rrad = _up(rad / den, 8) + _slack(np.abs(rmid), 40)
+    rrad = _up(np.divide(rad, den, out=den), 8, out=den)
+    rrad += _slack(np.abs(rmid, out=rad2), 40, out=rad2)
     return rmid, rrad
 
 

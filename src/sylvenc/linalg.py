@@ -6,8 +6,7 @@ conventions and a certified interval enclosure of a matrix inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -66,28 +65,18 @@ def lu_inverse(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigResult:
-    """Eigendecomposition ``a @ vectors = vectors @ diag(values)`` with extras.
+    """Eigendecomposition ``a @ vectors = vectors @ diag(values)``.
 
-    ``inv_vectors`` is the LU-based approximate inverse of ``vectors``;
-    ``residual`` is the largest column residual ``||a v_k - w_k v_k||_inf``,
-    computed on first access because no solver reads it.
+    ``inv_vectors`` is the LU-based approximate inverse of ``vectors``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     inv_vectors: np.ndarray
-    matrix: np.ndarray = field(repr=False)
-
-    @cached_property
-    def residual(self) -> float:
-        a = self.matrix
-        if not a.size:
-            return 0.0
-        return float(np.abs(a @ self.vectors - self.vectors * self.values[None, :]).max())
 
 
 def eig_decompose(a: np.ndarray) -> EigResult:
-    """Dense eigendecomposition with unit-norm columns and residual report."""
+    """Dense eigendecomposition with unit-norm columns and their LU inverse."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("dimension mismatch")
@@ -96,7 +85,7 @@ def eig_decompose(a: np.ndarray) -> EigResult:
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError("eigendecomposition failed") from exc
     inv_vectors = lu_solve(vectors, np.eye(a.shape[0], dtype=vectors.dtype))
-    return EigResult(values, vectors, inv_vectors, a)
+    return EigResult(values, vectors, inv_vectors)
 
 
 def _check_kron_bytes(x_shape, y_shape, itemsize: int) -> None:

@@ -8,14 +8,14 @@ midpoint mass of the transformed coefficients is moved into the radii, so the
 transformed midpoints are exactly diagonal; validity never depends on how well
 the pair actually commutes, only tightness does.
 
-Which member of a pair donates its basis is decided by the off-diagonal mass
-each candidate basis leaves.  A distinct non-scalar pair is scored by point
-products before conjugating.  Equal midpoints need no scoring (the first
-donates), and a pair with a scalar member is scored from the sandwich
-midpoints ``(Uinv @ mid) @ U`` that the transform forms anyway, the same
-float products, unless the other member's eigenbasis has no certified
-inverse; then both bases are scored by point products.  The diagonals of the
-non-donor and the reported masses are read from the sandwich midpoints.
+One rule, :func:`choose_donor`, picks the member of each pair that donates
+the shared basis, here and in :mod:`.blockdiag`.  Each distinct member offers
+its basis.  A non-scalar one is conjugated once, by the certified sandwich the
+transform uses, and scores the larger mass either sandwich midpoint keeps off
+the pattern; a scalar member ``c I`` offers ``I``, scores the other member's
+own mass and is conjugated only when it wins.  A basis whose certificate fails
+drops out; the lowest score wins, a tie keeps the first member.  Here mass is
+the relative inf-norm off the diagonal, against the member.
 
 The exact inverses of U and V are not representable in floating point, so
 interval enclosures of them (point inverse plus a certified residual pad) are
@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .linalg import EigResult, eig_decompose, inverse_enclosure
 from .system import SylvesterSystem
 
 __all__ = [
-    "SimDiagResult",
     "PrecondSystem",
     "simultaneous_diag",
     "transform_enclose",
@@ -58,31 +56,6 @@ __all__ = [
 ]
 
 OFFDIAG_WARN = 1e-2
-
-
-@dataclass(frozen=True)
-class SimDiagResult:
-    """Shared eigenbasis for a matrix pair.
-
-    ``U`` diagonalizes the first matrix (eigenvalues ``dA``); the second is
-    conjugated into the same basis and its diagonal is read off as ``dC``.
-    ``offdiag_mass`` is the relative inf-norm of what the conjugation leaves
-    off the diagonal of the second matrix; ``commutator`` is the Frobenius
-    norm of the pair's commutator, computed on first access because no
-    solver reads it.
-    """
-
-    U: np.ndarray
-    Uinv: np.ndarray
-    dA: np.ndarray
-    dC: np.ndarray
-    offdiag_mass: float
-    pair: tuple[np.ndarray, np.ndarray] = field(repr=False)
-
-    @cached_property
-    def commutator(self) -> float:
-        a, c = self.pair
-        return float(np.linalg.norm(a @ c - c @ a))
 
 
 def _offdiag_rel(conj: np.ndarray, ref: np.ndarray) -> float:
@@ -104,7 +77,7 @@ def _eigen(a: np.ndarray) -> EigResult:
     if _scalar(a):
         d = np.diagonal(a)
         n = a.shape[0]
-        return EigResult(d.copy(), np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype), a)
+        return EigResult(d.copy(), np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype))
     return eig_decompose(a)
 
 
@@ -121,31 +94,6 @@ def _eig_memo():
         return res
 
     return eig_of
-
-
-def simultaneous_diag(
-    Ac: np.ndarray, Cc: np.ndarray, eig: EigResult | None = None
-) -> SimDiagResult:
-    """Diagonalize ``Ac`` and conjugate ``Cc`` into the same eigenbasis.
-
-    ``eig`` passes an eigendecomposition of ``Ac`` already at hand.
-    """
-    Ac = np.atleast_2d(np.asarray(Ac))
-    Cc = np.atleast_2d(np.asarray(Cc))
-    if Ac.shape != Cc.shape or Ac.shape[0] != Ac.shape[1]:
-        raise ValueError("dimension mismatch")
-    if eig is None:
-        eig = _eigen(Ac)
-    conj = eig.inv_vectors @ Cc @ eig.vectors
-    mass = _offdiag_rel(conj, Cc)
-    if mass > OFFDIAG_WARN:
-        warnings.warn(
-            f"pair is far from commuting: off-diagonal mass {mass:.2e} "
-            "will be absorbed into radii",
-            stacklevel=2,
-        )
-    dC = np.diag(conj).copy()
-    return SimDiagResult(eig.vectors, eig.inv_vectors, eig.values, dC, mass, (Ac, Cc))
 
 
 def build_S(dA, dB, dC, dD) -> np.ndarray:
@@ -209,145 +157,113 @@ def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
     ulp of the radius still widens it.  mkw projects on the diagonal, blk on
     its block pattern.
     """
-    off = np.where(mask, 0.0, x.mid)
-    mid = np.where(mask, x.mid, 0.0)
-    return IMatrix(mid, _up(x.rad + np.abs(off), 2))
+    rad = np.abs(x.mid)
+    rad[mask] = 0.0
+    rad += x.rad
+    return IMatrix(np.where(mask, x.mid, 0.0), _up(rad, 2, out=rad))
 
 
-def _pick_side(first: np.ndarray, second: np.ndarray, eig_of) -> tuple[EigResult, bool]:
-    """Choose which member of a midpoint pair donates the eigenbasis.
-
-    Scores each candidate basis by the larger relative off-diagonal mass it
-    leaves on either conjugated midpoint; smaller is better, ties keep the
-    first member.  ``eig_of`` supplies the eigendecompositions.  Returns the
-    decomposition of the winning donor and whether the pair was swapped.
-    """
-    candidates: list[tuple[float, bool, EigResult]] = []
-    for swapped, (p, q) in ((False, (first, second)), (True, (second, first))):
-        try:
-            eig = eig_of(p)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = simultaneous_diag(p, q, eig)
-        except (EigenDecompositionError, SingularMatrixError):
-            continue
-        own = _offdiag_rel(res.Uinv @ p @ res.U, p)
-        candidates.append((max(own, res.offdiag_mass), swapped, eig))
-    if not candidates:
-        raise EigenDecompositionError("eigendecomposition failed")
-    _, swapped, eig = min(candidates, key=lambda t: (t[0], t[1]))
-    return eig, swapped
-
-
-class _Side(NamedTuple):
-    """One side of the transform: a shared basis and both conjugated members."""
+class Donor(NamedTuple):
+    """Member ``index`` of a pair donates its basis ``U``, whose inverse
+    ``inv_box`` certifies; ``form`` is what the preconditioner keeps of it,
+    ``raw`` both members' sandwiches and ``mass`` their masses."""
 
     U: np.ndarray
-    Uinv: np.ndarray
+    form: Any
+    index: int
     inv_box: IMatrix
-    donor: int
-    conj: tuple[IMatrix, IMatrix]
-    d: tuple[np.ndarray, np.ndarray]
+    raw: tuple[IMatrix, IMatrix]
     mass: tuple[float, float]
 
 
-def _conjugate(pair: tuple[IMatrix, IMatrix], eig: EigResult, swapped: bool) -> _Side:
-    """Both members of ``pair`` in the basis of the donor ``pair[swapped]``.
-
-    The donor's diagonal is its eigenvalues; the other member's diagonal and
-    both off-diagonal masses are read from the sandwich midpoints
-    ``(Uinv @ mid) @ U``, the products the scoring forms.
-    """
-    U, Uinv, donor = eig.vectors, eig.inv_vectors, int(swapped)
+def simultaneous_diag(pair, U: np.ndarray, Uinv: np.ndarray) -> tuple[IMatrix, tuple]:
+    """The certified box of ``U``'s inverse around ``Uinv`` (or :class:`SingularMatrixError`)
+    and both members of ``pair`` conjugated into the basis ``U``."""
     inv_box = inverse_enclosure(U, r0=Uinv)
-    raw = tuple(_sandwich(inv_box, x, U) for x in pair)
-    d = tuple(eig.values if i == donor else np.diag(r.mid).copy() for i, r in enumerate(raw))
-    mass = tuple(_offdiag_rel(r.mid, x.mid) for r, x in zip(raw, pair))
-    diagonal = np.eye(U.shape[0], dtype=bool)
-    conj = tuple(_project_pattern(r, diagonal) for r in raw)
-    return _Side(U, Uinv, inv_box, donor, conj, d, mass)
+    return inv_box, tuple(_sandwich(inv_box, x, U) for x in pair)
 
 
-def _pair_kind(first: np.ndarray, second: np.ndarray) -> str:
-    """``"equal"``, ``"scalar"`` (a member is ``c I``) or ``"general"``."""
-    if first.dtype == second.dtype and np.array_equal(first, second):
-        return "equal"
-    if _scalar(first) or _scalar(second):
-        return "scalar"
-    return "general"
+def choose_donor(pair, offer, mass, own_mass) -> Donor:
+    """The donor of ``pair`` by the module's rule; :class:`EigenDecompositionError` if none.
 
-
-def _transform_side(pair: tuple[IMatrix, IMatrix], eig_of) -> _Side:
-    """The transformed side of ``pair``, with the donor the scoring would choose.
-
-    Equal midpoints score equal candidates, so the first member donates.  A
-    scalar member ``c I`` is diagonal in every basis: its own basis ``I``
-    scores the other member's relative off-diagonal mass, which needs no
-    product, and the other member's eigenbasis scores the masses its
-    sandwich midpoints leave.  So that basis is tried first and kept when it
-    wins.  A distinct non-scalar pair is scored before conjugating, and so is
-    a scalar pair whose other member has no eigenbasis with a certified
-    inverse: the scoring then raises the certificate's error when that basis
-    wins, and conjugates with ``I`` when it loses.
+    ``offer(mid)`` is a member's ``(U, Uinv, form)`` or raises; ``mass(form,
+    conj, mid)`` is the mass of member ``mid`` in its sandwich midpoint ``conj``,
+    ``own_mass(mid)`` its mass in the basis ``I``.
     """
-    first, second = (x.mid for x in pair)
-    kind = _pair_kind(first, second)
-    if kind == "equal":
+    mids = tuple(x.mid for x in pair)
+
+    def conjugate(i: int) -> Donor:
+        U, Uinv, form = offer(mids[i])
+        inv_box, raw = simultaneous_diag(pair, U, Uinv)
+        masses = tuple(mass(form, r.mid, x) for r, x in zip(raw, mids))
+        return Donor(U, form, i, inv_box, raw, masses)
+
+    scored = []
+    for i in range(1 if mids[0].dtype == mids[1].dtype and np.array_equal(*mids) else 2):
+        if _scalar(mids[i]):
+            scored.append((max(map(own_mass, mids)), i, None))
+            continue
         try:
-            eig = eig_of(first)
-        except SingularMatrixError as exc:
-            raise EigenDecompositionError("eigendecomposition failed") from exc
-        return _conjugate(pair, eig, False)
-    if kind == "general":
-        return _conjugate(pair, *_pick_side(first, second, eig_of))
-    s = 0 if _scalar(first) else 1
-    other = pair[1 - s].mid
-    try:
-        side = _conjugate(pair, eig_of(other), s == 0)
-    except (EigenDecompositionError, SingularMatrixError):
-        # no eigenbasis, or no certified inverse of it: score both bases by
-        # their point products, which raises the certificate's error again
-        # exactly when that basis wins
-        return _conjugate(pair, *_pick_side(first, second, eig_of))
-    # as in the scoring, a tie goes to the first member's basis
-    scalar_score = _offdiag_rel(other, other)
-    if max(side.mass) < scalar_score or (max(side.mass) == scalar_score and s == 1):
-        return side
-    return _conjugate(pair, eig_of(pair[s].mid), s == 1)
+            donor = conjugate(i)
+        except (EigenDecompositionError, SingularMatrixError):
+            continue
+        scored.append((max(donor.mass), i, donor))
+    if not scored:
+        raise EigenDecompositionError("no basis of the pair has a certified inverse")
+    _, i, donor = min(scored, key=lambda t: t[:2])
+    return conjugate(i) if donor is None else donor
 
 
 def _diag_defect(a, b, c, d, S) -> np.ndarray:
     """Upper bound of ``|1 - (a_i b_j + c_i d_j) / S_ij|`` for stored floats."""
-    t_mid = np.outer(a, b) + np.outer(c, d)
-    t_mag = np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d))
-    q_mid = t_mid / S
-    q_rad = _quot_rad(_slack(t_mag, 12), np.abs(S))
-    q_rad += _slack(np.abs(q_mid), 6)
-    return _up(np.abs(1.0 - q_mid) + q_rad, 4)
+    t_mag = np.outer(np.abs(a), np.abs(b))
+    t_mag += np.outer(np.abs(c), np.abs(d))
+    q_mid = (np.outer(a, b) + np.outer(c, d)) / S
+    q_rad = _quot_rad(_slack(t_mag, 12, out=t_mag), np.abs(S))
+    q_mag = np.abs(q_mid)
+    q_rad += _slack(q_mag, 6, out=q_mag)
+    out = np.abs(np.subtract(1.0, q_mid, out=q_mid))
+    out += q_rad
+    return _up(out, 4, out=out)
+
+
+def _eigen_donor(pair: tuple[IMatrix, IMatrix], eig_of) -> Donor:
+    """:func:`choose_donor` over eigenbases, whose ``form`` is the eigenvalues."""
+
+    def offer(mid: np.ndarray):
+        eig = eig_of(mid)
+        return eig.vectors, eig.inv_vectors, eig.values
+
+    return choose_donor(
+        pair, offer, lambda _, conj, mid: _offdiag_rel(conj, mid), lambda x: _offdiag_rel(x, x)
+    )
 
 
 def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
     """Build the diagonalized interval system for ``sys``.
 
-    Raises the underlying eigendecomposition/singularity errors when no usable
-    basis exists; large non-commutativity only widens radii and warns.
+    Raises :class:`EigenDecompositionError` when neither member of a pair
+    offers a basis with a certified inverse, and the screening's error on a
+    singular denominator; large non-commutativity only widens radii and warns.
     """
     eig_of = _eig_memo()
-    left = _transform_side((sys.A, sys.C), eig_of)
-    right = _transform_side((sys.B, sys.D), eig_of)
+    left, right = (_eigen_donor(pair, eig_of) for pair in ((sys.A, sys.C), (sys.B, sys.D)))
     for side in (left, right):
-        other_mass = side.mass[1 - side.donor]
+        other_mass = side.mass[1 - side.index]
         if other_mass > OFFDIAG_WARN:
             warnings.warn(
                 f"pair is far from commuting: off-diagonal mass {other_mass:.2e} "
                 "will be absorbed into radii",
                 stacklevel=2,
             )
-    Ap, Cp = left.conj
-    Bp, Dp = right.conj
+    Ap, Cp = (_project_pattern(r, np.eye(sys.m, dtype=bool)) for r in left.raw)
+    Bp, Dp = (_project_pattern(r, np.eye(sys.n, dtype=bool)) for r in right.raw)
     Fp = _sandwich(left.inv_box, sys.F, right.U)
-    dA, dC = left.d
-    dB, dD = right.d
+    dA, dC, dB, dD = (
+        side.form if i == side.index else np.diag(side.raw[i].mid).copy()
+        for side in (left, right)
+        for i in (0, 1)
+    )
     S = build_S(dA, dB, dC, dD)
 
     a, c = np.diag(Ap.mid), np.diag(Cp.mid)
@@ -358,7 +274,7 @@ def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
 
     return PrecondSystem(
         Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp, Fp=Fp,
-        U=left.U, Uinv=left.Uinv, V=right.U, Vinv=right.Uinv,
+        U=left.U, Uinv=left.inv_box.mid, V=right.U, Vinv=right.inv_box.mid,
         dA=dA, dB=dB, dC=dC, dD=dD, S=S,
         offdiag_mass=mass,
         uinv_box=left.inv_box, vinv_box=right.inv_box,

@@ -48,12 +48,18 @@ def imatrix_to_dict(x: IMatrix) -> dict[str, Any]:
     return d
 
 
-def _parts(re, im) -> np.ndarray:
+def _array(grid, d: dict[str, Any]) -> np.ndarray:
+    """``grid`` as floats; ``[]``, what a matrix without rows writes, takes the declared shape."""
+    a = np.asarray(grid, dtype=np.float64)
+    return a.reshape(d["rows"], d["cols"]) if a.size == 0 and "rows" in d and "cols" in d else a
+
+
+def _parts(re, im, d: dict[str, Any]) -> np.ndarray:
     """The array with real part ``re`` and, unless it is None, imaginary part ``im``."""
-    re = np.asarray(re, dtype=np.float64)
+    re = _array(re, d)
     if im is None:
         return re
-    im = np.asarray(im, dtype=np.float64)
+    im = _array(im, d)
     if im.shape != re.shape:
         raise ValueError("dimension mismatch between real and imaginary parts")
     return re + 1j * im
@@ -67,10 +73,10 @@ def _check_declared(shape: tuple[int, ...], d: dict[str, Any]) -> None:
 
 def imatrix_from_dict(d: dict[str, Any]) -> IMatrix:
     if "inf" in d or "sup" in d:
-        x = IMatrix.from_infsup(np.asarray(d["inf"]), np.asarray(d["sup"]))
+        x = IMatrix.from_infsup(_array(d["inf"], d), _array(d["sup"], d))
     else:
-        mid = _parts(d["mid_re"], d.get("mid_im"))
-        x = IMatrix(mid, np.asarray(d.get("rad", np.zeros(mid.shape)), dtype=np.float64))
+        mid = _parts(d["mid_re"], d.get("mid_im"), d)
+        x = IMatrix(mid, _array(d["rad"], d) if "rad" in d else np.zeros(mid.shape))
     _check_declared(x.shape, d)
     return x
 
@@ -84,7 +90,7 @@ def pmatrix_to_dict(a: np.ndarray) -> dict[str, Any]:
 
 
 def pmatrix_from_dict(d: dict[str, Any]) -> np.ndarray:
-    a = _parts(d["re"], d.get("im"))
+    a = _parts(d["re"], d.get("im"), d)
     _check_declared(a.shape, d)
     return a
 

@@ -23,16 +23,13 @@ from sylvenc.blockdiag import (
 from sylvenc.linalg import lu_solve
 
 
-def pairwise_block_diagonalize(
-    Ac: np.ndarray, Cc: np.ndarray, max_cond: float = MAX_COND_DEFAULT
-) -> BlockHalf:
+def pairwise_block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> BlockHalf:
     """Block form of ``Ac`` by one ``ztrsyl`` decoupling per pair of clusters.
 
     When a pair's solution exceeds ``max_cond`` or ``ztrsyl`` fails, every
     cluster between the pair fuses and the sweep restarts.
     """
     Ac = np.atleast_2d(np.asarray(Ac, dtype=np.complex128))
-    Cc = np.atleast_2d(np.asarray(Cc, dtype=np.complex128))
     m = Ac.shape[0]
     T0, Z0 = scipy.linalg.schur(Ac, output="complex")
     lams = np.diag(T0)
@@ -73,4 +70,4 @@ def pairwise_block_diagonalize(
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
         DA = np.where(mask, T, 0.0)
-        return BlockHalf(U=U, Uinv=Uinv, T=DA, D2=Uinv @ Cc @ U, sizes=sizes, cond_bound=cond)
+        return BlockHalf(U=U, Uinv=Uinv, T=DA, sizes=sizes, cond_bound=cond)

@@ -38,8 +38,7 @@ class TestBlockDiagonalize:
         vals = np.array([1.0, 1.0 + 1e-12, 3.0])
         p = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
         a = p @ np.diag(vals) @ np.linalg.inv(p)
-        c = np.eye(3)
-        half = block_diagonalize(a, c)
+        half = block_diagonalize(a)
         assert sorted(half.sizes, reverse=True)[0] >= 2
         # similarity residual: U T U^-1 must reproduce a
         uinv = np.linalg.inv(half.U)
@@ -53,13 +52,13 @@ class TestBlockDiagonalize:
         vals = np.array([1.0, 2.0, 4.0, -3.0])
         p = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
         a = p @ np.diag(vals) @ np.linalg.inv(p)
-        half = block_diagonalize(a, np.eye(4))
+        half = block_diagonalize(a)
         assert half.sizes == (1, 1, 1, 1)
         assert half.cond_bound < 1e4
 
     def test_jordan_block_stays_whole(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        half = block_diagonalize(a, np.eye(2))
+        half = block_diagonalize(a)
         assert half.sizes == (2,)
         assert np.abs(half.T[1, 0]) == 0.0
 
@@ -275,6 +274,91 @@ class TestBlockSolve:
             assert blk.evaluated.contains_point(x)
 
 
+class TestBlockDonor:
+    """blk takes its donors from the rule of ``precond``: one block form per candidate."""
+
+    @staticmethod
+    def _count_block_forms(monkeypatch):
+        import sylvenc.blockdiag as bd
+
+        seen = []
+        orig = bd.block_diagonalize
+        monkeypatch.setattr(
+            bd, "block_diagonalize", lambda a, *args, **kw: seen.append(a) or orig(a, *args, **kw)
+        )
+        return seen
+
+    def test_an_equal_pair_is_block_diagonalized_once(self, monkeypatch):
+        sys = generate(GenSpec(family="gallery33", m=8, alpha=1e-6))
+        seen = self._count_block_forms(monkeypatch)
+        assert mkw_block_solve(sys).verified
+        assert len(seen) == 2
+        assert all(np.array_equal(x, sys.A.mid) for x in seen)
+
+    def test_a_losing_scalar_member_is_never_block_diagonalized(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        m = 16
+        rad = np.full((m, m), 1e-8)
+        eye = IMatrix(np.eye(m))
+        sys = SylvesterSystem(
+            A=IMatrix(_jordan(m, 8), rad),
+            B=IMatrix(np.diag(rng.uniform(1.0, 2.0, m)), rad),
+            C=eye,
+            D=eye,
+            F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
+        )
+        seen = self._count_block_forms(monkeypatch)
+        blk = mkw_block_solve(sys)
+        assert blk.verified and blk.blockform.a_sizes == (2,) * (m // 2)
+        assert len(seen) == 2
+        assert seen[0] is sys.A.mid and seen[1] is sys.B.mid
+
+    def test_a_winning_scalar_member_is_block_diagonalized_when_it_wins(self, monkeypatch):
+        # an upper-triangular C sits on I's pattern already, so A = I scores 0
+        # and, first in its pair, keeps the tie
+        m = 6
+        rng = np.random.default_rng(9)
+        rad = np.full((m, m), 1e-8)
+        c = np.triu(rng.uniform(0.1, 0.2, (m, m)), 1) + np.diag(np.linspace(2.0, 3.0, m))
+        sys = SylvesterSystem(
+            A=IMatrix(np.eye(m), rad),
+            B=IMatrix(np.eye(m)),
+            C=IMatrix(c, rad),
+            D=IMatrix(np.diag(np.linspace(1.0, 2.0, m))),
+            F=IMatrix(np.ones((m, m)), rad),
+        )
+        seen = self._count_block_forms(monkeypatch)
+        blk = mkw_block_solve(sys)
+        assert blk.verified
+        assert np.array_equal(blk.blockform.U, np.eye(m)) and blk.blockform.a_sizes == (m,)
+        # C's block form was scored; I's was formed only once it had won
+        assert seen[0] is sys.C.mid and seen[1] is sys.A.mid
+
+    def test_uncertified_block_basis_drops_out(self, monkeypatch):
+        import sylvenc.precond as precond
+        from sylvenc import EigenDecompositionError
+        from sylvenc.errors import SingularMatrixError
+
+        orig = precond.inverse_enclosure
+
+        # the certified inverse of every basis but a permutation fails
+        def certify(a, *args, **kwargs):
+            if np.count_nonzero(a) > len(a):
+                raise SingularMatrixError("singular matrix: inverse certificate failed")
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(precond, "inverse_enclosure", certify)
+        m = 8
+        rad = np.full((m, m), 1e-8)
+        a = IMatrix(_jordan(m, 3), rad)
+        eye = IMatrix(np.eye(m))
+        F = IMatrix(np.ones((m, m)), rad)
+        blk = mkw_block_solve(SylvesterSystem(A=a, B=eye, C=eye, D=eye, F=F))
+        assert np.array_equal(blk.blockform.U, np.eye(m))
+        with pytest.raises(EigenDecompositionError):
+            mkw_block_solve(SylvesterSystem(A=a, B=eye, C=IMatrix(2.0 * a.mid), D=eye, F=F))
+
+
 class TestDecouple:
     """The triangular Sylvester solve that decouples two clusters of a Schur form."""
 
@@ -311,9 +395,9 @@ class TestDecouple:
         J[2 * idx, 2 * idx] = J[2 * idx + 1, 2 * idx + 1] = np.linspace(1.0, 3.0, m // 2)
         J[2 * idx, 2 * idx + 1] = 1.0
         Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        half = block_diagonalize(Q @ J @ Q.T, np.eye(m))
+        half = block_diagonalize(Q @ J @ Q.T)
         assert half.sizes == (2,) * (m // 2)
-        assert block_diagonalize(np.eye(m), Q @ J @ Q.T).sizes == (m,)
+        assert block_diagonalize(np.eye(m)).sizes == (m,)
 
 
 def _union_find_labels(lams, sep):
@@ -365,7 +449,7 @@ class TestClusters:
 
         lams = np.full(7, 2.5 + 0j)
         assert _clusters(lams, 0.0).tolist() == [0] * 7
-        assert block_diagonalize(2.5 * np.eye(7), np.eye(7)).sizes == (7,)
+        assert block_diagonalize(2.5 * np.eye(7)).sizes == (7,)
 
 
 def _jordan(m, seed):
@@ -395,14 +479,14 @@ class TestColumnSweep:
     """The column sweep against the pairwise sweep of ``tests/blockdiag_oracle.py``."""
 
     @staticmethod
-    def _assert_matches_oracle(a, c):
+    def _assert_matches_oracle(a):
         from blockdiag_oracle import pairwise_block_diagonalize
 
-        got = block_diagonalize(a, c)
-        ref = pairwise_block_diagonalize(a, c)
+        got = block_diagonalize(a)
+        ref = pairwise_block_diagonalize(a)
         assert got.sizes == ref.sizes
         tol = 1e-12 * max(ref.cond_bound, 1.0)
-        for x, y in ((got.U, ref.U), (got.T, ref.T), (got.D2, ref.D2)):
+        for x, y in ((got.U, ref.U), (got.T, ref.T)):
             assert np.abs(x - y).max() <= tol * max(np.abs(y).max(), 1.0)
         assert got.cond_bound == pytest.approx(ref.cond_bound, rel=1e-8)
         return got
@@ -410,26 +494,24 @@ class TestColumnSweep:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pairwise_on_clustered_spectra(self, seed):
         a = _clustered(seed)
-        c = np.random.default_rng(seed + 100).standard_normal(a.shape)
-        half = self._assert_matches_oracle(a, c)
+        half = self._assert_matches_oracle(a)
         assert len(half.sizes) < a.shape[0]
 
     @pytest.mark.parametrize("m", [16, 32, 48])
     def test_matches_pairwise_on_the_jordan_family(self, m):
-        half = self._assert_matches_oracle(_jordan(m, m), np.eye(m))
+        half = self._assert_matches_oracle(_jordan(m, m))
         assert half.sizes == (2,) * (m // 2)
 
     def test_matches_pairwise_on_diagonal_and_scalar_matrices(self):
         d = np.diag(np.random.default_rng(5).uniform(1.0, 2.0, 24))
-        assert self._assert_matches_oracle(d, np.eye(24)).cond_bound == 1.0
-        self._assert_matches_oracle(np.eye(24), d)
+        assert self._assert_matches_oracle(d).cond_bound == 1.0
+        self._assert_matches_oracle(np.eye(24))
 
     def test_scalar_matrix_is_returned_without_a_schur_form(self):
-        c = np.random.default_rng(6).standard_normal((5, 5))
-        half = block_diagonalize(2.5 * np.eye(5), c)
+        half = block_diagonalize(2.5 * np.eye(5))
         eye = np.eye(5)
         assert (half.U == eye).all() and (half.Uinv == eye).all()
-        assert (half.T == 2.5 * eye).all() and (half.D2 == c).all()
+        assert (half.T == 2.5 * eye).all()
         assert half.sizes == (5,) and half.cond_bound == 1.0
 
     def test_cap_fuses_from_the_largest_row_of_y_through_the_column(self):
@@ -439,19 +521,19 @@ class TestColumnSweep:
         a = np.diag([5.0, 1.0, 1.02, 1.04, 1.06])
         a[1, 2] = a[2, 3] = a[3, 4] = 1.0
         a[0, 1:] = 0.3
-        half = block_diagonalize(a, np.eye(5))
+        half = block_diagonalize(a)
         assert half.sizes == (1, 4)
         assert (half.T[~block_mask(half.sizes)] == 0).all()
         resid = half.U @ half.T @ np.linalg.inv(half.U) - a
         assert np.abs(resid).max() <= 1e-8 * np.abs(a).max()
         # a cap below every decoupling fuses everything into one block
-        assert block_diagonalize(a, np.eye(5), max_cond=1e-6).sizes == (5,)
+        assert block_diagonalize(a, max_cond=1e-6).sizes == (5,)
 
     def test_a_failed_decoupling_fuses_every_cluster_through_the_column(self, monkeypatch):
         import sylvenc.blockdiag as bd
 
         a = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
-        assert block_diagonalize(a, np.eye(4)).sizes == (1, 1, 1, 1)
+        assert block_diagonalize(a).sizes == (1, 1, 1, 1)
         monkeypatch.setattr(bd, "_decouple", lambda t11, t22, t12: None)
-        half = block_diagonalize(a, np.eye(4))
+        half = block_diagonalize(a)
         assert half.sizes == (4,) and half.cond_bound < 10.0

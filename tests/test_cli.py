@@ -270,3 +270,22 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert '"A"' in proc.stdout
+
+
+def test_defaults_are_the_library_constants():
+    import inspect
+
+    from sylvenc import full_krawczyk_solve, mkw_block_solve, mkw_solve, run_benchmark
+    from sylvenc.baseline import BASELINE_CAP
+    from sylvenc.cli import build_parser
+    from sylvenc.krawczyk import KMAX_DEFAULT
+    from sylvenc.refine import MAX_ITER_DEFAULT, TOL_DEFAULT
+
+    expect = (TOL_DEFAULT, MAX_ITER_DEFAULT, BASELINE_CAP)
+    for argv in (["solve", "--input", "system.json"], ["bench"]):
+        args = build_parser().parse_args(argv)
+        assert (args.tol, args.max_iter, args.baseline_cap) == expect
+    params = inspect.signature(run_benchmark).parameters
+    assert tuple(params[k].default for k in ("tol", "max_iter", "baseline_cap")) == expect
+    for solve in (mkw_solve, mkw_block_solve, full_krawczyk_solve):
+        assert inspect.signature(solve).parameters["kmax"].default == KMAX_DEFAULT

@@ -17,25 +17,46 @@ def _random_diagonalizable(m, rng, spread=2.0):
 
 
 class TestSimultaneousDiag:
+    """The one conjugation of a pair into a donor's basis."""
+
+    @staticmethod
+    def _pair(a, c):
+        rad = np.full(a.shape, 1e-10)
+        return IMatrix(a, rad), IMatrix(c, rad)
+
     def test_commuting_pair_diagonalizes_both(self):
+        from sylvenc.linalg import eig_decompose
+
         rng = np.random.default_rng(0)
         a = _random_diagonalizable(5, rng)
         c = 0.5 * np.eye(5) + 0.25 * a + 0.125 * (a @ a)  # commutes with a
-        res = simultaneous_diag(a, c)
-        assert res.offdiag_mass <= 1e-8
-        assert res.commutator <= 1e-10 * max(1.0, np.abs(a @ c).max())
-        # U diagonalizes the first matrix
-        back = res.Uinv @ a @ res.U
-        off = back - np.diag(np.diag(back))
-        assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(back)).max()
-        assert np.abs(np.sort(res.dA) - np.sort(np.linalg.eigvals(a))).max() <= 1e-8
+        eig = eig_decompose(a)
+        inv_box, raw = simultaneous_diag(self._pair(a, c), eig.vectors, eig.inv_vectors)
+        assert inv_box.mid is eig.inv_vectors
+        for r in raw:
+            off = r.mid - np.diag(np.diag(r.mid))
+            assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(r.mid)).max()
+        assert np.abs(np.diag(raw[0].mid) - eig.values).max() <= 1e-8
+        # the sandwich midpoints are the point products (Uinv @ mid) @ U
+        for r, x in zip(raw, (a, c)):
+            assert np.array_equal(r.mid, (eig.inv_vectors @ x) @ eig.vectors)
 
     def test_identity_second_matrix(self):
+        from sylvenc.linalg import eig_decompose
+
         rng = np.random.default_rng(1)
         a = _random_diagonalizable(4, rng)
-        res = simultaneous_diag(a, np.eye(4))
-        assert res.offdiag_mass <= 1e-10
-        assert np.abs(res.dC - 1.0).max() <= 1e-10
+        eig = eig_decompose(a)
+        _, raw = simultaneous_diag(self._pair(a, np.eye(4)), eig.vectors, eig.inv_vectors)
+        assert raw[1].contains_point(np.eye(4))
+        assert np.abs(raw[1].mid - np.eye(4)).max() <= 1e-10
+
+    def test_failed_certificate_raises(self):
+        from sylvenc.errors import SingularMatrixError
+
+        a = np.eye(3)
+        with pytest.raises(SingularMatrixError, match="certificate failed"):
+            simultaneous_diag(self._pair(a, a), np.ones((3, 3)), np.eye(3))
 
 
 def test_build_S_outer_product_structure():
@@ -189,18 +210,6 @@ class TestDiagnosticsKeepTheirValues:
             uinv, u = (ps.Uinv, ps.U) if key in "AC" else (ps.Vinv, ps.V)
             assert ps.offdiag_mass[key] == _conj_offdiag_rel(uinv, mid, u)
 
-    def test_lazy_commutator_and_residual(self):
-        from sylvenc.linalg import eig_decompose
-
-        rng = np.random.default_rng(8)
-        a = _random_diagonalizable(6, rng)
-        c = 0.5 * np.eye(6) + 0.25 * a + 0.125 * (a @ a)  # commutes: no warning
-        res = simultaneous_diag(a, c)
-        assert res.commutator == float(np.linalg.norm(a @ c - c @ a))
-        eig = eig_decompose(a)
-        expect = float(np.abs(a @ eig.vectors - eig.vectors * eig.values[None, :]).max())
-        assert eig.residual == expect
-
 
 def _same_precond(a, b):
     for f in dataclasses.fields(a):
@@ -234,85 +243,110 @@ def _jordan_system(m=8, seed=0):
     )
 
 
+def _count_conjugations(monkeypatch):
+    """Record each call of ``precond.simultaneous_diag``, the one conjugation of a pair."""
+    import sylvenc.precond as precond
+
+    calls = []
+    orig = precond.simultaneous_diag
+    monkeypatch.setattr(
+        precond, "simultaneous_diag", lambda *a, **k: calls.append(1) or orig(*a, **k)
+    )
+    return calls
+
+
+def _fail_certificate(monkeypatch):
+    # the certified inverse of every non-diagonal basis fails
+    import sylvenc.precond as precond
+    from sylvenc.errors import SingularMatrixError
+
+    orig = precond.inverse_enclosure
+
+    def certify(a, *args, **kwargs):
+        if np.count_nonzero(a - np.diag(np.diagonal(a))):
+            raise SingularMatrixError("singular matrix: inverse certificate failed")
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(precond, "inverse_enclosure", certify)
+
+
+def _commuting_system(m=6, seed=3, d_scalar=True):
+    """``(A, C)`` distinct, non-scalar and commuting; ``D = I`` or a polynomial in ``B``."""
+    rng = np.random.default_rng(seed)
+    a = _random_diagonalizable(m, rng)
+    c = 0.5 * np.eye(m) + 0.25 * a + 0.125 * (a @ a)
+    b = _random_diagonalizable(m, rng)
+    d = np.eye(m) if d_scalar else 0.25 * np.eye(m) + 0.5 * b - 0.0625 * (b @ b)
+    rad = np.full((m, m), 1e-8)
+    return SylvesterSystem(
+        A=IMatrix(a, rad), B=IMatrix(b, rad), C=IMatrix(c, rad), D=IMatrix(d, rad),
+        F=IMatrix(np.ones((m, m)), rad),
+    )
+
+
 class TestForcedDonors:
-    """Pairs whose donor needs no scoring give the system the scoring gives."""
+    """The rule's shortcuts give the system that conjugating every candidate gives.
+
+    A scalar member is scored without a conjugation, and conjugated only when
+    it wins; scoring it from its sandwich instead (``_scalar`` reports no
+    scalar matrix, so ``I`` comes from ``eig_decompose`` and is conjugated
+    like any other basis) must change no bit.
+    """
 
     @staticmethod
     def _scored(monkeypatch, sys):
         import sylvenc.precond as precond
 
         with monkeypatch.context() as mp:
-            mp.setattr(precond, "_pair_kind", lambda first, second: "general")
+            mp.setattr(precond, "_scalar", lambda a: False)
             return transform_enclose(sys)
-
-    @staticmethod
-    def _count_scorings(monkeypatch):
-        import sylvenc.precond as precond
-
-        calls = []
-        orig = precond.simultaneous_diag
-        monkeypatch.setattr(
-            precond, "simultaneous_diag", lambda *a, **k: calls.append(1) or orig(*a, **k)
-        )
-        return calls
 
     @pytest.mark.parametrize("m", [8, 32])
     @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
     def test_families_match_the_scoring_path(self, monkeypatch, family, m):
         sys = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
         scored = self._scored(monkeypatch, sys)
-        calls = self._count_scorings(monkeypatch)
+        calls = _count_conjugations(monkeypatch)
         forced = transform_enclose(sys)
-        assert calls == []
+        # scalar pairs whose eigenbasis wins and equal pairs: one conjugation a side
+        assert len(calls) == 2
         _same_precond(forced, scored)
 
     @pytest.mark.parametrize("seed, scalar_wins", [(0, False), (2, True)])
     def test_defective_midpoint_matches_the_scoring_path(self, monkeypatch, seed, scalar_wins):
         # the eigenbasis of a defective midpoint may leave more off-diagonal
-        # mass than the scalar member's basis I; then the scoring chose I
+        # mass than the scalar member's basis I; then I wins and is conjugated too
         sys = _jordan_system(seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scored = self._scored(monkeypatch, sys)
+            calls = _count_conjugations(monkeypatch)
             forced = transform_enclose(sys)
         assert np.array_equal(forced.U, np.eye(8)) == scalar_wins
+        assert len(calls) == 2 + scalar_wins
         _same_precond(forced, scored)
 
-    @staticmethod
-    def _fail_certificate(monkeypatch):
-        # the certified inverse of every non-diagonal basis fails
-        import sylvenc.precond as precond
-        from sylvenc.errors import SingularMatrixError
-
-        orig = precond.inverse_enclosure
-
-        def certify(a, *args, **kwargs):
-            if np.count_nonzero(a - np.diag(np.diagonal(a))):
-                raise SingularMatrixError("singular matrix: inverse certificate failed")
-            return orig(a, *args, **kwargs)
-
-        monkeypatch.setattr(precond, "inverse_enclosure", certify)
-
     @pytest.mark.parametrize(
-        "make",
-        [lambda: generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0)), _jordan_system],
+        "make, conjugations",
+        [(lambda: generate(GenSpec(family="kyc31", m=8, alpha=1e-6)), 4), (_jordan_system, 3)],
         ids=["kyc31", "jordan"],
     )
-    def test_uncertified_winning_eigenbasis_raises_as_scored(self, monkeypatch, make):
-        from sylvenc.errors import SingularMatrixError
-
+    def test_uncertified_winning_eigenbasis_drops_out(self, monkeypatch, make, conjugations):
         sys = make()
-        self._fail_certificate(monkeypatch)
+        _fail_certificate(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(SingularMatrixError, match="certificate failed"):
-                self._scored(monkeypatch, sys)
-            with pytest.raises(SingularMatrixError, match="certificate failed"):
-                transform_enclose(sys)
+            calls = _count_conjugations(monkeypatch)
+            ps = transform_enclose(sys)
+        # the eigenbasis of A fails its certificate and the scalar member's I is
+        # conjugated; so is kyc31's B, while the Jordan family's diagonal B keeps I
+        assert np.array_equal(ps.U, np.eye(8)) and np.array_equal(ps.V, np.eye(8))
+        assert ps.offdiag_mass["A"] == _conj_offdiag_rel(np.eye(8), sys.A.mid, np.eye(8))
+        assert len(calls) == conjugations
 
     def test_uncertified_losing_eigenbasis_gives_the_scalar_basis(self, monkeypatch):
         sys = _jordan_system(seed=2)
-        self._fail_certificate(monkeypatch)
+        _fail_certificate(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scored = self._scored(monkeypatch, sys)
@@ -325,17 +359,80 @@ class TestForcedDonors:
             transform_enclose(_jordan_system())
 
     def test_distinct_non_scalar_pair_scores_both_candidates(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        m = 6
-        a = _random_diagonalizable(m, rng)
-        c = 0.5 * np.eye(m) + 0.25 * a + 0.125 * (a @ a)
-        b = _random_diagonalizable(m, rng)
-        rad = np.full((m, m), 1e-8)
-        sys = SylvesterSystem(
-            A=IMatrix(a, rad), B=IMatrix(b, rad), C=IMatrix(c, rad), D=IMatrix(np.eye(m)),
-            F=IMatrix(np.ones((m, m)), rad),
-        )
-        calls = self._count_scorings(monkeypatch)
-        transform_enclose(sys)
-        # (A, C) is scored over both candidates; (B, I) is not scored
-        assert len(calls) == 2
+        calls = _count_conjugations(monkeypatch)
+        transform_enclose(_commuting_system())
+        # (A, C) conjugates both candidates; (B, I) only B's eigenbasis
+        assert len(calls) == 3
+
+
+class TestDonorRule:
+    """One rule picks the donor of a pair: each candidate is conjugated at most once."""
+
+    @staticmethod
+    def _side(pair):
+        from sylvenc.precond import _eig_memo, _eigen_donor
+
+        return _eigen_donor(pair, _eig_memo())
+
+    @staticmethod
+    def _pair(a, c):
+        rad = np.full(a.shape, 1e-8)
+        return IMatrix(a, rad), IMatrix(c, rad)
+
+    def test_conjugations_per_kind_of_pair(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        eye = np.eye(8)
+        a = _random_diagonalizable(8, rng)
+        c = 0.5 * eye + 0.25 * a + 0.125 * (a @ a)
+        jordan = _jordan_system(seed=2).A.mid
+        cases = [
+            ((a, eye), 1, 0),  # scalar pair, the eigenbasis wins
+            ((eye, a), 1, 1),
+            ((jordan, eye), 2, 1),  # scalar pair, I wins
+            ((a, a), 1, 0),  # equal pair: one candidate
+            ((eye, eye), 1, 0),
+            ((2.0 * eye, 3.0 * eye), 1, 0),  # both scalar: a tie keeps the first
+            ((a, c), 2, None),  # distinct non-scalar pair
+        ]
+        calls = _count_conjugations(monkeypatch)
+        for mids, conjugations, donor in cases:
+            calls.clear()
+            side = self._side(self._pair(*mids))
+            assert len(calls) == conjugations, mids
+            if donor is not None:
+                assert side.index == donor
+
+    def test_lowest_score_wins(self):
+        rng = np.random.default_rng(6)
+        a = _random_diagonalizable(6, rng)
+        c = 0.5 * np.eye(6) + 0.25 * a + 0.125 * (a @ a)
+        rad = np.full((6, 6), 1e-8)
+        pair = (IMatrix(a, rad), IMatrix(c, rad))
+        from sylvenc.linalg import eig_decompose
+
+        scores = []
+        for mid in (a, c):
+            eig = eig_decompose(mid)
+            _, raw = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
+            scores.append(max(_conj_offdiag_rel(eig.inv_vectors, x, eig.vectors) for x in (a, c)))
+            assert scores[-1] == max(
+                float(np.abs(r.mid - np.diag(np.diag(r.mid))).sum(axis=1).max())
+                / float(np.abs(x).sum(axis=1).max())
+                for r, x in zip(raw, (a, c))
+            )
+        side = self._side(pair)
+        assert side.index == int(scores[1] < scores[0])
+        assert max(side.mass) == min(scores)
+
+    def test_both_candidates_uncertified_raise(self, monkeypatch):
+        from sylvenc.errors import EigenDecompositionError
+
+        _fail_certificate(monkeypatch)
+        with pytest.raises(EigenDecompositionError):
+            transform_enclose(_commuting_system(d_scalar=False))
+
+    def test_both_sides_of_a_general_system(self, monkeypatch):
+        calls = _count_conjugations(monkeypatch)
+        ps = transform_enclose(_commuting_system(d_scalar=False))
+        assert len(calls) == 4
+        assert all(v < 1e-8 for v in ps.offdiag_mass.values())

@@ -60,6 +60,30 @@ class TestIMatrixJson:
             )
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_matrices_with_a_zero_dimension_round_trip(shape, dtype):
+    x = IMatrix(np.zeros(shape, dtype=dtype))
+    back = imatrix_from_dict(load_json(dump_json(imatrix_to_dict(x))))
+    assert back.shape == shape and back.rad.shape == shape
+    a = np.zeros(shape, dtype=dtype)
+    assert pmatrix_from_dict(load_json(dump_json(pmatrix_to_dict(a)))).shape == shape
+    d = {"rows": shape[0], "cols": shape[1], "mid_re": [], "mid_im": [], "rad": []}
+    if shape[0] == 0:
+        # an explicit imaginary part of an empty grid reads back complex
+        got = imatrix_from_dict(d)
+        assert got.shape == shape and got.mid.dtype == np.complex128
+        got = pmatrix_from_dict({"rows": shape[0], "cols": shape[1], "re": [], "im": []})
+        assert got.shape == shape and got.dtype == np.complex128
+
+
+def test_empty_grid_of_a_nonempty_declared_shape_rejected():
+    with pytest.raises(ValueError):
+        imatrix_from_dict({"rows": 2, "cols": 3, "mid_re": [], "rad": []})
+    with pytest.raises(ValueError):
+        pmatrix_from_dict({"rows": 2, "cols": 3, "re": []})
+
+
 def test_pmatrix_round_trip():
     a = np.array([[1.0, -2.5], [0.0, 3.125]])
     assert (pmatrix_from_dict(pmatrix_to_dict(a)) == a).all()

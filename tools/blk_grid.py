@@ -15,8 +15,9 @@ One line per system:
 * ``a_sizes`` / ``b_sizes``: blk's block sizes on each side, as
   ``size x count`` runs;
 * ``cond``: blk's ``cond_bound``;
-* ``bd_ms``: clock ms of the ``block_diagonalize`` calls blk makes (both
-  donors of both sides), the median of 5 runs;
+* ``bd_ms``: clock ms of ``block_diagonalize`` on each of the four
+  midpoints, the median of 5 runs (blk itself skips a repeated member and
+  a scalar one that loses);
 * ``blk``: whether blk verified, and ``radsum`` its radius sum;
 * ``mkw_it``: mkw's iteration count and outcome on the same system.
 
@@ -93,9 +94,9 @@ def _bd_ms(sys_: SylvesterSystem, repeats: int = 5) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for p, q in sides:
-            block_diagonalize(p, q)
-            block_diagonalize(q, p)
+        for pair in sides:
+            for mid in pair:
+                block_diagonalize(mid)
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
 

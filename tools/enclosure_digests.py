@@ -1,14 +1,16 @@
 """Print the sha256 of each enclosure's JSON on a fixed small corpus, and its width.
 
-The corpus is the three families at m = 8 and m = 32 plus one system whose
-midpoint A is defective (2x2 Jordan blocks).  Each system is solved by mkw,
+The corpus is the three families at m = 8 and m = 32, one system whose
+midpoint A is defective (2x2 Jordan blocks) and one whose midpoint pairs
+(A, C) and (B, D) are distinct and non-scalar, so that each side weighs two
+eigenbases for its donor.  Each system is solved by mkw,
 itr (started from the mkw enclosure), blk and ver, and every result is
 serialized with ``dump_json(enclosure_to_dict(enc))``.  A solve that raises
 prints the error's class name instead of a digest.  After the digest each
 line prints the radius sum of the enclosure, the ``repr`` of
 ``float(evaluated.rad.sum())``, or ``-`` when the solve did not verify or
 raised, so a change that moves rounding can show its width ratios line by
-line.
+line.  BLAS runs on one thread: ver's bytes depend on the thread count.
 
 Two trees that print the same lines produce byte-identical enclosure JSON on
 this corpus, which is how a change claiming "no behaviour change" shows it::
@@ -20,11 +22,17 @@ this corpus, which is how a change claiming "no behaviour change" shows it::
 
 from __future__ import annotations
 
-import hashlib
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -63,13 +71,40 @@ def defective_system(m: int = 16, seed: int = 0) -> SylvesterSystem:
     )
 
 
+def commuting_system(m: int = 12, seed: int = 0) -> SylvesterSystem:
+    """``A X B + C X D = F`` with commuting, distinct, non-scalar midpoint pairs.
+
+    ``mid A`` and ``mid B`` are diagonalizable with spectra in [1, 2],
+    ``mid C = 0.5 I + 0.25 A + 0.125 A^2`` and ``mid D = 0.25 I + 0.5 B -
+    0.0625 B^2``.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def diagonalizable() -> np.ndarray:
+        p = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+        return p @ np.diag(rng.uniform(1.0, 2.0, m)) @ np.linalg.inv(p)
+
+    a, b = diagonalizable(), diagonalizable()
+    eye = np.eye(m)
+    c = 0.5 * eye + 0.25 * a + 0.125 * (a @ a)
+    d = 0.25 * eye + 0.5 * b - 0.0625 * (b @ b)
+    rad = np.full((m, m), 1e-8)
+    return SylvesterSystem(
+        A=IMatrix(a, rad),
+        B=IMatrix(b, rad),
+        C=IMatrix(c, rad),
+        D=IMatrix(d, rad),
+        F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
+    )
+
+
 def corpus() -> list[tuple[str, SylvesterSystem]]:
     systems = [
         (f"{family}-m{m}", generate(GenSpec(family=family, m=m)))
         for m in (8, 32)
         for family in ("kyc31", "sylvester32", "gallery33")
     ]
-    return systems + [("jordan-m16", defective_system())]
+    return systems + [("jordan-m16", defective_system()), ("commuting-m12", commuting_system())]
 
 
 def digests(sys_: SylvesterSystem) -> list[tuple[str, str, str]]:
