@@ -49,7 +49,6 @@ from .intervals import (
     as_imatrix,
     disks_to_rect,
     epsilon_inflate,
-    hadamard_div_point,
     im_matmul,
     in_interior,
     rect_to_disks,
@@ -90,7 +89,6 @@ __all__ = [
     "Rect",
     "as_imatrix",
     "im_matmul",
-    "hadamard_div_point",
     "in_interior",
     "epsilon_inflate",
     "disks_to_rect",

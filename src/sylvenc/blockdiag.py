@@ -45,6 +45,7 @@ from .intervals import (
     _denominators,
     _dot_ops,
     _pad_rad,
+    _quot,
     _slack,
     _up,
     as_imatrix,
@@ -328,7 +329,9 @@ def interval_back_substitute(
     backward substitution.  Step ``p`` forms the tail of row ``p`` of every
     tile, each entry with a radius covering its floating formation error;
     that tail is never longer than the row of the whole column block, so
-    neither is the inner-product pad ``2 kk + 8``.
+    neither is the inner-product pad ``2 kk + 8``.  Each unknown is divided
+    by its diagonal denominator through the quotient rule mkw uses, with
+    the reciprocal disks of ``intervals._denominators``.
     """
     m, n = form.DA.shape[0], form.DB.shape[0]
     rhs = as_imatrix(rhs)
@@ -363,10 +366,7 @@ def interval_back_substitute(
             dot_rad = _pad_rad(dot_rad, (at * az).sum(axis=-1), _dot_ops(a * b - p - 1))
             num_mid = f_mid[..., p] - dot_mid
             num_rad = _pad_rad(f_rad[..., p] + dot_rad, np.abs(num_mid))
-            rm, rr = rec_mid[..., p], rec_rad[..., p]
-            z_mid[..., p] = num_mid * rm
-            rad = _up(np.abs(num_mid) * rr + num_rad * np.abs(rm) + num_rad * rr, 5)
-            z_rad[..., p] = rad + _slack(np.abs(z_mid[..., p]), 4)
+            z_mid[..., p], z_rad[..., p] = _quot(num_mid, num_rad, rec_mid[..., p], rec_rad[..., p])
         out_mid[ix] = z_mid.reshape(tiles[:2] + (b, a))
         out_rad[ix] = z_rad.reshape(tiles[:2] + (b, a))
     return IMatrix(out_mid, out_rad)

@@ -112,6 +112,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if enc.evaluated is None:
         _sys.stdout.write("enclosure is not verified; nothing to check\n")
         return 2
+    if enc.evaluated.shape != system.F.shape:
+        m, n = enc.evaluated.shape
+        _sys.stderr.write(
+            f"error: the enclosure is {m} x {n}, the system's solution {system.m} x {system.n}\n"
+        )
+        return 2
     if args.samples < 1:
         _sys.stderr.write("error: --samples must be at least 1\n")
         return 2

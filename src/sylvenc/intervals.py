@@ -22,12 +22,12 @@ enclosure.  Every kernel of the package pads through the private rules
 under "pad rules" below: ``_up``, ``_down`` and ``_slack`` (``x (1 + n
 ETA)``, ``x (1 - n ETA)`` and ``n ETA x``), ``_pad_rad`` (the radius of a
 rounded result, such as a sum of disks), ``_dot_ops`` (the count ``2k + 8``
-of a length-``k`` inner product), ``_quot_rad``, ``_mag``, ``_reach``,
-``_rect_half`` and ``_corner_mag``.  So the rounding model is this module's
-decision alone.  Each rule fixes the order of its floating-point operations,
-so every kernel that applies it rounds alike, and a term the model still
-lacks (the absolute underflow term below) goes into these rules, not into
-the kernels.
+of a length-``k`` inner product), ``_quot`` (a disk times a reciprocal
+disk), ``_mag``, ``_reach``, ``_rect_half`` and ``_corner_mag``.  So the
+rounding model is this module's decision alone.  Each rule fixes the order
+of its floating-point operations, so every kernel that applies it rounds
+alike, and a term the model still lacks (the absolute underflow term below)
+goes into these rules, not into the kernels.
 
 Products follow Rump's midpoint-radius arithmetic ("Fast and parallel
 interval arithmetic", BIT 39, 1999).  :func:`im_matmul` bounds the radius by
@@ -45,7 +45,11 @@ and a point times an interval product one radius product instead of two.
 All pads are relative: a product whose exact value lies in or below the
 subnormal range, where rounding errors are absolute, can escape its
 enclosure; ``[1e-200] [1e-200]`` gives ``[0, 0]``.  ``im_matmul`` and
-:func:`posmm` still lack the absolute underflow term.
+:func:`posmm` still lack the absolute underflow term.  The disk reciprocal
+:func:`iv_recip_arrays` instead refuses, with :class:`IntervalOverflowError`,
+a disk whose modulus or reciprocal bound leaves the normal range, and the
+disk denominators ``a_i b_j + c_i d_j`` that mkw, itr and blk divide by
+(:func:`_denominators`) come only through it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ __all__ = [
     "im_matmul",
     "posmm",
     "iv_recip_arrays",
-    "hadamard_div_point",
     "in_interior",
     "epsilon_inflate",
     "Rect",
@@ -124,13 +127,22 @@ def _dot_ops(k: int) -> int:
     return 2 * k + 8
 
 
-def _quot_rad(rad, adiv):
-    """``rad / (adiv (1 - 2 ETA)) (1 + 2 ETA)``: a radius over exact divisors of size ``adiv``.
+def _quot(mid, rad, rec_mid, rec_rad):
+    """Disks ``<mid, rad>`` times reciprocal disks ``<rec_mid, rec_rad>``: the midpoint and radius.
 
-    ``adiv`` is scratch: the rule scales it in place.
+    The radius is ``(|mid| rec_rad + rad |rec_mid| + rad rec_rad)(1 + 5 ETA)
+    + 4 ETA |mid rec_mid|``.  ``mid=None`` stands for zero midpoints: their
+    quotients are zero, the midpoint returned is None and the radius has the
+    bits of the one of explicit zeros.
     """
-    q = rad / _down(adiv, 2, out=adiv)
-    return _up(q, 2, out=q)
+    if mid is None:
+        r = rad * np.abs(rec_mid)
+        r += rad * rec_rad
+        return None, _up(r, 5, out=r)
+    q = mid * rec_mid
+    r = _up(np.abs(mid) * rec_rad + rad * np.abs(rec_mid) + rad * rec_rad, 5)
+    r += _slack(np.abs(q), 4)
+    return q, r
 
 
 def _mag(amid, rad, out=None):
@@ -421,30 +433,50 @@ def posmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def iv_recip_arrays(mid: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise disk reciprocal ``1 / <mid, rad>`` on arrays.
 
-    The exact image of a zero-free disk is the disk
-    ``<conj(c) / (|c|^2 - r^2), r / (|c|^2 - r^2)>``.  The denominator is
-    computed as a certified lower bound ``den <= |c|^2 - r^2``; using it in
-    both quotients enlarges the radius by at least as much as it displaces
-    the midpoint (up to an ``ETA |c| / den`` term, which the final pad
-    covers), so the returned disk encloses the reciprocal of every point of
-    every input disk.  Raises ``ZeroDivisionError`` when a disk may touch
-    zero.
+    With ``t = r / |c| < 1``, the exact image of a zero-free disk ``<c, r>``
+    is the disk ``<u / D, t / D>`` with the unit ``u = conj(c) / |c|`` and
+    ``D = |c| (1 - t^2)``.  Factoring ``|c|`` out, instead of squaring it,
+    keeps every intermediate near ``|c|`` or 1, so no square over- or
+    underflows.  The result is ``<u / lo, tu / lo>`` for an upper bound
+    ``tu`` of ``t`` and a lower bound ``lo`` of ``D``, plus the slack
+    ``40 ETA |u / lo|``.
+
+    Why that holds: ``lo < D`` moves the midpoint by ``1/lo - 1/D`` but
+    widens the radius only by ``t (1/lo - 1/D)``, less since ``t < 1``, so a
+    larger radius does not by itself cover the move.  Write ``lo = D (1 -
+    g)``.  The part of ``g`` due to ``tu > t`` is at most ``(tu - t) / (1 -
+    t)``, which the radius ``tu / lo`` covers.  The rest is the rounding of
+    ``|c|`` and of the lower bounds, within a few ``ETA``, and the slack
+    covers it with the rounding of the midpoint.
+
+    Raises ``ZeroDivisionError`` when a disk may touch zero, and
+    :class:`IntervalOverflowError` when ``|c|`` or ``lo`` lies below the
+    normal range, where rounding errors are absolute and the relative pads
+    do not cover them.
     """
     mid = np.asarray(mid)
     rad = np.asarray(rad, dtype=np.float64)
     absm = np.abs(mid)
     if (_down(absm, 2) <= rad).any():
         raise ZeroDivisionError("interval division by zero")
-    # absm, and later den and rad2, are spent: the results reuse their storage
-    den = _down(np.multiply(absm, absm, out=absm), 8, out=absm)
-    rad2 = rad * rad
-    den -= _up(rad2, 4, out=rad2)
-    _down(den, 4, out=den)
-    if (den <= 0.0).any():
+    if (absm < _NORMAL_MIN).any():
+        raise IntervalOverflowError("interval overflow: reciprocal below the normal range")
+    unit = np.conj(mid) / absm
+    # absm, and later lo, are spent: the results reuse their storage
+    alo = _down(absm, 2, out=absm)
+    tu = _up(rad / alo, 2)
+    lo = _up(tu * tu, 2)
+    np.subtract(1.0, lo, out=lo)
+    _down(lo, 2, out=lo)
+    lo *= alo
+    _down(lo, 2, out=lo)
+    if (lo <= 0.0).any():
         raise ZeroDivisionError("interval division by zero")
-    rmid = np.conj(mid) / den
-    rrad = _up(np.divide(rad, den, out=den), 8, out=den)
-    rrad += _slack(np.abs(rmid, out=rad2), 40, out=rad2)
+    if (lo < _NORMAL_MIN).any():
+        raise IntervalOverflowError("interval overflow: reciprocal below the normal range")
+    rmid = np.divide(unit, lo, out=unit)
+    rrad = _up(np.divide(tu, lo, out=tu), 2, out=tu)
+    rrad += _slack(np.abs(rmid, out=lo), 40, out=lo)
     return rmid, rrad
 
 
@@ -461,11 +493,16 @@ def _denominators(a, b, c, d) -> _Denominators:
     """Screened disk denominators ``a_i b_j + c_i d_j`` of four stored diagonals.
 
     The radii cover the floating formation error, so the exact products of
-    the stored diagonals are certainly enclosed.
+    the stored diagonals are certainly enclosed.  Raises
+    :class:`SingularPreconditionerError` when a disk comes near zero, and
+    :class:`IntervalOverflowError` when a denominator overflows or, by
+    :func:`iv_recip_arrays`, lies below the normal range.
     """
     mid = np.outer(a, b) + np.outer(c, d)
     rad = np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d))
     _slack(rad, 6, out=rad)
+    if not (np.isfinite(mid).all() and np.isfinite(rad).all()):
+        raise IntervalOverflowError("interval overflow")
     lo = np.abs(mid) - rad
     if mid.size == 0 or lo.min() <= SINGULAR_REL * np.abs(mid).max():
         raise SingularPreconditionerError("singular preconditioner entry")
@@ -473,28 +510,6 @@ def _denominators(a, b, c, d) -> _Denominators:
         return _Denominators(mid, rad, *iv_recip_arrays(mid, rad))
     except ZeroDivisionError:
         raise SingularPreconditionerError("singular preconditioner entry") from None
-
-
-def hadamard_div_point(y: IMatrix, s: np.ndarray) -> IMatrix:
-    """Entrywise division of an interval matrix by an exact point matrix.
-
-    The divisor entries are taken as exactly the stored floats.  Entries whose
-    magnitude falls below ``SINGULAR_REL`` times the largest divisor magnitude
-    are treated as singular.
-    """
-    y = as_imatrix(y)
-    s = np.atleast_2d(np.asarray(s))
-    if s.shape != y.shape:
-        raise ValueError("dimension mismatch")
-    abss = np.abs(s)
-    smax = abss.max() if abss.size else 0.0
-    if smax == 0.0 or (abss < SINGULAR_REL * smax).any():
-        raise SingularPreconditionerError("singular preconditioner entry")
-    mid = y.mid / s
-    rad = _quot_rad(y.rad, abss)
-    amid = np.abs(mid)
-    rad += _slack(amid, 6, out=amid)
-    return IMatrix._from_kernel(mid, rad)
 
 
 def in_interior(h: IMatrix, x: IMatrix) -> bool:

@@ -12,30 +12,34 @@ solver hands the engine four things:
 * ``back``, the map of ``Xtilde + H`` to original coordinates, applied only
   when the loop verifies.
 
-The diagonal solver ``mkw`` below divides :func:`residual` by the point
-denominators ``S`` and maps back by ``U . V^-1``.  The block solver ``blk``
-(:mod:`.blockdiag`) back-substitutes the same residual, and its contraction
-term, through the block form, and maps back the same way.  The dense solver
-``ver`` (:mod:`.baseline`) multiplies by a floating inverse ``R`` of the
-Kronecker midpoint ``mid Q`` and bounds the contraction by ``|I - R Q| x``;
-its loop runs in m x n coordinates and ``back`` is the identity.
+The diagonal solver ``mkw`` below divides :func:`residual` by the disk
+denominators ``den`` of the preconditioned system and maps back by
+``U . V^-1``.  The block solver ``blk`` (:mod:`.blockdiag`)
+back-substitutes the same residual, and its contraction term, through the
+block form, and maps back the same way.  The dense solver ``ver``
+(:mod:`.baseline`) multiplies by a floating inverse ``R`` of the Kronecker
+midpoint ``mid Q`` and bounds the contraction by ``|I - R Q| x``; its loop
+runs in m x n coordinates and ``back`` is the identity.
 
 Writing the diagonally preconditioned equation as a fixed-point problem
-around the approximate solution ``Xtilde = mid(Fp) ./ S``, the candidate
-image is
+around the approximate solution ``Xtilde = mid(Fp) ./ mid(den)``, the
+candidate image is
 
     H  =  M + N,
-    M  =  (Fp - (Ap Xtilde) Bp - (Cp Xtilde) Dp) ./ S,
+    M  =  (Fp - (Ap Xtilde) Bp - (Cp Xtilde) Dp) .* Rec,
     N  =  <0, (rad(Ap) W |mid Bp| + Mag(Ap) W rad(Bp)
-              + rad(Cp) W |mid Dp| + Mag(Cp) W rad(Dp)) ./ |S|
-              + sdefect .* W>          with W = Mag(X),
+              + rad(Cp) W |mid Dp| + Mag(Cp) W rad(Dp)) .* Mag(Rec)>
+                                       with W = Mag(X),
 
-and a box ``X`` is verified as soon as ``H`` lies in its strict interior.
-``X`` is grown by epsilon inflation from ``M`` and kept symmetric (zero
-midpoint), which the ``N`` bound requires.  The ``sdefect`` term covers the
-floating-point gap between the stored denominators ``S`` and the exact
-products of the stored transformed midpoint diagonals, so that a True
-verification is rigorous, not merely heuristic.
+where ``Rec`` holds the disks that contain ``1 / (a_i b_j + c_i d_j)``, the
+exact reciprocals of the denominators of the stored diagonals ``a, b, c, d``
+of ``mid Ap .. mid Dp`` (one quotient rule of :mod:`.intervals` forms both
+products).  Those exact denominators are one fixed point for every member,
+so dividing by them is an exact diagonal preconditioner of the Krawczyk
+step and needs no term for the rounding of the denominators.  A box ``X``
+is verified as soon as ``H`` lies in its strict interior.  ``X`` is grown by
+epsilon inflation from ``M`` and kept symmetric (zero midpoint), which the
+``N`` bound requires, and ``rad N`` is linear in its radii.
 
 The transformed midpoints are exactly diagonal, and the products use it:
 ``im_matmul`` applies a diagonal-midpoint factor by a broadcast and skips the
@@ -61,11 +65,10 @@ import numpy as np
 from .intervals import (
     IMatrix,
     _dot_ops,
-    _quot_rad,
+    _quot,
     _up,
     as_imatrix,
     epsilon_inflate,
-    hadamard_div_point,
     im_matmul,
     in_interior,
     posmm,
@@ -129,7 +132,8 @@ def residual(
 
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     """Enclosure of the scaled residual of ``xtilde`` over all members."""
-    return hadamard_div_point(residual(ps.Fp, ps.Ap, ps.Bp, ps.Cp, ps.Dp, xtilde), ps.S)
+    r = residual(ps.Fp, ps.Ap, ps.Bp, ps.Cp, ps.Dp, xtilde)
+    return IMatrix._from_kernel(*_quot(r.mid, r.rad, ps.den.rec_mid, ps.den.rec_rad))
 
 
 class _Pair(NamedTuple):
@@ -172,16 +176,12 @@ def _pair_bound(pair: _Pair, w: np.ndarray) -> np.ndarray:
 def compute_N(ps: PrecondSystem, xrad: np.ndarray) -> IMatrix:
     """Zero-midpoint contraction bound for a symmetric box of radii ``xrad``."""
     xrad = np.asarray(xrad, dtype=np.float64)
-    if xrad.shape != ps.S.shape or (xrad < 0).any():
+    if xrad.shape != ps.Fp.shape or (xrad < 0).any():
         raise ValueError("xrad must be a nonnegative m x n array")
     ab, cd = _pairs(ps)
     w = _pair_bound(ab, xrad) + _pair_bound(cd, xrad)
-    rad = _quot_rad(_up(w, 4, out=w), np.abs(ps.S))
-    if ps.sdefect is not None:
-        t = ps.sdefect * xrad
-        rad += _up(t, 4, out=t)
-    mid = np.zeros(ps.S.shape, dtype=ps.Fp.mid.dtype)
-    return IMatrix(mid, rad)
+    _, rad = _quot(None, _up(w, 4, out=w), ps.den.rec_mid, ps.den.rec_rad)
+    return IMatrix(np.zeros(ps.Fp.shape, dtype=ps.Fp.mid.dtype), rad)
 
 
 def verification_loop(M: IMatrix, n_of, kmax: int):
@@ -275,7 +275,7 @@ def mkw_solve(
     a failed verification is a regular result with ``verified=False``.
     """
     ps = transform_enclose(sys)
-    xtilde = ps.Fp.mid / ps.S
+    xtilde = ps.Fp.mid / ps.den.mid
     return verify(
         "mkw",
         xtilde,

@@ -6,6 +6,7 @@ conventions and a certified interval enclosure of a matrix inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +76,30 @@ class EigResult:
     inv_vectors: np.ndarray
 
 
+def _even_scale(a: np.ndarray) -> float:
+    """The power of four, within the normal range, that brings ``max |a|`` into ``[1/4, 1)``."""
+    amax = float(np.abs(a).max()) if a.size else 0.0
+    if not 0.0 < amax < math.inf:
+        return 1.0
+    return 2.0 ** min(max(-2 * ((math.frexp(amax)[1] + 1) // 2), -1022), 1022)
+
+
 def eig_decompose(a: np.ndarray) -> EigResult:
-    """Dense eigendecomposition with unit-norm columns and their LU inverse."""
+    """Dense eigendecomposition with unit-norm columns and their LU inverse.
+
+    LAPACK's rounding is not scale-equivariant, so ``a`` is first scaled
+    exactly by :func:`_even_scale`: ``a`` and ``4**j a`` then give the same
+    eigenvectors bit for bit, and the eigenvalues are scaled back.
+    """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("dimension mismatch")
+    s = _even_scale(a)
     try:
-        values, vectors = np.linalg.eig(a)
+        values, vectors = np.linalg.eig(a * s)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError("eigendecomposition failed") from exc
+    values /= s
     inv_vectors = lu_solve(vectors, np.eye(a.shape[0], dtype=vectors.dtype))
     return EigResult(values, vectors, inv_vectors)
 

@@ -20,10 +20,12 @@ the relative inf-norm off the diagonal, against the member.
 The exact inverses of U and V are not representable in floating point, so
 interval enclosures of them (point inverse plus a certified residual pad) are
 used on the left of every transform product.  The entrywise denominators
-S_ij = dA_i dB_j + dC_i dD_j of the diagonalized system are screened against
-near-zero entries, and a rigorous bound on the relative defect between S and
-the exact products of the stored transformed diagonals is kept for the
-verification step.
+``a_i b_j + c_i d_j`` of the stored diagonals ``a, b, c, d`` of the
+transformed midpoints are formed once, as screened disks that contain the
+exact products, with disks containing their reciprocals
+(:func:`.intervals._denominators`).  Every member shares those exact
+products, so dividing by them is a preconditioner of its own, and mkw, itr
+and blk all divide through these disks.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import EigenDecompositionError, SingularMatrixError, SingularPreconditionerError
+from .errors import EigenDecompositionError, SingularMatrixError
 from .intervals import (
     IMatrix,
-    SINGULAR_REL,
+    _Denominators,
+    _denominators,
     _diagonal,
-    _quot_rad,
-    _slack,
     _up,
     as_imatrix,
     im_matmul,
@@ -52,7 +53,6 @@ __all__ = [
     "PrecondSystem",
     "simultaneous_diag",
     "transform_enclose",
-    "build_S",
 ]
 
 OFFDIAG_WARN = 1e-2
@@ -96,22 +96,14 @@ def _eig_memo():
     return eig_of
 
 
-def build_S(dA, dB, dC, dD) -> np.ndarray:
-    """Entrywise denominators ``S_ij = dB_j dA_i + dD_j dC_i`` with screening."""
-    dA, dB, dC, dD = (np.asarray(v).ravel() for v in (dA, dB, dC, dD))
-    if dA.shape != dC.shape or dB.shape != dD.shape:
-        raise ValueError("dimension mismatch")
-    S = np.outer(dA, dB) + np.outer(dC, dD)
-    absS = np.abs(S)
-    smax = absS.max() if absS.size else 0.0
-    if smax == 0.0 or (absS < SINGULAR_REL * smax).any():
-        raise SingularPreconditionerError("singular preconditioner entry")
-    return S
-
-
 @dataclass(frozen=True)
 class PrecondSystem:
-    """Transformed interval system with exactly diagonal midpoints."""
+    """Transformed interval system with exactly diagonal midpoints.
+
+    ``uinv_box`` and ``vinv_box`` are the certified inverses of the bases
+    ``U`` and ``V``; ``den`` holds the disk denominators ``a_i b_j + c_i
+    d_j`` of the diagonals of ``mid Ap .. mid Dp`` and their reciprocals.
+    """
 
     Ap: IMatrix
     Bp: IMatrix
@@ -119,18 +111,11 @@ class PrecondSystem:
     Dp: IMatrix
     Fp: IMatrix
     U: np.ndarray
-    Uinv: np.ndarray
     V: np.ndarray
-    Vinv: np.ndarray
-    dA: np.ndarray
-    dB: np.ndarray
-    dC: np.ndarray
-    dD: np.ndarray
-    S: np.ndarray
+    uinv_box: IMatrix
+    vinv_box: IMatrix
+    den: _Denominators
     offdiag_mass: dict = field(default_factory=dict)
-    uinv_box: IMatrix | None = None
-    vinv_box: IMatrix | None = None
-    sdefect: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -214,25 +199,12 @@ def choose_donor(pair, offer, mass, own_mass) -> Donor:
     return conjugate(i) if donor is None else donor
 
 
-def _diag_defect(a, b, c, d, S) -> np.ndarray:
-    """Upper bound of ``|1 - (a_i b_j + c_i d_j) / S_ij|`` for stored floats."""
-    t_mag = np.outer(np.abs(a), np.abs(b))
-    t_mag += np.outer(np.abs(c), np.abs(d))
-    q_mid = (np.outer(a, b) + np.outer(c, d)) / S
-    q_rad = _quot_rad(_slack(t_mag, 12, out=t_mag), np.abs(S))
-    q_mag = np.abs(q_mid)
-    q_rad += _slack(q_mag, 6, out=q_mag)
-    out = np.abs(np.subtract(1.0, q_mid, out=q_mid))
-    out += q_rad
-    return _up(out, 4, out=out)
-
-
 def _eigen_donor(pair: tuple[IMatrix, IMatrix], eig_of) -> Donor:
-    """:func:`choose_donor` over eigenbases, whose ``form`` is the eigenvalues."""
+    """:func:`choose_donor` over eigenbases, which keep no ``form``."""
 
     def offer(mid: np.ndarray):
         eig = eig_of(mid)
-        return eig.vectors, eig.inv_vectors, eig.values
+        return eig.vectors, eig.inv_vectors, None
 
     return choose_donor(
         pair, offer, lambda _, conj, mid: _offdiag_rel(conj, mid), lambda x: _offdiag_rel(x, x)
@@ -243,8 +215,9 @@ def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
     """Build the diagonalized interval system for ``sys``.
 
     Raises :class:`EigenDecompositionError` when neither member of a pair
-    offers a basis with a certified inverse, and the screening's error on a
-    singular denominator; large non-commutativity only widens radii and warns.
+    offers a basis with a certified inverse, and the error of
+    :func:`.intervals._denominators` on a singular or out-of-range
+    denominator; large non-commutativity only widens radii and warns.
     """
     eig_of = _eig_memo()
     left, right = (_eigen_donor(pair, eig_of) for pair in ((sys.A, sys.C), (sys.B, sys.D)))
@@ -259,24 +232,13 @@ def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
     Ap, Cp = (_project_pattern(r, np.eye(sys.m, dtype=bool)) for r in left.raw)
     Bp, Dp = (_project_pattern(r, np.eye(sys.n, dtype=bool)) for r in right.raw)
     Fp = _sandwich(left.inv_box, sys.F, right.U)
-    dA, dC, dB, dD = (
-        side.form if i == side.index else np.diag(side.raw[i].mid).copy()
-        for side in (left, right)
-        for i in (0, 1)
-    )
-    S = build_S(dA, dB, dC, dD)
-
-    a, c = np.diag(Ap.mid), np.diag(Cp.mid)
-    b, d = np.diag(Bp.mid), np.diag(Dp.mid)
-    sdefect = _diag_defect(a, b, c, d, S)
-
+    den = _denominators(*(np.diag(x.mid) for x in (Ap, Bp, Cp, Dp)))
     mass = {"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]}
 
     return PrecondSystem(
         Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp, Fp=Fp,
-        U=left.U, Uinv=left.inv_box.mid, V=right.U, Vinv=right.inv_box.mid,
-        dA=dA, dB=dB, dC=dC, dD=dD, S=S,
-        offdiag_mass=mass,
+        U=left.U, V=right.U,
         uinv_box=left.inv_box, vinv_box=right.inv_box,
-        sdefect=sdefect,
+        den=den,
+        offdiag_mass=mass,
     )

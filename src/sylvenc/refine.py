@@ -16,8 +16,9 @@ and likewise for ``Cp, Dp``: four real products per step.
 Enclosures are intersected in rectangle form (independent inf-sup bounds on
 real and imaginary parts): rectangle intersection is exact, which makes the
 nesting of the iterates a structural guarantee rather than a numerical
-accident.  The quotient disk ``<mid Fp ./ S, rad>`` is converted outward to
-its bounding rectangle before each intersection.
+accident.  The quotient disk ``<mid Fp * rec_mid, rad>``, with the reciprocal
+disks ``rec`` of the preconditioned system's denominators ``ps.den``, is
+converted outward to its bounding rectangle before each intersection.
 
 :func:`itr_solve` starts from the box the start enclosure vouches for: the
 box ``Xtilde + H`` that mkw back-transforms (a valid enclosure inside mkw's
@@ -55,8 +56,6 @@ from .intervals import (
     IMatrix,
     Rect,
     _corner_mag,
-    _Denominators,
-    _denominators,
     _rect_half,
     _slack,
     _up,
@@ -101,7 +100,8 @@ class _Refinement:
     the start rectangle is complex.
     """
 
-    def __init__(self, ps: PrecondSystem, denom: _Denominators):
+    def __init__(self, ps: PrecondSystem):
+        denom = ps.den
         self.pairs = _pairs(ps)
         self.frad = ps.Fp.rad
         fmid = ps.Fp.mid
@@ -209,15 +209,7 @@ class _Refinement:
         return Rect(_complex(Y[0], Y[1]), _complex(Y[2], Y[3]))
 
 
-def _diagonal_denominators(ps: PrecondSystem) -> _Denominators:
-    return _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)))
-
-
-def gamma_step(
-    ps: PrecondSystem,
-    Y: Rect | IMatrix,
-    denom: _Denominators | None = None,
-) -> Rect:
+def gamma_step(ps: PrecondSystem, Y: Rect | IMatrix) -> Rect:
     """One residual-division-intersection step on an enclosure candidate.
 
     Returns an enclosure of every preconditioned member solution inside
@@ -226,7 +218,7 @@ def gamma_step(
     """
     if isinstance(Y, IMatrix):
         Y = disks_to_rect(Y)
-    kern = _Refinement(ps, _diagonal_denominators(ps) if denom is None else denom)
+    kern = _Refinement(ps)
     return kern.rect(kern.step(kern.start(Y), rect_mag(Y)))
 
 
@@ -277,8 +269,7 @@ def itr_solve(
         raise NoInitialEnclosureError("no initial enclosure available")
     ps = initial.precond
     Y, disk = _start(initial, Y0)
-    denom = _diagonal_denominators(ps)
-    kern = _Refinement(ps, denom)
+    kern = _Refinement(ps)
     parts, absY = kern.start(Y), rect_mag(Y)
     k = 0
     converged = False
@@ -319,5 +310,5 @@ def itr_solve(
         message="" if converged else "tolerance not reached within iteration cap",
         Hbox=None,
         precond=ps,
-        gamma=GammaState(Y=Y, denom=denom.mid, denom_rad=denom.rad, k=k, converged=converged),
+        gamma=GammaState(Y=Y, denom=ps.den.mid, denom_rad=ps.den.rad, k=k, converged=converged),
     )

@@ -12,13 +12,13 @@ from sylvenc import (
     SylvesterSystem,
     block_diagonalize,
     generate,
-    hadamard_div_point,
     interval_back_substitute,
     mkw_block_solve,
     mkw_solve,
     sample_solutions,
 )
 from sylvenc.blockdiag import BlockDiagForm, block_mask
+from sylvenc.intervals import _denominators, _pad_rad, _quot
 from sylvenc.linalg import unvec, vec
 
 
@@ -151,12 +151,13 @@ class TestIntervalBackSubstitute:
             cond_bound=1.0,
         )
         rhs = IMatrix(np.ones((2, 2)), np.full((2, 2), 0.1))
-        S = np.outer(np.diag(DA), np.diag(DB)) + np.outer(np.diag(DC), np.diag(DD))
-        direct = hadamard_div_point(rhs, S)
+        den = _denominators(*(np.diag(x) for x in (DA, DB, DC, DD)))
+        # each numerator is the rhs entry minus an empty tail, padded as a difference
+        num_rad = _pad_rad(rhs.rad.copy(), np.abs(rhs.mid))
+        mid, rad = _quot(rhs.mid.astype(complex), num_rad, den.rec_mid, den.rec_rad)
         got = interval_back_substitute(form, rhs)
-        assert np.abs(got.mid - direct.mid).max() <= 1e-13
-        assert (got.rad <= direct.rad * 1.001 + 1e-12).all()
-        assert (direct.rad <= got.rad * 1.001 + 1e-12).all()
+        # bit for bit mkw's quotient rule
+        assert np.array_equal(got.mid, mid) and np.array_equal(got.rad, rad)
 
     def test_singular_pivot_raises(self):
         form = _hand_form()

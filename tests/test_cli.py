@@ -110,6 +110,16 @@ class TestCheck:
         assert rc == 2
         assert "not verified" in capsys.readouterr().out
 
+    def test_shape_mismatch_exits_2(self, tmp_path, capsys):
+        small, sys_path = _gen_file(tmp_path, "m4.json", m=4), _gen_file(tmp_path, "m5.json", m=5)
+        enc_path = tmp_path / "enc.json"
+        main(["solve", "--input", str(small), "--output", str(enc_path)])
+        capsys.readouterr()
+        rc = main(["check", "--input", str(sys_path), "--enclosure", str(enc_path)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert "contained" not in out.out
+        assert out.err == "error: the enclosure is 4 x 4, the system's solution 5 x 5\n"
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_no_samples_is_no_pass(self, tmp_path, capsys, count):

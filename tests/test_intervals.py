@@ -19,14 +19,15 @@ from sylvenc import (
     as_imatrix,
     disks_to_rect,
     epsilon_inflate,
-    hadamard_div_point,
     im_matmul,
     in_interior,
     rect_to_disks,
 )
-from sylvenc.intervals import ETA, iv_recip_arrays, posmm
+from sylvenc.errors import SingularPreconditionerError
+from sylvenc.intervals import ETA, _denominators, _quot, iv_recip_arrays, posmm
 
 from disk_oracle import Disk, iv_mul
+from exact_oracle import add, disk_in_disk, exact, in_disk, mul, recip, recip_image
 from rect_oracle import rect_meet
 
 SLACK = 1.0 + 1e-12
@@ -454,10 +455,83 @@ def test_reciprocal_rejects_zero_straddling():
         iv_recip_arrays(np.array([1.0]), np.array([1.0]))
 
 
-def test_hadamard_div_point_scalar():
-    got = hadamard_div_point(IMatrix(np.array([[6.0]]), np.array([[0.3]])), np.array([[3.0]]))
-    assert abs(got.mid[0, 0] - 2.0) <= 1e-15
+def _divide(y: IMatrix, s: np.ndarray) -> IMatrix:
+    """``y ./ s`` for exact float divisors ``s``, by the quotient rule of the solvers."""
+    return IMatrix._from_kernel(*_quot(y.mid, y.rad, *iv_recip_arrays(s, np.zeros(s.shape))))
+
+
+def test_quotient_rule_scalar():
+    got = _divide(IMatrix(np.array([[6.0]]), np.array([[0.3]])), np.array([[3.0]]))
+    # the reciprocal's midpoint is 1 / lo for a lower bound lo of the divisor
+    assert abs(got.mid[0, 0] - 2.0) <= 2.0 * 16 * ETA
     assert 0.1 <= got.rad[0, 0] <= 0.1 * SLACK
+
+
+def test_quotient_rule_zero_midpoints_keep_the_bits():
+    rng = np.random.default_rng(5)
+    rad = rng.uniform(size=(3, 4))
+    rec = iv_recip_arrays(rng.normal(size=(3, 4)) + 3.0j, rng.uniform(0.0, 0.1, size=(3, 4)))
+    none_mid, got = _quot(None, rad, *rec)
+    _, ref = _quot(np.zeros((3, 4), dtype=complex), rad, *rec)
+    assert none_mid is None and np.array_equal(got, ref)
+
+
+_RECIP_ERRORS = (ZeroDivisionError, SingularPreconditionerError, IntervalOverflowError)
+
+
+@st.composite
+def _centres(draw, lo=-1000, hi=1000):
+    """A real or complex float of modulus ``2**e`` up to a factor in ``[0.5, 1]``."""
+    e = draw(st.integers(lo, hi))
+    m = draw(st.floats(0.5, 1.0))
+    if draw(st.booleans()):
+        return math.ldexp(m, e) * draw(st.sampled_from((1.0, -1.0)))
+    th = draw(st.floats(0.0, 2.0 * math.pi))
+    return complex(math.ldexp(m * math.cos(th), e), math.ldexp(m * math.sin(th), e))
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=_centres(), t=st.floats(0.0, 0.99))
+def test_reciprocal_contains_the_exact_image_over_the_double_range(c, t):
+    r = t * abs(c)
+    try:
+        rmid, rrad = iv_recip_arrays(np.array([c]), np.array([r]))
+    except _RECIP_ERRORS:
+        return
+    cmid, crad = recip_image(c, r)
+    assert disk_in_disk(cmid, crad, rmid[0], rrad[0]), (c, r, rmid[0], rrad[0])
+
+
+def test_reciprocal_below_the_normal_range_raises():
+    for c in (2.0**-1030, 2.0**-1023 * (1 + 1j)):
+        with pytest.raises(IntervalOverflowError):
+            iv_recip_arrays(np.array([c]), np.array([0.0]))
+    # a normal centre whose disk reaches so near zero that the lower bound is subnormal
+    with pytest.raises(IntervalOverflowError):
+        iv_recip_arrays(np.array([2.0**-1000]), np.array([2.0**-1000 * (1 - 2.0**-30)]))
+
+
+@st.composite
+def _diagonals(draw):
+    """Four diagonals of two entries, each entry within ``2**±4`` of its diagonal's scale."""
+    scales = [draw(st.integers(-520, 520)) for _ in range(4)]
+    return [np.array([draw(_centres(e - 4, e + 4)) for _ in range(2)]) for e in scales]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(diags=_diagonals())
+def test_denominators_contain_the_exact_products_and_reciprocals(diags):
+    a, b, c, d = diags
+    try:
+        den = _denominators(a, b, c, d)
+    except _RECIP_ERRORS:
+        return
+    for i in range(2):
+        for j in range(2):
+            p = add(mul(exact(a[i]), exact(b[j])), mul(exact(c[i]), exact(d[j])))
+            assert in_disk(p, den.mid[i, j], den.rad[i, j])
+            assert in_disk(recip(p), den.rec_mid[i, j], den.rec_rad[i, j])
 
 
 class TestRect:
@@ -533,7 +607,7 @@ class TestKernelOutputs:
     def test_hadamard_division_overflow_raises(self):
         y = IMatrix(np.full((2, 2), 1e300), np.full((2, 2), 1.0))
         with pytest.raises(IntervalOverflowError):
-            hadamard_div_point(y, np.full((2, 2), 1e-300))
+            _divide(y, np.full((2, 2), 1e-300))
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -546,7 +620,7 @@ class TestKernelOutputs:
         rng = np.random.default_rng(2)
         x = IMatrix(rng.normal(size=(3, 4)).astype(dtype), rng.uniform(size=(3, 4)))
         y = IMatrix(rng.normal(size=(4, 2)).astype(dtype), rng.uniform(size=(4, 2)))
-        for out in (im_matmul(x, y), x + x, hadamard_div_point(x, np.full((3, 4), 2.0))):
+        for out in (im_matmul(x, y), x + x, _divide(x, np.full((3, 4), 2.0))):
             again = IMatrix(out.mid, out.rad)
             assert out.mid.dtype == again.mid.dtype == dtype
             assert out.rad.dtype == np.float64 and out.mid.ndim == 2

@@ -50,7 +50,7 @@ def test_xtilde_solves_the_diagonal_midpoint_system():
     sys = generate(GenSpec(family="kyc31", m=5, alpha=1e-6, seed=0))
     ps = transform_enclose(sys)
     xt = mkw_solve(sys).Xtilde
-    assert np.abs(xt * ps.S - ps.Fp.mid).max() <= 1e-12 * np.abs(ps.Fp.mid).max()
+    assert np.abs(xt * ps.den.mid - ps.Fp.mid).max() <= 1e-12 * np.abs(ps.Fp.mid).max()
 
 
 def test_residual_box_contains_member_residuals():
@@ -69,7 +69,7 @@ def test_residual_box_contains_member_residuals():
             return mat.mid + r * np.exp(1j * th)
 
         ap, bp, cp, dp, fp = (member(x) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp))
-        resid = (fp - ap @ xt @ bp - cp @ xt @ dp) / ps.S
+        resid = (fp - ap @ xt @ bp - cp @ xt @ dp) / ps.den.mid
         assert (np.abs(resid - M.mid) <= M.rad * (1 + 1e-9) + 1e-13).all()
 
 
@@ -234,3 +234,32 @@ def test_verified_enclosures_contain_sampled_solutions():
         assert enc.verified, fam
         for x in sample_solutions(sys, n_samples=50, seed=6):
             assert enc.evaluated.contains_point(x)
+
+
+def _scaled(sys, s):
+    """``sys`` with A, B, C and D times ``s`` and F times ``s**2``: the same member solutions."""
+    f = lambda x, k: IMatrix(x.mid * k, x.rad * k)  # noqa: E731
+    return SylvesterSystem(
+        A=f(sys.A, s), B=f(sys.B, s), C=f(sys.C, s), D=f(sys.D, s), F=f(sys.F, s * s)
+    )
+
+
+@pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+def test_power_of_two_scalings_keep_the_diagonal_solvers_sound(family):
+    # the denominators scale by 2**+-520: their squares leave the range of binary64
+    from sylvenc import itr_solve, mkw_block_solve
+
+    sys = generate(GenSpec(family=family, m=8))
+    members = np.stack(sample_solutions(sys, 20, 1))
+
+    def solves(s):
+        mkw = mkw_solve(s)
+        return {"mkw": mkw, "itr": itr_solve(s, initial=mkw), "blk": mkw_block_solve(s)}
+
+    ref = solves(sys)
+    for e in (260, -260):
+        for name, enc in solves(_scaled(sys, 2.0**e)).items():
+            assert enc.verified, (e, name)
+            assert enc.evaluated.contains_point(members).all(), (e, name)
+            want = ref[name].evaluated.rad.sum()
+            assert abs(enc.evaluated.rad.sum() - want) <= 1e-12 * want, (e, name)

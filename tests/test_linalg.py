@@ -81,6 +81,16 @@ class TestEig:
         resid = np.abs(a @ res.vectors - res.vectors @ np.diag(res.values)).max()
         assert resid <= 1e-10 * np.abs(a).max()
 
+    def test_even_power_of_two_multiples_share_the_eigenvectors(self):
+        # LAPACK alone gives other vectors for this matrix at 2**-520, 2**-260 and 2**520
+        a = np.random.default_rng(3).normal(size=(8, 8))
+        ref = eig_decompose(a)
+        for k in (-520, -260, -2, 2, 260, 520):
+            res = eig_decompose(a * 2.0**k)
+            assert np.array_equal(res.vectors, ref.vectors), k
+            assert np.array_equal(res.inv_vectors, ref.inv_vectors), k
+            assert np.array_equal(res.values, ref.values * 2.0**k), k
+
 
 def test_ikron_point_inputs_stay_tight():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from sylvenc import GenSpec, IMatrix, SylvesterSystem, generate, transform_enclose
-from sylvenc.precond import _project_pattern, build_S, simultaneous_diag
+from sylvenc.precond import _project_pattern, simultaneous_diag
+
+from exact_oracle import add, exact, in_disk, mul, recip
 
 
 def _random_diagonalizable(m, rng, spread=2.0):
@@ -59,17 +61,6 @@ class TestSimultaneousDiag:
             simultaneous_diag(self._pair(a, a), np.ones((3, 3)), np.eye(3))
 
 
-def test_build_S_outer_product_structure():
-    dA = np.array([2.0, 3.0])
-    dB = np.array([1.0, 4.0, 5.0])
-    dC = np.array([1.0, 1.0])
-    dD = np.array([0.5, 0.5, 0.5])
-    S = build_S(dA, dB, dC, dD)
-    assert S.shape == (2, 3)
-    expect = np.outer(dA, dB) + np.outer(dC, dD)
-    assert np.abs(S - expect).max() <= 1e-14 * np.abs(expect).max()
-
-
 def test_projection_pads_the_off_diagonal_radius_sum():
     # 1e-20 is far below half an ulp of the radius 1: an unpadded sum would drop it
     x = IMatrix(np.array([[1.0, 1e-20], [0.0, 1.0]]), np.ones((2, 2)))
@@ -87,15 +78,17 @@ class TestTransformEnclose:
             off = mat.mid - np.diag(np.diag(mat.mid))
             assert np.abs(off).max() == 0.0
 
-    def test_S_matches_kronecker_diagonal(self):
-        sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=3))
+    @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+    def test_den_contains_the_exact_products(self, family):
+        # a_i b_j + c_i d_j of the stored diagonals, and its reciprocal, in exact arithmetic
+        sys = generate(GenSpec(family=family, m=4, alpha=1e-6, seed=3))
         ps = transform_enclose(sys)
-        q = np.kron(np.diag(ps.dB).T, np.diag(ps.dA)) + np.kron(
-            np.diag(ps.dD).T, np.diag(ps.dC)
-        )
-        from sylvenc import vec
-
-        assert np.abs(vec(ps.S) - np.diag(q)).max() <= 1e-12 * np.abs(ps.S).max()
+        a, b, c, d = (np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp))
+        for i in range(ps.m):
+            for j in range(ps.n):
+                p = add(mul(exact(a[i]), exact(b[j])), mul(exact(c[i]), exact(d[j])))
+                assert in_disk(p, ps.den.mid[i, j], ps.den.rad[i, j])
+                assert in_disk(recip(p), ps.den.rec_mid[i, j], ps.den.rec_rad[i, j])
 
     def test_member_solutions_map_into_preconditioned_frame(self):
         # X0 solves a member system  =>  Uinv X0 V solves the transformed one,
@@ -207,7 +200,7 @@ class TestDiagnosticsKeepTheirValues:
         ps = transform_enclose(sys)
         mids = {"A": sys.A.mid, "C": sys.C.mid, "B": sys.B.mid, "D": sys.D.mid}
         for key, mid in mids.items():
-            uinv, u = (ps.Uinv, ps.U) if key in "AC" else (ps.Vinv, ps.V)
+            uinv, u = (ps.uinv_box.mid, ps.U) if key in "AC" else (ps.vinv_box.mid, ps.V)
             assert ps.offdiag_mass[key] == _conj_offdiag_rel(uinv, mid, u)
 
 
@@ -218,7 +211,7 @@ def _same_precond(a, b):
             x, y = (x.mid, x.rad), (y.mid, y.rad)
         elif isinstance(x, np.ndarray):
             x, y = (x,), (y,)
-        else:
+        elif not isinstance(x, tuple):  # ``den`` is a tuple of arrays already
             assert x == y, f.name
             continue
         for u, v in zip(x, y):

@@ -40,7 +40,7 @@ def test_tool_runs(name):
     assert proc.returncode == 0, proc.stderr
     if name == "enclosure_digests":
         lines = proc.stdout.splitlines()
-        assert len(lines) == 32
+        assert len(lines) == 36
         for line in lines:
             assert re.fullmatch(
                 r"\S+ (mkw|itr|blk|ver) ([0-9a-f]{64} \S+|[A-Za-z]+Error -)", line

@@ -1,9 +1,11 @@
 """Print the sha256 of each enclosure's JSON on a fixed small corpus, and its width.
 
 The corpus is the three families at m = 8 and m = 32, one system whose
-midpoint A is defective (2x2 Jordan blocks) and one whose midpoint pairs
+midpoint A is defective (2x2 Jordan blocks), one whose midpoint pairs
 (A, C) and (B, D) are distinct and non-scalar, so that each side weighs two
-eigenbases for its donor.  Each system is solved by mkw,
+eigenbases for its donor, and kyc31 at m = 8 with A, B, C and D scaled by
+2**260 and F by 2**520, which has the same member solutions and squares of
+its denominators past the range of binary64.  Each system is solved by mkw,
 itr (started from the mkw enclosure), blk and ver, and every result is
 serialized with ``dump_json(enclosure_to_dict(enc))``.  A solve that raises
 prints the error's class name instead of a digest.  After the digest each
@@ -98,13 +100,32 @@ def commuting_system(m: int = 12, seed: int = 0) -> SylvesterSystem:
     )
 
 
+def scaled_system(sys_: SylvesterSystem, s: float) -> SylvesterSystem:
+    """``sys_`` with A, B, C and D times ``s`` and F times ``s**2``: the same member solutions."""
+
+    def times(x: IMatrix, k: float) -> IMatrix:
+        return IMatrix(x.mid * k, x.rad * k)
+
+    return SylvesterSystem(
+        A=times(sys_.A, s),
+        B=times(sys_.B, s),
+        C=times(sys_.C, s),
+        D=times(sys_.D, s),
+        F=times(sys_.F, s * s),
+    )
+
+
 def corpus() -> list[tuple[str, SylvesterSystem]]:
     systems = [
         (f"{family}-m{m}", generate(GenSpec(family=family, m=m)))
         for m in (8, 32)
         for family in ("kyc31", "sylvester32", "gallery33")
     ]
-    return systems + [("jordan-m16", defective_system()), ("commuting-m12", commuting_system())]
+    return systems + [
+        ("jordan-m16", defective_system()),
+        ("commuting-m12", commuting_system()),
+        ("kyc31-m8-x2e260", scaled_system(systems[0][1], 2.0**260)),
+    ]
 
 
 def digests(sys_: SylvesterSystem) -> list[tuple[str, str, str]]:
