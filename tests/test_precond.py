@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sylvenc import GenSpec, IMatrix, SylvesterSystem, generate, transform_enclose
+from sylvenc.intervals import _denominators
 from sylvenc.precond import _project_pattern, simultaneous_diag
 
 from exact_oracle import add, exact, in_disk, mul, recip
@@ -61,6 +62,18 @@ class TestSimultaneousDiag:
             simultaneous_diag(self._pair(a, a), np.ones((3, 3)), np.eye(3))
 
 
+def test_build_S_outer_product_structure():
+    dA = np.array([2.0, 3.0])
+    dB = np.array([1.0, 4.0, 5.0])
+    dC = np.array([1.0, 1.0])
+    dD = np.array([0.5, 0.5, 0.5])
+    den = _denominators(dA, dB, dC, dD)
+    assert den.mid.shape == den.rad.shape == (2, 3)
+    expect = np.outer(dA, dB) + np.outer(dC, dD)
+    assert np.abs(den.mid - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert (np.abs(den.mid - expect) <= den.rad).all()
+
+
 def test_projection_pads_the_off_diagonal_radius_sum():
     # 1e-20 is far below half an ulp of the radius 1: an unpadded sum would drop it
     x = IMatrix(np.array([[1.0, 1e-20], [0.0, 1.0]]), np.ones((2, 2)))
@@ -77,6 +90,16 @@ class TestTransformEnclose:
         for mat in (ps.Ap, ps.Bp, ps.Cp, ps.Dp):
             off = mat.mid - np.diag(np.diag(mat.mid))
             assert np.abs(off).max() == 0.0
+
+    def test_S_matches_kronecker_diagonal(self):
+        from sylvenc import vec
+
+        sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=3))
+        ps = transform_enclose(sys)
+        dA, dB, dC, dD = (np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp))
+        q = np.kron(np.diag(dB).T, np.diag(dA)) + np.kron(np.diag(dD).T, np.diag(dC))
+        S = ps.den.mid
+        assert np.abs(vec(S) - np.diag(q)).max() <= 1e-12 * np.abs(S).max()
 
     @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
     def test_den_contains_the_exact_products(self, family):
