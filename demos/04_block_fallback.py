@@ -35,7 +35,7 @@ except EnclosureError as exc:
 
 blk = mkw_block_solve(system)
 print("block solver verified:", blk.verified)
-print("block sizes on the left side:", blk.blockform.a_sizes)
+print("block sizes on the left side:", blk.precond.row_sizes)
 print("total radius: %.3e" % float(blk.evaluated.rad.sum()))
 
 solutions = np.stack(sample_solutions(system, n_samples=200, seed=4))

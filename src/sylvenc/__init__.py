@@ -28,7 +28,6 @@ from .baseline import (
 )
 from .bench import BenchRecord, SoundnessViolation, compute_metrics, run_benchmark
 from .blockdiag import (
-    BlockDiagForm,
     block_diagonalize,
     interval_back_substitute,
     mkw_block_solve,
@@ -106,7 +105,6 @@ __all__ = [
     "transform_enclose",
     "Enclosure",
     "mkw_solve",
-    "BlockDiagForm",
     "block_diagonalize",
     "interval_back_substitute",
     "mkw_block_solve",

@@ -29,35 +29,29 @@ the same sweep on the point right-hand side gives the approximate solution.
 Midpoint mass of the transformed matrices that falls outside the block
 pattern is absorbed into radii, which keeps the method rigorous for any
 inputs at the price of wider results when the pattern fits poorly.
+
+This module supplies only the side rule, :func:`_block_side`.  The
+preconditioned system is the one of the diagonal method
+(:func:`.precond.precondition`) with these partitions, and the solve is the
+diagonal method's: it back-substitutes by
+:func:`.krawczyk.interval_back_substitute`, exposed here too, whenever a
+block is larger than 1 x 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsyl as _trsyl
 
-from .intervals import (
-    IMatrix,
-    _denominators,
-    _dot_ops,
-    _pad_rad,
-    _quot,
-    _slack,
-    _up,
-    as_imatrix,
-    posmm,
-)
-from .krawczyk import KMAX_DEFAULT, Enclosure, back_transform, residual, verify
+from .krawczyk import KMAX_DEFAULT, Enclosure, _solve, interval_back_substitute
 from .linalg import lu_solve
-from .precond import Donor, _project_pattern, _sandwich, _scalar, choose_donor
+from .precond import Donor, Pattern, _scalar, block_mask, choose_donor, precondition
 from .system import SylvesterSystem
 
 __all__ = [
-    "BlockDiagForm",
     "block_diagonalize",
     "interval_back_substitute",
     "mkw_block_solve",
@@ -77,52 +71,6 @@ class BlockHalf:
     T: np.ndarray
     sizes: tuple[int, ...]
     cond_bound: float
-
-
-@dataclass(frozen=True)
-class BlockDiagForm:
-    """Two-sided block form driving the backward substitution.
-
-    ``DA, DC`` are block diagonal with upper-triangular blocks (partition
-    ``a_sizes``); ``DB, DD`` block diagonal with lower-triangular blocks and
-    the shared partition ``b_sizes``.  ``Uinv``/``Vinv`` are floating
-    approximations kept for diagnostics; certified inverse enclosures are
-    used for the actual transforms.
-    """
-
-    U: np.ndarray
-    Uinv: np.ndarray
-    V: np.ndarray
-    Vinv: np.ndarray
-    DA: np.ndarray
-    DC: np.ndarray
-    DB: np.ndarray
-    DD: np.ndarray
-    b_sizes: tuple[int, ...]
-    a_sizes: tuple[int, ...]
-    cond_bound: float
-
-    def __post_init__(self) -> None:
-        m, n = sum(self.a_sizes), sum(self.b_sizes)
-        shapes = (self.DA.shape, self.DC.shape, self.DB.shape, self.DD.shape)
-        if shapes != ((m, m), (m, m), (n, n), (n, n)):
-            raise ValueError("block sizes do not sum to the matrix dimension")
-        # the backward substitution solves each tile of this pattern on its own
-        off_a, off_b = ~block_mask(self.a_sizes), ~block_mask(self.b_sizes, lower=True)
-        if any(x.any() for x in (self.DA[off_a], self.DC[off_a], self.DB[off_b], self.DD[off_b])):
-            raise ValueError("block factor has entries outside its block pattern")
-
-
-# ---------------------------------------------------------------------------
-# block pattern helpers
-# ---------------------------------------------------------------------------
-
-
-def block_mask(sizes: tuple[int, ...], lower: bool = False) -> np.ndarray:
-    """Boolean mask of a block-diagonal pattern with triangular blocks."""
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    tri = (np.tril if lower else np.triu)(np.ones((block.size, block.size), dtype=bool))
-    return tri & (block[:, None] == block[None, :])
 
 
 def _offpattern_rel(conj: np.ndarray, mask: np.ndarray) -> float:
@@ -285,91 +233,27 @@ def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> Blo
         return BlockHalf(U=U, Uinv=Uinv, T=DA, sizes=sizes, cond_bound=cond)
 
 
-def _block_side(pair, max_cond: float, lower: bool) -> tuple[Donor, tuple[IMatrix, IMatrix]]:
-    """The donor of one side, whose ``form`` is its block sizes, pattern and ``cond_bound``,
-    and both members projected on the pattern.  The column side (``lower``) reverses
-    the columns of the basis, turning upper-triangular blocks into lower ones."""
+def _block_side(pair, max_cond: float, lower: bool) -> Donor:
+    """The donor of one side, whose ``form`` is its block :class:`.precond.Pattern`.
+
+    The column side (``lower``) reverses the columns of the basis, turning
+    upper-triangular blocks into lower ones.
+    """
     flip = slice(None, None, -1 if lower else 1)
 
     def offer(mid: np.ndarray):
         half = block_diagonalize(mid, max_cond)
         sizes = half.sizes[flip]
+        pattern = Pattern(sizes, block_mask(sizes, lower), half.cond_bound)
         # reversing the columns of U reverses the rows of its inverse
-        return half.U[:, flip], half.Uinv[flip], (sizes, block_mask(sizes, lower), half.cond_bound)
+        return half.U[:, flip], half.Uinv[flip], pattern
 
-    donor = choose_donor(
+    return choose_donor(
         pair,
         offer,
-        lambda form, conj, _: _offpattern_rel(conj, form[1]),
+        lambda form, conj, _: _offpattern_rel(conj, form.mask),
         lambda mid: _offpattern_rel(mid[flip, flip], block_mask((len(mid),), lower)),
     )
-    return donor, tuple(_project_pattern(r, donor.form[1]) for r in donor.raw)
-
-
-# ---------------------------------------------------------------------------
-# backward substitution on the block-triangular operator
-# ---------------------------------------------------------------------------
-
-
-def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
-    """Each block size with the ``(count, size)`` indices of its blocks."""
-    starts = np.cumsum((0,) + tuple(sizes[:-1]))
-    return [(s, starts[np.equal(sizes, s)][:, None] + np.arange(s)) for s in sorted(set(sizes))]
-
-
-def interval_back_substitute(
-    form: BlockDiagForm,
-    rhs: IMatrix,
-) -> IMatrix:
-    """Enclosure of ``unvec(Lambda^-1 vec(rhs))`` over the rhs enclosure.
-
-    ``Lambda`` splits into independent upper-triangular systems
-    ``DB_J^T kron DA_I + DD_J^T kron DC_I``, one per tile ``X[I, J]`` of
-    blocks ``I``, ``J``.  Tiles of one shape are solved together by interval
-    backward substitution.  Step ``p`` forms the tail of row ``p`` of every
-    tile, each entry with a radius covering its floating formation error;
-    that tail is never longer than the row of the whole column block, so
-    neither is the inner-product pad ``2 kk + 8``.  Each unknown is divided
-    by its diagonal denominator through the quotient rule mkw uses, with
-    the reciprocal disks of ``intervals._denominators``.
-    """
-    m, n = form.DA.shape[0], form.DB.shape[0]
-    rhs = as_imatrix(rhs)
-    if rhs.shape != (m, n):
-        raise ValueError("dimension mismatch")
-    den = _denominators(*(np.diag(x) for x in (form.DA, form.DB, form.DC, form.DD)))
-    out_mid = np.zeros((m, n), dtype=np.complex128)
-    out_rad = np.zeros((m, n))
-    for (a, rows), (b, cols) in itertools.product(_blocks(form.a_sizes), _blocks(form.b_sizes)):
-        DA, DC = (x[rows[:, :, None], rows[:, None, :]] for x in (form.DA, form.DC))
-        DB, DD = (x[cols[:, :, None], cols[:, None, :]] for x in (form.DB, form.DD))
-        # unknown p = k a + r of tile (I, J) is X[rows[I, r], cols[J, k]]
-        ix = (rows[:, None, None, :], cols[None, :, :, None])
-        tiles = (len(rows), len(cols), a * b)
-        f_mid, f_rad, rec_mid, rec_rad = (
-            x[ix].reshape(tiles) for x in (rhs.mid, rhs.rad, den.rec_mid, den.rec_rad)
-        )
-        z_mid = np.zeros(tiles, dtype=np.complex128)
-        z_rad = np.zeros(tiles)
-        for p in range(a * b - 1, -1, -1):
-            k, r = divmod(p, a)
-            # rows k' < k of the lower-triangular DB, DD hold exact zeros
-            col_b, col_d = DB[None, :, k:, k, None], DD[None, :, k:, k, None]
-            row_a, row_c = DA[:, None, None, r, :], DC[:, None, None, r, :]
-            t_mid = (col_b * row_a + col_d * row_c).reshape(tiles[:2] + (-1,))[..., r + 1 :]
-            t_rad = _slack(np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c), 6)
-            t_rad = t_rad.reshape(tiles[:2] + (-1,))[..., r + 1 :]
-            zm, zr = z_mid[..., p + 1 :], z_rad[..., p + 1 :]
-            at, az = np.abs(t_mid), np.abs(zm)
-            dot_mid = (t_mid * zm).sum(axis=-1)
-            dot_rad = (at * zr).sum(axis=-1) + (t_rad * az).sum(axis=-1) + (t_rad * zr).sum(axis=-1)
-            dot_rad = _pad_rad(dot_rad, (at * az).sum(axis=-1), _dot_ops(a * b - p - 1))
-            num_mid = f_mid[..., p] - dot_mid
-            num_rad = _pad_rad(f_rad[..., p] + dot_rad, np.abs(num_mid))
-            z_mid[..., p], z_rad[..., p] = _quot(num_mid, num_rad, rec_mid[..., p], rec_rad[..., p])
-        out_mid[ix] = z_mid.reshape(tiles[:2] + (b, a))
-        out_rad[ix] = z_rad.reshape(tiles[:2] + (b, a))
-    return IMatrix(out_mid, out_rad)
 
 
 # ---------------------------------------------------------------------------
@@ -384,43 +268,10 @@ def mkw_block_solve(
 ) -> Enclosure:
     """Verified enclosure with block-triangular preconditioning.
 
-    Follows the diagonal solver with four substitutions: both sides are
-    block diagonalized instead of eigen-diagonalized, the approximate
-    solution and the residual enclosure come from backward substitution
-    instead of Hadamard division, and so does the contraction term.
+    The diagonal solver's steps over a preconditioned system whose donors
+    are block diagonalized instead of eigen-diagonalized; on its block
+    patterns the approximate solution, the residual enclosure and the
+    contraction term divide by backward substitution.
     """
-    left, (Ap, Cp) = _block_side((sys.A, sys.C), max_cond, lower=False)
-    right, (Bp, Dp) = _block_side((sys.B, sys.D), max_cond, lower=True)
-    U, uinv_box, vinv_box = left.U, left.inv_box, right.inv_box
-    (a_sizes, _, a_cond), (b_sizes, _, b_cond) = left.form, right.form
-    Fp = _sandwich(uinv_box, sys.F, right.U)
-    form = BlockDiagForm(
-        U=U, Uinv=uinv_box.mid, V=right.U, Vinv=vinv_box.mid,
-        DA=Ap.mid, DC=Cp.mid, DB=Bp.mid, DD=Dp.mid,
-        b_sizes=b_sizes, a_sizes=a_sizes, cond_bound=max(a_cond, b_cond),
-    )
-    xtilde = interval_back_substitute(form, IMatrix(Fp.mid)).mid
-    M = interval_back_substitute(form, residual(Fp, Ap, Bp, Cp, Dp, xtilde))
-    abs_b, abs_d = np.abs(Bp.mid), np.abs(Dp.mid)
-
-    def n_of(xrad: np.ndarray) -> IMatrix:
-        w = _up(
-            posmm(posmm(Ap.rad, xrad), abs_b)
-            + posmm(posmm(Ap.mag(), xrad), Bp.rad)
-            + posmm(posmm(Cp.rad, xrad), abs_d)
-            + posmm(posmm(Cp.mag(), xrad), Dp.rad),
-            4,
-        )
-        return interval_back_substitute(form, IMatrix(np.zeros_like(w, dtype=np.complex128), w))
-
-    return verify(
-        "blk",
-        xtilde,
-        M,
-        n_of,
-        lambda Z: back_transform(U, Z, vinv_box),
-        kmax,
-        U=U,
-        Vinv=vinv_box.mid,
-        blockform=form,
-    )
+    ps = precondition(sys, lambda pair, lower: _block_side(pair, max_cond, lower))
+    return _solve("blk", ps, kmax)

@@ -26,13 +26,18 @@ exact products, with disks containing their reciprocals
 (:func:`.intervals._denominators`).  Every member shares those exact
 products, so dividing by them is a preconditioner of its own, and mkw, itr
 and blk all divide through these disks.
+
+:class:`PrecondSystem` is the one preconditioned form of mkw, itr and blk;
+its row and column partitions are all ones for eigenbases and blk's
+triangular blocks otherwise.  One builder, :func:`precondition`, fills it
+from a side rule: the eigen donor here, ``blockdiag._block_side`` for blk.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from .system import SylvesterSystem
 
 __all__ = [
     "PrecondSystem",
+    "precondition",
     "simultaneous_diag",
     "transform_enclose",
 ]
@@ -96,13 +102,35 @@ def _eig_memo():
     return eig_of
 
 
+def block_mask(sizes: tuple[int, ...], lower: bool = False) -> np.ndarray:
+    """Boolean mask of a block-diagonal pattern with triangular blocks."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    tri = (np.tril if lower else np.triu)(np.ones((block.size, block.size), dtype=bool))
+    return tri & (block[:, None] == block[None, :])
+
+
+class Pattern(NamedTuple):
+    """What a side's basis keeps: the block ``sizes``, their ``mask`` and a bound
+    ``cond_bound`` on the condition of the basis (None for an eigenbasis)."""
+
+    sizes: tuple[int, ...]
+    mask: np.ndarray
+    cond_bound: float | None = None
+
+
 @dataclass(frozen=True)
 class PrecondSystem:
-    """Transformed interval system with exactly diagonal midpoints.
+    """Transformed interval system whose midpoints keep a block pattern.
 
-    ``uinv_box`` and ``vinv_box`` are the certified inverses of the bases
-    ``U`` and ``V``; ``den`` holds the disk denominators ``a_i b_j + c_i
-    d_j`` of the diagonals of ``mid Ap .. mid Dp`` and their reciprocals.
+    ``mid Ap`` and ``mid Cp`` are block diagonal with upper-triangular
+    blocks of the partition ``row_sizes``, ``mid Bp`` and ``mid Dp`` with
+    lower-triangular blocks of ``col_sizes``; both are all ones, so the
+    midpoints are exactly diagonal, for mkw and itr.  ``uinv_box`` and
+    ``vinv_box`` are the certified inverses of the bases ``U`` and ``V``;
+    ``den`` holds the disk denominators ``a_i b_j + c_i d_j`` of the
+    diagonals of ``mid Ap .. mid Dp`` and their reciprocals.  ``cond_bound``
+    bounds the condition of blk's block bases, ``offdiag_mass`` is each
+    coefficient's relative midpoint mass off its pattern in the donor's basis.
     """
 
     Ap: IMatrix
@@ -115,7 +143,21 @@ class PrecondSystem:
     uinv_box: IMatrix
     vinv_box: IMatrix
     den: _Denominators
+    row_sizes: tuple[int, ...]
+    col_sizes: tuple[int, ...]
+    cond_bound: float | None = None
     offdiag_mass: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        m, n = sum(self.row_sizes), sum(self.col_sizes)
+        shapes = tuple(x.shape for x in (self.Ap, self.Cp, self.Bp, self.Dp, self.Fp))
+        if shapes != ((m, m), (m, m), (n, n), (n, n), (m, n)):
+            raise ValueError("block sizes do not sum to the matrix dimension")
+        # the division solves each tile of this pattern on its own
+        off_a, off_b = ~block_mask(self.row_sizes), ~block_mask(self.col_sizes, lower=True)
+        pairs = ((self.Ap, off_a), (self.Cp, off_a), (self.Bp, off_b), (self.Dp, off_b))
+        if any(np.any(x.mid, where=off) for x, off in pairs):
+            raise ValueError("preconditioned midpoint has entries outside its block pattern")
 
     @property
     def m(self) -> int:
@@ -124,6 +166,11 @@ class PrecondSystem:
     @property
     def n(self) -> int:
         return self.Bp.rows
+
+    @property
+    def diagonal(self) -> bool:
+        """Whether every block is 1 x 1, so the midpoints are exactly diagonal."""
+        return max(self.row_sizes + self.col_sizes) == 1
 
 
 def _sandwich(left_box: IMatrix, mid: IMatrix, right: np.ndarray) -> IMatrix:
@@ -150,11 +197,11 @@ def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
 
 class Donor(NamedTuple):
     """Member ``index`` of a pair donates its basis ``U``, whose inverse
-    ``inv_box`` certifies; ``form`` is what the preconditioner keeps of it,
-    ``raw`` both members' sandwiches and ``mass`` their masses."""
+    ``inv_box`` certifies; ``form`` is the :class:`Pattern` the preconditioner
+    keeps of it, ``raw`` both members' sandwiches and ``mass`` their masses."""
 
     U: np.ndarray
-    form: Any
+    form: Pattern
     index: int
     inv_box: IMatrix
     raw: tuple[IMatrix, IMatrix]
@@ -200,45 +247,53 @@ def choose_donor(pair, offer, mass, own_mass) -> Donor:
 
 
 def _eigen_donor(pair: tuple[IMatrix, IMatrix], eig_of) -> Donor:
-    """:func:`choose_donor` over eigenbases, which keep no ``form``."""
+    """:func:`choose_donor` over eigenbases, which keep the diagonal pattern."""
 
     def offer(mid: np.ndarray):
         eig = eig_of(mid)
-        return eig.vectors, eig.inv_vectors, None
+        n = len(mid)
+        return eig.vectors, eig.inv_vectors, Pattern((1,) * n, np.eye(n, dtype=bool))
 
     return choose_donor(
         pair, offer, lambda _, conj, mid: _offdiag_rel(conj, mid), lambda x: _offdiag_rel(x, x)
     )
 
 
-def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
-    """Build the diagonalized interval system for ``sys``.
+def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
+    """The preconditioned system of ``sys`` over the donors that ``side`` picks.
 
-    Raises :class:`EigenDecompositionError` when neither member of a pair
-    offers a basis with a certified inverse, and the error of
-    :func:`.intervals._denominators` on a singular or out-of-range
-    denominator; large non-commutativity only widens radii and warns.
+    ``side(pair, lower)`` is the :class:`Donor` of the pair ``(A, C)``, or of
+    ``(B, D)`` with ``lower`` set; both members are projected on its pattern.
+    Raises :class:`EigenDecompositionError` when a pair has no certified
+    basis, and the error of :func:`.intervals._denominators` on a singular or
+    out-of-range denominator; large non-commutativity only widens radii and
+    warns.
     """
-    eig_of = _eig_memo()
-    left, right = (_eigen_donor(pair, eig_of) for pair in ((sys.A, sys.C), (sys.B, sys.D)))
-    for side in (left, right):
-        other_mass = side.mass[1 - side.index]
+    left, right = side((sys.A, sys.C), False), side((sys.B, sys.D), True)
+    for donor in (left, right):
+        other_mass = donor.mass[1 - donor.index]
         if other_mass > OFFDIAG_WARN:
             warnings.warn(
-                f"pair is far from commuting: off-diagonal mass {other_mass:.2e} "
+                f"pair is far from commuting: mass {other_mass:.2e} off the pattern "
                 "will be absorbed into radii",
-                stacklevel=2,
+                stacklevel=3,
             )
-    Ap, Cp = (_project_pattern(r, np.eye(sys.m, dtype=bool)) for r in left.raw)
-    Bp, Dp = (_project_pattern(r, np.eye(sys.n, dtype=bool)) for r in right.raw)
-    Fp = _sandwich(left.inv_box, sys.F, right.U)
-    den = _denominators(*(np.diag(x.mid) for x in (Ap, Bp, Cp, Dp)))
-    mass = {"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]}
-
+    Ap, Cp = (_project_pattern(r, left.form.mask) for r in left.raw)
+    Bp, Dp = (_project_pattern(r, right.form.mask) for r in right.raw)
+    conds = [d.form.cond_bound for d in (left, right) if d.form.cond_bound is not None]
     return PrecondSystem(
-        Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp, Fp=Fp,
+        Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp,
+        Fp=_sandwich(left.inv_box, sys.F, right.U),
         U=left.U, V=right.U,
         uinv_box=left.inv_box, vinv_box=right.inv_box,
-        den=den,
-        offdiag_mass=mass,
+        den=_denominators(*(np.diag(x.mid) for x in (Ap, Bp, Cp, Dp))),
+        row_sizes=left.form.sizes, col_sizes=right.form.sizes,
+        cond_bound=max(conds) if conds else None,
+        offdiag_mass={"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]},
     )
+
+
+def transform_enclose(sys: SylvesterSystem) -> PrecondSystem:
+    """The diagonalized interval system of ``sys``: :func:`precondition` over eigenbases."""
+    eig_of = _eig_memo()
+    return precondition(sys, lambda pair, lower: _eigen_donor(pair, eig_of))

@@ -34,15 +34,15 @@ One private kernel serves :func:`gamma_step` and :func:`itr_solve`.  It
 keeps the iterate as contiguous float arrays (the real and imaginary parts
 of the lower and upper corners, or the two corners for real data) and forms
 everything that does not change between steps once per run: the quotient
-midpoint ``mid Fp * rec_mid`` with its parts and magnitude, ``|mid Fp| *
-rec_rad``, ``|rec_mid|`` and the magnitudes of the midpoint diagonals.  A
-step then computes only T(Y), the quotient radius, the intersection, the
-distance to the previous iterate and the new magnitude ``|Y|``, by the pad
-rules of ``disks_to_rect`` and ``rect_mag`` and the exact rectangle meet.
-The corners are never composed as ``re + 1j * im``, which may flip the sign
-of a zero, so the iterates equal those of the chained rectangle form in
-value, and bit for bit on every nonzero corner.  A
-:class:`Rect` is built only for the caller.
+midpoint ``mid Fp * rec_mid`` with its parts and magnitude and the
+magnitudes of the midpoint diagonals.  A step then computes only T(Y), the
+quotient radius (by ``intervals._quot``, the rule mkw and blk divide by),
+the intersection, the distance to the previous iterate and the new
+magnitude ``|Y|``, by the pad rules of ``disks_to_rect`` and ``rect_mag``
+and the exact rectangle meet.  The corners are never composed as ``re + 1j
+* im``, which may flip the sign of a zero, so the iterates equal those of
+the chained rectangle form in value, and bit for bit on every nonzero
+corner.  A :class:`Rect` is built only for the caller.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .intervals import (
     IMatrix,
     Rect,
     _corner_mag,
+    _quot,
     _rect_half,
-    _slack,
     _up,
     as_imatrix,
     disks_to_rect,
@@ -79,8 +79,6 @@ class GammaState:
     """Trajectory point of the refinement iteration."""
 
     Y: Rect
-    denom: np.ndarray
-    denom_rad: np.ndarray
     k: int
     converged: bool
 
@@ -101,18 +99,13 @@ class _Refinement:
     """
 
     def __init__(self, ps: PrecondSystem):
-        denom = ps.den
+        self.den = ps.den
         self.pairs = _pairs(ps)
-        self.frad = ps.Fp.rad
-        fmid = ps.Fp.mid
-        self.qmid = fmid * denom.rec_mid
+        self.fmid, self.frad = ps.Fp.mid, ps.Fp.rad
+        self.qmid = self.fmid * self.den.rec_mid
         if not np.isfinite(self.qmid).all():
             raise IntervalOverflowError("interval overflow")
         self.abs_q = np.abs(self.qmid)
-        self.q_pad = _slack(self.abs_q, 4)
-        self.f_rr = np.abs(fmid) * denom.rec_rad
-        self.abs_rm = np.abs(denom.rec_mid)
-        self.rec_rad = denom.rec_rad
         self.qparts = (
             (np.ascontiguousarray(self.qmid.real), np.ascontiguousarray(self.qmid.imag))
             if np.iscomplexobj(self.qmid)
@@ -150,12 +143,7 @@ class _Refinement:
         t += _pair_bound(cd, absY)
         t += self.frad
         _up(t, 8, out=t)
-        qrad = t * self.abs_rm
-        qrad += self.f_rr
-        t *= self.rec_rad
-        qrad += t
-        _up(qrad, 5, out=qrad)
-        qrad += self.q_pad
+        _, qrad = _quot(self.fmid, t, self.den.rec_mid, self.den.rec_rad)
         if not np.isfinite(qrad).all():
             raise IntervalOverflowError("interval overflow")
         return qrad
@@ -252,8 +240,10 @@ def itr_solve(
     Without ``Y0`` the start comes from ``initial``, by default a fresh
     diagonal Krawczyk solve: an mkw enclosure starts from the box
     ``Xtilde + Hbox`` it back-transforms, an itr enclosure from its final
-    rectangle.  Iterates until the entrywise Hausdorff distance of successive
-    rectangles drops below ``tol * (1 + magnitude)`` or ``max_iter`` steps.
+    rectangle; enclosures of other methods raise
+    :class:`NoInitialEnclosureError`.  Iterates until the entrywise
+    Hausdorff distance of successive rectangles drops below ``tol * (1 +
+    magnitude)`` or ``max_iter`` steps.
 
     Each entry reports the narrowest of three valid disks: the bounding disk
     of the final rectangle, the quotient disk implied by it, and the start
@@ -265,7 +255,8 @@ def itr_solve(
     """
     if initial is None:
         initial = mkw_solve(sys)
-    if initial.precond is None or (Y0 is None and not initial.verified):
+    # blk's block pattern is not the diagonal form the residual division needs
+    if initial.precond is None or initial.method == "blk" or (Y0 is None and not initial.verified):
         raise NoInitialEnclosureError("no initial enclosure available")
     ps = initial.precond
     Y, disk = _start(initial, Y0)
@@ -310,5 +301,5 @@ def itr_solve(
         message="" if converged else "tolerance not reached within iteration cap",
         Hbox=None,
         precond=ps,
-        gamma=GammaState(Y=Y, denom=ps.den.mid, denom_rad=ps.den.rad, k=k, converged=converged),
+        gamma=GammaState(Y=Y, k=k, converged=converged),
     )

@@ -17,9 +17,10 @@ from sylvenc import (
     mkw_solve,
     sample_solutions,
 )
-from sylvenc.blockdiag import BlockDiagForm, block_mask
-from sylvenc.intervals import _denominators, _pad_rad, _quot
+from sylvenc.blockdiag import block_mask
+from sylvenc.intervals import _denominators, _quot
 from sylvenc.linalg import unvec, vec
+from sylvenc.precond import PrecondSystem
 
 
 def test_block_mask_patterns():
@@ -63,33 +64,45 @@ class TestBlockDiagonalize:
         assert np.abs(half.T[1, 0]) == 0.0
 
 
+def _system(DA, DC, DB, DD, row_sizes, col_sizes):
+    """A preconditioned system with point pattern midpoints and identity bases."""
+    m, n = len(DA), len(DB)
+    return PrecondSystem(
+        Ap=IMatrix(DA),
+        Bp=IMatrix(DB),
+        Cp=IMatrix(DC),
+        Dp=IMatrix(DD),
+        Fp=IMatrix(np.zeros((m, n))),
+        U=np.eye(m),
+        V=np.eye(n),
+        uinv_box=IMatrix(np.eye(m)),
+        vinv_box=IMatrix(np.eye(n)),
+        den=_denominators(*(np.diag(x) for x in (DA, DB, DC, DD))),
+        row_sizes=row_sizes,
+        col_sizes=col_sizes,
+    )
+
+
+def _lam(ps):
+    mids = [x.mid for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)]
+    return np.kron(mids[1].T, mids[0]) + np.kron(mids[3].T, mids[2])
+
+
 def test_form_validates_partition_sums():
     eye = np.eye(2)
-    with pytest.raises(ValueError):
-        BlockDiagForm(
-            U=eye,
-            Uinv=eye,
-            V=eye,
-            Vinv=eye,
-            DA=eye,
-            DC=eye,
-            DB=eye,
-            DD=eye,
-            b_sizes=(1,),
-            a_sizes=(2,),
-            cond_bound=1.0,
-        )
+    with pytest.raises(ValueError, match="do not sum"):
+        _system(eye, eye, eye, eye, row_sizes=(2,), col_sizes=(1,))
 
 
 def test_form_rejects_off_pattern_entries():
-    form = _hand_form()
+    ps = _hand_form()
     # (2, 1) upper blocks on the left, one lower 2x2 block on the right
-    outside = {"DA": (0, 2), "DC": (1, 0), "DB": (0, 1), "DD": (0, 1)}
+    outside = {"Ap": (0, 2), "Cp": (1, 0), "Bp": (0, 1), "Dp": (0, 1)}
     for name, (i, j) in outside.items():
-        bad = getattr(form, name).copy()
+        bad = getattr(ps, name).mid.copy()
         bad[i, j] = 1e-300
         with pytest.raises(ValueError, match="outside its block pattern"):
-            dataclasses.replace(form, **{name: bad})
+            dataclasses.replace(ps, **{name: IMatrix(bad)})
 
 
 def _hand_form():
@@ -98,36 +111,23 @@ def _hand_form():
     DC = np.array([[1.0, -0.25, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     DB = np.array([[1.5, 0.0], [0.3, 2.0]])
     DD = np.array([[0.5, 0.0], [-0.2, 0.75]])
-    return BlockDiagForm(
-        U=np.eye(3),
-        Uinv=np.eye(3),
-        V=np.eye(2),
-        Vinv=np.eye(2),
-        DA=DA,
-        DC=DC,
-        DB=DB,
-        DD=DD,
-        b_sizes=(2,),
-        a_sizes=(2, 1),
-        cond_bound=1.0,
-    )
+    return _system(DA, DC, DB, DD, row_sizes=(2, 1), col_sizes=(2,))
 
 
 class TestIntervalBackSubstitute:
     def test_matches_dense_lu_on_point_rhs(self):
-        form = _hand_form()
-        lam = np.kron(form.DB.T, form.DA) + np.kron(form.DD.T, form.DC)
+        ps = _hand_form()
         rhs = np.arange(1.0, 7.0).reshape(3, 2)
-        expect = unvec(np.linalg.solve(lam, vec(rhs)), 3, 2)
-        got = interval_back_substitute(form, IMatrix(rhs))
+        expect = unvec(np.linalg.solve(_lam(ps), vec(rhs)), 3, 2)
+        got = interval_back_substitute(ps, IMatrix(rhs))
         assert np.abs(got.mid - expect).max() <= 1e-12 * np.abs(expect).max()
         assert got.contains_point(expect)
 
     def test_contains_solutions_of_perturbed_rhs(self):
-        form = _hand_form()
-        lam = np.kron(form.DB.T, form.DA) + np.kron(form.DD.T, form.DC)
+        ps = _hand_form()
+        lam = _lam(ps)
         rhs = IMatrix(np.ones((3, 2)), np.full((3, 2), 0.05))
-        got = interval_back_substitute(form, rhs)
+        got = interval_back_substitute(ps, rhs)
         rng = np.random.default_rng(2)
         for _ in range(50):
             f = rhs.mid + rhs.rad * rng.uniform(-1, 1, size=(3, 2))
@@ -137,45 +137,19 @@ class TestIntervalBackSubstitute:
     def test_all_scalar_blocks_reduce_to_hadamard_division(self):
         DA, DC = np.diag([2.0, 3.0]), np.diag([1.0, 1.0])
         DB, DD = np.diag([1.0, 4.0]), np.diag([0.5, 0.5])
-        form = BlockDiagForm(
-            U=np.eye(2),
-            Uinv=np.eye(2),
-            V=np.eye(2),
-            Vinv=np.eye(2),
-            DA=DA,
-            DC=DC,
-            DB=DB,
-            DD=DD,
-            b_sizes=(1, 1),
-            a_sizes=(1, 1),
-            cond_bound=1.0,
-        )
+        ps = _system(DA, DC, DB, DD, row_sizes=(1, 1), col_sizes=(1, 1))
         rhs = IMatrix(np.ones((2, 2)), np.full((2, 2), 0.1))
-        den = _denominators(*(np.diag(x) for x in (DA, DB, DC, DD)))
-        # each numerator is the rhs entry minus an empty tail, padded as a difference
-        num_rad = _pad_rad(rhs.rad.copy(), np.abs(rhs.mid))
-        mid, rad = _quot(rhs.mid.astype(complex), num_rad, den.rec_mid, den.rec_rad)
-        got = interval_back_substitute(form, rhs)
+        # each unknown has an empty tail: its numerator is the rhs entry as it is
+        mid, rad = _quot(rhs.mid, rhs.rad, ps.den.rec_mid, ps.den.rec_rad)
+        got = interval_back_substitute(ps, rhs)
         # bit for bit mkw's quotient rule
         assert np.array_equal(got.mid, mid) and np.array_equal(got.rad, rad)
 
     def test_singular_pivot_raises(self):
-        form = _hand_form()
-        bad = BlockDiagForm(
-            U=form.U,
-            Uinv=form.Uinv,
-            V=form.V,
-            Vinv=form.Vinv,
-            DA=np.diag([1.0, 1.0, 0.0]),
-            DC=np.zeros((3, 3)),
-            DB=form.DB,
-            DD=form.DD,
-            b_sizes=form.b_sizes,
-            a_sizes=(1, 1, 1),
-            cond_bound=1.0,
-        )
+        ps = _hand_form()
+        DA, DC = np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))
         with pytest.raises(SingularPreconditionerError, match="singular preconditioner entry"):
-            interval_back_substitute(bad, IMatrix(np.ones((3, 2))))
+            _system(DA, DC, ps.Bp.mid, ps.Dp.mid, row_sizes=(1, 1, 1), col_sizes=(2,))
 
 
 def _random_sizes(rng, total):
@@ -192,27 +166,16 @@ def _random_form(rng, a_sizes, b_sizes, complex_):
         x = 0.1 * x + np.diag(2.0 + rng.uniform(size=k))
         return np.where(block_mask(sizes, lower=lower), x, 0.0)
 
-    m, n = sum(a_sizes), sum(b_sizes)
-    return BlockDiagForm(
-        U=np.eye(m),
-        Uinv=np.eye(m),
-        V=np.eye(n),
-        Vinv=np.eye(n),
-        DA=factor(a_sizes, False),
-        DC=factor(a_sizes, False),
-        DB=factor(b_sizes, True),
-        DD=factor(b_sizes, True),
-        b_sizes=b_sizes,
-        a_sizes=a_sizes,
-        cond_bound=1.0,
-    )
+    DA, DC = factor(a_sizes, False), factor(a_sizes, False)
+    DB, DD = factor(b_sizes, True), factor(b_sizes, True)
+    return _system(DA, DC, DB, DD, row_sizes=a_sizes, col_sizes=b_sizes)
 
 
-def _assert_matches_dense_solve(form, rng, samples=20):
-    m, n = form.DA.shape[0], form.DB.shape[0]
-    lam = np.kron(form.DB.T, form.DA) + np.kron(form.DD.T, form.DC)
+def _assert_matches_dense_solve(ps, rng, samples=20):
+    m, n = ps.m, ps.n
+    lam = _lam(ps)
     rhs = IMatrix(rng.normal(size=(m, n)), np.full((m, n), 1e-3))
-    got = interval_back_substitute(form, rhs)
+    got = interval_back_substitute(ps, rhs)
     expect = unvec(np.linalg.solve(lam, vec(rhs.mid)), m, n)
     assert np.abs(got.mid - expect).max() <= 1e-12 * np.abs(expect).max()
     for _ in range(samples):
@@ -255,7 +218,7 @@ class TestBlockSolve:
         assert not mkw_solve(sys).verified
         blk = mkw_block_solve(sys)
         assert blk.verified
-        assert blk.blockform is not None
+        assert blk.precond is not None
         for x in sample_solutions(sys, n_samples=60, seed=6):
             assert blk.evaluated.contains_point(x)
 
@@ -270,9 +233,31 @@ class TestBlockSolve:
         assert not mkw_solve(sys).verified
         blk = mkw_block_solve(sys)
         assert blk.verified
-        assert blk.blockform.b_sizes == (2,)
+        assert blk.precond.col_sizes == (2,)
         for x in sample_solutions(sys, n_samples=60, seed=7):
             assert blk.evaluated.contains_point(x)
+
+    def test_enclosure_carries_its_preconditioned_system(self):
+        # the Jordan block of A stays whole; the scalar B = I keeps the column side one block
+        A = IMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]), np.full((2, 2), 1e-8))
+        eye = IMatrix(np.eye(2))
+        D = IMatrix(np.diag([2.0, 3.0]), np.full((2, 2), 1e-8))
+        F = IMatrix(np.ones((2, 2)), np.full((2, 2), 1e-8))
+        blk = mkw_block_solve(SylvesterSystem(A=A, B=eye, C=eye, D=D, F=F))
+        ps = blk.precond
+        assert isinstance(ps, PrecondSystem) and not ps.diagonal
+        assert (ps.row_sizes, ps.col_sizes) == ((2,), (2,))
+        assert ps.cond_bound >= 1.0
+        assert blk.U is ps.U and np.array_equal(blk.Vinv, ps.vinv_box.mid)
+        # the denominators of the stored pattern diagonals, which every division reads
+        expect = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)))
+        assert all(np.array_equal(x, y) for x, y in zip(ps.den, expect))
+
+    def test_diagonalizable_system_takes_the_diagonal_path(self):
+        sys = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))
+        blk = mkw_block_solve(sys)
+        assert blk.verified and blk.precond.diagonal
+        assert blk.precond.row_sizes == blk.precond.col_sizes == (1,) * 8
 
 
 class TestBlockDonor:
@@ -310,7 +295,7 @@ class TestBlockDonor:
         )
         seen = self._count_block_forms(monkeypatch)
         blk = mkw_block_solve(sys)
-        assert blk.verified and blk.blockform.a_sizes == (2,) * (m // 2)
+        assert blk.verified and blk.precond.row_sizes == (2,) * (m // 2)
         assert len(seen) == 2
         assert seen[0] is sys.A.mid and seen[1] is sys.B.mid
 
@@ -331,7 +316,7 @@ class TestBlockDonor:
         seen = self._count_block_forms(monkeypatch)
         blk = mkw_block_solve(sys)
         assert blk.verified
-        assert np.array_equal(blk.blockform.U, np.eye(m)) and blk.blockform.a_sizes == (m,)
+        assert np.array_equal(blk.precond.U, np.eye(m)) and blk.precond.row_sizes == (m,)
         # C's block form was scored; I's was formed only once it had won
         assert seen[0] is sys.C.mid and seen[1] is sys.A.mid
 
@@ -354,8 +339,10 @@ class TestBlockDonor:
         a = IMatrix(_jordan(m, 3), rad)
         eye = IMatrix(np.eye(m))
         F = IMatrix(np.ones((m, m)), rad)
-        blk = mkw_block_solve(SylvesterSystem(A=a, B=eye, C=eye, D=eye, F=F))
-        assert np.array_equal(blk.blockform.U, np.eye(m))
+        # I keeps all of A's Jordan mass off its pattern
+        with pytest.warns(UserWarning, match="far from commuting"):
+            blk = mkw_block_solve(SylvesterSystem(A=a, B=eye, C=eye, D=eye, F=F))
+        assert np.array_equal(blk.precond.U, np.eye(m))
         with pytest.raises(EigenDecompositionError):
             mkw_block_solve(SylvesterSystem(A=a, B=eye, C=IMatrix(2.0 * a.mid), D=eye, F=F))
 

@@ -13,10 +13,15 @@ from sylvenc import (
     sample_solutions,
     transform_enclose,
 )
+from sylvenc.intervals import _up
 from sylvenc.krawczyk import (
     FAILURE_MESSAGE,
+    _pair_bound,
+    _pairs,
     compute_M,
     compute_N,
+    interval_back_substitute,
+    residual,
     verification_loop,
 )
 
@@ -83,6 +88,32 @@ def test_contraction_bound_is_monotone_in_the_radius():
     assert (n2.rad >= n1.rad).all()
     with pytest.raises(ValueError):
         compute_N(ps, -r1)
+
+
+def _symmetrized(sys):
+    """``sys`` with symmetric coefficient midpoints, so its eigenbases are real."""
+    sym = lambda x: IMatrix((x.mid + x.mid.T) / 2, x.rad)  # noqa: E731
+    return SylvesterSystem(A=sym(sys.A), B=sym(sys.B), C=sym(sys.C), D=sym(sys.D), F=sys.F)
+
+
+@pytest.mark.parametrize("data", ["complex", "real"])
+@pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
+def test_diagonal_division_is_the_tile_back_substitution(family, data):
+    """On 1 x 1 tiles, the whole-array quotient of mkw is blk's back-substitution, bit for bit."""
+    sys = generate(GenSpec(family=family, m=8, alpha=1e-4, seed=3))
+    ps = transform_enclose(sys if data == "complex" else _symmetrized(sys))
+    assert ps.diagonal and np.iscomplexobj(ps.Fp.mid) == (data == "complex")
+    xt = ps.Fp.mid / ps.den.mid
+    M = compute_M(ps, xt)
+    ref = interval_back_substitute(ps, residual(ps, xt))
+    assert np.array_equal(M.mid, ref.mid) and np.array_equal(M.rad, ref.rad)
+    xrad = M.mag()
+    ab, cd = _pairs(ps)
+    w = _pair_bound(ab, xrad) + _pair_bound(cd, xrad)
+    N = compute_N(ps, xrad)
+    ref = interval_back_substitute(ps, IMatrix(np.zeros(w.shape), _up(w, 4)))
+    assert not N.mid.any() and not ref.mid.any()
+    assert np.array_equal(N.rad, ref.rad)
 
 
 class TestVerificationLoop:

@@ -234,7 +234,8 @@ def _same_precond(a, b):
             x, y = (x.mid, x.rad), (y.mid, y.rad)
         elif isinstance(x, np.ndarray):
             x, y = (x,), (y,)
-        elif not isinstance(x, tuple):  # ``den`` is a tuple of arrays already
+        elif not (isinstance(x, tuple) and isinstance(x[0], np.ndarray)):
+            # ``den`` is a tuple of arrays already; the partitions are tuples of ints
             assert x == y, f.name
             continue
         for u, v in zip(x, y):

@@ -12,9 +12,9 @@ ones for comparison:
 
 One line per system:
 
-* ``a_sizes`` / ``b_sizes``: blk's block sizes on each side, as
-  ``size x count`` runs;
-* ``cond``: blk's ``cond_bound``;
+* ``a_sizes`` / ``b_sizes``: blk's block sizes on each side
+  (``precond.row_sizes`` / ``precond.col_sizes``), as ``size x count`` runs;
+* ``cond``: blk's ``precond.cond_bound``;
 * ``bd_ms``: clock ms of ``block_diagonalize`` on each of the four
   midpoints, the median of 5 runs (blk itself skips a repeated member and
   a scalar one that loses);
@@ -103,12 +103,12 @@ def _bd_ms(sys_: SylvesterSystem, repeats: int = 5) -> float:
 
 def row(label: str, sys_: SylvesterSystem) -> str:
     blk = mkw_block_solve(sys_)
-    form = blk.blockform
+    ps = blk.precond
     mk = mkw_solve(sys_)
     radsum = float(blk.evaluated.rad.sum()) if blk.verified else float("nan")
     return (
-        f"{label:<20} a_sizes={_runs(form.a_sizes):<8} b_sizes={_runs(form.b_sizes):<12} "
-        f"cond={form.cond_bound:.3e} bd_ms={_bd_ms(sys_):7.2f} blk={blk.verified} "
+        f"{label:<20} a_sizes={_runs(ps.row_sizes):<8} b_sizes={_runs(ps.col_sizes):<12} "
+        f"cond={ps.cond_bound:.3e} bd_ms={_bd_ms(sys_):7.2f} blk={blk.verified} "
         f"radsum={radsum:.10e} mkw_it={mk.iterations}{'' if mk.verified else ' (failed)'}"
     )
 
