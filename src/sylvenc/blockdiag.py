@@ -10,8 +10,11 @@ triangular Sylvester solve against the whole leading triangle (LAPACK
 ``ztrsyl``).  Whenever a column of the similarity would exceed a norm cap,
 or the equation is too close to singular for ``ztrsyl`` to solve unscaled,
 the offending clusters are merged and the sweep restarts, trading a better
-conditioned basis for larger diagonal blocks.  A scalar midpoint ``c I`` is
-its own block form and needs no Schur form.
+conditioned basis for larger diagonal blocks.  An exactly diagonal
+midpoint (a scalar ``c I`` among them) is its own Schur form and takes none:
+its clusters come from the same rule, and an exact permutation makes them
+contiguous, so its basis is a permutation whose inverse is exactly its
+transpose and every product with it a reindexing (see :mod:`.precond`).
 
 The donor of each pair follows the rule of :func:`.precond.choose_donor`,
 with mass measured as the relative Frobenius norm off the block pattern.
@@ -25,7 +28,8 @@ splits into independent upper-triangular systems, one per tile X[I, J] of a
 row block I and a column block J (the block-triangular recurrences of
 Bartels and Stewart).  The Hadamard division of the diagonal method becomes
 an interval backward substitution, run on all tiles of one shape at once;
-the same sweep on the point right-hand side gives the approximate solution.
+the same sweep on midpoints alone, dividing by the denominator midpoints as
+the diagonal method does, gives the approximate solution.
 Midpoint mass of the transformed matrices that falls outside the block
 pattern is absorbed into radii, which keeps the method rigorous for any
 inputs at the price of wider results when the pattern fits poorly.
@@ -48,7 +52,8 @@ from scipy.linalg.lapack import ztrsyl as _trsyl
 
 from .krawczyk import KMAX_DEFAULT, Enclosure, _solve, interval_back_substitute
 from .linalg import lu_solve
-from .precond import Donor, Pattern, _scalar, block_mask, choose_donor, precondition
+from .intervals import _diagonal
+from .precond import Donor, Pattern, block_mask, choose_donor, precondition
 from .system import SylvesterSystem
 
 __all__ = [
@@ -64,13 +69,15 @@ MAX_COND_DEFAULT = 1e4
 @dataclass(frozen=True)
 class BlockHalf:
     """One-sided block form: donor Schur basis ``U``, its LU inverse and the
-    donor's block form ``T``."""
+    donor's block form ``T``; ``perm`` is set when ``U = I[:, perm]`` is a
+    permutation, whose inverse ``Uinv = U^T`` is exact."""
 
     U: np.ndarray
     Uinv: np.ndarray
     T: np.ndarray
     sizes: tuple[int, ...]
     cond_bound: float
+    perm: np.ndarray | None = None
 
 
 def _offpattern_rel(conj: np.ndarray, mask: np.ndarray) -> float:
@@ -187,18 +194,26 @@ def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> Blo
     clusters through ``j`` fuse.  Each restart leaves fewer clusters, so in
     the worst case a single triangular block remains.
 
-    A scalar ``Ac = c I`` is its own block form: ``U = I`` and one block,
-    without a Schur form.  Raises :class:`SingularMatrixError` only when
-    ``U`` has no LU inverse.
+    An exactly diagonal ``Ac`` is its own Schur form, and its clusters need
+    no swaps: the stable sort of their labels is a permutation ``perm`` that
+    makes them contiguous in the Schur order, so ``U = I[:, perm]`` exactly,
+    with ``Uinv = U^T`` and ``cond_bound = 1``.  A scalar ``c I`` is one
+    block.  Raises :class:`SingularMatrixError` only when ``U`` has no LU
+    inverse.
     """
     Ac = np.atleast_2d(np.asarray(Ac, dtype=np.complex128))
     m = Ac.shape[0]
-    if _scalar(Ac):
-        eye = np.eye(m, dtype=np.complex128)
-        return BlockHalf(U=eye, Uinv=eye, T=Ac.copy(), sizes=(m,), cond_bound=1.0)
+    sep = SEP_REL * max(np.linalg.norm(Ac), 1e-300)
+    d = _diagonal(Ac)
+    if d is not None:
+        labels = _clusters(d, sep)
+        perm = np.argsort(labels, kind="stable")
+        U = np.eye(m, dtype=np.complex128)[:, perm]
+        sizes = tuple(int(c) for c in np.unique(labels, return_counts=True)[1])
+        T = np.diag(d[perm])
+        return BlockHalf(U=U, Uinv=U.T.copy(), T=T, sizes=sizes, cond_bound=1.0, perm=perm)
     T0, Z0 = scipy.linalg.schur(Ac, output="complex")
-    lams = np.diag(T0)
-    labels = _clusters(lams, SEP_REL * max(np.linalg.norm(Ac), 1e-300))
+    labels = _clusters(np.diag(T0), sep)
 
     while True:
         T = T0.copy()
@@ -245,15 +260,11 @@ def _block_side(pair, max_cond: float, lower: bool) -> Donor:
         half = block_diagonalize(mid, max_cond)
         sizes = half.sizes[flip]
         pattern = Pattern(sizes, block_mask(sizes, lower), half.cond_bound)
+        perm = None if half.perm is None else half.perm[flip]
         # reversing the columns of U reverses the rows of its inverse
-        return half.U[:, flip], half.Uinv[flip], pattern
+        return half.U[:, flip], half.Uinv[flip], pattern, perm
 
-    return choose_donor(
-        pair,
-        offer,
-        lambda form, conj, _: _offpattern_rel(conj, form.mask),
-        lambda mid: _offpattern_rel(mid[flip, flip], block_mask((len(mid),), lower)),
-    )
+    return choose_donor(pair, offer, lambda form, conj, _: _offpattern_rel(conj, form.mask))
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,19 @@ solver hands the engine four things:
 
 mkw and blk hand it the same things, built from one preconditioned system
 (:class:`.precond.PrecondSystem`) that differs only in its block partitions.
-``Xtilde``, ``M = residual ./ den`` and ``N`` divide through it: by one
-quotient rule on the whole array when every block is 1 x 1 (mkw's
-eigenbases, and blk's when no eigenvalues cluster), by the interval
-backward substitution :func:`interval_back_substitute` over the tiles of
-the block pattern otherwise; on 1 x 1 tiles the two give the same bits.
-Both map back by ``U . V^-1``.  The dense solver ``ver``
-(:mod:`.baseline`) multiplies by a floating inverse ``R`` of the Kronecker
-midpoint ``mid Q`` and bounds the contraction by ``|I - R Q| x``; its loop
-runs in m x n coordinates and ``back`` is the identity.
+``M = residual ./ den`` and ``N`` divide through it: by one quotient rule
+on the whole array when every block is 1 x 1 (mkw's eigenbases, and blk's
+when no eigenvalues cluster), by the interval backward substitution
+:func:`interval_back_substitute` over the tiles of the block pattern
+otherwise; on 1 x 1 tiles the two give the same bits.  ``Xtilde`` is
+``mid Fp ./ mid den`` on the whole array, and on a block pattern the
+midpoint-only sweep over the same tiles, which divides by ``mid den`` too
+and so is that quotient bit for bit on 1 x 1 tiles.  Both map back by
+``U . V^-1``, reindexing on a side whose basis is a permutation.  The
+dense solver ``ver`` (:mod:`.baseline`) multiplies by a floating inverse
+``R`` of the Kronecker midpoint ``mid Q`` and bounds the contraction by
+``|I - R Q| x``; its loop runs in m x n coordinates and ``back`` is the
+identity.
 
 Writing the diagonally preconditioned equation as a fixed-point problem
 around the approximate solution ``Xtilde = mid(Fp) ./ mid(den)``, the
@@ -48,11 +52,13 @@ On a diagonal system the products use the pattern: ``im_matmul`` applies a
 diagonal-midpoint factor by a broadcast and skips the radius products of a
 zero radius, so ``M`` takes no dense complex product and three dense real
 ones per term: one for ``Ap Xtilde`` (``Xtilde`` is a point) and two for
-the product with ``Bp``.  Each pair of ``N`` is factored through ``P =
-rad(Ap) W``: ``P |mid Bp|`` is a column scaling by the magnitudes of the
-diagonal of ``mid Bp`` and ``Mag(Ap) W = |diag mid Ap| W + P``, two real
-products per pair in all.  A block pattern takes the same factored bound
-with :func:`.intervals.posmm` products by the pattern magnitudes.
+the product with ``Bp``; a point scalar coefficient, which the transform
+keeps exact (``<c I, 0>``), takes no radius product at all.  Each pair of
+``N`` is factored through ``P = rad(Ap) W``: ``P |mid Bp|`` is a column
+scaling by the magnitudes of the diagonal of ``mid Bp`` and ``Mag(Ap) W =
+|diag mid Ap| W + P``, two real products per pair in all.  A block pattern
+takes the same factored bound with :func:`.intervals.posmm` products by the
+pattern magnitudes.
 
 On success the solution set of every member system is contained in
 ``U (Xtilde + H) V^-1``; the inflated box ``X`` is kept alongside so the
@@ -80,7 +86,7 @@ from .intervals import (
     in_interior,
     posmm,
 )
-from .precond import PrecondSystem, transform_enclose
+from .precond import PrecondSystem, _take, transform_enclose
 from .system import SylvesterSystem
 
 __all__ = [
@@ -138,6 +144,38 @@ def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
     return [(s, starts[np.equal(sizes, s)][:, None] + np.arange(s)) for s in sorted(set(sizes))]
 
 
+def _tiles(ps: PrecondSystem, *arrays: np.ndarray):
+    """Each tile shape ``a x b`` of ``ps``, with its tiles stacked.
+
+    Yields ``a``, the blocks ``(DA, DC, DB, DD)`` of every tile, the index
+    ``ix`` that scatters a stack back, and ``arrays`` as ``(rows, cols, a
+    b)`` stacks: unknown ``p = k a + r`` of tile ``(I, J)`` is entry
+    ``[rows[I, r], cols[J, k]]``.
+    """
+    for (a, rows), (b, cols) in itertools.product(_blocks(ps.row_sizes), _blocks(ps.col_sizes)):
+        DA, DC = (x.mid[rows[:, :, None], rows[:, None, :]] for x in (ps.Ap, ps.Cp))
+        DB, DD = (x.mid[cols[:, :, None], cols[:, None, :]] for x in (ps.Bp, ps.Dp))
+        ix = (rows[:, None, None, :], cols[None, :, :, None])
+        tiles = (len(rows), len(cols), a * b)
+        yield a, (DA, DC, DB, DD), ix, tuple(x[ix].reshape(tiles) for x in arrays)
+
+
+def _tail(blocks, a: int, p: int):
+    """The factors ``(col_b, row_a, col_d, row_c)`` of row ``p`` in every tile.
+
+    ``col_b row_a + col_d row_c``, flattened per tile, holds the coefficients
+    of the unknowns from ``k a`` on, for ``k, r = divmod(p, a)`` (rows ``k' <
+    k`` of the lower-triangular ``DB`` and ``DD`` hold exact zeros); its first
+    ``r + 1`` entries are those of the unknowns up to ``p``.
+    """
+    DA, DC, DB, DD = blocks
+    k, r = divmod(p, a)
+    return (
+        DB[None, :, k:, k, None], DA[:, None, None, r, :],
+        DD[None, :, k:, k, None], DC[:, None, None, r, :],
+    )
+
+
 def interval_back_substitute(ps: PrecondSystem, rhs: IMatrix) -> IMatrix:
     """Enclosure of ``unvec(Lambda^-1 vec(rhs))`` over the rhs enclosure.
 
@@ -160,40 +198,57 @@ def interval_back_substitute(ps: PrecondSystem, rhs: IMatrix) -> IMatrix:
         raise ValueError("dimension mismatch")
     out_mid = np.zeros((m, n), dtype=np.complex128)
     out_rad = np.zeros((m, n))
-    for (a, rows), (b, cols) in itertools.product(_blocks(ps.row_sizes), _blocks(ps.col_sizes)):
-        DA, DC = (x.mid[rows[:, :, None], rows[:, None, :]] for x in (ps.Ap, ps.Cp))
-        DB, DD = (x.mid[cols[:, :, None], cols[:, None, :]] for x in (ps.Bp, ps.Dp))
-        # unknown p = k a + r of tile (I, J) is X[rows[I, r], cols[J, k]]
-        ix = (rows[:, None, None, :], cols[None, :, :, None])
-        tiles = (len(rows), len(cols), a * b)
-        f_mid, f_rad, rec_mid, rec_rad = (
-            x[ix].reshape(tiles) for x in (rhs.mid, rhs.rad, ps.den.rec_mid, ps.den.rec_rad)
-        )
-        z_mid = np.zeros(tiles, dtype=np.complex128)
-        z_rad = np.zeros(tiles)
-        for p in range(a * b - 1, -1, -1):
+    den = ps.den
+    for a, blocks, ix, (f_mid, f_rad, rec_mid, rec_rad) in _tiles(
+        ps, rhs.mid, rhs.rad, den.rec_mid, den.rec_rad
+    ):
+        z_mid = np.zeros(f_mid.shape, dtype=np.complex128)
+        z_rad = np.zeros(f_mid.shape)
+        last = f_mid.shape[-1] - 1
+        for p in range(last, -1, -1):
             num_mid, num_rad = f_mid[..., p], f_rad[..., p]
-            if p < a * b - 1:
-                k, r = divmod(p, a)
-                # rows k' < k of the lower-triangular DB, DD hold exact zeros
-                col_b, col_d = DB[None, :, k:, k, None], DD[None, :, k:, k, None]
-                row_a, row_c = DA[:, None, None, r, :], DC[:, None, None, r, :]
-                t_mid = (col_b * row_a + col_d * row_c).reshape(tiles[:2] + (-1,))[..., r + 1 :]
+            if p < last:
+                r = p % a
+                col_b, row_a, col_d, row_c = _tail(blocks, a, p)
+                flat = f_mid.shape[:2] + (-1,)
+                t_mid = (col_b * row_a + col_d * row_c).reshape(flat)[..., r + 1 :]
                 t_rad = _slack(np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c), 6)
-                t_rad = t_rad.reshape(tiles[:2] + (-1,))[..., r + 1 :]
+                t_rad = t_rad.reshape(flat)[..., r + 1 :]
                 zm, zr = z_mid[..., p + 1 :], z_rad[..., p + 1 :]
                 at, az = np.abs(t_mid), np.abs(zm)
                 dot_mid = (t_mid * zm).sum(axis=-1)
                 dot_rad = (
                     (at * zr).sum(axis=-1) + (t_rad * az).sum(axis=-1) + (t_rad * zr).sum(axis=-1)
                 )
-                dot_rad = _pad_rad(dot_rad, (at * az).sum(axis=-1), _dot_ops(a * b - p - 1))
+                dot_rad = _pad_rad(dot_rad, (at * az).sum(axis=-1), _dot_ops(last - p))
                 num_mid = num_mid - dot_mid
                 num_rad = _pad_rad(num_rad + dot_rad, np.abs(num_mid))
             z_mid[..., p], z_rad[..., p] = _quot(num_mid, num_rad, rec_mid[..., p], rec_rad[..., p])
-        out_mid[ix] = z_mid.reshape(tiles[:2] + (b, a))
-        out_rad[ix] = z_rad.reshape(tiles[:2] + (b, a))
+        out_mid[ix] = z_mid.reshape(z_mid.shape[:2] + (-1, a))
+        out_rad[ix] = z_rad.reshape(z_mid.shape[:2] + (-1, a))
     return IMatrix(out_mid, out_rad)
+
+
+def _point_back_substitute(ps: PrecondSystem, f: np.ndarray) -> np.ndarray:
+    """``unvec(Lambda^-1 vec(f))`` in floating point, for the approximate solution.
+
+    The sweep of :func:`interval_back_substitute` over the same tiles on
+    midpoints only, each unknown divided by ``den.mid``: on 1 x 1 tiles it
+    is the diagonal path's ``f / den.mid`` bit for bit.
+    """
+    out = np.zeros(f.shape, dtype=np.complex128)
+    for a, blocks, ix, (f_t, den) in _tiles(ps, f, ps.den.mid):
+        z = np.zeros(f_t.shape, dtype=np.complex128)
+        last = f_t.shape[-1] - 1
+        for p in range(last, -1, -1):
+            num = f_t[..., p]
+            if p < last:
+                col_b, row_a, col_d, row_c = _tail(blocks, a, p)
+                t = (col_b * row_a + col_d * row_c).reshape(f_t.shape[:2] + (-1,))
+                num = num - (t[..., p % a + 1 :] * z[..., p + 1 :]).sum(axis=-1)
+            z[..., p] = num / den[..., p]
+        out[ix] = z.reshape(z.shape[:2] + (-1, a))
+    return out
 
 
 def _divide(ps: PrecondSystem, mid: np.ndarray | None, rad: np.ndarray) -> IMatrix:
@@ -300,17 +355,20 @@ def verification_loop(M: IMatrix, n_of, kmax: int):
     return False, X, H, k
 
 
-def back_transform(
-    U: np.ndarray,
-    inner: IMatrix,
-    vinv_box: IMatrix,
-) -> IMatrix:
-    """Enclosure of ``U * inner * V^-1`` with the certified inverse box.
+def back_transform(ps: PrecondSystem, inner: IMatrix) -> IMatrix:
+    """Enclosure of ``U * inner * V^-1`` with the certified inverse box of ``V``.
 
     Two midpoint products and three real radius products: one for the point
-    ``U``, two for the interval ``V^-1``.
+    ``U``, two for the interval ``V^-1``.  A permutation side of ``ps``
+    reindexes exactly instead.
     """
-    return im_matmul(im_matmul(as_imatrix(U), inner), vinv_box)
+    if ps.u_perm is None:
+        inner = im_matmul(as_imatrix(ps.U), inner)
+    else:
+        inner = _take(inner, rows=np.argsort(ps.u_perm))
+    if ps.v_perm is None:
+        return im_matmul(inner, ps.vinv_box)
+    return _take(inner, cols=np.argsort(ps.v_perm))
 
 
 def verify(
@@ -351,13 +409,13 @@ def _solve(method: str, ps: PrecondSystem, kmax: int) -> Enclosure:
     if ps.diagonal:
         xtilde = ps.Fp.mid / ps.den.mid
     else:
-        xtilde = interval_back_substitute(ps, IMatrix(ps.Fp.mid)).mid
+        xtilde = _point_back_substitute(ps, ps.Fp.mid)
     return verify(
         method,
         xtilde,
         compute_M(ps, xtilde),
         lambda r: compute_N(ps, r),
-        lambda Z: back_transform(ps.U, Z, ps.vinv_box),
+        lambda Z: back_transform(ps, Z),
         kmax,
         U=ps.U,
         Vinv=ps.vinv_box.mid,

@@ -175,7 +175,9 @@ def iunvec(x: IMatrix, m: int, n: int) -> IMatrix:
     return IMatrix(unvec(x.mid.ravel(), m, n), unvec(x.rad.ravel(), m, n))
 
 
-def inverse_enclosure(a: np.ndarray, r0: np.ndarray | None = None) -> IMatrix:
+def inverse_enclosure(
+    a: np.ndarray, r0: np.ndarray | None = None, with_product: bool = False
+) -> IMatrix | tuple[IMatrix, np.ndarray]:
     """Rigorous interval enclosure of the exact inverse of a point matrix.
 
     With ``R0`` the LU-based approximate inverse and ``G = I - R0 a`` bounded
@@ -183,7 +185,8 @@ def inverse_enclosure(a: np.ndarray, r0: np.ndarray | None = None) -> IMatrix:
     ``|a^-1 - R0| <= colmax|R0| * rho / (1 - rho)`` entrywise (the Neumann tail
     of ``sum G^k R0``).  Raises when the certificate fails.  ``r0`` passes an
     ``R0`` already at hand, such as :class:`EigResult`'s ``inv_vectors``; the
-    certificate holds for any ``R0``.
+    certificate holds for any ``R0``.  ``with_product`` returns the floating
+    product ``R0 a`` the certificate forms beside the box.
     """
     a = np.asarray(a)
     n = a.shape[0]
@@ -199,4 +202,5 @@ def inverse_enclosure(a: np.ndarray, r0: np.ndarray | None = None) -> IMatrix:
     colmax = np.abs(r0).max(axis=0)
     tail = _up(rho / (1.0 - rho), 6)
     delta = _up(np.broadcast_to(colmax * tail, (n, n)), 2)
-    return IMatrix(r0, delta)
+    box = IMatrix(r0, delta)
+    return (box, g.mid) if with_product else box

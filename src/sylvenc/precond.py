@@ -2,30 +2,42 @@
 
 The midpoint pairs (mid A, mid C) and (mid B, mid D) are conjugated into
 (approximately) diagonal form by shared eigenbases U and V.  Each distinct
-midpoint is decomposed once per transform, and a scalar midpoint ``c I``
-takes the exact basis ``I`` without an eigensolver call.  Off-diagonal
-midpoint mass of the transformed coefficients is moved into the radii, so the
-transformed midpoints are exactly diagonal; validity never depends on how well
-the pair actually commutes, only tightness does.
-
-One rule, :func:`choose_donor`, picks the member of each pair that donates
-the shared basis, here and in :mod:`.blockdiag`.  Each distinct member offers
-its basis.  A non-scalar one is conjugated once, by the certified sandwich the
-transform uses, and scores the larger mass either sandwich midpoint keeps off
-the pattern; a scalar member ``c I`` offers ``I``, scores the other member's
-own mass and is conjugated only when it wins.  A basis whose certificate fails
-drops out; the lowest score wins, a tie keeps the first member.  Here mass is
-the relative inf-norm off the diagonal, against the member.
+midpoint is decomposed once per transform.  Off-diagonal midpoint mass of the
+transformed coefficients is moved into the radii, so the transformed
+midpoints are exactly diagonal; validity never depends on how well the pair
+actually commutes, only tightness does.
 
 The exact inverses of U and V are not representable in floating point, so
 interval enclosures of them (point inverse plus a certified residual pad) are
-used on the left of every transform product.  The entrywise denominators
-``a_i b_j + c_i d_j`` of the stored diagonals ``a, b, c, d`` of the
-transformed midpoints are formed once, as screened disks that contain the
-exact products, with disks containing their reciprocals
-(:func:`.intervals._denominators`).  Every member shares those exact
-products, so dividing by them is a preconditioner of its own, and mkw, itr
-and blk all divide through these disks.
+used on the left of every transform product.  Three properties of the input
+make a transform exact instead:
+
+* a member whose midpoint is exactly diagonal donates the basis ``I``,
+  without an eigensolver call (a scalar midpoint ``c I`` is one such);
+* a permutation basis ``U = I[:, perm]`` (``I``, and in :mod:`.blockdiag`
+  its column-reversed and cluster-sorted forms) has the exact inverse
+  ``U^T``, so every product with ``U`` or ``U^T`` is a reindexing: no
+  certified inverse and no interval product;
+* a point scalar member ``c I`` is exactly ``<c I, 0>`` in any basis.
+
+One rule, :func:`choose_donor`, picks the member of each pair that donates
+the shared basis, here and in :mod:`.blockdiag`.  Each distinct member offers
+its basis and is conjugated once, with both members, by
+:func:`simultaneous_diag`; it scores the larger mass either member keeps off
+the pattern.  A member's mass is that of its conjugated midpoint, except a
+point scalar member ``c I`` in a basis that is not a permutation: it scores
+``c Uinv U``, the product the inverse certificate forms.  At ``c = 1`` that
+is its sandwich's midpoint bit for bit, so an ill-conditioned basis still
+shows its off-diagonal mass there and loses.  A basis whose certificate
+fails drops out; the lowest score wins, a tie keeps the first member.  Here
+mass is the relative inf-norm off the diagonal, against the member.
+
+The entrywise denominators ``a_i b_j + c_i d_j`` of the stored diagonals
+``a, b, c, d`` of the transformed midpoints are formed once, as screened
+disks that contain the exact products, with disks containing their
+reciprocals (:func:`.intervals._denominators`).  Every member shares those
+exact products, so dividing by them is a preconditioner of its own, and mkw,
+itr and blk all divide through these disks.
 
 :class:`PrecondSystem` is the one preconditioned form of mkw, itr and blk;
 its row and column partitions are all ones for eigenbases and blk's
@@ -78,24 +90,20 @@ def _scalar(a: np.ndarray) -> bool:
     return d is not None and d.size > 0 and bool((d == d[0]).all())
 
 
-def _eigen(a: np.ndarray) -> EigResult:
-    """``eig_decompose(a)``, or the exact basis ``I`` when ``a`` is a scalar matrix ``c I``."""
-    if _scalar(a):
-        d = np.diagonal(a)
-        n = a.shape[0]
-        return EigResult(d.copy(), np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype))
-    return eig_decompose(a)
+def _point_scalar(x: IMatrix) -> bool:
+    """Whether ``x`` is a point scalar matrix ``<c I, 0>``."""
+    return _scalar(x.mid) and not np.count_nonzero(x.rad)
 
 
 def _eig_memo():
-    """:func:`_eigen` that decomposes each distinct matrix once over the memo's lifetime."""
+    """``eig_decompose`` that decomposes each distinct matrix once over the memo's lifetime."""
     seen: list[tuple[np.ndarray, EigResult]] = []
 
     def eig_of(a: np.ndarray) -> EigResult:
         for b, res in seen:
             if b.dtype == a.dtype and np.array_equal(a, b):
                 return res
-        res = _eigen(a)
+        res = eig_decompose(a)
         seen.append((a, res))
         return res
 
@@ -131,6 +139,8 @@ class PrecondSystem:
     diagonals of ``mid Ap .. mid Dp`` and their reciprocals.  ``cond_bound``
     bounds the condition of blk's block bases, ``offdiag_mass`` is each
     coefficient's relative midpoint mass off its pattern in the donor's basis.
+    ``u_perm`` (``v_perm``) is set when ``U = I[:, u_perm]`` is a
+    permutation, whose inverse box is the exact point ``U^T``.
     """
 
     Ap: IMatrix
@@ -147,6 +157,8 @@ class PrecondSystem:
     col_sizes: tuple[int, ...]
     cond_bound: float | None = None
     offdiag_mass: dict = field(default_factory=dict)
+    u_perm: np.ndarray | None = None
+    v_perm: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         m, n = sum(self.row_sizes), sum(self.col_sizes)
@@ -173,13 +185,39 @@ class PrecondSystem:
         return max(self.row_sizes + self.col_sizes) == 1
 
 
-def _sandwich(left_box: IMatrix, mid: IMatrix, right: np.ndarray) -> IMatrix:
-    """Enclosure of ``left * M * right`` for exact ``left`` in its box.
+class Basis(NamedTuple):
+    """A side's basis ``U`` and the certified box ``inv_box`` of its inverse.
 
-    Each of the two interval products takes a midpoint product and two real
-    radius products.
+    ``perm`` is set when ``U = I[:, perm]`` is a permutation: ``inv_box`` is
+    then the exact point ``U^T``, and a product with either is a reindexing.
     """
-    return im_matmul(im_matmul(left_box, mid), as_imatrix(right))
+
+    U: np.ndarray
+    inv_box: IMatrix
+    perm: np.ndarray | None = None
+
+
+def _take(x: IMatrix, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> IMatrix:
+    """The entries ``x[rows][:, cols]``, exactly; ``None`` keeps every row (column).
+
+    An identity index (mkw's diagonal donors) keeps ``x``'s arrays.  ``np.take``
+    keeps the result C-ordered, as products return it; ``[:, cols]`` would not.
+    """
+    mid, rad = x.mid, x.rad
+    for axis, index in enumerate((rows, cols)):
+        if index is not None and (index != np.arange(len(index))).any():
+            mid, rad = np.take(mid, index, axis=axis), np.take(rad, index, axis=axis)
+    return x if mid is x.mid else IMatrix._from_kernel(mid, rad)
+
+
+def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
+    """Enclosure of ``left.U^-1 X right.U`` for the exact inverse in ``left.inv_box``.
+
+    A permutation side reindexes exactly; any other takes an interval product:
+    a midpoint product and two real radius products.
+    """
+    x = im_matmul(left.inv_box, x) if left.perm is None else _take(x, rows=left.perm)
+    return im_matmul(x, as_imatrix(right.U)) if right.perm is None else _take(x, cols=right.perm)
 
 
 def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
@@ -196,67 +234,87 @@ def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
 
 
 class Donor(NamedTuple):
-    """Member ``index`` of a pair donates its basis ``U``, whose inverse
-    ``inv_box`` certifies; ``form`` is the :class:`Pattern` the preconditioner
-    keeps of it, ``raw`` both members' sandwiches and ``mass`` their masses."""
+    """Member ``index`` of a pair donates its :class:`Basis` ``basis``; ``form``
+    is the :class:`Pattern` the preconditioner keeps of it, ``raw`` both
+    members conjugated into the basis and ``mass`` their masses."""
 
-    U: np.ndarray
+    basis: Basis
     form: Pattern
     index: int
-    inv_box: IMatrix
     raw: tuple[IMatrix, IMatrix]
     mass: tuple[float, float]
 
 
-def simultaneous_diag(pair, U: np.ndarray, Uinv: np.ndarray) -> tuple[IMatrix, tuple]:
-    """The certified box of ``U``'s inverse around ``Uinv`` (or :class:`SingularMatrixError`)
-    and both members of ``pair`` conjugated into the basis ``U``."""
-    inv_box = inverse_enclosure(U, r0=Uinv)
-    return inv_box, tuple(_sandwich(inv_box, x, U) for x in pair)
+def simultaneous_diag(pair, U: np.ndarray, Uinv: np.ndarray, perm: np.ndarray | None = None):
+    """Both members of ``pair`` conjugated into the basis ``U``.
+
+    Returns the :class:`Basis`, the conjugated members and, for each member,
+    the point matrix its mass is scored by.  A permutation basis ``U = I[:,
+    perm]``, with ``Uinv = U^T``, conjugates by reindexing and scores the
+    conjugated midpoints.  Otherwise the inverse box is certified around
+    ``Uinv`` (or :class:`SingularMatrixError`); a point scalar member ``c I``
+    is exactly ``<c I, 0>`` and scores ``c Uinv U``, the certificate's
+    product; every other member takes the certified sandwich and scores its
+    midpoint.
+    """
+    if perm is not None:
+        raw = tuple(_take(x, perm, perm) for x in pair)
+        inv_box = IMatrix._from_kernel(Uinv, np.zeros(Uinv.shape))
+        return Basis(U, inv_box, perm), raw, tuple(r.mid for r in raw)
+    inv_box, prod = inverse_enclosure(U, r0=Uinv, with_product=True)
+    basis = Basis(U, inv_box)
+    raw, scored = [], []
+    for x in pair:
+        if _point_scalar(x):
+            c = x.mid[0, 0]
+            cI = np.diag(np.full(len(U), c, dtype=np.result_type(Uinv, U, x.mid)))
+            raw.append(IMatrix._from_kernel(cI, np.zeros(x.shape)))
+            scored.append(c * prod)
+        else:
+            raw.append(_sandwich(basis, x, basis))
+            scored.append(raw[-1].mid)
+    return basis, tuple(raw), tuple(scored)
 
 
-def choose_donor(pair, offer, mass, own_mass) -> Donor:
+def choose_donor(pair, offer, mass) -> Donor:
     """The donor of ``pair`` by the module's rule; :class:`EigenDecompositionError` if none.
 
-    ``offer(mid)`` is a member's ``(U, Uinv, form)`` or raises; ``mass(form,
-    conj, mid)`` is the mass of member ``mid`` in its sandwich midpoint ``conj``,
-    ``own_mass(mid)`` its mass in the basis ``I``.
+    ``offer(mid)`` is a member's ``(U, Uinv, form, perm)`` (``perm`` None
+    unless ``U`` is a permutation) or raises; ``mass(form, conj, mid)`` is
+    the mass of member ``mid`` scored by the point matrix ``conj``.
     """
     mids = tuple(x.mid for x in pair)
-
-    def conjugate(i: int) -> Donor:
-        U, Uinv, form = offer(mids[i])
-        inv_box, raw = simultaneous_diag(pair, U, Uinv)
-        masses = tuple(mass(form, r.mid, x) for r, x in zip(raw, mids))
-        return Donor(U, form, i, inv_box, raw, masses)
-
     scored = []
     for i in range(1 if mids[0].dtype == mids[1].dtype and np.array_equal(*mids) else 2):
-        if _scalar(mids[i]):
-            scored.append((max(map(own_mass, mids)), i, None))
-            continue
         try:
-            donor = conjugate(i)
+            U, Uinv, form, perm = offer(mids[i])
+            basis, raw, conj = simultaneous_diag(pair, U, Uinv, perm)
         except (EigenDecompositionError, SingularMatrixError):
             continue
-        scored.append((max(donor.mass), i, donor))
+        masses = tuple(mass(form, c, x) for c, x in zip(conj, mids))
+        scored.append((max(masses), i, Donor(basis, form, i, raw, masses)))
     if not scored:
         raise EigenDecompositionError("no basis of the pair has a certified inverse")
-    _, i, donor = min(scored, key=lambda t: t[:2])
-    return conjugate(i) if donor is None else donor
+    return min(scored, key=lambda t: t[:2])[2]
 
 
 def _eigen_donor(pair: tuple[IMatrix, IMatrix], eig_of) -> Donor:
-    """:func:`choose_donor` over eigenbases, which keep the diagonal pattern."""
+    """:func:`choose_donor` over eigenbases, which keep the diagonal pattern.
+
+    An exactly diagonal midpoint offers the permutation basis ``I`` without
+    an eigensolver call.
+    """
 
     def offer(mid: np.ndarray):
-        eig = eig_of(mid)
         n = len(mid)
-        return eig.vectors, eig.inv_vectors, Pattern((1,) * n, np.eye(n, dtype=bool))
+        form = Pattern((1,) * n, np.eye(n, dtype=bool))
+        if _diagonal(mid) is not None:
+            eye = np.eye(n, dtype=mid.dtype)
+            return eye, eye, form, np.arange(n)
+        eig = eig_of(mid)
+        return eig.vectors, eig.inv_vectors, form, None
 
-    return choose_donor(
-        pair, offer, lambda _, conj, mid: _offdiag_rel(conj, mid), lambda x: _offdiag_rel(x, x)
-    )
+    return choose_donor(pair, offer, lambda _, conj, mid: _offdiag_rel(conj, mid))
 
 
 def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
@@ -283,13 +341,15 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
     conds = [d.form.cond_bound for d in (left, right) if d.form.cond_bound is not None]
     return PrecondSystem(
         Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp,
-        Fp=_sandwich(left.inv_box, sys.F, right.U),
-        U=left.U, V=right.U,
-        uinv_box=left.inv_box, vinv_box=right.inv_box,
+        Fp=_sandwich(left.basis, sys.F, right.basis),
+        U=left.basis.U, V=right.basis.U,
+        uinv_box=left.basis.inv_box, vinv_box=right.basis.inv_box,
         den=_denominators(*(np.diag(x.mid) for x in (Ap, Bp, Cp, Dp))),
         row_sizes=left.form.sizes, col_sizes=right.form.sizes,
         cond_bound=max(conds) if conds else None,
         offdiag_mass={"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]},
+        u_perm=left.basis.perm,
+        v_perm=right.basis.perm,
     )
 
 

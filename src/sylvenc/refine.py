@@ -288,7 +288,7 @@ def itr_solve(
     if final is disk and Y0 is None:
         evaluated = initial.evaluated
     else:
-        evaluated = back_transform(ps.U, final, ps.vinv_box)
+        evaluated = back_transform(ps, final)
     return Enclosure(
         Xtilde=initial.Xtilde,
         Xbox=final,

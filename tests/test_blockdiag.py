@@ -145,6 +145,28 @@ class TestIntervalBackSubstitute:
         # bit for bit mkw's quotient rule
         assert np.array_equal(got.mid, mid) and np.array_equal(got.rad, rad)
 
+    def test_point_sweep_on_scalar_blocks_is_the_diagonal_quotient(self):
+        from sylvenc.krawczyk import _point_back_substitute
+
+        rng = np.random.default_rng(11)
+        DA, DC = np.diag(rng.uniform(1.0, 2.0, 5)), np.diag(rng.uniform(1.0, 2.0, 5))
+        DB, DD = np.diag(rng.uniform(1.0, 2.0, 4)), np.diag(rng.uniform(1.0, 2.0, 4))
+        ps = _system(DA, DC, DB, DD, row_sizes=(1,) * 5, col_sizes=(1,) * 4)
+        f = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        assert _point_back_substitute(ps, f).tobytes() == (f / ps.den.mid).tobytes()
+
+    def test_point_sweep_is_the_midpoint_of_the_interval_sweep_up_to_division(self):
+        from sylvenc.krawczyk import _point_back_substitute
+
+        ps = _hand_form()
+        f = np.arange(1.0, 7.0).reshape(3, 2)
+        expect = unvec(np.linalg.solve(_lam(ps), vec(f)), 3, 2)
+        got = _point_back_substitute(ps, f)
+        assert np.abs(got - expect).max() <= 4 * np.finfo(float).eps * np.abs(expect).max()
+        # it divides by den.mid where the interval sweep multiplies by rec_mid
+        box = interval_back_substitute(ps, IMatrix(f))
+        assert box.contains_point(got)
+
     def test_singular_pivot_raises(self):
         ps = _hand_form()
         DA, DC = np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))
@@ -281,7 +303,18 @@ class TestBlockDonor:
         assert len(seen) == 2
         assert all(np.array_equal(x, sys.A.mid) for x in seen)
 
-    def test_a_losing_scalar_member_is_never_block_diagonalized(self, monkeypatch):
+    @staticmethod
+    def _count_schur_forms(monkeypatch):
+        import scipy.linalg
+
+        seen = []
+        orig = scipy.linalg.schur
+        monkeypatch.setattr(
+            scipy.linalg, "schur", lambda a, *args, **kw: seen.append(a) or orig(a, *args, **kw)
+        )
+        return seen
+
+    def test_a_losing_scalar_member_takes_no_schur_form(self, monkeypatch):
         rng = np.random.default_rng(8)
         m = 16
         rad = np.full((m, m), 1e-8)
@@ -294,10 +327,16 @@ class TestBlockDonor:
             F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
         )
         seen = self._count_block_forms(monkeypatch)
+        schur = self._count_schur_forms(monkeypatch)
         blk = mkw_block_solve(sys)
         assert blk.verified and blk.precond.row_sizes == (2,) * (m // 2)
-        assert len(seen) == 2
-        assert seen[0] is sys.A.mid and seen[1] is sys.B.mid
+        # every distinct member offers its block form, but only A's takes a Schur
+        # form: I and the diagonal B are their own, sorted by an exact permutation
+        assert len(seen) == 4
+        assert all(x is y.mid for x, y in zip(seen, (sys.A, sys.C, sys.B, sys.D)))
+        assert len(schur) == 1
+        assert blk.precond.u_perm is None and blk.precond.v_perm is not None
+        assert not blk.precond.vinv_box.rad.any()
 
     def test_a_winning_scalar_member_is_block_diagonalized_when_it_wins(self, monkeypatch):
         # an upper-triangular C sits on I's pattern already, so A = I scores 0
@@ -314,11 +353,17 @@ class TestBlockDonor:
             F=IMatrix(np.ones((m, m)), rad),
         )
         seen = self._count_block_forms(monkeypatch)
+        schur = self._count_schur_forms(monkeypatch)
         blk = mkw_block_solve(sys)
         assert blk.verified
         assert np.array_equal(blk.precond.U, np.eye(m)) and blk.precond.row_sizes == (m,)
-        # C's block form was scored; I's was formed only once it had won
-        assert seen[0] is sys.C.mid and seen[1] is sys.A.mid
+        # both candidates were scored; I's block form is the exact permutation
+        # basis I, and only C's took a Schur form
+        assert seen[0] is sys.A.mid and seen[1] is sys.C.mid
+        assert len(schur) == 1
+        assert np.array_equal(blk.precond.u_perm, np.arange(m))
+        assert np.array_equal(blk.precond.uinv_box.mid, np.eye(m))
+        assert not blk.precond.uinv_box.rad.any()
 
     def test_uncertified_block_basis_drops_out(self, monkeypatch):
         import sylvenc.precond as precond

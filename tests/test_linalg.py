@@ -156,6 +156,13 @@ class TestInverseEnclosure:
         assert prod.contains_point(np.eye(5))
         assert np.abs(box.mid - np.linalg.inv(a)).max() <= 1e-8
 
+    def test_with_product_returns_the_certificate_product(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
+        box, prod = inverse_enclosure(a, with_product=True)
+        assert box.mid.tobytes() == inverse_enclosure(a).mid.tobytes()
+        assert prod.tobytes() == (box.mid @ a).tobytes()
+
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse_enclosure(np.ones((3, 3)))

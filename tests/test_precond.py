@@ -34,8 +34,9 @@ class TestSimultaneousDiag:
         a = _random_diagonalizable(5, rng)
         c = 0.5 * np.eye(5) + 0.25 * a + 0.125 * (a @ a)  # commutes with a
         eig = eig_decompose(a)
-        inv_box, raw = simultaneous_diag(self._pair(a, c), eig.vectors, eig.inv_vectors)
-        assert inv_box.mid is eig.inv_vectors
+        basis, raw, scored = simultaneous_diag(self._pair(a, c), eig.vectors, eig.inv_vectors)
+        assert basis.inv_box.mid is eig.inv_vectors and basis.perm is None
+        assert all(x is r.mid for x, r in zip(scored, raw))
         for r in raw:
             off = r.mid - np.diag(np.diag(r.mid))
             assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(r.mid)).max()
@@ -50,7 +51,7 @@ class TestSimultaneousDiag:
         rng = np.random.default_rng(1)
         a = _random_diagonalizable(4, rng)
         eig = eig_decompose(a)
-        _, raw = simultaneous_diag(self._pair(a, np.eye(4)), eig.vectors, eig.inv_vectors)
+        _, raw, _ = simultaneous_diag(self._pair(a, np.eye(4)), eig.vectors, eig.inv_vectors)
         assert raw[1].contains_point(np.eye(4))
         assert np.abs(raw[1].mid - np.eye(4)).max() <= 1e-10
 
@@ -204,16 +205,21 @@ class TestEigPerDistinctMidpoint:
         assert len(seen) == 1
 
     def test_scalar_basis_is_what_eig_returns(self):
+        # a scalar midpoint is diagonal: it offers the permutation basis I without
+        # an eigensolver call, the basis eig_decompose returns for it
         from sylvenc.linalg import eig_decompose
-        from sylvenc.precond import _eigen
+        from sylvenc.precond import _eig_memo, _eigen_donor
 
         for m in (1, 8, 32):
             for c in (1.0, -2.5):
                 a = c * np.eye(m)
-                got, ref = _eigen(a), eig_decompose(a)
-                for field in ("values", "vectors", "inv_vectors"):
-                    assert np.array_equal(getattr(got, field), getattr(ref, field))
-                    assert getattr(got, field).dtype == getattr(ref, field).dtype
+                ref = eig_decompose(a)
+                pair = (IMatrix(a, np.full((m, m), 1e-8)), IMatrix(a))
+                basis = _eigen_donor(pair, _eig_memo()).basis
+                assert np.array_equal(basis.perm, np.arange(m))
+                for got, want in ((basis.U, ref.vectors), (basis.inv_box.mid, ref.inv_vectors)):
+                    assert np.array_equal(got, want) and got.dtype == want.dtype
+                assert not basis.inv_box.rad.any()
 
 
 class TestDiagnosticsKeepTheirValues:
@@ -227,15 +233,48 @@ class TestDiagnosticsKeepTheirValues:
             assert ps.offdiag_mass[key] == _conj_offdiag_rel(uinv, mid, u)
 
 
-def _same_precond(a, b):
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+def _same_precond(forced, scored, sys):
+    """``forced`` is ``scored`` but where an exact path applies, and lies inside it there.
+
+    ``scored`` conjugates every member by a certified sandwich.  In
+    ``forced`` a point scalar member ``c I`` is exactly ``<c I, 0>`` and a
+    permutation side transforms by reindexing, so the coefficients they give
+    (and ``Fp``, ``den`` and the inverse boxes on such a side) lie inside
+    ``scored``'s; every other field is the same bit for bit.
+    """
+    from sylvenc.precond import _point_scalar
+
+    exact = set()
+    for perm, box, members in (
+        (forced.u_perm, "uinv_box", "AC"), (forced.v_perm, "vinv_box", "BD")
+    ):
+        if perm is not None:
+            exact |= {box, "Fp", "den"} | {f"{x}p" for x in members}
+    for x in "ABCD":
+        member = getattr(sys, x)
+        if _point_scalar(member):
+            got = getattr(forced, f"{x}p")
+            c = member.mid[0, 0]
+            assert np.array_equal(got.mid, c * np.eye(len(got.mid))) and not got.rad.any(), x
+            exact |= {f"{x}p", "den"}
+    for f in dataclasses.fields(forced):
+        x, y = getattr(forced, f.name), getattr(scored, f.name)
+        if f.name in ("u_perm", "v_perm"):
+            continue
+        if f.name == "den":
+            if f.name not in exact:
+                for u, v in zip(x, y):
+                    assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), f.name
+            continue
         if isinstance(x, IMatrix):
+            if f.name in exact:
+                assert y.contains(x), f.name
+                continue
             x, y = (x.mid, x.rad), (y.mid, y.rad)
         elif isinstance(x, np.ndarray):
             x, y = (x,), (y,)
-        elif not (isinstance(x, tuple) and isinstance(x[0], np.ndarray)):
-            # ``den`` is a tuple of arrays already; the partitions are tuples of ints
+        else:
+            # the partitions are tuples of ints
             assert x == y, f.name
             continue
         for u, v in zip(x, y):
@@ -261,14 +300,18 @@ def _jordan_system(m=8, seed=0):
 
 
 def _count_conjugations(monkeypatch):
-    """Record each call of ``precond.simultaneous_diag``, the one conjugation of a pair."""
+    """Record each call of ``precond.simultaneous_diag``, the one conjugation of a
+    candidate: True when it certifies an inverse, False for a permutation basis."""
     import sylvenc.precond as precond
 
     calls = []
     orig = precond.simultaneous_diag
-    monkeypatch.setattr(
-        precond, "simultaneous_diag", lambda *a, **k: calls.append(1) or orig(*a, **k)
-    )
+
+    def counting(pair, U, Uinv, perm=None):
+        calls.append(perm is None)
+        return orig(pair, U, Uinv, perm)
+
+    monkeypatch.setattr(precond, "simultaneous_diag", counting)
     return calls
 
 
@@ -301,75 +344,83 @@ def _commuting_system(m=6, seed=3, d_scalar=True):
     )
 
 
+def _scored(monkeypatch, make):
+    """``make()`` with every shortcut off: no member counts as diagonal or
+    scalar, so every basis comes from ``eig_decompose`` and every member is
+    conjugated by its certified sandwich."""
+    import sylvenc.precond as precond
+
+    with monkeypatch.context() as mp:
+        mp.setattr(precond, "_scalar", lambda a: False)
+        mp.setattr(precond, "_diagonal", lambda a: None)
+        return make()
+
+
 class TestForcedDonors:
-    """The rule's shortcuts give the system that conjugating every candidate gives.
+    """The exact paths choose the donors that conjugating every candidate chooses.
 
-    A scalar member is scored without a conjugation, and conjugated only when
-    it wins; scoring it from its sandwich instead (``_scalar`` reports no
-    scalar matrix, so ``I`` comes from ``eig_decompose`` and is conjugated
-    like any other basis) must change no bit.
+    With the shortcuts off (:func:`_scored`), every basis is an eigenbasis
+    with a certified inverse and every member a certified sandwich.  With
+    them on, a point scalar member is exactly ``<c I, 0>`` and a diagonal
+    donor's basis an exact permutation; the bases and masses must stay the
+    same bit for bit, and the exact parts lie inside the certified ones.
     """
-
-    @staticmethod
-    def _scored(monkeypatch, sys):
-        import sylvenc.precond as precond
-
-        with monkeypatch.context() as mp:
-            mp.setattr(precond, "_scalar", lambda a: False)
-            return transform_enclose(sys)
 
     @pytest.mark.parametrize("m", [8, 32])
     @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
     def test_families_match_the_scoring_path(self, monkeypatch, family, m):
         sys = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
-        scored = self._scored(monkeypatch, sys)
+        scored = _scored(monkeypatch, lambda: transform_enclose(sys))
         calls = _count_conjugations(monkeypatch)
         forced = transform_enclose(sys)
-        # scalar pairs whose eigenbasis wins and equal pairs: one conjugation a side
-        assert len(calls) == 2
-        _same_precond(forced, scored)
+        # every distinct candidate once; only the eigenbases certify an inverse
+        assert len(calls) == (2 if family == "gallery33" else 4)
+        assert sum(calls) == 2
+        _same_precond(forced, scored, sys)
 
     @pytest.mark.parametrize("seed, scalar_wins", [(0, False), (2, True)])
     def test_defective_midpoint_matches_the_scoring_path(self, monkeypatch, seed, scalar_wins):
         # the eigenbasis of a defective midpoint may leave more off-diagonal
-        # mass than the scalar member's basis I; then I wins and is conjugated too
+        # mass than the scalar member's basis I; then I wins
         sys = _jordan_system(seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scored = self._scored(monkeypatch, sys)
+            scored = _scored(monkeypatch, lambda: transform_enclose(sys))
             calls = _count_conjugations(monkeypatch)
             forced = transform_enclose(sys)
         assert np.array_equal(forced.U, np.eye(8)) == scalar_wins
-        assert len(calls) == 2 + scalar_wins
-        _same_precond(forced, scored)
+        # A's eigenbasis is the only one certified: I and the diagonal B are permutations
+        assert calls == [True, False, False, False]
+        _same_precond(forced, scored, sys)
 
     @pytest.mark.parametrize(
-        "make, conjugations",
-        [(lambda: generate(GenSpec(family="kyc31", m=8, alpha=1e-6)), 4), (_jordan_system, 3)],
+        "make, certified",
+        [(lambda: generate(GenSpec(family="kyc31", m=8, alpha=1e-6)), 2), (_jordan_system, 1)],
         ids=["kyc31", "jordan"],
     )
-    def test_uncertified_winning_eigenbasis_drops_out(self, monkeypatch, make, conjugations):
+    def test_uncertified_winning_eigenbasis_drops_out(self, monkeypatch, make, certified):
         sys = make()
         _fail_certificate(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             calls = _count_conjugations(monkeypatch)
             ps = transform_enclose(sys)
-        # the eigenbasis of A fails its certificate and the scalar member's I is
-        # conjugated; so is kyc31's B, while the Jordan family's diagonal B keeps I
+        # the eigenbasis of A fails its certificate and the scalar member's I
+        # wins; so does kyc31's on the right, while the Jordan family's diagonal
+        # B offers I itself
         assert np.array_equal(ps.U, np.eye(8)) and np.array_equal(ps.V, np.eye(8))
         assert ps.offdiag_mass["A"] == _conj_offdiag_rel(np.eye(8), sys.A.mid, np.eye(8))
-        assert len(calls) == conjugations
+        assert len(calls) == 4 and sum(calls) == certified
 
     def test_uncertified_losing_eigenbasis_gives_the_scalar_basis(self, monkeypatch):
         sys = _jordan_system(seed=2)
         _fail_certificate(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scored = self._scored(monkeypatch, sys)
+            scored = _scored(monkeypatch, lambda: transform_enclose(sys))
             forced = transform_enclose(sys)
         assert np.array_equal(forced.U, np.eye(8))
-        _same_precond(forced, scored)
+        _same_precond(forced, scored, sys)
 
     def test_far_from_commuting_warning_kept(self):
         with pytest.warns(UserWarning, match="far from commuting"):
@@ -378,8 +429,29 @@ class TestForcedDonors:
     def test_distinct_non_scalar_pair_scores_both_candidates(self, monkeypatch):
         calls = _count_conjugations(monkeypatch)
         transform_enclose(_commuting_system())
-        # (A, C) conjugates both candidates; (B, I) only B's eigenbasis
-        assert len(calls) == 3
+        # (A, C) certifies both candidates; (B, I) B's eigenbasis and I's permutation
+        assert calls == [True, True, True, False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jordan_seeds_keep_the_bases_masses_and_outcome(self, monkeypatch, seed):
+        # a point scalar member scores c Uinv U, the certificate's product: an
+        # ill-conditioned eigenbasis still loses to I, as it does with the shortcuts off
+        from sylvenc import mkw_solve
+
+        sys = _jordan_system(seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = _scored(monkeypatch, lambda: mkw_solve(sys))
+            enc = mkw_solve(sys)
+        for f in ("U", "V"):
+            assert np.array_equal(getattr(enc.precond, f), getattr(ref.precond, f)), f
+        assert enc.precond.offdiag_mass == ref.precond.offdiag_mass
+        assert (enc.verified, enc.iterations) == (ref.verified, ref.iterations)
+        if enc.verified:
+            assert enc.evaluated.rad.sum() <= ref.evaluated.rad.sum()
+        if seed == 2:
+            assert enc.verified and enc.iterations == 10
+            assert np.array_equal(enc.precond.U, np.eye(8))
 
 
 class TestDonorRule:
@@ -402,20 +474,21 @@ class TestDonorRule:
         a = _random_diagonalizable(8, rng)
         c = 0.5 * eye + 0.25 * a + 0.125 * (a @ a)
         jordan = _jordan_system(seed=2).A.mid
+        # (midpoints, certified conjugation per candidate, donor)
         cases = [
-            ((a, eye), 1, 0),  # scalar pair, the eigenbasis wins
-            ((eye, a), 1, 1),
-            ((jordan, eye), 2, 1),  # scalar pair, I wins
-            ((a, a), 1, 0),  # equal pair: one candidate
-            ((eye, eye), 1, 0),
-            ((2.0 * eye, 3.0 * eye), 1, 0),  # both scalar: a tie keeps the first
-            ((a, c), 2, None),  # distinct non-scalar pair
+            ((a, eye), [True, False], 0),  # scalar pair, the eigenbasis wins
+            ((eye, a), [False, True], 1),
+            ((jordan, eye), [True, False], 1),  # scalar pair, I wins
+            ((a, a), [True], 0),  # equal pair: one candidate
+            ((eye, eye), [False], 0),
+            ((2.0 * eye, 3.0 * eye), [False, False], 0),  # both scalar: a tie keeps the first
+            ((a, c), [True, True], None),  # distinct non-scalar pair
         ]
         calls = _count_conjugations(monkeypatch)
-        for mids, conjugations, donor in cases:
+        for mids, certified, donor in cases:
             calls.clear()
             side = self._side(self._pair(*mids))
-            assert len(calls) == conjugations, mids
+            assert calls == certified, mids
             if donor is not None:
                 assert side.index == donor
 
@@ -430,7 +503,7 @@ class TestDonorRule:
         scores = []
         for mid in (a, c):
             eig = eig_decompose(mid)
-            _, raw = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
+            _, raw, _ = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
             scores.append(max(_conj_offdiag_rel(eig.inv_vectors, x, eig.vectors) for x in (a, c)))
             assert scores[-1] == max(
                 float(np.abs(r.mid - np.diag(np.diag(r.mid))).sum(axis=1).max())

@@ -18,11 +18,11 @@ RUNS = {
 }
 
 
-def _run(name):
+def _run(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / f"{name}.py"), *RUNS[name]],
+        [sys.executable, str(ROOT / "tools" / f"{name}.py"), *(args or RUNS[name])],
         capture_output=True,
         text=True,
         env=env,
@@ -47,3 +47,40 @@ def test_tool_runs(name):
             ), line
             radsum = line.split()[-1]
             assert radsum == "-" or float(radsum) > 0.0, line
+
+
+def _against(tmp_path, *lines):
+    before = tmp_path / "before.txt"
+    before.write_text("".join(f"{line}\n" for line in lines))
+    proc = _run("enclosure_digests", "--against", str(before))
+    return proc, {tuple(line.split()[:2]): line.split()[-1] for line in proc.stdout.splitlines()}
+
+
+def test_digests_against_a_narrower_or_unverified_run_pass(tmp_path):
+    proc, change = _against(
+        tmp_path,
+        f"kyc31-m8 mkw {'0' * 64} inf",
+        "jordan-m16 mkw NoSuchError -",
+        "jordan-m16 itr NoInitialEnclosureError -",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(change) == 36
+    assert change[("kyc31-m8", "mkw")] == "-1.000e+00"
+    assert change[("jordan-m16", "mkw")] == "-"  # it fails honestly, then and now
+    assert change[("jordan-m16", "itr")] == "="
+    assert change[("gallery33-m8", "mkw")] == "new"
+
+
+def test_digests_against_a_run_flag_wider_lost_and_missing_lines(tmp_path):
+    proc, change = _against(
+        tmp_path,
+        f"kyc31-m8 mkw {'0' * 64} inf",
+        f"kyc31-m8 itr {'0' * 64} 1e-300",
+        f"jordan-m16 mkw {'0' * 64} 1.0",
+        f"retired-m4 ver {'0' * 64} 1.0",
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert change[("kyc31-m8", "mkw")] == "-1.000e+00"
+    assert change[("kyc31-m8", "itr")].startswith("+") and float(change[("kyc31-m8", "itr")]) > 0
+    assert change[("jordan-m16", "mkw")] == "lost"
+    assert change[("retired-m4", "ver")] == "missing"

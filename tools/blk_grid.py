@@ -16,8 +16,8 @@ One line per system:
   (``precond.row_sizes`` / ``precond.col_sizes``), as ``size x count`` runs;
 * ``cond``: blk's ``precond.cond_bound``;
 * ``bd_ms``: clock ms of ``block_diagonalize`` on each of the four
-  midpoints, the median of 5 runs (blk itself skips a repeated member and
-  a scalar one that loses);
+  midpoints, the median of 5 runs (blk itself skips a repeated member; a
+  diagonal one takes no Schur form);
 * ``blk``: whether blk verified, and ``radsum`` its radius sum;
 * ``mkw_it``: mkw's iteration count and outcome on the same system.
 

@@ -20,6 +20,19 @@ this corpus, which is how a change claiming "no behaviour change" shows it::
     python3 tools/enclosure_digests.py > after.txt
     (cd <other checkout> && python3 tools/enclosure_digests.py) > before.txt
     diff before.txt after.txt
+
+A change that moves rounding or widths compares against such a file
+instead::
+
+    python3 tools/enclosure_digests.py --against before.txt
+
+Each line then ends with its change against the line of the same system and
+solver in ``before.txt``: ``=`` for the same digest, the relative change of
+the radius sum (``%+.3e``) when both verified, ``lost`` or ``gained`` when
+only one did, ``-`` when neither did, and ``new`` for a line ``before.txt``
+lacks; a line of ``before.txt`` that the corpus no longer prints is reported
+as ``missing``.  The tool exits 1 when a line got wider, lost verification
+or went missing.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -151,11 +165,59 @@ def digests(sys_: SylvesterSystem) -> list[tuple[str, str, str]]:
     return out
 
 
-def main() -> None:
-    for label, sys_ in corpus():
-        for method, digest, radsum in digests(sys_):
-            print(f"{label} {method} {digest} {radsum}")
+def change(before: tuple[str, str] | None, digest: str, radsum: str) -> tuple[str, bool]:
+    """The change of one line against ``before`` (its digest and radius sum),
+    and whether it is a regression: wider or no longer verified."""
+    if before is None:
+        return "new", False
+    old_digest, old_radsum = before
+    if old_digest == digest:
+        return "=", False
+    if old_radsum == "-":
+        return ("-", False) if radsum == "-" else ("gained", False)
+    if radsum == "-":
+        return "lost", True
+    rel = float(radsum) / float(old_radsum) - 1.0
+    return f"{rel:+.3e}", rel > 0.0
+
+
+def compare(before_lines: list[str], rows: list[tuple[str, ...]]) -> tuple[list[str], bool]:
+    """The report lines of ``rows`` against the lines of an earlier run, and
+    whether none regressed."""
+    before = {}
+    for line in before_lines:
+        fields = line.split()
+        if len(fields) >= 4:
+            before[tuple(fields[:2])] = (fields[2], fields[3])
+    out, ok = [], True
+    for label, method, digest, radsum in rows:
+        text, worse = change(before.pop((label, method), None), digest, radsum)
+        out.append(f"{label} {method} {digest} {radsum} {text}")
+        ok = ok and not worse
+    for label, method in before:
+        out.append(f"{label} {method} missing")
+        ok = False
+    return out, ok
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE", help="earlier output to compare with")
+    args = parser.parse_args(argv)
+    rows = [
+        (label, method, digest, radsum)
+        for label, sys_ in corpus()
+        for method, digest, radsum in digests(sys_)
+    ]
+    if args.against is None:
+        for row in rows:
+            print(" ".join(row))
+        return 0
+    with open(args.against) as fh:
+        lines, ok = compare(fh.read().splitlines(), rows)
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
