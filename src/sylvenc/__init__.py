@@ -53,7 +53,7 @@ from .intervals import (
     rect_to_disks,
 )
 from .krawczyk import Enclosure, mkw_solve
-from .linalg import eig_decompose, ikron, inverse_enclosure, kron, unvec, vec
+from .linalg import eig_decompose, inverse_enclosure, kron, unvec, vec
 from .precond import PrecondSystem, transform_enclose
 from .problems import (
     FAMILIES,
@@ -96,7 +96,6 @@ __all__ = [
     "eig_decompose",
     "inverse_enclosure",
     "kron",
-    "ikron",
     "vec",
     "unvec",
     # systems and solvers

@@ -3,17 +3,22 @@
 Stacking columns turns the two-sided equation into an ordinary interval
 linear system ``Q vec(X) = vec(F)`` with
 
-    Q = transpose(B) kron A + transpose(D) kron C,
+    Q = transpose(B) kron A + transpose(D) kron C.
 
-built entrywise from disk products, so no structure is exploited and the
-memory cost is ``(m n)^2`` intervals.  On this form the module offers a
-verified full-size Krawczyk solve (method id ``ver``) used to cross check
-the structured solver on small problems; it refuses problems above a
-configurable ``m * n`` cap since the explicit Kronecker matrix grows with
-the fourth power of the dimension.  Its preconditioner ``R`` inverts
-``mid Q`` by LAPACK ``getrf`` and ``getri``, and ``R Q`` is one dense
-point-times-interval product: the Kronecker structure is deliberately not
-used.
+On this form the module offers a verified full-size Krawczyk solve (method
+id ``ver``) used to cross check the structured solver on small problems; it
+refuses problems above a configurable ``m * n`` cap since its dense
+preconditioner grows with the fourth power of the dimension.  That
+preconditioner ``R`` inverts the point matrix ``mid Q`` by LAPACK
+``getrf`` and ``getri``: a dense ``R`` is what makes ``ver`` the
+unstructured reference.  The interval ``Q`` itself is never formed.  The
+contraction matrix ``R Q`` comes from the Kronecker factors (Van Loan, "The
+ubiquitous Kronecker product", JCAM 123, 2000): row ``r`` of ``R (Y^T kron
+X)`` is ``vec(X^T R_r Y^T)`` for row ``r`` of ``R`` as an ``m x n`` matrix
+``R_r``, so each coefficient pair costs products of ``m x m`` and ``n x n``
+factors with the rows of ``R`` instead of one ``(m n)^3`` product.  The
+residual is formed in ``m x n`` coordinates by the same kernel as mkw's
+and blk's.
 
 The audit layer checks enclosures against members of the interval system:
 
@@ -43,15 +48,20 @@ from scipy.linalg.lapack import ztrtrs as _trtrs
 from .errors import IntervalOverflowError, SingularMatrixError, SizeCapError
 from .intervals import (
     IMatrix,
+    _dot_ops,
     _down,
+    _fold,
     _mag,
+    _mm,
     _pad_rad,
+    _slack,
+    _up,
     as_imatrix,
     im_matmul,
     posmm,
 )
-from .krawczyk import KMAX_DEFAULT, Enclosure, verify
-from .linalg import ikron, iunvec, ivec, kron, lu_inverse, unvec, vec
+from .krawczyk import KMAX_DEFAULT, Enclosure, residual, verify
+from .linalg import iunvec, ivec, kron, lu_inverse, unvec, vec
 from .system import SylvesterSystem
 
 __all__ = [
@@ -79,10 +89,12 @@ _MAX_SWEEPS = 12
 
 @dataclass(frozen=True)
 class KronSystem:
-    """Vectorized form ``Q vec(X) = f`` plus an approximate inverse of mid Q."""
+    """A floating inverse ``R`` of ``mid Q`` for the vectorized form ``Q vec(X) = vec(F)``.
 
-    Q: IMatrix
-    f: IMatrix
+    ``R`` is C-ordered, so its rows reshape to the stack of
+    :func:`_kron_rows` without a copy.
+    """
+
     R: np.ndarray
     m: int
     n: int
@@ -97,15 +109,89 @@ def build_Q_kron(
     sys: SylvesterSystem,
     cap: int | None = BASELINE_CAP,
 ) -> KronSystem:
-    """Assemble the explicit interval Kronecker system for ``sys``.
+    """The floating inverse ``R`` of ``mid Q`` for ``sys``.
 
-    ``R`` is the floating inverse of ``mid Q`` by one LU factorization and its
-    inversion in place (:func:`~sylvenc.linalg.lu_inverse`, LAPACK ``getrf``
-    and ``getri``).  An exactly zero pivot raises :class:`SingularMatrixError`.
+    Only the point matrix ``mid Q = mid B^T kron mid A + mid D^T kron mid C``
+    is assembled.  ``R`` is the inverse of its transpose by one LU
+    factorization inverted in place (:func:`~sylvenc.linalg.lu_inverse`,
+    LAPACK ``getrf`` and ``getri``), transposed back: LAPACK reads the
+    transpose of the C-ordered ``mid Q`` as it lies, and the transpose of its
+    Fortran-ordered result is a C-ordered ``R``.  An exactly zero pivot
+    raises :class:`SingularMatrixError`.
     """
     _check_cap(sys, cap)
-    Q = ikron(sys.B.T, sys.A) + ikron(sys.D.T, sys.C)
-    return KronSystem(Q=Q, f=ivec(sys.F), R=lu_inverse(Q.mid), m=sys.m, n=sys.n)
+    qmid = kron(sys.B.mid.T, sys.A.mid) + kron(sys.D.mid.T, sys.C.mid)
+    return KronSystem(R=lu_inverse(qmid.T).T, m=sys.m, n=sys.n)
+
+
+def _kron_rows(
+    r3: np.ndarray, r3abs: np.ndarray, x: IMatrix, y: IMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and radius of ``R (y^T kron x)`` for a point ``R``, as ``(m n, n, m)`` stacks.
+
+    ``r3[r]`` is row ``r`` of ``R`` as an ``n x m`` matrix (``R_r^T``) and
+    ``r3abs`` its magnitude.  Row ``r`` of the product is
+    ``vec(x^T R_r y^T)``, the ``n x m`` matrix ``y r3[r] x`` flattened, so
+    the midpoint is one product with ``x`` on the whole stack and one
+    stacked product with ``y``.  The radius carries the radius identity of
+    the Kronecker product, ``rad(y^T kron x) <= |Ym|^T kron Xr + Yr^T kron
+    (|Xm| + Xr)``, through ``|R|``:
+
+        |Ym| |r3| (Xr + c |Xm|) + Yr |r3| (|Xm| + Xr),
+
+    scaled up for ``k`` roundings, with the pad of ``k`` roundings of
+    ``|Ym| |r3| |Xm|`` folded into the first term as ``c |Xm|``
+    (:func:`~sylvenc.intervals._fold`, the rule of ``im_matmul``).  ``k =
+    (2m + 8) + (2n + 8) + 1`` counts the midpoint's chain of two inner
+    products, ``gamma_m + gamma_n + gamma_m gamma_n``, and the rounding of
+    the radius's own products and sums.  The products with a zero radius
+    are skipped.
+    """
+    mn, n, m = r3.shape
+
+    def rows(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # every matrix of the stack times t, as one product on the stacked rows
+        return _mm(stack.reshape(-1, m), t).reshape(mn, n, m)
+
+    mid = _mm(y.mid, rows(r3, x.mid))
+    k = _dot_ops(m) + _dot_ops(n) + 1
+    ax, ay = np.abs(x.mid), np.abs(y.mid)
+    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
+    xpad, split = _fold(ax, x.rad if x_rad else None, k)
+    rad = np.zeros(mid.shape) if xpad is None else _mm(ay, rows(r3abs, xpad))
+    if y_rad:
+        rad += _mm(y.rad, rows(r3abs, ax + x.rad if x_rad else ax))
+    _up(rad, k, out=rad)
+    if split:
+        rad += _slack(_mm(ay, rows(r3abs, ax)), k)
+    return mid, rad
+
+
+def _is_point_identity(x: IMatrix) -> bool:
+    return not x.rad.any() and np.array_equal(x.mid, np.eye(x.rows))
+
+
+def _contraction(ks: KronSystem, sys: SylvesterSystem) -> IMatrix:
+    """Enclosure of ``R Q`` over every member ``Q``: one term per coefficient pair.
+
+    A pair of point identities (kyc31's C and D) contributes ``R`` itself,
+    exactly; every other pair, :func:`_kron_rows`.  The two terms add as
+    disks, bit for bit as the interval sum does, in place.
+    """
+    mn = ks.m * ks.n
+    r3 = ks.R.reshape(mn, ks.n, ks.m)
+    r3abs = np.abs(r3)
+    mids, rads = [], []
+    for x, y in ((sys.A, sys.B), (sys.C, sys.D)):
+        if _is_point_identity(x) and _is_point_identity(y):
+            mids.append(ks.R)
+        else:
+            mid, rad = _kron_rows(r3, r3abs, x, y)
+            mids.append(mid.reshape(mn, mn))
+            rads.append(rad.reshape(mn, mn))
+    mid = mids[0] + mids[1]
+    rad = rads[0] + rads[1] if len(rads) == 2 else rads[0] if rads else np.zeros(mid.shape)
+    return IMatrix._from_kernel(mid, _pad_rad(rad, np.abs(mid), out=rad))
 
 
 def _eye_minus_mag(p: IMatrix) -> np.ndarray:
@@ -131,27 +217,32 @@ def full_krawczyk_solve(
 ) -> Enclosure:
     """Verified enclosure by a Krawczyk iteration on the full ``m n`` system.
 
-    ``R`` is the floating inverse of the midpoint matrix from
+    ``R`` is the dense floating inverse of the midpoint matrix from
     :func:`build_Q_kron` (``getrf`` and ``getri``); the candidate image is
     ``M + (I - R Q) Z`` for symmetric boxes ``Z``, checked for strict interior
-    containment exactly as in the structured solver.  ``|I - R Q|`` is formed
-    from the product ``R Q`` directly (:func:`_eye_minus_mag`).
+    containment exactly as in the structured solver.  The approximate
+    solution is ``R vec(mid F)`` with one step of iterative refinement, its
+    residual enclosure ``F - (A Xtilde) B - (C Xtilde) D`` is formed in
+    ``m x n`` coordinates (:func:`~sylvenc.krawczyk.residual`), and ``M`` is
+    ``R`` times it.  ``|I - R Q|`` is bounded from the Kronecker factors
+    (:func:`_contraction`, :func:`_eye_minus_mag`), with no interval ``Q``.
     """
     ks = build_Q_kron(sys, cap)
-    m, n = ks.m, ks.n
-    rbox = as_imatrix(ks.R)
-    xcol = ks.R @ ks.f.mid
+    m, n, R = ks.m, ks.n, ks.R
+    A, B, C, D, F = (t.mid for t in (sys.A, sys.B, sys.C, sys.D, sys.F))
+    X = unvec(R @ vec(F), m, n)
     # one step of iterative refinement on the midpoint solution
-    xcol = xcol + ks.R @ (ks.f.mid - ks.Q.mid @ xcol)
-    M = iunvec(im_matmul(rbox, ks.f - im_matmul(ks.Q, as_imatrix(xcol))), m, n)
-    wmag = _eye_minus_mag(im_matmul(rbox, ks.Q))
+    X = X + unvec(R @ vec(F - A @ X @ B - C @ X @ D), m, n)
+    res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
+    M = iunvec(im_matmul(as_imatrix(R), ivec(res)), m, n)
+    wmag = _eye_minus_mag(_contraction(ks, sys))
 
     def n_of(xrad: np.ndarray) -> IMatrix:
         # the loop runs in m x n coordinates, where each of its steps is entrywise; the
         # column operand keeps the BLAS path, and so the rounding, of an m n x 1 product
         return IMatrix(np.zeros_like(M.mid), unvec(posmm(wmag, vec(xrad)[:, None]), m, n))
 
-    return verify("ver", unvec(xcol, m, n), M, n_of, lambda Z: Z, kmax, U=np.eye(m), Vinv=np.eye(n))
+    return verify("ver", X, M, n_of, lambda Z: Z, kmax, U=np.eye(m), Vinv=np.eye(n))
 
 
 def point_solve(

@@ -22,8 +22,9 @@ enclosure.  Every kernel of the package pads through the private rules
 under "pad rules" below: ``_up``, ``_down`` and ``_slack`` (``x (1 + n
 ETA)``, ``x (1 - n ETA)`` and ``n ETA x``), ``_pad_rad`` (the radius of a
 rounded result, such as a sum of disks), ``_dot_ops`` (the count ``2k + 8``
-of a length-``k`` inner product), ``_quot`` (a disk times a reciprocal
-disk), ``_mag``, ``_reach``, ``_rect_half`` and ``_corner_mag``.  So the
+of a length-``k`` inner product), ``_fold`` (a rounding pad folded into a
+radius product, below), ``_quot`` (a disk times a reciprocal disk),
+``_mag``, ``_reach``, ``_rect_half`` and ``_corner_mag``.  So the
 rounding model is this module's decision alone.  Each rule fixes the order
 of its floating-point operations, so every kernel that applies it rounds
 alike, and a term the model still lacks (the absolute underflow term below)
@@ -125,6 +126,29 @@ def _pad_rad(rad, amag, n=2, out=None):
 def _dot_ops(k: int) -> int:
     """``2k + 8``: the rounding count of a length-``k`` inner product, complex ones included."""
     return 2 * k + 8
+
+
+def _fold(amag, rad, n):
+    """``rad + c amag`` with ``c = n ETA / (1 + n ETA)`` rounded up, and whether the pad split.
+
+    Under a later ``_up(..., n)`` the folded term ``c amag`` is at least the
+    pad ``n ETA amag`` of ``n`` roundings of a result of magnitude ``amag``.
+    ``rad`` is None for zero radii.  When a nonzero entry of ``c amag``
+    falls below the normal range, where it keeps too few bits, the pad
+    splits: the result is ``rad`` alone and the caller adds the pad as a
+    product of its own after the scale.
+    """
+    pad = n * ETA
+    # the quotient of the stored floats rounded up: c (1 + pad) >= pad holds exactly
+    c = math.nextafter(pad / (1.0 + pad), math.inf)
+    out = amag * c
+    # every zero of amag lies below the normal range in c amag
+    small = np.count_nonzero(out < _NORMAL_MIN)
+    if small > 0 and small > amag.size - np.count_nonzero(amag):
+        return rad, True
+    if rad is not None:
+        out += rad
+    return out, False
 
 
 def _quot(mid, rad, rec_mid, rec_rad):
@@ -388,9 +412,6 @@ def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
     if k != y.mid.shape[-2]:
         raise ValueError("dimension mismatch")
     nops = _dot_ops(k)
-    pad = nops * ETA
-    # the quotient of the stored floats rounded up: c (1 + pad) >= pad holds exactly
-    c = math.nextafter(pad / (1.0 + pad), math.inf)
     dx, dy = _diagonal(x.mid), _diagonal(y.mid)
     mid = _dot(x.mid, y.mid, dx, dy)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -399,15 +420,7 @@ def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
     # y's sums keep its diagonal pattern only when y is a point
     ydiag = dy is not None and not y_rad
     adx = None if dx is None else np.abs(dx)
-    ypad = ay * c
-    # every zero of |Ym| lies below the normal range in c |Ym|; a nonzero entry that
-    # does too keeps too few bits of the pad, which is then a product of its own
-    small = np.count_nonzero(ypad < _NORMAL_MIN)
-    split = small > 0 and small > ay.size - np.count_nonzero(ay)
-    if split:
-        ypad = y.rad if y_rad else None
-    elif y_rad:
-        ypad += y.rad
+    ypad, split = _fold(ay, y.rad if y_rad else None, nops)
     if ypad is None:
         rad = np.zeros(mid.shape)
     else:
@@ -420,13 +433,18 @@ def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
     return IMatrix._from_kernel(mid, rad)
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, an exactly diagonal 2-D factor applied by a broadcast (see :func:`_dot`)."""
+    return _dot(a, b, _diagonal(a), _diagonal(b))
+
+
 def posmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Upper bound of the product of entrywise nonnegative point matrices.
 
     An exactly diagonal factor is applied by a broadcast under the same pad.
     """
     k = a.shape[1] if a.ndim == 2 else a.shape[0]
-    p = _dot(a, b, _diagonal(a), _diagonal(b))
+    p = _mm(a, b)
     return _up(p, _dot_ops(k), out=p)
 
 

@@ -26,7 +26,9 @@ and so is that quotient bit for bit on 1 x 1 tiles.  Both map back by
 dense solver ``ver`` (:mod:`.baseline`) multiplies by a floating inverse
 ``R`` of the Kronecker midpoint ``mid Q`` and bounds the contraction by
 ``|I - R Q| x``; its loop runs in m x n coordinates and ``back`` is the
-identity.
+identity.  All three enclose the residual of ``Xtilde`` by one kernel,
+:func:`residual`: mkw and blk on their preconditioned coefficients, ver on
+the original ones.
 
 Writing the diagonally preconditioned equation as a fixed-point problem
 around the approximate solution ``Xtilde = mid(Fp) ./ mid(den)``, the
@@ -130,12 +132,17 @@ class Enclosure:
         return None if self.evaluated is None else self.evaluated.widths()
 
 
-def residual(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
-    """Enclosure of ``Fp - (Ap Xtilde) Bp - (Cp Xtilde) Dp`` over all members of ``ps``."""
+def residual(
+    A: IMatrix, B: IMatrix, C: IMatrix, D: IMatrix, F: IMatrix, xtilde: np.ndarray
+) -> IMatrix:
+    """Enclosure of ``F - (A Xtilde) B - (C Xtilde) D`` over all members of the coefficients.
+
+    mkw and blk pass their preconditioned system, ver the original one.
+    """
     xt = as_imatrix(xtilde)
-    t1 = im_matmul(im_matmul(ps.Ap, xt), ps.Bp)
-    t2 = im_matmul(im_matmul(ps.Cp, xt), ps.Dp)
-    return ps.Fp - t1 - t2
+    t1 = im_matmul(im_matmul(A, xt), B)
+    t2 = im_matmul(im_matmul(C, xt), D)
+    return F - t1 - t2
 
 
 def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
@@ -264,7 +271,7 @@ def _divide(ps: PrecondSystem, mid: np.ndarray | None, rad: np.ndarray) -> IMatr
 
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     """Enclosure of the scaled residual of ``xtilde`` over all members."""
-    r = residual(ps, xtilde)
+    r = residual(ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp, xtilde)
     return _divide(ps, r.mid, r.rad)
 
 

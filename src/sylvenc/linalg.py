@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigenDecompositionError, SingularMatrixError, SizeCapError
-from .intervals import IMatrix, _pad_rad, _up, as_imatrix, im_matmul
+from .intervals import IMatrix, _up, im_matmul
 
 __all__ = [
     "lu_solve",
@@ -21,7 +21,6 @@ __all__ = [
     "EigResult",
     "eig_decompose",
     "kron",
-    "ikron",
     "vec",
     "unvec",
     "inverse_enclosure",
@@ -47,7 +46,9 @@ def lu_inverse(a: np.ndarray) -> np.ndarray:
     """Floating inverse of ``a`` by one LU factorization inverted in place.
 
     LAPACK ``getrf`` then ``getri``: no right-hand side ``I`` is formed or
-    solved against.  An exactly zero pivot raises :class:`SingularMatrixError`.
+    solved against.  The result is Fortran-ordered, as ``getri`` leaves it;
+    the inverse of ``a.T``, transposed, is a C-ordered inverse of ``a``.  An
+    exactly zero pivot raises :class:`SingularMatrixError`.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -114,7 +115,8 @@ def _check_kron_bytes(x_shape, y_shape, itemsize: int) -> None:
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two 2-D arrays by one broadcast product, the same rounding per entry."""
     (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    # C order whatever the operands' layouts, so the reshape copies nothing
+    return np.multiply(a[:, None, :, None], b[None, :, None, :], order="C").reshape(p * r, q * s)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,33 +125,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b))
     _check_kron_bytes(a.shape, b.shape, np.result_type(a, b).itemsize)
     return _kron2(a, b)
-
-
-def ikron(x: IMatrix, y: IMatrix) -> IMatrix:
-    """Interval Kronecker product, entrywise disk multiplication.
-
-    The radius is ``|Xm| kron Yr + Xr kron |Ym| + Xr kron Yr`` under a pad;
-    as in :func:`~sylvenc.intervals.im_matmul`, the products of a zero-radius
-    factor are exactly zero and are skipped without changing a bit.  The
-    budget ``KRON_BYTES`` covers the midpoint and radius arrays together.
-    """
-    x, y = as_imatrix(x), as_imatrix(y)
-    mid_bytes = np.result_type(x.mid, y.mid).itemsize
-    _check_kron_bytes(x.shape, y.shape, mid_bytes + 8)
-    mid = _kron2(x.mid, y.mid)
-    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
-    # in place: every array here is a fresh result, and the sums round as before
-    # (a sum that starts from an exact zero starts from its first term)
-    if y_rad:
-        rad = _kron2(np.abs(x.mid), y.rad)
-        if x_rad:
-            rad += _kron2(x.rad, np.abs(y.mid))
-            rad += _kron2(x.rad, y.rad)
-    elif x_rad:
-        rad = _kron2(x.rad, np.abs(y.mid))
-    else:
-        rad = np.zeros(mid.shape)
-    return IMatrix._from_kernel(mid, _pad_rad(rad, np.abs(mid), 6, out=rad))
 
 
 def vec(x: np.ndarray) -> np.ndarray:

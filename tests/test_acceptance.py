@@ -35,10 +35,11 @@ from sylvenc import (
     vec,
 )
 from sylvenc.errors import EnclosureError
+from sylvenc.baseline import _contraction, _eye_minus_mag
 from sylvenc.intervals import ETA
 from sylvenc.krawczyk import compute_M, compute_N
 
-from disk_oracle import Disk, iv_mul
+from disk_oracle import Disk, contraction_oracle, iv_mul
 
 SIZES = (2, 4, 8)
 ALPHAS = (1e-6, 1e-2)
@@ -439,25 +440,19 @@ def test_criterion_09_identity_suite(capfd):
         worst = max(worst, float(diff))
     if worst > 1e-12:
         bad.append(f"vec identity off by {worst:.2e}")
-    # assembled Kronecker coefficient matches the entrywise disk products
+    # ver's |I - R Q|, built from the Kronecker factors, bounds the one of the
+    # entrywise disk products from above and is no looser than rounding
     for trial in range(50):
         system = generate(
             GenSpec(family=("kyc31", "sylvester32")[trial % 2], m=2, alpha=1e-3, seed=trial)
         )
-        Q = build_Q_kron(system).Q
-        A, B, C, D = system.A, system.B, system.C, system.D
-        for r in range(4):
-            for c in range(4):
-                i, j = r % 2, r // 2
-                k, l = c % 2, c // 2
-                first = iv_mul(Disk(B.mid[l, j], B.rad[l, j]), Disk(A.mid[i, k], A.rad[i, k]))
-                second = iv_mul(Disk(D.mid[l, j], D.rad[l, j]), Disk(C.mid[i, k], C.rad[i, k]))
-                mid = first.mid + second.mid
-                rad = first.rad + second.rad
-                if abs(Q.mid[r, c] - mid) > 1e-13 * (1 + abs(mid)):
-                    bad.append(f"trial {trial} entry ({r},{c}): midpoint mismatch")
-                if not rad * (1 - 1e-12) <= Q.rad[r, c] <= rad * (1 + 1e-9) + 1e-13:
-                    bad.append(f"trial {trial} entry ({r},{c}): radius outside slack")
+        ks = build_Q_kron(system)
+        got = _eye_minus_mag(_contraction(ks, system))
+        want, scale = contraction_oracle(ks.R, system)
+        if not (got >= want).all():
+            bad.append(f"trial {trial}: |I - R Q| below the entrywise disk products")
+        if not (got - want <= 1e-12 * scale).all():
+            bad.append(f"trial {trial}: |I - R Q| looser than the pads")
     # inclusion isotonicity fuzz
     count = 10_000
     violations = 0

@@ -18,7 +18,6 @@ from sylvenc import (
     build_Q_kron,
     full_krawczyk_solve,
     generate,
-    im_matmul,
     mkw_solve,
     point_solve,
     residual_membership,
@@ -32,7 +31,7 @@ from sylvenc.baseline import (
     _refine_members,
 )
 
-from disk_oracle import Disk, iv_mul
+from disk_oracle import Disk, contraction_oracle, iv_mul
 
 
 def _scalar_system():
@@ -43,20 +42,53 @@ def _scalar_system():
     return SylvesterSystem(A=A, B=B, C=one, D=one, F=F)
 
 
+def _contraction_mag(sys):
+    """ver's ``R`` and its bound on ``|I - R Q|`` for ``sys``."""
+    ks = build_Q_kron(sys)
+    return ks.R, baseline._eye_minus_mag(baseline._contraction(ks, sys))
+
+
+def _well_posed_system(rng, m, n, cplx=False, alpha=1e-3, identity_pair=False):
+    """Interval data ver verifies: dominant ``A`` and ``B``, small ``C`` and ``D``.
+
+    Each radius is ``alpha`` times a uniform draw times the entry's modulus;
+    ``identity_pair`` makes C and D point identities, as in kyc31.
+    """
+
+    def draw(r, c, scale):
+        z = rng.normal(size=(r, c)) + (1j * rng.normal(size=(r, c)) if cplx else 0.0)
+        return scale * z
+
+    def box(mid):
+        return IMatrix(mid, alpha * rng.uniform(size=mid.shape) * np.abs(mid))
+
+    A = box(3.0 * np.eye(m) + draw(m, m, 0.3))
+    B = box(2.0 * np.eye(n) + draw(n, n, 0.3))
+    if identity_pair:
+        C, D = IMatrix(np.eye(m)), IMatrix(np.eye(n))
+    else:
+        C, D = box(draw(m, m, 0.3)), box(draw(n, n, 0.3))
+    return SylvesterSystem(A=A, B=B, C=C, D=D, F=box(draw(m, n, 1.0)))
+
+
 class TestKroneckerAssembly:
+    """ver's ``|I - R Q|``, built from the Kronecker factors, against the entrywise ``Q``."""
+
     def test_scalar_entry_matches_disk_product_sum(self):
         sys = _scalar_system()
-        ks = build_Q_kron(sys)
-        assert ks.Q.shape == (1, 1)
+        R, got = _contraction_mag(sys)
         first, second = (
             iv_mul(Disk(x.mid[0, 0], x.rad[0, 0]), Disk(y.mid[0, 0], y.rad[0, 0]))
             for x, y in ((sys.B, sys.A), (sys.D, sys.C))
         )
-        assert abs(ks.Q.mid[0, 0] - (first.mid + second.mid)) <= 1e-14
-        assert abs(ks.Q.rad[0, 0] - (first.rad + second.rad)) <= 1e-12
+        assert R[0, 0] == 1.0 / (first.mid + second.mid)
+        want = abs(1.0 - R[0, 0] * (first.mid + second.mid)) + abs(R[0, 0]) * (
+            first.rad + second.rad
+        )
+        assert want <= got[0, 0] <= want * (1.0 + 1e-12) + 1e-15
 
     def test_radius_identity_of_the_kronecker_sum(self):
-        # rad(Q) = |B^c|ox A^r + B^r ox Mag(A) + |D^c|ox C^r + D^r ox Mag(C)
+        # rad(R Q) >= |R| (|B^c|ox A^r + B^r ox Mag(A) + |D^c|ox C^r + D^r ox Mag(C))
         rng = np.random.default_rng(0)
         for _ in range(10):
             mats = []
@@ -65,29 +97,52 @@ class TestKroneckerAssembly:
                     IMatrix(rng.normal(size=(2, 2)), np.abs(rng.normal(size=(2, 2))))
                 )
             A, B, C, D = mats
-            F = IMatrix(rng.normal(size=(2, 2)))
-            ks = build_Q_kron(SylvesterSystem(A=A, B=B, C=C, D=D, F=F))
+            sys = SylvesterSystem(A=A, B=B, C=C, D=D, F=IMatrix(rng.normal(size=(2, 2))))
+            ks = build_Q_kron(sys)
             magA = np.abs(A.mid) + A.rad
             magC = np.abs(C.mid) + C.rad
-            expect = (
+            expect = np.abs(ks.R) @ (
                 np.kron(np.abs(B.mid.T), A.rad)
                 + np.kron(B.rad.T, magA)
                 + np.kron(np.abs(D.mid.T), C.rad)
                 + np.kron(D.rad.T, magC)
             )
-            assert np.abs(ks.Q.rad - expect).max() <= 1e-10 * max(1.0, expect.max())
+            got = baseline._contraction(ks, sys).rad
+            assert (got >= expect * (1.0 - 1e-12)).all()
+            assert np.abs(got - expect).max() <= 1e-10 * max(1.0, expect.max())
 
     def test_point_system_collapses_radii(self):
         A = IMatrix(np.array([[2.0, 1.0], [0.0, 1.0]]))
         eye = IMatrix(np.eye(2))
         F = IMatrix(np.ones((2, 2)))
-        ks = build_Q_kron(SylvesterSystem(A=A, B=eye, C=eye, D=eye, F=F))
-        assert ks.Q.rad.max() <= 1e-13
+        sys = SylvesterSystem(A=A, B=eye, C=eye, D=eye, F=F)
+        assert baseline._contraction(build_Q_kron(sys), sys).rad.max() <= 1e-13
 
     def test_size_cap(self):
         sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=1))
         with pytest.raises(SizeCapError, match="size cap"):
             build_Q_kron(sys, cap=10)
+
+    @pytest.mark.parametrize("identity_pair", [False, True], ids=["dense", "C=D=I"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_contraction_bounds_the_entrywise_oracle(self, cplx, identity_pair):
+        rng = np.random.default_rng(31 + 2 * cplx + identity_pair)
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            sys = _well_posed_system(rng, m, n, cplx, identity_pair=identity_pair)
+            R, got = _contraction_mag(sys)
+            want, scale = contraction_oracle(R, sys)
+            assert (got >= want).all(), (m, n)
+            # and no looser than the oracle by more than the rounding pads
+            assert (got - want <= 1e-12 * scale).all(), (m, n)
+
+    def test_R_is_c_ordered(self):
+        sys = _well_posed_system(np.random.default_rng(2), 4, 3)
+        R = build_Q_kron(sys).R
+        assert R.flags.c_contiguous
+        # so the rows reshape to the stack of the Kronecker rows without a copy
+        assert np.shares_memory(R, R.reshape(12, 3, 4))
+        qmid = np.kron(sys.B.mid.T, sys.A.mid) + np.kron(sys.D.mid.T, sys.C.mid)
+        assert np.abs(R @ qmid - np.eye(12)).max() <= 1e-12
 
 
 def test_point_solve_recovers_planted_solution():
@@ -554,11 +609,45 @@ class TestFullKrawczyk:
             p = IMatrix(mid, 1e-9 * np.abs(rng.normal(size=(n, n))))
             want = (IMatrix(np.eye(n, dtype=dtype)) - p).mag()
             assert np.array_equal(baseline._eye_minus_mag(p), want)
-        # and ver's own product R Q
-        ks = build_Q_kron(generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=6)))
-        p = im_matmul(IMatrix(ks.R.astype(dtype)), ks.Q)
-        want = (IMatrix(np.eye(16, dtype=dtype)) - p).mag()
-        assert np.array_equal(baseline._eye_minus_mag(p), want)
+        # and ver's own product R Q, from the Kronecker factors
+        for sys in (
+            generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=6)),
+            _well_posed_system(rng, 4, 3, cplx=dtype is np.complex128),
+        ):
+            p = baseline._contraction(build_Q_kron(sys), sys)
+            want = (IMatrix(np.eye(sys.m * sys.n, dtype=dtype)) - p).mag()
+            assert np.array_equal(baseline._eye_minus_mag(p), want)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3])
+    def test_midpoint_product_is_R_times_the_kronecker_midpoint(self, alpha, cplx):
+        rng = np.random.default_rng(40 + cplx)
+        for m, n in ((3, 5), (5, 3), (4, 4), (7, 2)):
+            sys = _well_posed_system(rng, m, n, cplx, alpha=alpha)
+            ks = build_Q_kron(sys)
+            p = baseline._contraction(ks, sys)
+            wide = np.clongdouble if cplx else np.longdouble
+            mids = [x.mid.astype(wide) for x in (sys.A, sys.B, sys.C, sys.D)]
+            qmid = np.kron(mids[1].T, mids[0]) + np.kron(mids[3].T, mids[2])
+            ref = ks.R.astype(wide) @ qmid
+            assert (np.abs(p.mid - ref) <= p.rad).all(), (m, n)
+            if alpha == 0.0:
+                # a point system's radius is the pad alone
+                assert p.rad.max() <= 1e-12 * np.abs(ref).max(), (m, n)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3])
+    @pytest.mark.parametrize(
+        "m, n, cplx", [(3, 5, False), (5, 3, False), (7, 2, False), (3, 5, True), (4, 4, True)]
+    )
+    def test_members_inside_on_rectangular_and_complex_shapes(self, m, n, cplx, alpha):
+        rng = np.random.default_rng(50 + m + 10 * n + cplx)
+        for identity_pair in (False, True):
+            sys = _well_posed_system(rng, m, n, cplx, alpha=alpha, identity_pair=identity_pair)
+            enc = full_krawczyk_solve(sys)
+            assert enc.verified and enc.evaluated.shape == (m, n)
+            for mode in ("random", "vertex"):
+                members = np.stack(sample_solutions(sys, n_samples=60, seed=m + n, mode=mode))
+                assert enc.evaluated.contains_point(members).all(), mode
 
     def test_respects_size_cap(self):
         sys = generate(GenSpec(family="kyc31", m=40, alpha=1e-6, seed=10))

@@ -105,7 +105,7 @@ def test_diagonal_division_is_the_tile_back_substitution(family, data):
     assert ps.diagonal and np.iscomplexobj(ps.Fp.mid) == (data == "complex")
     xt = ps.Fp.mid / ps.den.mid
     M = compute_M(ps, xt)
-    ref = interval_back_substitute(ps, residual(ps, xt))
+    ref = interval_back_substitute(ps, residual(ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp, xt))
     assert np.array_equal(M.mid, ref.mid) and np.array_equal(M.rad, ref.rad)
     xrad = M.mag()
     ab, cd = _pairs(ps)

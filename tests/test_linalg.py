@@ -11,7 +11,6 @@ from sylvenc import (
     SizeCapError,
     as_imatrix,
     eig_decompose,
-    ikron,
     im_matmul,
     inverse_enclosure,
     kron,
@@ -19,10 +18,7 @@ from sylvenc import (
     unvec,
     vec,
 )
-from sylvenc.intervals import ETA
 from sylvenc.linalg import KRON_BYTES, iunvec, ivec, lu_inverse, lu_solve
-
-from disk_oracle import Disk, iv_mul
 
 
 def test_vec_column_stacking_order():
@@ -92,54 +88,6 @@ class TestEig:
             assert np.array_equal(res.values, ref.values * 2.0**k), k
 
 
-def test_ikron_point_inputs_stay_tight():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.5, -1.0], [2.0, 0.25]])
-    got = ikron(as_imatrix(a), as_imatrix(b))
-    assert (got.mid == np.kron(a, b)).all()
-    # point data only picks up formation slack of a few ulps
-    assert (got.rad <= 2e-14 * np.maximum(np.abs(got.mid), 1.0)).all()
-
-
-def test_ikron_matches_entrywise_disk_products():
-    rng = np.random.default_rng(3)
-    x = IMatrix(rng.normal(size=(2, 2)), np.abs(rng.normal(size=(2, 2))))
-    y = IMatrix(rng.normal(size=(2, 2)), np.abs(rng.normal(size=(2, 2))))
-    got = ikron(x, y)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    d = iv_mul(Disk(x.mid[i, j], x.rad[i, j]), Disk(y.mid[k, l], y.rad[k, l]))
-                    e_mid, e_rad = got.mid[2 * i + k, 2 * j + l], got.rad[2 * i + k, 2 * j + l]
-                    assert abs(e_mid - d.mid) <= 1e-13 * max(1.0, abs(d.mid))
-                    assert e_rad >= d.rad / (1.0 + 1e-12)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_ikron_zero_radius_factor_is_bit_identical_to_three_products(dtype):
-    from sylvenc.linalg import _kron2
-
-    rng = np.random.default_rng(12)
-    eta = ETA
-
-    def mid(shape):
-        z = rng.normal(size=shape)
-        return z + 1j * rng.normal(size=shape) if dtype is np.complex128 else z
-
-    pt_x, pt_y = IMatrix(mid((3, 2))), IMatrix(mid((4, 5)))
-    iv_x = IMatrix(mid((3, 2)), np.abs(rng.normal(size=(3, 2))))
-    iv_y = IMatrix(mid((4, 5)), np.abs(rng.normal(size=(4, 5))))
-    for x, y in ((pt_x, iv_y), (iv_x, pt_y), (pt_x, pt_y), (iv_x, iv_y)):
-        got = ikron(x, y)
-        mid_ref = _kron2(x.mid, y.mid)
-        ax, ay = np.abs(x.mid), np.abs(y.mid)
-        rad = _kron2(ax, y.rad) + _kron2(x.rad, ay) + _kron2(x.rad, y.rad)
-        rad_ref = rad * (1.0 + 6.0 * eta) + 6.0 * eta * np.abs(mid_ref)
-        assert np.array_equal(got.mid, mid_ref)
-        assert np.array_equal(got.rad, rad_ref)
-
-
 def test_ivec_iunvec_round_trip():
     x = IMatrix(np.arange(6.0).reshape(2, 3), np.full((2, 3), 0.5))
     back = iunvec(ivec(x), 2, 3)
@@ -176,8 +124,6 @@ def test_kron_byte_budget_refuses_before_allocating():
     try:
         with pytest.raises(SizeCapError, match="byte budget"):
             kron(a, a)
-        with pytest.raises(SizeCapError, match="byte budget"):
-            ikron(as_imatrix(a), as_imatrix(a))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,3 +141,14 @@ def test_lu_inverse_inverts_and_raises_on_a_zero_pivot(dtype):
         lu_inverse(np.diag(np.array([2.0, 0.0], dtype=dtype)))
     with pytest.raises(ValueError):
         lu_inverse(np.ones((2, 3), dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lu_inverse_is_fortran_ordered(dtype):
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(6, 6)).astype(dtype)
+    for x in (a, a.T, np.asfortranarray(a)):
+        inv = lu_inverse(x)
+        assert inv.flags.f_contiguous and not inv.flags.c_contiguous
+    # the inverse of the transpose, transposed, is a C-ordered inverse
+    assert lu_inverse(a.T).T.flags.c_contiguous

@@ -3,7 +3,9 @@
 The corpus is the three families at m = 8 and m = 32, one system whose
 midpoint A is defective (2x2 Jordan blocks), one whose midpoint pairs
 (A, C) and (B, D) are distinct and non-scalar, so that each side weighs two
-eigenbases for its donor, and kyc31 at m = 8 with A, B, C and D scaled by
+eigenbases for its donor, one complex system with m = 5 and n = 3, which
+pins the vec convention on a rectangular unknown, and kyc31 at m = 8 with
+A, B, C and D scaled by
 2**260 and F by 2**520, which has the same member solutions and squares of
 its denominators past the range of binary64.  Each system is solved by mkw,
 itr (started from the mkw enclosure), blk and ver, and every result is
@@ -114,6 +116,34 @@ def commuting_system(m: int = 12, seed: int = 0) -> SylvesterSystem:
     )
 
 
+def rectangular_complex_system(m: int = 5, n: int = 3, seed: int = 0) -> SylvesterSystem:
+    """``A X B + C X D = F`` with complex data and ``m != n``, so that the vec convention shows.
+
+    ``mid A`` and ``mid B`` are complex diagonalizable with spectra around
+    ``1.5 + 0.25i``, ``mid C = 0.5 I + 0.25 A`` and ``mid D = 0.25 I + 0.5 B``,
+    and ``F`` is a complex ``m x n`` matrix.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def cnormal(*shape: int) -> np.ndarray:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def diagonalizable(k: int) -> np.ndarray:
+        p = cnormal(k, k) + 3.0 * np.eye(k)
+        lam = rng.uniform(1.0, 2.0, k) + 1j * rng.uniform(0.0, 0.5, k)
+        return p @ np.diag(lam) @ np.linalg.inv(p)
+
+    a, b = diagonalizable(m), diagonalizable(n)
+    c, d = 0.5 * np.eye(m) + 0.25 * a, 0.25 * np.eye(n) + 0.5 * b
+    return SylvesterSystem(
+        A=IMatrix(a, np.full((m, m), 1e-8)),
+        B=IMatrix(b, np.full((n, n), 1e-8)),
+        C=IMatrix(c, np.full((m, m), 1e-8)),
+        D=IMatrix(d, np.full((n, n), 1e-8)),
+        F=IMatrix(cnormal(m, n), np.full((m, n), 1e-8)),
+    )
+
+
 def scaled_system(sys_: SylvesterSystem, s: float) -> SylvesterSystem:
     """``sys_`` with A, B, C and D times ``s`` and F times ``s**2``: the same member solutions."""
 
@@ -138,6 +168,7 @@ def corpus() -> list[tuple[str, SylvesterSystem]]:
     return systems + [
         ("jordan-m16", defective_system()),
         ("commuting-m12", commuting_system()),
+        ("complex-m5n3", rectangular_complex_system()),
         ("kyc31-m8-x2e260", scaled_system(systems[0][1], 2.0**260)),
     ]
 
