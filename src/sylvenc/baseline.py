@@ -145,7 +145,10 @@ def _kron_rows(
     (2m + 8) + (2n + 8) + 1`` counts the midpoint's chain of two inner
     products, ``gamma_m + gamma_n + gamma_m gamma_n``, and the rounding of
     the radius's own products and sums.  The products with a zero radius
-    are skipped.
+    are skipped.  A point identity factor (sylvester32's ``(A, I)`` and
+    ``(I, B)``) is exact: the row is the one product ``r3[r] x`` or ``y
+    r3[r]``, which takes ``im_matmul``'s rule of one product, with no
+    product by the identity and no count for it in the pad.
     """
     mn, n, m = r3.shape
 
@@ -153,6 +156,10 @@ def _kron_rows(
         # every matrix of the stack times t, as one product on the stacked rows
         return _mm(stack.reshape(-1, m), t).reshape(mn, n, m)
 
+    if _is_point_identity(y):
+        return _point_product(rows, r3, r3abs, x, _dot_ops(m))
+    if _is_point_identity(x):
+        return _point_product(lambda stack, t: _mm(t, stack), r3, r3abs, y, _dot_ops(n))
     mid = _mm(y.mid, rows(r3, x.mid))
     k = _dot_ops(m) + _dot_ops(n) + 1
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -167,6 +174,25 @@ def _kron_rows(
     return mid, rad
 
 
+def _point_product(
+    mul, r3: np.ndarray, r3abs: np.ndarray, z: IMatrix, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and radius of ``mul(r3, z)``, one product of a point stack and ``z``.
+
+    ``im_matmul``'s rule for a point factor: ``|r3| (Zr + c |Zm|)`` scaled
+    up for the ``k`` roundings of one inner product, the pad split off as in
+    :func:`~sylvenc.intervals._fold`.
+    """
+    mid = mul(r3, z.mid)
+    az = np.abs(z.mid)
+    zpad, split = _fold(az, z.rad if np.count_nonzero(z.rad) > 0 else None, k)
+    rad = np.zeros(mid.shape) if zpad is None else mul(r3abs, zpad)
+    _up(rad, k, out=rad)
+    if split:
+        rad += _slack(mul(r3abs, az), k)
+    return mid, rad
+
+
 def _is_point_identity(x: IMatrix) -> bool:
     return not x.rad.any() and np.array_equal(x.mid, np.eye(x.rows))
 
@@ -175,7 +201,8 @@ def _contraction(ks: KronSystem, sys: SylvesterSystem) -> IMatrix:
     """Enclosure of ``R Q`` over every member ``Q``: one term per coefficient pair.
 
     A pair of point identities (kyc31's C and D) contributes ``R`` itself,
-    exactly; every other pair, :func:`_kron_rows`.  The two terms add as
+    exactly; every other pair, :func:`_kron_rows`, which takes one product
+    for a pair with one point identity (sylvester32's).  The two terms add as
     disks, bit for bit as the interval sum does, in place.
     """
     mn = ks.m * ks.n

@@ -5,6 +5,7 @@ stdout (bypassing capture) so the summary survives in piped logs, then
 asserts with the collected failure details.
 """
 
+import math
 import sys as _sys
 import time
 import warnings
@@ -294,25 +295,33 @@ def test_criterion_04_scalar_analytic_case(capfd):
     assert not bad, "\n".join(bad)
 
 
+def _best_time(solve, system, repeats=5):
+    """The result of ``solve(system)`` and its fastest time over ``repeats`` warm calls.
+
+    One untimed warm-up call first pays the one-time costs of a process
+    (BLAS and LAPACK initialisation, first-touch allocations) that are not
+    the scaling criterion 5 compares; the minimum of the timed calls is the
+    least disturbed by other load on the host.
+    """
+    solve(system)
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = solve(system)
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
 def test_criterion_05_complexity_scaling(capfd):
     bad = []
     big = generate(GenSpec(family="kyc31", m=200, alpha=1e-6, seed=0))
-    # untimed warm-up: the first call of a process pays one-time costs
-    # (BLAS and LAPACK initialisation, first-touch allocations) that are not
-    # the scaling this criterion compares
-    mkw_solve(big)
-    t0 = time.perf_counter()
-    enc = mkw_solve(big)
-    t_mkw = time.perf_counter() - t0
+    enc, t_mkw = _best_time(mkw_solve, big)
     if not enc.verified:
         bad.append("structured solver failed at m=200")
     if t_mkw > 60.0:
         bad.append(f"structured solve took {t_mkw:.2f}s at m=200, budget is 60s")
     small = generate(GenSpec(family="kyc31", m=32, alpha=1e-6, seed=0))
-    full_krawczyk_solve(small, cap=32 * 32)
-    t0 = time.perf_counter()
-    ver = full_krawczyk_solve(small, cap=32 * 32)
-    t_ver = time.perf_counter() - t0
+    ver, t_ver = _best_time(lambda s: full_krawczyk_solve(s, cap=32 * 32), small)
     if not ver.verified:
         bad.append("dense solver failed at m=32")
     if t_ver <= t_mkw:

@@ -18,6 +18,7 @@ from sylvenc import (
     build_Q_kron,
     full_krawczyk_solve,
     generate,
+    im_matmul,
     mkw_solve,
     point_solve,
     residual_membership,
@@ -134,6 +135,34 @@ class TestKroneckerAssembly:
             assert (got >= want).all(), (m, n)
             # and no looser than the oracle by more than the rounding pads
             assert (got - want <= 1e-12 * scale).all(), (m, n)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_one_sided_identity_bounds_the_entrywise_oracle(self, cplx):
+        # sylvester32's pattern A X I + I X D: each pair has one point identity factor
+        rng = np.random.default_rng(41 + cplx)
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            sys = _well_posed_system(rng, m, n, cplx)
+            sys = SylvesterSystem(
+                A=sys.A, B=IMatrix(np.eye(n)), C=IMatrix(np.eye(m)), D=sys.B, F=sys.F
+            )
+            R, got = _contraction_mag(sys)
+            want, scale = contraction_oracle(R, sys)
+            assert (got >= want).all(), (m, n)
+            assert (got - want <= 1e-12 * scale).all(), (m, n)
+
+    def test_identity_factor_takes_one_product_and_its_pad(self):
+        # the identity's side costs no product and no rounding count: each row
+        # is im_matmul's one product with a row of R, up to the rounding of a
+        # stacked product (the dropped count is 2m + 9 or 2n + 9 ETA, above 1e-14)
+        sys = _well_posed_system(np.random.default_rng(5), 3, 4)
+        ks = build_Q_kron(sys)
+        r3 = ks.R.reshape(12, 4, 3)
+        for x, y in ((sys.A, IMatrix(np.eye(4))), (IMatrix(np.eye(3)), sys.B)):
+            mid, rad = baseline._kron_rows(r3, np.abs(r3), x, y)
+            for r in range(12):
+                ref = im_matmul(IMatrix(r3[r]), x) if x is sys.A else im_matmul(y, IMatrix(r3[r]))
+                np.testing.assert_allclose(mid[r], ref.mid, rtol=2e-15, atol=0)
+                np.testing.assert_allclose(rad[r], ref.rad, rtol=2e-15, atol=0)
 
     def test_R_is_c_ordered(self):
         sys = _well_posed_system(np.random.default_rng(2), 4, 3)

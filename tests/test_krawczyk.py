@@ -13,6 +13,7 @@ from sylvenc import (
     sample_solutions,
     transform_enclose,
 )
+from sylvenc import krawczyk
 from sylvenc.intervals import _up
 from sylvenc.krawczyk import (
     FAILURE_MESSAGE,
@@ -142,22 +143,81 @@ class TestVerificationLoop:
 
     def test_slow_contraction_runs_out_of_kmax(self):
         M = IMatrix(np.array([[0.0]]), np.array([[0.1]]))
+        calls = [0]
 
         def n_of(xrad):
+            calls[0] += 1
             return IMatrix(np.zeros((1, 1)), 0.999 * xrad)
 
         ok, X, H, k = verification_loop(M, n_of, kmax=15)
-        assert not ok and k == 15
+        # no entry grows, so no subset is tried
+        assert not ok and k == 15 and calls[0] == 15
 
-    def test_reducible_map_with_a_contracting_entry_runs_to_kmax(self):
-        # ratios 2 and 0.5: the smallest is below 1, so nothing is certified
+    def test_reducible_map_with_a_growing_entry_is_certified_on_its_subset(self):
+        # ratios 2 and 0.5: the smallest is below 1, but the entry of ratio 2
+        # feeds only itself, so its 1 x 1 principal submatrix certifies at k = 1
         M = IMatrix(np.zeros((1, 2)), np.full((1, 2), 0.1))
+        calls = []
 
         def n_of(xrad):
+            calls.append(xrad.copy())
             return IMatrix(np.zeros((1, 2)), xrad * np.array([[2.0, 0.5]]))
 
         ok, X, H, k = verification_loop(M, n_of, kmax=9)
-        assert not ok and k == 9
+        assert not ok and k == 1
+        # one power step on S = {0}, with y zero off S
+        assert len(calls) == 2 and calls[1][0, 1] == 0.0 and calls[1][0, 0] == X.rad[0, 0]
+
+    def test_growth_fed_from_outside_the_subset_certifies_nothing(self):
+        # N(x) = (2 x1, 0.1 x0): entry 0 grows only through entry 1, which is
+        # outside S = {0}, so S empties after one power step; rho = 0.45 < 1
+        M = IMatrix(np.zeros((1, 2)), np.full((1, 2), 0.1))
+        calls = []
+
+        def n_of(xrad):
+            calls.append(xrad.copy())
+            return IMatrix(np.zeros((1, 2)), np.array([[2.0 * xrad[0, 1], 0.1 * xrad[0, 0]]]))
+
+        ok, X, H, k = verification_loop(M, n_of, kmax=15)
+        assert ok
+        # the emptied subset cost one call, and the loop tried it once
+        assert len(calls) == k + 1
+        assert not calls[1][0, 1] and (H.rad < X.rad).all()
+
+    def test_subset_attempt_keeps_its_budget(self):
+        # a feed-forward chain z_i = 0.5 y_i + y_(i-1): every entry but the
+        # first grows at step 1, and each power step drops only the head of S,
+        # so S still holds an entry when the budget is spent (rho = 0.5)
+        M = IMatrix(np.zeros((1, 6)), np.full((1, 6), 0.1))
+        calls = []
+
+        def n_of(xrad):
+            calls.append(xrad.copy())
+            z = 0.5 * xrad
+            z[:, 1:] += xrad[:, :-1]
+            return IMatrix(np.zeros((1, 6)), z)
+
+        budget = krawczyk._SUBSET_EVALS
+        ok, X, H, k = verification_loop(M, n_of, kmax=40)
+        assert ok
+        assert len(calls) == k + budget
+        assert [np.count_nonzero(y) for y in calls[1 : 1 + budget]] == [5, 4, 3, 2]
+
+        calls.clear()
+        ok, X, H, k = verification_loop(M, n_of, kmax=3)
+        assert not ok and k == 3
+        assert len(calls) == 3 + budget
+
+    def test_no_subset_attempt_at_the_last_step(self):
+        M = IMatrix(np.zeros((1, 2)), np.full((1, 2), 0.1))
+        calls = [0]
+
+        def n_of(xrad):
+            calls[0] += 1
+            return IMatrix(np.zeros((1, 2)), xrad * np.array([[2.0, 0.5]]))
+
+        ok, X, H, k = verification_loop(M, n_of, kmax=1)
+        assert not ok and k == 1 and calls[0] == 1
 
 
 def _reference_loop(M, n_of, kmax):
@@ -197,15 +257,20 @@ def _jordan_system(m, seed):
 @pytest.mark.parametrize("solver", ["mkw", "blk", "ver"])
 @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33", "jordan"])
 def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, monkeypatch):
-    """Each solver's loop is replayed on the same ``M`` and ``n_of`` without the stop."""
-    from sylvenc import full_krawczyk_solve, krawczyk, mkw_block_solve
+    """Each solver's loop is replayed on the same ``M`` and ``n_of`` without either stop."""
+    from sylvenc import full_krawczyk_solve, mkw_block_solve
 
     solve = {"mkw": mkw_solve, "blk": mkw_block_solve, "ver": full_krawczyk_solve}[solver]
     runs = []
 
     def both(M, n_of, kmax):
         got = verification_loop(M, n_of, kmax)
-        runs.append((got, _reference_loop(M, n_of, kmax)))
+        ok, X, _, k = got
+        ref = _reference_loop(M, n_of, kmax)
+        # the subset stop fired when the loop gave up early on a step whose
+        # smallest ratio alone certifies nothing
+        subset = not ok and k < ref[3] and (n_of(X.rad).rad / X.rad).min() < krawczyk._NOT_CONTRACTING
+        runs.append((got, ref, subset))
         return got
 
     # every solver reaches the loop through krawczyk.verify
@@ -220,22 +285,29 @@ def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, mon
             for m in sizes
             for alpha in (1e-6, 1e-4, 1e-3, 1e-2)
         ]
+    # a failure whose growth sits on a principal subset: only the subset stop fires
+    subset_case = solver == "mkw" and family == "kyc31"
+    if subset_case:
+        systems.append(generate(GenSpec(family="kyc31", m=200, alpha=1e-6, seed=6)))
     for sys_ in systems:
         try:
             solve(sys_)
         except SingularPreconditionerError:
             continue
     assert runs
-    for (ok, X, H, k), (ref_ok, ref_X, ref_H, ref_k) in runs:
+    for (ok, X, H, k), (ref_ok, ref_X, ref_H, ref_k), _ in runs:
         assert ok == ref_ok
         if ok:
             assert k == ref_k
             assert (X.rad == ref_X.rad).all() and (H.rad == ref_H.rad).all()
+            assert (X.mid == ref_X.mid).all() and (H.mid == ref_H.mid).all()
         else:
             assert 1 <= k <= ref_k
     if family != "jordan":
-        # the stop fired, so the comparison covers it
-        assert any(not ok and k < ref[3] for (ok, _, _, k), ref in runs)
+        # a stop fired, so the comparison covers it
+        assert any(not ok and k < ref[3] for (ok, _, _, k), ref, _ in runs)
+    if subset_case:
+        assert runs[-1][2] and runs[-1][0][3] == 1
 
 
 def test_point_system_gives_sharp_enclosure():

@@ -15,6 +15,7 @@ RUNS = {
     "blk_grid": [],
     "itr_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6"],
     "audit_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6", "--samples", "4"],
+    "loop_grid": ["--cells", "kyc31:8:0"],
 }
 
 
@@ -47,6 +48,9 @@ def test_tool_runs(name):
             ), line
             radsum = line.split()[-1]
             assert radsum == "-" or float(radsum) > 0.0, line
+    if name == "loop_grid":
+        (line,) = proc.stdout.splitlines()
+        assert re.search(r"verified=True stop=box +k=\d+ +calls=\d+ +ratio=- loop_ms=", line), line
 
 
 def _against(tmp_path, *lines):
