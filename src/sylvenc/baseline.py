@@ -37,6 +37,7 @@ The audit layer checks enclosures against members of the interval system:
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -48,12 +49,15 @@ from scipy.linalg.lapack import ztrtrs as _trtrs
 from .errors import IntervalOverflowError, SingularMatrixError, SizeCapError
 from .intervals import (
     IMatrix,
+    _diagonal,
     _dot_ops,
     _down,
     _fold,
     _mag,
     _mm,
+    _Operand,
     _pad_rad,
+    _product,
     _slack,
     _up,
     as_imatrix,
@@ -126,7 +130,7 @@ def build_Q_kron(
 
 def _kron_rows(
     r3: np.ndarray, r3abs: np.ndarray, x: IMatrix, y: IMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Midpoint and radius of ``R (y^T kron x)`` for a point ``R``, as ``(m n, n, m)`` stacks.
 
     ``r3[r]`` is row ``r`` of ``R`` as an ``n x m`` matrix (``R_r^T``) and
@@ -145,10 +149,15 @@ def _kron_rows(
     (2m + 8) + (2n + 8) + 1`` counts the midpoint's chain of two inner
     products, ``gamma_m + gamma_n + gamma_m gamma_n``, and the rounding of
     the radius's own products and sums.  The products with a zero radius
-    are skipped.  A point identity factor (sylvester32's ``(A, I)`` and
-    ``(I, B)``) is exact: the row is the one product ``r3[r] x`` or ``y
-    r3[r]``, which takes ``im_matmul``'s rule of one product, with no
-    product by the identity and no count for it in the pad.
+    are skipped.
+
+    A point scalar factor ``c I`` with ``c`` a power of two
+    (:func:`_scalar_factor`; the identity is ``c = 1``) is exact: the row is
+    ``c`` times the one product ``r3[r] x`` or ``y r3[r]``, which takes
+    ``im_matmul``'s rule of one product, with no product by the factor and
+    no count for it in the pad; a pair of them gives the point ``c R``, and
+    the radius returned is None.  This holds while no scaled entry leaves
+    the normal range (:func:`_scaled`); otherwise the row takes the chain.
     """
     mn, n, m = r3.shape
 
@@ -156,10 +165,20 @@ def _kron_rows(
         # every matrix of the stack times t, as one product on the stacked rows
         return _mm(stack.reshape(-1, m), t).reshape(mn, n, m)
 
-    if _is_point_identity(y):
-        return _point_product(rows, r3, r3abs, x, _dot_ops(m))
-    if _is_point_identity(x):
-        return _point_product(lambda stack, t: _mm(t, stack), r3, r3abs, y, _dot_ops(n))
+    def left(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # t times every matrix of the stack
+        return _mm(t, stack)
+
+    cx, cy = _scalar_factor(x), _scalar_factor(y)
+    exact = None
+    if cx is not None and cy is not None:
+        exact = _scaled(cx * cy, r3, None)
+    elif cy is not None:
+        exact = _scaled(cy, *_point_product(rows, r3, r3abs, x, _dot_ops(m)))
+    elif cx is not None:
+        exact = _scaled(cx, *_point_product(left, r3, r3abs, y, _dot_ops(n)))
+    if exact is not None:
+        return exact
     mid = _mm(y.mid, rows(r3, x.mid))
     k = _dot_ops(m) + _dot_ops(n) + 1
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -193,28 +212,56 @@ def _point_product(
     return mid, rad
 
 
-def _is_point_identity(x: IMatrix) -> bool:
-    return not x.rad.any() and np.array_equal(x.mid, np.eye(x.rows))
+def _scalar_factor(x: IMatrix) -> float | None:
+    """``c`` when ``x`` is a point scalar matrix ``c I`` with ``c = +-2^e``, else None."""
+    if np.count_nonzero(x.rad):
+        return None
+    d = _diagonal(x.mid)
+    if d is None or d.size == 0:
+        return None
+    c = float(d[0].real)
+    # frexp's mantissa of a power of two is +-1/2; the test on d also rejects an imaginary part
+    return c if abs(math.frexp(c)[0]) == 0.5 and bool((d == c).all()) else None
+
+
+def _scaled(
+    c: float, mid: np.ndarray, rad: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(c mid, |c| rad)`` when every product is exact, else None.
+
+    A product by a power of two is exact unless it overflows or falls below
+    the normal range, and then it does not scale back to its operand, so the
+    round trip is the test.  ``c`` itself may have overflowed or underflowed
+    (the product of a pair's two scalars).  ``rad`` None stands for a point.
+    """
+    if c == 1.0:
+        return mid, rad
+    if c == 0.0 or not math.isfinite(c):
+        return None
+    with np.errstate(over="ignore"):
+        out = (mid * c, None if rad is None else rad * abs(c))
+    for scaled, a, f in ((out[0], mid, c), (out[1], rad, abs(c))):
+        if a is not None and not np.array_equal(scaled / f, a):
+            return None
+    return out
 
 
 def _contraction(ks: KronSystem, sys: SylvesterSystem) -> IMatrix:
     """Enclosure of ``R Q`` over every member ``Q``: one term per coefficient pair.
 
-    A pair of point identities (kyc31's C and D) contributes ``R`` itself,
-    exactly; every other pair, :func:`_kron_rows`, which takes one product
-    for a pair with one point identity (sylvester32's).  The two terms add as
-    disks, bit for bit as the interval sum does, in place.
+    Each pair takes :func:`_kron_rows`: a pair of exact point scalars (kyc31's
+    identities C and D) contributes the point ``c R`` itself, a pair with one
+    of them (sylvester32's) one product.  The two terms add as disks, bit for
+    bit as the interval sum does, in place.
     """
     mn = ks.m * ks.n
     r3 = ks.R.reshape(mn, ks.n, ks.m)
     r3abs = np.abs(r3)
     mids, rads = [], []
     for x, y in ((sys.A, sys.B), (sys.C, sys.D)):
-        if _is_point_identity(x) and _is_point_identity(y):
-            mids.append(ks.R)
-        else:
-            mid, rad = _kron_rows(r3, r3abs, x, y)
-            mids.append(mid.reshape(mn, mn))
+        mid, rad = _kron_rows(r3, r3abs, x, y)
+        mids.append(mid.reshape(mn, mn))
+        if rad is not None:
             rads.append(rad.reshape(mn, mn))
     mid = mids[0] + mids[1]
     rad = rads[0] + rads[1] if len(rads) == 2 else rads[0] if rads else np.zeros(mid.shape)
@@ -261,7 +308,8 @@ def full_krawczyk_solve(
     # one step of iterative refinement on the midpoint solution
     X = X + unvec(R @ vec(F - A @ X @ B - C @ X @ D), m, n)
     res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
-    M = iunvec(im_matmul(as_imatrix(R), ivec(res)), m, n)
+    # R as a point operand: no zero radius array of (m n)^2 entries to allocate and scan
+    M = iunvec(im_matmul(_Operand(R), ivec(res)), m, n)
     wmag = _eye_minus_mag(_contraction(ks, sys))
 
     def n_of(xrad: np.ndarray) -> IMatrix:
@@ -632,14 +680,20 @@ def residual_membership(
         xb = as_imatrix(np.atleast_2d(x))
     if xb.mid.shape[-2:] != (sys.m, sys.n):
         raise ValueError("dimension mismatch")
-    boxes = _residual_boxes(sys, xb)
-    # membership check biased toward acceptance: shrink |mid| before comparing
+    products = _residual_products(sys, xb)
+    boxes = _boxes(sys.F, products)
+    # im_matmul raised on a non-finite product; such a product makes both of its
+    # boxes non-finite, and a non-finite box raises below before it answers.  So
+    # an answer that saw every box needs no check of the products, and one that
+    # rejects early checks them first.  The comparison is biased toward
+    # acceptance: |mid| shrinks before it.
     if x.ndim != 3:
         for amid, rad in boxes:
             # a non-finite midpoint makes its radius non-finite too
             if not np.isfinite(rad).all():
                 raise IntervalOverflowError("interval overflow")
             if not (_down(amid, 4) <= rad).all():
+                _check_finite(products)
                 return False
         return True
     # per sample, as alone: a non-finite box raises unless an earlier one rejected
@@ -650,27 +704,62 @@ def residual_membership(
         alive &= (_down(amid, 4) <= rad).all(axis=(1, 2))
         if not alive.any():
             break
+    if not alive.all():
+        _check_finite(products)
     return alive
 
 
+def _check_finite(products: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """:class:`IntervalOverflowError` unless every midpoint and radius of ``products`` is finite."""
+    for mid, rad in products:
+        if not (np.isfinite(mid).all() and np.isfinite(rad).all()):
+            raise IntervalOverflowError("interval overflow")
+
+
+def _residual_products(sys: SylvesterSystem, xb: IMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Midpoints and radii of ``(A X) B``, ``A (X B)``, ``(C X) D`` and ``C (X D)``, unchecked.
+
+    ``X`` and each coefficient are prepared once and enter the eight
+    products through the kernel of :func:`~sylvenc.intervals.im_matmul`
+    (:func:`~sylvenc.intervals._product`), with no IMatrix between them, so
+    each product has ``im_matmul``'s bits.  A non-finite entry of an inner
+    product (``A X``, say) enters the outer one through every entry of its
+    row or column, and an IEEE operation on an infinity or a NaN gives one
+    again: the outer products are non-finite wherever ``im_matmul`` would
+    have raised.  ``xb`` may hold a stack of samples.
+    """
+    x = _Operand(xb.mid, xb.rad)
+    products = []
+    for t, u in ((sys.A, sys.B), (sys.C, sys.D)):
+        t, u = _Operand(t.mid, t.rad), _Operand(u.mid, u.rad)
+        products.append(_product(_Operand(*_product(t, x)), u))
+        products.append(_product(t, _Operand(*_product(x, u))))
+    return products
+
+
 def _residual_boxes(sys: SylvesterSystem, xb: IMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``|mid|`` and radius of the four boxes ``F - left - right``, one by one.
+    """``|mid|`` and radius of the four boxes ``F - left - right`` of ``X``, one by one.
 
     ``left`` and ``right`` run over both association orders of ``A X B``
-    and ``C X D``; ``xb`` may hold a stack of samples.
+    and ``C X D``; ``xb`` may hold a stack of samples.  The boxes of
+    :func:`residual_membership`, which keeps the products as well.
     """
-    axb_l = im_matmul(im_matmul(sys.A, xb), sys.B)
-    axb_r = im_matmul(sys.A, im_matmul(xb, sys.B))
-    cxd_l = im_matmul(im_matmul(sys.C, xb), sys.D)
-    cxd_r = im_matmul(sys.C, im_matmul(xb, sys.D))
+    return _boxes(sys.F, _residual_products(sys, xb))
+
+
+def _boxes(
+    F: IMatrix, products: list[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The boxes ``F - left - right`` of the four products of :func:`_residual_products`."""
+    axb_l, axb_r, cxd_l, cxd_r = products
     # interval subtraction's operations and pad rule, F - left formed once per
     # left and no IMatrix per box; the product by -1.0 is the one subtraction
     # uses, so even the signs of zero midpoints match.  A (2, 2, m, n) broadcast
     # of the four boxes was slower at m = 400, where its temporaries leave cache.
-    neg_right = [(-1.0 * right.mid, right.rad) for right in (cxd_l, cxd_r)]
-    for left in (axb_l, axb_r):
-        lmid = sys.F.mid + -1.0 * left.mid
-        lrad = sys.F.rad + left.rad
+    neg_right = [(-1.0 * rmid, rrad) for rmid, rrad in (cxd_l, cxd_r)]
+    for left_mid, left_rad in (axb_l, axb_r):
+        lmid = F.mid + -1.0 * left_mid
+        lrad = F.rad + left_rad
         _pad_rad(lrad, np.abs(lmid), out=lrad)
         for rmid, rrad in neg_right:
             amid = np.abs(lmid + rmid)

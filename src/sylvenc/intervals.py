@@ -42,6 +42,10 @@ arithmetic, and up to the rounding of ``c``, this is the four-product bound
 so no radius is wider than that one by more than rounding, while an interval
 product takes the midpoint product and two radius products instead of four,
 and a point times an interval product one radius product instead of two.
+The radius is written once, in :func:`_product`, which multiplies two
+prepared operands (:class:`_Operand`: ``|mid|``, the diagonal test, the
+zero-radius test and the folded pad, each derived once per operand);
+``im_matmul`` is its checked wrapper.
 
 All pads are relative: a product whose exact value lies in or below the
 subnormal range, where rounding errors are absolute, can escape its
@@ -217,15 +221,17 @@ class IMatrix:
         mid = np.atleast_2d(np.asarray(mid))
         if mid.dtype != np.complex128:
             mid = mid.astype(np.float64, copy=False)
-        if rad is None:
+        point = rad is None
+        if point:
             rad = np.zeros(mid.shape)
         else:
             rad = np.atleast_2d(np.asarray(rad, dtype=np.float64))
         if mid.ndim != 2 or rad.shape != mid.shape:
             raise ValueError("dimension mismatch between midpoint and radius arrays")
-        if not np.isfinite(mid).all() or not np.isfinite(rad).all():
+        # the zero radii of a point need no check
+        if not np.isfinite(mid).all() or not (point or np.isfinite(rad).all()):
             raise IntervalOverflowError("interval overflow")
-        if (rad < 0).any():
+        if not point and (rad < 0).any():
             raise ValueError("radii must be nonnegative")
         object.__setattr__(self, "mid", mid)
         object.__setattr__(self, "rad", rad)
@@ -370,7 +376,85 @@ def _dot(a: np.ndarray, b: np.ndarray, da: np.ndarray | None, db: np.ndarray | N
     return a @ b
 
 
-def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
+class _Operand:
+    """A factor of :func:`im_matmul` with what its products read, derived once.
+
+    ``amid`` is ``|mid|``, ``diag`` the diagonal of an exactly diagonal 2-D
+    midpoint (else None) and ``adiag`` its magnitude; ``rad`` is None when
+    every radius is zero.  As a right factor the operand also needs its
+    folded pad ``Yr + c |Ym|`` and ``|Ym| + Yr``: both are derived on first
+    use and kept, so an operand prepared once serves every product it
+    enters.  An operand lives as long as its caller keeps it; nothing holds
+    one across calls.
+    """
+
+    __slots__ = ("mid", "rad", "amid", "diag", "adiag", "_fold", "_mag_sum")
+
+    def __init__(self, mid: np.ndarray, rad: np.ndarray | None = None):
+        self.mid = mid
+        # count_nonzero: the cheapest zero test on the many small products of the audits
+        self.rad = rad if rad is not None and np.count_nonzero(rad) > 0 else None
+        self.amid = np.abs(mid)
+        self.diag = _diagonal(mid)
+        # |diag|, or None
+        self.adiag = None if self.diag is None else self.amid.diagonal()
+        self._fold = self._mag_sum = None
+
+    def fold(self, n: int) -> tuple[np.ndarray | None, bool]:
+        """:func:`_fold` of ``(|Ym|, Yr)`` at the count ``n`` of a product with this right factor.
+
+        The count is ``2k + 8`` for the operand's ``k`` rows, so one fold
+        serves every product the operand enters on the right.
+        """
+        if self._fold is None:
+            self._fold = _fold(self.amid, self.rad, n)
+        return self._fold
+
+    def mag_sum(self) -> np.ndarray:
+        """``|Ym| + Yr``, or ``|Ym|`` for a point."""
+        if self._mag_sum is None:
+            self._mag_sum = self.amid if self.rad is None else self.amid + self.rad
+        return self._mag_sum
+
+
+def _prepare(x) -> _Operand:
+    """``x`` as an :class:`_Operand`: a point array or IMatrix is coerced, an operand passes."""
+    if isinstance(x, _Operand):
+        return x
+    if not isinstance(x, IMatrix):
+        x = IMatrix(x)
+    return _Operand(x.mid, x.rad)
+
+
+def _product(x: _Operand, y: _Operand) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and radius of the product of two prepared operands, unchecked.
+
+    The one product kernel: :func:`im_matmul` wraps it, and the audit's
+    residual boxes call it on operands prepared once per call.  A non-finite
+    entry is the caller's to catch.
+    """
+    k = x.mid.shape[-1]
+    if k != y.mid.shape[-2]:
+        raise ValueError("dimension mismatch")
+    nops = _dot_ops(k)
+    mid = _dot(x.mid, y.mid, x.diag, y.diag)
+    adx = x.adiag
+    # y's sums keep its diagonal pattern only when y is a point
+    ydiag = y.diag is not None and y.rad is None
+    ypad, split = y.fold(nops)
+    if ypad is None:
+        rad = np.zeros(mid.shape)
+    else:
+        rad = _dot(x.amid, ypad, adx, ypad.diagonal() if ydiag else None)
+    if x.rad is not None:
+        rad += _dot(x.rad, y.mag_sum(), None, y.adiag if ydiag else None)
+    _up(rad, nops, out=rad)
+    if split:
+        rad += _slack(_dot(x.amid, y.amid, adx, y.adiag), nops)
+    return mid, rad
+
+
+def im_matmul(x, y) -> IMatrix:
     """Interval matrix product in midpoint-radius form with outward slack.
 
     The midpoint is the floating product of midpoints; the radius is
@@ -398,6 +482,11 @@ def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
     factor with an exactly diagonal midpoint is applied by a broadcast; the
     pad stays the one of the dense length-``k`` product.
 
+    The product itself is :func:`_product` on two prepared operands
+    (:class:`_Operand`), which ``im_matmul`` builds from each argument; an
+    argument that is already an operand passes through, so a caller that
+    multiplies by one factor several times prepares it once.
+
     Either operand may instead hold a ``(k, r, c)`` stack of matrices, an
     IMatrix that a kernel built from stacked arrays (the samples of
     :func:`~sylvenc.baseline.residual_membership`); the result is the stack
@@ -407,29 +496,7 @@ def im_matmul(x: IMatrix, y: IMatrix) -> IMatrix:
     product, so on complex data a matrix of the stack that is exactly
     diagonal can round differently in the last bit.
     """
-    x, y = as_imatrix(x), as_imatrix(y)
-    k = x.mid.shape[-1]
-    if k != y.mid.shape[-2]:
-        raise ValueError("dimension mismatch")
-    nops = _dot_ops(k)
-    dx, dy = _diagonal(x.mid), _diagonal(y.mid)
-    mid = _dot(x.mid, y.mid, dx, dy)
-    ax, ay = np.abs(x.mid), np.abs(y.mid)
-    # count_nonzero: the cheapest zero test on the many small products of the audits
-    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
-    # y's sums keep its diagonal pattern only when y is a point
-    ydiag = dy is not None and not y_rad
-    adx = None if dx is None else np.abs(dx)
-    ypad, split = _fold(ay, y.rad if y_rad else None, nops)
-    if ypad is None:
-        rad = np.zeros(mid.shape)
-    else:
-        rad = _dot(ax, ypad, adx, ypad.diagonal() if ydiag else None)
-    if x_rad:
-        rad += _dot(x.rad, ay + y.rad if y_rad else ay, None, ay.diagonal() if ydiag else None)
-    _up(rad, nops, out=rad)
-    if split:
-        rad += _slack(_dot(ax, ay, adx, None if dy is None else ay.diagonal()), nops)
+    mid, rad = _product(_prepare(x), _prepare(y))
     return IMatrix._from_kernel(mid, rad)
 
 

@@ -77,8 +77,10 @@ import numpy as np
 
 from .intervals import (
     IMatrix,
+    _Operand,
     _dot_ops,
     _pad_rad,
+    _prepare,
     _quot,
     _slack,
     _up,
@@ -92,8 +94,8 @@ from .precond import PrecondSystem, _take, transform_enclose
 from .system import SylvesterSystem
 
 __all__ = [
-    "Enclosure", "residual", "compute_M", "compute_N", "interval_back_substitute", "verify",
-    "mkw_solve",
+    "Enclosure", "LoopResult", "residual", "compute_M", "compute_N", "interval_back_substitute",
+    "verify", "mkw_solve",
 ]
 
 KMAX_DEFAULT = 15
@@ -140,8 +142,9 @@ def residual(
     """Enclosure of ``F - (A Xtilde) B - (C Xtilde) D`` over all members of the coefficients.
 
     mkw and blk pass their preconditioned system, ver the original one.
+    ``Xtilde`` is prepared once for both products.
     """
-    xt = as_imatrix(xtilde)
+    xt = _prepare(xtilde)
     t1 = im_matmul(im_matmul(A, xt), B)
     t2 = im_matmul(im_matmul(C, xt), D)
     return F - t1 - t2
@@ -350,12 +353,30 @@ def _subset_certificate(n_of, xrad: np.ndarray, ratio: np.ndarray) -> float | No
     return None
 
 
-def verification_loop(M: IMatrix, n_of, kmax: int):
+class LoopResult(NamedTuple):
+    """How :func:`verification_loop` ended.
+
+    ``X`` is the last symmetric candidate box and ``H`` the last candidate
+    image.  ``stop`` is why the loop ended: ``"box"`` (``H`` lies in the
+    interior of ``X``), ``"not_contracting"`` (every ratio ``rad N(x) / x``
+    of the step reached ``1 + delta``), ``"subset"`` (the principal-subset
+    certificate) or ``"kmax"``.  ``ratio`` is the largest ratio ``rad N(x) /
+    x`` of the last step.
+    """
+
+    verified: bool
+    X: IMatrix
+    H: IMatrix
+    iterations: int
+    stop: str
+    ratio: float
+
+
+def verification_loop(M: IMatrix, n_of, kmax: int) -> LoopResult:
     """Epsilon-inflation loop shared by the diagonal, block and dense solvers.
 
     ``n_of`` maps a nonnegative radius array to the zero-midpoint contraction
-    term.  Returns ``(verified, X, H, iterations)`` where ``X`` is the last
-    symmetric candidate box and ``H`` the last candidate image.
+    term.  Returns a :class:`LoopResult`, the verified flag first.
 
     The loop stops with ``verified=False`` before ``kmax`` when the failed
     step certifies that no later box can pass: ``min(rad N(x) / x) >= 1 +
@@ -385,8 +406,6 @@ def verification_loop(M: IMatrix, n_of, kmax: int):
     """
     e_rad = epsilon_inflate(M).rad
     H = M
-    X = None
-    k = 0
     tried = False
     for k in range(1, max(kmax, 1) + 1):
         xrad = H.mag()
@@ -395,27 +414,29 @@ def verification_loop(M: IMatrix, n_of, kmax: int):
         X = IMatrix(np.zeros(M.shape, dtype=M.mid.dtype), xrad)
         N = n_of(xrad)
         H = M + N
-        if in_interior(H, X):
-            return True, X, H, k
         ratio = N.rad / xrad
+        top = float(ratio.max())
+        if in_interior(H, X):
+            return LoopResult(True, X, H, k, "box", top)
         if ratio.min() >= _NOT_CONTRACTING:
-            break
-        if not tried and k < kmax and ratio.max() >= _NOT_CONTRACTING:
+            return LoopResult(False, X, H, k, "not_contracting", top)
+        if not tried and k < kmax and top >= _NOT_CONTRACTING:
             tried = True
             if _subset_certificate(n_of, xrad, ratio) is not None:
-                break
-    return False, X, H, k
+                return LoopResult(False, X, H, k, "subset", top)
+    return LoopResult(False, X, H, k, "kmax", top)
 
 
 def back_transform(ps: PrecondSystem, inner: IMatrix) -> IMatrix:
     """Enclosure of ``U * inner * V^-1`` with the certified inverse box of ``V``.
 
     Two midpoint products and three real radius products: one for the point
-    ``U``, two for the interval ``V^-1``.  A permutation side of ``ps``
-    reindexes exactly instead.
+    ``U``, prepared as an operand with no zero radius array, two for the
+    interval ``V^-1``.  A permutation side of ``ps`` reindexes exactly
+    instead.
     """
     if ps.u_perm is None:
-        inner = im_matmul(as_imatrix(ps.U), inner)
+        inner = im_matmul(_Operand(ps.U), inner)
     else:
         inner = _take(inner, rows=np.argsort(ps.u_perm))
     if ps.v_perm is None:
@@ -438,16 +459,16 @@ def verify(
     ``back``; ``fields`` are the solver's own :class:`Enclosure` fields
     (``U``, ``Vinv``, ``precond``).
     """
-    verified, X, H, iters = verification_loop(M, n_of, kmax)
+    loop = verification_loop(M, n_of, kmax)
     return Enclosure(
         Xtilde=xtilde,
-        Xbox=X,
-        evaluated=back(as_imatrix(xtilde) + H) if verified else None,
-        verified=verified,
-        iterations=iters,
+        Xbox=loop.X,
+        evaluated=back(as_imatrix(xtilde) + loop.H) if loop.verified else None,
+        verified=loop.verified,
+        iterations=loop.iterations,
         method=method,
-        message="" if verified else FAILURE_MESSAGE,
-        Hbox=H,
+        message="" if loop.verified else FAILURE_MESSAGE,
+        Hbox=loop.H,
         **fields,
     )
 

@@ -57,10 +57,10 @@ from .errors import EigenDecompositionError, SingularMatrixError
 from .intervals import (
     IMatrix,
     _Denominators,
+    _Operand,
     _denominators,
     _diagonal,
     _up,
-    as_imatrix,
     im_matmul,
 )
 from .linalg import EigResult, eig_decompose, inverse_enclosure
@@ -190,11 +190,17 @@ class Basis(NamedTuple):
 
     ``perm`` is set when ``U = I[:, perm]`` is a permutation: ``inv_box`` is
     then the exact point ``U^T``, and a product with either is a reindexing.
+    Otherwise ``inv_op`` and ``u_op`` are ``inv_box`` and ``U`` prepared as
+    product operands, once for every sandwich of the side (both members and
+    ``F``); they live as long as the basis, which the preconditioned system
+    does not keep.
     """
 
     U: np.ndarray
     inv_box: IMatrix
     perm: np.ndarray | None = None
+    inv_op: _Operand | None = None
+    u_op: _Operand | None = None
 
 
 def _take(x: IMatrix, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> IMatrix:
@@ -213,11 +219,12 @@ def _take(x: IMatrix, rows: np.ndarray | None = None, cols: np.ndarray | None = 
 def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
     """Enclosure of ``left.U^-1 X right.U`` for the exact inverse in ``left.inv_box``.
 
-    A permutation side reindexes exactly; any other takes an interval product:
-    a midpoint product and two real radius products.
+    A permutation side reindexes exactly; any other takes an interval product
+    by the basis's prepared operands: a midpoint product and two real radius
+    products.
     """
-    x = im_matmul(left.inv_box, x) if left.perm is None else _take(x, rows=left.perm)
-    return im_matmul(x, as_imatrix(right.U)) if right.perm is None else _take(x, cols=right.perm)
+    x = im_matmul(left.inv_op, x) if left.perm is None else _take(x, rows=left.perm)
+    return im_matmul(x, right.u_op) if right.perm is None else _take(x, cols=right.perm)
 
 
 def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
@@ -262,7 +269,7 @@ def simultaneous_diag(pair, U: np.ndarray, Uinv: np.ndarray, perm: np.ndarray | 
         inv_box = IMatrix._from_kernel(Uinv, np.zeros(Uinv.shape))
         return Basis(U, inv_box, perm), raw, tuple(r.mid for r in raw)
     inv_box, prod = inverse_enclosure(U, r0=Uinv, with_product=True)
-    basis = Basis(U, inv_box)
+    basis = Basis(U, inv_box, None, _Operand(inv_box.mid, inv_box.rad), _Operand(U))
     raw, scored = [], []
     for x in pair:
         if _point_scalar(x):

@@ -164,6 +164,64 @@ class TestKroneckerAssembly:
                 np.testing.assert_allclose(mid[r], ref.mid, rtol=2e-15, atol=0)
                 np.testing.assert_allclose(rad[r], ref.rad, rtol=2e-15, atol=0)
 
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_power_of_two_scalar_factor_scales_exactly(self, cplx):
+        # a point c I with c = +-2^e is as exact as the identity: the rows are c
+        # times the identity's, bit for bit, and a pair of them is the point c R
+        sys = _well_posed_system(np.random.default_rng(6), 3, 4, cplx)
+        ks = build_Q_kron(sys)
+        r3 = ks.R.reshape(12, 4, 3)
+        dtype = sys.A.mid.dtype
+        for c in (2.0**260, -0.5, 2.0**-3):
+            eye_m, eye_n = IMatrix(np.eye(3, dtype=dtype)), IMatrix(np.eye(4, dtype=dtype))
+            cm, cn = IMatrix(c * eye_m.mid), IMatrix(c * eye_n.mid)
+            for x, y, sx, sy in ((sys.A, eye_n, sys.A, cn), (eye_m, sys.B, cm, sys.B)):
+                mid, rad = baseline._kron_rows(r3, np.abs(r3), x, y)
+                smid, srad = baseline._kron_rows(r3, np.abs(r3), sx, sy)
+                assert np.array_equal(smid, c * mid) and np.array_equal(srad, abs(c) * rad)
+            mid, rad = baseline._kron_rows(r3, np.abs(r3), cm, cn)
+            assert rad is None and np.array_equal(mid, c * c * r3)
+
+    def test_scalar_factor_leaving_the_normal_range_takes_the_chain(self):
+        sys = _well_posed_system(np.random.default_rng(7), 3, 3)
+        r3 = build_Q_kron(sys).R.reshape(9, 3, 3)
+        # 3 is no power of two; 2^-1060 scales R below the normal range, and
+        # the pair's 2^-2120 to zero
+        for c in (3.0, 2.0**-1060):
+            cI = IMatrix(c * np.eye(3))
+            _, rad = baseline._kron_rows(r3, np.abs(r3), cI, cI)
+            assert rad is not None
+        assert baseline._scalar_factor(IMatrix(np.eye(3) * 2.0**-1060)) == 2.0**-1060
+        assert baseline._scalar_factor(IMatrix(np.eye(3) * 4.0, np.full((3, 3), 1e-9))) is None
+        assert baseline._scalar_factor(IMatrix(np.eye(3) * 2j)) is None
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_scalar_pair_bounds_the_entrywise_oracle(self, cplx):
+        rng = np.random.default_rng(51 + cplx)
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            base = _well_posed_system(rng, m, n, cplx)
+            for c in (0.25, 2.0**40):
+                sys = SylvesterSystem(
+                    A=base.A, B=base.B, C=IMatrix(c * np.eye(m)), D=IMatrix(c * np.eye(n)), F=base.F
+                )
+                R, got = _contraction_mag(sys)
+                want, scale = contraction_oracle(R, sys)
+                assert (got >= want).all(), (m, n, c)
+                assert (got - want <= 1e-12 * scale).all(), (m, n, c)
+
+    def test_ver_of_a_power_of_two_scaled_system_keeps_the_unscaled_bits(self):
+        # A..D times 2^260 and F times 2^520 leave every member solution as it is
+        sys = generate(GenSpec(family="kyc31", m=5, alpha=1e-6, seed=0))
+        s = 2.0**260
+        scaled = SylvesterSystem(
+            *(IMatrix(x.mid * s, x.rad * s) for x in (sys.A, sys.B, sys.C, sys.D)),
+            F=IMatrix(sys.F.mid * s * s, sys.F.rad * s * s),
+        )
+        got, ref = full_krawczyk_solve(scaled), full_krawczyk_solve(sys)
+        assert got.verified and ref.verified
+        assert np.array_equal(got.evaluated.mid, ref.evaluated.mid)
+        assert np.array_equal(got.evaluated.rad, ref.evaluated.rad)
+
     def test_R_is_c_ordered(self):
         sys = _well_posed_system(np.random.default_rng(2), 4, 3)
         R = build_Q_kron(sys).R
@@ -599,6 +657,109 @@ class TestResidualMembership:
         sys = generate(GenSpec(family="sylvester32", m=4, alpha=1e-4, seed=4))
         for x in sample_solutions(sys, n_samples=30, seed=5):
             assert residual_membership(sys, x)
+
+
+def _membership_reference(sys, x):
+    """``residual_membership`` of one point by interval operations: ``im_matmul``
+    raises on a non-finite product, the subtraction on a non-finite box, and
+    the boxes answer in order, the first rejection ending the call."""
+    xb = IMatrix(x)
+    lefts = (sys.A @ xb @ sys.B, sys.A @ (xb @ sys.B))
+    rights = (sys.C @ xb @ sys.D, sys.C @ (xb @ sys.D))
+    for left in lefts:
+        for right in rights:
+            box = sys.F - left - right
+            if not (np.abs(box.mid) * (1.0 - 4 * 2.0**-50) <= box.rad).all():
+                return False
+    return True
+
+
+def _outcome(call):
+    try:
+        return call()
+    except IntervalOverflowError:
+        return "overflow"
+
+
+class TestResidualMembershipOnPreparedOperands:
+    """One call prepares each operand once; it answers and raises as interval operations do."""
+
+    def test_one_call_prepares_each_coefficient_once_and_makes_eight_products(self, monkeypatch):
+        sys = _interval_system(np.random.default_rng(3), 4, 3, cplx=True)
+        x = sample_solutions(sys, n_samples=3, seed=4)
+        prepared, products, core = [], [0], baseline._product
+
+        class Counted(baseline._Operand):
+            __slots__ = ()
+
+            def __init__(self, mid, rad=None):
+                prepared.append(mid)
+                super().__init__(mid, rad)
+
+        def product(a, b):
+            products[0] += 1
+            return core(a, b)
+
+        def no_im_matmul(*args):
+            raise AssertionError("residual_membership called im_matmul")
+
+        monkeypatch.setattr(baseline, "_Operand", Counted)
+        monkeypatch.setattr(baseline, "_product", product)
+        monkeypatch.setattr(baseline, "im_matmul", no_im_matmul)
+        for arg in (x[0], np.stack(x)):
+            prepared.clear()
+            products[0] = 0
+            assert np.all(residual_membership(sys, arg))
+            assert products[0] == 8
+            # X, A, B, C and D once each, and the four inner products once each
+            assert len(prepared) == 9
+            for coeff in (sys.A, sys.B, sys.C, sys.D):
+                assert sum(mid is coeff.mid for mid in prepared) == 1
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_answers_are_those_of_interval_operations(self, cplx):
+        rng = np.random.default_rng(23 + cplx)
+        for m, n in ((1, 1), (3, 2), (5, 4)):
+            sys = _interval_system(rng, m, n, cplx=cplx, rad=1e-6)
+            members = sample_solutions(sys, n_samples=6, seed=m)
+            pts = members + [x + 1e-3 * rng.normal(size=x.shape) for x in members]
+            want = [_membership_reference(sys, x) for x in pts]
+            assert True in want and False in want
+            assert [residual_membership(sys, x) for x in pts] == want
+            assert residual_membership(sys, np.stack(pts)).tolist() == want
+
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "complex"])
+    def test_raises_where_interval_operations_raise(self, unit):
+        def system(a, b, f=0.0, c=1.0, d=1.0):
+            return SylvesterSystem(*(IMatrix(np.array([[v]]) * unit) for v in (a, b, c, d, f)))
+
+        one = np.array([[1.0]])
+        cases = [
+            # A X overflows and (A X) B = inf 0 is a NaN: every box is non-finite
+            (system(1e200, 0.0), one * 1e200),
+            # only A (X B) overflows; the first box, with (A X) B, rejects first
+            (system(1e-200, 1e200), one * 1e200),
+            # only (A X) B overflows; the boxes with it come first
+            (system(1e200, 1e-200), one * 1e200),
+            # finite products whose box sum overflows
+            (system(1.0, 1.0, f=-1e308), one * 1e308),
+            # a box that rejects before a later one could overflow: no error
+            (system(1.0, 1.0, f=5.0), one),
+            # a member: A X B + C X D = (2 3 + 1) unit^2 = F
+            (system(2.0, 3.0, f=7.0 * unit), one),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = []
+            for sys, x in cases:
+                want = _outcome(lambda: _membership_reference(sys, x))
+                assert _outcome(lambda: residual_membership(sys, x)) == want
+                outcomes.append(want)
+                # a stack raises when one of its samples raises alone
+                stack = np.stack([x, one * 0.5])
+                alone = [_outcome(lambda: _membership_reference(sys, y)) for y in stack]
+                got = _outcome(lambda: residual_membership(sys, stack).tolist())
+                assert got == ("overflow" if "overflow" in alone else alone), (sys, x)
+        assert outcomes == ["overflow", "overflow", "overflow", "overflow", False, True]
 
 
 class TestFullKrawczyk:

@@ -37,7 +37,7 @@ def test_verification_loop_returns_the_verified_flag_first():
     # the tracer counts verified outcomes from ``result[0]``
     M = IMatrix(np.zeros((1, 1)), np.array([[0.1]]))
     out = verification_loop(M, lambda x: IMatrix(np.zeros((1, 1)), 0.5 * x), kmax=15)
-    assert isinstance(out, tuple) and len(out) == 4
+    assert isinstance(out, tuple) and out[0] is out.verified
     assert out[0] is True
     out = verification_loop(M, lambda x: IMatrix(np.zeros((1, 1)), 2.0 * x), kmax=15)
     assert out[0] is False

@@ -24,7 +24,19 @@ from sylvenc import (
     rect_to_disks,
 )
 from sylvenc.errors import SingularPreconditionerError
-from sylvenc.intervals import ETA, _denominators, _quot, iv_recip_arrays, posmm
+from sylvenc.intervals import (
+    ETA,
+    _denominators,
+    _diagonal,
+    _dot,
+    _fold,
+    _Operand,
+    _prepare,
+    _product,
+    _quot,
+    iv_recip_arrays,
+    posmm,
+)
 
 from disk_oracle import Disk, iv_mul
 from exact_oracle import add, disk_in_disk, exact, in_disk, mul, recip, recip_image
@@ -407,6 +419,99 @@ def test_matmul_of_a_stack_is_bit_identical_per_matrix(dtype):
             ref = im_matmul(left, IMatrix(boxes.mid[i], boxes.rad[i]))
             assert np.array_equal(got.mid[i], ref.mid)
             assert np.array_equal(got.rad[i], ref.rad)
+
+
+def _unprepared_matmul(x, y):
+    """The per-call product kernel the prepared operands replaced, kept as the bit reference."""
+    k = x.mid.shape[-1]
+    nops = 2 * k + 8
+    dx, dy = _diagonal(x.mid), _diagonal(y.mid)
+    mid = _dot(x.mid, y.mid, dx, dy)
+    ax, ay = np.abs(x.mid), np.abs(y.mid)
+    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
+    ydiag = dy is not None and not y_rad
+    adx = None if dx is None else np.abs(dx)
+    ypad, split = _fold(ay, y.rad if y_rad else None, nops)
+    rad = np.zeros(mid.shape) if ypad is None else _dot(
+        ax, ypad, adx, ypad.diagonal() if ydiag else None)
+    if x_rad:
+        rad += _dot(x.rad, ay + y.rad if y_rad else ay, None, ay.diagonal() if ydiag else None)
+    rad *= 1.0 + nops * ETA
+    if split:
+        rad += _dot(ax, ay, adx, None if dy is None else ay.diagonal()) * (nops * ETA)
+    return mid, rad
+
+
+def _core_operands(rng, k, dtype):
+    """k x k operands of every kind the kernel tells apart, and (3, k, k) stacks."""
+
+    def mid(shape):
+        z = rng.normal(size=shape)
+        return z + 1j * rng.normal(size=shape) if dtype is np.complex128 else z
+
+    def rad(shape):
+        return np.abs(rng.normal(size=shape))
+
+    d = np.diag(np.diag(mid((k, k))))
+    split = mid((k, k))
+    split[0, 0] = 1e-310  # a subnormal |Ym| entry: c |Ym| falls below the normal range
+    ops = {
+        "dense": IMatrix(mid((k, k)), rad((k, k))),
+        "dense point": IMatrix(mid((k, k))),
+        "diagonal": IMatrix(d, rad((k, k))),
+        "diagonal point": IMatrix(d),
+        "scalar point": IMatrix(np.eye(k, dtype=dtype) * 2.5),
+        "subnormal": IMatrix(split, rad((k, k)) * (rng.uniform(size=(k, k)) < 0.5)),
+        "large": IMatrix(mid((k, k)) * 3.3e99),
+    }
+    stacks = {
+        "stack": IMatrix._from_kernel(mid((3, k, k)), rad((3, k, k))),
+        "point stack": IMatrix._from_kernel(mid((3, k, k)), np.zeros((3, k, k))),
+    }
+    return ops, stacks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_prepared_core_matches_the_unprepared_kernel_bit_for_bit(dtype):
+    rng = np.random.default_rng(11)
+    for k in (1, 4, 9):
+        ops, stacks = _core_operands(rng, k, dtype)
+        # each operand prepared once and reused in every product, on either side
+        prepared = {name: _prepare(x) for name, x in {**ops, **stacks}.items()}
+        pairs = [(a, b) for a in ops for b in ops]
+        pairs += [(a, b) for a in stacks for b in ops] + [(a, b) for a in ops for b in stacks]
+        for a, b in pairs:
+            x, y = {**ops, **stacks}[a], {**ops, **stacks}[b]
+            ref_mid, ref_rad = _unprepared_matmul(x, y)
+            got_mid, got_rad = _product(prepared[a], prepared[b])
+            assert np.array_equal(got_mid, ref_mid), (k, a, b)
+            assert np.array_equal(got_rad, ref_rad), (k, a, b)
+            wrapped = im_matmul(x, y)
+            assert np.array_equal(wrapped.mid, ref_mid) and np.array_equal(wrapped.rad, ref_rad)
+
+
+def test_prepared_core_split_pad_case_is_taken():
+    # the fold splits on the subnormal |Ym| entry beside a large |Xm|
+    x, y = IMatrix([[3.3e99, 1.0]]), IMatrix(np.array([[1e-310], [2.0]]), np.array([[0.0], [1.0]]))
+    yo = _prepare(y)
+    assert yo.fold(2 * 2 + 8)[1]
+    mid, rad = _product(_prepare(x), yo)
+    ref_mid, ref_rad = _unprepared_matmul(x, y)
+    assert np.array_equal(mid, ref_mid) and np.array_equal(rad, ref_rad)
+    assert rad[0, 0] >= 2 * 18 * ETA * 3.3e99 * 1e-310
+
+
+def test_prepared_operand_passes_through_im_matmul():
+    x = IMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), np.full((2, 2), 0.5))
+    xo = _prepare(x)
+    assert _prepare(xo) is xo
+    # a point operand keeps no zero radius array
+    assert _Operand(x.mid).rad is None and _prepare(as_imatrix(x.mid)).rad is None
+    got = im_matmul(xo, xo)
+    ref = im_matmul(x, x)
+    assert np.array_equal(got.mid, ref.mid) and np.array_equal(got.rad, ref.rad)
+    with np.errstate(over="ignore"), pytest.raises(IntervalOverflowError):
+        im_matmul(_Operand(np.array([[1e200]])), _Operand(np.array([[1e200]])))
 
 
 @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])

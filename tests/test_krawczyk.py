@@ -124,8 +124,8 @@ class TestVerificationLoop:
         def n_of(xrad):
             return IMatrix(np.zeros((1, 1)), 0.5 * xrad)
 
-        ok, X, H, k = verification_loop(M, n_of, kmax=15)
-        assert ok and k <= 6
+        ok, X, H, k, stop, ratio = verification_loop(M, n_of, kmax=15)
+        assert ok and k <= 6 and stop == "box" and ratio == 0.5
         # fixed point of r = (0.1 + e) + 0.5 r is below 0.25
         assert X.rad[0, 0] <= 0.25
 
@@ -136,8 +136,8 @@ class TestVerificationLoop:
             return IMatrix(np.zeros((1, 1)), 2.0 * xrad)
 
         # rad N(x) / x = 2 certifies at the first step that no box can pass
-        ok, X, H, k = verification_loop(M, n_of, kmax=7)
-        assert not ok and k == 1
+        ok, X, H, k, stop, ratio = verification_loop(M, n_of, kmax=7)
+        assert not ok and k == 1 and stop == "not_contracting" and ratio == 2.0
         assert (H.rad >= 2.0 * X.rad).all()
 
 
@@ -149,9 +149,10 @@ class TestVerificationLoop:
             calls[0] += 1
             return IMatrix(np.zeros((1, 1)), 0.999 * xrad)
 
-        ok, X, H, k = verification_loop(M, n_of, kmax=15)
+        ok, X, H, k, stop, ratio = verification_loop(M, n_of, kmax=15)
         # no entry grows, so no subset is tried
         assert not ok and k == 15 and calls[0] == 15
+        assert stop == "kmax" and ratio == 0.999
 
     def test_reducible_map_with_a_growing_entry_is_certified_on_its_subset(self):
         # ratios 2 and 0.5: the smallest is below 1, but the entry of ratio 2
@@ -163,8 +164,8 @@ class TestVerificationLoop:
             calls.append(xrad.copy())
             return IMatrix(np.zeros((1, 2)), xrad * np.array([[2.0, 0.5]]))
 
-        ok, X, H, k = verification_loop(M, n_of, kmax=9)
-        assert not ok and k == 1
+        ok, X, H, k, stop, ratio = verification_loop(M, n_of, kmax=9)
+        assert not ok and k == 1 and stop == "subset" and ratio == 2.0
         # one power step on S = {0}, with y zero off S
         assert len(calls) == 2 and calls[1][0, 1] == 0.0 and calls[1][0, 0] == X.rad[0, 0]
 
@@ -178,8 +179,8 @@ class TestVerificationLoop:
             calls.append(xrad.copy())
             return IMatrix(np.zeros((1, 2)), np.array([[2.0 * xrad[0, 1], 0.1 * xrad[0, 0]]]))
 
-        ok, X, H, k = verification_loop(M, n_of, kmax=15)
-        assert ok
+        ok, X, H, k, stop, _ = verification_loop(M, n_of, kmax=15)
+        assert ok and stop == "box"
         # the emptied subset cost one call, and the loop tried it once
         assert len(calls) == k + 1
         assert not calls[1][0, 1] and (H.rad < X.rad).all()
@@ -198,14 +199,14 @@ class TestVerificationLoop:
             return IMatrix(np.zeros((1, 6)), z)
 
         budget = krawczyk._SUBSET_EVALS
-        ok, X, H, k = verification_loop(M, n_of, kmax=40)
-        assert ok
+        ok, X, H, k, stop, _ = verification_loop(M, n_of, kmax=40)
+        assert ok and stop == "box"
         assert len(calls) == k + budget
         assert [np.count_nonzero(y) for y in calls[1 : 1 + budget]] == [5, 4, 3, 2]
 
         calls.clear()
-        ok, X, H, k = verification_loop(M, n_of, kmax=3)
-        assert not ok and k == 3
+        ok, X, H, k, stop, _ = verification_loop(M, n_of, kmax=3)
+        assert not ok and k == 3 and stop == "kmax"
         assert len(calls) == 3 + budget
 
     def test_no_subset_attempt_at_the_last_step(self):
@@ -216,8 +217,8 @@ class TestVerificationLoop:
             calls[0] += 1
             return IMatrix(np.zeros((1, 2)), xrad * np.array([[2.0, 0.5]]))
 
-        ok, X, H, k = verification_loop(M, n_of, kmax=1)
-        assert not ok and k == 1 and calls[0] == 1
+        ok, X, H, k, stop, _ = verification_loop(M, n_of, kmax=1)
+        assert not ok and k == 1 and calls[0] == 1 and stop == "kmax"
 
 
 def _reference_loop(M, n_of, kmax):
@@ -265,11 +266,14 @@ def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, mon
 
     def both(M, n_of, kmax):
         got = verification_loop(M, n_of, kmax)
-        ok, X, _, k = got
+        ok, X, _, k, stop, _ = got
         ref = _reference_loop(M, n_of, kmax)
         # the subset stop fired when the loop gave up early on a step whose
         # smallest ratio alone certifies nothing
         subset = not ok and k < ref[3] and (n_of(X.rad).rad / X.rad).min() < krawczyk._NOT_CONTRACTING
+        # the reported stop is the one the replay tells apart
+        assert (stop == "box") == ok and (stop == "subset") == subset
+        assert stop != "kmax" or k == max(kmax, 1)
         runs.append((got, ref, subset))
         return got
 
@@ -295,7 +299,7 @@ def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, mon
         except SingularPreconditionerError:
             continue
     assert runs
-    for (ok, X, H, k), (ref_ok, ref_X, ref_H, ref_k), _ in runs:
+    for (ok, X, H, k, _, _), (ref_ok, ref_X, ref_H, ref_k), _ in runs:
         assert ok == ref_ok
         if ok:
             assert k == ref_k
@@ -305,7 +309,7 @@ def test_certified_stop_keeps_every_outcome_of_the_kmax_loop(solver, family, mon
             assert 1 <= k <= ref_k
     if family != "jordan":
         # a stop fired, so the comparison covers it
-        assert any(not ok and k < ref[3] for (ok, _, _, k), ref, _ in runs)
+        assert any(not ok and k < ref[3] for (ok, _, _, k, _, _), ref, _ in runs)
     if subset_case:
         assert runs[-1][2] and runs[-1][0][3] == 1
 

@@ -50,7 +50,15 @@ def test_tool_runs(name):
             assert radsum == "-" or float(radsum) > 0.0, line
     if name == "loop_grid":
         (line,) = proc.stdout.splitlines()
-        assert re.search(r"verified=True stop=box +k=\d+ +calls=\d+ +ratio=- loop_ms=", line), line
+        assert re.search(
+            r"verified=True stop=box +k=\d+ +calls=\d+ +ratio=[0-9.e+-]+ loop_ms=", line
+        ), line
+    if name == "audit_grid":
+        (line,) = proc.stdout.splitlines()
+        costs = re.search(
+            r"rm_us=(\S+) rm_stack_us=(\S+) cp_us=(\S+) cp_stack_us=(\S+)", line
+        )
+        assert costs and all(float(v) > 0 for v in costs.groups()), line
 
 
 def _against(tmp_path, *lines):

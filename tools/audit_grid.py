@@ -1,4 +1,4 @@
-"""Print, per grid cell, what the batched audit sampler costs and how close it lands.
+"""Print, per grid cell, what the audit layer costs per member and how close it lands.
 
 The default grid is the three families x m in {8, 32, 200} x alpha in
 {1e-6, 1e-2}, generator seed 0, with 200, 40 and 10 sampled members at
@@ -13,7 +13,12 @@ member at a time by ``point_solve``.  One line per cell:
 * ``sweeps``: the refinement sweeps run (the largest over the chunks);
 * ``fallbacks``: the members handed back to ``point_solve``;
 * ``dev``: the largest relative deviation ``max|X - X_ref| / max|X_ref|``
-  of a batched solution from the member's ``point_solve`` solution.
+  of a batched solution from the member's ``point_solve`` solution;
+* ``rm_us`` and ``rm_stack_us``: the clock time per member of
+  ``residual_membership``, called once per member and once on the stack of
+  all members (microseconds, best of three passes);
+* ``cp_us`` and ``cp_stack_us``: the same for ``IMatrix.contains_point`` on
+  the members' hull.
 
 Set the BLAS thread count in the environment for stable timings; from the
 repository root::
@@ -34,7 +39,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sylvenc import FAMILIES, GenSpec, generate, point_solve, sample_solutions  # noqa: E402
+from sylvenc import (  # noqa: E402
+    FAMILIES,
+    GenSpec,
+    IMatrix,
+    generate,
+    point_solve,
+    residual_membership,
+    sample_solutions,
+)
 from sylvenc.baseline import (  # noqa: E402
     _member_chunks,
     _midpoint_solver,
@@ -86,7 +99,36 @@ def cell(family: str, m: int, alpha: float, seed: int, samples: int) -> str:
     kept = "" if len(got) == len(ref) == samples else f" kept={len(got)}/{len(ref)}"
     return (
         f"{label} batched_s={batched_s:.4f} per_member_s={per_member_s:.4f} "
-        f"sweeps={sweeps} fallbacks={fallbacks} dev={dev:.1e}{kept}"
+        f"sweeps={sweeps} fallbacks={fallbacks} dev={dev:.1e} {_check_costs(sys_, got)}{kept}"
+    )
+
+
+def _per_member_us(check, members: list[np.ndarray], stack: np.ndarray) -> tuple[float, float]:
+    """Best-of-three microseconds per member of ``check``: one call each, and one stacked call."""
+    one = stacked = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for x in members:
+            check(x)
+        t1 = time.perf_counter()
+        check(stack)
+        t2 = time.perf_counter()
+        one, stacked = min(one, t1 - t0), min(stacked, t2 - t1)
+    return 1e6 * one / len(members), 1e6 * stacked / len(members)
+
+
+def _check_costs(sys_, members: list[np.ndarray]) -> str:
+    """The per-member cost columns of the two membership checks."""
+    if not members:
+        return "rm_us=- rm_stack_us=- cp_us=- cp_stack_us=-"
+    stack = np.stack(members)
+    centre = 0.5 * (stack.max(axis=0) + stack.min(axis=0))
+    # twice the spread, so that no member falls outside by rounding
+    hull = IMatrix(centre, 2.0 * np.abs(stack - centre).max(axis=0))
+    rm = _per_member_us(lambda x: residual_membership(sys_, x), members, stack)
+    cp = _per_member_us(hull.contains_point, members, stack)
+    return (
+        f"rm_us={rm[0]:.1f} rm_stack_us={rm[1]:.1f} cp_us={cp[0]:.1f} cp_stack_us={cp[1]:.1f}"
     )
 
 

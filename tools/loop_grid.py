@@ -4,16 +4,18 @@ A cell is ``family:m:seed`` (alpha 1e-6, n = m).  The default cells are
 the failures whose growth sits on a principal subset (kyc31 m = 200 seed 6,
 m = 400 seed 2 and m = 800 seed 0), the slowly contracting sylvester32
 m = 800 seed 0, and the verified m = 400 seed 0 systems of the three
-families as controls.  One line per cell:
+families as controls.  The script forms mkw's ``M`` and runs
+``krawczyk.verification_loop`` on it with mkw's contraction term, and prints
+what the loop's result reports.  One line per cell:
 
 * ``verified``: whether the loop verified;
-* ``stop``: why it ended: ``box`` (a box verified), ``all`` (every ratio
-  ``rad N(x) / x`` reached ``1 + 2**-10``), ``subset`` (the principal-subset
-  certificate) or ``kmax``;
+* ``stop``: why it ended: ``box`` (a box verified), ``not_contracting``
+  (every ratio ``rad N(x) / x`` reached ``1 + 2**-10``), ``subset`` (the
+  principal-subset certificate) or ``kmax``;
 * ``k``: the iteration count the enclosure reports;
 * ``calls``: the calls of the contraction term ``n_of``, the subset's
   power steps included;
-* ``ratio``: the ratio that certified the failure (``-`` when none did);
+* ``ratio``: the largest ratio ``rad N(x) / x`` of the last step;
 * ``loop_ms``: the clock time of the loop, ``M`` and the preconditioning
   excluded.
 
@@ -33,7 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sylvenc import GenSpec, generate, krawczyk, mkw_solve  # noqa: E402
+from sylvenc import GenSpec, generate, transform_enclose  # noqa: E402
+from sylvenc.krawczyk import KMAX_DEFAULT, compute_M, compute_N, verification_loop  # noqa: E402
 
 CELLS = (
     "kyc31:200:6,kyc31:400:2,kyc31:800:0,sylvester32:800:0,"
@@ -42,44 +45,22 @@ CELLS = (
 
 
 def cell(family: str, m: int, seed: int) -> str:
-    sys_ = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=seed))
-    loop, certificate = krawczyk.verification_loop, krawczyk._subset_certificate
-    rec = {"calls": 0, "subset": None}
+    ps = transform_enclose(generate(GenSpec(family=family, m=m, alpha=1e-6, seed=seed)))
+    # mkw's approximate solution and residual on its diagonal system
+    M = compute_M(ps, ps.Fp.mid / ps.den.mid)
+    calls = 0
 
-    def subset(n_of, xrad, ratio):
-        rec["subset"] = certificate(n_of, xrad, ratio)
-        return rec["subset"]
+    def n_of(xrad):
+        nonlocal calls
+        calls += 1
+        return compute_N(ps, xrad)
 
-    def timed(M, n_of, kmax):
-        def counted(xrad):
-            rec["calls"] += 1
-            rec["last"] = (xrad, n_of(xrad))
-            return rec["last"][1]
-
-        t0 = time.perf_counter()
-        out = loop(M, counted, kmax)
-        rec["ms"] = 1e3 * (time.perf_counter() - t0)
-        rec["kmax"] = kmax
-        return out
-
-    krawczyk.verification_loop, krawczyk._subset_certificate = timed, subset
-    try:
-        enc = mkw_solve(sys_)
-    finally:
-        krawczyk.verification_loop, krawczyk._subset_certificate = loop, certificate
-    ratio = "-"
-    if enc.verified:
-        stop = "box"
-    elif rec["subset"] is not None:
-        stop, ratio = "subset", f"{rec['subset']:.4f}"
-    elif enc.iterations < rec["kmax"]:
-        xrad, N = rec["last"]
-        stop, ratio = "all", f"{(N.rad / xrad).min():.4f}"
-    else:
-        stop = "kmax"
+    t0 = time.perf_counter()
+    loop = verification_loop(M, n_of, KMAX_DEFAULT)
+    ms = 1e3 * (time.perf_counter() - t0)
     return (
-        f"{family:<12} m={m:<4} seed={seed} verified={enc.verified} stop={stop:<6} "
-        f"k={enc.iterations:<2} calls={rec['calls']:<2} ratio={ratio} loop_ms={rec['ms']:.1f}"
+        f"{family:<12} m={m:<4} seed={seed} verified={loop.verified} stop={loop.stop:<15} "
+        f"k={loop.iterations:<2} calls={calls:<2} ratio={loop.ratio:.4g} loop_ms={ms:.1f}"
     )
 
 
