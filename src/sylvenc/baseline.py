@@ -31,7 +31,11 @@ The audit layer checks enclosures against members of the interval system:
   members whose sweeps do not converge;
 * a certified necessary condition for membership of a point matrix in the
   united solution set (``residual_membership``), for one matrix or a stack
-  of them.
+  of them.  Its residual boxes are those of interval operations, except
+  that a product by a point scalar coefficient ``c I`` with ``c`` a power
+  of two is the exact scaling by ``c`` (the rule ``ver`` uses for its
+  contraction), so the identity coefficients of ``A X B + X = F`` and
+  ``A X + X B = F`` cost no product.
 """
 
 from __future__ import annotations
@@ -85,9 +89,12 @@ _KRON_MAX_UNKNOWNS = 225
 VERTEX_ENUM_LIMIT = 12
 # sample_solutions: bytes the members of one chunk may hold (256 MiB); the
 # relative error below which a member's refinement sweeps stop; and the sweeps
-# a member may take before it falls back to point_solve
+# a member may take before it falls back to point_solve.  The error bound is
+# 2**-48: residual_membership's exact scalar products leave no pad for a
+# member solution's own error, and at 2**-46 vertex members of sylvester32
+# (m = 2, alpha = 1e-2) fell outside their residual boxes by about 5e-15
 _SAMPLE_BYTES = 2**28
-_CONVERGED = 2.0**-46
+_CONVERGED = 2.0**-48
 _MAX_SWEEPS = 12
 
 
@@ -661,10 +668,16 @@ def residual_membership(
 
     Evaluates ``F - A X B - C X D`` over all four association orders of the
     two products; a genuine member solution passes every variant, so a False
-    answer rigorously excludes ``X`` from the united solution set.  The
-    residual boxes are bit for bit those of interval subtraction
-    ``F - left - right``; a non-finite one raises
-    :class:`IntervalOverflowError`.
+    answer rigorously excludes ``X`` from the united solution set.  A point
+    scalar coefficient ``c I`` with ``c`` a power of two is applied as the
+    exact scaling it is, with no product and no pad (see
+    :func:`_pair_products`): the orders it separated coincide, and one box
+    is formed per distinct pair of products, four for general coefficients,
+    two when ``C = D = I``, one when ``B = C = I``.  Such a box has the
+    midpoint of the interval operations' box and a radius no larger, so a
+    True answer is theirs as well; without such a coefficient the boxes are
+    bit for bit those of interval subtraction ``F - left - right``.  A
+    non-finite box raises :class:`IntervalOverflowError`.
 
     A ``(k, m, n)`` stack of samples gives a boolean array, one answer per
     sample: the stack runs through the same products (see
@@ -709,55 +722,117 @@ def residual_membership(
     return alive
 
 
-def _check_finite(products: list[tuple[np.ndarray, np.ndarray]]) -> None:
+def _check_finite(products: tuple[list[tuple[np.ndarray, np.ndarray]], ...]) -> None:
     """:class:`IntervalOverflowError` unless every midpoint and radius of ``products`` is finite."""
-    for mid, rad in products:
+    for mid, rad in itertools.chain(*products):
         if not (np.isfinite(mid).all() and np.isfinite(rad).all()):
             raise IntervalOverflowError("interval overflow")
 
 
-def _residual_products(sys: SylvesterSystem, xb: IMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Midpoints and radii of ``(A X) B``, ``A (X B)``, ``(C X) D`` and ``C (X D)``, unchecked.
+def _residual_products(
+    sys: SylvesterSystem, xb: IMatrix
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]]:
+    """The distinct products of ``A X B`` and of ``C X D``, unchecked: one list per pair.
 
-    ``X`` and each coefficient are prepared once and enter the eight
-    products through the kernel of :func:`~sylvenc.intervals.im_matmul`
-    (:func:`~sylvenc.intervals._product`), with no IMatrix between them, so
-    each product has ``im_matmul``'s bits.  A non-finite entry of an inner
-    product (``A X``, say) enters the outer one through every entry of its
-    row or column, and an IEEE operation on an infinity or a NaN gives one
-    again: the outer products are non-finite wherever ``im_matmul`` would
-    have raised.  ``xb`` may hold a stack of samples.
+    ``X`` is prepared once and enters each product through the kernel of
+    :func:`~sylvenc.intervals.im_matmul` (:func:`~sylvenc.intervals._product`)
+    with no IMatrix between them; :func:`_pair_products` gives each pair's
+    one or two products.  ``xb`` may hold a stack of samples.
     """
     x = _Operand(xb.mid, xb.rad)
-    products = []
-    for t, u in ((sys.A, sys.B), (sys.C, sys.D)):
-        t, u = _Operand(t.mid, t.rad), _Operand(u.mid, u.rad)
-        products.append(_product(_Operand(*_product(t, x)), u))
-        products.append(_product(t, _Operand(*_product(x, u))))
-    return products
+    return _pair_products(sys.A, sys.B, x, xb), _pair_products(sys.C, sys.D, x, xb)
+
+
+def _pair_products(
+    t: IMatrix, u: IMatrix, x: _Operand, xb: IMatrix
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Midpoints and radii of ``t X u`` over both association orders: one product, or two.
+
+    A point scalar factor ``c I`` with ``c`` a power of two
+    (:func:`_scalar_factor`, ver's rule) is exact while no scaled entry
+    leaves the normal range (:func:`_scaled`), and then the two orders are
+    one product: ``c_t c_u X`` for a pair of such factors, with no core
+    product, and ``c`` times the one core product ``t X`` or ``X u`` for one
+    of them.  Otherwise both chains ``(t X) u`` and ``t (X u)`` are formed,
+    with ``im_matmul``'s bits.  On a stack the exact scaling is kept for
+    every sample it holds for (:func:`_splice`), so each sample gets the
+    products of the call on it alone.
+
+    A non-finite entry of an inner product (``t X``, say) enters the outer
+    one through every entry of its row or column, and an IEEE operation on an
+    infinity or a NaN gives one again; an exact scaling keeps it too.  So the
+    products returned are non-finite wherever ``im_matmul`` would have
+    raised on one the chains form.
+    """
+    ct, cu = _scalar_factor(t), _scalar_factor(u)
+    t_op = None if ct is not None else _Operand(t.mid, t.rad)
+    u_op = None if cu is not None else _Operand(u.mid, u.rad)
+    # the inner products t X and X u, kept for the chains; core is the product c scales
+    tx = xu = core = None
+    if ct is not None and cu is not None:
+        c, core = ct * cu, (xb.mid, xb.rad)
+    elif cu is not None:
+        c, core = cu, _product(t_op, x)
+        tx = core
+    elif ct is not None:
+        c, core = ct, _product(x, u_op)
+        xu = core
+    if core is not None:
+        exact = _scaled(c, *core)
+        if exact is not None:
+            return [exact]
+    if t_op is None:
+        t_op = _Operand(t.mid, t.rad)
+    if u_op is None:
+        u_op = _Operand(u.mid, u.rad)
+    chains = [
+        _product(_Operand(*(_product(t_op, x) if tx is None else tx)), u_op),
+        _product(t_op, _Operand(*(_product(x, u_op) if xu is None else xu))),
+    ]
+    if core is not None and core[0].ndim == 3:
+        _splice(c, core, chains)
+    return chains
+
+
+def _splice(
+    c: float, core: tuple[np.ndarray, np.ndarray], chains: list[tuple[np.ndarray, np.ndarray]]
+) -> None:
+    """Write ``c`` times ``core`` into both chains on each sample of a stack where it is exact.
+
+    The whole stack's scaling was refused, so some sample left the normal
+    range; the others take the product their call alone takes.
+    """
+    mid, rad = core
+    for i in range(len(mid)):
+        exact = _scaled(c, mid[i], rad[i])
+        if exact is not None:
+            for chain_mid, chain_rad in chains:
+                chain_mid[i], chain_rad[i] = exact
 
 
 def _residual_boxes(sys: SylvesterSystem, xb: IMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``|mid|`` and radius of the four boxes ``F - left - right`` of ``X``, one by one.
+    """``|mid|`` and radius of the boxes ``F - left - right`` of ``X``, one by one.
 
-    ``left`` and ``right`` run over both association orders of ``A X B``
-    and ``C X D``; ``xb`` may hold a stack of samples.  The boxes of
-    :func:`residual_membership`, which keeps the products as well.
+    ``left`` and ``right`` run over the distinct products of ``A X B`` and
+    ``C X D`` (:func:`_residual_products`); ``xb`` may hold a stack of
+    samples.  The boxes of :func:`residual_membership`, which keeps the
+    products as well.
     """
     return _boxes(sys.F, _residual_products(sys, xb))
 
 
 def _boxes(
-    F: IMatrix, products: list[tuple[np.ndarray, np.ndarray]]
+    F: IMatrix,
+    products: tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The boxes ``F - left - right`` of the four products of :func:`_residual_products`."""
-    axb_l, axb_r, cxd_l, cxd_r = products
+    """The boxes ``F - left - right``, one per distinct pair of :func:`_residual_products`."""
+    lefts, rights = products
     # interval subtraction's operations and pad rule, F - left formed once per
     # left and no IMatrix per box; the product by -1.0 is the one subtraction
     # uses, so even the signs of zero midpoints match.  A (2, 2, m, n) broadcast
     # of the four boxes was slower at m = 400, where its temporaries leave cache.
-    neg_right = [(-1.0 * rmid, rrad) for rmid, rrad in (cxd_l, cxd_r)]
-    for left_mid, left_rad in (axb_l, axb_r):
+    neg_right = [(-1.0 * rmid, rrad) for rmid, rrad in rights]
+    for left_mid, left_rad in lefts:
         lmid = F.mid + -1.0 * left_mid
         lrad = F.rad + left_rad
         _pad_rad(lrad, np.abs(lmid), out=lrad)

@@ -1,6 +1,8 @@
 """Dense Kronecker reference solver and sampling oracles."""
 
+import functools
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -33,6 +35,9 @@ from sylvenc.baseline import (
 )
 
 from disk_oracle import Disk, contraction_oracle, iv_mul
+from exact_oracle import add as exact_add
+from exact_oracle import exact, in_disk
+from exact_oracle import mul as exact_mul
 
 
 def _scalar_system():
@@ -685,6 +690,8 @@ class TestResidualMembershipOnPreparedOperands:
     """One call prepares each operand once; it answers and raises as interval operations do."""
 
     def test_one_call_prepares_each_coefficient_once_and_makes_eight_products(self, monkeypatch):
+        # no coefficient is an exact scalar, so both chains of both pairs are formed;
+        # TestExactScalarResiduals counts the products of the scalar layouts
         sys = _interval_system(np.random.default_rng(3), 4, 3, cplx=True)
         x = sample_solutions(sys, n_samples=3, seed=4)
         prepared, products, core = [], [0], baseline._product
@@ -760,6 +767,233 @@ class TestResidualMembershipOnPreparedOperands:
                 got = _outcome(lambda: residual_membership(sys, stack).tolist())
                 assert got == ("overflow" if "overflow" in alone else alone), (sys, x)
         assert outcomes == ["overflow", "overflow", "overflow", "overflow", False, True]
+
+
+def _chain_boxes(sys, x):
+    """The four boxes ``F - left - right`` by interval operations, both chains of each pair.
+
+    The residual boxes ``residual_membership`` formed before exact scalar
+    coefficients skipped their products: ``|mid|`` and radius per box.
+    """
+    xb = IMatrix(x)
+    lefts = (sys.A @ xb @ sys.B, sys.A @ (xb @ sys.B))
+    rights = (sys.C @ xb @ sys.D, sys.C @ (xb @ sys.D))
+    return [
+        (np.abs(box.mid), box.rad)
+        for box in (sys.F - left - right for left in lefts for right in rights)
+    ]
+
+
+# scalar coefficients: exact powers of two (the identity and its negative
+# among them), one that is not a power of two, and a dense matrix (None)
+_SCALARS = (1.0, 8.0, 0.125, -1.0, 3.0, None)
+
+
+def _scalar_pair_system(rng, m, n, c, d, cplx=False, rad=1e-6, a=None, b=None):
+    """An interval system whose C (D) is the point ``c I`` (``d I``), or random for None."""
+
+    def draw(r, k):
+        return rng.normal(size=(r, k)) + (1j * rng.normal(size=(r, k)) if cplx else 0.0)
+
+    def box(mid):
+        return IMatrix(mid, rad * rng.uniform(size=mid.shape) * np.abs(mid))
+
+    def coeff(scalar, k):
+        return box(draw(k, k)) if scalar is None else IMatrix(scalar * np.eye(k))
+
+    A = coeff(a, m) if a is not None else box(3.0 * np.eye(m) + draw(m, m))
+    B = coeff(b, n) if b is not None else box(2.0 * np.eye(n) + draw(n, n))
+    return SylvesterSystem(A=A, B=B, C=coeff(c, m), D=coeff(d, n), F=box(draw(m, n)))
+
+
+def _exact(s):
+    return s is not None and s in (1.0, 8.0, 0.125, -1.0)
+
+
+class TestExactScalarResiduals:
+    """Point scalar coefficients ``c I``, ``c = +-2^e``, are exact scalings in the audit."""
+
+    @staticmethod
+    def _boxes(sys, x):
+        return [(a.copy(), r.copy()) for a, r in baseline._residual_boxes(sys, IMatrix(x))]
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_boxes_shrink_and_true_implies_the_chains_true(self, cplx):
+        rng = np.random.default_rng(41 + cplx)
+        seen = set()
+        for trial in range(24):
+            c, d = (_SCALARS[i] for i in rng.integers(len(_SCALARS), size=2))
+            sys = _scalar_pair_system(rng, 4, 3, c, d, cplx=cplx, rad=1e-4)
+            members = sample_solutions(sys, n_samples=4, seed=trial)
+            pts = members + [x + 1e-4 * rng.normal(size=x.shape) for x in members]
+            for x in pts:
+                got, ref = self._boxes(sys, x), _chain_boxes(sys, x)
+                # every chain box has a box of the same midpoint and no larger radius
+                for amid, rad in ref:
+                    assert any(
+                        np.array_equal(g_amid, amid) and (g_rad <= rad).all()
+                        for g_amid, g_rad in got
+                    ), (c, d)
+                if not (_exact(c) or _exact(d)):
+                    assert all(
+                        np.array_equal(ga, ra) and np.array_equal(gr, rr)
+                        for (ga, gr), (ra, rr) in zip(got, ref)
+                    ) and len(got) == 4
+                answer = residual_membership(sys, x)
+                want = _membership_reference(sys, x)
+                assert not answer or want
+                seen.add((answer, want))
+            assert residual_membership(sys, np.stack(pts)).tolist() == [
+                residual_membership(sys, x) for x in pts
+            ]
+        assert {(True, True), (False, False)} <= seen
+
+    @pytest.mark.parametrize("layout, boxes", [
+        ((None, None, None, None), 4),  # gallery33
+        ((None, None, 1.0, 1.0), 2),  # kyc31: C = D = I
+        ((None, 1.0, 1.0, None), 1),  # sylvester32: B = C = I
+        ((0.5, 4.0, -1.0, 1.0), 1),
+    ])
+    def test_one_box_per_distinct_pair_of_products(self, layout, boxes):
+        a, b, c, d = layout
+        sys = _scalar_pair_system(np.random.default_rng(43), 3, 2, c, d, a=a, b=b)
+        x = np.random.default_rng(44).normal(size=(3, 2))
+        assert len(self._boxes(sys, x)) == boxes
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_exact_member_solutions_always_pass(self, cplx):
+        # X and the member coefficients are chosen first and F_k = A_k X B_k + C_k X D_k
+        # formed exactly, so X solves a member exactly; its F disk is widened to hold F_k
+        rng = np.random.default_rng(45 + cplx)
+        unit = 1j if cplx else 0.0
+        for trial in range(40):
+            m, n = (int(v) for v in rng.integers(1, 4, size=2))
+            c, d = (_SCALARS[i] for i in rng.integers(len(_SCALARS), size=2))
+            base = _scalar_pair_system(rng, m, n, c, d, cplx=cplx, rad=2.0**-10)
+            x = np.round(rng.normal(size=(m, n)) * 64) / 64
+            x = x + unit * np.round(rng.normal(size=(m, n)) * 64) / 64
+            # a vertex member: mid + s rad for a real sign s, entry by entry and exactly
+            A, B, C, D = (
+                _exact_mat_add(
+                    _exact_entries(mat.mid),
+                    _exact_entries(rng.choice((-1.0, 1.0), size=mat.shape) * mat.rad),
+                )
+                for mat in (base.A, base.B, base.C, base.D)
+            )
+            xe = _exact_entries(x)
+            f = _exact_mat_add(
+                _exact_matmul(_exact_matmul(A, xe), B), _exact_matmul(_exact_matmul(C, xe), D)
+            )
+            fmid = np.array([[complex(float(v[0]), float(v[1])) for v in row] for row in f])
+            if not cplx:
+                fmid = fmid.real
+            frad = np.zeros((m, n))
+            for i in range(m):
+                for j in range(n):
+                    r = float(base.F.rad[i, j])
+                    while not in_disk(f[i][j], fmid[i, j], r):
+                        r = math.nextafter(2.0 * r + 2.0**-1074, math.inf)
+                    frad[i, j] = r
+            sys = SylvesterSystem(A=base.A, B=base.B, C=base.C, D=base.D, F=IMatrix(fmid, frad))
+            assert residual_membership(sys, x), (trial, c, d)
+            assert residual_membership(sys, x[None]).tolist() == [True]
+
+    @pytest.mark.parametrize("layout, products, prepared", [
+        ((None, None, 1.0, 1.0), 4, 5),  # X, A, B and the two inner products of the (A, B) chains
+        ((None, 1.0, 1.0, None), 2, 3),  # X, A and D: one core product per pair
+        ((None, None, 8.0, -1.0), 4, 5),
+        ((1.0, 1.0, 1.0, 1.0), 0, 1),  # X alone
+    ])
+    def test_scalar_pairs_make_no_product_or_one(self, monkeypatch, layout, products, prepared):
+        a, b, c, d = layout
+        sys = _scalar_pair_system(np.random.default_rng(47), 4, 3, c, d, a=a, b=b, rad=1e-4)
+        x = sample_solutions(sys, n_samples=3, seed=4)
+        want = [residual_membership(sys, y) for y in x]
+        made, prep = [0], []
+        core, operand = baseline._product, baseline._Operand
+
+        class Counted(operand):
+            __slots__ = ()
+
+            def __init__(self, mid, rad=None):
+                prep.append(mid)
+                super().__init__(mid, rad)
+
+        def product(u, v):
+            made[0] += 1
+            return core(u, v)
+
+        monkeypatch.setattr(baseline, "_Operand", Counted)
+        monkeypatch.setattr(baseline, "_product", product)
+        for arg, single in ((x[0], True), (np.stack(x), False)):
+            made[0], prep[:] = 0, []
+            got = residual_membership(sys, arg)
+            assert (got if single else got.tolist()) == (want[0] if single else want)
+            assert made[0] == products and len(prep) == prepared
+
+    @pytest.mark.parametrize("case", ["pair-overflows", "pair-underflows", "one-underflows"])
+    def test_scalings_leaving_the_normal_range_take_the_chains(self, case):
+        rng = np.random.default_rng(49)
+        m, n = 3, 2
+        if case == "one-underflows":
+            # (A, 2^-600 I): A X near 2^-500 scales below the normal range
+            sys = _scalar_pair_system(rng, m, n, None, None, b=2.0**-600)
+            x = 2.0**-500 * rng.normal(size=(m, n))
+        else:
+            # c_C c_D = 2^(+-1200) leaves the range even where C X D does not
+            e = 600 if case == "pair-overflows" else -600
+            sys = _scalar_pair_system(rng, m, n, 2.0**e, 2.0**e)
+            x = 2.0 ** (-e - 100 if e > 0 else -e + 100) * rng.normal(size=(m, n))
+        got, ref = self._boxes(sys, x), _chain_boxes(sys, x)
+        assert len(got) == 4 and all(
+            np.array_equal(ga, ra) and np.array_equal(gr, rr)
+            for (ga, gr), (ra, rr) in zip(got, ref)
+        )
+
+    def test_stack_keeps_each_samples_route(self):
+        # A X B + C X D = F with B = 2^-600 I and D, F scaled by 2^-600: the solutions
+        # of B = I.  One sample's A X scales below the normal range, the others' do not:
+        # each sample's products, and its answer, are those of the call on it alone
+        rng = np.random.default_rng(51)
+        base = _scalar_pair_system(rng, 3, 2, None, None, b=1.0)
+        s = 2.0**-600
+        sys = SylvesterSystem(
+            A=base.A, B=IMatrix(s * base.B.mid), C=base.C,
+            D=IMatrix(s * base.D.mid, s * base.D.rad), F=IMatrix(s * base.F.mid, s * base.F.rad),
+        )
+        member = sample_solutions(base, n_samples=1, seed=1)[0]
+        pts = [member, 2.0**-500 * rng.normal(size=member.shape), member + 1e-3]
+        stack = np.stack(pts)
+        assert residual_membership(sys, stack).tolist() == [
+            residual_membership(sys, x) for x in pts
+        ] == [True, False, False]
+        stacked = baseline._residual_products(sys, IMatrix._from_kernel(stack, np.zeros(stack.shape)))
+        for i, x in enumerate(pts):
+            alone = baseline._residual_products(sys, IMatrix(x))
+            assert len(alone[0]) == (2 if i == 1 else 1)
+            for got, want in zip(stacked, alone):
+                assert all(
+                    any(np.array_equal(mid[i], wm) and np.array_equal(rad[i], wr) for wm, wr in want)
+                    for mid, rad in got
+                )
+
+
+def _exact_entries(a):
+    return [[exact(v) for v in row] for row in a]
+
+
+def _exact_matmul(a, b):
+    return [
+        [
+            functools.reduce(exact_add, (exact_mul(a[i][k], b[k][j]) for k in range(len(b))))
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+
+
+def _exact_mat_add(a, b):
+    return [[exact_add(u, v) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 class TestFullKrawczyk:
