@@ -23,25 +23,23 @@ and blk's.
 The audit layer checks enclosures against members of the interval system:
 
 * floating-point solutions of member point systems (``point_solve``,
-  ``sample_solutions``): on the Kronecker form for small ``m n`` only, and
-  above that by the QZ-based generalized Bartels-Stewart method in cubic
-  time and quadratic memory.  ``sample_solutions`` factors the midpoint
-  operator once and solves the sampled members together by refinement
-  sweeps on it, in chunks of bounded memory; ``point_solve`` takes the
-  members whose sweeps do not converge;
+  ``sample_solutions``) on one factorization of the operator: the
+  Kronecker LU for small ``m n`` only, above that the QZ-based generalized
+  Bartels-Stewart method in cubic time and quadratic memory.
+  ``sample_solutions`` factors the midpoint operator once and solves the
+  sampled members together by refinement sweeps on it, in chunks of bounded
+  memory; ``point_solve`` takes the members whose sweeps do not converge;
 * a certified necessary condition for membership of a point matrix in the
   united solution set (``residual_membership``), for one matrix or a stack
-  of them.  Its residual boxes are those of interval operations, except
-  that a product by a point scalar coefficient ``c I`` with ``c`` a power
-  of two is the exact scaling by ``c`` (the rule ``ver`` uses for its
-  contraction), so the identity coefficients of ``A X B + X = F`` and
-  ``A X + X B = F`` cost no product.
+  of them.  Its residual boxes are those of interval operations, where a
+  product by a point scalar ``c I``, ``c`` a power of two, is exact: the
+  identity coefficients of ``A X B + X = F`` and ``A X + X B = F`` cost no
+  product and need one association order.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -53,7 +51,6 @@ from scipy.linalg.lapack import ztrtrs as _trtrs
 from .errors import IntervalOverflowError, SingularMatrixError, SizeCapError
 from .intervals import (
     IMatrix,
-    _diagonal,
     _dot_ops,
     _down,
     _fold,
@@ -62,6 +59,7 @@ from .intervals import (
     _Operand,
     _pad_rad,
     _product,
+    _scaled,
     _slack,
     _up,
     as_imatrix,
@@ -158,13 +156,14 @@ def _kron_rows(
     the radius's own products and sums.  The products with a zero radius
     are skipped.
 
-    A point scalar factor ``c I`` with ``c`` a power of two
-    (:func:`_scalar_factor`; the identity is ``c = 1``) is exact: the row is
-    ``c`` times the one product ``r3[r] x`` or ``y r3[r]``, which takes
-    ``im_matmul``'s rule of one product, with no product by the factor and
-    no count for it in the pad; a pair of them gives the point ``c R``, and
-    the radius returned is None.  This holds while no scaled entry leaves
-    the normal range (:func:`_scaled`); otherwise the row takes the chain.
+    A point scalar factor ``c I`` with ``c`` a power of two (the
+    ``scale`` of :class:`~sylvenc.intervals._Operand`; the identity is ``c =
+    1``) is exact: the row is ``c`` times the one product ``r3[r] x`` or ``y
+    r3[r]``, which takes ``im_matmul``'s rule of one product, with no product
+    by the factor and no count for it in the pad; a pair of them gives the
+    point ``c R``, and the radius returned is None.  This holds while no
+    scaled entry leaves the normal range (:func:`~sylvenc.intervals._scaled`);
+    otherwise the rows take the chain.
     """
     mn, n, m = r3.shape
 
@@ -176,16 +175,16 @@ def _kron_rows(
         # t times every matrix of the stack
         return _mm(t, stack)
 
-    cx, cy = _scalar_factor(x), _scalar_factor(y)
-    exact = None
+    cx, cy = (_Operand(t.mid, t.rad).scale for t in (x, y))
+    scaled = None
     if cx is not None and cy is not None:
-        exact = _scaled(cx * cy, r3, None)
+        scaled = _scaled(cx * cy, r3, None)
     elif cy is not None:
-        exact = _scaled(cy, *_point_product(rows, r3, r3abs, x, _dot_ops(m)))
+        scaled = _scaled(cy, *_point_product(rows, r3, r3abs, x, _dot_ops(m)))
     elif cx is not None:
-        exact = _scaled(cx, *_point_product(left, r3, r3abs, y, _dot_ops(n)))
-    if exact is not None:
-        return exact
+        scaled = _scaled(cx, *_point_product(left, r3, r3abs, y, _dot_ops(n)))
+    if scaled is not None and scaled[2].all():
+        return scaled[:2]
     mid = _mm(y.mid, rows(r3, x.mid))
     k = _dot_ops(m) + _dot_ops(n) + 1
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -217,40 +216,6 @@ def _point_product(
     if split:
         rad += _slack(mul(r3abs, az), k)
     return mid, rad
-
-
-def _scalar_factor(x: IMatrix) -> float | None:
-    """``c`` when ``x`` is a point scalar matrix ``c I`` with ``c = +-2^e``, else None."""
-    if np.count_nonzero(x.rad):
-        return None
-    d = _diagonal(x.mid)
-    if d is None or d.size == 0:
-        return None
-    c = float(d[0].real)
-    # frexp's mantissa of a power of two is +-1/2; the test on d also rejects an imaginary part
-    return c if abs(math.frexp(c)[0]) == 0.5 and bool((d == c).all()) else None
-
-
-def _scaled(
-    c: float, mid: np.ndarray, rad: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """``(c mid, |c| rad)`` when every product is exact, else None.
-
-    A product by a power of two is exact unless it overflows or falls below
-    the normal range, and then it does not scale back to its operand, so the
-    round trip is the test.  ``c`` itself may have overflowed or underflowed
-    (the product of a pair's two scalars).  ``rad`` None stands for a point.
-    """
-    if c == 1.0:
-        return mid, rad
-    if c == 0.0 or not math.isfinite(c):
-        return None
-    with np.errstate(over="ignore"):
-        out = (mid * c, None if rad is None else rad * abs(c))
-    for scaled, a, f in ((out[0], mid, c), (out[1], rad, abs(c))):
-        if a is not None and not np.array_equal(scaled / f, a):
-            return None
-    return out
 
 
 def _contraction(ks: KronSystem, sys: SylvesterSystem) -> IMatrix:
@@ -336,42 +301,49 @@ def point_solve(
 ) -> np.ndarray:
     """Floating solution of a point equation ``A X B + C X D = F``.
 
-    Up to ``m n = 225`` unknowns it solves the vectorized Kronecker system by
-    LU; above, where that ``(m n)^2`` matrix costs more than the QZ
-    factorizations, by the generalized Bartels-Stewart method in
-    ``O(m^3 + n^3)`` time and ``O(m^2 + n^2)`` memory.  Either way one step
-    of iterative refinement follows.  Real input gives a real result.  A
-    singular member (an exactly zero pivot, or a non-finite result) raises
+    The operator is factored once (:func:`_factor`: Kronecker LU up to ``m
+    n = 225`` unknowns, the generalized Bartels-Stewart method above), and
+    one step of iterative refinement on the residual ``F - A X B - C X D``
+    reuses the factors.  Real input gives a real result.  A singular member
+    (an exactly zero pivot, or a non-finite result) raises
     :class:`SingularMatrixError`.
     """
     A, B, C, D, F = (np.atleast_2d(np.asarray(t)) for t in (A, B, C, D, F))
     m, n = F.shape
     if A.shape != (m, m) or C.shape != (m, m) or B.shape != (n, n) or D.shape != (n, n):
         raise ValueError("dimension mismatch")
-    solve = _kron_point_solve if m * n <= _KRON_MAX_UNKNOWNS else _qz_point_solve
-    X = solve(A, B, C, D, F)
+    solve = _factor(A, B, C, D, np.result_type(A, B, C, D, F))
+    X = solve(F[None])[0]
+    X = X + solve((F - A @ X @ B - C @ X @ D)[None])[0]
     if not np.isfinite(X).all():
         raise SingularMatrixError("singular matrix: non-finite member solution")
     return X
 
 
-def _kron_point_solve(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, F: np.ndarray
-) -> np.ndarray:
-    """LU on ``(B^T kron A + D^T kron C) vec(X) = vec(F)``, one refinement step.
+def _factor(
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, dtype: np.dtype
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of ``A Y B + C Y D = G`` on ``(k, m, n)`` stacks ``G``, factored once.
 
-    The refinement step reuses the factorization.
+    Up to ``m n = 225`` unknowns it is the LU of the Kronecker matrix
+    (:func:`_kron_factor`); above, where that ``(m n)^2`` matrix costs more
+    than the QZ factorizations, the generalized Bartels-Stewart method
+    (:func:`_qz_factor`) in ``O(m^3 + n^3)`` time and ``O(m^2 + n^2)``
+    memory.  A real ``dtype`` gives real results.  An exactly zero pivot
+    raises :class:`SingularMatrixError`.
     """
-    m, n = F.shape
-    Q, solve = _kron_factor(A, B, C, D, np.result_type(A, B, C, D, F))
-    X = solve(F[None])[0]
-    return X + solve((F - unvec(Q @ vec(X), m, n))[None])[0]
+    if A.shape[0] * B.shape[0] <= _KRON_MAX_UNKNOWNS:
+        return _kron_factor(A, B, C, D, dtype)
+    solve = _qz_factor(A, B, C, D)
+    if np.dtype(dtype).kind == "c":
+        return solve
+    return lambda G: solve(G).real
 
 
 def _kron_factor(
     A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, dtype: np.dtype
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """``Q = B^T kron A + D^T kron C`` and its LU solve of a ``(k, m, n)`` stack.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The LU solve of ``(B^T kron A + D^T kron C) vec(Y) = vec(G)`` on a ``(k, m, n)`` stack.
 
     One ``getrs`` call solves every matrix of the stack, each vectorized as
     one right-hand side column.
@@ -388,25 +360,7 @@ def _kron_factor(
         rhs = G.transpose(0, 2, 1).reshape(k, m * n).T
         return getrs(lu, piv, rhs)[0].T.reshape(k, n, m).transpose(0, 2, 1)
 
-    return Q, solve
-
-
-def _qz_point_solve(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray, F: np.ndarray
-) -> np.ndarray:
-    """Generalized Bartels-Stewart solve (see :func:`_qz_factor`), one refinement step.
-
-    The refinement step reuses the factors.
-    """
-    solve = _qz_factor(A, B, C, D)
-    real = not any(np.iscomplexobj(t) for t in (A, B, C, D, F))
-
-    def solve_one(rhs: np.ndarray) -> np.ndarray:
-        X = solve(rhs[None])[0]
-        return X.real if real else X
-
-    X = solve_one(F)
-    return X + solve_one(F - A @ X @ B - C @ X @ D)
+    return solve
 
 
 def _qz_factor(
@@ -542,16 +496,13 @@ def _member_chunks(
 
 
 def _midpoint_solver(sys: SylvesterSystem) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Solve of the midpoint operator on ``(k, m, n)`` stacks, ``point_solve``'s path.
+    """Solve of the midpoint operator on ``(k, m, n)`` stacks, by ``point_solve``'s :func:`_factor`.
 
     None when the factorization finds the midpoint singular.
     """
     A, B, C, D = (t.mid for t in (sys.A, sys.B, sys.C, sys.D))
     try:
-        if sys.m * sys.n <= _KRON_MAX_UNKNOWNS:
-            dtype = np.float64 if sys.is_real else np.complex128
-            return _kron_factor(A, B, C, D, dtype)[1]
-        return _qz_factor(A, B, C, D)
+        return _factor(A, B, C, D, np.float64 if sys.is_real else np.complex128)
     except SingularMatrixError:
         return None
 
@@ -588,20 +539,14 @@ def _refine_members(
     ok = np.zeros(count, dtype=bool)
     if solve is None:
         return None, ok, 0
-    real = not any(np.iscomplexobj(t) for t in coeffs)
-
-    def step(rhs: np.ndarray) -> np.ndarray:
-        d = solve(rhs)
-        return d.real if real else d
-
     try:
-        X = np.ascontiguousarray(step(coeffs[4]))
+        X = np.ascontiguousarray(solve(coeffs[4]))
     except SingularMatrixError:
         return None, ok, 0
     live, Xl, prev = np.arange(count), X, _max_abs(X)
     for sweep in range(1, _MAX_SWEEPS + 1):
         A, B, C, D, F = coeffs
-        d = step(F - A @ Xl @ B - C @ Xl @ D)
+        d = solve(F - A @ Xl @ B - C @ Xl @ D)
         Xl = Xl + d
         dn, xn = _max_abs(d), _max_abs(Xl)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -666,18 +611,17 @@ def residual_membership(
 ) -> bool | np.ndarray:
     """Certified necessary condition for ``X`` to solve some member system.
 
-    Evaluates ``F - A X B - C X D`` over all four association orders of the
-    two products; a genuine member solution passes every variant, so a False
-    answer rigorously excludes ``X`` from the united solution set.  A point
-    scalar coefficient ``c I`` with ``c`` a power of two is applied as the
-    exact scaling it is, with no product and no pad (see
-    :func:`_pair_products`): the orders it separated coincide, and one box
-    is formed per distinct pair of products, four for general coefficients,
-    two when ``C = D = I``, one when ``B = C = I``.  Such a box has the
-    midpoint of the interval operations' box and a radius no larger, so a
-    True answer is theirs as well; without such a coefficient the boxes are
-    bit for bit those of interval subtraction ``F - left - right``.  A
-    non-finite box raises :class:`IntervalOverflowError`.
+    Evaluates ``F - A X B - C X D`` over the association orders of the two
+    products; a genuine member solution passes every variant, so a False
+    answer rigorously excludes ``X`` from the united solution set.  A pair
+    with a point scalar coefficient ``c I``, ``c`` a power of two, takes one
+    order, since the product by it is the exact scaling that ``im_matmul``
+    applies (see :func:`_pair_products`); a general pair takes both.  So one
+    box is formed per pair of products, four for general coefficients, two
+    when ``C = D = I``, one when ``B = C = I``, and each box is bit for bit
+    the interval subtraction ``F - left - right`` of its products as
+    ``im_matmul`` forms them.  A non-finite box raises
+    :class:`IntervalOverflowError`.
 
     A ``(k, m, n)`` stack of samples gives a boolean array, one answer per
     sample: the stack runs through the same products (see
@@ -740,23 +684,19 @@ def _residual_products(
     one or two products.  ``xb`` may hold a stack of samples.
     """
     x = _Operand(xb.mid, xb.rad)
-    return _pair_products(sys.A, sys.B, x, xb), _pair_products(sys.C, sys.D, x, xb)
+    return _pair_products(sys.A, sys.B, x), _pair_products(sys.C, sys.D, x)
 
 
-def _pair_products(
-    t: IMatrix, u: IMatrix, x: _Operand, xb: IMatrix
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Midpoints and radii of ``t X u`` over both association orders: one product, or two.
+def _pair_products(t: IMatrix, u: IMatrix, x: _Operand) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Midpoints and radii of ``t X u`` over its association orders: one product, or two.
 
-    A point scalar factor ``c I`` with ``c`` a power of two
-    (:func:`_scalar_factor`, ver's rule) is exact while no scaled entry
-    leaves the normal range (:func:`_scaled`), and then the two orders are
-    one product: ``c_t c_u X`` for a pair of such factors, with no core
-    product, and ``c`` times the one core product ``t X`` or ``X u`` for one
-    of them.  Otherwise both chains ``(t X) u`` and ``t (X u)`` are formed,
-    with ``im_matmul``'s bits.  On a stack the exact scaling is kept for
-    every sample it holds for (:func:`_splice`), so each sample gets the
-    products of the call on it alone.
+    A factor with a ``scale`` (the point ``c I``, ``c = +-2^e``) commutes
+    with ``X``, so one order serves: ``(t X) u`` when ``u`` has one, else
+    ``t (X u)``.  The core scales the inner product by it exactly wherever
+    that holds, with no operand for the inner product, so a pair of such
+    factors makes no product at all.  Otherwise both chains ``(t X) u`` and
+    ``t (X u)`` are formed.  Every product has ``im_matmul``'s bits, and on
+    a stack each sample's those of the call on it alone.
 
     A non-finite entry of an inner product (``t X``, say) enters the outer
     one through every entry of its row or column, and an IEEE operation on an
@@ -764,61 +704,15 @@ def _pair_products(
     products returned are non-finite wherever ``im_matmul`` would have
     raised on one the chains form.
     """
-    ct, cu = _scalar_factor(t), _scalar_factor(u)
-    t_op = None if ct is not None else _Operand(t.mid, t.rad)
-    u_op = None if cu is not None else _Operand(u.mid, u.rad)
-    # the inner products t X and X u, kept for the chains; core is the product c scales
-    tx = xu = core = None
-    if ct is not None and cu is not None:
-        c, core = ct * cu, (xb.mid, xb.rad)
-    elif cu is not None:
-        c, core = cu, _product(t_op, x)
-        tx = core
-    elif ct is not None:
-        c, core = ct, _product(x, u_op)
-        xu = core
-    if core is not None:
-        exact = _scaled(c, *core)
-        if exact is not None:
-            return [exact]
-    if t_op is None:
-        t_op = _Operand(t.mid, t.rad)
-    if u_op is None:
-        u_op = _Operand(u.mid, u.rad)
-    chains = [
-        _product(_Operand(*(_product(t_op, x) if tx is None else tx)), u_op),
-        _product(t_op, _Operand(*(_product(x, u_op) if xu is None else xu))),
+    t_op, u_op = _Operand(t.mid, t.rad), _Operand(u.mid, u.rad)
+    if u_op.scale is not None:
+        return [_product(_product(t_op, x), u_op)]
+    if t_op.scale is not None:
+        return [_product(t_op, _product(x, u_op))]
+    return [
+        _product(_Operand(*_product(t_op, x)), u_op),
+        _product(t_op, _Operand(*_product(x, u_op))),
     ]
-    if core is not None and core[0].ndim == 3:
-        _splice(c, core, chains)
-    return chains
-
-
-def _splice(
-    c: float, core: tuple[np.ndarray, np.ndarray], chains: list[tuple[np.ndarray, np.ndarray]]
-) -> None:
-    """Write ``c`` times ``core`` into both chains on each sample of a stack where it is exact.
-
-    The whole stack's scaling was refused, so some sample left the normal
-    range; the others take the product their call alone takes.
-    """
-    mid, rad = core
-    for i in range(len(mid)):
-        exact = _scaled(c, mid[i], rad[i])
-        if exact is not None:
-            for chain_mid, chain_rad in chains:
-                chain_mid[i], chain_rad[i] = exact
-
-
-def _residual_boxes(sys: SylvesterSystem, xb: IMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``|mid|`` and radius of the boxes ``F - left - right`` of ``X``, one by one.
-
-    ``left`` and ``right`` run over the distinct products of ``A X B`` and
-    ``C X D`` (:func:`_residual_products`); ``xb`` may hold a stack of
-    samples.  The boxes of :func:`residual_membership`, which keeps the
-    products as well.
-    """
-    return _boxes(sys.F, _residual_products(sys, xb))
 
 
 def _boxes(

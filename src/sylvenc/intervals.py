@@ -24,7 +24,9 @@ ETA)``, ``x (1 - n ETA)`` and ``n ETA x``), ``_pad_rad`` (the radius of a
 rounded result, such as a sum of disks), ``_dot_ops`` (the count ``2k + 8``
 of a length-``k`` inner product), ``_fold`` (a rounding pad folded into a
 radius product, below), ``_quot`` (a disk times a reciprocal disk),
-``_mag``, ``_reach``, ``_rect_half`` and ``_corner_mag``.  So the
+``_scaled`` (a product by ``c = +-2^e``, exact or refused, with the scalar
+test :func:`_scalar_of`), ``_mag``, ``_reach``, ``_rect_half`` and
+``_corner_mag``.  So the
 rounding model is this module's decision alone.  Each rule fixes the order
 of its floating-point operations, so every kernel that applies it rounds
 alike, and a term the model still lacks (the absolute underflow term below)
@@ -44,8 +46,14 @@ product takes the midpoint product and two radius products instead of four,
 and a point times an interval product one radius product instead of two.
 The radius is written once, in :func:`_product`, which multiplies two
 prepared operands (:class:`_Operand`: ``|mid|``, the diagonal test, the
-zero-radius test and the folded pad, each derived once per operand);
-``im_matmul`` is its checked wrapper.
+zero-radius test, the scalar test and the folded pad, each derived once per
+operand); ``im_matmul`` is its checked wrapper.
+
+A product by a point ``<c I, 0>`` with ``c = +-2^e``, the identity among
+them, is the exact ``(c Ym, |c| Yr)`` with no pad wherever no scaled entry
+leaves the normal range (:func:`_scaled`, per matrix of a stack), so the
+identity coefficients of ``A X B + X = F`` and ``A X + X B = F`` cost no
+product in any solver or audit.
 
 All pads are relative: a product whose exact value lies in or below the
 subnormal range, where rounding errors are absolute, can escape its
@@ -171,6 +179,48 @@ def _quot(mid, rad, rec_mid, rec_rad):
     r = _up(np.abs(mid) * rec_rad + rad * np.abs(rec_mid) + rad * rec_rad, 5)
     r += _slack(np.abs(q), 4)
     return q, r
+
+
+def _scalar_of(diag: np.ndarray | None, power_of_two: bool = False):
+    """``c`` when ``diag`` (:func:`_diagonal`'s, or None) is the diagonal of ``c I``, else None.
+
+    Any ``c`` counts, unless ``power_of_two``: then only a real ``c =
+    +-2^e``, as a float, whose products are exact (:func:`_scaled`).
+    """
+    if diag is None or diag.size == 0:
+        return None
+    c = diag[0]
+    if power_of_two:
+        c = float(c.real)
+        # frexp's mantissa of a power of two is +-1/2; diag != c then finds an imaginary part
+        if abs(math.frexp(c)[0]) != 0.5:
+            return None
+    # count_nonzero: cheaper than all() on the small diagonals of the audits
+    return None if np.count_nonzero(diag != c) else c
+
+
+def _scaled(c: float, mid: np.ndarray, rad: np.ndarray | None, dtype=None):
+    """``c mid`` in ``dtype``, ``|c| rad``, and whether both are exact, per matrix of a stack.
+
+    A product by a power of two ``c`` is exact unless it overflows or falls
+    below the normal range, and then it does not scale back to its operand,
+    so the round trip is the test; a ``c`` that left the range itself (the
+    product of two scalars) passes no nonzero entry.  ``rad`` None stands
+    for zero radii.  ``|c| = 1`` returns the radii as they are, and ``c =
+    1`` in ``mid``'s dtype the midpoints too.
+    """
+    if abs(c) == 1.0:
+        if c == 1.0 and (dtype is None or mid.dtype == dtype):
+            return mid, rad, np.True_
+        return np.multiply(mid, c, dtype=dtype, order="C"), rad, np.True_
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        smid = np.multiply(mid, c, dtype=dtype, order="C")
+        exact = (smid / c == mid).all(axis=(-2, -1))
+        if rad is None:
+            return smid, None, exact
+        srad = rad * abs(c)
+        exact &= (srad / abs(c) == rad).all(axis=(-2, -1))
+    return smid, srad, exact
 
 
 def _mag(amid, rad, out=None):
@@ -381,24 +431,31 @@ class _Operand:
 
     ``amid`` is ``|mid|``, ``diag`` the diagonal of an exactly diagonal 2-D
     midpoint (else None) and ``adiag`` its magnitude; ``rad`` is None when
-    every radius is zero.  As a right factor the operand also needs its
-    folded pad ``Yr + c |Ym|`` and ``|Ym| + Yr``: both are derived on first
-    use and kept, so an operand prepared once serves every product it
-    enters.  An operand lives as long as its caller keeps it; nothing holds
-    one across calls.
+    every radius is zero; ``scale`` is ``c`` for the point ``c I``, ``c =
+    +-2^e`` (:func:`_scalar_of`), whose ``amid`` and ``adiag`` wait for a
+    general product.  As a right factor the operand also needs its folded
+    pad ``Yr + c |Ym|`` and ``|Ym| + Yr``: both are derived on first use and
+    kept, so an operand prepared once serves every product it enters.  An
+    operand lives as long as its caller keeps it; nothing holds one across
+    calls.
     """
 
-    __slots__ = ("mid", "rad", "amid", "diag", "adiag", "_fold", "_mag_sum")
+    __slots__ = ("mid", "rad", "diag", "scale", "amid", "adiag", "_fold", "_mag_sum")
 
     def __init__(self, mid: np.ndarray, rad: np.ndarray | None = None):
         self.mid = mid
         # count_nonzero: the cheapest zero test on the many small products of the audits
         self.rad = rad if rad is not None and np.count_nonzero(rad) > 0 else None
-        self.amid = np.abs(mid)
         self.diag = _diagonal(mid)
-        # |diag|, or None
+        self.scale = None if self.rad is not None else _scalar_of(self.diag, power_of_two=True)
+        self.amid = self.adiag = self._fold = self._mag_sum = None
+        if self.scale is None:
+            self._magnitudes()
+
+    def _magnitudes(self) -> None:
+        """Form ``amid`` and ``adiag``."""
+        self.amid = np.abs(self.mid)
         self.adiag = None if self.diag is None else self.amid.diagonal()
-        self._fold = self._mag_sum = None
 
     def fold(self, n: int) -> tuple[np.ndarray | None, bool]:
         """:func:`_fold` of ``(|Ym|, Yr)`` at the count ``n`` of a product with this right factor.
@@ -418,24 +475,59 @@ class _Operand:
 
 
 def _prepare(x) -> _Operand:
-    """``x`` as an :class:`_Operand`: a point array or IMatrix is coerced, an operand passes."""
+    """``x`` as an :class:`_Operand`: an operand passes, a kernel's ``(mid, rad)`` pair is
+    wrapped as it is, a point array or IMatrix is coerced."""
     if isinstance(x, _Operand):
         return x
+    if isinstance(x, tuple):
+        return _Operand(*x)
     if not isinstance(x, IMatrix):
         x = IMatrix(x)
     return _Operand(x.mid, x.rad)
 
 
-def _product(x: _Operand, y: _Operand) -> tuple[np.ndarray, np.ndarray]:
+def _product(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint and radius of the product of two prepared operands, unchecked.
 
     The one product kernel: :func:`im_matmul` wraps it, and the audit's
-    residual boxes call it on operands prepared once per call.  A non-finite
-    entry is the caller's to catch.
+    residual boxes call it on operands prepared once per call.  Beside a
+    factor with a ``scale`` ``c`` it is ``(c Ym, |c| Yr)`` in the general
+    product's dtype wherever :func:`_scaled` finds that exact, and the
+    general product elsewhere; only there may the other factor be a bare
+    ``(mid, rad)`` pair.  A non-finite entry is the caller's to catch.
     """
+    op, other, axis = x, y, -2
+    c = getattr(x, "scale", None)
+    if c is None:
+        op, other, axis = y, x, -1
+        c = getattr(y, "scale", None)
+        if c is None:
+            return _general_product(x, y)
+    omid, orad = (other.mid, other.rad) if isinstance(other, _Operand) else other
+    if omid.shape[axis] != op.mid.shape[0]:
+        raise ValueError("dimension mismatch")
+    dtype = omid.dtype if omid.dtype == op.mid.dtype else np.result_type(omid, op.mid)
+    mid, rad, exact = _scaled(c, omid, orad, dtype)
+    # np.True_ is a singleton, and the identity test costs a thirtieth of all()
+    if exact is np.True_ or exact.all():
+        return mid, np.zeros(mid.shape) if rad is None else rad
+    gmid, grad = _general_product(_prepare(x), _prepare(y))
+    # on a stack, the matrices the scaling keeps exact keep it
+    gmid[exact] = mid[exact]
+    grad[exact] = 0.0 if rad is None else rad[exact]
+    return gmid, grad
+
+
+def _general_product(x: _Operand, y: _Operand) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and radius of Rump's product of two prepared operands (see :func:`im_matmul`)."""
     k = x.mid.shape[-1]
     if k != y.mid.shape[-2]:
         raise ValueError("dimension mismatch")
+    # an operand with a scale forms its magnitudes on its first general product
+    if x.amid is None:
+        x._magnitudes()
+    if y.amid is None:
+        y._magnitudes()
     nops = _dot_ops(k)
     mid = _dot(x.mid, y.mid, x.diag, y.diag)
     adx = x.adiag
@@ -481,6 +573,14 @@ def im_matmul(x, y) -> IMatrix:
     interval pair the midpoint product and two, with no bit changed.  A
     factor with an exactly diagonal midpoint is applied by a broadcast; the
     pad stays the one of the dense length-``k`` product.
+
+    A factor that is the point ``<c I, 0>`` with ``c = +-2^e`` (the identity
+    among them) is exact: the result is ``(c Ym, |c| Yr)`` for ``x = c I``,
+    and ``(c Xm, |c| Xr)`` for ``y = c I``, with no radius product and no
+    pad, and its midpoint has the general product's dtype and bits; the
+    product by ``I`` shares the other factor's arrays, by ``-I`` its radii.
+    Where a scaled entry would leave the normal range the general product is
+    taken instead, decided per matrix of a stack (:func:`_scaled`).
 
     The product itself is :func:`_product` on two prepared operands
     (:class:`_Operand`), which ``im_matmul`` builds from each argument; an

@@ -55,7 +55,9 @@ diagonal-midpoint factor by a broadcast and skips the radius products of a
 zero radius, so ``M`` takes no dense complex product and three dense real
 ones per term: one for ``Ap Xtilde`` (``Xtilde`` is a point) and two for
 the product with ``Bp``; a point scalar coefficient, which the transform
-keeps exact (``<c I, 0>``), takes no radius product at all.  Each pair of
+keeps exact (``<c I, 0>``), takes no product: ``im_matmul`` scales by a
+``c = +-2^e`` exactly (kyc31's and sylvester32's identities among them) and
+applies any other ``c`` by broadcasts.  Each pair of
 ``N`` is factored through ``P = rad(Ap) W``: ``P |mid Bp|`` is a column
 scaling by the magnitudes of the diagonal of ``mid Bp`` and ``Mag(Ap) W =
 |diag mid Ap| W + P``, two real products per pair in all.  A block pattern

@@ -60,6 +60,7 @@ from .intervals import (
     _Operand,
     _denominators,
     _diagonal,
+    _scalar_of,
     _up,
     im_matmul,
 )
@@ -85,9 +86,8 @@ def _offdiag_rel(conj: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _scalar(a: np.ndarray) -> bool:
-    """Whether ``a`` is a scalar matrix ``c I``."""
-    d = _diagonal(a)
-    return d is not None and d.size > 0 and bool((d == d[0]).all())
+    """Whether ``a`` is a scalar matrix ``c I``, for any ``c``."""
+    return _scalar_of(_diagonal(a)) is not None
 
 
 def _point_scalar(x: IMatrix) -> bool:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sylvenc.baseline as baseline
+import sylvenc.intervals as intervals
 from sylvenc import (
     GenSpec,
     IMatrix,
@@ -28,7 +29,7 @@ from sylvenc import (
 )
 from sylvenc.baseline import (
     _draw_member,
-    _kron_point_solve,
+    _kron_factor,
     _member_chunks,
     _midpoint_solver,
     _refine_members,
@@ -196,9 +197,9 @@ class TestKroneckerAssembly:
             cI = IMatrix(c * np.eye(3))
             _, rad = baseline._kron_rows(r3, np.abs(r3), cI, cI)
             assert rad is not None
-        assert baseline._scalar_factor(IMatrix(np.eye(3) * 2.0**-1060)) == 2.0**-1060
-        assert baseline._scalar_factor(IMatrix(np.eye(3) * 4.0, np.full((3, 3), 1e-9))) is None
-        assert baseline._scalar_factor(IMatrix(np.eye(3) * 2j)) is None
+        assert baseline._Operand(np.eye(3) * 2.0**-1060).scale == 2.0**-1060
+        assert baseline._Operand(np.eye(3) * 4.0, np.full((3, 3), 1e-9)).scale is None
+        assert baseline._Operand(np.eye(3) * 2j).scale is None
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_scalar_pair_bounds_the_entrywise_oracle(self, cplx):
@@ -259,6 +260,13 @@ def _point_coefficients(rng, m, n, cplx=False):
 
 def _rel_diff(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def _kron_point_solve(a, b, c, d, f):
+    """The Kronecker LU solve at any size, with one refinement step: the QZ path's reference."""
+    solve = _kron_factor(a, b, c, d, np.result_type(a, b, c, d, f))
+    x = solve(f[None])[0]
+    return x + solve((f - a @ x @ b - c @ x @ d)[None])[0]
 
 
 class TestPointSolve:
@@ -643,10 +651,13 @@ class TestResidualMembership:
                 for (amid, rad), r in zip(boxes, ref)
             )
 
+        def boxes_of(xb):
+            return list(baseline._boxes(sys.F, baseline._residual_products(sys, xb)))
+
         for x in pts:
-            assert same(list(baseline._residual_boxes(sys, IMatrix(x))), reference(x))
+            assert same(boxes_of(IMatrix(x)), reference(x))
         stack = IMatrix._from_kernel(pts, np.zeros(pts.shape))
-        boxes = list(baseline._residual_boxes(sys, stack))
+        boxes = boxes_of(stack)
         for i, x in enumerate(pts):
             assert same([(amid[i], rad[i]) for amid, rad in boxes], reference(x))
 
@@ -815,7 +826,8 @@ class TestExactScalarResiduals:
 
     @staticmethod
     def _boxes(sys, x):
-        return [(a.copy(), r.copy()) for a, r in baseline._residual_boxes(sys, IMatrix(x))]
+        products = baseline._residual_products(sys, IMatrix(x))
+        return [(a.copy(), r.copy()) for a, r in baseline._boxes(sys.F, products)]
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_boxes_shrink_and_true_implies_the_chains_true(self, cplx):
@@ -899,18 +911,19 @@ class TestExactScalarResiduals:
             assert residual_membership(sys, x[None]).tolist() == [True]
 
     @pytest.mark.parametrize("layout, products, prepared", [
-        ((None, None, 1.0, 1.0), 4, 5),  # X, A, B and the two inner products of the (A, B) chains
-        ((None, 1.0, 1.0, None), 2, 3),  # X, A and D: one core product per pair
-        ((None, None, 8.0, -1.0), 4, 5),
-        ((1.0, 1.0, 1.0, 1.0), 0, 1),  # X alone
+        ((None, None, 1.0, 1.0), 4, 7),  # X, A..D and the two inner products of the (A, B) chains
+        ((None, 1.0, 1.0, None), 2, 5),  # X and A..D: one general product per pair
+        ((None, None, 8.0, -1.0), 4, 7),
+        ((1.0, 1.0, 1.0, 1.0), 0, 5),  # X and A..D, and only exact scalings
     ])
     def test_scalar_pairs_make_no_product_or_one(self, monkeypatch, layout, products, prepared):
+        # the products that reach BLAS are the core's general ones; an exact scaling is none
         a, b, c, d = layout
         sys = _scalar_pair_system(np.random.default_rng(47), 4, 3, c, d, a=a, b=b, rad=1e-4)
         x = sample_solutions(sys, n_samples=3, seed=4)
         want = [residual_membership(sys, y) for y in x]
         made, prep = [0], []
-        core, operand = baseline._product, baseline._Operand
+        general, operand = intervals._general_product, baseline._Operand
 
         class Counted(operand):
             __slots__ = ()
@@ -921,10 +934,10 @@ class TestExactScalarResiduals:
 
         def product(u, v):
             made[0] += 1
-            return core(u, v)
+            return general(u, v)
 
         monkeypatch.setattr(baseline, "_Operand", Counted)
-        monkeypatch.setattr(baseline, "_product", product)
+        monkeypatch.setattr(intervals, "_general_product", product)
         for arg, single in ((x[0], True), (np.stack(x), False)):
             made[0], prep[:] = 0, []
             got = residual_membership(sys, arg)
@@ -944,8 +957,24 @@ class TestExactScalarResiduals:
             e = 600 if case == "pair-overflows" else -600
             sys = _scalar_pair_system(rng, m, n, 2.0**e, 2.0**e)
             x = 2.0 ** (-e - 100 if e > 0 else -e + 100) * rng.normal(size=(m, n))
-        got, ref = self._boxes(sys, x), _chain_boxes(sys, x)
-        assert len(got) == 4 and all(
+        # a scalar pair forms one association order, as im_matmul forms it: the
+        # general product where a scaling leaves the normal range, else exact
+        xb = IMatrix(x)
+        lefts, rights = (sys.A @ xb @ sys.B, sys.A @ (xb @ sys.B)), (sys.C @ xb @ sys.D,)
+        if case == "one-underflows":
+            lefts, rights = lefts[:1], (rights[0], sys.C @ (xb @ sys.D))
+            ax, b = intervals._prepare(sys.A @ xb), intervals._prepare(sys.B)
+            general = intervals._general_product(ax, b)
+            assert np.array_equal(lefts[0].mid, general[0])
+            assert np.array_equal(lefts[0].rad, general[1])
+        else:
+            # each step scales exactly even where the pair's scalar leaves the range
+            assert np.array_equal(rights[0].mid, 2.0**e * (2.0**e * x))
+            assert not rights[0].rad.any()
+        got = self._boxes(sys, x)
+        boxes = (sys.F - left - right for left in lefts for right in rights)
+        ref = [(np.abs(box.mid), box.rad) for box in boxes]
+        assert len(got) == 2 and all(
             np.array_equal(ga, ra) and np.array_equal(gr, rr)
             for (ga, gr), (ra, rr) in zip(got, ref)
         )
@@ -970,7 +999,10 @@ class TestExactScalarResiduals:
         stacked = baseline._residual_products(sys, IMatrix._from_kernel(stack, np.zeros(stack.shape)))
         for i, x in enumerate(pts):
             alone = baseline._residual_products(sys, IMatrix(x))
-            assert len(alone[0]) == (2 if i == 1 else 1)
+            # one order for the scalar pair (A, B), the general product for sample 1
+            assert len(alone[0]) == 1
+            ax = sys.A @ IMatrix(x)
+            assert bool(intervals._scaled(s, ax.mid, ax.rad)[2]) == (i != 1)
             for got, want in zip(stacked, alone):
                 assert all(
                     any(np.array_equal(mid[i], wm) and np.array_equal(rad[i], wr) for wm, wr in want)

@@ -30,6 +30,7 @@ from sylvenc.intervals import (
     _diagonal,
     _dot,
     _fold,
+    _general_product,
     _Operand,
     _prepare,
     _product,
@@ -514,6 +515,60 @@ def test_prepared_operand_passes_through_im_matmul():
         im_matmul(_Operand(np.array([[1e200]])), _Operand(np.array([[1e200]])))
 
 
+def _scaled_factors(rng, shape):
+    """Interval ``Y`` of ``shape``: real, complex, and real and complex stacks of three."""
+    out = []
+    for lead in ((), (3,)):
+        full = lead + shape
+        for unit in (0.0, 1j):
+            mid = rng.normal(size=full) + unit * rng.normal(size=full)
+            out.append(IMatrix._from_kernel(mid, rng.uniform(0.0, 1e-3, size=full)))
+    return out
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 8.0, 2.0**-3])
+def test_product_by_a_power_of_two_scalar_is_the_exact_scaling(c):
+    rng = np.random.default_rng(61)
+    for y in _scaled_factors(rng, (4, 3)):
+        for dtype in (np.float64, np.complex128):
+            left, right = IMatrix(c * np.eye(4, dtype=dtype)), IMatrix(c * np.eye(3, dtype=dtype))
+            assert _Operand(left.mid).scale == c
+            for x, z in ((left, y), (y, right)):
+                got = im_matmul(x, z)
+                general = _general_product(_prepare(x), _prepare(z))
+                # the general product's dtype and midpoint bits, and no pad
+                assert got.mid.dtype == general[0].dtype == np.result_type(x.mid, z.mid)
+                assert np.array_equal(got.mid, c * y.mid) and np.array_equal(got.mid, general[0])
+                assert np.array_equal(got.rad, abs(c) * y.rad)
+                assert (got.rad <= general[1]).all() and (got.rad < general[1]).any()
+
+
+def test_other_scalars_and_scalings_out_of_range_take_the_general_product():
+    rng = np.random.default_rng(62)
+    y = _scaled_factors(rng, (4, 3))[0]
+    for c in (3.0, 2.0**-1060):
+        x = IMatrix(c * np.eye(4))
+        got, general = im_matmul(x, y), _general_product(_prepare(x), _prepare(y))
+        assert np.array_equal(got.mid, general[0]) and np.array_equal(got.rad, general[1])
+    assert _Operand(3.0 * np.eye(4)).scale is None
+    # decided per matrix of a stack: 2^-600 scales the middle matrix below the normal range
+    c = 2.0**-600
+    mid = np.stack([y.mid, 2.0**-500 * y.mid, 4.0 * y.mid])
+    stack = IMatrix._from_kernel(mid, np.stack([y.rad, 2.0**-500 * y.rad, y.rad]))
+    x = IMatrix(c * np.eye(4))
+    got = im_matmul(x, stack)
+    for i in range(3):
+        alone = IMatrix._from_kernel(mid[i], stack.rad[i])
+        one = im_matmul(x, alone)
+        assert np.array_equal(got.mid[i], one.mid) and np.array_equal(got.rad[i], one.rad), i
+        general = _general_product(_prepare(x), _prepare(alone))
+        if i == 1:
+            assert np.array_equal(one.mid, general[0]) and np.array_equal(one.rad, general[1])
+        else:
+            assert np.array_equal(one.mid, c * alone.mid) and np.array_equal(one.rad, c * alone.rad)
+            assert (one.rad < general[1]).any()
+
+
 @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
 @pytest.mark.parametrize("m", [8, 32])
 def test_diagonal_midpoint_products_no_wider_than_generic(family, m):
@@ -684,6 +739,15 @@ def test_rounding_model_stays_in_intervals():
         if word.search(line)
     ]
     assert len(list(src.glob("*.py"))) > 1 and not hits, hits
+    # so is the rule that a product by c = +-2^e is exact: the scaling and the power-of-two test
+    rule = re.compile(r"def _scaled\b|def _scalar_of\b|frexp\(.*\)\[0\]")
+    defined = {
+        path.name
+        for path in src.glob("*.py")
+        for line in path.read_text().splitlines()
+        if rule.search(line)
+    }
+    assert defined == {"intervals.py"}, defined
 
 
 def test_as_imatrix_accepts_points():

@@ -9,7 +9,9 @@ from sylvenc import (
     SingularPreconditionerError,
     SylvesterSystem,
     generate,
+    im_matmul,
     mkw_solve,
+    point_solve,
     sample_solutions,
     transform_enclose,
 )
@@ -77,6 +79,21 @@ def test_residual_box_contains_member_residuals():
         ap, bp, cp, dp, fp = (member(x) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp))
         resid = (fp - ap @ xt @ bp - cp @ xt @ dp) / ps.den.mid
         assert (np.abs(resid - M.mid) <= M.rad * (1 + 1e-9) + 1e-13).all()
+
+
+def test_residual_by_identity_coefficients_takes_no_product():
+    # kyc31's C = D = I: the term C X D is X itself, on the original system as ver
+    # forms it and on the preconditioned one as mkw, blk and itr do (there complex)
+    sys = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))
+    ps = transform_enclose(sys)
+    original = (sys.A, sys.B, sys.C, sys.D, sys.F)
+    for (A, B, C, D, F), xt in (
+        (original, point_solve(*(t.mid for t in original))),
+        ((ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp), mkw_solve(sys).Xtilde),
+    ):
+        got = residual(A, B, C, D, F, xt)
+        want = F - im_matmul(im_matmul(A, IMatrix(xt)), B) - IMatrix(xt)
+        assert np.array_equal(got.mid, want.mid) and np.array_equal(got.rad, want.rad)
 
 
 def test_contraction_bound_is_monotone_in_the_radius():
