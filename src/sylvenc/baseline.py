@@ -20,6 +20,13 @@ factors with the rows of ``R`` instead of one ``(m n)^3`` product.  The
 residual is formed in ``m x n`` coordinates by the same kernel as mkw's
 and blk's.
 
+Memory model of ``ver``: ``|I - R Q|`` is streamed through row blocks of
+``R`` of ``_VER_BLOCK_BYTES`` each, so the only ``(m n)^2`` arrays are
+``R`` and ``|I - R Q|``, beside one block's working set; the LU phase
+holds ``mid Q`` and its factors, and ``M``'s product ``R`` and ``|R|``.  A
+call whose predicted peak exceeds ``linalg.KRON_BYTES`` is refused before
+it allocates.
+
 The audit layer checks enclosures against members of the interval system:
 
 * floating-point solutions of member point systems (``point_solve``,
@@ -48,6 +55,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrtrs as _trtrs
 
+from . import linalg
 from .errors import IntervalOverflowError, SingularMatrixError, SizeCapError
 from .intervals import (
     IMatrix,
@@ -81,6 +89,10 @@ __all__ = [
 ]
 
 BASELINE_CAP = 1024
+# ver's |I - R Q|: bytes of one row block of R that the kernel streams (256 KiB)
+_VER_BLOCK_BYTES = 2**18
+# arrays of one block's size that bound the block's working set, for the size budget
+_VER_BLOCK_WORK = 12
 # point_solve: Kronecker LU up to this many unknowns m n, QZ recurrence above;
 # the two cost the same near m n = 225 (m = n = 15) on one BLAS thread
 _KRON_MAX_UNKNOWNS = 225
@@ -129,22 +141,27 @@ def build_Q_kron(
     raises :class:`SingularMatrixError`.
     """
     _check_cap(sys, cap)
-    qmid = kron(sys.B.mid.T, sys.A.mid) + kron(sys.D.mid.T, sys.C.mid)
+    qmid = kron(sys.B.mid.T, sys.A.mid)
+    term = kron(sys.D.mid.T, sys.C.mid)
+    # in place, in the term of the sum's dtype: two (m n)^2 arrays, not three
+    qmid = np.add(qmid, term, out=qmid if qmid.dtype == np.result_type(qmid, term) else term)
+    del term
     return KronSystem(R=lu_inverse(qmid.T).T, m=sys.m, n=sys.n)
 
 
 def _kron_rows(
-    r3: np.ndarray, r3abs: np.ndarray, x: IMatrix, y: IMatrix
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Midpoint and radius of ``R (y^T kron x)`` for a point ``R``, as ``(m n, n, m)`` stacks.
+    r3: np.ndarray, r3abs: np.ndarray, x: IMatrix, y: IMatrix, scaling: bool = True
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Midpoint and radius of ``R (y^T kron x)`` for a point ``R``, as ``(k, n, m)`` stacks.
 
-    ``r3[r]`` is row ``r`` of ``R`` as an ``n x m`` matrix (``R_r^T``) and
-    ``r3abs`` its magnitude.  Row ``r`` of the product is
-    ``vec(x^T R_r y^T)``, the ``n x m`` matrix ``y r3[r] x`` flattened, so
-    the midpoint is one product with ``x`` on the whole stack and one
-    stacked product with ``y``.  The radius carries the radius identity of
-    the Kronecker product, ``rad(y^T kron x) <= |Ym|^T kron Xr + Yr^T kron
-    (|Xm| + Xr)``, through ``|R|``:
+    ``r3[r]`` is a row ``r`` of ``R`` as an ``n x m`` matrix (``R_r^T``),
+    ``r3abs`` its magnitude; ``r3`` may hold any ``k`` rows of ``R``, and
+    each row of the result is that of its own row of ``R``.  Row ``r`` of
+    the product is ``vec(x^T R_r y^T)``, the ``n x m`` matrix ``y r3[r] x``
+    flattened, so the midpoint is one product with ``x`` on the whole stack
+    and one stacked product with ``y``.  The radius carries the radius
+    identity of the Kronecker product, ``rad(y^T kron x) <= |Ym|^T kron Xr +
+    Yr^T kron (|Xm| + Xr)``, through ``|R|``:
 
         |Ym| |r3| (Xr + c |Xm|) + Yr |r3| (|Xm| + Xr),
 
@@ -161,21 +178,23 @@ def _kron_rows(
     1``) is exact: the row is ``c`` times the one product ``r3[r] x`` or ``y
     r3[r]``, which takes ``im_matmul``'s rule of one product, with no product
     by the factor and no count for it in the pad; a pair of them gives the
-    point ``c R``, and the radius returned is None.  This holds while no
-    scaled entry leaves the normal range (:func:`~sylvenc.intervals._scaled`);
-    otherwise the rows take the chain.
+    point ``c R``, and the radius returned is None.  That holds while no
+    scaled entry leaves the normal range (:func:`~sylvenc.intervals._scaled`).
+    Where one does, on any row of ``r3``, the result is None; ``scaling``
+    False takes the chain at once.  So the caller decides for every row of
+    ``R`` together, whatever rows each call sees.
     """
-    mn, n, m = r3.shape
+    k_rows, n, m = r3.shape
 
     def rows(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
         # every matrix of the stack times t, as one product on the stacked rows
-        return _mm(stack.reshape(-1, m), t).reshape(mn, n, m)
+        return _mm(stack.reshape(-1, m), t).reshape(k_rows, n, m)
 
     def left(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
         # t times every matrix of the stack
         return _mm(t, stack)
 
-    cx, cy = (_Operand(t.mid, t.rad).scale for t in (x, y))
+    cx, cy = (_Operand(t.mid, t.rad).scale for t in (x, y)) if scaling else (None, None)
     scaled = None
     if cx is not None and cy is not None:
         scaled = _scaled(cx * cy, r3, None)
@@ -183,8 +202,8 @@ def _kron_rows(
         scaled = _scaled(cy, *_point_product(rows, r3, r3abs, x, _dot_ops(m)))
     elif cx is not None:
         scaled = _scaled(cx, *_point_product(left, r3, r3abs, y, _dot_ops(n)))
-    if scaled is not None and scaled[2].all():
-        return scaled[:2]
+    if scaled is not None:
+        return scaled[:2] if scaled[2].all() else None
     mid = _mm(y.mid, rows(r3, x.mid))
     k = _dot_ops(m) + _dot_ops(n) + 1
     ax, ay = np.abs(x.mid), np.abs(y.mid)
@@ -218,42 +237,71 @@ def _point_product(
     return mid, rad
 
 
-def _contraction(ks: KronSystem, sys: SylvesterSystem) -> IMatrix:
-    """Enclosure of ``R Q`` over every member ``Q``: one term per coefficient pair.
+def _block_rows(mn: int, itemsize: int) -> int:
+    """Rows of ``R`` per block of :func:`_contraction_mag`: ``_VER_BLOCK_BYTES`` of ``R``."""
+    return max(1, _VER_BLOCK_BYTES // (itemsize * mn))
 
-    Each pair takes :func:`_kron_rows`: a pair of exact point scalars (kyc31's
-    identities C and D) contributes the point ``c R`` itself, a pair with one
-    of them (sylvester32's) one product.  The two terms add as disks, bit for
-    bit as the interval sum does, in place.
+
+def _contraction_mag(ks: KronSystem, sys: SylvesterSystem) -> np.ndarray:
+    """``|I - R Q|`` over every member ``Q``, streamed through row blocks of ``R``.
+
+    Each block of rows of ``R`` takes :func:`_kron_rows` once per coefficient
+    pair: a pair of exact point scalars (kyc31's identities C and D)
+    contributes the point ``c R`` itself, a pair with one of them
+    (sylvester32's) one product.  The two terms add as disks, as the interval
+    sum does; the identity is subtracted on the block's diagonal entries and
+    the magnitude written to the block's rows of the result.  The pad rules
+    are those of the interval sum, of the subtraction ``I - R Q`` and of
+    ``mag`` (:func:`~sylvenc.intervals._pad_rad`,
+    :func:`~sylvenc.intervals._mag`), entrywise, and the rows of ``R Q`` are
+    independent, so each entry is bit for bit that of the unblocked
+    computation.  So the result and ``R`` are the only ``(m n)^2`` arrays;
+    every other array holds one block.
+
+    Whether a pair's scalar factors scale exactly is decided for the whole
+    ``R``: a block on which the scaled form is not exact sends that pair to
+    the chain and the pass starts again.  A non-finite entry of ``R Q``
+    raises :class:`IntervalOverflowError` once a pass has decided every pair.
     """
-    mn = ks.m * ks.n
-    r3 = ks.R.reshape(mn, ks.n, ks.m)
-    r3abs = np.abs(r3)
-    mids, rads = [], []
-    for x, y in ((sys.A, sys.B), (sys.C, sys.D)):
-        mid, rad = _kron_rows(r3, r3abs, x, y)
-        mids.append(mid.reshape(mn, mn))
-        if rad is not None:
-            rads.append(rad.reshape(mn, mn))
-    mid = mids[0] + mids[1]
-    rad = rads[0] + rads[1] if len(rads) == 2 else rads[0] if rads else np.zeros(mid.shape)
-    return IMatrix._from_kernel(mid, _pad_rad(rad, np.abs(mid), out=rad))
-
-
-def _eye_minus_mag(p: IMatrix) -> np.ndarray:
-    """``(I - p).mag()`` for a square ``p``, without the identity interval matrix.
-
-    It applies the pad rules of the interval subtraction and of ``mag`` to
-    the radii ``0 + rad p``, so the result is bit for bit theirs.  For ver's
-    products it skips the identity and the subtraction's temporaries: at
-    ``m n = 1024`` about 9 MB of peak memory and 7 ms per call (two vCPUs,
-    one BLAS thread).
-    """
-    mid = np.negative(p.mid)
-    mid.flat[:: p.rows + 1] += 1.0
-    amid = np.abs(mid)
-    out = _pad_rad(p.rad, amid.copy())
-    return _mag(amid, out, out=out)
+    m, n, R = ks.m, ks.n, ks.R
+    mn = m * n
+    r3 = R.reshape(mn, n, m)
+    h = _block_rows(mn, R.itemsize)
+    pairs = ((sys.A, sys.B), (sys.C, sys.D))
+    scaling = [True, True]
+    wmag = np.empty((mn, mn))
+    while True:
+        finite = True
+        for lo in range(0, mn, h):
+            blk = r3[lo : lo + h]
+            babs = np.abs(blk)
+            terms = [_kron_rows(blk, babs, x, y, s) for (x, y), s in zip(pairs, scaling)]
+            if None in terms:
+                # a pair whose scaling is inexact on this block takes the chain on every block
+                scaling = [s and t is not None for s, t in zip(scaling, terms)]
+                break
+            hb = len(blk)
+            mid = terms[0][0].reshape(hb, mn) + terms[1][0].reshape(hb, mn)
+            # every radius _kron_rows returns is its own array, so the sum may overwrite one
+            rads = [t[1].reshape(hb, mn) for t in terms if t[1] is not None]
+            if len(rads) == 2:
+                rad = np.add(*rads, out=rads[0])
+            else:
+                rad = rads[0] if rads else np.zeros(mid.shape)
+            # the block's terms go before its sum's temporaries: the working set stays ten blocks
+            del terms, rads, babs
+            _pad_rad(rad, np.abs(mid), out=rad)
+            finite = finite and bool(np.isfinite(mid).all() and np.isfinite(rad).all())
+            # I - R Q on the block's rows, its diagonal entries at columns lo..lo+hb-1
+            amid = np.negative(mid, out=mid)
+            amid.flat[lo :: mn + 1] += 1.0
+            amid = np.abs(amid)
+            _pad_rad(rad, amid.copy(), out=rad)
+            _mag(amid, rad, out=wmag[lo : lo + hb])
+        else:
+            if not finite:
+                raise IntervalOverflowError("interval overflow")
+            return wmag
 
 
 def full_krawczyk_solve(
@@ -266,14 +314,43 @@ def full_krawczyk_solve(
     ``R`` is the dense floating inverse of the midpoint matrix from
     :func:`build_Q_kron` (``getrf`` and ``getri``); the candidate image is
     ``M + (I - R Q) Z`` for symmetric boxes ``Z``, checked for strict interior
-    containment exactly as in the structured solver.  The approximate
-    solution is ``R vec(mid F)`` with one step of iterative refinement, its
-    residual enclosure ``F - (A Xtilde) B - (C Xtilde) D`` is formed in
-    ``m x n`` coordinates (:func:`~sylvenc.krawczyk.residual`), and ``M`` is
-    ``R`` times it.  ``|I - R Q|`` is bounded from the Kronecker factors
-    (:func:`_contraction`, :func:`_eye_minus_mag`), with no interval ``Q``.
+    containment exactly as in the structured solver.  ``M`` comes from
+    :func:`_ver_residual`, ``|I - R Q|`` from the Kronecker factors
+    (:func:`_contraction_mag`), with no interval ``Q``.  A system whose
+    predicted peak memory exceeds ``linalg.KRON_BYTES`` (:func:`_ver_bytes`)
+    raises :class:`SizeCapError` before the first ``(m n)^2`` array is
+    allocated.
     """
+    need = _ver_bytes(sys)
+    if need > linalg.KRON_BYTES:
+        raise SizeCapError(
+            f"ver needs about {need} bytes, above the budget of {linalg.KRON_BYTES} bytes"
+        )
     ks = build_Q_kron(sys, cap)
+    X, M = _ver_residual(ks, sys)
+    return _ver_loop(ks, X, M, _contraction_mag(ks, sys), kmax)
+
+
+def _ver_bytes(sys: SylvesterSystem) -> int:
+    """ver's predicted peak bytes: two ``(m n)^2`` arrays of ``R``'s dtype and one block.
+
+    The LU phase holds ``mid Q`` and its factors, the ``M`` phase ``R`` and
+    ``|R|``, the contraction ``R``, ``|I - R Q|`` and the arrays of one row
+    block of ``R`` (:func:`_contraction_mag`; ``_VER_BLOCK_WORK`` of them
+    bounds the block's working set as measured).
+    """
+    mn = sys.m * sys.n
+    item = np.result_type(*(t.mid for t in (sys.A, sys.B, sys.C, sys.D))).itemsize
+    return 2 * item * mn * mn + _VER_BLOCK_WORK * _block_rows(mn, item) * item * mn
+
+
+def _ver_residual(ks: KronSystem, sys: SylvesterSystem) -> tuple[np.ndarray, IMatrix]:
+    """ver's approximate solution ``Xtilde`` and ``M``, its residual enclosure times ``R``.
+
+    ``Xtilde`` is ``R vec(mid F)`` with one step of iterative refinement; the
+    residual enclosure ``F - (A Xtilde) B - (C Xtilde) D`` is formed in ``m x
+    n`` coordinates (:func:`~sylvenc.krawczyk.residual`).
+    """
     m, n, R = ks.m, ks.n, ks.R
     A, B, C, D, F = (t.mid for t in (sys.A, sys.B, sys.C, sys.D, sys.F))
     X = unvec(R @ vec(F), m, n)
@@ -281,8 +358,14 @@ def full_krawczyk_solve(
     X = X + unvec(R @ vec(F - A @ X @ B - C @ X @ D), m, n)
     res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
     # R as a point operand: no zero radius array of (m n)^2 entries to allocate and scan
-    M = iunvec(im_matmul(_Operand(R), ivec(res)), m, n)
-    wmag = _eye_minus_mag(_contraction(ks, sys))
+    return X, iunvec(im_matmul(_Operand(R), ivec(res)), m, n)
+
+
+def _ver_loop(
+    ks: KronSystem, X: np.ndarray, M: IMatrix, wmag: np.ndarray, kmax: int
+) -> Enclosure:
+    """ver's verification loop on ``M`` and ``wmag = |I - R Q|``."""
+    m, n = ks.m, ks.n
 
     def n_of(xrad: np.ndarray) -> IMatrix:
         # the loop runs in m x n coordinates, where each of its steps is entrywise; the

@@ -11,6 +11,7 @@ import pytest
 
 import sylvenc.baseline as baseline
 import sylvenc.intervals as intervals
+import sylvenc.linalg as linalg
 from sylvenc import (
     GenSpec,
     IMatrix,
@@ -35,6 +36,7 @@ from sylvenc.baseline import (
     _refine_members,
 )
 
+import ver_oracle
 from disk_oracle import Disk, contraction_oracle, iv_mul
 from exact_oracle import add as exact_add
 from exact_oracle import exact, in_disk
@@ -52,7 +54,7 @@ def _scalar_system():
 def _contraction_mag(sys):
     """ver's ``R`` and its bound on ``|I - R Q|`` for ``sys``."""
     ks = build_Q_kron(sys)
-    return ks.R, baseline._eye_minus_mag(baseline._contraction(ks, sys))
+    return ks.R, baseline._contraction_mag(ks, sys)
 
 
 def _well_posed_system(rng, m, n, cplx=False, alpha=1e-3, identity_pair=False):
@@ -114,7 +116,7 @@ class TestKroneckerAssembly:
                 + np.kron(np.abs(D.mid.T), C.rad)
                 + np.kron(D.rad.T, magC)
             )
-            got = baseline._contraction(ks, sys).rad
+            got = ver_oracle.contraction(ks, sys).rad
             assert (got >= expect * (1.0 - 1e-12)).all()
             assert np.abs(got - expect).max() <= 1e-10 * max(1.0, expect.max())
 
@@ -123,7 +125,8 @@ class TestKroneckerAssembly:
         eye = IMatrix(np.eye(2))
         F = IMatrix(np.ones((2, 2)))
         sys = SylvesterSystem(A=A, B=eye, C=eye, D=eye, F=F)
-        assert baseline._contraction(build_Q_kron(sys), sys).rad.max() <= 1e-13
+        assert ver_oracle.contraction(build_Q_kron(sys), sys).rad.max() <= 1e-13
+        assert _contraction_mag(sys)[1].max() <= 1e-13
 
     def test_size_cap(self):
         sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=1))
@@ -191,12 +194,14 @@ class TestKroneckerAssembly:
     def test_scalar_factor_leaving_the_normal_range_takes_the_chain(self):
         sys = _well_posed_system(np.random.default_rng(7), 3, 3)
         r3 = build_Q_kron(sys).R.reshape(9, 3, 3)
-        # 3 is no power of two; 2^-1060 scales R below the normal range, and
-        # the pair's 2^-2120 to zero
-        for c in (3.0, 2.0**-1060):
-            cI = IMatrix(c * np.eye(3))
-            _, rad = baseline._kron_rows(r3, np.abs(r3), cI, cI)
-            assert rad is not None
+        # 3 is no power of two and takes the chain; 2^-1060 scales R below the
+        # normal range, and the pair's 2^-2120 to zero: no scaled form, and the
+        # caller takes the chain
+        cI = IMatrix(3.0 * np.eye(3))
+        assert baseline._kron_rows(r3, np.abs(r3), cI, cI)[1] is not None
+        cI = IMatrix(2.0**-1060 * np.eye(3))
+        assert baseline._kron_rows(r3, np.abs(r3), cI, cI) is None
+        assert baseline._kron_rows(r3, np.abs(r3), cI, cI, False)[1] is not None
         assert baseline._Operand(np.eye(3) * 2.0**-1060).scale == 2.0**-1060
         assert baseline._Operand(np.eye(3) * 4.0, np.full((3, 3), 1e-9)).scale is None
         assert baseline._Operand(np.eye(3) * 2j).scale is None
@@ -236,6 +241,141 @@ class TestKroneckerAssembly:
         assert np.shares_memory(R, R.reshape(12, 3, 4))
         qmid = np.kron(sys.B.mid.T, sys.A.mid) + np.kron(sys.D.mid.T, sys.C.mid)
         assert np.abs(R @ qmid - np.eye(12)).max() <= 1e-12
+
+
+def _split_scaling_system():
+    """C = c I, D = I with ``c = 2^-600``: ``c R`` is exact on the rows of ``R`` with j < 2 only.
+
+    ``B = diag(c, c, b, b)`` with ``b = 3.1 2^500``, so ``R`` is block
+    diagonal with blocks ``inv(b_j A + c I)``: ``inv(A + I) / c`` for ``j <
+    2``, where ``c R`` is exact and of size 1, and about ``2^-500`` for ``j
+    >= 2``, where ``c R`` loses bits below the normal range.
+    """
+    rng = np.random.default_rng(61)
+    c, b = 2.0**-600, 3.1 * 2.0**500
+    A = IMatrix(3.0 * np.eye(4) + 0.3 * rng.normal(size=(4, 4)), np.full((4, 4), 1e-6))
+    B = IMatrix(np.diag([c, c, b, b]))
+    C, D = IMatrix(c * np.eye(4)), IMatrix(np.eye(4))
+    return SylvesterSystem(A=A, B=B, C=C, D=D, F=IMatrix(rng.normal(size=(4, 4))))
+
+
+def _streamed_cases():
+    rng = np.random.default_rng(60)
+    kyc = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))
+    s = 2.0**260
+    return {
+        "complex-5x3": _well_posed_system(rng, 5, 3, cplx=True),
+        "complex-7x3": _well_posed_system(rng, 7, 3, cplx=True),
+        "complex-C=D=I": _well_posed_system(rng, 7, 3, cplx=True, identity_pair=True),
+        "kyc31-2^260": SylvesterSystem(
+            *(IMatrix(x.mid * s, x.rad * s) for x in (kyc.A, kyc.B, kyc.C, kyc.D)),
+            F=IMatrix(kyc.F.mid * s * s, kyc.F.rad * s * s),
+        ),
+        "split-scaling": _split_scaling_system(),
+    }
+
+
+class TestStreamedContraction:
+    """ver's ``|I - R Q|`` through row blocks of ``R``, against the unblocked formula."""
+
+    CASES = _streamed_cases()
+
+    @pytest.mark.parametrize("rows", [1, 4, None], ids=["rows=1", "rows=4", "default"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_equal_to_the_unblocked_formula(self, monkeypatch, name, rows):
+        # mn = 15, 21, 21, 64 and 16: four-row blocks leave a short last block on the first three
+        sys = self.CASES[name]
+        ks = build_Q_kron(sys)
+        mn, item = ks.R.shape[0], ks.R.itemsize
+        if rows is not None:
+            monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", rows * item * mn)
+            assert baseline._block_rows(mn, item) == rows
+        want = ver_oracle.contraction_mag(ks, sys)
+        assert np.array_equal(baseline._contraction_mag(ks, sys), want)
+
+    def test_scaling_is_decided_for_the_whole_R(self, monkeypatch):
+        # four-row blocks: c R is exact on the first two and not on the last two,
+        # so the pair (C, D) takes the chain on every block, as unblocked
+        sys = _split_scaling_system()
+        ks = build_Q_kron(sys)
+        r3 = ks.R.reshape(16, 4, 4)
+        c = 2.0**-600
+        exact = [bool(intervals._scaled(c, r3[lo : lo + 4], None)[2].all()) for lo in (0, 4, 8, 12)]
+        assert exact == [True, True, False, False]
+        monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", 4 * 8 * 16)
+        got = baseline._contraction_mag(ks, sys)
+        assert np.array_equal(got, ver_oracle.contraction_mag(ks, sys))
+        # the first rows alone would take the scaled form, with no radius
+        assert baseline._kron_rows(r3[:8], np.abs(r3[:8]), sys.C, sys.D)[1] is None
+        assert baseline._kron_rows(r3[:8], np.abs(r3[:8]), sys.C, sys.D, False)[1].max() > 0.0
+
+    def test_overflow_raises(self, monkeypatch):
+        # |R| has row sums 2, so |R| rad A overflows
+        big = IMatrix(0.5 * (np.ones((2, 2)) - np.eye(2)), np.full((2, 2), 1e308))
+        eye = IMatrix(np.eye(2))
+        sys = SylvesterSystem(A=big, B=eye, C=eye, D=eye, F=IMatrix(np.ones((2, 2))))
+        ks = build_Q_kron(sys)
+        monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", 8 * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntervalOverflowError):
+                ver_oracle.contraction(ks, sys)
+            with pytest.raises(IntervalOverflowError):
+                baseline._contraction_mag(ks, sys)
+
+    def test_block_height_comes_from_the_byte_budget(self):
+        assert baseline._block_rows(1024, 8) == 32
+        assert baseline._block_rows(1024, 16) == 16
+        assert baseline._block_rows(64, 8) == 512
+        assert baseline._block_rows(10**6, 16) == 1
+
+    @pytest.mark.parametrize("m, cplx", [(16, False), (16, True), (32, False)])
+    def test_peak_memory_is_R_wmag_and_one_block(self, m, cplx):
+        # m n = 256 and 1024: three (m n)^2 arrays of R's dtype and one block's
+        # working set; the unblocked formula held nine
+        if m == 32:
+            sys = generate(GenSpec(family="gallery33", m=m, alpha=1e-6, seed=0))
+        else:
+            sys = _well_posed_system(np.random.default_rng(62), m, m, cplx)
+        item, mn = (16 if cplx else 8), m * m
+        full_krawczyk_solve(sys)
+        tracemalloc.start()
+        try:
+            enc = full_krawczyk_solve(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enc.verified
+        block = baseline._VER_BLOCK_WORK * baseline._VER_BLOCK_BYTES
+        assert peak <= 3 * item * mn**2 + block
+        assert peak <= baseline._ver_bytes(sys)
+
+    def test_size_budget_refuses_before_allocating(self, monkeypatch):
+        # m n = 1024: one (m n)^2 array is 8 MiB, the budget a tenth of that
+        sys = generate(GenSpec(family="gallery33", m=32, alpha=1e-6, seed=0))
+        need = baseline._ver_bytes(sys)
+        assert need >= 2 * 8 * 1024**2
+        monkeypatch.setattr(linalg, "KRON_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=f"about {need} bytes"):
+                full_krawczyk_solve(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_uncapped_ver_above_the_default_budget_is_refused(self):
+        # m n = 10^4: R alone would take 800 MB, and ver about twice that
+        sys = generate(GenSpec(family="kyc31", m=100, alpha=1e-6, seed=0))
+        assert baseline._ver_bytes(sys) > linalg.KRON_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="budget"):
+                full_krawczyk_solve(sys, cap=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_point_solve_recovers_planted_solution():
@@ -1064,15 +1204,16 @@ class TestFullKrawczyk:
             mid = np.eye(n) - 1e-3 * mid * (rng.uniform(size=(n, n)) < 0.8)
             p = IMatrix(mid, 1e-9 * np.abs(rng.normal(size=(n, n))))
             want = (IMatrix(np.eye(n, dtype=dtype)) - p).mag()
-            assert np.array_equal(baseline._eye_minus_mag(p), want)
+            assert np.array_equal(ver_oracle.eye_minus_mag(p), want)
         # and ver's own product R Q, from the Kronecker factors
         for sys in (
             generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=6)),
             _well_posed_system(rng, 4, 3, cplx=dtype is np.complex128),
         ):
-            p = baseline._contraction(build_Q_kron(sys), sys)
+            ks = build_Q_kron(sys)
+            p = ver_oracle.contraction(ks, sys)
             want = (IMatrix(np.eye(sys.m * sys.n, dtype=dtype)) - p).mag()
-            assert np.array_equal(baseline._eye_minus_mag(p), want)
+            assert np.array_equal(baseline._contraction_mag(ks, sys), want)
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("alpha", [0.0, 1e-3])
@@ -1081,7 +1222,7 @@ class TestFullKrawczyk:
         for m, n in ((3, 5), (5, 3), (4, 4), (7, 2)):
             sys = _well_posed_system(rng, m, n, cplx, alpha=alpha)
             ks = build_Q_kron(sys)
-            p = baseline._contraction(ks, sys)
+            p = ver_oracle.contraction(ks, sys)
             wide = np.clongdouble if cplx else np.longdouble
             mids = [x.mid.astype(wide) for x in (sys.A, sys.B, sys.C, sys.D)]
             qmid = np.kron(mids[1].T, mids[0]) + np.kron(mids[3].T, mids[2])

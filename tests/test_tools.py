@@ -16,6 +16,7 @@ RUNS = {
     "itr_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6"],
     "audit_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6", "--samples", "4"],
     "loop_grid": ["--cells", "kyc31:8:0"],
+    "ver_grid": ["--families", "kyc31", "--sizes", "8", "--repeat", "1"],
 }
 
 
@@ -53,6 +54,14 @@ def test_tool_runs(name):
         assert re.search(
             r"verified=True stop=box +k=\d+ +calls=\d+ +ratio=[0-9.e+-]+ loop_ms=", line
         ), line
+    if name == "ver_grid":
+        (line,) = proc.stdout.splitlines()
+        stages = re.findall(r"(lu|M|wmag|loop)_ms=(\S+) \1_mb=(\S+)", line)
+        assert [s[0] for s in stages] == ["lu", "M", "wmag", "loop"], line
+        assert all(float(ms) >= 0 and float(mb) > 0 for _, ms, mb in stages), line
+        tail = re.search(r"peak_mb=(\S+) budget_mb=(\S+) radsum=(\S+)$", line)
+        peak, budget, radsum = tail.groups()
+        assert 0 < float(peak) <= float(budget) and float(radsum) > 0, line
     if name == "audit_grid":
         (line,) = proc.stdout.splitlines()
         costs = re.search(
