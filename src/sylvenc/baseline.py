@@ -16,9 +16,11 @@ contraction matrix ``R Q`` comes from the Kronecker factors (Van Loan, "The
 ubiquitous Kronecker product", JCAM 123, 2000): row ``r`` of ``R (Y^T kron
 X)`` is ``vec(X^T R_r Y^T)`` for row ``r`` of ``R`` as an ``m x n`` matrix
 ``R_r``, so each coefficient pair costs products of ``m x m`` and ``n x n``
-factors with the rows of ``R`` instead of one ``(m n)^3`` product.  The
-residual is formed in ``m x n`` coordinates by the same kernel as mkw's
-and blk's.
+factors with the rows of ``R`` instead of one ``(m n)^3`` product.  A pair
+with a point scalar factor ``c I``, ``c`` a power of two, goes through the
+product core (:func:`~sylvenc.intervals._product`), which decides per row
+of ``R`` whether the product by ``c I`` scales exactly.  The residual is
+formed in ``m x n`` coordinates by the same kernel as mkw's and blk's.
 
 Memory model of ``ver``: ``|I - R Q|`` is streamed through row blocks of
 ``R`` of ``_VER_BLOCK_BYTES`` each, so the only ``(m n)^2`` arrays are
@@ -66,8 +68,8 @@ from .intervals import (
     _mm,
     _Operand,
     _pad_rad,
+    _prepare,
     _product,
-    _scaled,
     _slack,
     _up,
     as_imatrix,
@@ -149,91 +151,76 @@ def build_Q_kron(
     return KronSystem(R=lu_inverse(qmid.T).T, m=sys.m, n=sys.n)
 
 
-def _kron_rows(
-    r3: np.ndarray, r3abs: np.ndarray, x: IMatrix, y: IMatrix, scaling: bool = True
-) -> tuple[np.ndarray, np.ndarray | None] | None:
+def _kron_rows(r: _Operand, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint and radius of ``R (y^T kron x)`` for a point ``R``, as ``(k, n, m)`` stacks.
 
-    ``r3[r]`` is a row ``r`` of ``R`` as an ``n x m`` matrix (``R_r^T``),
-    ``r3abs`` its magnitude; ``r3`` may hold any ``k`` rows of ``R``, and
-    each row of the result is that of its own row of ``R``.  Row ``r`` of
-    the product is ``vec(x^T R_r y^T)``, the ``n x m`` matrix ``y r3[r] x``
+    ``r`` is a point operand (:class:`~sylvenc.intervals._Operand`) on a
+    stack of rows of ``R``, each row ``r`` as an ``n x m`` matrix
+    (``R_r^T``); it may hold any ``k`` rows of ``R``, and each row of the
+    result is that of its own row of ``R``.  ``x`` and ``y`` are operands or
+    anything :func:`~sylvenc.intervals._prepare` takes.  Row ``r`` of the
+    product is ``vec(x^T R_r y^T)``, the ``n x m`` matrix ``y R_r^T x``
     flattened, so the midpoint is one product with ``x`` on the whole stack
     and one stacked product with ``y``.  The radius carries the radius
     identity of the Kronecker product, ``rad(y^T kron x) <= |Ym|^T kron Xr +
     Yr^T kron (|Xm| + Xr)``, through ``|R|``:
 
-        |Ym| |r3| (Xr + c |Xm|) + Yr |r3| (|Xm| + Xr),
+        |Ym| |r| (Xr + c |Xm|) + Yr |r| (|Xm| + Xr),
 
     scaled up for ``k`` roundings, with the pad of ``k`` roundings of
-    ``|Ym| |r3| |Xm|`` folded into the first term as ``c |Xm|``
+    ``|Ym| |r| |Xm|`` folded into the first term as ``c |Xm|``
     (:func:`~sylvenc.intervals._fold`, the rule of ``im_matmul``).  ``k =
     (2m + 8) + (2n + 8) + 1`` counts the midpoint's chain of two inner
     products, ``gamma_m + gamma_n + gamma_m gamma_n``, and the rounding of
     the radius's own products and sums.  The products with a zero radius
     are skipped.
 
-    A point scalar factor ``c I`` with ``c`` a power of two (the
-    ``scale`` of :class:`~sylvenc.intervals._Operand`; the identity is ``c =
-    1``) is exact: the row is ``c`` times the one product ``r3[r] x`` or ``y
-    r3[r]``, which takes ``im_matmul``'s rule of one product, with no product
-    by the factor and no count for it in the pad; a pair of them gives the
-    point ``c R``, and the radius returned is None.  That holds while no
-    scaled entry leaves the normal range (:func:`~sylvenc.intervals._scaled`).
-    Where one does, on any row of ``r3``, the result is None; ``scaling``
-    False takes the chain at once.  So the caller decides for every row of
-    ``R`` together, whatever rows each call sees.
+    A pair with a point scalar factor ``c I`` (the ``scale`` of an operand,
+    ``c = +-2^e``; the identity is ``c = 1``) is two products of the core
+    instead, ``y (r x)`` when ``y`` is one (a pair of them gives the point
+    ``c R``) and ``(y r) x`` when only ``x`` is, so the product by the
+    factor is exact wherever :func:`~sylvenc.intervals._product` finds it
+    so, decided per row of ``R``, and the general product elsewhere.  The
+    product with ``y`` of the second route is :func:`_left_product`.
     """
-    k_rows, n, m = r3.shape
+    x, y = _prepare(x), _prepare(y)
+    if y.scale is not None:
+        return _product(y, _product(r, x))
+    if x.scale is not None:
+        return _product(_left_product(y, r), x)
+    k_rows, n, m = r.mid.shape
 
     def rows(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
         # every matrix of the stack times t, as one product on the stacked rows
         return _mm(stack.reshape(-1, m), t).reshape(k_rows, n, m)
 
-    def left(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # t times every matrix of the stack
-        return _mm(t, stack)
-
-    cx, cy = (_Operand(t.mid, t.rad).scale for t in (x, y)) if scaling else (None, None)
-    scaled = None
-    if cx is not None and cy is not None:
-        scaled = _scaled(cx * cy, r3, None)
-    elif cy is not None:
-        scaled = _scaled(cy, *_point_product(rows, r3, r3abs, x, _dot_ops(m)))
-    elif cx is not None:
-        scaled = _scaled(cx, *_point_product(left, r3, r3abs, y, _dot_ops(n)))
-    if scaled is not None:
-        return scaled[:2] if scaled[2].all() else None
-    mid = _mm(y.mid, rows(r3, x.mid))
+    mid = _mm(y.mid, rows(r.mid, x.mid))
     k = _dot_ops(m) + _dot_ops(n) + 1
-    ax, ay = np.abs(x.mid), np.abs(y.mid)
-    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
-    xpad, split = _fold(ax, x.rad if x_rad else None, k)
-    rad = np.zeros(mid.shape) if xpad is None else _mm(ay, rows(r3abs, xpad))
-    if y_rad:
-        rad += _mm(y.rad, rows(r3abs, ax + x.rad if x_rad else ax))
+    xpad, split = _fold(x.amid, x.rad, k)
+    rad = np.zeros(mid.shape) if xpad is None else _mm(y.amid, rows(r.amid, xpad))
+    if y.rad is not None:
+        rad += _mm(y.rad, rows(r.amid, x.mag_sum()))
     _up(rad, k, out=rad)
     if split:
-        rad += _slack(_mm(ay, rows(r3abs, ax)), k)
+        rad += _slack(_mm(y.amid, rows(r.amid, x.amid)), k)
     return mid, rad
 
 
-def _point_product(
-    mul, r3: np.ndarray, r3abs: np.ndarray, z: IMatrix, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint and radius of ``mul(r3, z)``, one product of a point stack and ``z``.
+def _left_product(y: _Operand, r: _Operand) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and radius of ``y r`` for a point stack ``r``, the pad folded on ``y``.
 
-    ``im_matmul``'s rule for a point factor: ``|r3| (Zr + c |Zm|)`` scaled
-    up for the ``k`` roundings of one inner product, the pad split off as in
-    :func:`~sylvenc.intervals._fold`.
+    The radius is ``(Yr + c |Ym|) |r|`` scaled up for the ``2n + 8``
+    roundings of one inner product, the pad split off as in
+    :func:`~sylvenc.intervals._fold`: ``im_matmul``'s rule with the fold on
+    the left factor, where the core's product folds on the right one.
     """
-    mid = mul(r3, z.mid)
-    az = np.abs(z.mid)
-    zpad, split = _fold(az, z.rad if np.count_nonzero(z.rad) > 0 else None, k)
-    rad = np.zeros(mid.shape) if zpad is None else mul(r3abs, zpad)
+    k = _dot_ops(y.mid.shape[-1])
+    mid = _mm(y.mid, r.mid)
+    ypad, split = _fold(y.amid, y.rad, k)
+    rad = np.zeros(mid.shape) if ypad is None else _mm(ypad, r.amid)
     _up(rad, k, out=rad)
     if split:
-        rad += _slack(mul(r3abs, az), k)
+        rad += _slack(_mm(y.amid, r.amid), k)
     return mid, rad
 
 
@@ -245,63 +232,46 @@ def _block_rows(mn: int, itemsize: int) -> int:
 def _contraction_mag(ks: KronSystem, sys: SylvesterSystem) -> np.ndarray:
     """``|I - R Q|`` over every member ``Q``, streamed through row blocks of ``R``.
 
-    Each block of rows of ``R`` takes :func:`_kron_rows` once per coefficient
-    pair: a pair of exact point scalars (kyc31's identities C and D)
-    contributes the point ``c R`` itself, a pair with one of them
-    (sylvester32's) one product.  The two terms add as disks, as the interval
-    sum does; the identity is subtracted on the block's diagonal entries and
-    the magnitude written to the block's rows of the result.  The pad rules
-    are those of the interval sum, of the subtraction ``I - R Q`` and of
-    ``mag`` (:func:`~sylvenc.intervals._pad_rad`,
-    :func:`~sylvenc.intervals._mag`), entrywise, and the rows of ``R Q`` are
-    independent, so each entry is bit for bit that of the unblocked
-    computation.  So the result and ``R`` are the only ``(m n)^2`` arrays;
-    every other array holds one block.
-
-    Whether a pair's scalar factors scale exactly is decided for the whole
-    ``R``: a block on which the scaled form is not exact sends that pair to
-    the chain and the pass starts again.  A non-finite entry of ``R Q``
-    raises :class:`IntervalOverflowError` once a pass has decided every pair.
+    Each block of rows of ``R`` is prepared once as a point operand, whose
+    ``|mid|`` serves both coefficient pairs, and takes :func:`_kron_rows`
+    once per pair: a pair of exact point scalars (kyc31's identities C and
+    D) contributes the point ``c R`` itself, a pair with one of them
+    (sylvester32's) one product with ``R``, each decided per row of ``R`` by
+    the product core.  The two terms add as disks, as the interval sum does;
+    the identity is subtracted on the block's diagonal entries and the
+    magnitude written to the block's rows of the result.  The pad rules are
+    those of the interval sum, of the subtraction ``I - R Q`` and of ``mag``
+    (:func:`~sylvenc.intervals._pad_rad`, :func:`~sylvenc.intervals._mag`),
+    entrywise, and the rows of ``R Q`` are independent, so each entry is bit
+    for bit that of the unblocked computation.  So the result and ``R`` are
+    the only ``(m n)^2`` arrays; every other array holds one block.  A
+    non-finite entry of ``R Q`` raises :class:`IntervalOverflowError`.
     """
     m, n, R = ks.m, ks.n, ks.R
     mn = m * n
     r3 = R.reshape(mn, n, m)
     h = _block_rows(mn, R.itemsize)
-    pairs = ((sys.A, sys.B), (sys.C, sys.D))
-    scaling = [True, True]
+    pairs = [(_prepare(x), _prepare(y)) for x, y in ((sys.A, sys.B), (sys.C, sys.D))]
     wmag = np.empty((mn, mn))
-    while True:
-        finite = True
-        for lo in range(0, mn, h):
-            blk = r3[lo : lo + h]
-            babs = np.abs(blk)
-            terms = [_kron_rows(blk, babs, x, y, s) for (x, y), s in zip(pairs, scaling)]
-            if None in terms:
-                # a pair whose scaling is inexact on this block takes the chain on every block
-                scaling = [s and t is not None for s, t in zip(scaling, terms)]
-                break
-            hb = len(blk)
-            mid = terms[0][0].reshape(hb, mn) + terms[1][0].reshape(hb, mn)
-            # every radius _kron_rows returns is its own array, so the sum may overwrite one
-            rads = [t[1].reshape(hb, mn) for t in terms if t[1] is not None]
-            if len(rads) == 2:
-                rad = np.add(*rads, out=rads[0])
-            else:
-                rad = rads[0] if rads else np.zeros(mid.shape)
-            # the block's terms go before its sum's temporaries: the working set stays ten blocks
-            del terms, rads, babs
-            _pad_rad(rad, np.abs(mid), out=rad)
-            finite = finite and bool(np.isfinite(mid).all() and np.isfinite(rad).all())
-            # I - R Q on the block's rows, its diagonal entries at columns lo..lo+hb-1
-            amid = np.negative(mid, out=mid)
-            amid.flat[lo :: mn + 1] += 1.0
-            amid = np.abs(amid)
-            _pad_rad(rad, amid.copy(), out=rad)
-            _mag(amid, rad, out=wmag[lo : lo + hb])
-        else:
-            if not finite:
-                raise IntervalOverflowError("interval overflow")
-            return wmag
+    for lo in range(0, mn, h):
+        blk = _Operand(r3[lo : lo + h])
+        hb = len(blk.mid)
+        (mid, rad), (mid1, rad1) = (_kron_rows(blk, x, y) for x, y in pairs)
+        mid = np.add(mid, mid1).reshape(hb, mn)
+        # every radius _kron_rows returns is its own array, so the sum may overwrite one
+        rad = np.add(rad, rad1, out=rad).reshape(hb, mn)
+        # the block's terms go before its sum's temporaries: the working set stays ten blocks
+        del blk, mid1, rad1
+        _pad_rad(rad, np.abs(mid), out=rad)
+        if not (np.isfinite(mid).all() and np.isfinite(rad).all()):
+            raise IntervalOverflowError("interval overflow")
+        # I - R Q on the block's rows, its diagonal entries at columns lo..lo+hb-1
+        amid = np.negative(mid, out=mid)
+        amid.flat[lo :: mn + 1] += 1.0
+        amid = np.abs(amid)
+        _pad_rad(rad, amid.copy(), out=rad)
+        _mag(amid, rad, out=wmag[lo : lo + hb])
+    return wmag
 
 
 def full_krawczyk_solve(

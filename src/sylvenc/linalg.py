@@ -26,7 +26,8 @@ __all__ = [
     "inverse_enclosure",
 ]
 
-# bytes one Kronecker product may allocate for its result (1 GiB)
+# bytes one Kronecker product may allocate for its result (1 GiB), and the
+# budget of ver's whole solve (baseline._ver_bytes)
 KRON_BYTES = 2**30
 
 

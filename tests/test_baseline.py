@@ -35,6 +35,7 @@ from sylvenc.baseline import (
     _midpoint_solver,
     _refine_members,
 )
+from sylvenc.intervals import _Operand
 
 import ver_oracle
 from disk_oracle import Disk, contraction_oracle, iv_mul
@@ -167,7 +168,7 @@ class TestKroneckerAssembly:
         ks = build_Q_kron(sys)
         r3 = ks.R.reshape(12, 4, 3)
         for x, y in ((sys.A, IMatrix(np.eye(4))), (IMatrix(np.eye(3)), sys.B)):
-            mid, rad = baseline._kron_rows(r3, np.abs(r3), x, y)
+            mid, rad = baseline._kron_rows(_Operand(r3), x, y)
             for r in range(12):
                 ref = im_matmul(IMatrix(r3[r]), x) if x is sys.A else im_matmul(y, IMatrix(r3[r]))
                 np.testing.assert_allclose(mid[r], ref.mid, rtol=2e-15, atol=0)
@@ -180,28 +181,60 @@ class TestKroneckerAssembly:
         sys = _well_posed_system(np.random.default_rng(6), 3, 4, cplx)
         ks = build_Q_kron(sys)
         r3 = ks.R.reshape(12, 4, 3)
+        r = _Operand(r3)
         dtype = sys.A.mid.dtype
         for c in (2.0**260, -0.5, 2.0**-3):
             eye_m, eye_n = IMatrix(np.eye(3, dtype=dtype)), IMatrix(np.eye(4, dtype=dtype))
             cm, cn = IMatrix(c * eye_m.mid), IMatrix(c * eye_n.mid)
             for x, y, sx, sy in ((sys.A, eye_n, sys.A, cn), (eye_m, sys.B, cm, sys.B)):
-                mid, rad = baseline._kron_rows(r3, np.abs(r3), x, y)
-                smid, srad = baseline._kron_rows(r3, np.abs(r3), sx, sy)
+                mid, rad = baseline._kron_rows(r, x, y)
+                smid, srad = baseline._kron_rows(r, sx, sy)
                 assert np.array_equal(smid, c * mid) and np.array_equal(srad, abs(c) * rad)
-            mid, rad = baseline._kron_rows(r3, np.abs(r3), cm, cn)
-            assert rad is None and np.array_equal(mid, c * c * r3)
+            mid, rad = baseline._kron_rows(r, cm, cn)
+            assert not rad.any() and np.array_equal(mid, c * c * r3)
 
-    def test_scalar_factor_leaving_the_normal_range_takes_the_chain(self):
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_single_scalar_routes_keep_the_bits_of_the_point_product(self, cplx):
+        # the reference is ver_oracle's own formula of one product of a point
+        # stack and an interval factor, not _kron_rows: both routes of a pair
+        # with one scalar factor, y (r x) and (y r) x, must keep its bits
+        rng = np.random.default_rng(8 + cplx)
+        for m, n in ((3, 4), (5, 3), (1, 2), (4, 4)):
+            sys = _well_posed_system(rng, m, n, cplx)
+            r3 = build_Q_kron(sys).R.reshape(m * n, n, m)
+            r = _Operand(r3)
+            for c in (1.0, -1.0, 0.25, 2.0**40, -(2.0**-7)):
+                cm, cn = IMatrix(c * np.eye(m)), IMatrix(c * np.eye(n))
+                for got, want in (
+                    (baseline._kron_rows(r, sys.A, cn), ver_oracle.single_scalar_rows(r3, sys.A, c)),
+                    (
+                        baseline._kron_rows(r, cm, sys.B),
+                        ver_oracle.single_scalar_rows(r3, sys.B, c, left=True),
+                    ),
+                ):
+                    assert np.array_equal(got[0], want[0]), (m, n, c)
+                    assert np.array_equal(got[1], want[1]), (m, n, c)
+
+    def test_scalar_factor_leaving_the_normal_range_takes_the_general_product(self):
         sys = _well_posed_system(np.random.default_rng(7), 3, 3)
         r3 = build_Q_kron(sys).R.reshape(9, 3, 3)
-        # 3 is no power of two and takes the chain; 2^-1060 scales R below the
-        # normal range, and the pair's 2^-2120 to zero: no scaled form, and the
-        # caller takes the chain
+        # 3 is no power of two: the pair takes the Kronecker radius identity
         cI = IMatrix(3.0 * np.eye(3))
-        assert baseline._kron_rows(r3, np.abs(r3), cI, cI)[1] is not None
-        cI = IMatrix(2.0**-1060 * np.eye(3))
-        assert baseline._kron_rows(r3, np.abs(r3), cI, cI) is None
-        assert baseline._kron_rows(r3, np.abs(r3), cI, cI, False)[1] is not None
+        assert baseline._kron_rows(_Operand(r3), cI, cI)[1].min() > 0.0
+        # with rows 0-3 of R times 2^1000, 2^-1060 scales the product r3[r] A
+        # exactly on them and below the normal range on rows 4-8, which take
+        # the general product by c I, each as on its own
+        r3 = r3.copy()
+        r3[:4] *= 2.0**1000
+        c = 2.0**-1060
+        cI = IMatrix(c * np.eye(3))
+        mid, rad = baseline._kron_rows(_Operand(r3), sys.A, cI)
+        imid, irad = intervals._general_product(_Operand(r3), _Operand(sys.A.mid, sys.A.rad))
+        assert np.array_equal(mid[:4], c * imid[:4]) and np.array_equal(rad[:4], c * irad[:4])
+        for i in range(4, 9):
+            assert not intervals._scaled(c, imid[i], irad[i])[2]
+            want = intervals._general_product(_Operand(cI.mid), _Operand(imid[i], irad[i]))
+            assert np.array_equal(mid[i], want[0]) and np.array_equal(rad[i], want[1]), i
         assert baseline._Operand(np.eye(3) * 2.0**-1060).scale == 2.0**-1060
         assert baseline._Operand(np.eye(3) * 4.0, np.full((3, 3), 1e-9)).scale is None
         assert baseline._Operand(np.eye(3) * 2j).scale is None
@@ -293,21 +326,30 @@ class TestStreamedContraction:
         want = ver_oracle.contraction_mag(ks, sys)
         assert np.array_equal(baseline._contraction_mag(ks, sys), want)
 
-    def test_scaling_is_decided_for_the_whole_R(self, monkeypatch):
-        # four-row blocks: c R is exact on the first two and not on the last two,
-        # so the pair (C, D) takes the chain on every block, as unblocked
+    def test_scaling_is_decided_per_row_of_R(self, monkeypatch):
+        # c R is exact on rows 0-7 of R and not on rows 8-15
         sys = _split_scaling_system()
         ks = build_Q_kron(sys)
         r3 = ks.R.reshape(16, 4, 4)
         c = 2.0**-600
         exact = [bool(intervals._scaled(c, r3[lo : lo + 4], None)[2].all()) for lo in (0, 4, 8, 12)]
         assert exact == [True, True, False, False]
-        monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", 4 * 8 * 16)
-        got = baseline._contraction_mag(ks, sys)
-        assert np.array_equal(got, ver_oracle.contraction_mag(ks, sys))
-        # the first rows alone would take the scaled form, with no radius
-        assert baseline._kron_rows(r3[:8], np.abs(r3[:8]), sys.C, sys.D)[1] is None
-        assert baseline._kron_rows(r3[:8], np.abs(r3[:8]), sys.C, sys.D, False)[1].max() > 0.0
+        # rows 0-7 take the scaled form, with no radius from the pair (C, D);
+        # rows 8-15 the core's general product r3[r] C, times D = I
+        mid, rad = baseline._kron_rows(_Operand(r3), sys.C, sys.D)
+        assert np.array_equal(mid[:8], c * r3[:8]) and not rad[:8].any()
+        want = intervals._general_product(_Operand(r3[8:]), _Operand(sys.C.mid))
+        assert np.array_equal(mid[8:], want[0]) and np.array_equal(rad[8:], want[1])
+        # so the blocks decide alike whatever their height
+        default = baseline._VER_BLOCK_BYTES
+        got = []
+        for block in (8 * 16, 4 * 8 * 16, default):
+            monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", block)
+            got.append(baseline._contraction_mag(ks, sys))
+        assert all(np.array_equal(g, got[0]) for g in got[1:])
+        assert np.array_equal(got[0], ver_oracle.contraction_mag(ks, sys))
+        want, _ = contraction_oracle(ks.R, sys)
+        assert (got[0] >= want).all()
 
     def test_overflow_raises(self, monkeypatch):
         # |R| has row sums 2, so |R| rad A overflows
@@ -328,12 +370,16 @@ class TestStreamedContraction:
         assert baseline._block_rows(64, 8) == 512
         assert baseline._block_rows(10**6, 16) == 1
 
-    @pytest.mark.parametrize("m, cplx", [(16, False), (16, True), (32, False)])
-    def test_peak_memory_is_R_wmag_and_one_block(self, m, cplx):
+    @pytest.mark.parametrize(
+        "m, cplx, family",
+        [(16, False, None), (16, True, None), (32, False, "gallery33"), (32, False, "sylvester32")],
+    )
+    def test_peak_memory_is_R_wmag_and_one_block(self, m, cplx, family):
         # m n = 256 and 1024: three (m n)^2 arrays of R's dtype and one block's
-        # working set; the unblocked formula held nine
-        if m == 32:
-            sys = generate(GenSpec(family="gallery33", m=m, alpha=1e-6, seed=0))
+        # working set; the unblocked formula held nine.  sylvester32's
+        # one-sided identities take both routes of a pair with a scalar factor
+        if family is not None:
+            sys = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
         else:
             sys = _well_posed_system(np.random.default_rng(62), m, m, cplx)
         item, mn = (16 if cplx else 8), m * m

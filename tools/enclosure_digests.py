@@ -4,7 +4,10 @@ The corpus is the three families at m = 8 and m = 32, one system whose
 midpoint A is defective (2x2 Jordan blocks), one whose midpoint pairs
 (A, C) and (B, D) are distinct and non-scalar, so that each side weighs two
 eigenbases for its donor, one complex system with m = 5 and n = 3, which
-pins the vec convention on a rectangular unknown, and kyc31 at m = 8 with
+pins the vec convention on a rectangular unknown, the complex ``A X + X B
+= F`` of the same A, B and F, whose identity coefficients send each of
+ver's coefficient pairs through one product with ``R`` on complex data,
+and kyc31 at m = 8 with
 A, B, C and D scaled by
 2**260 and F by 2**520, which has the same member solutions and squares of
 its denominators past the range of binary64.  Each system is solved by mkw,
@@ -144,6 +147,14 @@ def rectangular_complex_system(m: int = 5, n: int = 3, seed: int = 0) -> Sylvest
     )
 
 
+def one_sided_complex_system(m: int = 5, n: int = 3, seed: int = 0) -> SylvesterSystem:
+    """``A X + X B = F`` with the complex A, B and F of :func:`rectangular_complex_system`."""
+    base = rectangular_complex_system(m, n, seed)
+    return SylvesterSystem(
+        A=base.A, B=IMatrix(np.eye(n)), C=IMatrix(np.eye(m)), D=base.B, F=base.F
+    )
+
+
 def scaled_system(sys_: SylvesterSystem, s: float) -> SylvesterSystem:
     """``sys_`` with A, B, C and D times ``s`` and F times ``s**2``: the same member solutions."""
 
@@ -169,6 +180,7 @@ def corpus() -> list[tuple[str, SylvesterSystem]]:
         ("jordan-m16", defective_system()),
         ("commuting-m12", commuting_system()),
         ("complex-m5n3", rectangular_complex_system()),
+        ("complex-sylvester-m5n3", one_sided_complex_system()),
         ("kyc31-m8-x2e260", scaled_system(systems[0][1], 2.0**260)),
     ]
 
