@@ -63,7 +63,6 @@ from .intervals import (
     IMatrix,
     _dot_ops,
     _down,
-    _fold,
     _mag,
     _mm,
     _Operand,
@@ -143,12 +142,16 @@ def build_Q_kron(
     raises :class:`SingularMatrixError`.
     """
     _check_cap(sys, cap)
-    qmid = kron(sys.B.mid.T, sys.A.mid)
-    term = kron(sys.D.mid.T, sys.C.mid)
-    # in place, in the term of the sum's dtype: two (m n)^2 arrays, not three
-    qmid = np.add(qmid, term, out=qmid if qmid.dtype == np.result_type(qmid, term) else term)
-    del term
+    qmid = _kron_mid(sys.A.mid, sys.B.mid, sys.C.mid, sys.D.mid)
     return KronSystem(R=lu_inverse(qmid.T).T, m=sys.m, n=sys.n)
+
+
+def _kron_mid(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The point matrix ``B^T kron A + D^T kron C``."""
+    q = kron(B.T, A)
+    term = kron(D.T, C)
+    # in place, in the term of the sum's dtype: two (m n)^2 arrays, not three
+    return np.add(q, term, out=q if q.dtype == np.result_type(q, term) else term)
 
 
 def _kron_rows(r: _Operand, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -181,13 +184,13 @@ def _kron_rows(r: _Operand, x, y) -> tuple[np.ndarray, np.ndarray]:
     ``c R``) and ``(y r) x`` when only ``x`` is, so the product by the
     factor is exact wherever :func:`~sylvenc.intervals._product` finds it
     so, decided per row of ``R``, and the general product elsewhere.  The
-    product with ``y`` of the second route is :func:`_left_product`.
+    inner product, ``r x`` or ``y r``, is the core's product as well.
     """
     x, y = _prepare(x), _prepare(y)
     if y.scale is not None:
         return _product(y, _product(r, x))
     if x.scale is not None:
-        return _product(_left_product(y, r), x)
+        return _product(_product(y, r), x)
     k_rows, n, m = r.mid.shape
 
     def rows(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -196,31 +199,13 @@ def _kron_rows(r: _Operand, x, y) -> tuple[np.ndarray, np.ndarray]:
 
     mid = _mm(y.mid, rows(r.mid, x.mid))
     k = _dot_ops(m) + _dot_ops(n) + 1
-    xpad, split = _fold(x.amid, x.rad, k)
+    xpad, split = x.fold(k)
     rad = np.zeros(mid.shape) if xpad is None else _mm(y.amid, rows(r.amid, xpad))
     if y.rad is not None:
         rad += _mm(y.rad, rows(r.amid, x.mag_sum()))
     _up(rad, k, out=rad)
     if split:
         rad += _slack(_mm(y.amid, rows(r.amid, x.amid)), k)
-    return mid, rad
-
-
-def _left_product(y: _Operand, r: _Operand) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint and radius of ``y r`` for a point stack ``r``, the pad folded on ``y``.
-
-    The radius is ``(Yr + c |Ym|) |r|`` scaled up for the ``2n + 8``
-    roundings of one inner product, the pad split off as in
-    :func:`~sylvenc.intervals._fold`: ``im_matmul``'s rule with the fold on
-    the left factor, where the core's product folds on the right one.
-    """
-    k = _dot_ops(y.mid.shape[-1])
-    mid = _mm(y.mid, r.mid)
-    ypad, split = _fold(y.amid, y.rad, k)
-    rad = np.zeros(mid.shape) if ypad is None else _mm(ypad, r.amid)
-    _up(rad, k, out=rad)
-    if split:
-        rad += _slack(_mm(y.amid, r.amid), k)
     return mid, rad
 
 
@@ -402,7 +387,7 @@ def _kron_factor(
     one right-hand side column.
     """
     m, n = A.shape[0], B.shape[0]
-    Q = (kron(B.T, A) + kron(D.T, C)).astype(dtype, copy=False)
+    Q = _kron_mid(A, B, C, D).astype(dtype, copy=False)
     getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (Q,))
     lu, piv, info = getrf(Q)
     if info > 0:

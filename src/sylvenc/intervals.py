@@ -34,20 +34,21 @@ goes into these rules, not into the kernels.
 
 Products follow Rump's midpoint-radius arithmetic ("Fast and parallel
 interval arithmetic", BIT 39, 1999).  :func:`im_matmul` bounds the radius by
-``(|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + n ETA)``: the pad
-``n ETA |Xm| |Ym|`` of the rounding errors rides in the first product,
-with ``c = n ETA / (1 + n ETA)`` rounded up so that the folded pad is
-at least the separate one (unless a nonzero entry of ``c |Ym|`` falls below
-the normal range: then the pad is that separate product).  In exact
+``(|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + n ETA)``, and by a point ``Y``
+by ``(Xr + c |Xm|) |Ym| (1 + n ETA)``: the pad ``n ETA |Xm| |Ym|`` of the
+rounding errors rides in the first product, with ``c = n ETA / (1 + n
+ETA)`` rounded up so that the folded pad is at least the separate one
+(unless a nonzero entry of ``c |Ym|``, or ``c |Xm|``, falls below the
+normal range: then the pad is that separate product).  In exact
 arithmetic, and up to the rounding of ``c``, this is the four-product bound
-``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n ETA) + n ETA |Xm| |Ym|``,
-so no radius is wider than that one by more than rounding, while an interval
-product takes the midpoint product and two radius products instead of four,
-and a point times an interval product one radius product instead of two.
+``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + n ETA) + n ETA |Xm| |Ym|``, so no radius
+is wider than that one by more than rounding, while an interval product
+takes the midpoint product and two radius products instead of four, and a
+point and an interval, on either side, one radius product instead of two.
 The radius is written once, in :func:`_product`, which multiplies two
 prepared operands (:class:`_Operand`: ``|mid|``, the diagonal test, the
-zero-radius test, the scalar test and the folded pad, each derived once per
-operand); ``im_matmul`` is its checked wrapper.
+zero-radius test, the scalar test and the folded pads, each derived once
+per operand); ``im_matmul`` is its checked wrapper.
 
 A product by a point ``<c I, 0>`` with ``c = +-2^e``, the identity among
 them, is the exact ``(c Ym, |c| Yr)`` with no pad wherever no scaled entry
@@ -433,14 +434,15 @@ class _Operand:
     midpoint (else None) and ``adiag`` its magnitude; ``rad`` is None when
     every radius is zero; ``scale`` is ``c`` for the point ``c I``, ``c =
     +-2^e`` (:func:`_scalar_of`), whose ``amid`` and ``adiag`` wait for a
-    general product.  As a right factor the operand also needs its folded
-    pad ``Yr + c |Ym|`` and ``|Ym| + Yr``: both are derived on first use and
-    kept, so an operand prepared once serves every product it enters.  An
-    operand lives as long as its caller keeps it; nothing holds one across
-    calls.
+    general product.  A factor that carries a product's pad needs its
+    folded pad ``rad + c |mid|``, and an interval right factor also ``|Ym|
+    + Yr``: both are derived on first use and kept, the pad once per
+    rounding count, so an operand prepared once serves every product it
+    enters.  An operand lives as long as its caller keeps it; nothing holds
+    one across calls.
     """
 
-    __slots__ = ("mid", "rad", "diag", "scale", "amid", "adiag", "_fold", "_mag_sum")
+    __slots__ = ("mid", "rad", "diag", "scale", "amid", "adiag", "_folds", "_mag_sum")
 
     def __init__(self, mid: np.ndarray, rad: np.ndarray | None = None):
         self.mid = mid
@@ -448,7 +450,8 @@ class _Operand:
         self.rad = rad if rad is not None and np.count_nonzero(rad) > 0 else None
         self.diag = _diagonal(mid)
         self.scale = None if self.rad is not None else _scalar_of(self.diag, power_of_two=True)
-        self.amid = self.adiag = self._fold = self._mag_sum = None
+        self.amid = self.adiag = self._mag_sum = None
+        self._folds = {}
         if self.scale is None:
             self._magnitudes()
 
@@ -458,14 +461,15 @@ class _Operand:
         self.adiag = None if self.diag is None else self.amid.diagonal()
 
     def fold(self, n: int) -> tuple[np.ndarray | None, bool]:
-        """:func:`_fold` of ``(|Ym|, Yr)`` at the count ``n`` of a product with this right factor.
+        """:func:`_fold` of ``(|mid|, rad)`` at the count ``n`` of a product this operand pads.
 
-        The count is ``2k + 8`` for the operand's ``k`` rows, so one fold
-        serves every product the operand enters on the right.
+        ``n = 2k + 8`` over the inner dimension ``k``: the operand's rows as
+        the right factor, its columns as the left one; each count keeps its fold.
         """
-        if self._fold is None:
-            self._fold = _fold(self.amid, self.rad, n)
-        return self._fold
+        got = self._folds.get(n)
+        if got is None:
+            got = self._folds[n] = _fold(self.amid, self.rad, n)
+        return got
 
     def mag_sum(self) -> np.ndarray:
         """``|Ym| + Yr``, or ``|Ym|`` for a point."""
@@ -494,7 +498,9 @@ def _product(x, y) -> tuple[np.ndarray, np.ndarray]:
     factor with a ``scale`` ``c`` it is ``(c Ym, |c| Yr)`` in the general
     product's dtype wherever :func:`_scaled` finds that exact, and the
     general product elsewhere; only there may the other factor be a bare
-    ``(mid, rad)`` pair.  A non-finite entry is the caller's to catch.
+    ``(mid, rad)`` pair.  The general product (:func:`_general_product`)
+    folds its pad into ``y`` when ``y`` is an interval and into ``x`` when
+    ``y`` is a point.  A non-finite entry is the caller's to catch.
     """
     op, other, axis = x, y, -2
     c = getattr(x, "scale", None)
@@ -531,15 +537,16 @@ def _general_product(x: _Operand, y: _Operand) -> tuple[np.ndarray, np.ndarray]:
     nops = _dot_ops(k)
     mid = _dot(x.mid, y.mid, x.diag, y.diag)
     adx = x.adiag
-    # y's sums keep its diagonal pattern only when y is a point
-    ydiag = y.diag is not None and y.rad is None
-    ypad, split = y.fold(nops)
-    if ypad is None:
-        rad = np.zeros(mid.shape)
+    if y.rad is None:
+        # the pad rides on x, and keeps x's diagonal pattern only when x is a point
+        pad, split = x.fold(nops)
+        dpad = None if pad is None or x.rad is not None or adx is None else pad.diagonal()
+        rad = np.zeros(mid.shape) if pad is None else _dot(pad, y.amid, dpad, y.adiag)
     else:
-        rad = _dot(x.amid, ypad, adx, ypad.diagonal() if ydiag else None)
-    if x.rad is not None:
-        rad += _dot(x.rad, y.mag_sum(), None, y.adiag if ydiag else None)
+        pad, split = y.fold(nops)
+        rad = _dot(x.amid, pad, adx, None)
+        if x.rad is not None:
+            rad += _dot(x.rad, y.mag_sum(), None, None)
     _up(rad, nops, out=rad)
     if split:
         rad += _slack(_dot(x.amid, y.amid, adx, y.adiag), nops)
@@ -553,7 +560,8 @@ def im_matmul(x, y) -> IMatrix:
 
         (|Xm| (Yr + c |Ym|) + Xr (|Ym| + Yr)) (1 + nops ETA),   nops = 2k + 8,
 
-    Rump's midpoint-radius form with the pad ``nops ETA |Xm| |Ym|`` of the
+    or ``(Xr + c |Xm|) |Ym| (1 + nops ETA)`` for a point ``y``: Rump's
+    midpoint-radius form with the pad ``nops ETA |Xm| |Ym|`` of the
     four-product form ``(|Xm| Yr + Xr |Ym| + Xr Yr)(1 + nops ETA) +
     nops ETA |Xm| |Ym|`` folded into the first product (see module
     docstring).  ``c`` is ``nops ETA / (1 + nops ETA)`` rounded up, so
@@ -563,16 +571,17 @@ def im_matmul(x, y) -> IMatrix:
     exceeds the exact quotient by less than two ulps, so no radius is wider
     than the four-product one by more than rounding; folding ``nops ETA``
     itself under the scale would add ``(nops ETA)^2 |Xm| |Ym|``.  When a
-    nonzero entry of ``c |Ym|`` falls below the normal range, where it keeps
-    too few bits (a subnormal ``|Ym|`` entry, say, beside a large ``|Xm|``
-    whose product with it is normal), the pad is the four-product form's
-    own product ``nops ETA |Xm| |Ym|``, added after the scale.
+    nonzero entry of ``c |Ym|`` (``c |Xm|``) falls below the normal range,
+    where it keeps too few bits (a subnormal entry, say, beside a large one
+    of the other factor whose product with it is normal), the pad is the
+    four-product form's own product ``nops ETA |Xm| |Ym|``, added after the
+    scale.
 
     The products with a zero radius are exactly zero and are skipped, so a
-    point ``x`` takes the midpoint product and one radius product, an
-    interval pair the midpoint product and two, with no bit changed.  A
-    factor with an exactly diagonal midpoint is applied by a broadcast; the
-    pad stays the one of the dense length-``k`` product.
+    point and an interval, on either side, take the midpoint product and
+    one radius product, an interval pair the midpoint product and two, with
+    no bit changed.  A factor with an exactly diagonal midpoint is applied
+    by a broadcast; the pad stays the one of the dense length-``k`` product.
 
     A factor that is the point ``<c I, 0>`` with ``c = +-2^e`` (the identity
     among them) is exact: the result is ``(c Ym, |c| Yr)`` for ``x = c I``,

@@ -221,7 +221,7 @@ def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
 
     A permutation side reindexes exactly; any other takes an interval product
     by the basis's prepared operands: a midpoint product and two real radius
-    products.
+    products on the left, and one on the right, where ``U`` is a point.
     """
     x = im_matmul(left.inv_op, x) if left.perm is None else _take(x, rows=left.perm)
     return im_matmul(x, right.u_op) if right.perm is None else _take(x, cols=right.perm)

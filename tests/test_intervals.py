@@ -321,11 +321,18 @@ def test_matmul_isotonicity_fuzz():
 
 
 def _generic_matmul(x, y, eta=ETA):
-    """The dense three-product interval product, kept as the reference of the fast paths."""
+    """The dense interval product, kept as the reference of the fast paths.
+
+    The pad folds into ``y``'s radius when ``y`` is an interval, into ``x``'s
+    when ``y`` is a point.
+    """
     pad = (2 * x.cols + 8) * eta
     c = math.nextafter(pad / (1.0 + pad), math.inf)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
-    rad = ax @ (y.rad + c * ay) + x.rad @ (ay + y.rad)
+    if not y.rad.any():
+        rad = (x.rad + c * ax) @ ay
+    else:
+        rad = ax @ (y.rad + c * ay) + x.rad @ (ay + y.rad)
     return x.mid @ y.mid, rad * (1.0 + pad)
 
 
@@ -423,28 +430,42 @@ def test_matmul_of_a_stack_is_bit_identical_per_matrix(dtype):
 
 
 def _unprepared_matmul(x, y):
-    """The per-call product kernel the prepared operands replaced, kept as the bit reference."""
+    """The per-call product kernel the prepared operands replaced, kept as the bit reference.
+
+    The pad folds into ``y``'s radius when ``y`` is an interval, into ``x``'s
+    when ``y`` is a point; a point pad keeps its factor's diagonal pattern.
+    """
     k = x.mid.shape[-1]
     nops = 2 * k + 8
     dx, dy = _diagonal(x.mid), _diagonal(y.mid)
     mid = _dot(x.mid, y.mid, dx, dy)
     ax, ay = np.abs(x.mid), np.abs(y.mid)
-    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
-    ydiag = dy is not None and not y_rad
     adx = None if dx is None else np.abs(dx)
-    ypad, split = _fold(ay, y.rad if y_rad else None, nops)
-    rad = np.zeros(mid.shape) if ypad is None else _dot(
-        ax, ypad, adx, ypad.diagonal() if ydiag else None)
-    if x_rad:
-        rad += _dot(x.rad, ay + y.rad if y_rad else ay, None, ay.diagonal() if ydiag else None)
+    ady = None if dy is None else np.abs(dy)
+    x_rad, y_rad = np.count_nonzero(x.rad) > 0, np.count_nonzero(y.rad) > 0
+    if y_rad:
+        ypad, split = _fold(ay, y.rad, nops)
+        rad = _dot(ax, ypad, adx, None)
+        if x_rad:
+            rad += _dot(x.rad, ay + y.rad, None, None)
+    else:
+        xpad, split = _fold(ax, x.rad if x_rad else None, nops)
+        xdiag = None if dx is None or x_rad or xpad is None else xpad.diagonal()
+        rad = np.zeros(mid.shape) if xpad is None else _dot(xpad, ay, xdiag, ady)
     rad *= 1.0 + nops * ETA
     if split:
-        rad += _dot(ax, ay, adx, None if dy is None else ay.diagonal()) * (nops * ETA)
+        rad += _dot(ax, ay, adx, ady) * (nops * ETA)
     return mid, rad
 
 
 def _core_operands(rng, k, dtype):
-    """k x k operands of every kind the kernel tells apart, and (3, k, k) stacks."""
+    """Operands of every kind the kernel tells apart, with ``j = k + 2``.
+
+    k x k operands, k x j and j x k ones, a j x j point, and (3, k, k) and
+    (3, k, j) stacks: a k x j operand pads a product with a k x k left
+    factor at the count of its k rows and one with a j-column point right
+    factor at the count of its j columns.
+    """
 
     def mid(shape):
         z = rng.normal(size=shape)
@@ -453,6 +474,7 @@ def _core_operands(rng, k, dtype):
     def rad(shape):
         return np.abs(rng.normal(size=shape))
 
+    j = k + 2
     d = np.diag(np.diag(mid((k, k))))
     split = mid((k, k))
     split[0, 0] = 1e-310  # a subnormal |Ym| entry: c |Ym| falls below the normal range
@@ -464,10 +486,16 @@ def _core_operands(rng, k, dtype):
         "scalar point": IMatrix(np.eye(k, dtype=dtype) * 2.5),
         "subnormal": IMatrix(split, rad((k, k)) * (rng.uniform(size=(k, k)) < 0.5)),
         "large": IMatrix(mid((k, k)) * 3.3e99),
+        "tall": IMatrix(mid((k, j)), rad((k, j))),
+        "tall point": IMatrix(mid((k, j))),
+        "wide": IMatrix(mid((j, k)), rad((j, k))),
+        "wide point": IMatrix(mid((j, k))),
+        "j point": IMatrix(mid((j, j))),
     }
     stacks = {
         "stack": IMatrix._from_kernel(mid((3, k, k)), rad((3, k, k))),
         "point stack": IMatrix._from_kernel(mid((3, k, k)), np.zeros((3, k, k))),
+        "tall point stack": IMatrix._from_kernel(mid((3, k, j)), np.zeros((3, k, j))),
     }
     return ops, stacks
 
@@ -478,11 +506,16 @@ def test_prepared_core_matches_the_unprepared_kernel_bit_for_bit(dtype):
     for k in (1, 4, 9):
         ops, stacks = _core_operands(rng, k, dtype)
         # each operand prepared once and reused in every product, on either side
-        prepared = {name: _prepare(x) for name, x in {**ops, **stacks}.items()}
-        pairs = [(a, b) for a in ops for b in ops]
-        pairs += [(a, b) for a in stacks for b in ops] + [(a, b) for a in ops for b in stacks]
+        every = {**ops, **stacks}
+        prepared = {name: _prepare(x) for name, x in every.items()}
+        pairs = [
+            (a, b)
+            for a in every
+            for b in every
+            if (a in ops or b in ops) and every[a].mid.shape[-1] == every[b].mid.shape[-2]
+        ]
         for a, b in pairs:
-            x, y = {**ops, **stacks}[a], {**ops, **stacks}[b]
+            x, y = every[a], every[b]
             ref_mid, ref_rad = _unprepared_matmul(x, y)
             got_mid, got_rad = _product(prepared[a], prepared[b])
             assert np.array_equal(got_mid, ref_mid), (k, a, b)
@@ -500,6 +533,41 @@ def test_prepared_core_split_pad_case_is_taken():
     ref_mid, ref_rad = _unprepared_matmul(x, y)
     assert np.array_equal(mid, ref_mid) and np.array_equal(rad, ref_rad)
     assert rad[0, 0] >= 2 * 18 * ETA * 3.3e99 * 1e-310
+
+
+@pytest.mark.parametrize(
+    "kinds, calls",
+    [
+        (("interval", "point"), 2),
+        (("point", "interval"), 2),
+        (("point", "point"), 2),
+        (("interval", "interval"), 3),
+        (("split interval", "point"), 3),
+        (("point", "split interval"), 3),
+        (("interval", "split interval"), 4),
+    ],
+)
+def test_product_count(monkeypatch, kinds, calls):
+    # the midpoint product, one radius product per interval factor (one for two
+    # points), and one more for a split pad
+    rng = np.random.default_rng(13)
+    sub = rng.normal(size=(4, 4))
+    sub[0, 0] = 1e-310
+    ops = {
+        "interval": IMatrix(rng.normal(size=(4, 4)), np.abs(rng.normal(size=(4, 4)))),
+        "point": IMatrix(rng.normal(size=(4, 4))),
+        "split interval": IMatrix(sub, np.abs(rng.normal(size=(4, 4)))),
+    }
+    x, y = (ops[kind] for kind in kinds)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return _dot(*args)
+
+    monkeypatch.setattr("sylvenc.intervals._dot", counted)
+    im_matmul(x, y)
+    assert len(seen) == calls
 
 
 def test_prepared_operand_passes_through_im_matmul():
