@@ -22,12 +22,14 @@ product core (:func:`~sylvenc.intervals._product`), which decides per row
 of ``R`` whether the product by ``c I`` scales exactly.  The residual is
 formed in ``m x n`` coordinates by the same kernel as mkw's and blk's.
 
-Memory model of ``ver``: ``|I - R Q|`` is streamed through row blocks of
-``R`` of ``_VER_BLOCK_BYTES`` each, so the only ``(m n)^2`` arrays are
-``R`` and ``|I - R Q|``, beside one block's working set; the LU phase
-holds ``mid Q`` and its factors, and ``M``'s product ``R`` and ``|R|``.  A
-call whose predicted peak exceeds ``linalg.KRON_BYTES`` is refused before
-it allocates.
+Memory model of ``ver``: one ``(m n)^2`` buffer serves the whole solve,
+beside one row block's working set of about ``_VER_BLOCK_BYTES`` each.
+``mid Q`` is assembled in it, its second Kronecker term added in row
+blocks; ``getrf`` and ``getri`` turn it into ``R`` in place; ``M`` reads
+``R`` through row blocks, each block's ``|R|`` formed on its own; and
+``|I - R Q|``, streamed through row blocks of ``R``, is written into the
+rows of the buffer the stream has read.  A call whose predicted peak
+exceeds ``linalg.KRON_BYTES`` is refused before it allocates.
 
 The audit layer checks enclosures against members of the interval system:
 
@@ -72,11 +74,10 @@ from .intervals import (
     _slack,
     _up,
     as_imatrix,
-    im_matmul,
     posmm,
 )
 from .krawczyk import KMAX_DEFAULT, Enclosure, residual, verify
-from .linalg import iunvec, ivec, kron, lu_inverse, unvec, vec
+from .linalg import _kron2, iunvec, ivec, kron, lu_inverse, unvec, vec
 from .system import SylvesterSystem
 
 __all__ = [
@@ -90,10 +91,11 @@ __all__ = [
 ]
 
 BASELINE_CAP = 1024
-# ver's |I - R Q|: bytes of one row block of R that the kernel streams (256 KiB)
+# ver: bytes of one row block of its (m n)^2 buffer that a stream reads (256 KiB)
 _VER_BLOCK_BYTES = 2**18
-# arrays of one block's size that bound the block's working set, for the size budget
-_VER_BLOCK_WORK = 12
+# arrays of one block's entries that bound its working set, for the size budget:
+# midpoints in R's dtype, and float64 radii and magnitudes
+_VER_BLOCK_WORK = (4, 8)
 # point_solve: Kronecker LU up to this many unknowns m n, QZ recurrence above;
 # the two cost the same near m n = 225 (m = n = 15) on one BLAS thread
 _KRON_MAX_UNKNOWNS = 225
@@ -114,7 +116,9 @@ class KronSystem:
     """A floating inverse ``R`` of ``mid Q`` for the vectorized form ``Q vec(X) = vec(F)``.
 
     ``R`` is C-ordered, so its rows reshape to the stack of
-    :func:`_kron_rows` without a copy.
+    :func:`_kron_rows` without a copy.  It is ver's one ``(m n)^2`` buffer:
+    :func:`_contraction_mag` consumes it, writing ``|I - R Q|`` over it, so
+    callers that still need ``R`` afterwards pass a copy.
     """
 
     R: np.ndarray
@@ -134,12 +138,14 @@ def build_Q_kron(
     """The floating inverse ``R`` of ``mid Q`` for ``sys``.
 
     Only the point matrix ``mid Q = mid B^T kron mid A + mid D^T kron mid C``
-    is assembled.  ``R`` is the inverse of its transpose by one LU
-    factorization inverted in place (:func:`~sylvenc.linalg.lu_inverse`,
-    LAPACK ``getrf`` and ``getri``), transposed back: LAPACK reads the
-    transpose of the C-ordered ``mid Q`` as it lies, and the transpose of its
-    Fortran-ordered result is a C-ordered ``R``.  An exactly zero pivot
-    raises :class:`SingularMatrixError`.
+    is assembled (:func:`_kron_mid`).  ``R`` is the inverse of its transpose
+    by one LU factorization inverted in place
+    (:func:`~sylvenc.linalg.lu_inverse`, LAPACK ``getrf`` and ``getri``),
+    transposed back: LAPACK reads the transpose of the C-ordered ``mid Q`` as
+    it lies and overwrites it, and the transpose of its Fortran-ordered
+    result is a C-ordered ``R`` in the assembly's buffer.  So the solve holds
+    one ``(m n)^2`` array.  An exactly zero pivot raises
+    :class:`SingularMatrixError`.
     """
     _check_cap(sys, cap)
     qmid = _kron_mid(sys.A.mid, sys.B.mid, sys.C.mid, sys.D.mid)
@@ -147,11 +153,31 @@ def build_Q_kron(
 
 
 def _kron_mid(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The point matrix ``B^T kron A + D^T kron C``."""
-    q = kron(B.T, A)
-    term = kron(D.T, C)
-    # in place, in the term of the sum's dtype: two (m n)^2 arrays, not three
-    return np.add(q, term, out=q if q.dtype == np.result_type(q, term) else term)
+    """The point matrix ``B^T kron A + D^T kron C``, C-ordered, as one ``(m n)^2`` array.
+
+    One term is the whole :func:`~sylvenc.linalg.kron`, the one in the sum's
+    dtype (``B^T kron A`` unless only the other is complex), and the other
+    is added to it in row blocks: each block is ``kron`` of rows of its
+    factors, whole rows of the left one, or one of them and rows of the
+    right one when a row of the left one is more than a block.  A block and
+    the buffer numpy's broadcast product allocates beside it, about as
+    large, take ``_VER_BLOCK_BYTES``.  So each entry is the product and the
+    sum of the two whole ``kron`` terms, and the only ``(m n)^2`` array is
+    the result.
+    """
+    dtype = np.result_type(A, B, C, D)
+    (x, y), (u, v) = (B.T, A), (D.T, C)
+    if np.result_type(x, y) != dtype:
+        (x, y), (u, v) = (u, v), (x, y)
+    q = kron(x, y)
+    n, m = x.shape[0], y.shape[0]
+    h = _block_rows(m * n, 2 * q.itemsize)
+    q4, k = q.reshape(n, m, n, m), max(1, h // m)
+    for p in range(0, n, k):
+        for r in range(0, m, h):
+            rows = q4[p : p + k, r : r + h]
+            rows += _kron2(u[p : p + k], v[r : r + h]).reshape(rows.shape)
+    return q
 
 
 def _kron_rows(r: _Operand, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +236,18 @@ def _kron_rows(r: _Operand, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_rows(mn: int, itemsize: int) -> int:
-    """Rows of ``R`` per block of :func:`_contraction_mag`: ``_VER_BLOCK_BYTES`` of ``R``."""
+    """Rows of an ``(m n)^2`` array of ver per block: ``_VER_BLOCK_BYTES`` of it."""
     return max(1, _VER_BLOCK_BYTES // (itemsize * mn))
 
 
 def _contraction_mag(ks: KronSystem, sys: SylvesterSystem) -> np.ndarray:
-    """``|I - R Q|`` over every member ``Q``, streamed through row blocks of ``R``.
+    """``|I - R Q|`` over every member ``Q``, streamed through row blocks of ``R`` into ``R``.
+
+    The contraction consumes ``R``: the result is written into ``R``'s own
+    buffer, as the float64 array of its first ``(m n)^2 * 8`` bytes, so
+    callers that still need ``R`` pass a copy.  The rows ``[lo, hi)`` of the
+    result lie in rows of ``R`` below ``hi`` (below ``hi / 2`` for a complex
+    ``R``), which the stream has read by the time it writes them.
 
     Each block of rows of ``R`` is prepared once as a point operand, whose
     ``|mid|`` serves both coefficient pairs, and takes :func:`_kron_rows`
@@ -228,16 +260,16 @@ def _contraction_mag(ks: KronSystem, sys: SylvesterSystem) -> np.ndarray:
     those of the interval sum, of the subtraction ``I - R Q`` and of ``mag``
     (:func:`~sylvenc.intervals._pad_rad`, :func:`~sylvenc.intervals._mag`),
     entrywise, and the rows of ``R Q`` are independent, so each entry is bit
-    for bit that of the unblocked computation.  So the result and ``R`` are
-    the only ``(m n)^2`` arrays; every other array holds one block.  A
-    non-finite entry of ``R Q`` raises :class:`IntervalOverflowError`.
+    for bit that of the unblocked computation.  So ``R``'s buffer is the
+    only ``(m n)^2`` array; every other array holds one block.  A non-finite
+    entry of ``R Q`` raises :class:`IntervalOverflowError`.
     """
     m, n, R = ks.m, ks.n, ks.R
     mn = m * n
     r3 = R.reshape(mn, n, m)
     h = _block_rows(mn, R.itemsize)
     pairs = [(_prepare(x), _prepare(y)) for x, y in ((sys.A, sys.B), (sys.C, sys.D))]
-    wmag = np.empty((mn, mn))
+    wmag = R.reshape(-1).view(np.float64)[: mn * mn].reshape(mn, mn)
     for lo in range(0, mn, h):
         blk = _Operand(r3[lo : lo + h])
         hb = len(blk.mid)
@@ -287,16 +319,25 @@ def full_krawczyk_solve(
 
 
 def _ver_bytes(sys: SylvesterSystem) -> int:
-    """ver's predicted peak bytes: two ``(m n)^2`` arrays of ``R``'s dtype and one block.
+    """ver's predicted peak bytes: one ``(m n)^2`` array of ``R``'s dtype and one block.
 
-    The LU phase holds ``mid Q`` and its factors, the ``M`` phase ``R`` and
-    ``|R|``, the contraction ``R``, ``|I - R Q|`` and the arrays of one row
-    block of ``R`` (:func:`_contraction_mag`; ``_VER_BLOCK_WORK`` of them
-    bounds the block's working set as measured).
+    Every phase works in one buffer: the LU phase assembles ``mid Q`` in it
+    and factors and inverts it there, the ``M`` phase reads ``R`` from it,
+    and the contraction writes ``|I - R Q|`` into it, each beside the
+    arrays of one row block.  The contraction's block (:func:`_contraction_mag`)
+    has the largest working set, bounded as measured by ``_VER_BLOCK_WORK``:
+    arrays of the block's entries, midpoints in ``R``'s dtype and radii and
+    magnitudes in float64.  Beside them the contraction keeps, per
+    coefficient, ``|mid|``, its folded pad and ``|mid| + rad`` in float64,
+    and forms them with one more such array: for ``n = 1`` (``m = 1``) the
+    coefficient ``A`` (``B``) is as large as ``R`` itself.
     """
+    coeffs = (sys.A, sys.B, sys.C, sys.D)
     mn = sys.m * sys.n
-    item = np.result_type(*(t.mid for t in (sys.A, sys.B, sys.C, sys.D))).itemsize
-    return 2 * item * mn * mn + _VER_BLOCK_WORK * _block_rows(mn, item) * item * mn
+    item = np.result_type(*(t.mid for t in coeffs)).itemsize
+    mids, rads = _VER_BLOCK_WORK
+    block = (mids * item + rads * 8) * _block_rows(mn, item) * mn
+    return item * mn * mn + block + 4 * 8 * sum(t.mid.size for t in coeffs)
 
 
 def _ver_residual(ks: KronSystem, sys: SylvesterSystem) -> tuple[np.ndarray, IMatrix]:
@@ -304,7 +345,15 @@ def _ver_residual(ks: KronSystem, sys: SylvesterSystem) -> tuple[np.ndarray, IMa
 
     ``Xtilde`` is ``R vec(mid F)`` with one step of iterative refinement; the
     residual enclosure ``F - (A Xtilde) B - (C Xtilde) D`` is formed in ``m x
-    n`` coordinates (:func:`~sylvenc.krawczyk.residual`).
+    n`` coordinates (:func:`~sylvenc.krawczyk.residual`).  ``M`` is
+    :func:`~sylvenc.intervals.im_matmul`'s product of the point ``R`` and
+    the residual, taken by the product core on row blocks of ``R`` of about
+    ``_VER_BLOCK_BYTES``, so no whole ``|R|`` is formed.  Each row of a
+    block is the product of its row of ``R``, and rounds as in the
+    unblocked product where BLAS computes a row alike in a block and in the
+    whole matrix: on OpenBLAS, in blocks of a multiple of four rows (at
+    least four, also where that is more than ``_VER_BLOCK_BYTES``) and no
+    last block of one row.
     """
     m, n, R = ks.m, ks.n, ks.R
     A, B, C, D, F = (t.mid for t in (sys.A, sys.B, sys.C, sys.D, sys.F))
@@ -312,8 +361,17 @@ def _ver_residual(ks: KronSystem, sys: SylvesterSystem) -> tuple[np.ndarray, IMa
     # one step of iterative refinement on the midpoint solution
     X = X + unvec(R @ vec(F - A @ X @ B - C @ X @ D), m, n)
     res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
-    # R as a point operand: no zero radius array of (m n)^2 entries to allocate and scan
-    return X, iunvec(im_matmul(_Operand(R), ivec(res)), m, n)
+    # OpenBLAS's matrix-vector kernels take rows four at a time, and numpy takes a
+    # one-row product as a dot product: blocks of a multiple of four rows, and no
+    # last row alone, round each row as the unblocked product does
+    mn, h = m * n, _block_rows(m * n, R.itemsize)
+    lows = list(range(0, mn, max(4, h - h % 4)))
+    if len(lows) > 1 and lows[-1] == mn - 1:
+        lows.pop()
+    y = _prepare(ivec(res))
+    parts = [_product(_Operand(R[lo:hi]), y) for lo, hi in zip(lows, lows[1:] + [mn])]
+    mid, rad = (np.concatenate(t) for t in zip(*parts))
+    return X, iunvec(IMatrix._from_kernel(mid, rad), m, n)
 
 
 def _ver_loop(
@@ -384,12 +442,15 @@ def _kron_factor(
     """The LU solve of ``(B^T kron A + D^T kron C) vec(Y) = vec(G)`` on a ``(k, m, n)`` stack.
 
     One ``getrs`` call solves every matrix of the stack, each vectorized as
-    one right-hand side column.
+    one right-hand side column.  ``Q^T`` is assembled C-ordered from the
+    transposed factors, so ``Q`` itself is Fortran-ordered, as ``getrf``
+    factors it in place; each entry is the product and sum that ``Q``'s own
+    assembly makes.
     """
     m, n = A.shape[0], B.shape[0]
-    Q = _kron_mid(A, B, C, D).astype(dtype, copy=False)
+    Q = _kron_mid(A.T, B.T, C.T, D.T).T.astype(dtype, copy=False)
     getrf, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (Q,))
-    lu, piv, info = getrf(Q)
+    lu, piv, info = getrf(Q, overwrite_a=True)
     if info > 0:
         raise SingularMatrixError("singular matrix")
 

@@ -47,9 +47,12 @@ def lu_inverse(a: np.ndarray) -> np.ndarray:
     """Floating inverse of ``a`` by one LU factorization inverted in place.
 
     LAPACK ``getrf`` then ``getri``: no right-hand side ``I`` is formed or
-    solved against.  The result is Fortran-ordered, as ``getri`` leaves it;
-    the inverse of ``a.T``, transposed, is a C-ordered inverse of ``a``.  An
-    exactly zero pivot raises :class:`SingularMatrixError`.
+    solved against.  ``a`` is consumed: a Fortran-ordered ``a`` of LAPACK's
+    dtype is factored and inverted in its own buffer, which the result then
+    shares; any other ``a`` is copied first.  Callers that still need ``a``
+    pass a copy.  The result is Fortran-ordered, as ``getri`` leaves it; the
+    inverse of ``a.T``, transposed, is a C-ordered inverse of ``a`` in
+    ``a``'s buffer.  An exactly zero pivot raises :class:`SingularMatrixError`.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,7 +60,7 @@ def lu_inverse(a: np.ndarray) -> np.ndarray:
     getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
         ("getrf", "getri", "getri_lwork"), (a,)
     )
-    lu, piv, info = getrf(a)
+    lu, piv, info = getrf(a, overwrite_a=True)
     if info == 0:
         lwork, info = getri_lwork(a.shape[0])
         inv, info = getri(lu, piv, lwork=int(lwork.real), overwrite_lu=True)

@@ -1,5 +1,6 @@
 """Dense Kronecker reference solver and sampling oracles."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -8,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sylvenc.baseline as baseline
 import sylvenc.intervals as intervals
@@ -53,9 +55,14 @@ def _scalar_system():
 
 
 def _contraction_mag(sys):
-    """ver's ``R`` and its bound on ``|I - R Q|`` for ``sys``."""
+    """ver's ``R`` and its bound on ``|I - R Q|`` for ``sys``, formed on a copy of ``R``."""
     ks = build_Q_kron(sys)
-    return ks.R, baseline._contraction_mag(ks, sys)
+    return ks.R, baseline._contraction_mag(_with_copy(ks), sys)
+
+
+def _with_copy(ks):
+    """``ks`` with a copy of ``R``, for the contraction, which consumes ``R``."""
+    return dataclasses.replace(ks, R=ks.R.copy())
 
 
 def _well_posed_system(rng, m, n, cplx=False, alpha=1e-3, identity_pair=False):
@@ -308,6 +315,17 @@ def _streamed_cases():
     }
 
 
+def _traced_ver(sys):
+    """ver's enclosure of ``sys`` and the ``tracemalloc`` peak of a second, traced run."""
+    full_krawczyk_solve(sys)
+    tracemalloc.start()
+    try:
+        enc = full_krawczyk_solve(sys)
+        return enc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedContraction:
     """ver's ``|I - R Q|`` through row blocks of ``R``, against the unblocked formula."""
 
@@ -323,8 +341,34 @@ class TestStreamedContraction:
         if rows is not None:
             monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", rows * item * mn)
             assert baseline._block_rows(mn, item) == rows
-        want = ver_oracle.contraction_mag(ks, sys)
-        assert np.array_equal(baseline._contraction_mag(ks, sys), want)
+        want = ver_oracle.contraction_mag(_with_copy(ks), sys)
+        got = baseline._contraction_mag(ks, sys)
+        assert np.array_equal(got, want)
+        # written over R from its first byte, on complex data as float64 in its first half
+        assert got.dtype == np.float64 and got.ctypes.data == ks.R.ctypes.data
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows=1", "rows=3", "default"])
+    @pytest.mark.parametrize(
+        "name", sorted(CASES) + ["gallery33-m16", "complex-16x16", "sylvester32-m32", "complex-32x32"]
+    )
+    def test_streamed_M_is_the_unblocked_product(self, monkeypatch, name, rows):
+        # default blocks: one block up to m n = 64, then 128 rows of a real R at m n =
+        # 256 and 32 at 1024, 64 and 16 rows of a complex one; blocks of fewer than
+        # four rows of R (m n above 8192 on real data) take four
+        if name in self.CASES:
+            sys = self.CASES[name]
+        elif name.startswith("complex"):
+            m = int(name.split("x")[-1])
+            sys = _well_posed_system(np.random.default_rng(63), m, m, cplx=True)
+        else:
+            family, m = name.split("-m")
+            sys = generate(GenSpec(family=family, m=int(m), alpha=1e-6, seed=0))
+        ks = build_Q_kron(sys)
+        if rows is not None:
+            monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", rows * ks.R.itemsize * ks.R.shape[0])
+        X, M = baseline._ver_residual(ks, sys)
+        want = ver_oracle.residual_product(ks, sys, X)
+        assert np.array_equal(M.mid, want.mid) and np.array_equal(M.rad, want.rad)
 
     def test_scaling_is_decided_per_row_of_R(self, monkeypatch):
         # c R is exact on rows 0-7 of R and not on rows 8-15
@@ -345,7 +389,7 @@ class TestStreamedContraction:
         got = []
         for block in (8 * 16, 4 * 8 * 16, default):
             monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", block)
-            got.append(baseline._contraction_mag(ks, sys))
+            got.append(baseline._contraction_mag(_with_copy(ks), sys))
         assert all(np.array_equal(g, got[0]) for g in got[1:])
         assert np.array_equal(got[0], ver_oracle.contraction_mag(ks, sys))
         want, _ = contraction_oracle(ks.R, sys)
@@ -375,31 +419,36 @@ class TestStreamedContraction:
         [(16, False, None), (16, True, None), (32, False, "gallery33"), (32, False, "sylvester32")],
     )
     def test_peak_memory_is_R_wmag_and_one_block(self, m, cplx, family):
-        # m n = 256 and 1024: three (m n)^2 arrays of R's dtype and one block's
-        # working set; the unblocked formula held nine.  sylvester32's
-        # one-sided identities take both routes of a pair with a scalar factor
+        # m n = 256 and 1024: R and |I - R Q| share one (m n)^2 array of R's
+        # dtype, beside one block's working set; the unblocked formula held
+        # nine.  sylvester32's one-sided identities take both routes of a pair
+        # with a scalar factor
         if family is not None:
             sys = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
         else:
             sys = _well_posed_system(np.random.default_rng(62), m, m, cplx)
         item, mn = (16 if cplx else 8), m * m
-        full_krawczyk_solve(sys)
-        tracemalloc.start()
-        try:
-            enc = full_krawczyk_solve(sys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        enc, peak = _traced_ver(sys)
         assert enc.verified
-        block = baseline._VER_BLOCK_WORK * baseline._VER_BLOCK_BYTES
-        assert peak <= 3 * item * mn**2 + block
+        mids, rads = baseline._VER_BLOCK_WORK
+        block = (mids * item + rads * 8) * baseline._block_rows(mn, item) * mn
+        assert peak <= item * mn**2 + block
         assert peak <= baseline._ver_bytes(sys)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_budget_is_within_a_fifth_above_the_peak(self, m, cplx):
+        # the size check refuses no more than a fifth beyond what ver holds
+        sys = _well_posed_system(np.random.default_rng(64), m, m, cplx, alpha=1e-6)
+        enc, peak = _traced_ver(sys)
+        assert enc.verified
+        assert 0.8 * baseline._ver_bytes(sys) <= peak <= baseline._ver_bytes(sys)
 
     def test_size_budget_refuses_before_allocating(self, monkeypatch):
         # m n = 1024: one (m n)^2 array is 8 MiB, the budget a tenth of that
         sys = generate(GenSpec(family="gallery33", m=32, alpha=1e-6, seed=0))
         need = baseline._ver_bytes(sys)
-        assert need >= 2 * 8 * 1024**2
+        assert need >= 8 * 1024**2
         monkeypatch.setattr(linalg, "KRON_BYTES", 2**20)
         tracemalloc.start()
         try:
@@ -411,8 +460,8 @@ class TestStreamedContraction:
         assert peak < 2**20
 
     def test_uncapped_ver_above_the_default_budget_is_refused(self):
-        # m n = 10^4: R alone would take 800 MB, and ver about twice that
-        sys = generate(GenSpec(family="kyc31", m=100, alpha=1e-6, seed=0))
+        # m n = 12,100: R alone would take 1.17 GB, above the 1 GiB budget
+        sys = generate(GenSpec(family="kyc31", m=110, alpha=1e-6, seed=0))
         assert baseline._ver_bytes(sys) > linalg.KRON_BYTES
         tracemalloc.start()
         try:
@@ -446,6 +495,50 @@ def _point_coefficients(rng, m, n, cplx=False):
 
 def _rel_diff(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+class TestKroneckerMidpoint:
+    """``mid Q`` assembled in one array: the two whole ``kron`` terms, added, bit for bit."""
+
+    @pytest.mark.parametrize("kinds", ["rrrr", "cccc", "rrcc", "ccrr", "crrc"])
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (6, 1), (1, 6), (8, 8)])
+    @pytest.mark.parametrize("rows", [1, 5, None], ids=["rows=1", "rows=5", "default"])
+    def test_bit_equal_to_the_sum_of_two_krons(self, monkeypatch, m, n, kinds, rows):
+        # kinds: real or complex A, B, C, D; blocks of one row take one row of C at a
+        # time, five rows whole rows of D^T at m = 1 and pieces of C's rows above
+        rng = np.random.default_rng(70)
+        mats = [
+            rng.normal(size=(k, k)) + (1j * rng.normal(size=(k, k)) if c == "c" else 0.0)
+            for c, k in zip(kinds, (m, n, m, n))
+        ]
+        A, B, C, D = mats
+        want = linalg.kron(B.T, A) + linalg.kron(D.T, C)
+        if rows is not None:
+            monkeypatch.setattr(baseline, "_VER_BLOCK_BYTES", rows * want.itemsize * m * n)
+        got = baseline._kron_mid(A, B, C, D)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        # and from the transposed factors, the transpose: point_solve's Fortran-ordered Q
+        qt = baseline._kron_mid(A.T, B.T, C.T, D.T)
+        assert qt.flags.c_contiguous and np.array_equal(qt.T, want)
+
+    def test_kron_factor_factors_Q_in_place(self):
+        # m n = 225 complex: Q is two real (m n)^2 arrays, beside one block of its
+        # second term; getrf copying Q made it four
+        a, b, c, d, f = _point_coefficients(np.random.default_rng(71), 15, 15, cplx=True)
+        want = linalg.kron(b.T, a) + linalg.kron(d.T, c)
+        tracemalloc.start()
+        try:
+            solve = _kron_factor(a, b, c, d, np.complex128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * 225**2
+        # the LU of the same matrix as a factorization of a copy of it
+        lu, piv = scipy.linalg.lu_factor(want)
+        rhs = f.T.reshape(-1, 1)
+        ref = scipy.linalg.lu_solve((lu, piv), rhs)
+        assert np.array_equal(solve(f[None])[0], ref.reshape(15, 15).T)
 
 
 def _kron_point_solve(a, b, c, d, f):
@@ -904,12 +997,10 @@ class TestResidualMembershipOnPreparedOperands:
             products[0] += 1
             return core(a, b)
 
-        def no_im_matmul(*args):
-            raise AssertionError("residual_membership called im_matmul")
-
+        # the module reaches im_matmul's kernel through the product core alone
+        assert not hasattr(baseline, "im_matmul")
         monkeypatch.setattr(baseline, "_Operand", Counted)
         monkeypatch.setattr(baseline, "_product", product)
-        monkeypatch.setattr(baseline, "im_matmul", no_im_matmul)
         for arg in (x[0], np.stack(x)):
             prepared.clear()
             products[0] = 0

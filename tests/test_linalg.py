@@ -136,7 +136,7 @@ def test_lu_inverse_inverts_and_raises_on_a_zero_pivot(dtype):
     a = rng.normal(size=(6, 6)).astype(dtype)
     if dtype is np.complex128:
         a = a + 1j * rng.normal(size=(6, 6))
-    assert np.allclose(lu_inverse(a) @ a, np.eye(6), atol=1e-12)
+    assert np.allclose(lu_inverse(a.copy()) @ a, np.eye(6), atol=1e-12)
     with pytest.raises(SingularMatrixError):
         lu_inverse(np.diag(np.array([2.0, 0.0], dtype=dtype)))
     with pytest.raises(ValueError):
@@ -148,7 +148,10 @@ def test_lu_inverse_is_fortran_ordered(dtype):
     rng = np.random.default_rng(15)
     a = rng.normal(size=(6, 6)).astype(dtype)
     for x in (a, a.T, np.asfortranarray(a)):
-        inv = lu_inverse(x)
+        inv = lu_inverse(x.copy(order="K"))
         assert inv.flags.f_contiguous and not inv.flags.c_contiguous
-    # the inverse of the transpose, transposed, is a C-ordered inverse
-    assert lu_inverse(a.T).T.flags.c_contiguous
+    # the inverse of the transpose, transposed, is a C-ordered inverse in a's buffer
+    b = a.copy()
+    inv = lu_inverse(b.T).T
+    assert inv.flags.c_contiguous and np.shares_memory(inv, b)
+    assert np.allclose(inv @ a, np.eye(6), atol=1e-12)

@@ -7,7 +7,9 @@
 row blocks of ``R``, so the two must agree bit for bit.
 
 Both call ``baseline._kron_rows``, so they cannot see a change in its
-product rules.  :func:`single_scalar_rows` is the reference for those of a
+product rules.  :func:`residual_product` is the reference of ver's ``M``,
+which ``baseline._ver_residual`` takes on row blocks of ``R``: the one
+unblocked product of ``R`` and the residual enclosure.  :func:`single_scalar_rows` is the reference for those of a
 pair with one point scalar factor: the one product of a point stack and an
 interval factor by its own formula (:func:`point_product`), times the scalar.
 """
@@ -15,8 +17,10 @@ interval factor by its own formula (:func:`point_product`), times the scalar.
 import numpy as np
 
 import sylvenc.baseline as baseline
-from sylvenc import IMatrix
+from sylvenc import IMatrix, im_matmul
 from sylvenc.intervals import _dot_ops, _fold, _mag, _mm, _Operand, _pad_rad, _slack, _up
+from sylvenc.krawczyk import residual
+from sylvenc.linalg import iunvec, ivec
 
 
 def contraction(ks, sys):
@@ -48,6 +52,12 @@ def eye_minus_mag(p):
 def contraction_mag(ks, sys):
     """The reference ``|I - R Q|`` for ``sys``."""
     return eye_minus_mag(contraction(ks, sys))
+
+
+def residual_product(ks, sys, X):
+    """The reference ``M`` of ver at ``X``: ``R`` times ``X``'s residual enclosure, unblocked."""
+    res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
+    return iunvec(im_matmul(_Operand(ks.R), ivec(res)), ks.m, ks.n)
 
 
 def point_product(mul, r3, r3abs, z, k):

@@ -14,11 +14,15 @@ cap.  ``full_krawczyk_solve`` runs in four stages, each timed on its own:
 For each stage the line prints ``<stage>_ms``, the least clock time over
 ``--repeat`` runs, and ``<stage>_mb``, the ``tracemalloc`` peak in MiB
 during the stage, the arrays held from earlier stages included (a separate
-traced run, so the tracing does not enter the times).  ``peak_mb`` is the
-largest of them, ``budget_mb`` the peak ``full_krawczyk_solve`` predicts
-for its size check, and ``radsum`` the radius sum of the enclosure (``-``
-when it did not verify).  BLAS runs on one thread.  Run from the
-repository root::
+traced run, so the tracing does not enter the times).  The stages share
+one ``(m n)^2`` buffer: ``lu`` assembles ``mid Q`` in it and inverts it
+there, ``M`` reads ``R`` from it, and ``wmag`` writes ``|I - R Q|`` over
+it, so each ``<stage>_mb`` is that one array and the stage's own working
+set.  ``wmag`` consumes ``R``; each run of the stages starts from a fresh
+``build_Q_kron``.  ``peak_mb`` is the largest of them, ``budget_mb`` the
+peak ``full_krawczyk_solve`` predicts for its size check, and ``radsum``
+the radius sum of the enclosure (``-`` when it did not verify).  BLAS runs
+on one thread.  Run from the repository root::
 
     python3 tools/ver_grid.py
     python3 tools/ver_grid.py --families kyc31 --sizes 32 --repeat 5
