@@ -21,8 +21,9 @@ when no eigenvalues cluster), by the interval backward substitution
 otherwise; on 1 x 1 tiles the two give the same bits.  ``Xtilde`` is
 ``mid Fp ./ mid den`` on the whole array, and on a block pattern the
 midpoint-only sweep over the same tiles, which divides by ``mid den`` too
-and so is that quotient bit for bit on 1 x 1 tiles.  Both map back by
-``U . V^-1``, reindexing on a side whose basis is a permutation.  The
+and so is that quotient bit for bit on 1 x 1 tiles.  Both map back by the
+point factors ``U . W`` (``W = Vinv ~ V^-1``), reindexing on a side whose
+basis is a permutation.  The
 dense solver ``ver`` (:mod:`.baseline`) multiplies by a floating inverse
 ``R`` of the Kronecker midpoint ``mid Q`` and bounds the contraction by
 ``|I - R Q| x``; its loop runs in m x n coordinates and ``back`` is the
@@ -54,10 +55,10 @@ On a diagonal system the products use the pattern: ``im_matmul`` applies a
 diagonal-midpoint factor by a broadcast and skips the radius products of a
 zero radius, so ``M`` takes no dense complex product and three dense real
 ones per term: one for ``Ap Xtilde`` (``Xtilde`` is a point) and two for
-the product with ``Bp``; a point scalar coefficient, which the transform
-keeps exact (``<c I, 0>``), takes no product: ``im_matmul`` scales by a
-``c = +-2^e`` exactly (kyc31's and sylvester32's identities among them) and
-applies any other ``c`` by broadcasts.  Each pair of
+the product with ``Bp``; a point scalar coefficient, which a permutation
+basis keeps exact (``<c I, 0>``), takes no product: ``im_matmul`` scales
+by a ``c = +-2^e`` exactly and applies any other ``c`` by broadcasts.
+Each pair of
 ``N`` is factored through ``P = rad(Ap) W``: ``P |mid Bp|`` is a column
 scaling by the magnitudes of the diagonal of ``mid Bp`` and ``Mag(Ap) W =
 |diag mid Ap| W + P``, two real products per pair in all.  A block pattern
@@ -65,8 +66,10 @@ takes the same factored bound with :func:`.intervals.posmm` products by the
 pattern magnitudes.
 
 On success the solution set of every member system is contained in
-``U (Xtilde + H) V^-1``; the inflated box ``X`` is kept alongside so the
-interior test can be replayed.
+``U (Xtilde + H) W``: the passing test proves every transformed operator
+nonsingular, and with it the point factors, so no inverse needs a
+certificate (see :mod:`.precond`).  The inflated box ``X`` is kept
+alongside so the interior test can be replayed.
 """
 
 from __future__ import annotations
@@ -430,19 +433,18 @@ def verification_loop(M: IMatrix, n_of, kmax: int) -> LoopResult:
 
 
 def back_transform(ps: PrecondSystem, inner: IMatrix) -> IMatrix:
-    """Enclosure of ``U * inner * V^-1`` with the certified inverse box of ``V``.
+    """Enclosure of ``U * inner * W`` with the point factors ``U`` and ``W = ps.Vinv``.
 
-    Two midpoint products and three real radius products: one for the point
-    ``U``, prepared as an operand with no zero radius array, two for the
-    interval ``V^-1``.  A permutation side of ``ps`` reindexes exactly
-    instead.
+    Two midpoint products and two real radius products, one per point
+    factor, each prepared as an operand with no zero radius array.  A
+    permutation side of ``ps`` reindexes exactly instead.
     """
     if ps.u_perm is None:
         inner = im_matmul(_Operand(ps.U), inner)
     else:
         inner = _take(inner, rows=np.argsort(ps.u_perm))
     if ps.v_perm is None:
-        return im_matmul(inner, ps.vinv_box)
+        return im_matmul(inner, _Operand(ps.Vinv))
     return _take(inner, cols=np.argsort(ps.v_perm))
 
 
@@ -479,7 +481,7 @@ def _solve(method: str, ps: PrecondSystem, kmax: int) -> Enclosure:
     """Verify the preconditioned system ``ps``: the solve of mkw and of blk.
 
     ``Xtilde``, ``M`` and the contraction term divide through ``ps``, and a
-    verified box maps back by ``U . V^-1``.
+    verified box maps back by the point factors ``U . W``, ``W = ps.Vinv``.
     """
     if ps.diagonal:
         xtilde = ps.Fp.mid / ps.den.mid
@@ -493,7 +495,7 @@ def _solve(method: str, ps: PrecondSystem, kmax: int) -> Enclosure:
         lambda Z: back_transform(ps, Z),
         kmax,
         U=ps.U,
-        Vinv=ps.vinv_box.mid,
+        Vinv=ps.Vinv,
         precond=ps,
     )
 

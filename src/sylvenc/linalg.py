@@ -1,7 +1,9 @@
 """Dense point linear algebra used by the enclosure pipelines.
 
 Thin wrappers around LAPACK via numpy/scipy, plus the column-stacking vec
-conventions and a certified interval enclosure of a matrix inverse.
+conventions, the test ``rho(|I - P A|) < 1`` that proves point factors
+nonsingular, and an interval enclosure of a matrix inverse (no solver
+calls it: the preconditioners multiply by point factors).
 """
 
 from __future__ import annotations
@@ -154,32 +156,38 @@ def iunvec(x: IMatrix, m: int, n: int) -> IMatrix:
     return IMatrix(unvec(x.mid.ravel(), m, n), unvec(x.rad.ravel(), m, n))
 
 
-def inverse_enclosure(
-    a: np.ndarray, r0: np.ndarray | None = None, with_product: bool = False
-) -> IMatrix | tuple[IMatrix, np.ndarray]:
+def _near_identity(p, a) -> tuple[IMatrix, float]:
+    """The interval product ``G = p a`` and ``rho = || |I - G| ||_inf``, proved below one.
+
+    ``p`` and ``a`` are square point factors, as arrays or prepared
+    operands.  ``rho`` is bounded outward; ``rho < 1`` proves ``p a``, and
+    so ``p`` and ``a``, nonsingular.  Raises :class:`SingularMatrixError`
+    otherwise.
+    """
+    g = im_matmul(p, a)
+    n = g.rows
+    gmag = np.abs(np.eye(n) - g.mid) + g.rad
+    rho = _up(float(gmag.sum(axis=1).max()), n + 2)
+    if not rho < 1.0:
+        raise SingularMatrixError("singular matrix: rho(|I - P A|) is not below 1")
+    return g, rho
+
+
+def inverse_enclosure(a: np.ndarray) -> IMatrix:
     """Rigorous interval enclosure of the exact inverse of a point matrix.
 
-    With ``R0`` the LU-based approximate inverse and ``G = I - R0 a`` bounded
-    outward, ``rho = || Mag G ||_inf < 1`` certifies nonsingularity and
-    ``|a^-1 - R0| <= colmax|R0| * rho / (1 - rho)`` entrywise (the Neumann tail
-    of ``sum G^k R0``).  Raises when the certificate fails.  ``r0`` passes an
-    ``R0`` already at hand, such as :class:`EigResult`'s ``inv_vectors``; the
-    certificate holds for any ``R0``.  ``with_product`` returns the floating
-    product ``R0 a`` the certificate forms beside the box.
+    With ``R0`` the LU-based approximate inverse and ``rho`` the bound of
+    :func:`_near_identity` on ``|I - R0 a|`` below one,
+    ``|a^-1 - R0| <= colmax|R0| * rho / (1 - rho)`` entrywise (the Neumann
+    tail of ``sum G^k R0``).  Raises when ``rho`` is not below one.
     """
     a = np.asarray(a)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("dimension mismatch")
-    if r0 is None:
-        r0 = lu_solve(a, np.eye(n, dtype=a.dtype))
-    g = im_matmul(IMatrix(r0), IMatrix(a))
-    gmag = np.abs(np.eye(n) - g.mid) + g.rad
-    rho = _up(float(gmag.sum(axis=1).max()), n + 2)
-    if not rho < 1.0:
-        raise SingularMatrixError("singular matrix: inverse certificate failed")
+    r0 = lu_solve(a, np.eye(n, dtype=a.dtype))
+    _, rho = _near_identity(r0, a)
     colmax = np.abs(r0).max(axis=0)
     tail = _up(rho / (1.0 - rho), 6)
     delta = _up(np.broadcast_to(colmax * tail, (n, n)), 2)
-    box = IMatrix(r0, delta)
-    return (box, g.mid) if with_product else box
+    return IMatrix(r0, delta)

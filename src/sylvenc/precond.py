@@ -7,30 +7,32 @@ transformed coefficients is moved into the radii, so the transformed
 midpoints are exactly diagonal; validity never depends on how well the pair
 actually commutes, only tightness does.
 
-The exact inverses of U and V are not representable in floating point, so
-interval enclosures of them (point inverse plus a certified residual pad) are
-used on the left of every transform product.  Three properties of the input
-make a transform exact instead:
+The inverses of U and V are never formed exactly: point factors ``P ~
+U^-1`` and ``W ~ V^-1`` stand in for them.  With ``X = U Y W`` each member
+``(A, B, C, D, F)`` becomes the member ``(P A U, W B V, P C U, W D V, P F
+V)`` of the boxes the sandwiches enclose, and a Krawczyk test that passes
+on those boxes proves every transformed operator nonsingular, and with it
+P, U, W and V; each member's solution is then ``U Y W``.  So no inverse
+needs a certificate: P and W only keep the transformed midpoints nearly
+diagonal.  Three properties of the input make a transform exact instead:
 
 * a member whose midpoint is exactly diagonal donates the basis ``I``,
   without an eigensolver call (a scalar midpoint ``c I`` is one such);
 * a permutation basis ``U = I[:, perm]`` (``I``, and in :mod:`.blockdiag`
   its column-reversed and cluster-sorted forms) has the exact inverse
-  ``U^T``, so every product with ``U`` or ``U^T`` is a reindexing: no
-  certified inverse and no interval product;
-* a point scalar member ``c I`` is exactly ``<c I, 0>`` in any basis.
+  ``P = U^T``, so every product with ``U`` or ``U^T`` is a reindexing and
+  a point scalar member ``c I`` stays exactly ``<c I, 0>``;
+* elsewhere a point scalar member ``c I`` takes the box ``<c I, 0> G`` of
+  the one interval product ``G = P U`` of its side, with no sandwich.
 
 One rule, :func:`choose_donor`, picks the member of each pair that donates
 the shared basis, here and in :mod:`.blockdiag`.  Each distinct member offers
 its basis and is conjugated once, with both members, by
 :func:`simultaneous_diag`; it scores the larger mass either member keeps off
-the pattern.  A member's mass is that of its conjugated midpoint, except a
-point scalar member ``c I`` in a basis that is not a permutation: it scores
-``c Uinv U``, the product the inverse certificate forms.  At ``c = 1`` that
-is its sandwich's midpoint bit for bit, so an ill-conditioned basis still
-shows its off-diagonal mass there and loses.  A basis whose certificate
-fails drops out; the lowest score wins, a tie keeps the first member.  Here
-mass is the relative inf-norm off the diagonal, against the member.
+the pattern, each member by the midpoint of its own box.  A basis whose
+product ``G = P U`` fails ``rho(|I - G|) < 1`` drops out; the lowest score
+wins, a tie keeps the first member.  Here mass is the relative inf-norm off
+the diagonal, against the member.
 
 The entrywise denominators ``a_i b_j + c_i d_j`` of the stored diagonals
 ``a, b, c, d`` of the transformed midpoints are formed once, as screened
@@ -64,7 +66,7 @@ from .intervals import (
     _up,
     im_matmul,
 )
-from .linalg import EigResult, eig_decompose, inverse_enclosure
+from .linalg import EigResult, _near_identity, eig_decompose
 from .system import SylvesterSystem
 
 __all__ = [
@@ -85,14 +87,9 @@ def _offdiag_rel(conj: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(off).sum(axis=1).max()) / ref_norm
 
 
-def _scalar(a: np.ndarray) -> bool:
-    """Whether ``a`` is a scalar matrix ``c I``, for any ``c``."""
-    return _scalar_of(_diagonal(a)) is not None
-
-
 def _point_scalar(x: IMatrix) -> bool:
-    """Whether ``x`` is a point scalar matrix ``<c I, 0>``."""
-    return _scalar(x.mid) and not np.count_nonzero(x.rad)
+    """Whether ``x`` is a point scalar matrix ``<c I, 0>``, for any ``c``."""
+    return _scalar_of(_diagonal(x.mid)) is not None and not np.count_nonzero(x.rad)
 
 
 def _eig_memo():
@@ -133,14 +130,14 @@ class PrecondSystem:
     ``mid Ap`` and ``mid Cp`` are block diagonal with upper-triangular
     blocks of the partition ``row_sizes``, ``mid Bp`` and ``mid Dp`` with
     lower-triangular blocks of ``col_sizes``; both are all ones, so the
-    midpoints are exactly diagonal, for mkw and itr.  ``uinv_box`` and
-    ``vinv_box`` are the certified inverses of the bases ``U`` and ``V``;
-    ``den`` holds the disk denominators ``a_i b_j + c_i d_j`` of the
-    diagonals of ``mid Ap .. mid Dp`` and their reciprocals.  ``cond_bound``
-    bounds the condition of blk's block bases, ``offdiag_mass`` is each
-    coefficient's relative midpoint mass off its pattern in the donor's basis.
-    ``u_perm`` (``v_perm``) is set when ``U = I[:, u_perm]`` is a
-    permutation, whose inverse box is the exact point ``U^T``.
+    midpoints are exactly diagonal, for mkw and itr.  ``U`` and ``V`` are
+    the bases and ``Vinv`` the point factor ``W ~ V^-1``: a member's
+    solution is ``U Y W``.  ``den`` holds the disk denominators ``a_i b_j +
+    c_i d_j`` of the diagonals of ``mid Ap .. mid Dp`` and their
+    reciprocals.  ``cond_bound`` bounds the condition of blk's block bases,
+    ``offdiag_mass`` is each coefficient's relative midpoint mass off its
+    pattern in the donor's basis.  ``u_perm`` (``v_perm``) is set when ``U = I[:, u_perm]`` is a
+    permutation, whose point factor is its exact inverse ``U^T``.
     """
 
     Ap: IMatrix
@@ -150,8 +147,7 @@ class PrecondSystem:
     Fp: IMatrix
     U: np.ndarray
     V: np.ndarray
-    uinv_box: IMatrix
-    vinv_box: IMatrix
+    Vinv: np.ndarray
     den: _Denominators
     row_sizes: tuple[int, ...]
     col_sizes: tuple[int, ...]
@@ -186,20 +182,20 @@ class PrecondSystem:
 
 
 class Basis(NamedTuple):
-    """A side's basis ``U`` and the certified box ``inv_box`` of its inverse.
+    """A side's basis ``U`` and the point factor ``P ~ U^-1`` that multiplies on the left.
 
-    ``perm`` is set when ``U = I[:, perm]`` is a permutation: ``inv_box`` is
-    then the exact point ``U^T``, and a product with either is a reindexing.
-    Otherwise ``inv_op`` and ``u_op`` are ``inv_box`` and ``U`` prepared as
-    product operands, once for every sandwich of the side (both members and
-    ``F``); they live as long as the basis, which the preconditioned system
-    does not keep.
+    ``perm`` is set when ``U = I[:, perm]`` is a permutation: ``P`` is then
+    its exact inverse ``U^T``, and a product with either is a reindexing.
+    Otherwise ``p_op`` and ``u_op`` are ``P`` and ``U`` prepared as product
+    operands, once for every sandwich of the side (both members and ``F``);
+    they live as long as the basis, which the preconditioned system does not
+    keep.
     """
 
     U: np.ndarray
-    inv_box: IMatrix
+    P: np.ndarray
     perm: np.ndarray | None = None
-    inv_op: _Operand | None = None
+    p_op: _Operand | None = None
     u_op: _Operand | None = None
 
 
@@ -217,13 +213,13 @@ def _take(x: IMatrix, rows: np.ndarray | None = None, cols: np.ndarray | None = 
 
 
 def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
-    """Enclosure of ``left.U^-1 X right.U`` for the exact inverse in ``left.inv_box``.
+    """Enclosure of ``left.P X right.U``.
 
-    A permutation side reindexes exactly; any other takes an interval product
-    by the basis's prepared operands: a midpoint product and two real radius
-    products on the left, and one on the right, where ``U`` is a point.
+    A permutation side reindexes exactly; any other takes a point x interval
+    product by the basis's prepared operand: a midpoint product and one
+    radius product on each side.
     """
-    x = im_matmul(left.inv_op, x) if left.perm is None else _take(x, rows=left.perm)
+    x = im_matmul(left.p_op, x) if left.perm is None else _take(x, rows=left.perm)
     return im_matmul(x, right.u_op) if right.perm is None else _take(x, cols=right.perm)
 
 
@@ -252,56 +248,44 @@ class Donor(NamedTuple):
     mass: tuple[float, float]
 
 
-def simultaneous_diag(pair, U: np.ndarray, Uinv: np.ndarray, perm: np.ndarray | None = None):
-    """Both members of ``pair`` conjugated into the basis ``U``.
+def simultaneous_diag(pair, U: np.ndarray, P: np.ndarray, perm: np.ndarray | None = None):
+    """The :class:`Basis` of ``U`` and ``P`` and both members of ``pair`` conjugated into it.
 
-    Returns the :class:`Basis`, the conjugated members and, for each member,
-    the point matrix its mass is scored by.  A permutation basis ``U = I[:,
-    perm]``, with ``Uinv = U^T``, conjugates by reindexing and scores the
-    conjugated midpoints.  Otherwise the inverse box is certified around
-    ``Uinv`` (or :class:`SingularMatrixError`); a point scalar member ``c I``
-    is exactly ``<c I, 0>`` and scores ``c Uinv U``, the certificate's
-    product; every other member takes the certified sandwich and scores its
-    midpoint.
+    A permutation basis ``U = I[:, perm]``, with ``P = U^T``, conjugates by
+    reindexing.  Otherwise the interval product ``G = P U`` must pass
+    ``rho(|I - G|) < 1`` (or :class:`SingularMatrixError`); a point scalar
+    member ``c I`` then takes the box ``<c I, 0> G`` and every other member
+    its sandwich.
     """
     if perm is not None:
-        raw = tuple(_take(x, perm, perm) for x in pair)
-        inv_box = IMatrix._from_kernel(Uinv, np.zeros(Uinv.shape))
-        return Basis(U, inv_box, perm), raw, tuple(r.mid for r in raw)
-    inv_box, prod = inverse_enclosure(U, r0=Uinv, with_product=True)
-    basis = Basis(U, inv_box, None, _Operand(inv_box.mid, inv_box.rad), _Operand(U))
-    raw, scored = [], []
-    for x in pair:
-        if _point_scalar(x):
-            c = x.mid[0, 0]
-            cI = np.diag(np.full(len(U), c, dtype=np.result_type(Uinv, U, x.mid)))
-            raw.append(IMatrix._from_kernel(cI, np.zeros(x.shape)))
-            scored.append(c * prod)
-        else:
-            raw.append(_sandwich(basis, x, basis))
-            scored.append(raw[-1].mid)
-    return basis, tuple(raw), tuple(scored)
+        return Basis(U, P, perm), tuple(_take(x, perm, perm) for x in pair)
+    basis = Basis(U, P, None, _Operand(P), _Operand(U))
+    G, _ = _near_identity(basis.p_op, basis.u_op)
+    return basis, tuple(
+        im_matmul(x, G) if _point_scalar(x) else _sandwich(basis, x, basis) for x in pair
+    )
 
 
 def choose_donor(pair, offer, mass) -> Donor:
     """The donor of ``pair`` by the module's rule; :class:`EigenDecompositionError` if none.
 
-    ``offer(mid)`` is a member's ``(U, Uinv, form, perm)`` (``perm`` None
-    unless ``U`` is a permutation) or raises; ``mass(form, conj, mid)`` is
-    the mass of member ``mid`` scored by the point matrix ``conj``.
+    ``offer(mid)`` is a member's ``(U, P, form, perm)`` (``P ~ U^-1``,
+    ``perm`` None unless ``U`` is a permutation) or raises; ``mass(form,
+    conj, mid)`` is the mass of member ``mid`` scored by the midpoint
+    ``conj`` of its conjugated box.
     """
     mids = tuple(x.mid for x in pair)
     scored = []
     for i in range(1 if mids[0].dtype == mids[1].dtype and np.array_equal(*mids) else 2):
         try:
-            U, Uinv, form, perm = offer(mids[i])
-            basis, raw, conj = simultaneous_diag(pair, U, Uinv, perm)
+            U, P, form, perm = offer(mids[i])
+            basis, raw = simultaneous_diag(pair, U, P, perm)
         except (EigenDecompositionError, SingularMatrixError):
             continue
-        masses = tuple(mass(form, c, x) for c, x in zip(conj, mids))
+        masses = tuple(mass(form, r.mid, x) for r, x in zip(raw, mids))
         scored.append((max(masses), i, Donor(basis, form, i, raw, masses)))
     if not scored:
-        raise EigenDecompositionError("no basis of the pair has a certified inverse")
+        raise EigenDecompositionError("no basis of the pair passes rho(|I - P U|) < 1")
     return min(scored, key=lambda t: t[:2])[2]
 
 
@@ -329,10 +313,10 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
 
     ``side(pair, lower)`` is the :class:`Donor` of the pair ``(A, C)``, or of
     ``(B, D)`` with ``lower`` set; both members are projected on its pattern.
-    Raises :class:`EigenDecompositionError` when a pair has no certified
-    basis, and the error of :func:`.intervals._denominators` on a singular or
-    out-of-range denominator; large non-commutativity only widens radii and
-    warns.
+    Raises :class:`EigenDecompositionError` when no basis of a pair passes
+    the test of :func:`simultaneous_diag`, and the error of
+    :func:`.intervals._denominators` on a singular or out-of-range
+    denominator; large non-commutativity only widens radii and warns.
     """
     left, right = side((sys.A, sys.C), False), side((sys.B, sys.D), True)
     for donor in (left, right):
@@ -349,8 +333,7 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
     return PrecondSystem(
         Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp,
         Fp=_sandwich(left.basis, sys.F, right.basis),
-        U=left.basis.U, V=right.basis.U,
-        uinv_box=left.basis.inv_box, vinv_box=right.basis.inv_box,
+        U=left.basis.U, V=right.basis.U, Vinv=right.basis.P,
         den=_denominators(*(np.diag(x.mid) for x in (Ap, Bp, Cp, Dp))),
         row_sizes=left.form.sizes, col_sizes=right.form.sizes,
         cond_bound=max(conds) if conds else None,

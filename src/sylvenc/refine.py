@@ -293,7 +293,7 @@ def itr_solve(
         Xtilde=initial.Xtilde,
         Xbox=final,
         U=ps.U,
-        Vinv=ps.vinv_box.mid,
+        Vinv=ps.Vinv,
         evaluated=evaluated,
         verified=True,
         iterations=k,

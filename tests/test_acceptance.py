@@ -241,9 +241,7 @@ def test_criterion_03_itr_never_wider_than_mkw(capfd):
             if not same:
                 narrowed += 1
                 eta = ETA
-                mag = np.abs(ps.U) @ (np.abs(start.mid) + start.rad) @ (
-                    np.abs(ps.vinv_box.mid) + ps.vinv_box.rad
-                )
+                mag = np.abs(ps.U) @ (np.abs(start.mid) + start.rad) @ np.abs(ps.Vinv)
                 slack = 4.0 * (2 * m + 8) * eta * mag
                 if (it.evaluated.rad > mk.evaluated.rad + slack).any():
                     bad.append(f"{family} m={m}: evaluated radii wider than mkw's plus slack")

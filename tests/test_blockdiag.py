@@ -75,8 +75,7 @@ def _system(DA, DC, DB, DD, row_sizes, col_sizes):
         Fp=IMatrix(np.zeros((m, n))),
         U=np.eye(m),
         V=np.eye(n),
-        uinv_box=IMatrix(np.eye(m)),
-        vinv_box=IMatrix(np.eye(n)),
+        Vinv=np.eye(n),
         den=_denominators(*(np.diag(x) for x in (DA, DB, DC, DD))),
         row_sizes=row_sizes,
         col_sizes=col_sizes,
@@ -270,7 +269,7 @@ class TestBlockSolve:
         assert isinstance(ps, PrecondSystem) and not ps.diagonal
         assert (ps.row_sizes, ps.col_sizes) == ((2,), (2,))
         assert ps.cond_bound >= 1.0
-        assert blk.U is ps.U and np.array_equal(blk.Vinv, ps.vinv_box.mid)
+        assert blk.U is ps.U and blk.Vinv is ps.Vinv
         # the denominators of the stored pattern diagonals, which every division reads
         expect = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)))
         assert all(np.array_equal(x, y) for x, y in zip(ps.den, expect))
@@ -336,7 +335,8 @@ class TestBlockDonor:
         assert all(x is y.mid for x, y in zip(seen, (sys.A, sys.C, sys.B, sys.D)))
         assert len(schur) == 1
         assert blk.precond.u_perm is None and blk.precond.v_perm is not None
-        assert not blk.precond.vinv_box.rad.any()
+        # the permutation side's point factor is its exact inverse
+        assert np.array_equal(blk.precond.Vinv, blk.precond.V.T)
 
     def test_a_winning_scalar_member_is_block_diagonalized_when_it_wins(self, monkeypatch):
         # an upper-triangular C sits on I's pattern already, so A = I scores 0
@@ -362,23 +362,20 @@ class TestBlockDonor:
         assert seen[0] is sys.A.mid and seen[1] is sys.C.mid
         assert len(schur) == 1
         assert np.array_equal(blk.precond.u_perm, np.arange(m))
-        assert np.array_equal(blk.precond.uinv_box.mid, np.eye(m))
-        assert not blk.precond.uinv_box.rad.any()
+        # on the permutation sides the point members stay exact
+        assert np.array_equal(blk.precond.Ap.mid, np.eye(m))
+        assert np.array_equal(blk.precond.Bp.mid, np.eye(m)) and not blk.precond.Bp.rad.any()
 
-    def test_uncertified_block_basis_drops_out(self, monkeypatch):
+    def test_block_basis_failing_the_rho_test_drops_out(self, monkeypatch):
         import sylvenc.precond as precond
         from sylvenc import EigenDecompositionError
         from sylvenc.errors import SingularMatrixError
 
-        orig = precond.inverse_enclosure
+        # rho(|I - P U|) < 1 fails for every basis; a permutation takes no test
+        def fail(p, u):
+            raise SingularMatrixError("singular matrix: rho(|I - P A|) is not below 1")
 
-        # the certified inverse of every basis but a permutation fails
-        def certify(a, *args, **kwargs):
-            if np.count_nonzero(a) > len(a):
-                raise SingularMatrixError("singular matrix: inverse certificate failed")
-            return orig(a, *args, **kwargs)
-
-        monkeypatch.setattr(precond, "inverse_enclosure", certify)
+        monkeypatch.setattr(precond, "_near_identity", fail)
         m = 8
         rad = np.full((m, m), 1e-8)
         a = IMatrix(_jordan(m, 3), rad)

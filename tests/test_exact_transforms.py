@@ -1,4 +1,4 @@
-"""Exact transforms: point scalar members, diagonal donors and permutation bases."""
+"""Point scalar members, diagonal donors and the exact transforms of permutation bases."""
 
 import warnings
 
@@ -14,9 +14,14 @@ from sylvenc import (
     sample_solutions,
     transform_enclose,
 )
+from fractions import Fraction
+
 from sylvenc.blockdiag import _block_side
-from sylvenc.linalg import eig_decompose
-from sylvenc.precond import _sandwich, simultaneous_diag
+from sylvenc.intervals import im_matmul
+from sylvenc.linalg import _near_identity, eig_decompose
+from sylvenc.precond import _eig_memo, _eigen_donor, _sandwich, simultaneous_diag
+
+from exact_oracle import add, exact, in_disk, mul
 
 
 def _diagonalizable(m, rng, dtype=float):
@@ -38,8 +43,26 @@ def _jordan(m, rng):
 SCALARS = [1.0, -2.5, 0.5 + 0.25j]
 
 
+def _holds_scaled_product(box, c, P, U):
+    """Whether ``box`` contains ``c P U`` of the point factors, in exact arithmetic."""
+    m = len(U)
+    for i in range(m):
+        for j in range(m):
+            z = (Fraction(0), Fraction(0))
+            for k in range(m):
+                z = add(z, mul(exact(P[i, k]), exact(U[k, j])))
+            if not in_disk(mul(exact(c), z), box.mid[i, j], box.rad[i, j]):
+                return False
+    return True
+
+
 class TestPointScalarMember:
-    """``c I`` with zero radius is exactly ``<c I, 0>`` in any basis."""
+    """``c I`` with zero radius takes the box ``<c I, 0> G`` of its side's ``G = P U``.
+
+    ``G`` is the interval product that the rho test of :func:`simultaneous_diag`
+    forms; the box holds ``P (c I) U`` exactly, and at ``c = 1`` it is ``G``
+    itself, which is also the sandwich ``(P I) U`` bit for bit.
+    """
 
     @pytest.mark.parametrize("c", SCALARS)
     def test_eigenbasis(self, c):
@@ -48,17 +71,18 @@ class TestPointScalarMember:
         a = _diagonalizable(m, rng)
         pair = (IMatrix(a, np.full((m, m), 1e-8)), IMatrix(c * np.eye(m)))
         eig = eig_decompose(a)
-        basis, raw, scored = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
-        assert np.array_equal(raw[1].mid, c * np.eye(m)) and not raw[1].rad.any()
-        # inside the certified sandwich the transform took before
-        box = _sandwich(basis, pair[1], basis)
-        assert box.contains(raw[1])
-        # scored by c Uinv U, at c = 1 the sandwich's midpoint bit for bit
+        basis, raw = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
+        G, rho = _near_identity(eig.inv_vectors, eig.vectors)
+        assert rho < 1e-10
+        want = im_matmul(pair[1], G)
+        assert raw[1].mid.tobytes() == want.mid.tobytes()
+        assert raw[1].rad.tobytes() == want.rad.tobytes()
+        assert _holds_scaled_product(raw[1], c, eig.inv_vectors, eig.vectors)
         if c == 1.0:
-            assert scored[1].dtype == box.mid.dtype
-            assert scored[1].tobytes() == box.mid.tobytes()
-        else:
-            assert np.abs(scored[1] - box.mid).max() <= 1e-12 * abs(c)
+            box = _sandwich(basis, pair[1], basis)
+            for x in (G, box):
+                assert raw[1].mid.tobytes() == x.mid.tobytes()
+                assert raw[1].rad.tobytes() == x.rad.tobytes()
 
     @pytest.mark.parametrize("lower", [False, True])
     @pytest.mark.parametrize("c", SCALARS)
@@ -69,8 +93,23 @@ class TestPointScalarMember:
         donor = _block_side(pair, 1e4, lower)
         # the Schur basis of the Jordan member wins over I's single block
         assert donor.index == 0 and donor.basis.perm is None
+        P, U = donor.basis.P, donor.basis.U
+        want = im_matmul(pair[1], _near_identity(P, U)[0])
+        assert donor.raw[1].mid.tobytes() == want.mid.tobytes()
+        assert donor.raw[1].rad.tobytes() == want.rad.tobytes()
+        assert _holds_scaled_product(donor.raw[1], c, P, U)
+
+    @pytest.mark.parametrize("c", SCALARS)
+    def test_permutation_basis_keeps_it_exact(self, c):
+        # a diagonal donor offers the permutation basis I: P = U^T, and c I stays <c I, 0>
+        rng = np.random.default_rng(3)
+        m = 6
+        d = np.diag(rng.uniform(1.0, 2.0, m))
+        pair = (IMatrix(d, np.full((m, m), 1e-8)), IMatrix(c * np.eye(m)))
+        donor = _eigen_donor(pair, _eig_memo())
+        assert np.array_equal(donor.basis.perm, np.arange(m))
+        assert np.array_equal(donor.basis.P, donor.basis.U.T)
         assert np.array_equal(donor.raw[1].mid, c * np.eye(m)) and not donor.raw[1].rad.any()
-        assert _sandwich(donor.basis, pair[1], donor.basis).contains(donor.raw[1])
 
     def test_a_scalar_with_a_radius_takes_the_sandwich(self):
         rng = np.random.default_rng(2)
@@ -78,7 +117,7 @@ class TestPointScalarMember:
         a = _diagonalizable(m, rng)
         pair = (IMatrix(a, np.full((m, m), 1e-8)), IMatrix(np.eye(m), np.full((m, m), 1e-9)))
         eig = eig_decompose(a)
-        basis, raw, _ = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
+        basis, raw = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
         box = _sandwich(basis, pair[1], basis)
         assert raw[1].mid.tobytes() == box.mid.tobytes()
         assert raw[1].rad.tobytes() == box.rad.tobytes()
@@ -117,8 +156,9 @@ class TestDiagonalDonor:
         # only B's midpoint is decomposed
         assert len(eigs) == 1 and eigs[0] is sys.B.mid
         assert np.array_equal(ps.u_perm, np.arange(12)) and ps.v_perm is None
-        assert np.array_equal(ps.uinv_box.mid, ps.U.T) and not ps.uinv_box.rad.any()
         assert ps.Ap.mid.tobytes() == sys.A.mid.tobytes()
+        # on the permutation side the point scalar C = 0.5 I stays exact
+        assert np.array_equal(ps.Cp.mid, 0.5 * np.eye(12)) and not ps.Cp.rad.any()
 
     def test_block_side(self, monkeypatch):
         import scipy.linalg
@@ -135,8 +175,8 @@ class TestDiagonalDonor:
         assert ps.row_sizes == tuple(labels.count(f) for f in first)
         P = np.eye(12)[:, ps.u_perm]
         assert np.array_equal(ps.U, P)
-        assert np.array_equal(ps.uinv_box.mid, P.T) and not ps.uinv_box.rad.any()
         assert np.array_equal(np.diag(ps.Ap.mid), d[ps.u_perm])
+        assert np.array_equal(ps.Cp.mid, 0.5 * np.eye(12)) and not ps.Cp.rad.any()
 
 
 def _soundness_system(kind, m, seed=0):

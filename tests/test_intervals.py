@@ -391,15 +391,20 @@ def test_matmul_no_wider_than_four_products_on_random_operands(dtype):
 def test_matmul_no_wider_than_four_products_on_transform_operands(family, m):
     from sylvenc import GenSpec, generate, transform_enclose
 
+    from sylvenc.linalg import lu_solve
+
     sys_ = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=1))
     ps = transform_enclose(sys_)
-    # the sandwich products of the transform and its certified inverses
-    for box, point, coeffs in ((ps.uinv_box, ps.U, (sys_.A, sys_.C, sys_.F)),
-                               (ps.vinv_box, ps.V, (sys_.B, sys_.D))):
-        assert _no_wider_than_four_products(as_imatrix(box.mid), as_imatrix(point))
+    # the sandwich products of the transform by its point factors (the left
+    # one is the LU inverse of U, as Vinv is of V) and their products G = P U
+    uinv = lu_solve(ps.U, np.eye(m, dtype=ps.U.dtype))
+    for p, point, coeffs in ((uinv, ps.U, (sys_.A, sys_.C, sys_.F)),
+                             (ps.Vinv, ps.V, (sys_.B, sys_.D))):
+        p = as_imatrix(p)
+        assert _no_wider_than_four_products(p, as_imatrix(point))
         for coeff in coeffs:
-            assert _no_wider_than_four_products(box, coeff)
-            assert _no_wider_than_four_products(im_matmul(box, coeff), as_imatrix(point))
+            assert _no_wider_than_four_products(p, coeff)
+            assert _no_wider_than_four_products(im_matmul(p, coeff), as_imatrix(point))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

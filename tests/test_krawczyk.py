@@ -82,14 +82,25 @@ def test_residual_box_contains_member_residuals():
 
 
 def test_residual_by_identity_coefficients_takes_no_product():
-    # kyc31's C = D = I: the term C X D is X itself, on the original system as ver
-    # forms it and on the preconditioned one as mkw, blk and itr do (there complex)
-    sys = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))
-    ps = transform_enclose(sys)
-    original = (sys.A, sys.B, sys.C, sys.D, sys.F)
+    # C = D = I: the term C X D is X itself, on the original system as ver forms
+    # it and on the preconditioned one of permutation bases (diagonal A and B),
+    # where the identities stay exact
+    kyc = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))
+    rng = np.random.default_rng(3)
+    rad = np.full((8, 8), 1e-8)
+    diag = SylvesterSystem(
+        A=IMatrix(np.diag(rng.uniform(1.0, 2.0, 8)), rad),
+        B=IMatrix(np.diag(rng.uniform(1.0, 2.0, 8)), rad),
+        C=kyc.C,
+        D=kyc.D,
+        F=kyc.F,
+    )
+    ps = transform_enclose(diag)
+    assert ps.u_perm is not None and ps.v_perm is not None
+    original = (kyc.A, kyc.B, kyc.C, kyc.D, kyc.F)
     for (A, B, C, D, F), xt in (
         (original, point_solve(*(t.mid for t in original))),
-        ((ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp), mkw_solve(sys).Xtilde),
+        ((ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp), mkw_solve(diag).Xtilde),
     ):
         got = residual(A, B, C, D, F, xt)
         want = F - im_matmul(im_matmul(A, IMatrix(xt)), B) - IMatrix(xt)

@@ -104,12 +104,20 @@ class TestInverseEnclosure:
         assert prod.contains_point(np.eye(5))
         assert np.abs(box.mid - np.linalg.inv(a)).max() <= 1e-8
 
-    def test_with_product_returns_the_certificate_product(self):
+    def test_rho_test_returns_the_product_and_its_bound(self):
+        from sylvenc.linalg import _near_identity
+
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-        box, prod = inverse_enclosure(a, with_product=True)
-        assert box.mid.tobytes() == inverse_enclosure(a).mid.tobytes()
-        assert prod.tobytes() == (box.mid @ a).tobytes()
+        r0 = np.linalg.solve(a, np.eye(5))
+        G, rho = _near_identity(r0, a)
+        want = im_matmul(IMatrix(r0), IMatrix(a))
+        assert G.mid.tobytes() == want.mid.tobytes() and G.rad.tobytes() == want.rad.tobytes()
+        # the bound covers the computed row sums of |I - G|
+        assert float((np.abs(np.eye(5) - G.mid) + G.rad).sum(axis=1).max()) <= rho < 1e-12
+        # twice the inverse leaves |I - G| near I: the test fails
+        with pytest.raises(SingularMatrixError, match="not below 1"):
+            _near_identity(2.0 * r0, a)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):

@@ -8,6 +8,7 @@ import pytest
 
 from sylvenc import GenSpec, IMatrix, SylvesterSystem, generate, transform_enclose
 from sylvenc.intervals import _denominators
+from sylvenc.linalg import lu_solve
 from sylvenc.precond import _project_pattern, simultaneous_diag
 
 from exact_oracle import add, exact, in_disk, mul, recip
@@ -34,9 +35,8 @@ class TestSimultaneousDiag:
         a = _random_diagonalizable(5, rng)
         c = 0.5 * np.eye(5) + 0.25 * a + 0.125 * (a @ a)  # commutes with a
         eig = eig_decompose(a)
-        basis, raw, scored = simultaneous_diag(self._pair(a, c), eig.vectors, eig.inv_vectors)
-        assert basis.inv_box.mid is eig.inv_vectors and basis.perm is None
-        assert all(x is r.mid for x, r in zip(scored, raw))
+        basis, raw = simultaneous_diag(self._pair(a, c), eig.vectors, eig.inv_vectors)
+        assert basis.P is eig.inv_vectors and basis.perm is None
         for r in raw:
             off = r.mid - np.diag(np.diag(r.mid))
             assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(r.mid)).max()
@@ -51,15 +51,15 @@ class TestSimultaneousDiag:
         rng = np.random.default_rng(1)
         a = _random_diagonalizable(4, rng)
         eig = eig_decompose(a)
-        _, raw, _ = simultaneous_diag(self._pair(a, np.eye(4)), eig.vectors, eig.inv_vectors)
+        _, raw = simultaneous_diag(self._pair(a, np.eye(4)), eig.vectors, eig.inv_vectors)
         assert raw[1].contains_point(np.eye(4))
         assert np.abs(raw[1].mid - np.eye(4)).max() <= 1e-10
 
-    def test_failed_certificate_raises(self):
+    def test_rho_not_below_one_raises(self):
         from sylvenc.errors import SingularMatrixError
 
         a = np.eye(3)
-        with pytest.raises(SingularMatrixError, match="certificate failed"):
+        with pytest.raises(SingularMatrixError, match="not below 1"):
             simultaneous_diag(self._pair(a, a), np.ones((3, 3)), np.eye(3))
 
 
@@ -142,15 +142,24 @@ class TestTransformEnclose:
         assert set(ps.offdiag_mass) == {"A", "B", "C", "D"}
         assert all(v < 1e-8 for v in ps.offdiag_mass.values())
 
-    def test_certified_inverse_boxes_present(self):
-        sys = generate(GenSpec(family="sylvester32", m=4, alpha=1e-6, seed=7))
-        ps = transform_enclose(sys)
-        from sylvenc import as_imatrix, im_matmul
+    def test_vinv_is_the_point_factor_of_the_right_basis(self):
+        # W = Vinv is the LU inverse of the right eigenbasis, a point; the
+        # enclosure reports it as the back-transform's right factor
+        from sylvenc import mkw_solve
+        from sylvenc.linalg import _near_identity, eig_decompose
 
-        prod = im_matmul(as_imatrix(ps.U), ps.uinv_box)
-        assert prod.contains_point(np.eye(4))
-        prod_v = im_matmul(as_imatrix(ps.V), ps.vinv_box)
-        assert prod_v.contains_point(np.eye(4))
+        sys = generate(GenSpec(family="sylvester32", m=4, alpha=1e-6, seed=7))
+        enc = mkw_solve(sys)
+        ps = enc.precond
+        # sylvester32's right pair is (I, D): D donates
+        eig = eig_decompose(sys.D.mid)
+        assert np.array_equal(ps.V, eig.vectors) and np.array_equal(ps.Vinv, eig.inv_vectors)
+        assert enc.Vinv is ps.Vinv
+        # no interval inverse: the only boxes are the transformed coefficients
+        boxes = {f.name for f in dataclasses.fields(ps) if isinstance(getattr(ps, f.name), IMatrix)}
+        assert boxes == {"Ap", "Bp", "Cp", "Dp", "Fp"}
+        _, rho = _near_identity(ps.Vinv, ps.V)
+        assert rho < 1e-10
 
 
 def test_degenerate_eigenbasis_raises():
@@ -217,9 +226,8 @@ class TestEigPerDistinctMidpoint:
                 pair = (IMatrix(a, np.full((m, m), 1e-8)), IMatrix(a))
                 basis = _eigen_donor(pair, _eig_memo()).basis
                 assert np.array_equal(basis.perm, np.arange(m))
-                for got, want in ((basis.U, ref.vectors), (basis.inv_box.mid, ref.inv_vectors)):
+                for got, want in ((basis.U, ref.vectors), (basis.P, ref.inv_vectors)):
                     assert np.array_equal(got, want) and got.dtype == want.dtype
-                assert not basis.inv_box.rad.any()
 
 
 class TestDiagnosticsKeepTheirValues:
@@ -228,37 +236,41 @@ class TestDiagnosticsKeepTheirValues:
         sys = generate(GenSpec(family=family, m=8, alpha=1e-6, seed=3))
         ps = transform_enclose(sys)
         mids = {"A": sys.A.mid, "C": sys.C.mid, "B": sys.B.mid, "D": sys.D.mid}
+        # the left point factor is the LU inverse of U, as Vinv is of V
+        uinv = lu_solve(ps.U, np.eye(ps.m, dtype=ps.U.dtype))
+        assert np.array_equal(ps.Vinv, lu_solve(ps.V, np.eye(ps.n, dtype=ps.V.dtype)))
         for key, mid in mids.items():
-            uinv, u = (ps.uinv_box.mid, ps.U) if key in "AC" else (ps.vinv_box.mid, ps.V)
-            assert ps.offdiag_mass[key] == _conj_offdiag_rel(uinv, mid, u)
+            p, u = (uinv, ps.U) if key in "AC" else (ps.Vinv, ps.V)
+            assert ps.offdiag_mass[key] == _conj_offdiag_rel(p, mid, u)
 
 
 def _same_precond(forced, scored, sys):
-    """``forced`` is ``scored`` but where an exact path applies, and lies inside it there.
+    """``forced`` is ``scored`` but on permutation sides, and lies inside it there.
 
-    ``scored`` conjugates every member by a certified sandwich.  In
-    ``forced`` a point scalar member ``c I`` is exactly ``<c I, 0>`` and a
-    permutation side transforms by reindexing, so the coefficients they give
-    (and ``Fp``, ``den`` and the inverse boxes on such a side) lie inside
-    ``scored``'s, or equal them bit for bit where the sandwich is exact too
-    (a product by the point identity is); every other field is the same bit
-    for bit.
+    ``scored`` conjugates every member by its sandwich in an eigenbasis.  In
+    ``forced`` a permutation side transforms by reindexing, so the
+    coefficients it gives (and ``Fp`` and ``den``) lie inside ``scored``'s,
+    or equal them bit for bit where the sandwich is exact too (a product by
+    the point identity is), and a point scalar member there is exactly
+    ``<c I, 0>``.  On any other side a point scalar member is an identity in
+    these systems, whose box ``<I, 0> G`` is its sandwich ``(P I) U`` bit
+    for bit; every other field is the same bit for bit.
     """
     from sylvenc.precond import _point_scalar
 
     exact = set()
-    for perm, box, members in (
-        (forced.u_perm, "uinv_box", "AC"), (forced.v_perm, "vinv_box", "BD")
-    ):
-        if perm is not None:
-            exact |= {box, "Fp", "den"} | {f"{x}p" for x in members}
-    for x in "ABCD":
-        member = getattr(sys, x)
-        if _point_scalar(member):
-            got = getattr(forced, f"{x}p")
-            c = member.mid[0, 0]
-            assert np.array_equal(got.mid, c * np.eye(len(got.mid))) and not got.rad.any(), x
-            exact |= {f"{x}p", "den"}
+    for perm, members in ((forced.u_perm, "AC"), (forced.v_perm, "BD")):
+        for x in members:
+            member = getattr(sys, x)
+            if perm is not None:
+                exact |= {"Fp", "den", f"{x}p"}
+                if _point_scalar(member):
+                    got = getattr(forced, f"{x}p")
+                    c = member.mid[0, 0]
+                    assert np.array_equal(got.mid, c * np.eye(len(got.mid))), x
+                    assert not got.rad.any(), x
+            elif _point_scalar(member):
+                assert np.array_equal(member.mid, np.eye(len(member.mid))), x
     for f in dataclasses.fields(forced):
         x, y = getattr(forced, f.name), getattr(scored, f.name)
         if f.name in ("u_perm", "v_perm"):
@@ -305,33 +317,34 @@ def _jordan_system(m=8, seed=0):
 
 def _count_conjugations(monkeypatch):
     """Record each call of ``precond.simultaneous_diag``, the one conjugation of a
-    candidate: True when it certifies an inverse, False for a permutation basis."""
+    candidate: True when it takes the rho test of ``G = P U``, False for a
+    permutation basis."""
     import sylvenc.precond as precond
 
     calls = []
     orig = precond.simultaneous_diag
 
-    def counting(pair, U, Uinv, perm=None):
+    def counting(pair, U, P, perm=None):
         calls.append(perm is None)
-        return orig(pair, U, Uinv, perm)
+        return orig(pair, U, P, perm)
 
     monkeypatch.setattr(precond, "simultaneous_diag", counting)
     return calls
 
 
-def _fail_certificate(monkeypatch):
-    # the certified inverse of every non-diagonal basis fails
+def _fail_rho_test(monkeypatch):
+    # rho(|I - P U|) < 1 fails for every basis that is not diagonal
     import sylvenc.precond as precond
     from sylvenc.errors import SingularMatrixError
 
-    orig = precond.inverse_enclosure
+    orig = precond._near_identity
 
-    def certify(a, *args, **kwargs):
-        if np.count_nonzero(a - np.diag(np.diagonal(a))):
-            raise SingularMatrixError("singular matrix: inverse certificate failed")
-        return orig(a, *args, **kwargs)
+    def test(p, u):
+        if np.count_nonzero(u.mid - np.diag(np.diagonal(u.mid))):
+            raise SingularMatrixError("singular matrix: rho(|I - P A|) is not below 1")
+        return orig(p, u)
 
-    monkeypatch.setattr(precond, "inverse_enclosure", certify)
+    monkeypatch.setattr(precond, "_near_identity", test)
 
 
 def _commuting_system(m=6, seed=3, d_scalar=True):
@@ -351,23 +364,24 @@ def _commuting_system(m=6, seed=3, d_scalar=True):
 def _scored(monkeypatch, make):
     """``make()`` with every shortcut off: no member counts as diagonal or
     scalar, so every basis comes from ``eig_decompose`` and every member is
-    conjugated by its certified sandwich."""
+    conjugated by its sandwich."""
     import sylvenc.precond as precond
 
     with monkeypatch.context() as mp:
-        mp.setattr(precond, "_scalar", lambda a: False)
+        mp.setattr(precond, "_point_scalar", lambda x: False)
         mp.setattr(precond, "_diagonal", lambda a: None)
         return make()
 
 
 class TestForcedDonors:
-    """The exact paths choose the donors that conjugating every candidate chooses.
+    """The shortcuts choose the donors that conjugating every candidate chooses.
 
     With the shortcuts off (:func:`_scored`), every basis is an eigenbasis
-    with a certified inverse and every member a certified sandwich.  With
-    them on, a point scalar member is exactly ``<c I, 0>`` and a diagonal
-    donor's basis an exact permutation; the bases and masses must stay the
-    same bit for bit, and the exact parts lie inside the certified ones.
+    that takes the rho test and every member a sandwich.  With them on, a
+    diagonal donor's basis is an exact permutation, where a point scalar
+    member is exactly ``<c I, 0>``, and elsewhere a point scalar member
+    takes the box ``<c I, 0> G``; the bases and masses must stay the same
+    bit for bit, and the exact parts lie inside the sandwiches.
     """
 
     @pytest.mark.parametrize("m", [8, 32])
@@ -377,7 +391,7 @@ class TestForcedDonors:
         scored = _scored(monkeypatch, lambda: transform_enclose(sys))
         calls = _count_conjugations(monkeypatch)
         forced = transform_enclose(sys)
-        # every distinct candidate once; only the eigenbases certify an inverse
+        # every distinct candidate once; only the eigenbases take the rho test
         assert len(calls) == (2 if family == "gallery33" else 4)
         assert sum(calls) == 2
         _same_precond(forced, scored, sys)
@@ -393,7 +407,7 @@ class TestForcedDonors:
             calls = _count_conjugations(monkeypatch)
             forced = transform_enclose(sys)
         assert np.array_equal(forced.U, np.eye(8)) == scalar_wins
-        # A's eigenbasis is the only one certified: I and the diagonal B are permutations
+        # only A's eigenbasis takes the rho test: I and the diagonal B are permutations
         assert calls == [True, False, False, False]
         _same_precond(forced, scored, sys)
 
@@ -402,23 +416,25 @@ class TestForcedDonors:
         [(lambda: generate(GenSpec(family="kyc31", m=8, alpha=1e-6)), 2), (_jordan_system, 1)],
         ids=["kyc31", "jordan"],
     )
-    def test_uncertified_winning_eigenbasis_drops_out(self, monkeypatch, make, certified):
+    def test_winning_eigenbasis_failing_the_rho_test_drops_out(
+        self, monkeypatch, make, certified
+    ):
         sys = make()
-        _fail_certificate(monkeypatch)
+        _fail_rho_test(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             calls = _count_conjugations(monkeypatch)
             ps = transform_enclose(sys)
-        # the eigenbasis of A fails its certificate and the scalar member's I
+        # the eigenbasis of A fails its rho test and the scalar member's I
         # wins; so does kyc31's on the right, while the Jordan family's diagonal
         # B offers I itself
         assert np.array_equal(ps.U, np.eye(8)) and np.array_equal(ps.V, np.eye(8))
         assert ps.offdiag_mass["A"] == _conj_offdiag_rel(np.eye(8), sys.A.mid, np.eye(8))
         assert len(calls) == 4 and sum(calls) == certified
 
-    def test_uncertified_losing_eigenbasis_gives_the_scalar_basis(self, monkeypatch):
+    def test_losing_eigenbasis_failing_the_rho_test_gives_the_scalar_basis(self, monkeypatch):
         sys = _jordan_system(seed=2)
-        _fail_certificate(monkeypatch)
+        _fail_rho_test(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scored = _scored(monkeypatch, lambda: transform_enclose(sys))
@@ -433,13 +449,14 @@ class TestForcedDonors:
     def test_distinct_non_scalar_pair_scores_both_candidates(self, monkeypatch):
         calls = _count_conjugations(monkeypatch)
         transform_enclose(_commuting_system())
-        # (A, C) certifies both candidates; (B, I) B's eigenbasis and I's permutation
+        # (A, C) tests both candidates; (B, I) B's eigenbasis and I's permutation
         assert calls == [True, True, True, False]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_jordan_seeds_keep_the_bases_masses_and_outcome(self, monkeypatch, seed):
-        # a point scalar member scores c Uinv U, the certificate's product: an
-        # ill-conditioned eigenbasis still loses to I, as it does with the shortcuts off
+        # a point scalar member scores the midpoint of its box <c I, 0> (P U):
+        # an ill-conditioned eigenbasis still loses to I, as it does with the
+        # shortcuts off
         from sylvenc import mkw_solve
 
         sys = _jordan_system(seed=seed)
@@ -478,7 +495,7 @@ class TestDonorRule:
         a = _random_diagonalizable(8, rng)
         c = 0.5 * eye + 0.25 * a + 0.125 * (a @ a)
         jordan = _jordan_system(seed=2).A.mid
-        # (midpoints, certified conjugation per candidate, donor)
+        # (midpoints, rho test per candidate, donor)
         cases = [
             ((a, eye), [True, False], 0),  # scalar pair, the eigenbasis wins
             ((eye, a), [False, True], 1),
@@ -507,7 +524,7 @@ class TestDonorRule:
         scores = []
         for mid in (a, c):
             eig = eig_decompose(mid)
-            _, raw, _ = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
+            _, raw = simultaneous_diag(pair, eig.vectors, eig.inv_vectors)
             scores.append(max(_conj_offdiag_rel(eig.inv_vectors, x, eig.vectors) for x in (a, c)))
             assert scores[-1] == max(
                 float(np.abs(r.mid - np.diag(np.diag(r.mid))).sum(axis=1).max())
@@ -518,10 +535,10 @@ class TestDonorRule:
         assert side.index == int(scores[1] < scores[0])
         assert max(side.mass) == min(scores)
 
-    def test_both_candidates_uncertified_raise(self, monkeypatch):
+    def test_both_candidates_failing_the_rho_test_raise(self, monkeypatch):
         from sylvenc.errors import EigenDecompositionError
 
-        _fail_certificate(monkeypatch)
+        _fail_rho_test(monkeypatch)
         with pytest.raises(EigenDecompositionError):
             transform_enclose(_commuting_system(d_scalar=False))
 

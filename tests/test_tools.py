@@ -42,7 +42,7 @@ def test_tool_runs(name):
     assert proc.returncode == 0, proc.stderr
     if name == "enclosure_digests":
         lines = proc.stdout.splitlines()
-        assert len(lines) == 44
+        assert len(lines) == 52
         for line in lines:
             assert re.fullmatch(
                 r"\S+ (mkw|itr|blk|ver) ([0-9a-f]{64} \S+|[A-Za-z]+Error -)", line
@@ -85,7 +85,7 @@ def test_digests_against_a_narrower_or_unverified_run_pass(tmp_path):
         "jordan-m16 itr NoInitialEnclosureError -",
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len(change) == 44
+    assert len(change) == 52
     assert change[("kyc31-m8", "mkw")] == "-1.000e+00"
     assert change[("jordan-m16", "mkw")] == "-"  # it fails honestly, then and now
     assert change[("jordan-m16", "itr")] == "="

@@ -1,16 +1,17 @@
 """Print the sha256 of each enclosure's JSON on a fixed small corpus, and its width.
 
-The corpus is the three families at m = 8 and m = 32, one system whose
-midpoint A is defective (2x2 Jordan blocks), one whose midpoint pairs
+The corpus is the three families at m = 8 and m = 32; kyc31 and
+sylvester32 at m = 100, where the eigenbases' conditioning weighs more in
+the width than at m = 32 and ver refuses the size; one system whose
+midpoint A is defective (2x2 Jordan blocks); one whose midpoint pairs
 (A, C) and (B, D) are distinct and non-scalar, so that each side weighs two
-eigenbases for its donor, one complex system with m = 5 and n = 3, which
-pins the vec convention on a rectangular unknown, the complex ``A X + X B
+eigenbases for its donor; one complex system with m = 5 and n = 3, which
+pins the vec convention on a rectangular unknown; the complex ``A X + X B
 = F`` of the same A, B and F, whose identity coefficients send each of
-ver's coefficient pairs through one product with ``R`` on complex data,
-and kyc31 at m = 8 with
-A, B, C and D scaled by
-2**260 and F by 2**520, which has the same member solutions and squares of
-its denominators past the range of binary64.  Each system is solved by mkw,
+ver's coefficient pairs through one product with ``R`` on complex data; and
+kyc31 at m = 8 with A, B, C and D scaled by 2**260 and F by 2**520, which
+has the same member solutions and squares of its denominators past the
+range of binary64.  Each system is solved by mkw,
 itr (started from the mkw enclosure), blk and ver, and every result is
 serialized with ``dump_json(enclosure_to_dict(enc))``.  A solve that raises
 prints the error's class name instead of a digest.  After the digest each
@@ -177,6 +178,9 @@ def corpus() -> list[tuple[str, SylvesterSystem]]:
         for family in ("kyc31", "sylvester32", "gallery33")
     ]
     return systems + [
+        (f"{family}-m100", generate(GenSpec(family=family, m=100)))
+        for family in ("kyc31", "sylvester32")
+    ] + [
         ("jordan-m16", defective_system()),
         ("commuting-m12", commuting_system()),
         ("complex-m5n3", rectangular_complex_system()),

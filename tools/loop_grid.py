@@ -1,10 +1,10 @@
 """Print, per cell, how mkw's verification loop ended and what it cost.
 
 A cell is ``family:m:seed`` (alpha 1e-6, n = m).  The default cells are
-the failures whose growth sits on a principal subset (kyc31 m = 200 seed 6,
-m = 400 seed 2 and m = 800 seed 0), the slowly contracting sylvester32
-m = 800 seed 0, and the verified m = 400 seed 0 systems of the three
-families as controls.  The script forms mkw's ``M`` and runs
+the failures whose growth sits on a principal subset (kyc31 m = 200 seed 6
+and m = 400 seed 2), the largest cells, kyc31 and sylvester32 at m = 800
+seed 0, which verify in four steps (ratios about 0.66 and 0.57), and the
+verified m = 400 seed 0 systems of the three families as controls.  The script forms mkw's ``M`` and runs
 ``krawczyk.verification_loop`` on it with mkw's contraction term, and prints
 what the loop's result reports.  One line per cell:
 
