@@ -73,6 +73,7 @@ from .intervals import (
     _product,
     _slack,
     _up,
+    _zeros,
     as_imatrix,
     posmm,
 )
@@ -379,11 +380,12 @@ def _ver_loop(
 ) -> Enclosure:
     """ver's verification loop on ``M`` and ``wmag = |I - R Q|``."""
     m, n = ks.m, ks.n
+    zero = _zeros(M.shape, M.mid.dtype)
 
     def n_of(xrad: np.ndarray) -> IMatrix:
         # the loop runs in m x n coordinates, where each of its steps is entrywise; the
         # column operand keeps the BLAS path, and so the rounding, of an m n x 1 product
-        return IMatrix(np.zeros_like(M.mid), unvec(posmm(wmag, vec(xrad)[:, None]), m, n))
+        return IMatrix._from_kernel(zero, unvec(posmm(wmag, vec(xrad)[:, None]), m, n))
 
     return verify("ver", X, M, n_of, lambda Z: Z, kmax, U=np.eye(m), Vinv=np.eye(n))
 

@@ -34,6 +34,7 @@ __all__ = [
     "BenchRecord",
     "SoundnessViolation",
     "compute_metrics",
+    "retained_nbytes",
     "run_benchmark",
     "render_csv",
     "render_jsonl",
@@ -74,6 +75,36 @@ def compute_metrics(y: IMatrix | None, ref: IMatrix | None) -> tuple[float, floa
     if ref is None or ref.rad.sum() == 0.0:
         return meanr, math.nan
     return meanr, float(y.rad.sum() / ref.rad.sum())
+
+
+def retained_nbytes(*objs) -> int:
+    """Bytes of the distinct array buffers reachable from ``objs``, such as results.
+
+    The walk follows tuples, lists, dict values and the attributes (instance
+    dicts and slots) of this package's objects.  Each array counts by the
+    buffer it views, once however many arrays view it, so a broadcast zero
+    counts its one element.
+    """
+    seen, buffers = set(), {}
+    stack = list(objs)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith(__package__ + "."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            slots = (s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ()))
+            stack.extend(getattr(obj, s) for s in slots if hasattr(obj, s))
+    return sum(buffers.values())
 
 
 def _solver(

@@ -674,6 +674,13 @@ def iv_recip_arrays(mid: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.nd
     return rmid, rrad
 
 
+class _Reciprocals(NamedTuple):
+    """Disks ``<mid, rad>`` that contain the reciprocals of the disk denominators."""
+
+    mid: np.ndarray
+    rad: np.ndarray
+
+
 class _Denominators(NamedTuple):
     """Disk denominators ``a_i b_j + c_i d_j`` and their disk reciprocals."""
 
@@ -681,6 +688,16 @@ class _Denominators(NamedTuple):
     rad: np.ndarray
     rec_mid: np.ndarray
     rec_rad: np.ndarray
+
+    @property
+    def rec(self) -> _Reciprocals:
+        """The reciprocal disks alone, all that a division through them reads."""
+        return _Reciprocals(self.rec_mid, self.rec_rad)
+
+
+def _den_mid(a, b, c, d) -> np.ndarray:
+    """``a_i b_j + c_i d_j`` in floating point: the midpoints of :func:`_denominators`."""
+    return np.outer(a, b) + np.outer(c, d)
 
 
 def _denominators(a, b, c, d) -> _Denominators:
@@ -692,7 +709,7 @@ def _denominators(a, b, c, d) -> _Denominators:
     :class:`IntervalOverflowError` when a denominator overflows or, by
     :func:`iv_recip_arrays`, lies below the normal range.
     """
-    mid = np.outer(a, b) + np.outer(c, d)
+    mid = _den_mid(a, b, c, d)
     rad = np.outer(np.abs(a), np.abs(b)) + np.outer(np.abs(c), np.abs(d))
     _slack(rad, 6, out=rad)
     if not (np.isfinite(mid).all() and np.isfinite(rad).all()):
@@ -718,12 +735,28 @@ def in_interior(h: IMatrix, x: IMatrix) -> bool:
     return bool((_reach(h, x) < x.rad).all())
 
 
+def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Read-only zeros of ``shape`` and ``dtype`` that take no memory: one zero, broadcast.
+
+    The zero midpoints of symmetric boxes take this form; every entrywise
+    operation reads it as it reads ``np.zeros``, and nothing writes into a
+    box's midpoint.
+    """
+    return np.broadcast_to(np.zeros((), dtype), shape)
+
+
+def _inflation_rad(rad: np.ndarray) -> np.ndarray:
+    """``0.1 rad + 10 * 2**-52``: the radii of :func:`epsilon_inflate`."""
+    return 0.1 * rad + 10.0 * EPS_MACH
+
+
 def epsilon_inflate(m: IMatrix) -> IMatrix:
-    """Zero-midpoint inflation term ``<0, 0.1 * rad(m) + 10 * 2**-52>``."""
+    """Zero-midpoint inflation term ``<0, 0.1 * rad(m) + 10 * 2**-52>``.
+
+    The midpoint is a read-only broadcast zero of ``m``'s dtype (:func:`_zeros`).
+    """
     m = as_imatrix(m)
-    rad = 0.1 * m.rad + 10.0 * EPS_MACH
-    mid = np.zeros(m.shape, dtype=m.mid.dtype)
-    return IMatrix(mid, rad)
+    return IMatrix._from_kernel(_zeros(m.shape, m.mid.dtype), _inflation_rad(m.rad))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ On success the solution set of every member system is contained in
 nonsingular, and with it the point factors, so no inverse needs a
 certificate (see :mod:`.precond`).  The inflated box ``X`` is kept
 alongside so the interior test can be replayed.
+
+A result keeps what its readers need and no more.  Every zero midpoint of
+the loop (each candidate ``X``, which becomes ``Xbox``, the contraction
+term ``N`` and the inflation term) is one read-only zero broadcast to the
+box's shape, so it takes no memory and reads, serializes and hashes as a
+dense zero does.  The preconditioned system an mkw or blk result carries
+in ``precond`` holds its coefficients' midpoints by their pattern entries
+and, of the denominators, the reciprocal disks alone; :func:`compute_M`
+and blk's tile sweeps form the dense pattern midpoints and ``mid den``
+again for their own call.
 """
 
 from __future__ import annotations
@@ -88,9 +98,10 @@ from .intervals import (
     _prepare,
     _quot,
     _slack,
+    _inflation_rad,
     _up,
+    _zeros,
     as_imatrix,
-    epsilon_inflate,
     im_matmul,
     in_interior,
     posmm,
@@ -121,6 +132,11 @@ class Enclosure:
     ``Hbox`` the final candidate image with ``Hbox`` interior to ``Xbox``
     whenever ``verified`` is True.  ``U`` and ``Vinv`` are the point
     back-transform factors (identity for the dense baseline).
+
+    What an enclosure retains: these arrays (a verification box's zero
+    midpoint as one read-only broadcast zero; itr's ``Xbox`` holds its
+    final disks) and the solver's state, ``precond`` (the compact
+    :class:`.precond.PrecondSystem`) and ``gamma`` (itr's final rectangle).
     """
 
     Xtilde: np.ndarray
@@ -167,11 +183,13 @@ def _tiles(ps: PrecondSystem, *arrays: np.ndarray):
     Yields ``a``, the blocks ``(DA, DC, DB, DD)`` of every tile, the index
     ``ix`` that scatters a stack back, and ``arrays`` as ``(rows, cols, a
     b)`` stacks: unknown ``p = k a + r`` of tile ``(I, J)`` is entry
-    ``[rows[I, r], cols[J, k]]``.
+    ``[rows[I, r], cols[J, k]]``.  The dense pattern midpoints are formed
+    once per call, from the stored entries of ``ps``, and dropped after it.
     """
+    mid_a, mid_b, mid_c, mid_d = (ps.pattern_mid(i) for i in range(4))
     for (a, rows), (b, cols) in itertools.product(_blocks(ps.row_sizes), _blocks(ps.col_sizes)):
-        DA, DC = (x.mid[rows[:, :, None], rows[:, None, :]] for x in (ps.Ap, ps.Cp))
-        DB, DD = (x.mid[cols[:, :, None], cols[:, None, :]] for x in (ps.Bp, ps.Dp))
+        DA, DC = (x[rows[:, :, None], rows[:, None, :]] for x in (mid_a, mid_c))
+        DB, DD = (x[cols[:, :, None], cols[:, None, :]] for x in (mid_b, mid_d))
         ix = (rows[:, None, None, :], cols[None, :, :, None])
         tiles = (len(rows), len(cols), a * b)
         yield a, (DA, DC, DB, DD), ix, tuple(x[ix].reshape(tiles) for x in arrays)
@@ -206,7 +224,7 @@ def interval_back_substitute(ps: PrecondSystem, rhs: IMatrix) -> IMatrix:
     so neither is the inner-product pad ``2 kk + 8``.  The last unknown of a
     tile has an empty tail and takes its right-hand side as it is.  Each
     unknown is divided by its diagonal denominator through the quotient rule
-    of the diagonal path, with the reciprocal disks ``ps.den``; on 1 x 1
+    of the diagonal path, with the reciprocal disks ``ps.rec``; on 1 x 1
     tiles the result is that path's bit for bit.
     """
     m, n = ps.m, ps.n
@@ -215,9 +233,8 @@ def interval_back_substitute(ps: PrecondSystem, rhs: IMatrix) -> IMatrix:
         raise ValueError("dimension mismatch")
     out_mid = np.zeros((m, n), dtype=np.complex128)
     out_rad = np.zeros((m, n))
-    den = ps.den
     for a, blocks, ix, (f_mid, f_rad, rec_mid, rec_rad) in _tiles(
-        ps, rhs.mid, rhs.rad, den.rec_mid, den.rec_rad
+        ps, rhs.mid, rhs.rad, ps.rec.mid, ps.rec.rad
     ):
         z_mid = np.zeros(f_mid.shape, dtype=np.complex128)
         z_rad = np.zeros(f_mid.shape)
@@ -250,11 +267,12 @@ def _point_back_substitute(ps: PrecondSystem, f: np.ndarray) -> np.ndarray:
     """``unvec(Lambda^-1 vec(f))`` in floating point, for the approximate solution.
 
     The sweep of :func:`interval_back_substitute` over the same tiles on
-    midpoints only, each unknown divided by ``den.mid``: on 1 x 1 tiles it
-    is the diagonal path's ``f / den.mid`` bit for bit.
+    midpoints only, each unknown divided by the denominators' midpoints
+    ``ps.den_mid()``: on 1 x 1 tiles it is the diagonal path's ``f /
+    ps.den_mid()`` bit for bit.
     """
     out = np.zeros(f.shape, dtype=np.complex128)
-    for a, blocks, ix, (f_t, den) in _tiles(ps, f, ps.den.mid):
+    for a, blocks, ix, (f_t, den) in _tiles(ps, f, ps.den_mid()):
         z = np.zeros(f_t.shape, dtype=np.complex128)
         last = f_t.shape[-1] - 1
         for p in range(last, -1, -1):
@@ -270,17 +288,21 @@ def _point_back_substitute(ps: PrecondSystem, f: np.ndarray) -> np.ndarray:
 
 def _divide(ps: PrecondSystem, mid: np.ndarray | None, rad: np.ndarray) -> IMatrix:
     """Disks ``<mid, rad>`` (``mid=None`` for zero midpoints) divided through ``ps``:
-    by one quotient rule on a diagonal system, tile by tile otherwise."""
+    by one quotient rule on a diagonal system, tile by tile otherwise.  A zero
+    midpoint is a read-only broadcast zero of ``Fp``'s dtype."""
     if ps.diagonal:
-        q, r = _quot(mid, rad, ps.den.rec_mid, ps.den.rec_rad)
-        return IMatrix._from_kernel(np.zeros(r.shape, ps.Fp.mid.dtype) if q is None else q, r)
+        q, r = _quot(mid, rad, *ps.rec)
+        return IMatrix._from_kernel(_zeros(r.shape, ps.Fp.mid.dtype) if q is None else q, r)
     if mid is None:
-        mid = np.zeros(rad.shape, ps.Fp.mid.dtype)
+        mid = _zeros(rad.shape, ps.Fp.mid.dtype)
     return interval_back_substitute(ps, IMatrix(mid, rad))
 
 
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
-    """Enclosure of the scaled residual of ``xtilde`` over all members."""
+    """Enclosure of the scaled residual of ``xtilde`` over all members.
+
+    The dense boxes ``Ap .. Dp`` are formed for this call only.
+    """
     r = residual(ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp, xtilde)
     return _divide(ps, r.mid, r.rad)
 
@@ -299,9 +321,10 @@ class _Pair(NamedTuple):
 
 
 def _pairs(ps: PrecondSystem) -> tuple[_Pair, _Pair]:
-    """The pairs ``(Ap, Bp)`` and ``(Cp, Dp)`` of ``ps``."""
-    mag = (lambda x: np.abs(np.diagonal(x.mid))) if ps.diagonal else (lambda x: np.abs(x.mid))
-    return tuple(_Pair(a.rad, mag(a), b.rad, mag(b)) for a, b in ((ps.Ap, ps.Bp), (ps.Cp, ps.Dp)))
+    """The pairs ``(Ap, Bp)`` and ``(Cp, Dp)`` of ``ps``, read from its stored entries."""
+    mids = ps.mids if ps.diagonal else tuple(ps.pattern_mid(i) for i in range(4))
+    mags = tuple(np.abs(x) for x in mids)
+    return tuple(_Pair(ps.rads[i], mags[i], ps.rads[i + 1], mags[i + 1]) for i in (0, 2))
 
 
 def _pair_bound(pair: _Pair, w: np.ndarray) -> np.ndarray:
@@ -409,14 +432,15 @@ def verification_loop(M: IMatrix, n_of, kmax: int) -> LoopResult:
     extra calls of ``n_of`` per loop; when it certifies nothing the loop
     goes on as before.
     """
-    e_rad = epsilon_inflate(M).rad
+    e_rad = _inflation_rad(M.rad)
+    zero = _zeros(M.shape, M.mid.dtype)
     H = M
     tried = False
     for k in range(1, max(kmax, 1) + 1):
         xrad = H.mag()
         xrad += e_rad
         _up(xrad, 2, out=xrad)
-        X = IMatrix(np.zeros(M.shape, dtype=M.mid.dtype), xrad)
+        X = IMatrix._from_kernel(zero, xrad)
         N = n_of(xrad)
         H = M + N
         ratio = N.rad / xrad
@@ -484,7 +508,7 @@ def _solve(method: str, ps: PrecondSystem, kmax: int) -> Enclosure:
     verified box maps back by the point factors ``U . W``, ``W = ps.Vinv``.
     """
     if ps.diagonal:
-        xtilde = ps.Fp.mid / ps.den.mid
+        xtilde = ps.Fp.mid / ps.den_mid()
     else:
         xtilde = _point_back_substitute(ps, ps.Fp.mid)
     return verify(

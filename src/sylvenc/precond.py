@@ -39,7 +39,8 @@ The entrywise denominators ``a_i b_j + c_i d_j`` of the stored diagonals
 disks that contain the exact products, with disks containing their
 reciprocals (:func:`.intervals._denominators`).  Every member shares those
 exact products, so dividing by them is a preconditioner of its own, and mkw,
-itr and blk all divide through these disks.
+itr and blk all divide through these disks.  The system keeps the
+reciprocal disks only, the one part a division reads.
 
 :class:`PrecondSystem` is the one preconditioned form of mkw, itr and blk;
 its row and column partitions are all ones for eigenbases and blk's
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +60,9 @@ import numpy as np
 from .errors import EigenDecompositionError, SingularMatrixError
 from .intervals import (
     IMatrix,
-    _Denominators,
     _Operand,
+    _Reciprocals,
+    _den_mid,
     _denominators,
     _diagonal,
     _scalar_of,
@@ -123,6 +126,38 @@ class Pattern(NamedTuple):
     cond_bound: float | None = None
 
 
+class _Side(NamedTuple):
+    """Where a side's pattern entries sit, row-major over the pattern: its block
+    ``mask`` and the positions ``diag`` of the diagonal among the entries,
+    both None when every block is 1 x 1 and the entries are the diagonal."""
+
+    k: int
+    mask: np.ndarray | None = None
+    diag: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, sizes: tuple[int, ...], lower: bool) -> "_Side":
+        k = sum(sizes)
+        if max(sizes, default=1) == 1:
+            return cls(k)
+        mask = block_mask(sizes, lower)
+        return cls(k, mask, np.flatnonzero(np.eye(k, dtype=bool)[mask]))
+
+    def full_mask(self) -> np.ndarray:
+        return np.eye(self.k, dtype=bool) if self.mask is None else self.mask
+
+    def dense(self, entries: np.ndarray) -> np.ndarray:
+        """The dense ``k x k`` matrix of the pattern ``entries``, zero off the pattern."""
+        if self.mask is None:
+            return np.diag(entries)
+        out = np.zeros((self.k, self.k), dtype=entries.dtype)
+        out[self.mask] = entries
+        return out
+
+    def diagonal(self, entries: np.ndarray) -> np.ndarray:
+        return entries if self.diag is None else entries[self.diag]
+
+
 @dataclass(frozen=True)
 class PrecondSystem:
     """Transformed interval system whose midpoints keep a block pattern.
@@ -132,23 +167,33 @@ class PrecondSystem:
     lower-triangular blocks of ``col_sizes``; both are all ones, so the
     midpoints are exactly diagonal, for mkw and itr.  ``U`` and ``V`` are
     the bases and ``Vinv`` the point factor ``W ~ V^-1``: a member's
-    solution is ``U Y W``.  ``den`` holds the disk denominators ``a_i b_j +
-    c_i d_j`` of the diagonals of ``mid Ap .. mid Dp`` and their
-    reciprocals.  ``cond_bound`` bounds the condition of blk's block bases,
-    ``offdiag_mass`` is each coefficient's relative midpoint mass off its
-    pattern in the donor's basis.  ``u_perm`` (``v_perm``) is set when ``U = I[:, u_perm]`` is a
-    permutation, whose point factor is its exact inverse ``U^T``.
+    solution is ``U Y W``.  ``cond_bound`` bounds the condition of blk's
+    block bases, ``offdiag_mass`` is each coefficient's relative midpoint
+    mass off its pattern in the donor's basis.  ``u_perm`` (``v_perm``) is
+    set when ``U = I[:, u_perm]`` is a permutation, whose point factor is its
+    exact inverse ``U^T``.
+
+    What the system retains is what its readers need.  ``mids`` holds the
+    midpoints of ``Ap, Bp, Cp, Dp`` (in that order) by their pattern
+    entries alone, row-major over the pattern: the diagonal for mkw, the
+    entries of the triangular blocks for blk.  ``rads`` holds their dense
+    radii.  ``rec`` holds the disks that contain the reciprocals of the
+    denominators ``a_i b_j + c_i d_j`` of the stored diagonals ``a, b, c,
+    d``, the only part of :func:`.intervals._denominators` a division
+    reads; :meth:`den_mid` forms the denominators' midpoints again, with
+    the same bits.  The dense boxes ``Ap .. Dp`` are formed on each access,
+    bit for bit the projected boxes the system was built from: a kernel
+    that reads one holds it for its own call only.  Build a system from
+    dense boxes with :meth:`from_boxes`.
     """
 
-    Ap: IMatrix
-    Bp: IMatrix
-    Cp: IMatrix
-    Dp: IMatrix
+    mids: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     Fp: IMatrix
     U: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
-    den: _Denominators
+    rec: _Reciprocals
     row_sizes: tuple[int, ...]
     col_sizes: tuple[int, ...]
     cond_bound: float | None = None
@@ -158,27 +203,77 @@ class PrecondSystem:
 
     def __post_init__(self) -> None:
         m, n = sum(self.row_sizes), sum(self.col_sizes)
-        shapes = tuple(x.shape for x in (self.Ap, self.Cp, self.Bp, self.Dp, self.Fp))
-        if shapes != ((m, m), (m, m), (n, n), (n, n), (m, n)):
+        shapes = tuple(r.shape for r in self.rads) + (self.Fp.shape,)
+        if shapes != ((m, m), (n, n), (m, m), (n, n), (m, n)):
             raise ValueError("block sizes do not sum to the matrix dimension")
-        # the division solves each tile of this pattern on its own
-        off_a, off_b = ~block_mask(self.row_sizes), ~block_mask(self.col_sizes, lower=True)
-        pairs = ((self.Ap, off_a), (self.Cp, off_a), (self.Bp, off_b), (self.Dp, off_b))
-        if any(np.any(x.mid, where=off) for x, off in pairs):
+        counts = [sum(s * (s + 1) // 2 for s in x) for x in (self.row_sizes, self.col_sizes)]
+        if tuple(x.shape for x in self.mids) != tuple((counts[i % 2],) for i in range(4)):
+            raise ValueError("pattern entries do not match the block pattern")
+
+    @classmethod
+    def from_boxes(
+        cls, Ap: IMatrix, Bp: IMatrix, Cp: IMatrix, Dp: IMatrix, Fp: IMatrix,
+        row_sizes: tuple[int, ...], col_sizes: tuple[int, ...], **fields,
+    ) -> "PrecondSystem":
+        """The system of dense boxes ``Ap .. Dp``, midpoints on the pattern of the partitions.
+
+        Raises ``ValueError`` when a midpoint has an entry outside its
+        pattern, which no division would read, and the error of
+        :func:`.intervals._denominators` on a singular or out-of-range
+        denominator.  ``fields`` are the other fields (``U``, ``V``,
+        ``Vinv``, ...).
+        """
+        boxes = (Ap, Bp, Cp, Dp)
+        if (Ap.rows, Bp.rows) != (sum(row_sizes), sum(col_sizes)):
+            raise ValueError("block sizes do not sum to the matrix dimension")
+        sides = [_Side.of(row_sizes, False), _Side.of(col_sizes, True)] * 2
+        masks = [side.full_mask() for side in sides]
+        if any(np.any(x.mid, where=~mask) for x, mask in zip(boxes, masks)):
             raise ValueError("preconditioned midpoint has entries outside its block pattern")
+        mids = tuple(x.mid[mask] for x, mask in zip(boxes, masks))
+        diags = (side.diagonal(e) for side, e in zip(sides, mids))
+        ps = cls(
+            mids=mids, rads=tuple(x.rad for x in boxes), Fp=Fp, rec=_denominators(*diags).rec,
+            row_sizes=row_sizes, col_sizes=col_sizes, **fields,
+        )
+        vars(ps)["_sides"] = sides  # the cached layout, formed once
+        return ps
 
     @property
     def m(self) -> int:
-        return self.Ap.rows
+        return sum(self.row_sizes)
 
     @property
     def n(self) -> int:
-        return self.Bp.rows
+        return sum(self.col_sizes)
 
     @property
     def diagonal(self) -> bool:
         """Whether every block is 1 x 1, so the midpoints are exactly diagonal."""
         return max(self.row_sizes + self.col_sizes) == 1
+
+    @cached_property
+    def _sides(self) -> list[_Side]:
+        # formed once per system, as blk's sweeps read them at every step
+        return [_Side.of(self.row_sizes, False), _Side.of(self.col_sizes, True)] * 2
+
+    def pattern_mid(self, i: int) -> np.ndarray:
+        """The dense midpoint of coefficient ``i`` (0 .. 3 for ``Ap .. Dp``), formed anew."""
+        return self._sides[i].dense(self.mids[i])
+
+    def den_mid(self) -> np.ndarray:
+        """The midpoints of the denominators ``a_i b_j + c_i d_j`` of the stored
+        diagonals, bit for bit :func:`.intervals._denominators`' own."""
+        return _den_mid(*(side.diagonal(e) for side, e in zip(self._sides, self.mids)))
+
+    def box(self, i: int) -> IMatrix:
+        """The dense box of coefficient ``i`` (0 .. 3 for ``Ap .. Dp``), formed anew."""
+        return IMatrix._from_kernel(self.pattern_mid(i), self.rads[i])
+
+    Ap = property(lambda self: self.box(0), doc="The dense box ``Ap``, formed on each access.")
+    Bp = property(lambda self: self.box(1), doc="The dense box ``Bp``, formed on each access.")
+    Cp = property(lambda self: self.box(2), doc="The dense box ``Cp``, formed on each access.")
+    Dp = property(lambda self: self.box(3), doc="The dense box ``Dp``, formed on each access.")
 
 
 class Basis(NamedTuple):
@@ -330,12 +425,11 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
     Ap, Cp = (_project_pattern(r, left.form.mask) for r in left.raw)
     Bp, Dp = (_project_pattern(r, right.form.mask) for r in right.raw)
     conds = [d.form.cond_bound for d in (left, right) if d.form.cond_bound is not None]
-    return PrecondSystem(
-        Ap=Ap, Bp=Bp, Cp=Cp, Dp=Dp,
+    return PrecondSystem.from_boxes(
+        Ap, Bp, Cp, Dp,
         Fp=_sandwich(left.basis, sys.F, right.basis),
-        U=left.basis.U, V=right.basis.U, Vinv=right.basis.P,
-        den=_denominators(*(np.diag(x.mid) for x in (Ap, Bp, Cp, Dp))),
         row_sizes=left.form.sizes, col_sizes=right.form.sizes,
+        U=left.basis.U, V=right.basis.U, Vinv=right.basis.P,
         cond_bound=max(conds) if conds else None,
         offdiag_mass={"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]},
         u_perm=left.basis.perm,

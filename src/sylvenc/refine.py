@@ -17,7 +17,7 @@ Enclosures are intersected in rectangle form (independent inf-sup bounds on
 real and imaginary parts): rectangle intersection is exact, which makes the
 nesting of the iterates a structural guarantee rather than a numerical
 accident.  The quotient disk ``<mid Fp * rec_mid, rad>``, with the reciprocal
-disks ``rec`` of the preconditioned system's denominators ``ps.den``, is
+disks ``ps.rec`` of the preconditioned system's denominators, is
 converted outward to its bounding rectangle before each intersection.
 
 :func:`itr_solve` starts from the box the start enclosure vouches for: the
@@ -99,10 +99,10 @@ class _Refinement:
     """
 
     def __init__(self, ps: PrecondSystem):
-        self.den = ps.den
+        self.rec = ps.rec
         self.pairs = _pairs(ps)
         self.fmid, self.frad = ps.Fp.mid, ps.Fp.rad
-        self.qmid = self.fmid * self.den.rec_mid
+        self.qmid = self.fmid * self.rec.mid
         if not np.isfinite(self.qmid).all():
             raise IntervalOverflowError("interval overflow")
         self.abs_q = np.abs(self.qmid)
@@ -143,7 +143,7 @@ class _Refinement:
         t += _pair_bound(cd, absY)
         t += self.frad
         _up(t, 8, out=t)
-        _, qrad = _quot(self.fmid, t, self.den.rec_mid, self.den.rec_rad)
+        _, qrad = _quot(self.fmid, t, *self.rec)
         if not np.isfinite(qrad).all():
             raise IntervalOverflowError("interval overflow")
         return qrad

@@ -67,7 +67,7 @@ class TestBlockDiagonalize:
 def _system(DA, DC, DB, DD, row_sizes, col_sizes):
     """A preconditioned system with point pattern midpoints and identity bases."""
     m, n = len(DA), len(DB)
-    return PrecondSystem(
+    return PrecondSystem.from_boxes(
         Ap=IMatrix(DA),
         Bp=IMatrix(DB),
         Cp=IMatrix(DC),
@@ -76,7 +76,6 @@ def _system(DA, DC, DB, DD, row_sizes, col_sizes):
         U=np.eye(m),
         V=np.eye(n),
         Vinv=np.eye(n),
-        den=_denominators(*(np.diag(x) for x in (DA, DB, DC, DD))),
         row_sizes=row_sizes,
         col_sizes=col_sizes,
     )
@@ -95,13 +94,18 @@ def test_form_validates_partition_sums():
 
 def test_form_rejects_off_pattern_entries():
     ps = _hand_form()
+    boxes = {name: getattr(ps, name) for name in ("Ap", "Bp", "Cp", "Dp")}
+    rest = dict(Fp=ps.Fp, U=ps.U, V=ps.V, Vinv=ps.Vinv, row_sizes=(2, 1), col_sizes=(2,))
     # (2, 1) upper blocks on the left, one lower 2x2 block on the right
     outside = {"Ap": (0, 2), "Cp": (1, 0), "Bp": (0, 1), "Dp": (0, 1)}
     for name, (i, j) in outside.items():
-        bad = getattr(ps, name).mid.copy()
+        bad = boxes[name].mid.copy()
         bad[i, j] = 1e-300
         with pytest.raises(ValueError, match="outside its block pattern"):
-            dataclasses.replace(ps, **{name: IMatrix(bad)})
+            PrecondSystem.from_boxes(**{**boxes, name: IMatrix(bad)}, **rest)
+    # the stored entries must fill the pattern
+    with pytest.raises(ValueError, match="do not match the block pattern"):
+        dataclasses.replace(ps, mids=(ps.mids[0][:-1],) + ps.mids[1:])
 
 
 def _hand_form():
@@ -139,7 +143,7 @@ class TestIntervalBackSubstitute:
         ps = _system(DA, DC, DB, DD, row_sizes=(1, 1), col_sizes=(1, 1))
         rhs = IMatrix(np.ones((2, 2)), np.full((2, 2), 0.1))
         # each unknown has an empty tail: its numerator is the rhs entry as it is
-        mid, rad = _quot(rhs.mid, rhs.rad, ps.den.rec_mid, ps.den.rec_rad)
+        mid, rad = _quot(rhs.mid, rhs.rad, *ps.rec)
         got = interval_back_substitute(ps, rhs)
         # bit for bit mkw's quotient rule
         assert np.array_equal(got.mid, mid) and np.array_equal(got.rad, rad)
@@ -152,7 +156,7 @@ class TestIntervalBackSubstitute:
         DB, DD = np.diag(rng.uniform(1.0, 2.0, 4)), np.diag(rng.uniform(1.0, 2.0, 4))
         ps = _system(DA, DC, DB, DD, row_sizes=(1,) * 5, col_sizes=(1,) * 4)
         f = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        assert _point_back_substitute(ps, f).tobytes() == (f / ps.den.mid).tobytes()
+        assert _point_back_substitute(ps, f).tobytes() == (f / ps.den_mid()).tobytes()
 
     def test_point_sweep_is_the_midpoint_of_the_interval_sweep_up_to_division(self):
         from sylvenc.krawczyk import _point_back_substitute
@@ -272,7 +276,8 @@ class TestBlockSolve:
         assert blk.U is ps.U and blk.Vinv is ps.Vinv
         # the denominators of the stored pattern diagonals, which every division reads
         expect = _denominators(*(np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp)))
-        assert all(np.array_equal(x, y) for x, y in zip(ps.den, expect))
+        assert all(np.array_equal(x, y) for x, y in zip(ps.rec, expect.rec))
+        assert ps.den_mid().tobytes() == expect.mid.tobytes()
 
     def test_diagonalizable_system_takes_the_diagonal_path(self):
         sys = generate(GenSpec(family="kyc31", m=8, alpha=1e-6, seed=0))

@@ -99,7 +99,7 @@ class TestTransformEnclose:
         ps = transform_enclose(sys)
         dA, dB, dC, dD = (np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp))
         q = np.kron(np.diag(dB).T, np.diag(dA)) + np.kron(np.diag(dD).T, np.diag(dC))
-        S = ps.den.mid
+        S = ps.den_mid()
         assert np.abs(vec(S) - np.diag(q)).max() <= 1e-12 * np.abs(S).max()
 
     @pytest.mark.parametrize("family", ["kyc31", "sylvester32", "gallery33"])
@@ -108,11 +108,16 @@ class TestTransformEnclose:
         sys = generate(GenSpec(family=family, m=4, alpha=1e-6, seed=3))
         ps = transform_enclose(sys)
         a, b, c, d = (np.diag(x.mid) for x in (ps.Ap, ps.Bp, ps.Cp, ps.Dp))
+        # the system keeps the reciprocal disks of these denominators and forms their
+        # midpoints again
+        den = _denominators(a, b, c, d)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(ps.rec, den.rec))
+        assert ps.den_mid().tobytes() == den.mid.tobytes()
         for i in range(ps.m):
             for j in range(ps.n):
                 p = add(mul(exact(a[i]), exact(b[j])), mul(exact(c[i]), exact(d[j])))
-                assert in_disk(p, ps.den.mid[i, j], ps.den.rad[i, j])
-                assert in_disk(recip(p), ps.den.rec_mid[i, j], ps.den.rec_rad[i, j])
+                assert in_disk(p, den.mid[i, j], den.rad[i, j])
+                assert in_disk(recip(p), ps.rec.mid[i, j], ps.rec.rad[i, j])
 
     def test_member_solutions_map_into_preconditioned_frame(self):
         # X0 solves a member system  =>  Uinv X0 V solves the transformed one,
@@ -155,9 +160,11 @@ class TestTransformEnclose:
         eig = eig_decompose(sys.D.mid)
         assert np.array_equal(ps.V, eig.vectors) and np.array_equal(ps.Vinv, eig.inv_vectors)
         assert enc.Vinv is ps.Vinv
-        # no interval inverse: the only boxes are the transformed coefficients
+        # no interval inverse: the only box is Fp, beside the coefficients' pattern
+        # entries and radii
         boxes = {f.name for f in dataclasses.fields(ps) if isinstance(getattr(ps, f.name), IMatrix)}
-        assert boxes == {"Ap", "Bp", "Cp", "Dp", "Fp"}
+        assert boxes == {"Fp"}
+        assert all(isinstance(x, np.ndarray) for x in ps.mids + ps.rads)
         _, rho = _near_identity(ps.Vinv, ps.V)
         assert rho < 1e-10
 
@@ -249,7 +256,7 @@ def _same_precond(forced, scored, sys):
 
     ``scored`` conjugates every member by its sandwich in an eigenbasis.  In
     ``forced`` a permutation side transforms by reindexing, so the
-    coefficients it gives (and ``Fp`` and ``den``) lie inside ``scored``'s,
+    coefficients it gives (and ``Fp`` and the reciprocal disks ``rec``) lie inside ``scored``'s,
     or equal them bit for bit where the sandwich is exact too (a product by
     the point identity is), and a point scalar member there is exactly
     ``<c I, 0>``.  On any other side a point scalar member is an identity in
@@ -263,7 +270,7 @@ def _same_precond(forced, scored, sys):
         for x in members:
             member = getattr(sys, x)
             if perm is not None:
-                exact |= {"Fp", "den", f"{x}p"}
+                exact |= {"Fp", "rec", f"{x}p"}
                 if _point_scalar(member):
                     got = getattr(forced, f"{x}p")
                     c = member.mid[0, 0]
@@ -271,30 +278,33 @@ def _same_precond(forced, scored, sys):
                     assert not got.rad.any(), x
             elif _point_scalar(member):
                 assert np.array_equal(member.mid, np.eye(len(member.mid))), x
-    for f in dataclasses.fields(forced):
-        x, y = getattr(forced, f.name), getattr(scored, f.name)
-        if f.name in ("u_perm", "v_perm"):
+    # the coefficients are compared as the dense boxes the systems form of them
+    names = ["Ap", "Bp", "Cp", "Dp"]
+    names += [f.name for f in dataclasses.fields(forced) if f.name not in ("mids", "rads")]
+    for name in names:
+        x, y = getattr(forced, name), getattr(scored, name)
+        if name in ("u_perm", "v_perm"):
             continue
-        if f.name == "den":
-            if f.name not in exact:
+        if name == "rec":
+            if name not in exact:
                 for u, v in zip(x, y):
-                    assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), f.name
+                    assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
             continue
         if isinstance(x, IMatrix):
-            if f.name in exact:
+            if name in exact:
                 # contains is conservative: a box never contains itself
                 same = np.array_equal(x.mid, y.mid) and np.array_equal(x.rad, y.rad)
-                assert same or y.contains(x), f.name
+                assert same or y.contains(x), name
                 continue
             x, y = (x.mid, x.rad), (y.mid, y.rad)
         elif isinstance(x, np.ndarray):
             x, y = (x,), (y,)
         else:
             # the partitions are tuples of ints
-            assert x == y, f.name
+            assert x == y, name
             continue
         for u, v in zip(x, y):
-            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), f.name
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
 
 
 def _jordan_system(m=8, seed=0):

@@ -16,6 +16,7 @@ RUNS = {
     "itr_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6"],
     "audit_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6", "--samples", "4"],
     "loop_grid": ["--cells", "kyc31:8:0"],
+    "mem_grid": ["--sizes", "16"],
     "ver_grid": ["--families", "kyc31", "--sizes", "8", "--repeat", "1"],
 }
 
@@ -62,12 +63,34 @@ def test_tool_runs(name):
         tail = re.search(r"peak_mb=(\S+) budget_mb=(\S+) radsum=(\S+)$", line)
         peak, budget, radsum = tail.groups()
         assert 0 < float(peak) <= float(budget) and float(radsum) > 0, line
+    if name == "mem_grid":
+        _check_mem_grid(proc.stdout)
     if name == "audit_grid":
         (line,) = proc.stdout.splitlines()
         costs = re.search(
             r"rm_us=(\S+) rm_stack_us=(\S+) cp_us=(\S+) cp_stack_us=(\S+)", line
         )
         assert costs and all(float(v) > 0 for v in costs.groups()), line
+
+
+_MEM_LINE = re.compile(
+    r"(\S+) +m=16 +(mkw|itr|blk) peak_mib=(\S+) peak_cmn=(\S+) kept_mib=(\S+) kept_cmn=(\S+)"
+)
+
+
+def _check_mem_grid(stdout):
+    rows = [_MEM_LINE.fullmatch(line) for line in stdout.splitlines()]
+    assert len(rows) == 9 and all(rows), stdout
+    assert [r[2] for r in rows] == ["mkw", "itr", "blk"] * 3
+    kept = {(r[1], r[2]): float(r[6]) for r in rows}
+    for family in ("kyc31", "sylvester32", "gallery33"):
+        # mkw with itr keeps at most 17 complex m x m arrays
+        assert 0 < kept[family, "mkw"] and kept[family, "mkw"] + kept[family, "itr"] <= 17.0
+    # the kept bytes are exact: a second run prints them again, and peaks within a grain
+    again = [_MEM_LINE.fullmatch(line) for line in _run("mem_grid").stdout.splitlines()]
+    assert [r.group(1, 2, 5, 6) for r in again] == [r.group(1, 2, 5, 6) for r in rows]
+    for r, s in zip(rows, again):
+        assert abs(float(r[4]) - float(s[4])) <= 0.2 and float(r[4]) > 0, (r[0], s[0])
 
 
 def _against(tmp_path, *lines):

@@ -47,7 +47,7 @@ CELLS = (
 def cell(family: str, m: int, seed: int) -> str:
     ps = transform_enclose(generate(GenSpec(family=family, m=m, alpha=1e-6, seed=seed)))
     # mkw's approximate solution and residual on its diagonal system
-    M = compute_M(ps, ps.Fp.mid / ps.den.mid)
+    M = compute_M(ps, ps.Fp.mid / ps.den_mid())
     calls = 0
 
     def n_of(xrad):
