@@ -101,13 +101,15 @@ _VER_BLOCK_WORK = (4, 8)
 # the two cost the same near m n = 225 (m = n = 15) on one BLAS thread
 _KRON_MAX_UNKNOWNS = 225
 VERTEX_ENUM_LIMIT = 12
-# sample_solutions: bytes the members of one chunk may hold (256 MiB); the
-# relative error below which a member's refinement sweeps stop; and the sweeps
-# a member may take before it falls back to point_solve.  The error bound is
-# 2**-48: residual_membership's exact scalar products leave no pad for a
-# member solution's own error, and at 2**-46 vertex members of sylvester32
-# (m = 2, alpha = 1e-2) fell outside their residual boxes by about 5e-15
-_SAMPLE_BYTES = 2**28
+# sample_solutions and the audits: bytes the members of one chunk may hold
+# (16 MiB, a thousand members at m = n = 8, so an audit's memory stays flat
+# from there on); the relative error below which a member's refinement sweeps
+# stop; and the sweeps a member may take before it falls back to point_solve.
+# The error bound is 2**-48: residual_membership's exact scalar products leave
+# no pad for a member solution's own error, and at 2**-46 vertex members of
+# sylvester32 (m = 2, alpha = 1e-2) fell outside their residual boxes by about
+# 5e-15
+_SAMPLE_BYTES = 2**24
 _CONVERGED = 2.0**-48
 _MAX_SWEEPS = 12
 
@@ -361,7 +363,7 @@ def _ver_residual(ks: KronSystem, sys: SylvesterSystem) -> tuple[np.ndarray, IMa
     X = unvec(R @ vec(F), m, n)
     # one step of iterative refinement on the midpoint solution
     X = X + unvec(R @ vec(F - A @ X @ B - C @ X @ D), m, n)
-    res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
+    res = residual(sys.F, X, (sys.A, sys.B, sys.C, sys.D).__getitem__)
     # OpenBLAS's matrix-vector kernels take rows four at a time, and numpy takes a
     # one-row product as a dot product: blocks of a multiple of four rows, and no
     # last row alone, round each row as the unblocked product does
@@ -684,17 +686,29 @@ def sample_solutions(
     and refinement sweeps on it solve the members together, in chunks that
     keep memory bounded whatever ``n_samples`` is.  A member whose sweeps do
     not converge (see ``_refine_members``) is solved by :func:`point_solve`;
-    member systems that it finds singular are skipped with a warning.
+    member systems that it finds singular are skipped with a warning.  The
+    list holds every solution; the audits of ``sylvenc check`` and ``sylvenc
+    bench`` count containment chunk by chunk instead (``_contained_counts``).
     """
+    out: list[np.ndarray] = []
+    for sols in _solution_chunks(sys, n_samples, seed, mode):
+        out += sols
+    return out
+
+
+def _solution_chunks(
+    sys: SylvesterSystem, n_samples: int, seed: int, mode: str
+) -> Iterator[list[np.ndarray]]:
+    """The solutions of :func:`sample_solutions`, in its order, one list per chunk of members."""
     if mode not in ("random", "vertex"):
         raise ValueError("mode must be 'random' or 'vertex'")
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     rng = np.random.Generator(np.random.Philox(seed))
     solve = _midpoint_solver(sys)
-    out: list[np.ndarray] = []
     for coeffs in _member_chunks(sys, n_samples, rng, mode):
         X, ok, _ = _refine_members(solve, *coeffs)
+        out: list[np.ndarray] = []
         for i, accepted in enumerate(ok):
             if accepted:
                 out.append(X[i])
@@ -702,8 +716,28 @@ def sample_solutions(
             try:
                 out.append(point_solve(*(t[i] for t in coeffs)))
             except SingularMatrixError:
-                warnings.warn("skipping singular member system", RuntimeWarning, stacklevel=2)
-    return out
+                warnings.warn("skipping singular member system", RuntimeWarning, stacklevel=3)
+        yield out
+
+
+def _contained_counts(
+    sys: SylvesterSystem, boxes: list[IMatrix], n_samples: int, seed: int
+) -> tuple[list[int], int]:
+    """How many random member solutions each of ``boxes`` contains, and how many were solved.
+
+    The members are those of ``sample_solutions(sys, n_samples, seed)``, in
+    its order, streamed chunk by chunk: no member outlives its chunk, so the
+    memory does not grow with ``n_samples``.
+    """
+    counts, total = [0] * len(boxes), 0
+    for sols in _solution_chunks(sys, n_samples, seed, "random"):
+        if not sols:
+            continue
+        stack = np.stack(sols)
+        total += len(sols)
+        for k, box in enumerate(boxes):
+            counts[k] += int(box.contains_point(stack).sum())
+    return counts, total
 
 
 def residual_membership(

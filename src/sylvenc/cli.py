@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 
-import numpy as np
-
-from .baseline import BASELINE_CAP, sample_solutions
+from .baseline import BASELINE_CAP, _contained_counts
 from .bench import METHOD_IDS, SoundnessViolation, _solver, render_csv, render_jsonl, run_benchmark
 from .errors import EnclosureError
 from .problems import FAMILIES, GenSpec, generate
@@ -121,14 +119,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.samples < 1:
         _sys.stderr.write("error: --samples must be at least 1\n")
         return 2
-    sols = sample_solutions(system, args.samples, args.seed, "random")
-    if not sols:
+    (inside,), total = _contained_counts(system, [enc.evaluated], args.samples, args.seed)
+    if not total:
         # every sampled member was singular: a pass on nothing checked is no pass
         _sys.stderr.write("error: no member solution to check (all sampled members singular)\n")
         return 2
-    inside = int(enc.evaluated.contains_point(np.stack(sols)).sum())
-    _sys.stdout.write(f"contained {inside}/{len(sols)} sampled member solutions\n")
-    if inside == len(sols):
+    _sys.stdout.write(f"contained {inside}/{total} sampled member solutions\n")
+    if inside == total:
         return 0
     return 3 if enc.verified else 2
 

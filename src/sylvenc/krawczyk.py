@@ -77,14 +77,17 @@ term ``N`` and the inflation term) is one read-only zero broadcast to the
 box's shape, so it takes no memory and reads, serializes and hashes as a
 dense zero does.  The preconditioned system an mkw or blk result carries
 in ``precond`` holds its coefficients' midpoints by their pattern entries
-and, of the denominators, the reciprocal disks alone; :func:`compute_M`
-and blk's tile sweeps form the dense pattern midpoints and ``mid den``
-again for their own call.
+and, of the denominators, the reciprocal disks alone.  A dense
+intermediate lives until its last read and no longer: :func:`residual`
+asks for each coefficient box when its product needs it, so
+:func:`compute_M` holds one dense box at a time; blk's tile sweeps gather
+their blocks from one dense pattern midpoint at a time and form ``mid den``
+for their own call; and :func:`verify` drops ``M`` after the loop, before
+the back-transform.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -157,18 +160,20 @@ class Enclosure:
         return None if self.evaluated is None else self.evaluated.widths()
 
 
-def residual(
-    A: IMatrix, B: IMatrix, C: IMatrix, D: IMatrix, F: IMatrix, xtilde: np.ndarray
-) -> IMatrix:
+def residual(F: IMatrix, xtilde: np.ndarray, coef) -> IMatrix:
     """Enclosure of ``F - (A Xtilde) B - (C Xtilde) D`` over all members of the coefficients.
 
-    mkw and blk pass their preconditioned system, ver the original one.
+    ``coef(i)`` is coefficient ``i``, 0 .. 3 for ``A .. D``: mkw and blk pass
+    their preconditioned system's :meth:`.precond.PrecondSystem.box`, ver
+    the original coefficients.  Each coefficient is asked for when its
+    product needs it, so the first factor of a term is dropped before the
+    second is formed, and each term is subtracted as soon as it is formed.
     ``Xtilde`` is prepared once for both products.
     """
     xt = _prepare(xtilde)
-    t1 = im_matmul(im_matmul(A, xt), B)
-    t2 = im_matmul(im_matmul(C, xt), D)
-    return F - t1 - t2
+    for i in (0, 2):
+        F = F - im_matmul(im_matmul(coef(i), xt), coef(i + 1))
+    return F
 
 
 def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
@@ -177,22 +182,30 @@ def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
     return [(s, starts[np.equal(sizes, s)][:, None] + np.arange(s)) for s in sorted(set(sizes))]
 
 
+def _block_stacks(dense: np.ndarray, blocks) -> list[np.ndarray]:
+    """The diagonal blocks of ``dense``, stacked per block size of ``blocks``."""
+    return [dense[ix[:, :, None], ix[:, None, :]] for _, ix in blocks]
+
+
 def _tiles(ps: PrecondSystem, *arrays: np.ndarray):
     """Each tile shape ``a x b`` of ``ps``, with its tiles stacked.
 
     Yields ``a``, the blocks ``(DA, DC, DB, DD)`` of every tile, the index
     ``ix`` that scatters a stack back, and ``arrays`` as ``(rows, cols, a
     b)`` stacks: unknown ``p = k a + r`` of tile ``(I, J)`` is entry
-    ``[rows[I, r], cols[J, k]]``.  The dense pattern midpoints are formed
-    once per call, from the stored entries of ``ps``, and dropped after it.
+    ``[rows[I, r], cols[J, k]]``.  The blocks are gathered once per call,
+    each coefficient's from its dense pattern midpoint, which is formed from
+    the stored entries of ``ps`` and dropped at once.
     """
-    mid_a, mid_b, mid_c, mid_d = (ps.pattern_mid(i) for i in range(4))
-    for (a, rows), (b, cols) in itertools.product(_blocks(ps.row_sizes), _blocks(ps.col_sizes)):
-        DA, DC = (x[rows[:, :, None], rows[:, None, :]] for x in (mid_a, mid_c))
-        DB, DD = (x[cols[:, :, None], cols[:, None, :]] for x in (mid_b, mid_d))
-        ix = (rows[:, None, None, :], cols[None, :, :, None])
-        tiles = (len(rows), len(cols), a * b)
-        yield a, (DA, DC, DB, DD), ix, tuple(x[ix].reshape(tiles) for x in arrays)
+    row_blocks, col_blocks = _blocks(ps.row_sizes), _blocks(ps.col_sizes)
+    da, db, dc, dd = (
+        _block_stacks(ps.pattern_mid(i), col_blocks if i % 2 else row_blocks) for i in range(4)
+    )
+    for (a, rows), DA, DC in zip(row_blocks, da, dc):
+        for (b, cols), DB, DD in zip(col_blocks, db, dd):
+            ix = (rows[:, None, None, :], cols[None, :, :, None])
+            tiles = (len(rows), len(cols), a * b)
+            yield a, (DA, DC, DB, DD), ix, tuple(x[ix].reshape(tiles) for x in arrays)
 
 
 def _tail(blocks, a: int, p: int):
@@ -301,9 +314,9 @@ def _divide(ps: PrecondSystem, mid: np.ndarray | None, rad: np.ndarray) -> IMatr
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
     """Enclosure of the scaled residual of ``xtilde`` over all members.
 
-    The dense boxes ``Ap .. Dp`` are formed for this call only.
+    The dense boxes ``Ap .. Dp`` are formed one at a time, each for its product only.
     """
-    r = residual(ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp, xtilde)
+    r = residual(ps.Fp, xtilde, ps.box)
     return _divide(ps, r.mid, r.rad)
 
 
@@ -488,6 +501,8 @@ def verify(
     (``U``, ``Vinv``, ``precond``).
     """
     loop = verification_loop(M, n_of, kmax)
+    # the loop's last read of M: a caller that handed it over frees it before the back-transform
+    del M
     return Enclosure(
         Xtilde=xtilde,
         Xbox=loop.X,

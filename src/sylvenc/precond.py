@@ -34,6 +34,13 @@ product ``G = P U`` fails ``rho(|I - G|) < 1`` drops out; the lowest score
 wins, a tie keeps the first member.  Here mass is the relative inf-norm off
 the diagonal, against the member.
 
+:func:`precondition` settles one side at a time: once a side's donor is
+chosen, its members' boxes shrink to their pattern entries and radii and
+``F`` takes the side's factor of its sandwich, before the other side's
+donor is sought.  So the dense boxes of one side at most are alive at a
+time, and of a pair's two candidates only the better one's while the
+second is scored.
+
 The entrywise denominators ``a_i b_j + c_i d_j`` of the stored diagonals
 ``a, b, c, d`` of the transformed midpoints are formed once, as screened
 disks that contain the exact products, with disks containing their
@@ -223,17 +230,22 @@ class PrecondSystem:
         denominator.  ``fields`` are the other fields (``U``, ``V``,
         ``Vinv``, ...).
         """
-        boxes = (Ap, Bp, Cp, Dp)
         if (Ap.rows, Bp.rows) != (sum(row_sizes), sum(col_sizes)):
             raise ValueError("block sizes do not sum to the matrix dimension")
+        masks = _Side.of(row_sizes, False).full_mask(), _Side.of(col_sizes, True).full_mask()
+        parts = [_pattern_entries(x, masks[i % 2]) for i, x in enumerate((Ap, Bp, Cp, Dp))]
+        return cls._of_entries(parts, Fp, row_sizes, col_sizes, **fields)
+
+    @classmethod
+    def _of_entries(
+        cls, parts, Fp: IMatrix, row_sizes: tuple[int, ...], col_sizes: tuple[int, ...], **fields,
+    ) -> "PrecondSystem":
+        """The system of the ``(entries, rad)`` parts of ``Ap .. Dp`` (:func:`_pattern_entries`)."""
         sides = [_Side.of(row_sizes, False), _Side.of(col_sizes, True)] * 2
-        masks = [side.full_mask() for side in sides]
-        if any(np.any(x.mid, where=~mask) for x, mask in zip(boxes, masks)):
-            raise ValueError("preconditioned midpoint has entries outside its block pattern")
-        mids = tuple(x.mid[mask] for x, mask in zip(boxes, masks))
+        mids = tuple(e for e, _ in parts)
         diags = (side.diagonal(e) for side, e in zip(sides, mids))
         ps = cls(
-            mids=mids, rads=tuple(x.rad for x in boxes), Fp=Fp, rec=_denominators(*diags).rec,
+            mids=mids, rads=tuple(r for _, r in parts), Fp=Fp, rec=_denominators(*diags).rec,
             row_sizes=row_sizes, col_sizes=col_sizes, **fields,
         )
         vars(ps)["_sides"] = sides  # the cached layout, formed once
@@ -283,8 +295,8 @@ class Basis(NamedTuple):
     its exact inverse ``U^T``, and a product with either is a reindexing.
     Otherwise ``p_op`` and ``u_op`` are ``P`` and ``U`` prepared as product
     operands, once for every sandwich of the side (both members and ``F``);
-    they live as long as the basis, which the preconditioned system does not
-    keep.
+    :func:`precondition` drops them once the side's sandwiches are formed,
+    and the preconditioned system keeps none.
     """
 
     U: np.ndarray
@@ -307,15 +319,20 @@ def _take(x: IMatrix, rows: np.ndarray | None = None, cols: np.ndarray | None = 
     return x if mid is x.mid else IMatrix._from_kernel(mid, rad)
 
 
-def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
-    """Enclosure of ``left.P X right.U``.
+def _left(basis: Basis, x: IMatrix) -> IMatrix:
+    """Enclosure of ``basis.P X``: a reindexing on a permutation basis, else a point x interval
+    product by the prepared operand (a midpoint product and one radius product)."""
+    return im_matmul(basis.p_op, x) if basis.perm is None else _take(x, rows=basis.perm)
 
-    A permutation side reindexes exactly; any other takes a point x interval
-    product by the basis's prepared operand: a midpoint product and one
-    radius product on each side.
-    """
-    x = im_matmul(left.p_op, x) if left.perm is None else _take(x, rows=left.perm)
-    return im_matmul(x, right.u_op) if right.perm is None else _take(x, cols=right.perm)
+
+def _right(x: IMatrix, basis: Basis) -> IMatrix:
+    """Enclosure of ``X basis.U``, as :func:`_left`."""
+    return im_matmul(x, basis.u_op) if basis.perm is None else _take(x, cols=basis.perm)
+
+
+def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
+    """Enclosure of ``left.P X right.U``: :func:`_right` of :func:`_left`."""
+    return _right(_left(left, x), right)
 
 
 def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
@@ -329,6 +346,18 @@ def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
     rad[mask] = 0.0
     rad += x.rad
     return IMatrix(np.where(mask, x.mid, 0.0), _up(rad, 2, out=rad))
+
+
+def _pattern_entries(x: IMatrix, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint entries of ``x`` on ``mask``, row-major, and its radii: a projected box
+    as :class:`PrecondSystem` keeps it.
+
+    Raises ``ValueError`` when the midpoint has an entry outside the pattern,
+    which no division would read.
+    """
+    if np.any(x.mid, where=~mask):
+        raise ValueError("preconditioned midpoint has entries outside its block pattern")
+    return x.mid[mask], x.rad
 
 
 class Donor(NamedTuple):
@@ -367,10 +396,13 @@ def choose_donor(pair, offer, mass) -> Donor:
     ``offer(mid)`` is a member's ``(U, P, form, perm)`` (``P ~ U^-1``,
     ``perm`` None unless ``U`` is a permutation) or raises; ``mass(form,
     conj, mid)`` is the mass of member ``mid`` scored by the midpoint
-    ``conj`` of its conjugated box.
+    ``conj`` of its conjugated box.  Only the best candidate so far keeps its
+    basis and conjugated boxes: while the second member is scored, the
+    first one's are alive beside its own, and the loser's go when the rule
+    has picked.
     """
     mids = tuple(x.mid for x in pair)
-    scored = []
+    best = None
     for i in range(1 if mids[0].dtype == mids[1].dtype and np.array_equal(*mids) else 2):
         try:
             U, P, form, perm = offer(mids[i])
@@ -378,10 +410,12 @@ def choose_donor(pair, offer, mass) -> Donor:
         except (EigenDecompositionError, SingularMatrixError):
             continue
         masses = tuple(mass(form, r.mid, x) for r, x in zip(raw, mids))
-        scored.append((max(masses), i, Donor(basis, form, i, raw, masses)))
-    if not scored:
+        # a tie keeps the first member
+        if best is None or max(masses) < max(best.mass):
+            best = Donor(basis, form, i, raw, masses)
+    if best is None:
         raise EigenDecompositionError("no basis of the pair passes rho(|I - P U|) < 1")
-    return min(scored, key=lambda t: t[:2])[2]
+    return best
 
 
 def _eigen_donor(pair: tuple[IMatrix, IMatrix], eig_of) -> Donor:
@@ -412,9 +446,29 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
     the test of :func:`simultaneous_diag`, and the error of
     :func:`.intervals._denominators` on a singular or out-of-range
     denominator; large non-commutativity only widens radii and warns.
+
+    The sides are settled one after the other, so at most one side's dense
+    boxes are alive at a time.  Once a side's donor is chosen, each member's
+    conjugated box is projected on the pattern and reduced at once to its
+    pattern entries and dense radii (:func:`_pattern_entries`, the step
+    :meth:`PrecondSystem.from_boxes` takes), and ``F`` takes the side's
+    factor of its sandwich (``P F`` on the left, then ``(P F) V`` on the
+    right).  The side then keeps its basis without its prepared operands:
+    while the right side's donor is chosen, the left side holds its radii,
+    its pattern entries, ``U`` and ``P F``.  The denominators are formed
+    last, from the stored diagonals.
     """
-    left, right = side((sys.A, sys.C), False), side((sys.B, sys.D), True)
-    for donor in (left, right):
+    f, donors, parts = sys.F, [], []
+    for pair, lower in (((sys.A, sys.C), False), ((sys.B, sys.D), True)):
+        donor = side(pair, lower)
+        mask = donor.form.mask
+        parts.append([_pattern_entries(_project_pattern(r, mask), mask) for r in donor.raw])
+        f = _right(f, donor.basis) if lower else _left(donor.basis, f)
+        # the side's boxes and prepared operands have no later reader
+        donors.append(donor._replace(raw=None, basis=donor.basis._replace(p_op=None, u_op=None)))
+        del donor
+    left, right = donors
+    for donor in donors:
         other_mass = donor.mass[1 - donor.index]
         if other_mass > OFFDIAG_WARN:
             warnings.warn(
@@ -422,12 +476,10 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
                 "will be absorbed into radii",
                 stacklevel=3,
             )
-    Ap, Cp = (_project_pattern(r, left.form.mask) for r in left.raw)
-    Bp, Dp = (_project_pattern(r, right.form.mask) for r in right.raw)
-    conds = [d.form.cond_bound for d in (left, right) if d.form.cond_bound is not None]
-    return PrecondSystem.from_boxes(
-        Ap, Bp, Cp, Dp,
-        Fp=_sandwich(left.basis, sys.F, right.basis),
+    conds = [d.form.cond_bound for d in donors if d.form.cond_bound is not None]
+    (a, c), (b, d) = parts
+    return PrecondSystem._of_entries(
+        (a, b, c, d), f,
         row_sizes=left.form.sizes, col_sizes=right.form.sizes,
         U=left.basis.U, V=right.basis.U, Vinv=right.basis.P,
         cond_bound=max(conds) if conds else None,

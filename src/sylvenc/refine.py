@@ -31,15 +31,19 @@ one step usually meets the tolerance, and when the start disk wins every
 entry, the start enclosure's back-transform is returned as it is.
 
 One private kernel serves :func:`gamma_step` and :func:`itr_solve`.  It
-keeps the iterate as contiguous float arrays (the real and imaginary parts
-of the lower and upper corners, or the two corners for real data) and forms
-everything that does not change between steps once per run: the quotient
-midpoint ``mid Fp * rec_mid`` with its parts and magnitude and the
-magnitudes of the midpoint diagonals.  A step then computes only T(Y), the
-quotient radius (by ``intervals._quot``, the rule mkw and blk divide by),
-the intersection, the distance to the previous iterate and the new
-magnitude ``|Y|``, by the pad rules of ``disks_to_rect`` and ``rect_mag``
-and the exact rectangle meet.  The corners are never composed as ``re + 1j
+keeps the iterate as float arrays (the real and imaginary parts of the
+lower and upper corners, or the two corners for real data) and forms
+everything that does not change between steps once per run: the parts and
+magnitude of the quotient midpoint ``mid Fp * rec_mid`` and the magnitudes
+of the midpoint diagonals.  It keeps one copy of each array: the start's
+corners view the start rectangle, the complex quotient midpoint is
+assembled from its parts only for the final choice of disks, and
+:func:`itr_solve` drops the last iterate once the final rectangle is
+built.  A step then computes only T(Y), the quotient radius (by
+``intervals._quot``, the rule mkw and blk divide by), the intersection,
+the distance to the previous iterate and the new magnitude ``|Y|``, by the
+pad rules of ``disks_to_rect`` and ``rect_mag`` and the exact rectangle
+meet.  The corners are never composed as ``re + 1j
 * im``, which may flip the sign of a zero, so the iterates equal those of
 the chained rectangle form in value, and bit for bit on every nonzero
 corner.  A :class:`Rect` is built only for the caller.
@@ -102,30 +106,35 @@ class _Refinement:
         self.rec = ps.rec
         self.pairs = _pairs(ps)
         self.fmid, self.frad = ps.Fp.mid, ps.Fp.rad
-        self.qmid = self.fmid * self.rec.mid
-        if not np.isfinite(self.qmid).all():
+        qmid = self.fmid * self.rec.mid
+        if not np.isfinite(qmid).all():
             raise IntervalOverflowError("interval overflow")
-        self.abs_q = np.abs(self.qmid)
+        self.abs_q = np.abs(qmid)
+        # the quotient midpoint is kept by its parts alone; qmid() assembles it again
         self.qparts = (
-            (np.ascontiguousarray(self.qmid.real), np.ascontiguousarray(self.qmid.imag))
-            if np.iscomplexobj(self.qmid)
-            else (self.qmid,)
+            (np.ascontiguousarray(qmid.real), np.ascontiguousarray(qmid.imag))
+            if np.iscomplexobj(qmid)
+            else (qmid,)
         )
         self.cplx = len(self.qparts) == 2
 
+    def qmid(self) -> np.ndarray:
+        """The quotient midpoint ``mid Fp * rec_mid``, bit for bit."""
+        return _complex(*self.qparts) if len(self.qparts) == 2 else self.qparts[0]
+
     def start(self, Y: Rect) -> tuple[np.ndarray, ...]:
-        """The corner arrays of a start rectangle; a complex one makes every corner complex."""
+        """The corner arrays of a start rectangle; a complex one makes every corner complex.
+
+        The corners view ``Y``'s arrays, which no step writes into: the
+        first step's iterate replaces them.
+        """
         if Y.is_real and not self.cplx:
-            parts = (Y.lo, Y.hi)
-        else:
-            self.cplx = True
-            if Y.is_real:
-                zero = np.zeros(Y.shape)
-                parts = (Y.lo, zero, Y.hi, zero)
-            else:
-                corners = (Y.lo.real, Y.lo.imag, Y.hi.real, Y.hi.imag)
-                parts = tuple(np.ascontiguousarray(x) for x in corners)
-        return parts
+            return Y.lo, Y.hi
+        self.cplx = True
+        if Y.is_real:
+            zero = np.zeros(Y.shape)
+            return Y.lo, zero, Y.hi, zero
+        return Y.lo.real, Y.lo.imag, Y.hi.real, Y.hi.imag
 
     def radius(self, absY: np.ndarray) -> np.ndarray:
         """Radius of the quotient disk implied by an enclosure of magnitude ``absY``.
@@ -177,15 +186,22 @@ class _Refinement:
             raise InconsistentEnclosureError("inconsistent enclosure: empty intersection")
         return lore, loim, hire, hiim
 
+    def advance(self, Y: tuple[np.ndarray, ...], absY: np.ndarray, tol: float):
+        """One :meth:`step` from ``Y``: the new iterate, its magnitude, and whether the
+        entrywise distance to ``Y`` is below ``tol * (1 + magnitude)``."""
+        new = self.step(Y, absY)
+        dist = self.distance(new, Y)
+        absY = self.mag(new)
+        return new, absY, bool((dist <= tol * (1.0 + absY)).all())
+
     def distance(self, a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Entrywise Hausdorff distance between two iterates."""
-        gaps = [np.subtract(x, y) for x, y in zip(a, b)]
-        for g in gaps:
+        """Entrywise Hausdorff distance between two iterates: the largest corner gap."""
+        d = None
+        for x, y in zip(a, b):
+            g = np.subtract(x, y)
             np.abs(g, out=g)
-        if not self.cplx:
-            return np.maximum(*gaps, out=gaps[0])
-        d = np.maximum(gaps[0], gaps[2], out=gaps[0])
-        return np.maximum(d, np.maximum(gaps[1], gaps[3], out=gaps[1]), out=d)
+            d = g if d is None else np.maximum(d, g, out=d)
+        return d
 
     def mag(self, Y: tuple[np.ndarray, ...]) -> np.ndarray:
         """Entrywise upper bound of the magnitude of an iterate, as :func:`rect_mag`."""
@@ -262,22 +278,22 @@ def itr_solve(
     Y, disk = _start(initial, Y0)
     kern = _Refinement(ps)
     parts, absY = kern.start(Y), rect_mag(Y)
+    # the corners view the start rectangle's arrays until the first step replaces them
+    del Y
     k = 0
     converged = False
     for k in range(1, max(max_iter, 1) + 1):
-        new = kern.step(parts, absY)
-        dist = kern.distance(new, parts)
-        parts, absY = new, kern.mag(new)
-        if (dist <= tol * (1.0 + absY)).all():
-            converged = True
+        parts, absY, converged = kern.advance(parts, absY, tol)
+        if converged:
             break
-    Y = kern.rect(parts)
-    boxed = rect_to_disks(Y)
     qrad = kern.radius(absY)
+    Y = kern.rect(parts)
+    del parts  # the final rectangle holds the corners now
+    boxed = rect_to_disks(Y)
     pick = qrad < boxed.rad
     # each of the three disks contains every member solution: take the
     # narrowest entrywise, the start disk on ties
-    mid, rad = np.where(pick, kern.qmid, boxed.mid), np.where(pick, qrad, boxed.rad)
+    mid, rad = np.where(pick, kern.qmid(), boxed.mid), np.where(pick, qrad, boxed.rad)
     if disk is None:
         final = IMatrix(mid, rad)
     else:

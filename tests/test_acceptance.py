@@ -293,33 +293,38 @@ def test_criterion_04_scalar_analytic_case(capfd):
     assert not bad, "\n".join(bad)
 
 
-def _best_time(solve, system, repeats=5):
-    """The result of ``solve(system)`` and its fastest time over ``repeats`` warm calls.
+def _best_times(calls, repeats=5):
+    """The result of each ``solve(system)`` of ``calls`` and its fastest time over ``repeats``.
 
-    One untimed warm-up call first pays the one-time costs of a process
-    (BLAS and LAPACK initialisation, first-touch allocations) that are not
-    the scaling criterion 5 compares; the minimum of the timed calls is the
-    least disturbed by other load on the host.
+    One untimed warm-up call of each first pays the one-time costs of a
+    process (BLAS and LAPACK initialisation, first-touch allocations) that
+    are not the scaling criterion 5 compares.  The timed calls alternate
+    between the solves, so load that arrives on the host while they run
+    falls on each of them alike, and the minimum of each is the least
+    disturbed.
     """
-    solve(system)
-    best = math.inf
+    for solve, system in calls:
+        solve(system)
+    outs, best = [None] * len(calls), [math.inf] * len(calls)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = solve(system)
-        best = min(best, time.perf_counter() - t0)
-    return out, best
+        for k, (solve, system) in enumerate(calls):
+            t0 = time.perf_counter()
+            outs[k] = solve(system)
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return outs, best
 
 
 def test_criterion_05_complexity_scaling(capfd):
     bad = []
     big = generate(GenSpec(family="kyc31", m=200, alpha=1e-6, seed=0))
-    enc, t_mkw = _best_time(mkw_solve, big)
+    small = generate(GenSpec(family="kyc31", m=32, alpha=1e-6, seed=0))
+    (enc, ver), (t_mkw, t_ver) = _best_times(
+        [(mkw_solve, big), (lambda s: full_krawczyk_solve(s, cap=32 * 32), small)]
+    )
     if not enc.verified:
         bad.append("structured solver failed at m=200")
     if t_mkw > 60.0:
         bad.append(f"structured solve took {t_mkw:.2f}s at m=200, budget is 60s")
-    small = generate(GenSpec(family="kyc31", m=32, alpha=1e-6, seed=0))
-    ver, t_ver = _best_time(lambda s: full_krawczyk_solve(s, cap=32 * 32), small)
     if not ver.verified:
         bad.append("dense solver failed at m=32")
     if t_ver <= t_mkw:

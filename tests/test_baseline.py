@@ -31,6 +31,7 @@ from sylvenc import (
     sample_solutions,
 )
 from sylvenc.baseline import (
+    _contained_counts,
     _draw_member,
     _kron_factor,
     _member_chunks,
@@ -840,6 +841,41 @@ class TestBatchedSampling:
         # stack of all members would take k * 336 bytes of coefficients alone
         assert peak - kept <= 4 * 2**20
         assert kept - before >= k * 16 * 8
+
+
+class TestStreamedAudit:
+    """Containment counted chunk by chunk over the members of ``sample_solutions``."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_counts_match_the_sampled_list(self, monkeypatch, cplx):
+        sys = _interval_system(np.random.default_rng(40 + cplx), 4, 3, cplx, rad=1e-3)
+        sols = sample_solutions(sys, n_samples=300, seed=5)
+        center = np.mean(sols, axis=0)
+        # a box that holds every member and one that holds about half of them
+        spread = np.max([np.abs(x - center) for x in sols], axis=0)
+        half = np.full(spread.shape, np.median(spread))
+        boxes = [IMatrix(center, 2.0 * spread), IMatrix(center, half)]
+        want = [int(box.contains_point(np.stack(sols)).sum()) for box in boxes]
+        assert want[0] == len(sols) > want[1] > 0
+        # a small chunk budget: the members and their order do not depend on it
+        monkeypatch.setattr(baseline, "_SAMPLE_BYTES", 2**14)
+        assert _contained_counts(sys, boxes, 300, 5) == (want, len(sols))
+
+    def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_SAMPLE_BYTES", 2**18)
+        sys = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=1))
+        box = mkw_solve(sys).evaluated
+        peaks = []
+        for k in (2000, 20000):
+            tracemalloc.start()
+            try:
+                counts, total = _contained_counts(sys, [box], k, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert counts == [k] and total == k
+        # one chunk's members at a time; all 20000 solutions alone would take 2.5 MB
+        assert peaks[1] <= peaks[0] + 2**16 and peaks[1] <= 4 * 2**18
 
 
 class TestResidualMembership:

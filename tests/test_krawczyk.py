@@ -102,7 +102,7 @@ def test_residual_by_identity_coefficients_takes_no_product():
         (original, point_solve(*(t.mid for t in original))),
         ((ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp), mkw_solve(diag).Xtilde),
     ):
-        got = residual(A, B, C, D, F, xt)
+        got = residual(F, xt, (A, B, C, D).__getitem__)
         want = F - im_matmul(im_matmul(A, IMatrix(xt)), B) - IMatrix(xt)
         assert np.array_equal(got.mid, want.mid) and np.array_equal(got.rad, want.rad)
 
@@ -134,7 +134,7 @@ def test_diagonal_division_is_the_tile_back_substitution(family, data):
     assert ps.diagonal and np.iscomplexobj(ps.Fp.mid) == (data == "complex")
     xt = ps.Fp.mid / ps.den_mid()
     M = compute_M(ps, xt)
-    ref = interval_back_substitute(ps, residual(ps.Ap, ps.Bp, ps.Cp, ps.Dp, ps.Fp, xt))
+    ref = interval_back_substitute(ps, residual(ps.Fp, xt, ps.box))
     assert np.array_equal(M.mid, ref.mid) and np.array_equal(M.rad, ref.rad)
     xrad = M.mag()
     ab, cd = _pairs(ps)

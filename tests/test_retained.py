@@ -1,4 +1,7 @@
-"""What a result retains: compact pattern midpoints, reciprocal disks and broadcast zeros."""
+"""What a result retains and what a solve peaks at: compact pattern midpoints, reciprocal
+disks, broadcast zeros, and dense intermediates dropped after their last read."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +71,53 @@ def test_blk_retains_no_dense_pattern_midpoint():
     blk = mkw_block_solve(_jordan_system(m))
     assert blk.verified and not blk.precond.diagonal
     assert _units(retained_nbytes(blk), m, m) <= 13.0
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """``fn``'s result and its ``tracemalloc`` peak above the memory traced when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    # the first calls' one-time allocations stay out of the traced peaks
+    small = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=0))
+    itr_solve(small, initial=mkw_solve(small))
+    mkw_block_solve(small)
+    mkw_block_solve(_jordan_system(4))
+
+
+@pytest.mark.parametrize("family", ["kyc31", "sylvester32"])
+def test_solves_peak_at_a_few_complex_arrays_above_what_they_keep(warmed, family):
+    # mkw and blk peak near 17.7 complex m x m arrays, itr near 10.1 above mkw's result;
+    # a side's conjugated boxes alive beside the other side's, the four dense coefficient
+    # boxes of the residual alive at once, or itr's start rectangle and complex quotient
+    # midpoint kept beside their real parts, would each exceed a bound
+    m = 64
+    sys = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
+    mkw, mkw_peak = _traced_peak(mkw_solve, sys)
+    itr, itr_peak = _traced_peak(itr_solve, sys, initial=mkw)
+    assert mkw.verified and itr.verified
+    del mkw, itr
+    blk, blk_peak = _traced_peak(mkw_block_solve, sys)
+    assert blk.verified and blk.precond.diagonal
+    assert _units(mkw_peak, m, m) <= 18.5
+    assert _units(blk_peak, m, m) <= 18.5
+    assert _units(itr_peak, m, m) <= 11.0
+
+
+def test_blk_on_a_block_pattern_gathers_its_tile_blocks_one_coefficient_at_a_time(warmed):
+    # about 24.2 arrays; 27.2 when the tile sweeps form all four dense pattern midpoints at once
+    m = 64
+    blk, peak = _traced_peak(mkw_block_solve, _jordan_system(m))
+    assert blk.verified and not blk.precond.diagonal
+    assert _units(peak, m, m) <= 25.0
 
 
 def test_retained_bytes_count_each_buffer_once():

@@ -16,7 +16,7 @@ RUNS = {
     "itr_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6"],
     "audit_grid": ["--families", "kyc31", "--sizes", "8", "--alphas", "1e-6", "--samples", "4"],
     "loop_grid": ["--cells", "kyc31:8:0"],
-    "mem_grid": ["--sizes", "16"],
+    "mem_grid": ["--sizes", "16", "--solvers", "mkw,itr,blk"],
     "ver_grid": ["--families", "kyc31", "--sizes", "8", "--repeat", "1"],
 }
 
@@ -91,6 +91,11 @@ def _check_mem_grid(stdout):
     assert [r.group(1, 2, 5, 6) for r in again] == [r.group(1, 2, 5, 6) for r in rows]
     for r, s in zip(rows, again):
         assert abs(float(r[4]) - float(s[4])) <= 0.2 and float(r[4]) > 0, (r[0], s[0])
+    # --solvers prints only the solvers it names, in the grid's order
+    proc = _run("mem_grid", "--families", "gallery33", "--sizes", "16", "--solvers", "itr,mkw")
+    picked = [_MEM_LINE.fullmatch(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 0 and all(picked), proc.stdout + proc.stderr
+    assert [r[2] for r in picked] == ["mkw", "itr"]
 
 
 def _against(tmp_path, *lines):

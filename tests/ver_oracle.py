@@ -56,7 +56,7 @@ def contraction_mag(ks, sys):
 
 def residual_product(ks, sys, X):
     """The reference ``M`` of ver at ``X``: ``R`` times ``X``'s residual enclosure, unblocked."""
-    res = residual(sys.A, sys.B, sys.C, sys.D, sys.F, X)
+    res = residual(sys.F, X, (sys.A, sys.B, sys.C, sys.D).__getitem__)
     return iunvec(im_matmul(_Operand(ks.R), ivec(res)), ks.m, ks.n)
 
 

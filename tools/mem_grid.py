@@ -3,7 +3,12 @@
 The default grid is the three families at m in {100, 200, 400} (n = m,
 alpha 1e-6, generator seed 0).  Per cell mkw is solved, then itr from
 mkw's enclosure when it verified, then, with both results dropped, blk.
-One line per cell and solver:
+``--solvers`` picks which of them print (default ``mkw,itr,blk``); itr
+still starts from mkw's enclosure, which is then solved without a line.
+Leave blk out of a grid that holds gallery33 at m = 400: its block
+pattern sends blk's midpoint sweep through a Python loop over the unknowns
+of each tile, which runs for many minutes there.  One line per cell and
+solver:
 
 * ``peak``: the ``tracemalloc`` peak of the call above the memory traced
   when it started (the system, and for itr mkw's result, are not counted);
@@ -12,15 +17,21 @@ One line per cell and solver:
   result, which it shares its preconditioned system with.
 
 Each is printed in MiB and in complex m x n arrays (``16 m n`` bytes), the
-unit of the resource budgets.  ``tracemalloc`` counts every numpy buffer
-but not the BLAS library's own work space.  The solves run on one BLAS
-thread, and a warm-up solve before the grid takes the first calls'
-one-time allocations.  ``kept`` is exact and the same in every run; a
-peak moves by a few hundred bytes between runs (the Python objects of
-SciPy's LAPACK wrappers), so it is printed to a tenth of a MiB and of an
-array, a grain of 16 KB at m = 100.  Run from the repository root::
+unit of the resource budgets.  mkw and blk keep 12.5 such arrays and peak
+at about 17.5 on kyc31 and sylvester32 at m = 400: each side of the
+preconditioner is reduced to its pattern entries as soon as its donor is
+chosen, and the residual forms one dense coefficient box at a time.  itr
+keeps 3.5 and peaks at about 10 above mkw's result.  ``tracemalloc``
+counts every numpy buffer but not the BLAS library's own work space.  The
+solves run on one BLAS thread, and a warm-up solve before the grid takes
+the first calls' one-time allocations.  ``kept`` is exact and the same in
+every run; a peak moves by a few hundred bytes between runs (the Python
+objects of SciPy's LAPACK wrappers), so it is printed to a tenth of a MiB
+and of an array, a grain of 16 KB at m = 100.  Run from the repository
+root::
 
-    python3 tools/mem_grid.py
+    python3 tools/mem_grid.py --families kyc31,sylvester32 --sizes 200,400
+    python3 tools/mem_grid.py --families gallery33 --sizes 200,400 --solvers mkw,itr
     python3 tools/mem_grid.py --families kyc31 --sizes 16,64
 """
 
@@ -45,6 +56,7 @@ from sylvenc.bench import retained_nbytes  # noqa: E402
 from sylvenc.errors import EnclosureError  # noqa: E402
 
 MIB = 2.0**20
+SOLVERS = ("mkw", "itr", "blk")
 
 
 def _traced(fn, *args, **kwargs):
@@ -62,39 +74,53 @@ def _line(label: str, solver: str, peak: int, kept: int, unit: float) -> str:
     )
 
 
-def cell(family: str, m: int) -> list[str]:
+def cell(family: str, m: int, solvers: tuple[str, ...] = SOLVERS) -> list[str]:
     label = f"{family:<12} m={m:<4}"
     sys_ = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
     unit = 16.0 * m * m
     lines = []
-    try:
-        mkw, peak = _traced(mkw_solve, sys_)
-    except EnclosureError as exc:
-        mkw = None
-        lines.append(f"{label} mkw {type(exc).__name__}")
-    else:
-        lines.append(_line(label, "mkw", peak, retained_nbytes(mkw), unit))
-    if mkw is not None and mkw.verified:
-        itr, peak = _traced(itr_solve, sys_, initial=mkw)
-        kept = retained_nbytes(mkw, itr) - retained_nbytes(mkw)
-        lines.append(_line(label, "itr", peak, kept, unit))
-        del itr
-    else:
-        lines.append(f"{label} itr -")
+    mkw = error = None
+    if "mkw" in solvers or "itr" in solvers:
+        # itr starts from mkw's enclosure, which is solved even when only itr is printed
+        try:
+            mkw, peak = _traced(mkw_solve, sys_)
+        except EnclosureError as exc:
+            error = type(exc).__name__
+        if "mkw" in solvers and error:
+            lines.append(f"{label} mkw {error}")
+        elif "mkw" in solvers:
+            lines.append(_line(label, "mkw", peak, retained_nbytes(mkw), unit))
+    if "itr" in solvers:
+        if mkw is not None and mkw.verified:
+            itr, peak = _traced(itr_solve, sys_, initial=mkw)
+            kept = retained_nbytes(mkw, itr) - retained_nbytes(mkw)
+            lines.append(_line(label, "itr", peak, kept, unit))
+            del itr
+        else:
+            lines.append(f"{label} itr -")
     del mkw
-    try:
-        blk, peak = _traced(mkw_block_solve, sys_)
-    except EnclosureError as exc:
-        lines.append(f"{label} blk {type(exc).__name__}")
-    else:
-        lines.append(_line(label, "blk", peak, retained_nbytes(blk), unit))
+    if "blk" in solvers:
+        try:
+            blk, peak = _traced(mkw_block_solve, sys_)
+        except EnclosureError as exc:
+            lines.append(f"{label} blk {type(exc).__name__}")
+        else:
+            lines.append(_line(label, "blk", peak, retained_nbytes(blk), unit))
     return lines
+
+
+def _solvers(text: str) -> tuple[str, ...]:
+    names = tuple(x for x in text.split(",") if x)
+    if not names or set(names) - set(SOLVERS):
+        raise argparse.ArgumentTypeError(f"pick from {','.join(SOLVERS)}")
+    return names
 
 
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--families", default=",".join(FAMILIES))
     ap.add_argument("--sizes", default="100,200,400")
+    ap.add_argument("--solvers", type=_solvers, default=SOLVERS)
     args = ap.parse_args(argv)
     warnings.simplefilter("ignore")
     warm = generate(GenSpec(family="kyc31", m=4, alpha=1e-6, seed=0))
@@ -103,7 +129,7 @@ def main(argv: list[str] | None = None) -> None:
     tracemalloc.start()
     for family in args.families.split(","):
         for m in (int(x) for x in args.sizes.split(",")):
-            print("\n".join(cell(family, m)), flush=True)
+            print("\n".join(cell(family, m, args.solvers)), flush=True)
     tracemalloc.stop()
 
 
