@@ -77,7 +77,7 @@ from .intervals import (
     as_imatrix,
     posmm,
 )
-from .krawczyk import KMAX_DEFAULT, Enclosure, residual, verify
+from .krawczyk import Enclosure, residual, verify
 from .linalg import _kron2, iunvec, ivec, kron, lu_inverse, unvec, vec
 from .system import SylvesterSystem
 
@@ -294,11 +294,7 @@ def _contraction_mag(ks: KronSystem, sys: SylvesterSystem) -> np.ndarray:
     return wmag
 
 
-def full_krawczyk_solve(
-    sys: SylvesterSystem,
-    kmax: int = KMAX_DEFAULT,
-    cap: int | None = BASELINE_CAP,
-) -> Enclosure:
+def full_krawczyk_solve(sys: SylvesterSystem, cap: int | None = BASELINE_CAP) -> Enclosure:
     """Verified enclosure by a Krawczyk iteration on the full ``m n`` system.
 
     ``R`` is the dense floating inverse of the midpoint matrix from
@@ -318,7 +314,7 @@ def full_krawczyk_solve(
         )
     ks = build_Q_kron(sys, cap)
     X, M = _ver_residual(ks, sys)
-    return _ver_loop(ks, X, M, _contraction_mag(ks, sys), kmax)
+    return _ver_loop(ks, X, M, _contraction_mag(ks, sys))
 
 
 def _ver_bytes(sys: SylvesterSystem) -> int:
@@ -377,9 +373,7 @@ def _ver_residual(ks: KronSystem, sys: SylvesterSystem) -> tuple[np.ndarray, IMa
     return X, iunvec(IMatrix._from_kernel(mid, rad), m, n)
 
 
-def _ver_loop(
-    ks: KronSystem, X: np.ndarray, M: IMatrix, wmag: np.ndarray, kmax: int
-) -> Enclosure:
+def _ver_loop(ks: KronSystem, X: np.ndarray, M: IMatrix, wmag: np.ndarray) -> Enclosure:
     """ver's verification loop on ``M`` and ``wmag = |I - R Q|``."""
     m, n = ks.m, ks.n
     zero = _zeros(M.shape, M.mid.dtype)
@@ -389,7 +383,7 @@ def _ver_loop(
         # column operand keeps the BLAS path, and so the rounding, of an m n x 1 product
         return IMatrix._from_kernel(zero, unvec(posmm(wmag, vec(xrad)[:, None]), m, n))
 
-    return verify("ver", X, M, n_of, lambda Z: Z, kmax, U=np.eye(m), Vinv=np.eye(n))
+    return verify("ver", X, M, n_of, lambda Z: Z, U=np.eye(m), Vinv=np.eye(n))
 
 
 def point_solve(

@@ -34,7 +34,8 @@ Midpoint mass of the transformed matrices that falls outside the block
 pattern is absorbed into radii, which keeps the method rigorous for any
 inputs at the price of wider results when the pattern fits poorly.
 
-This module supplies only the side rule, :func:`_block_side`.  The
+This module supplies only the side rule, :func:`_block_side`: a side's
+:class:`.precond.Pattern` and the condition bound of its basis.  The
 preconditioned system is the one of the diagonal method
 (:func:`.precond.precondition`) with these partitions, and the solve is the
 diagonal method's: it back-substitutes by
@@ -50,10 +51,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsyl as _trsyl
 
-from .krawczyk import KMAX_DEFAULT, Enclosure, _solve, interval_back_substitute
+from .krawczyk import Enclosure, _solve, interval_back_substitute
 from .linalg import lu_solve
 from .intervals import _diagonal
-from .precond import Donor, Pattern, block_mask, choose_donor, precondition
+from .precond import Donor, Pattern, choose_donor, precondition
 from .system import SylvesterSystem
 
 __all__ = [
@@ -175,7 +176,7 @@ def _decouple(t11: np.ndarray, t22: np.ndarray, t12: np.ndarray) -> np.ndarray |
     return Y
 
 
-def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> BlockHalf:
+def block_diagonalize(Ac: np.ndarray) -> BlockHalf:
     """Similarity bringing ``Ac`` to block form with triangular blocks.
 
     The reordered Schur form ``T = Z^H Ac Z`` is decoupled one cluster column
@@ -186,8 +187,9 @@ def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> Blo
     the block diagonal of ``T`` is the block form.  So ``U = Z S`` and the
     diagonal blocks equal those of a pairwise sweep up to rounding.
 
-    ``Y`` is the block column of the final similarity, so ``max_cond`` caps
-    what cond(U) depends on.  When ``||Y||_inf > max_cond`` the clusters
+    ``Y`` is the block column of the final similarity, so the cap
+    :data:`MAX_COND_DEFAULT`, read at each call, bounds what cond(U) depends
+    on.  When ``||Y||_inf`` exceeds it the clusters
     from the block row of ``Y`` with the largest norm through ``j`` fuse and
     the sweep restarts.  When ``ztrsyl`` meets close eigenvalues or has to
     scale, which the clustering leaves only for solutions near overflow, all
@@ -228,7 +230,7 @@ def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> Blo
             if not T12.any():
                 continue
             Y = _decouple(T[:j0, :j0], T[j0:j1, j0:j1], T12)
-            if Y is not None and np.linalg.norm(Y, np.inf) <= max_cond:
+            if Y is not None and np.linalg.norm(Y, np.inf) <= MAX_COND_DEFAULT:
                 U[:, j0:j1] += U[:, :j0] @ Y
                 continue
             # fuse the clusters from the one holding Y's largest row through
@@ -244,12 +246,12 @@ def block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> Blo
         sizes = tuple(hi - lo for lo, hi in ranges)
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
-        DA = np.where(block_mask(sizes), T, 0.0)
+        DA = np.where(Pattern(sizes).mask, T, 0.0)
         return BlockHalf(U=U, Uinv=Uinv, T=DA, sizes=sizes, cond_bound=cond)
 
 
-def _block_side(pair, max_cond: float, lower: bool) -> Donor:
-    """The donor of one side, whose ``form`` is its block :class:`.precond.Pattern`.
+def _block_side(pair, lower: bool) -> Donor:
+    """The donor of one side, with its block :class:`.precond.Pattern` and condition bound.
 
     The column side (``lower``) reverses the columns of the basis, turning
     upper-triangular blocks into lower ones.
@@ -257,14 +259,13 @@ def _block_side(pair, max_cond: float, lower: bool) -> Donor:
     flip = slice(None, None, -1 if lower else 1)
 
     def offer(mid: np.ndarray):
-        half = block_diagonalize(mid, max_cond)
-        sizes = half.sizes[flip]
-        pattern = Pattern(sizes, block_mask(sizes, lower), half.cond_bound)
+        half = block_diagonalize(mid)
+        pattern = Pattern(half.sizes[flip], lower)
         perm = None if half.perm is None else half.perm[flip]
         # reversing the columns of U reverses the rows of its inverse
-        return half.U[:, flip], half.Uinv[flip], pattern, perm
+        return half.U[:, flip], half.Uinv[flip], pattern, half.cond_bound, perm
 
-    return choose_donor(pair, offer, lambda form, conj, _: _offpattern_rel(conj, form.mask))
+    return choose_donor(pair, offer, lambda pattern, conj, _: _offpattern_rel(conj, pattern.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +273,7 @@ def _block_side(pair, max_cond: float, lower: bool) -> Donor:
 # ---------------------------------------------------------------------------
 
 
-def mkw_block_solve(
-    sys: SylvesterSystem,
-    kmax: int = KMAX_DEFAULT,
-    max_cond: float = MAX_COND_DEFAULT,
-) -> Enclosure:
+def mkw_block_solve(sys: SylvesterSystem) -> Enclosure:
     """Verified enclosure with block-triangular preconditioning.
 
     The diagonal solver's steps over a preconditioned system whose donors
@@ -284,5 +281,4 @@ def mkw_block_solve(
     patterns the approximate solution, the residual enclosure and the
     contraction term divide by backward substitution.
     """
-    ps = precondition(sys, lambda pair, lower: _block_side(pair, max_cond, lower))
-    return _solve("blk", ps, kmax)
+    return _solve("blk", precondition(sys, _block_side))

@@ -3,8 +3,8 @@
 The engine, :func:`verify`, runs the epsilon-inflation loop
 :func:`verification_loop` and builds the :class:`Enclosure`.  The loop gives
 up early, with ``verified=False``, once a step certifies that no later box
-can pass, so a failed solve may report fewer than ``kmax`` iterations.  Each
-solver hands the engine four things:
+can pass, so a failed solve may report fewer than :data:`KMAX_DEFAULT`
+iterations.  Each solver hands the engine four things:
 
 * ``xtilde``, the approximate solution in preconditioned coordinates;
 * ``M``, an enclosure of the preconditioned residual of ``xtilde``;
@@ -81,9 +81,9 @@ and, of the denominators, the reciprocal disks alone.  A dense
 intermediate lives until its last read and no longer: :func:`residual`
 asks for each coefficient box when its product needs it, so
 :func:`compute_M` holds one dense box at a time; blk's tile sweeps gather
-their blocks from one dense pattern midpoint at a time and form ``mid den``
-for their own call; and :func:`verify` drops ``M`` after the loop, before
-the back-transform.
+their blocks from the stored entries by :meth:`.precond.Pattern.stacks`,
+keep a zero midpoint one broadcast zero and form ``mid den`` for their own
+call; and :func:`verify` drops ``M`` after the loop, before the back-transform.
 """
 
 from __future__ import annotations
@@ -176,17 +176,6 @@ def residual(F: IMatrix, xtilde: np.ndarray, coef) -> IMatrix:
     return F
 
 
-def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
-    """Each block size with the ``(count, size)`` indices of its blocks."""
-    starts = np.cumsum((0,) + tuple(sizes[:-1]))
-    return [(s, starts[np.equal(sizes, s)][:, None] + np.arange(s)) for s in sorted(set(sizes))]
-
-
-def _block_stacks(dense: np.ndarray, blocks) -> list[np.ndarray]:
-    """The diagonal blocks of ``dense``, stacked per block size of ``blocks``."""
-    return [dense[ix[:, :, None], ix[:, None, :]] for _, ix in blocks]
-
-
 def _tiles(ps: PrecondSystem, *arrays: np.ndarray):
     """Each tile shape ``a x b`` of ``ps``, with its tiles stacked.
 
@@ -194,18 +183,19 @@ def _tiles(ps: PrecondSystem, *arrays: np.ndarray):
     ``ix`` that scatters a stack back, and ``arrays`` as ``(rows, cols, a
     b)`` stacks: unknown ``p = k a + r`` of tile ``(I, J)`` is entry
     ``[rows[I, r], cols[J, k]]``.  The blocks are gathered once per call,
-    each coefficient's from its dense pattern midpoint, which is formed from
-    the stored entries of ``ps`` and dropped at once.
+    straight from the stored entries of ``ps`` (:meth:`.precond.Pattern.stacks`).
+    An array that is one value broadcast, as a zero midpoint is, stays one
+    value broadcast to each tile shape.
     """
-    row_blocks, col_blocks = _blocks(ps.row_sizes), _blocks(ps.col_sizes)
-    da, db, dc, dd = (
-        _block_stacks(ps.pattern_mid(i), col_blocks if i % 2 else row_blocks) for i in range(4)
-    )
-    for (a, rows), DA, DC in zip(row_blocks, da, dc):
-        for (b, cols), DB, DD in zip(col_blocks, db, dd):
+    da, db, dc, dd = (ps.pattern(i).stacks(e) for i, e in enumerate(ps.mids))
+    for (a, rows, _), DA, DC in zip(ps.row_pattern.blocks, da, dc):
+        for (b, cols, _), DB, DD in zip(ps.col_pattern.blocks, db, dd):
             ix = (rows[:, None, None, :], cols[None, :, :, None])
             tiles = (len(rows), len(cols), a * b)
-            yield a, (DA, DC, DB, DD), ix, tuple(x[ix].reshape(tiles) for x in arrays)
+            yield a, (DA, DC, DB, DD), ix, tuple(
+                x[ix].reshape(tiles) if any(x.strides) else np.broadcast_to(x[0, 0], tiles)
+                for x in arrays
+            )
 
 
 def _tail(blocks, a: int, p: int):
@@ -334,9 +324,12 @@ class _Pair(NamedTuple):
 
 
 def _pairs(ps: PrecondSystem) -> tuple[_Pair, _Pair]:
-    """The pairs ``(Ap, Bp)`` and ``(Cp, Dp)`` of ``ps``, read from its stored entries."""
-    mids = ps.mids if ps.diagonal else tuple(ps.pattern_mid(i) for i in range(4))
-    mags = tuple(np.abs(x) for x in mids)
+    """The pairs ``(Ap, Bp)`` and ``(Cp, Dp)`` of ``ps``, read from its stored entries:
+    a block pattern's magnitudes are the dense matrices of the entries' magnitudes."""
+    mags = tuple(
+        (p.diagonal if ps.diagonal else p.dense)(np.abs(e))
+        for p, e in zip(map(ps.pattern, range(4)), ps.mids)
+    )
     return tuple(_Pair(ps.rads[i], mags[i], ps.rads[i + 1], mags[i + 1]) for i in (0, 2))
 
 
@@ -491,16 +484,16 @@ def verify(
     M: IMatrix,
     n_of,
     back,
-    kmax: int,
     **fields,
 ) -> Enclosure:
-    """Run :func:`verification_loop` on ``M`` and ``n_of`` and build the result.
+    """Run :func:`verification_loop` on ``M`` and ``n_of`` for at most :data:`KMAX_DEFAULT`
+    steps and build the result.
 
     Only a verified loop maps ``Xtilde + H`` to original coordinates by
     ``back``; ``fields`` are the solver's own :class:`Enclosure` fields
     (``U``, ``Vinv``, ``precond``).
     """
-    loop = verification_loop(M, n_of, kmax)
+    loop = verification_loop(M, n_of, KMAX_DEFAULT)
     # the loop's last read of M: a caller that handed it over frees it before the back-transform
     del M
     return Enclosure(
@@ -516,7 +509,7 @@ def verify(
     )
 
 
-def _solve(method: str, ps: PrecondSystem, kmax: int) -> Enclosure:
+def _solve(method: str, ps: PrecondSystem) -> Enclosure:
     """Verify the preconditioned system ``ps``: the solve of mkw and of blk.
 
     ``Xtilde``, ``M`` and the contraction term divide through ``ps``, and a
@@ -532,20 +525,16 @@ def _solve(method: str, ps: PrecondSystem, kmax: int) -> Enclosure:
         compute_M(ps, xtilde),
         lambda r: compute_N(ps, r),
         lambda Z: back_transform(ps, Z),
-        kmax,
         U=ps.U,
         Vinv=ps.Vinv,
         precond=ps,
     )
 
 
-def mkw_solve(
-    sys: SylvesterSystem,
-    kmax: int = KMAX_DEFAULT,
-) -> Enclosure:
+def mkw_solve(sys: SylvesterSystem) -> Enclosure:
     """Verified enclosure via diagonal preconditioning plus Krawczyk check.
 
     Preconditioning failures (no eigenbasis, singular denominators) raise;
     a failed verification is a regular result with ``verified=False``.
     """
-    return _solve("mkw", transform_enclose(sys), kmax)
+    return _solve("mkw", transform_enclose(sys))

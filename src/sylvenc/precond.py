@@ -52,7 +52,9 @@ reciprocal disks only, the one part a division reads.
 :class:`PrecondSystem` is the one preconditioned form of mkw, itr and blk;
 its row and column partitions are all ones for eigenbases and blk's
 triangular blocks otherwise.  One builder, :func:`precondition`, fills it
-from a side rule: the eigen donor here, ``blockdiag._block_side`` for blk.
+from a side rule: the eigen donor here, ``blockdiag._block_side`` for blk,
+each of which hands it a side's :class:`Pattern`, the one owner of the
+layout of the side's blocks and of their stored entries.
 """
 
 from __future__ import annotations
@@ -117,52 +119,93 @@ def _eig_memo():
     return eig_of
 
 
-def block_mask(sizes: tuple[int, ...], lower: bool = False) -> np.ndarray:
-    """Boolean mask of a block-diagonal pattern with triangular blocks."""
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    tri = (np.tril if lower else np.triu)(np.ones((block.size, block.size), dtype=bool))
-    return tri & (block[:, None] == block[None, :])
+class Pattern:
+    """A side's block diagonal pattern of upper (or ``lower``) triangular blocks of ``sizes``.
 
+    A coefficient keeps its midpoint by its entries on the pattern, row-major
+    (:meth:`entries`).  Each part of the layout is formed once: the ``mask``,
+    the diagonal's positions among the entries and the :attr:`blocks`.  A
+    pattern of 1 x 1 blocks (``unit``) forms its mask where it is read, so a
+    system of eigenbases keeps none.
+    """
 
-class Pattern(NamedTuple):
-    """What a side's basis keeps: the block ``sizes``, their ``mask`` and a bound
-    ``cond_bound`` on the condition of the basis (None for an eigenbasis)."""
+    def __init__(self, sizes: tuple[int, ...], lower: bool = False):
+        self.sizes, self.lower = tuple(sizes), lower
+        self.k = sum(self.sizes)
+        self.count = sum(s * (s + 1) // 2 for s in self.sizes)
+        self.unit = max(self.sizes, default=1) == 1
+        self._mask = self._diag = None
+        if not self.unit:
+            block = np.repeat(np.arange(len(self.sizes)), self.sizes)
+            self._mask = self._triangle(self.k) & (block[:, None] == block[None, :])
+            self._diag = np.flatnonzero(np.eye(self.k, dtype=bool)[self._mask])
 
-    sizes: tuple[int, ...]
-    mask: np.ndarray
-    cond_bound: float | None = None
+    def _triangle(self, k: int) -> np.ndarray:
+        return (np.tril if self.lower else np.triu)(np.ones((k, k), dtype=bool))
 
+    @property
+    def mask(self) -> np.ndarray:
+        """The ``k x k`` boolean mask of the pattern."""
+        return np.eye(self.k, dtype=bool) if self._mask is None else self._mask
 
-class _Side(NamedTuple):
-    """Where a side's pattern entries sit, row-major over the pattern: its block
-    ``mask`` and the positions ``diag`` of the diagonal among the entries,
-    both None when every block is 1 x 1 and the entries are the diagonal."""
-
-    k: int
-    mask: np.ndarray | None = None
-    diag: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, sizes: tuple[int, ...], lower: bool) -> "_Side":
-        k = sum(sizes)
-        if max(sizes, default=1) == 1:
-            return cls(k)
-        mask = block_mask(sizes, lower)
-        return cls(k, mask, np.flatnonzero(np.eye(k, dtype=bool)[mask]))
-
-    def full_mask(self) -> np.ndarray:
-        return np.eye(self.k, dtype=bool) if self.mask is None else self.mask
+    @cached_property
+    def blocks(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Each block size ``s``, ascending, with the ``(j, s)`` indices of its ``j`` blocks
+        and the ``(j, s, s)`` positions of their entries among the stored ones; position
+        ``count``, one past the last, stands for the zeros off the triangles."""
+        starts = np.cumsum((0,) + self.sizes[:-1])
+        offsets = np.cumsum((0,) + tuple(s * (s + 1) // 2 for s in self.sizes[:-1]))
+        out = []
+        for s in sorted(set(self.sizes)):
+            which = np.equal(self.sizes, s)
+            local = np.full((s, s), -1)
+            local[self._triangle(s)] = np.arange(s * (s + 1) // 2)
+            take = np.where(local < 0, self.count, offsets[which][:, None, None] + local)
+            out.append((s, starts[which][:, None] + np.arange(s), take))
+        return out
 
     def dense(self, entries: np.ndarray) -> np.ndarray:
         """The dense ``k x k`` matrix of the pattern ``entries``, zero off the pattern."""
-        if self.mask is None:
+        if self.unit:
             return np.diag(entries)
         out = np.zeros((self.k, self.k), dtype=entries.dtype)
-        out[self.mask] = entries
+        out[self._mask] = entries
         return out
 
     def diagonal(self, entries: np.ndarray) -> np.ndarray:
-        return entries if self.diag is None else entries[self.diag]
+        """The diagonal of the dense matrix of the pattern ``entries``."""
+        return entries if self._diag is None else entries[self._diag]
+
+    def stacks(self, entries: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks of the dense matrix of ``entries``, stacked per block size
+        of :attr:`blocks`: gathered from the entries, bit for bit the dense gather
+        ``dense[ix[:, :, None], ix[:, None, :]]``."""
+        padded = np.append(entries, 0)
+        return [padded[take] for _, _, take in self.blocks]
+
+    def project(self, x: IMatrix) -> IMatrix:
+        """Move the midpoint mass of ``x`` off the pattern into its radii.
+
+        The radius sum ``rad + |off|`` is padded, so off-pattern mass far below an
+        ulp of the radius still widens it.
+        """
+        mask = self.mask
+        rad = np.abs(x.mid)
+        rad[mask] = 0.0
+        rad += x.rad
+        return IMatrix(np.where(mask, x.mid, 0.0), _up(rad, 2, out=rad))
+
+    def entries(self, x: IMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The midpoint entries of ``x`` on the pattern, row-major, and its radii: a
+        projected box as :class:`PrecondSystem` keeps it.
+
+        Raises ``ValueError`` when the midpoint has an entry outside the pattern,
+        which no division would read.
+        """
+        mask = self.mask
+        if np.any(x.mid, where=~mask):
+            raise ValueError("preconditioned midpoint has entries outside its block pattern")
+        return x.mid[mask], x.rad
 
 
 @dataclass(frozen=True)
@@ -172,7 +215,9 @@ class PrecondSystem:
     ``mid Ap`` and ``mid Cp`` are block diagonal with upper-triangular
     blocks of the partition ``row_sizes``, ``mid Bp`` and ``mid Dp`` with
     lower-triangular blocks of ``col_sizes``; both are all ones, so the
-    midpoints are exactly diagonal, for mkw and itr.  ``U`` and ``V`` are
+    midpoints are exactly diagonal, for mkw and itr.  ``row_pattern`` and
+    ``col_pattern`` are the donors' :class:`Pattern` of these partitions.
+    ``U`` and ``V`` are
     the bases and ``Vinv`` the point factor ``W ~ V^-1``: a member's
     solution is ``U Y W``.  ``cond_bound`` bounds the condition of blk's
     block bases, ``offdiag_mass`` is each coefficient's relative midpoint
@@ -182,7 +227,7 @@ class PrecondSystem:
 
     What the system retains is what its readers need.  ``mids`` holds the
     midpoints of ``Ap, Bp, Cp, Dp`` (in that order) by their pattern
-    entries alone, row-major over the pattern: the diagonal for mkw, the
+    entries alone (:meth:`Pattern.entries`): the diagonal for mkw, the
     entries of the triangular blocks for blk.  ``rads`` holds their dense
     radii.  ``rec`` holds the disks that contain the reciprocals of the
     denominators ``a_i b_j + c_i d_j`` of the stored diagonals ``a, b, c,
@@ -201,20 +246,19 @@ class PrecondSystem:
     V: np.ndarray
     Vinv: np.ndarray
     rec: _Reciprocals
-    row_sizes: tuple[int, ...]
-    col_sizes: tuple[int, ...]
+    row_pattern: Pattern
+    col_pattern: Pattern
     cond_bound: float | None = None
     offdiag_mass: dict = field(default_factory=dict)
     u_perm: np.ndarray | None = None
     v_perm: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        m, n = sum(self.row_sizes), sum(self.col_sizes)
+        m, n = self.m, self.n
         shapes = tuple(r.shape for r in self.rads) + (self.Fp.shape,)
         if shapes != ((m, m), (n, n), (m, m), (n, n), (m, n)):
             raise ValueError("block sizes do not sum to the matrix dimension")
-        counts = [sum(s * (s + 1) // 2 for s in x) for x in (self.row_sizes, self.col_sizes)]
-        if tuple(x.shape for x in self.mids) != tuple((counts[i % 2],) for i in range(4)):
+        if tuple(x.shape for x in self.mids) != tuple((self.pattern(i).count,) for i in range(4)):
             raise ValueError("pattern entries do not match the block pattern")
 
     @classmethod
@@ -232,55 +276,55 @@ class PrecondSystem:
         """
         if (Ap.rows, Bp.rows) != (sum(row_sizes), sum(col_sizes)):
             raise ValueError("block sizes do not sum to the matrix dimension")
-        masks = _Side.of(row_sizes, False).full_mask(), _Side.of(col_sizes, True).full_mask()
-        parts = [_pattern_entries(x, masks[i % 2]) for i, x in enumerate((Ap, Bp, Cp, Dp))]
-        return cls._of_entries(parts, Fp, row_sizes, col_sizes, **fields)
+        rows, cols = Pattern(row_sizes), Pattern(col_sizes, lower=True)
+        parts = [(cols if i % 2 else rows).entries(x) for i, x in enumerate((Ap, Bp, Cp, Dp))]
+        return cls._of_entries(parts, Fp, rows, cols, **fields)
 
     @classmethod
     def _of_entries(
-        cls, parts, Fp: IMatrix, row_sizes: tuple[int, ...], col_sizes: tuple[int, ...], **fields,
+        cls, parts, Fp: IMatrix, rows: Pattern, cols: Pattern, **fields,
     ) -> "PrecondSystem":
-        """The system of the ``(entries, rad)`` parts of ``Ap .. Dp`` (:func:`_pattern_entries`)."""
-        sides = [_Side.of(row_sizes, False), _Side.of(col_sizes, True)] * 2
+        """The system of the ``(entries, rad)`` parts of ``Ap .. Dp`` (:meth:`Pattern.entries`)."""
         mids = tuple(e for e, _ in parts)
-        diags = (side.diagonal(e) for side, e in zip(sides, mids))
-        ps = cls(
+        diags = ((cols if i % 2 else rows).diagonal(e) for i, e in enumerate(mids))
+        return cls(
             mids=mids, rads=tuple(r for _, r in parts), Fp=Fp, rec=_denominators(*diags).rec,
-            row_sizes=row_sizes, col_sizes=col_sizes, **fields,
+            row_pattern=rows, col_pattern=cols, **fields,
         )
-        vars(ps)["_sides"] = sides  # the cached layout, formed once
-        return ps
+
+    @property
+    def row_sizes(self) -> tuple[int, ...]:
+        return self.row_pattern.sizes
+
+    @property
+    def col_sizes(self) -> tuple[int, ...]:
+        return self.col_pattern.sizes
 
     @property
     def m(self) -> int:
-        return sum(self.row_sizes)
+        return self.row_pattern.k
 
     @property
     def n(self) -> int:
-        return sum(self.col_sizes)
+        return self.col_pattern.k
 
     @property
     def diagonal(self) -> bool:
         """Whether every block is 1 x 1, so the midpoints are exactly diagonal."""
-        return max(self.row_sizes + self.col_sizes) == 1
+        return self.row_pattern.unit and self.col_pattern.unit
 
-    @cached_property
-    def _sides(self) -> list[_Side]:
-        # formed once per system, as blk's sweeps read them at every step
-        return [_Side.of(self.row_sizes, False), _Side.of(self.col_sizes, True)] * 2
-
-    def pattern_mid(self, i: int) -> np.ndarray:
-        """The dense midpoint of coefficient ``i`` (0 .. 3 for ``Ap .. Dp``), formed anew."""
-        return self._sides[i].dense(self.mids[i])
+    def pattern(self, i: int) -> Pattern:
+        """The pattern of coefficient ``i`` (0 .. 3 for ``Ap .. Dp``)."""
+        return self.col_pattern if i % 2 else self.row_pattern
 
     def den_mid(self) -> np.ndarray:
         """The midpoints of the denominators ``a_i b_j + c_i d_j`` of the stored
         diagonals, bit for bit :func:`.intervals._denominators`' own."""
-        return _den_mid(*(side.diagonal(e) for side, e in zip(self._sides, self.mids)))
+        return _den_mid(*(self.pattern(i).diagonal(e) for i, e in enumerate(self.mids)))
 
     def box(self, i: int) -> IMatrix:
         """The dense box of coefficient ``i`` (0 .. 3 for ``Ap .. Dp``), formed anew."""
-        return IMatrix._from_kernel(self.pattern_mid(i), self.rads[i])
+        return IMatrix._from_kernel(self.pattern(i).dense(self.mids[i]), self.rads[i])
 
     Ap = property(lambda self: self.box(0), doc="The dense box ``Ap``, formed on each access.")
     Bp = property(lambda self: self.box(1), doc="The dense box ``Bp``, formed on each access.")
@@ -335,38 +379,14 @@ def _sandwich(left: Basis, x: IMatrix, right: Basis) -> IMatrix:
     return _right(_left(left, x), right)
 
 
-def _project_pattern(x: IMatrix, mask: np.ndarray) -> IMatrix:
-    """Move the midpoint mass of ``x`` off the pattern ``mask`` into its radii.
-
-    The radius sum ``rad + |off|`` is padded, so off-pattern mass far below an
-    ulp of the radius still widens it.  mkw projects on the diagonal, blk on
-    its block pattern.
-    """
-    rad = np.abs(x.mid)
-    rad[mask] = 0.0
-    rad += x.rad
-    return IMatrix(np.where(mask, x.mid, 0.0), _up(rad, 2, out=rad))
-
-
-def _pattern_entries(x: IMatrix, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The midpoint entries of ``x`` on ``mask``, row-major, and its radii: a projected box
-    as :class:`PrecondSystem` keeps it.
-
-    Raises ``ValueError`` when the midpoint has an entry outside the pattern,
-    which no division would read.
-    """
-    if np.any(x.mid, where=~mask):
-        raise ValueError("preconditioned midpoint has entries outside its block pattern")
-    return x.mid[mask], x.rad
-
-
 class Donor(NamedTuple):
-    """Member ``index`` of a pair donates its :class:`Basis` ``basis``; ``form``
-    is the :class:`Pattern` the preconditioner keeps of it, ``raw`` both
-    members conjugated into the basis and ``mass`` their masses."""
+    """Member ``index`` of a pair donates its :class:`Basis` ``basis``, the :class:`Pattern`
+    ``pattern`` and ``cond_bound``, a bound on the basis' condition (None for an
+    eigenbasis); ``raw`` is both members conjugated into the basis, ``mass`` their masses."""
 
     basis: Basis
-    form: Pattern
+    pattern: Pattern
+    cond_bound: float | None
     index: int
     raw: tuple[IMatrix, IMatrix]
     mass: tuple[float, float]
@@ -393,8 +413,8 @@ def simultaneous_diag(pair, U: np.ndarray, P: np.ndarray, perm: np.ndarray | Non
 def choose_donor(pair, offer, mass) -> Donor:
     """The donor of ``pair`` by the module's rule; :class:`EigenDecompositionError` if none.
 
-    ``offer(mid)`` is a member's ``(U, P, form, perm)`` (``P ~ U^-1``,
-    ``perm`` None unless ``U`` is a permutation) or raises; ``mass(form,
+    ``offer(mid)`` is a member's ``(U, P, pattern, cond_bound, perm)`` (``P ~ U^-1``,
+    ``perm`` None unless ``U`` is a permutation) or raises; ``mass(pattern,
     conj, mid)`` is the mass of member ``mid`` scored by the midpoint
     ``conj`` of its conjugated box.  Only the best candidate so far keeps its
     basis and conjugated boxes: while the second member is scored, the
@@ -405,14 +425,14 @@ def choose_donor(pair, offer, mass) -> Donor:
     best = None
     for i in range(1 if mids[0].dtype == mids[1].dtype and np.array_equal(*mids) else 2):
         try:
-            U, P, form, perm = offer(mids[i])
+            U, P, pattern, cond_bound, perm = offer(mids[i])
             basis, raw = simultaneous_diag(pair, U, P, perm)
         except (EigenDecompositionError, SingularMatrixError):
             continue
-        masses = tuple(mass(form, r.mid, x) for r, x in zip(raw, mids))
+        masses = tuple(mass(pattern, r.mid, x) for r, x in zip(raw, mids))
         # a tie keeps the first member
         if best is None or max(masses) < max(best.mass):
-            best = Donor(basis, form, i, raw, masses)
+            best = Donor(basis, pattern, cond_bound, i, raw, masses)
     if best is None:
         raise EigenDecompositionError("no basis of the pair passes rho(|I - P U|) < 1")
     return best
@@ -424,15 +444,15 @@ def _eigen_donor(pair: tuple[IMatrix, IMatrix], eig_of) -> Donor:
     An exactly diagonal midpoint offers the permutation basis ``I`` without
     an eigensolver call.
     """
+    n = len(pair[0].mid)
+    pattern = Pattern((1,) * n)
 
     def offer(mid: np.ndarray):
-        n = len(mid)
-        form = Pattern((1,) * n, np.eye(n, dtype=bool))
         if _diagonal(mid) is not None:
             eye = np.eye(n, dtype=mid.dtype)
-            return eye, eye, form, np.arange(n)
+            return eye, eye, pattern, None, np.arange(n)
         eig = eig_of(mid)
-        return eig.vectors, eig.inv_vectors, form, None
+        return eig.vectors, eig.inv_vectors, pattern, None, None
 
     return choose_donor(pair, offer, lambda _, conj, mid: _offdiag_rel(conj, mid))
 
@@ -450,7 +470,7 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
     The sides are settled one after the other, so at most one side's dense
     boxes are alive at a time.  Once a side's donor is chosen, each member's
     conjugated box is projected on the pattern and reduced at once to its
-    pattern entries and dense radii (:func:`_pattern_entries`, the step
+    pattern entries and dense radii (:meth:`Pattern.entries`, the step
     :meth:`PrecondSystem.from_boxes` takes), and ``F`` takes the side's
     factor of its sandwich (``P F`` on the left, then ``(P F) V`` on the
     right).  The side then keeps its basis without its prepared operands:
@@ -461,8 +481,8 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
     f, donors, parts = sys.F, [], []
     for pair, lower in (((sys.A, sys.C), False), ((sys.B, sys.D), True)):
         donor = side(pair, lower)
-        mask = donor.form.mask
-        parts.append([_pattern_entries(_project_pattern(r, mask), mask) for r in donor.raw])
+        pattern = donor.pattern
+        parts.append([pattern.entries(pattern.project(r)) for r in donor.raw])
         f = _right(f, donor.basis) if lower else _left(donor.basis, f)
         # the side's boxes and prepared operands have no later reader
         donors.append(donor._replace(raw=None, basis=donor.basis._replace(p_op=None, u_op=None)))
@@ -476,11 +496,10 @@ def precondition(sys: SylvesterSystem, side) -> PrecondSystem:
                 "will be absorbed into radii",
                 stacklevel=3,
             )
-    conds = [d.form.cond_bound for d in donors if d.form.cond_bound is not None]
+    conds = [d.cond_bound for d in donors if d.cond_bound is not None]
     (a, c), (b, d) = parts
     return PrecondSystem._of_entries(
-        (a, b, c, d), f,
-        row_sizes=left.form.sizes, col_sizes=right.form.sizes,
+        (a, b, c, d), f, left.pattern, right.pattern,
         U=left.basis.U, V=right.basis.U, Vinv=right.basis.P,
         cond_bound=max(conds) if conds else None,
         offdiag_mass={"A": left.mass[0], "C": left.mass[1], "B": right.mass[0], "D": right.mass[1]},

@@ -18,9 +18,9 @@ from sylvenc.blockdiag import (
     _clusters,
     _decouple,
     _reorder_contiguous,
-    block_mask,
 )
 from sylvenc.linalg import lu_solve
+from sylvenc.precond import Pattern
 
 
 def pairwise_block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> BlockHalf:
@@ -66,7 +66,7 @@ def pairwise_block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAUL
         if merged:
             continue
         sizes = tuple(hi - lo for lo, hi in ranges)
-        mask = block_mask(sizes, lower=False)
+        mask = Pattern(sizes).mask
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
         DA = np.where(mask, T, 0.0)

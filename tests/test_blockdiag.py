@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sylvenc import (
     GenSpec,
@@ -17,20 +20,50 @@ from sylvenc import (
     mkw_solve,
     sample_solutions,
 )
-from sylvenc.blockdiag import block_mask
 from sylvenc.intervals import _denominators, _quot
 from sylvenc.linalg import unvec, vec
-from sylvenc.precond import PrecondSystem
+from sylvenc.precond import Pattern, PrecondSystem
 
 
-def test_block_mask_patterns():
-    upper = block_mask((2, 1))
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_pattern_forms_dense_diagonal_and_block_stacks_from_its_entries(data):
+    upper = Pattern((2, 1)).mask
     assert (
         upper
         == np.array([[True, True, False], [False, True, False], [False, False, True]])
     ).all()
-    lower = block_mask((2, 1), lower=True)
+    lower = Pattern((2, 1), lower=True).mask
     assert lower[1, 0] and not lower[0, 1]
+
+    sizes = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="sizes"))
+    lower = data.draw(st.booleans(), label="lower")
+    pattern, k = Pattern(sizes, lower), sum(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    tri = (np.tril if lower else np.triu)(np.ones((k, k), dtype=bool))
+    assert np.array_equal(pattern.mask, tri & (block[:, None] == block[None, :]))
+
+    part = hnp.arrays(np.float64, (k, k), elements=st.floats(-1e3, 1e3))
+    mid = data.draw(part)
+    if data.draw(st.booleans(), label="complex"):
+        mid = mid + 1j * data.draw(part)
+    box = pattern.project(IMatrix(mid, np.abs(data.draw(part))))
+    entries, rad = pattern.entries(box)
+    dense = pattern.dense(entries)
+    assert rad is box.rad
+    assert dense.dtype == box.mid.dtype and dense.tobytes() == box.mid.tobytes()
+    assert pattern.diagonal(entries).tobytes() == np.diag(dense).tobytes()
+    assert sorted(i for _, ix, _ in pattern.blocks for i in ix.ravel().tolist()) == list(range(k))
+    for (_, ix, _), stack in zip(pattern.blocks, pattern.stacks(entries), strict=True):
+        want = dense[ix[:, :, None], ix[:, None, :]]
+        assert stack.dtype == want.dtype and stack.tobytes() == want.tobytes()
+
+    off = np.argwhere(~pattern.mask)
+    if len(off):
+        bad = box.mid.copy()
+        bad[tuple(off[data.draw(st.integers(0, len(off) - 1), label="off")])] = 1e-300
+        with pytest.raises(ValueError, match="outside its block pattern"):
+            pattern.entries(IMatrix(bad, box.rad))
 
 
 class TestBlockDiagonalize:
@@ -45,7 +78,7 @@ class TestBlockDiagonalize:
         uinv = np.linalg.inv(half.U)
         assert np.abs(half.U @ half.T @ uinv - a).max() <= 1e-8 * np.abs(a).max()
         # exact block pattern
-        mask = block_mask(half.sizes)
+        mask = Pattern(half.sizes).mask
         assert (half.T[~mask] == 0).all()
 
     def test_separated_eigenvalues_split_fully(self):
@@ -189,7 +222,7 @@ def _random_form(rng, a_sizes, b_sizes, complex_):
         k = sum(sizes)
         x = rng.normal(size=(k, k)) + (1j * rng.normal(size=(k, k)) if complex_ else 0.0)
         x = 0.1 * x + np.diag(2.0 + rng.uniform(size=k))
-        return np.where(block_mask(sizes, lower=lower), x, 0.0)
+        return np.where(Pattern(sizes, lower).mask, x, 0.0)
 
     DA, DC = factor(a_sizes, False), factor(a_sizes, False)
     DB, DD = factor(b_sizes, True), factor(b_sizes, True)
@@ -549,7 +582,9 @@ class TestColumnSweep:
         assert (half.T == 2.5 * eye).all()
         assert half.sizes == (5,) and half.cond_bound == 1.0
 
-    def test_cap_fuses_from_the_largest_row_of_y_through_the_column(self):
+    def test_cap_fuses_from_the_largest_row_of_y_through_the_column(self, monkeypatch):
+        import sylvenc.blockdiag as bd
+
         # a bidiagonal chain with eigenvalues 0.02 apart, too far apart to
         # cluster: the column of 1.06 needs Y of about 1 / (0.06 * 0.04 * 0.02)
         # in row 1, so clusters 1..4 fuse and the eigenvalue 5 stays alone
@@ -558,11 +593,12 @@ class TestColumnSweep:
         a[0, 1:] = 0.3
         half = block_diagonalize(a)
         assert half.sizes == (1, 4)
-        assert (half.T[~block_mask(half.sizes)] == 0).all()
+        assert (half.T[~Pattern(half.sizes).mask] == 0).all()
         resid = half.U @ half.T @ np.linalg.inv(half.U) - a
         assert np.abs(resid).max() <= 1e-8 * np.abs(a).max()
         # a cap below every decoupling fuses everything into one block
-        assert block_diagonalize(a, max_cond=1e-6).sizes == (5,)
+        monkeypatch.setattr(bd, "MAX_COND_DEFAULT", 1e-6)
+        assert block_diagonalize(a).sizes == (5,)
 
     def test_a_failed_decoupling_fuses_every_cluster_through_the_column(self, monkeypatch):
         import sylvenc.blockdiag as bd

@@ -25,7 +25,7 @@ from sylvenc import (
     sample_solutions,
 )
 from sylvenc.errors import SingularMatrixError
-from sylvenc.krawczyk import KMAX_DEFAULT, _solve
+from sylvenc.krawczyk import _solve
 from sylvenc.linalg import _near_identity, eig_decompose
 from sylvenc.precond import Pattern, _offdiag_rel, choose_donor, precondition
 
@@ -49,7 +49,7 @@ def _perturbed(scale, seed, similar=False):
             E = eig.vectors @ np.diag(np.diag(E)) @ eig.inv_vectors
         E *= scale / np.abs(E).sum(axis=1).max()
         P = eig.inv_vectors @ (np.eye(n) + E)
-        return eig.vectors, P, Pattern((1,) * n, np.eye(n, dtype=bool)), None
+        return eig.vectors, P, Pattern((1,) * n), None, None
 
     return offer
 
@@ -71,7 +71,7 @@ def _poor_solves(sys, seed, similar):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mkw = _solve("mkw", precondition(sys, side), KMAX_DEFAULT)
+        mkw = _solve("mkw", precondition(sys, side))
     encs = [mkw]
     if mkw.verified:
         encs.append(itr_solve(sys, initial=mkw))
@@ -170,10 +170,10 @@ def test_a_factor_with_rho_not_below_one_drops_out():
     bad = _perturbed(1e-3, 1)
 
     def poor(mid):
-        U, P, form, perm = bad(mid)
-        return U, P + 1.5 * eig_decompose(mid).inv_vectors, form, perm
+        U, P, pattern, cond, perm = bad(mid)
+        return U, P + 1.5 * eig_decompose(mid).inv_vectors, pattern, cond, perm
 
-    U, P, _, _ = poor(a)
+    U, P, *_ = poor(a)
     with pytest.raises(SingularMatrixError, match="not below 1"):
         _near_identity(P, U)
     # the first member's basis drops out, the second donates

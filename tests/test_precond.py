@@ -9,7 +9,7 @@ import pytest
 from sylvenc import GenSpec, IMatrix, SylvesterSystem, generate, transform_enclose
 from sylvenc.intervals import _denominators
 from sylvenc.linalg import lu_solve
-from sylvenc.precond import _project_pattern, simultaneous_diag
+from sylvenc.precond import Pattern, simultaneous_diag
 
 from exact_oracle import add, exact, in_disk, mul, recip
 
@@ -78,7 +78,7 @@ def test_build_S_outer_product_structure():
 def test_projection_pads_the_off_diagonal_radius_sum():
     # 1e-20 is far below half an ulp of the radius 1: an unpadded sum would drop it
     x = IMatrix(np.array([[1.0, 1e-20], [0.0, 1.0]]), np.ones((2, 2)))
-    got = _project_pattern(x, np.eye(2, dtype=bool))
+    got = Pattern((1, 1)).project(x)
     assert np.array_equal(got.mid, np.eye(2))
     assert got.rad[0, 1] > 1.0
     assert (got.rad >= 1.0).all()
@@ -299,8 +299,10 @@ def _same_precond(forced, scored, sys):
             x, y = (x.mid, x.rad), (y.mid, y.rad)
         elif isinstance(x, np.ndarray):
             x, y = (x,), (y,)
+        elif isinstance(x, Pattern):
+            assert x.sizes == y.sizes, name
+            continue
         else:
-            # the partitions are tuples of ints
             assert x == y, name
             continue
         for u, v in zip(x, y):

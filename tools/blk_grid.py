@@ -6,9 +6,10 @@ ones for comparison:
 * the Jordan family of ``tools/enclosure_digests.py`` (``A X B + X = F``,
   ``mid A`` made of 2x2 Jordan blocks) at m in {16, 32, 48, 96}, seeds 0, 1;
 * kyc31 at m in {48, 100} (alpha = 1e-6, generator seed 0);
-* ``near-defective``: ``mid A`` orthogonally similar to four 4x4 bidiagonal
-  chains whose eigenvalues lie 0.02 apart, too far apart to cluster, so the
-  norm cap of ``block_diagonalize`` fuses each chain into one block.
+* ``near-defective`` of ``tools/enclosure_digests.py``: ``mid A``
+  orthogonally similar to four 4x4 bidiagonal chains whose eigenvalues lie
+  0.02 apart, too far apart to cluster, so the norm cap of
+  ``block_diagonalize`` fuses each chain into one block.
 
 One line per system:
 
@@ -41,42 +42,18 @@ import time  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy as np  # noqa: E402
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from enclosure_digests import defective_system  # noqa: E402
+from enclosure_digests import defective_system, near_defective_system  # noqa: E402
 
 from sylvenc import (  # noqa: E402
     GenSpec,
-    IMatrix,
     SylvesterSystem,
     block_diagonalize,
     generate,
     mkw_block_solve,
     mkw_solve,
 )
-
-
-def near_defective_system(m: int = 16, seed: int = 0, delta: float = 0.02) -> SylvesterSystem:
-    """``A X + X = F`` with ``mid A = Q J Q^T``, ``J`` made of 4x4 bidiagonal chains.
-
-    Chain ``c`` has eigenvalues ``1 + c + k delta`` (k = 0..3) and ones on its
-    superdiagonal: separated by more than the clustering threshold, but with
-    eigenvectors too close to parallel for the norm cap.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    J = np.zeros((m, m))
-    for i in range(m):
-        J[i, i] = 1.0 + i // 4 + (i % 4) * delta
-        if i % 4 != 3:
-            J[i, i + 1] = 1.0
-    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    rad = np.full((m, m), 1e-8)
-    eye = IMatrix(np.eye(m))
-    return SylvesterSystem(
-        A=IMatrix(Q @ J @ Q.T, rad), B=eye, C=eye, D=eye, F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad)
-    )
 
 
 def grid() -> list[tuple[str, SylvesterSystem]]:

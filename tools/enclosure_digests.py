@@ -3,7 +3,10 @@
 The corpus is the three families at m = 8 and m = 32; kyc31 and
 sylvester32 at m = 100, where the eigenbases' conditioning weighs more in
 the width than at m = 32 and ver refuses the size; one system whose
-midpoint A is defective (2x2 Jordan blocks); one whose midpoint pairs
+midpoint A is defective (2x2 Jordan blocks); one whose midpoint A is
+near-defective (4x4 bidiagonal chains the norm cap fuses), where blk keeps
+4x4 upper blocks on the row side and one 16x16 lower block on the column
+side, the only blocks larger than 3 in the corpus; one whose midpoint pairs
 (A, C) and (B, D) are distinct and non-scalar, so that each side weighs two
 eigenbases for its donor; one complex system with m = 5 and n = 3, which
 pins the vec convention on a rectangular unknown; the complex ``A X + X B
@@ -90,6 +93,27 @@ def defective_system(m: int = 16, seed: int = 0) -> SylvesterSystem:
         C=eye,
         D=eye,
         F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
+    )
+
+
+def near_defective_system(m: int = 16, seed: int = 0, delta: float = 0.02) -> SylvesterSystem:
+    """``A X + X = F`` with ``mid A = Q J Q^T``, ``J`` made of 4x4 bidiagonal chains.
+
+    Chain ``c`` has eigenvalues ``1 + c + k delta`` (k = 0..3) and ones on its
+    superdiagonal: separated by more than the clustering threshold, but with
+    eigenvectors too close to parallel for the norm cap.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    J = np.zeros((m, m))
+    for i in range(m):
+        J[i, i] = 1.0 + i // 4 + (i % 4) * delta
+        if i % 4 != 3:
+            J[i, i + 1] = 1.0
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    rad = np.full((m, m), 1e-8)
+    eye = IMatrix(np.eye(m))
+    return SylvesterSystem(
+        A=IMatrix(Q @ J @ Q.T, rad), B=eye, C=eye, D=eye, F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad)
     )
 
 
@@ -182,6 +206,7 @@ def corpus() -> list[tuple[str, SylvesterSystem]]:
         for family in ("kyc31", "sylvester32")
     ] + [
         ("jordan-m16", defective_system()),
+        ("near-defective-m16", near_defective_system()),
         ("commuting-m12", commuting_system()),
         ("complex-m5n3", rectangular_complex_system()),
         ("complex-sylvester-m5n3", one_sided_complex_system()),

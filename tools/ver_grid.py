@@ -53,7 +53,6 @@ from sylvenc.baseline import (  # noqa: E402
     _ver_residual,
     build_Q_kron,
 )
-from sylvenc.krawczyk import KMAX_DEFAULT  # noqa: E402
 
 STAGES = ("lu", "M", "wmag", "loop")
 MIB = 2.0**20
@@ -68,7 +67,7 @@ def _stages(sys_, clock):
     with clock("wmag"):
         wmag = _contraction_mag(ks, sys_)
     with clock("loop"):
-        enc = _ver_loop(ks, X, M, wmag, KMAX_DEFAULT)
+        enc = _ver_loop(ks, X, M, wmag)
     return enc
 
 
