@@ -27,9 +27,10 @@ blocks for the column pair (DB, DD), the operator
 splits into independent upper-triangular systems, one per tile X[I, J] of a
 row block I and a column block J (the block-triangular recurrences of
 Bartels and Stewart).  The Hadamard division of the diagonal method becomes
-an interval backward substitution, run on all tiles of one shape at once;
-the same sweep on midpoints alone, dividing by the denominator midpoints as
-the diagonal method does, gives the approximate solution.
+an interval backward substitution on all tiles of one shape at once: a
+midpoint sweep, which gives the approximate solution when it divides by the
+denominator midpoints as the diagonal method does, then a radius sweep on
+the magnitudes it keeps, which alone gives the zero-midpoint contraction term.
 Midpoint mass of the transformed matrices that falls outside the block
 pattern is absorbed into radii, which keeps the method rigorous for any
 inputs at the price of wider results when the pattern fits poorly.
@@ -129,37 +130,21 @@ def _swap_adjacent(T: np.ndarray, Z: np.ndarray, i: int) -> None:
     T[i + 1, i] = 0.0
 
 
-def _reorder_contiguous(
-    T: np.ndarray, Z: np.ndarray, labels: list[int]
-) -> tuple[list[int], list[int]]:
-    """Bubble same-cluster eigenvalues together, stable in first appearance.
+def _reorder_contiguous(T: np.ndarray, Z: np.ndarray, labels: np.ndarray) -> None:
+    """Bubble same-cluster eigenvalues together, in the order of their labels.
 
-    Returns the reordered per-position labels and the cluster id sequence.
+    A label is the first Schur position of its cluster (:func:`_clusters`),
+    so the label order is the clusters' order of first appearance.
     """
-    rank: dict[int, int] = {}
-    for lab in labels:
-        rank.setdefault(lab, len(rank))
-    lab = list(labels)
+    lab = labels.tolist()
     changed = True
     while changed:
         changed = False
         for i in range(len(lab) - 1):
-            if rank[lab[i]] > rank[lab[i + 1]]:
+            if lab[i] > lab[i + 1]:
                 _swap_adjacent(T, Z, i)
                 lab[i], lab[i + 1] = lab[i + 1], lab[i]
                 changed = True
-    order = sorted(rank, key=rank.get)
-    return lab, order
-
-
-def _block_ranges(lab: list[int], order: list[int]) -> list[tuple[int, int]]:
-    ranges = []
-    pos = 0
-    for cid in order:
-        cnt = lab.count(cid)
-        ranges.append((pos, pos + cnt))
-        pos += cnt
-    return ranges
 
 
 def _decouple(t11: np.ndarray, t22: np.ndarray, t12: np.ndarray) -> np.ndarray | None:
@@ -220,12 +205,13 @@ def block_diagonalize(Ac: np.ndarray) -> BlockHalf:
     while True:
         T = T0.copy()
         U = Z0.copy()
-        lab, order = _reorder_contiguous(T, U, labels.tolist())
-        ranges = _block_ranges(lab, order)
+        _reorder_contiguous(T, U, labels)
+        order, sizes = np.unique(labels, return_counts=True)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
         fuse = None
         # right to left, so U[:, :j0] is still the Schur basis Z of column j
-        for bj in range(len(ranges) - 1, 0, -1):
-            j0, j1 = ranges[bj]
+        for bj in range(len(sizes) - 1, 0, -1):
+            j0, j1 = bounds[bj], bounds[bj + 1]
             T12 = T[:j0, j0:j1]
             if not T12.any():
                 continue
@@ -234,16 +220,14 @@ def block_diagonalize(Ac: np.ndarray) -> BlockHalf:
                 U[:, j0:j1] += U[:, :j0] @ Y
                 continue
             # fuse the clusters from the one holding Y's largest row through
-            # bj, all of them after a ztrsyl failure (cluster ids are
-            # smallest original positions, ascending)
+            # bj, all of them after a ztrsyl failure (labels ascend along the blocks)
             row = 0 if Y is None else np.abs(Y).sum(axis=1).argmax()
-            bi = next(b for b, (lo, hi) in enumerate(ranges) if lo <= row < hi)
-            fuse = order[bi : bj + 1]
+            fuse = order[np.searchsorted(bounds, row, side="right") - 1 : bj + 1]
             break
         if fuse is not None:
             labels[np.isin(labels, fuse)] = fuse[0]
             continue
-        sizes = tuple(hi - lo for lo, hi in ranges)
+        sizes = tuple(int(c) for c in sizes)
         Uinv = lu_solve(U, np.eye(m, dtype=np.complex128))
         cond = float(np.linalg.norm(U, np.inf) * np.linalg.norm(Uinv, np.inf))
         DA = np.where(Pattern(sizes).mask, T, 0.0)

@@ -23,10 +23,10 @@ under "pad rules" below: ``_up``, ``_down`` and ``_slack`` (``x (1 + n
 ETA)``, ``x (1 - n ETA)`` and ``n ETA x``), ``_pad_rad`` (the radius of a
 rounded result, such as a sum of disks), ``_dot_ops`` (the count ``2k + 8``
 of a length-``k`` inner product), ``_fold`` (a rounding pad folded into a
-radius product, below), ``_quot`` (a disk times a reciprocal disk),
-``_scaled`` (a product by ``c = +-2^e``, exact or refused, with the scalar
-test :func:`_scalar_of`), ``_mag``, ``_reach``, ``_rect_half`` and
-``_corner_mag``.  So the
+radius product, below), ``_quot`` (a disk times a reciprocal disk) with
+``_quot_rad`` (its radius, from magnitudes), ``_scaled`` (a product by ``c
+= +-2^e``, exact or refused, with the scalar test :func:`_scalar_of`),
+``_mag``, ``_reach``, ``_rect_half`` and ``_corner_mag``.  So the
 rounding model is this module's decision alone.  Each rule fixes the order
 of its floating-point operations, so every kernel that applies it rounds
 alike, and a term the model still lacks (the absolute underflow term below)
@@ -165,21 +165,28 @@ def _fold(amag, rad, n):
 
 
 def _quot(mid, rad, rec_mid, rec_rad):
-    """Disks ``<mid, rad>`` times reciprocal disks ``<rec_mid, rec_rad>``: the midpoint and radius.
-
-    The radius is ``(|mid| rec_rad + rad |rec_mid| + rad rec_rad)(1 + 5 ETA)
-    + 4 ETA |mid rec_mid|``.  ``mid=None`` stands for zero midpoints: their
-    quotients are zero, the midpoint returned is None and the radius has the
-    bits of the one of explicit zeros.
-    """
+    """Disks ``<mid, rad>`` times reciprocal disks ``<rec_mid, rec_rad>``: the midpoint and
+    the radius of :func:`_quot_rad`.  ``mid=None`` stands for zero midpoints: the
+    midpoint returned is None."""
     if mid is None:
-        r = rad * np.abs(rec_mid)
-        r += rad * rec_rad
-        return None, _up(r, 5, out=r)
+        return None, _quot_rad(None, rad, np.abs(rec_mid), rec_rad)
     q = mid * rec_mid
-    r = _up(np.abs(mid) * rec_rad + rad * np.abs(rec_mid) + rad * rec_rad, 5)
-    r += _slack(np.abs(q), 4)
-    return q, r
+    return q, _quot_rad(np.abs(mid), rad, np.abs(rec_mid), rec_rad, np.abs(q))
+
+
+def _quot_rad(amid, rad, arec, rec_rad, aq=None):
+    """``(amid rec_rad + rad arec + rad rec_rad)(1 + 5 ETA) + 4 ETA aq``: :func:`_quot`'s radius
+    from ``amid = |mid|``, ``arec = |rec_mid|`` and ``aq = |mid rec_mid|``.
+
+    ``amid=None`` stands for zero midpoints, with the bits of explicit zeros.
+    """
+    if amid is None:
+        r = rad * arec
+        r += rad * rec_rad
+        return _up(r, 5, out=r)
+    r = _up(amid * rec_rad + rad * arec + rad * rec_rad, 5)
+    r += _slack(aq, 4)
+    return r
 
 
 def _scalar_of(diag: np.ndarray | None, power_of_two: bool = False):

@@ -18,12 +18,13 @@ mkw and blk hand it the same things, built from one preconditioned system
 on the whole array when every block is 1 x 1 (mkw's eigenbases, and blk's
 when no eigenvalues cluster), by the interval backward substitution
 :func:`interval_back_substitute` over the tiles of the block pattern
-otherwise; on 1 x 1 tiles the two give the same bits.  ``Xtilde`` is
-``mid Fp ./ mid den`` on the whole array, and on a block pattern the
-midpoint-only sweep over the same tiles, which divides by ``mid den`` too
-and so is that quotient bit for bit on 1 x 1 tiles.  Both map back by the
-point factors ``U . W`` (``W = Vinv ~ V^-1``), reindexing on a side whose
-basis is a permutation.  The
+otherwise; on 1 x 1 tiles the two give the same bits.  The substitution
+is a midpoint sweep, then a radius sweep in real arithmetic on the
+magnitudes it keeps; ``N``'s zero midpoint takes the radius sweep alone,
+and ``Xtilde`` on a block pattern the midpoint sweep, dividing by ``mid
+den`` as ``mid Fp ./ mid den`` does on the whole array.  Both map back by
+the point factors ``U . W`` (``W = Vinv ~ V^-1``), reindexing on a side
+whose basis is a permutation.  The
 dense solver ``ver`` (:mod:`.baseline`) multiplies by a floating inverse
 ``R`` of the Kronecker midpoint ``mid Q`` and bounds the contraction by
 ``|I - R Q| x``; its loop runs in m x n coordinates and ``back`` is the
@@ -82,8 +83,9 @@ intermediate lives until its last read and no longer: :func:`residual`
 asks for each coefficient box when its product needs it, so
 :func:`compute_M` holds one dense box at a time; blk's tile sweeps gather
 their blocks from the stored entries by :meth:`.precond.Pattern.stacks`,
-keep a zero midpoint one broadcast zero and form ``mid den`` for their own
-call; and :func:`verify` drops ``M`` after the loop, before the back-transform.
+give ``N`` a broadcast zero midpoint as the diagonal path does and form
+``mid den`` for their own call; and :func:`verify` drops ``M`` after the
+loop, before the back-transform.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ from .intervals import (
     _pad_rad,
     _prepare,
     _quot,
+    _quot_rad,
     _slack,
     _inflation_rad,
     _up,
@@ -198,20 +201,78 @@ def _tiles(ps: PrecondSystem, *arrays: np.ndarray):
             )
 
 
-def _tail(blocks, a: int, p: int):
-    """The factors ``(col_b, row_a, col_d, row_c)`` of row ``p`` in every tile.
+def _tail(blocks, a: int, p: int, rad: bool = False):
+    """The coefficients ``t`` of the unknowns after ``p`` in row ``p`` of every tile.
 
-    ``col_b row_a + col_d row_c``, flattened per tile, holds the coefficients
-    of the unknowns from ``k a`` on, for ``k, r = divmod(p, a)`` (rows ``k' <
-    k`` of the lower-triangular ``DB`` and ``DD`` hold exact zeros); its first
-    ``r + 1`` entries are those of the unknowns up to ``p``.
+    Row ``p``, flattened per tile, is ``col_b row_a + col_d row_c`` over the
+    unknowns from ``k a`` on, for ``k, r = divmod(p, a)`` (rows ``k' < k`` of
+    the lower-triangular ``DB`` and ``DD`` hold exact zeros); ``t`` drops its
+    first ``r + 1`` entries.  ``rad`` asks for ``|t|`` and radii covering the
+    floating formation error of ``t`` instead.
     """
     DA, DC, DB, DD = blocks
     k, r = divmod(p, a)
-    return (
-        DB[None, :, k:, k, None], DA[:, None, None, r, :],
-        DD[None, :, k:, k, None], DC[:, None, None, r, :],
-    )
+    col_b, row_a = DB[None, :, k:, k, None], DA[:, None, None, r, :]
+    col_d, row_c = DD[None, :, k:, k, None], DC[:, None, None, r, :]
+    flat = (len(DA), len(DB), -1)
+    t = (col_b * row_a + col_d * row_c).reshape(flat)[..., r + 1 :]
+    if not rad:
+        return t
+    t_rad = _slack(np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c), 6)
+    return np.abs(t), t_rad.reshape(flat)[..., r + 1 :]
+
+
+def _midpoint_sweep(ps: PrecondSystem, f: np.ndarray, by_rec: bool = False):
+    """The midpoint recurrence ``num = f - sum t z``, ``z = num / mid den``: ``z`` and ``|num|``.
+
+    Without ``by_rec`` it is ``Xtilde``, on 1 x 1 tiles the diagonal path's
+    ``f / ps.den_mid()`` bit for bit, and ``|num|`` is None.  With it ``z =
+    num rec_mid``, the midpoint of :func:`.intervals._quot` by ``ps.rec``.
+    """
+    out = np.zeros(f.shape, dtype=np.complex128)
+    out_num = np.zeros(f.shape) if by_rec else None
+    for a, blocks, ix, (f_t, div) in _tiles(ps, f, ps.rec.mid if by_rec else ps.den_mid()):
+        z = np.zeros(f_t.shape, dtype=np.complex128)
+        anum = np.zeros(f_t.shape) if by_rec else None
+        last = f_t.shape[-1] - 1
+        for p in range(last, -1, -1):
+            num = f_t[..., p]
+            if p < last:
+                num = num - (_tail(blocks, a, p) * z[..., p + 1 :]).sum(axis=-1)
+            if by_rec:
+                anum[..., p] = np.abs(num)
+            z[..., p] = num * div[..., p] if by_rec else num / div[..., p]
+        out[ix] = z.reshape(z.shape[:2] + (-1, a))
+        if by_rec:
+            out_num[ix] = anum.reshape(z.shape[:2] + (-1, a))
+    return out, out_num
+
+
+def _radius_sweep(ps: PrecondSystem, f_rad: np.ndarray, az: np.ndarray, anum: np.ndarray):
+    """The radius recurrence in real arithmetic, on ``az = |z|`` and ``anum = |num|`` of
+    :func:`_midpoint_sweep` (broadcast zeros for a zero midpoint).
+
+    Step ``p`` pads the error bound of ``sum t z`` by ``2 kk + 8`` for a tail
+    never longer than the row of the whole column block, adds it to ``f_rad``
+    under the pad of the subtraction and divides by :func:`.intervals._quot_rad`.
+    """
+    out = np.zeros(f_rad.shape)
+    for a, blocks, ix, (fr, ar, rr, az_t, an_t) in _tiles(
+        ps, f_rad, np.abs(ps.rec.mid), ps.rec.rad, az, anum
+    ):
+        zr = np.zeros(fr.shape)
+        last = fr.shape[-1] - 1
+        for p in range(last, -1, -1):
+            num_rad = fr[..., p]
+            if p < last:
+                at, t_rad = _tail(blocks, a, p, rad=True)
+                zs, azs = zr[..., p + 1 :], az_t[..., p + 1 :]
+                dot = (at * zs).sum(-1) + (t_rad * azs).sum(-1) + (t_rad * zs).sum(-1)
+                dot = _pad_rad(dot, (at * azs).sum(-1), _dot_ops(last - p))
+                num_rad = _pad_rad(num_rad + dot, an_t[..., p].copy())
+            zr[..., p] = _quot_rad(an_t[..., p], num_rad, ar[..., p], rr[..., p], az_t[..., p])
+        out[ix] = zr.reshape(zr.shape[:2] + (-1, a))
+    return out
 
 
 def interval_back_substitute(ps: PrecondSystem, rhs: IMatrix) -> IMatrix:
@@ -221,84 +282,32 @@ def interval_back_substitute(ps: PrecondSystem, rhs: IMatrix) -> IMatrix:
     into independent upper-triangular systems ``DB_J^T kron DA_I + DD_J^T
     kron DC_I``, one per tile ``X[I, J]`` of a row block ``I`` and a column
     block ``J`` of ``ps``.  Tiles of one shape are solved together by
-    interval backward substitution.  Step ``p`` forms the tail of row ``p``
-    of every tile, each entry with a radius covering its floating formation
-    error; that tail is never longer than the row of the whole column block,
-    so neither is the inner-product pad ``2 kk + 8``.  The last unknown of a
-    tile has an empty tail and takes its right-hand side as it is.  Each
-    unknown is divided by its diagonal denominator through the quotient rule
-    of the diagonal path, with the reciprocal disks ``ps.rec``; on 1 x 1
-    tiles the result is that path's bit for bit.
+    interval backward substitution: the midpoint sweep divides each unknown
+    by its reciprocal disk ``ps.rec``, then the radius sweep bounds the radii
+    from the magnitudes it kept; on 1 x 1 tiles this is the diagonal path's
+    quotient rule bit for bit.  A broadcast zero midpoint runs the radius
+    sweep alone and gives a broadcast zero of its dtype.
     """
-    m, n = ps.m, ps.n
     rhs = as_imatrix(rhs)
-    if rhs.shape != (m, n):
+    if rhs.shape != (ps.m, ps.n):
         raise ValueError("dimension mismatch")
-    out_mid = np.zeros((m, n), dtype=np.complex128)
-    out_rad = np.zeros((m, n))
-    for a, blocks, ix, (f_mid, f_rad, rec_mid, rec_rad) in _tiles(
-        ps, rhs.mid, rhs.rad, ps.rec.mid, ps.rec.rad
-    ):
-        z_mid = np.zeros(f_mid.shape, dtype=np.complex128)
-        z_rad = np.zeros(f_mid.shape)
-        last = f_mid.shape[-1] - 1
-        for p in range(last, -1, -1):
-            num_mid, num_rad = f_mid[..., p], f_rad[..., p]
-            if p < last:
-                r = p % a
-                col_b, row_a, col_d, row_c = _tail(blocks, a, p)
-                flat = f_mid.shape[:2] + (-1,)
-                t_mid = (col_b * row_a + col_d * row_c).reshape(flat)[..., r + 1 :]
-                t_rad = _slack(np.abs(col_b) * np.abs(row_a) + np.abs(col_d) * np.abs(row_c), 6)
-                t_rad = t_rad.reshape(flat)[..., r + 1 :]
-                zm, zr = z_mid[..., p + 1 :], z_rad[..., p + 1 :]
-                at, az = np.abs(t_mid), np.abs(zm)
-                dot_mid = (t_mid * zm).sum(axis=-1)
-                dot_rad = (
-                    (at * zr).sum(axis=-1) + (t_rad * az).sum(axis=-1) + (t_rad * zr).sum(axis=-1)
-                )
-                dot_rad = _pad_rad(dot_rad, (at * az).sum(axis=-1), _dot_ops(last - p))
-                num_mid = num_mid - dot_mid
-                num_rad = _pad_rad(num_rad + dot_rad, np.abs(num_mid))
-            z_mid[..., p], z_rad[..., p] = _quot(num_mid, num_rad, rec_mid[..., p], rec_rad[..., p])
-        out_mid[ix] = z_mid.reshape(z_mid.shape[:2] + (-1, a))
-        out_rad[ix] = z_rad.reshape(z_mid.shape[:2] + (-1, a))
-    return IMatrix(out_mid, out_rad)
-
-
-def _point_back_substitute(ps: PrecondSystem, f: np.ndarray) -> np.ndarray:
-    """``unvec(Lambda^-1 vec(f))`` in floating point, for the approximate solution.
-
-    The sweep of :func:`interval_back_substitute` over the same tiles on
-    midpoints only, each unknown divided by the denominators' midpoints
-    ``ps.den_mid()``: on 1 x 1 tiles it is the diagonal path's ``f /
-    ps.den_mid()`` bit for bit.
-    """
-    out = np.zeros(f.shape, dtype=np.complex128)
-    for a, blocks, ix, (f_t, den) in _tiles(ps, f, ps.den_mid()):
-        z = np.zeros(f_t.shape, dtype=np.complex128)
-        last = f_t.shape[-1] - 1
-        for p in range(last, -1, -1):
-            num = f_t[..., p]
-            if p < last:
-                col_b, row_a, col_d, row_c = _tail(blocks, a, p)
-                t = (col_b * row_a + col_d * row_c).reshape(f_t.shape[:2] + (-1,))
-                num = num - (t[..., p % a + 1 :] * z[..., p + 1 :]).sum(axis=-1)
-            z[..., p] = num / den[..., p]
-        out[ix] = z.reshape(z.shape[:2] + (-1, a))
-    return out
+    if any(rhs.mid.strides) or rhs.mid.any():
+        z, anum = _midpoint_sweep(ps, rhs.mid, by_rec=True)
+        return IMatrix._from_kernel(z, _radius_sweep(ps, rhs.rad, np.abs(z), anum))
+    zero = _zeros(rhs.shape, np.float64)
+    rad = _radius_sweep(ps, rhs.rad, zero, zero)
+    return IMatrix._from_kernel(_zeros(rhs.shape, rhs.mid.dtype), rad)
 
 
 def _divide(ps: PrecondSystem, mid: np.ndarray | None, rad: np.ndarray) -> IMatrix:
     """Disks ``<mid, rad>`` (``mid=None`` for zero midpoints) divided through ``ps``:
     by one quotient rule on a diagonal system, tile by tile otherwise.  A zero
-    midpoint is a read-only broadcast zero of ``Fp``'s dtype."""
-    if ps.diagonal:
-        q, r = _quot(mid, rad, *ps.rec)
-        return IMatrix._from_kernel(_zeros(r.shape, ps.Fp.mid.dtype) if q is None else q, r)
-    if mid is None:
-        mid = _zeros(rad.shape, ps.Fp.mid.dtype)
-    return interval_back_substitute(ps, IMatrix(mid, rad))
+    midpoint gives a read-only broadcast zero of ``Fp``'s dtype on both."""
+    zero = _zeros(rad.shape, ps.Fp.mid.dtype)
+    if not ps.diagonal:
+        return interval_back_substitute(ps, IMatrix(zero if mid is None else mid, rad))
+    q, r = _quot(mid, rad, *ps.rec)
+    return IMatrix._from_kernel(zero if q is None else q, r)
 
 
 def compute_M(ps: PrecondSystem, xtilde: np.ndarray) -> IMatrix:
@@ -518,7 +527,7 @@ def _solve(method: str, ps: PrecondSystem) -> Enclosure:
     if ps.diagonal:
         xtilde = ps.Fp.mid / ps.den_mid()
     else:
-        xtilde = _point_back_substitute(ps, ps.Fp.mid)
+        xtilde, _ = _midpoint_sweep(ps, ps.Fp.mid)
     return verify(
         method,
         xtilde,

@@ -5,6 +5,10 @@ time; this is the sweep it replaced, which decouples every pair of clusters
 by superdiagonal span with one ``ztrsyl`` call per pair.  Both compute the
 unique unit block-upper-triangular block diagonalizer of the reordered Schur
 form, so whenever no cap binds they agree up to rounding.
+
+It also keeps the reordering ``block_diagonalize`` replaced, which ranks the
+clusters by first appearance in a table of its own, beside block ranges of
+its own.
 """
 
 import numpy as np
@@ -14,13 +18,43 @@ from sylvenc.blockdiag import (
     MAX_COND_DEFAULT,
     SEP_REL,
     BlockHalf,
-    _block_ranges,
     _clusters,
     _decouple,
-    _reorder_contiguous,
+    _swap_adjacent,
 )
 from sylvenc.linalg import lu_solve
 from sylvenc.precond import Pattern
+
+
+def rank_reorder(T: np.ndarray, Z: np.ndarray, labels: list[int]) -> tuple[list[int], list[int]]:
+    """Bubble same-cluster eigenvalues together, stable in first appearance.
+
+    Returns the reordered per-position labels and the cluster id sequence.
+    """
+    rank: dict[int, int] = {}
+    for lab in labels:
+        rank.setdefault(lab, len(rank))
+    lab = list(labels)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(lab) - 1):
+            if rank[lab[i]] > rank[lab[i + 1]]:
+                _swap_adjacent(T, Z, i)
+                lab[i], lab[i + 1] = lab[i + 1], lab[i]
+                changed = True
+    return lab, sorted(rank, key=rank.get)
+
+
+def block_ranges(lab: list[int], order: list[int]) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` of each cluster of ``order`` in the reordered labels ``lab``."""
+    ranges = []
+    pos = 0
+    for cid in order:
+        cnt = lab.count(cid)
+        ranges.append((pos, pos + cnt))
+        pos += cnt
+    return ranges
 
 
 def pairwise_block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAULT) -> BlockHalf:
@@ -38,8 +72,8 @@ def pairwise_block_diagonalize(Ac: np.ndarray, max_cond: float = MAX_COND_DEFAUL
     while True:
         T = T0.copy()
         U = Z0.copy()
-        lab, order = _reorder_contiguous(T, U, labels.tolist())
-        ranges = _block_ranges(lab, order)
+        lab, order = rank_reorder(T, U, labels.tolist())
+        ranges = block_ranges(lab, order)
         merged = False
         # zero coupling blocks sweeping by superdiagonal span; wider spans
         # only touch blocks not yet processed, so finished zeros persist

@@ -20,9 +20,12 @@ from sylvenc import (
     mkw_solve,
     sample_solutions,
 )
-from sylvenc.intervals import _denominators, _quot
+from sylvenc.intervals import _denominators, _quot, _zeros
+from sylvenc.krawczyk import _midpoint_sweep
 from sylvenc.linalg import unvec, vec
 from sylvenc.precond import Pattern, PrecondSystem
+
+import tile_sweep_oracle
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -182,22 +185,19 @@ class TestIntervalBackSubstitute:
         assert np.array_equal(got.mid, mid) and np.array_equal(got.rad, rad)
 
     def test_point_sweep_on_scalar_blocks_is_the_diagonal_quotient(self):
-        from sylvenc.krawczyk import _point_back_substitute
-
         rng = np.random.default_rng(11)
         DA, DC = np.diag(rng.uniform(1.0, 2.0, 5)), np.diag(rng.uniform(1.0, 2.0, 5))
         DB, DD = np.diag(rng.uniform(1.0, 2.0, 4)), np.diag(rng.uniform(1.0, 2.0, 4))
         ps = _system(DA, DC, DB, DD, row_sizes=(1,) * 5, col_sizes=(1,) * 4)
         f = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        assert _point_back_substitute(ps, f).tobytes() == (f / ps.den_mid()).tobytes()
+        xt, anum = _midpoint_sweep(ps, f)
+        assert anum is None and xt.tobytes() == (f / ps.den_mid()).tobytes()
 
     def test_point_sweep_is_the_midpoint_of_the_interval_sweep_up_to_division(self):
-        from sylvenc.krawczyk import _point_back_substitute
-
         ps = _hand_form()
         f = np.arange(1.0, 7.0).reshape(3, 2)
         expect = unvec(np.linalg.solve(_lam(ps), vec(f)), 3, 2)
-        got = _point_back_substitute(ps, f)
+        got, _ = _midpoint_sweep(ps, f)
         assert np.abs(got - expect).max() <= 4 * np.finfo(float).eps * np.abs(expect).max()
         # it divides by den.mid where the interval sweep multiplies by rec_mid
         box = interval_back_substitute(ps, IMatrix(f))
@@ -248,6 +248,35 @@ def test_tiles_match_dense_solve_on_mixed_block_sizes(complex_):
         m, n = rng.integers(2, 9, size=2)
         form = _random_form(rng, _random_sizes(rng, m), _random_sizes(rng, n), complex_)
         _assert_matches_dense_solve(form, rng)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_split_sweeps_are_the_single_pass_sweeps_bit_for_bit(data):
+    def sizes(label):
+        return tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label=label))
+
+    a_sizes, b_sizes = sizes("a_sizes"), sizes("b_sizes")
+    complex_ = data.draw(st.booleans(), label="complex")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ps = _random_form(rng, a_sizes, b_sizes, complex_)
+    shape = (ps.m, ps.n)
+    mid = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
+    radii = data.draw(st.booleans(), label="radii")
+    rad = rng.uniform(0.0, 1e-3, shape) if radii else np.zeros(shape)
+    kind = data.draw(st.sampled_from(["dense", "dense zero", "broadcast zero"]), label="midpoint")
+    if kind != "dense":
+        mid = np.zeros(shape, mid.dtype) if kind == "dense zero" else _zeros(shape, mid.dtype)
+    rhs = IMatrix(mid, rad)
+    got = interval_back_substitute(ps, rhs)
+    want = tile_sweep_oracle.interval_back_substitute(ps, rhs)
+    assert got.rad.tobytes() == want.rad.tobytes()
+    if kind == "broadcast zero":
+        assert not any(got.mid.strides) and not got.mid.any() and got.mid.dtype == mid.dtype
+    else:
+        assert got.mid.dtype == want.mid.dtype and got.mid.tobytes() == want.mid.tobytes()
+    xt, _ = _midpoint_sweep(ps, mid)
+    assert xt.tobytes() == tile_sweep_oracle.point_back_substitute(ps, mid).tobytes()
 
 
 def test_single_block_form_matches_dense_solve():
@@ -564,6 +593,31 @@ class TestColumnSweep:
         a = _clustered(seed)
         half = self._assert_matches_oracle(a)
         assert len(half.sizes) < a.shape[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_label_order_makes_the_swaps_of_the_first_appearance_ranking(self, seed):
+        import scipy.linalg
+        from blockdiag_oracle import rank_reorder
+
+        from sylvenc.blockdiag import SEP_REL, _clusters, _reorder_contiguous
+
+        # a triangular matrix is its own Schur form: its clusters stay interleaved
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(6, 30))
+        lams = np.arange(1.0, 5.0)[rng.integers(0, 4, m)] + 1e-9 * rng.standard_normal(m)
+        a = np.diag(lams) + 0.3 * np.triu(rng.standard_normal((m, m)), 1)
+        T0, Z0 = scipy.linalg.schur(a.astype(complex), output="complex")
+        labels = _clusters(np.diag(T0), SEP_REL * np.linalg.norm(a))
+        # a restart after a fuse sorts the fused labels from the Schur form again
+        fused = labels.copy()
+        first = np.unique(labels)[:2]
+        fused[np.isin(fused, first)] = first[0]
+        for lab in (labels, fused):
+            T, Z, T_ref, Z_ref = T0.copy(), Z0.copy(), T0.copy(), Z0.copy()
+            _reorder_contiguous(T, Z, lab)
+            rank_reorder(T_ref, Z_ref, lab.tolist())
+            assert not np.array_equal(T, T0)
+            assert T.tobytes() == T_ref.tobytes() and Z.tobytes() == Z_ref.tobytes()
 
     @pytest.mark.parametrize("m", [16, 32, 48])
     def test_matches_pairwise_on_the_jordan_family(self, m):

@@ -19,6 +19,7 @@ from sylvenc import (
 )
 from sylvenc.bench import retained_nbytes
 from sylvenc.blockdiag import _block_side
+from sylvenc.krawczyk import compute_N
 from sylvenc.precond import _eig_memo, _eigen_donor, precondition
 from sylvenc.serialize import (
     dump_json,
@@ -113,13 +114,17 @@ def test_solves_peak_at_a_few_complex_arrays_above_what_they_keep(warmed, family
 
 
 def test_blk_on_a_block_pattern_gathers_its_tile_blocks_one_coefficient_at_a_time(warmed):
-    # about 23.35 arrays; 24.2 when the contraction term forms dense complex pattern
-    # midpoints and gathers its zero midpoint into a dense stack, 27.2 when the tile
-    # sweeps form all four dense pattern midpoints at once
+    # about 20.85 arrays; 23.35 when the contraction term's tile sweep runs the midpoint
+    # recurrence on its zero midpoint and returns a dense one, 24.2 when it also forms
+    # dense complex pattern midpoints and gathers its zero midpoint into a dense stack,
+    # 27.2 when the tile sweeps form all four dense pattern midpoints at once
     m = 64
     blk, peak = _traced_peak(mkw_block_solve, _jordan_system(m))
     assert blk.verified and not blk.precond.diagonal
-    assert _units(peak, m, m) <= 23.85
+    assert _units(peak, m, m) <= 21.35
+    # the contraction term runs the radius sweep alone: its midpoint is a broadcast zero
+    N = compute_N(blk.precond, blk.Xbox.rad)
+    assert not any(N.mid.strides) and not N.mid.any()
 
 
 def test_retained_bytes_count_each_buffer_once():

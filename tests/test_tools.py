@@ -43,7 +43,7 @@ def test_tool_runs(name):
     assert proc.returncode == 0, proc.stderr
     if name == "enclosure_digests":
         lines = proc.stdout.splitlines()
-        assert len(lines) == 56
+        assert len(lines) == 60
         for line in lines:
             assert re.fullmatch(
                 r"\S+ (mkw|itr|blk|ver) ([0-9a-f]{64} \S+|[A-Za-z]+Error -)", line
@@ -96,6 +96,11 @@ def _check_mem_grid(stdout):
     picked = [_MEM_LINE.fullmatch(line) for line in proc.stdout.splitlines()]
     assert proc.returncode == 0 and all(picked), proc.stdout + proc.stderr
     assert [r[2] for r in picked] == ["mkw", "itr"]
+    # the jordan family gives blk a block pattern
+    proc = _run("mem_grid", "--families", "jordan", "--sizes", "16", "--solvers", "blk")
+    (row,) = [_MEM_LINE.fullmatch(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 0 and row and row[1] == "jordan", proc.stdout + proc.stderr
+    assert float(row[4]) > 0 and float(row[6]) > 0
 
 
 def _against(tmp_path, *lines):
@@ -113,7 +118,7 @@ def test_digests_against_a_narrower_or_unverified_run_pass(tmp_path):
         "jordan-m16 itr NoInitialEnclosureError -",
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len(change) == 56
+    assert len(change) == 60
     assert change[("kyc31-m8", "mkw")] == "-1.000e+00"
     assert change[("jordan-m16", "mkw")] == "-"  # it fails honestly, then and now
     assert change[("jordan-m16", "itr")] == "="

@@ -11,12 +11,16 @@ side, the only blocks larger than 3 in the corpus; one whose midpoint pairs
 eigenbases for its donor; one complex system with m = 5 and n = 3, which
 pins the vec convention on a rectangular unknown; the complex ``A X + X B
 = F`` of the same A, B and F, whose identity coefficients send each of
-ver's coefficient pairs through one product with ``R`` on complex data; and
+ver's coefficient pairs through one product with ``R`` on complex data;
 kyc31 at m = 8 with A, B, C and D scaled by 2**260 and F by 2**520, which
 has the same member solutions and squares of its denominators past the
-range of binary64.  Each system is solved by mkw,
-itr (started from the mkw enclosure), blk and ver, and every result is
-serialized with ``dump_json(enclosure_to_dict(enc))``.  A solve that raises
+range of binary64; and ``A X + X = F`` with an upper triangular midpoint A
+whose three eigenvalue clusters interleave along its diagonal, so that
+``blockdiag.block_diagonalize`` reorders it by 18 adjacent swaps into
+blocks (4, 4, 4), the only Schur reordering of the corpus (blk's donor
+there is the identity C, whose one block holds A as it is).  Each system
+is solved by mkw, itr (started from the mkw enclosure), blk and ver, and
+every result is serialized with ``dump_json(enclosure_to_dict(enc))``.  A solve that raises
 prints the error's class name instead of a digest.  After the digest each
 line prints the radius sum of the enclosure, the ``repr`` of
 ``float(evaluated.rad.sum())``, or ``-`` when the solve did not verify or
@@ -180,6 +184,24 @@ def one_sided_complex_system(m: int = 5, n: int = 3, seed: int = 0) -> Sylvester
     )
 
 
+def interleaved_system(m: int = 12, seed: int = 0) -> SylvesterSystem:
+    """``A X + X = F`` with an upper triangular ``mid A`` whose diagonal repeats ``1, 2, 3``.
+
+    Entry ``i`` of the diagonal is ``[1, 2, 3][i % 3] + 1e-9 (i // 3)``, so
+    each of the three clusters holds every third position; the entries
+    above the diagonal are ``0.3 U(-1, 1)``.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    i = np.arange(m)
+    a = np.triu(0.3 * rng.uniform(-1.0, 1.0, (m, m)), 1)
+    a[i, i] = np.array([1.0, 2.0, 3.0])[i % 3] + 1e-9 * (i // 3)
+    rad = np.full((m, m), 1e-8)
+    eye = IMatrix(np.eye(m))
+    return SylvesterSystem(
+        A=IMatrix(a, rad), B=eye, C=eye, D=eye, F=IMatrix(rng.uniform(0.5, 1.5, (m, m)), rad),
+    )
+
+
 def scaled_system(sys_: SylvesterSystem, s: float) -> SylvesterSystem:
     """``sys_`` with A, B, C and D times ``s`` and F times ``s**2``: the same member solutions."""
 
@@ -211,6 +233,7 @@ def corpus() -> list[tuple[str, SylvesterSystem]]:
         ("complex-m5n3", rectangular_complex_system()),
         ("complex-sylvester-m5n3", one_sided_complex_system()),
         ("kyc31-m8-x2e260", scaled_system(systems[0][1], 2.0**260)),
+        ("interleaved-m12", interleaved_system()),
     ]
 
 

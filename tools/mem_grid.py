@@ -1,8 +1,12 @@
 """Print, per grid cell, the memory that mkw, itr and blk use at their peak and keep after.
 
 The default grid is the three families at m in {100, 200, 400} (n = m,
-alpha 1e-6, generator seed 0).  Per cell mkw is solved, then itr from
-mkw's enclosure when it verified, then, with both results dropped, blk.
+alpha 1e-6, generator seed 0).  ``--families`` also takes ``jordan``, the
+system of ``tools/enclosure_digests.py`` whose midpoint A is made of 2x2
+Jordan blocks (seed 0): there mkw fails honestly and blk runs its tile
+sweeps on a block pattern, which the three families never give it.  Per
+cell mkw is solved, then itr from mkw's enclosure when it verified, then,
+with both results dropped, blk.
 ``--solvers`` picks which of them print (default ``mkw,itr,blk``); itr
 still starts from mkw's enclosure, which is then solved without a line.
 Leave blk out of a grid that holds gallery33 at m = 400: its block
@@ -33,6 +37,7 @@ root::
     python3 tools/mem_grid.py --families kyc31,sylvester32 --sizes 200,400
     python3 tools/mem_grid.py --families gallery33 --sizes 200,400 --solvers mkw,itr
     python3 tools/mem_grid.py --families kyc31 --sizes 16,64
+    python3 tools/mem_grid.py --families jordan --sizes 64,128 --solvers blk
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from enclosure_digests import defective_system  # noqa: E402
 
 from sylvenc import FAMILIES, GenSpec, generate, itr_solve, mkw_block_solve, mkw_solve  # noqa: E402
 from sylvenc.bench import retained_nbytes  # noqa: E402
@@ -76,7 +83,10 @@ def _line(label: str, solver: str, peak: int, kept: int, unit: float) -> str:
 
 def cell(family: str, m: int, solvers: tuple[str, ...] = SOLVERS) -> list[str]:
     label = f"{family:<12} m={m:<4}"
-    sys_ = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
+    if family == "jordan":
+        sys_ = defective_system(m)
+    else:
+        sys_ = generate(GenSpec(family=family, m=m, alpha=1e-6, seed=0))
     unit = 16.0 * m * m
     lines = []
     mkw = error = None
